@@ -9,6 +9,7 @@ codes: 0 ok, 2 input error, 3 infeasible, 4 node budget exhausted,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import glob
 import hashlib
 import json
@@ -17,13 +18,13 @@ import os
 import sys
 
 from . import __version__
-from .core import (ParseError, ValidationError, load_instance, save_instance,
-                   validate_instance)
+from .core import (ParseError, ValidationError, load_instance, require_valid,
+                   save_instance, validate_instance)
 from .delay import DelayOptions, build_delay_table
 from .gen import PROFILES, generate_instance
 from .ilp import EmptyFeasibleSet, build_ilp, check_plan_feasible, export_lp
 from .quant import SchemeKind, analyze_tensor, load_weight_tensor
-from .sim import simulate, trace_to_timeline
+from .sim import InfeasiblePlan, simulate, trace_to_timeline
 from .solver import (DEFAULT_NODE_BUDGET, solve_branch_and_bound,
                      solve_brute_force, solve_relaxed_dp)
 
@@ -44,9 +45,10 @@ class CliError(Exception):
 
 
 def _write_json(path, doc) -> None:
+    # serialise first, so a non-finite value never leaves a partial file
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 def _parse_bits(text: str) -> tuple[int, ...]:
@@ -101,9 +103,7 @@ def _load_and_filter(args) -> tuple:
             w = load_weight_tensor(path)
             scheme = _forced_scheme(args.scheme) or recommend_scheme(distribution_stats(w))
             feas.append(filter_bits(w, bits, delta, scheme))
-        instance = load_instance(args.cluster, args.model, bit_menu=bits,
-                                 delta=delta, tokens=args.tokens,
-                                 feasible_bits=feas)
+        instance = require_valid(dataclasses.replace(instance, feasible_bits=tuple(feas)))
     options = DelayOptions(cp_scaling=args.cp_scaling,
                            per_token_activation=args.activation_payload == "per_token")
     options_doc = {
@@ -202,7 +202,8 @@ def cmd_quantize(args) -> int:
 
 def cmd_plan(args) -> int:
     instance, options, options_doc = _load_and_filter(args)
-    table = build_delay_table(instance, options)
+    table = build_delay_table(instance, options,
+                              literal_storage=args.storage == "literal")
     budget = args.budget if args.budget is not None else int(
         os.environ.get("EDGEPLAN_BUDGET", DEFAULT_NODE_BUDGET))
 
@@ -225,9 +226,8 @@ def cmd_plan(args) -> int:
         print(f"lower bound: {bound!r} s (server reuse allowed)")
         return EXIT_OK
 
-    solve = solve_brute_force if args.solver == "brute" else solve_branch_and_bound
     if args.solver == "brute":
-        result = solve(instance, table)
+        result = solve_brute_force(instance, table)
     else:
         result = solve_branch_and_bound(instance, table, budget)
     if result.status == "infeasible":
@@ -291,12 +291,14 @@ def cmd_simulate(args) -> int:
         delta=math.inf if delta == "inf" else delta,
         tokens=options_doc["tokens"],
         feasible_bits=options_doc["feasible_bits"])
-    options = DelayOptions.from_doc(options_doc)
-    table = build_delay_table(instance, options)
     assignments = tuple(
         (a["server"], a["bits"])
         for a in sorted(doc["assignments"], key=lambda a: a["layer"]))
-    trace = simulate(assignments, instance, table)
+    try:
+        trace = simulate(assignments, instance, DelayOptions.from_doc(options_doc))
+    except InfeasiblePlan as e:
+        print(f"mismatch: plan cannot be replayed: {e}", file=sys.stderr)
+        return EXIT_MISMATCH
     claimed = doc["objective"]["total_s"]
     scale = max(abs(claimed), abs(trace.completion_time), 1e-300)
     if abs(trace.completion_time - claimed) > 1e-9 * scale:
@@ -318,10 +320,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_export_lp(args) -> int:
     instance, options, _ = _load_and_filter(args)
-    table = build_delay_table(instance, options)
+    table = build_delay_table(instance, options,
+                              literal_storage=args.storage == "literal")
     try:
-        model = build_ilp(instance, table,
-                          literal_storage=args.storage == "literal")
+        model = build_ilp(instance, table)
     except EmptyFeasibleSet as e:
         print(json.dumps({"status": "infeasible", "layer": e.layer,
                           "reason": str(e)}))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
@@ -85,6 +86,16 @@ class LayerProfile:
     weights_ref: Optional[str] = None
 
 
+def storage_bytes(layer: LayerProfile, bits: int, *,
+                  literal_output_factor: bool = False) -> float:
+    """Bytes needed to host a layer quantized at the given width: b * p / 8,
+    times the layer's output size in the strict-literal storage mode."""
+    size = bits * layer.param_count / 8
+    if literal_output_factor:
+        size *= layer.output_size
+    return size
+
+
 @dataclass(frozen=True)
 class ModelProfile:
     layers: tuple[LayerProfile, ...]
@@ -134,6 +145,12 @@ class PlacementPlan:
 # Validation
 # ---------------------------------------------------------------------------
 
+def _non_finite(where: str, **values: float) -> list[Violation]:
+    """One NonFiniteValue violation per NaN or infinite value."""
+    return [Violation("NonFiniteValue", f"{where} {name} {value}")
+            for name, value in values.items() if not math.isfinite(value)]
+
+
 def validate_instance(instance: ProblemInstance) -> list[Violation]:
     """Return every structural violation; an empty list means valid.
 
@@ -148,13 +165,27 @@ def validate_instance(instance: ProblemInstance) -> list[Violation]:
         out.append(Violation("DuplicateServerId", f"server ids {ids} contain duplicates"))
     elif sorted(ids) != list(range(len(ids))):
         out.append(Violation("NonContiguousServerIds", f"server ids {ids} are not 0..M-1"))
+    elif ids != sorted(ids):
+        # every consumer indexes servers by position; parse_cluster sorts
+        out.append(Violation("ServerIdsOutOfOrder", f"server ids {ids} are not listed in id order"))
     for s in servers:
+        if not (math.isfinite(s.compute_throughput) and math.isfinite(s.storage_capacity)):
+            out += _non_finite(f"server {s.id}", ccs_flops=s.compute_throughput,
+                               storage_bytes=s.storage_capacity)
         if s.compute_throughput <= 0:
             out.append(Violation("NonPositiveThroughput", f"server {s.id} throughput {s.compute_throughput}"))
         if s.storage_capacity < 0:
             out.append(Violation("NegativeStorage", f"server {s.id} storage {s.storage_capacity}"))
     id_set = set(ids)
+    seen_links = set()
     for lk in instance.cluster.links:
+        if not (math.isfinite(lk.capacity_bps) and math.isfinite(lk.propagation_delay)):
+            out += _non_finite(f"link {lk.src}->{lk.dst}", capacity_bps=lk.capacity_bps,
+                               prop_delay_s=lk.propagation_delay)
+        pair = (lk.src, lk.dst)
+        if pair in seen_links:
+            out.append(Violation("DuplicateLink", f"link {lk.src}->{lk.dst} is declared twice"))
+        seen_links.add(pair)
         if lk.capacity_bps <= 0:
             out.append(Violation("LinkCapacityNonPositive", f"link {lk.src}->{lk.dst} capacity {lk.capacity_bps}"))
         if lk.src == lk.dst:
@@ -168,6 +199,8 @@ def validate_instance(instance: ProblemInstance) -> list[Violation]:
     if [l.index for l in layers] != list(range(len(layers))):
         out.append(Violation("LayerIndexGap", f"layer indices {[l.index for l in layers]} are not 0..L-1"))
     for l in layers:
+        if not (math.isfinite(l.flops) and math.isfinite(l.output_size)):
+            out += _non_finite(f"layer {l.index}", flops=l.flops, output_size=l.output_size)
         if l.flops < 0:
             out.append(Violation("NegativeFlops", f"layer {l.index}"))
         if l.param_count < 0:
@@ -242,6 +275,9 @@ def parse_cluster(doc: dict, where: str = "cluster") -> ClusterSpec:
             capacity_bps=float(_require(lk, "capacity_bps", f"{where}.links[{k}]")),
             propagation_delay=float(lk.get("prop_delay_s", 0.0)),
         ))
+    # position == id from here on: the delay table, the simulator and the
+    # plan checker all index servers by position
+    servers.sort(key=lambda s: s.id)
     return ClusterSpec(servers=tuple(servers), links=tuple(links))
 
 
@@ -279,10 +315,17 @@ def load_instance(cluster_path, model_path, *, bit_menu: Iterable[int],
         delta=float(delta), tokens=int(tokens),
         feasible_bits=tuple(tuple(fb) for fb in feasible_bits) if feasible_bits else (),
     )
-    hard = [v for v in validate_instance(inst) if v.code != "MoreLayersThanServers"]
+    return require_valid(inst)
+
+
+def require_valid(instance: ProblemInstance) -> ProblemInstance:
+    """Return the instance unchanged, or raise ValidationError carrying every
+    violation except MoreLayersThanServers (an infeasible, not malformed,
+    input that the solvers report themselves)."""
+    hard = [v for v in validate_instance(instance) if v.code != "MoreLayersThanServers"]
     if hard:
         raise ValidationError(hard)
-    return inst
+    return instance
 
 
 def cluster_to_doc(cluster: ClusterSpec) -> dict:

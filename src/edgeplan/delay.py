@@ -17,14 +17,25 @@ uses the layer's declared output_size instead, the literal reading.
 The b * p_l / original_precision scaling in cp is kept by default;
 cp_scaling="without_pl" drops the p_l factor (scaling b/original_precision)
 since its dimensional role is debatable.
+
+compute_cp and compute_cm are the scalar reference. build_delay_table
+evaluates the same expressions, in the same operation order, over whole
+arrays: cp[M, L, B] and cm[L, M, M, B], with the bit axis indexed by
+position in the instance's bit menu. Every finite entry equals the scalar
+function bit for bit; math.inf is the one admissibility mask the solvers
+and build_ilp read. The replay simulator evaluates the scalar
+functions directly, so it checks the table rather than re-reading it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .core import LayerProfile, LinkSpec, ProblemInstance, ServerSpec
+import numpy as np
+
+from .core import (LayerProfile, LinkSpec, ProblemInstance, ServerSpec,
+                   storage_bytes)
 
 MAX_BITS = 64
 
@@ -39,6 +50,10 @@ class NoLink(ValueError):
 
 class InfeasibleEdge(ValueError):
     """A plan routes consecutive layers over a missing link."""
+
+
+class Inadmissible(ValueError):
+    """A plan places a layer at a (server, bits) the table masks out."""
 
 
 @dataclass(frozen=True)
@@ -60,19 +75,26 @@ class DelayOptions:
                    per_token_activation=doc.get("per_token_activation", True))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DelayTable:
-    """Precomputed delay coefficients for one instance.
+    """Delay coefficients of one instance, in seconds over all n rounds.
 
-    cp maps (server, layer, bits) -> seconds; cm maps
-    (layer, src, dst, bits) -> seconds with math.inf marking a missing link
-    and exact 0.0 on the diagonal.
+    cp[i, l, k] is layer l on server i at bit_menu[k] bits; cm[l, i, j, k]
+    ships layer l's output from server i to server j at bit_menu[k] bits,
+    exactly 0.0 on the diagonal. math.inf marks an inadmissible entry: in
+    cp a width outside the layer's feasible set or a layer that overflows
+    the server's storage; in cm a missing link or an infeasible width.
     """
-    cp: dict[tuple[int, int, int], float]
-    cm: dict[tuple[int, int, int, int], float]
-    num_servers: int
-    num_layers: int
-    feasible_bits: tuple[tuple[int, ...], ...]
+    cp: np.ndarray
+    cm: np.ndarray
+    bit_menu: tuple[int, ...]
+
+    def bit_index(self, bits: int) -> int:
+        """Position of a bit-width on the bit axis; Inadmissible if absent."""
+        try:
+            return self.bit_menu.index(bits)
+        except ValueError:
+            raise Inadmissible(f"{bits} bits not in menu {self.bit_menu}") from None
 
 
 def _check_bits(bits: int) -> None:
@@ -84,10 +106,14 @@ def compute_cp(layer: LayerProfile, server: ServerSpec, bits: int,
                tokens: int, options: DelayOptions = DelayOptions()) -> float:
     """Compute delay in seconds for all n autoregressive rounds."""
     _check_bits(bits)
+    return tokens * (layer.flops / server.compute_throughput) * _cp_scale(layer, bits, options)
+
+
+def _cp_scale(layer: LayerProfile, bits: int, options: DelayOptions) -> float:
     scale = bits / layer.original_precision
     if options.cp_scaling == "with_pl":
         scale *= layer.output_size
-    return tokens * (layer.flops / server.compute_throughput) * scale
+    return scale
 
 
 def round_payload_elements(layer: LayerProfile, batch: int, embedding: int,
@@ -117,35 +143,72 @@ def compute_cm(layer: LayerProfile, link: LinkSpec | None, bits: int,
 
 
 def build_delay_table(instance: ProblemInstance,
-                      options: DelayOptions = DelayOptions()) -> DelayTable:
-    """Evaluate cp and cm pointwise over every placement-relevant index."""
-    cp: dict[tuple[int, int, int], float] = {}
-    cm: dict[tuple[int, int, int, int], float] = {}
-    model = instance.model
-    for layer in model.layers:
-        bits_menu = instance.feasible_bits[layer.index]
-        for server in instance.cluster.servers:
-            for b in bits_menu:
-                cp[(server.id, layer.index, b)] = compute_cp(
-                    layer, server, b, instance.tokens, options)
-        for src in instance.cluster.servers:
-            for dst in instance.cluster.servers:
-                for b in bits_menu:
-                    key = (layer.index, src.id, dst.id, b)
-                    if src.id == dst.id:
-                        cm[key] = 0.0
-                        continue
-                    link = instance.cluster.link(src.id, dst.id)
-                    if link is None:
-                        cm[key] = math.inf
-                    else:
-                        cm[key] = compute_cm(
-                            layer, link, b, instance.tokens,
-                            model.batch_size, model.embedding_size, options)
-    return DelayTable(cp=cp, cm=cm,
-                      num_servers=instance.cluster.num_servers,
-                      num_layers=model.num_layers,
-                      feasible_bits=instance.feasible_bits)
+                      options: DelayOptions = DelayOptions(), *,
+                      literal_storage: bool = False) -> DelayTable:
+    """Evaluate cp and cm over every (server, layer, bits) and link.
+
+    Per-(layer, bits) factors come from the scalar helpers; servers and
+    links enter as a throughput vector and M x M capacity/propagation
+    matrices filled once from the link list. ``literal_storage`` selects
+    the storage model the mask applies (see core.storage_bytes).
+    """
+    cluster, model = instance.cluster, instance.model
+    menu = instance.bit_menu
+    M, L, B = cluster.num_servers, model.num_layers, len(menu)
+    n = instance.tokens
+    for b in {b for fb in instance.feasible_bits for b in fb}:
+        _check_bits(b)
+
+    def per_layer_bits(f):
+        return np.array([[f(layer, b) for b in menu] for layer in model.layers],
+                        dtype=float).reshape(L, B)
+
+    feasible = np.array([[b in fb for b in menu] for fb in instance.feasible_bits],
+                        dtype=bool).reshape(L, B)
+    scale = per_layer_bits(lambda layer, b: _cp_scale(layer, b, options))
+    payload_bits = per_layer_bits(lambda layer, b: round_payload_elements(
+        layer, model.batch_size, model.embedding_size, options) * b)
+    need = per_layer_bits(lambda layer, b: storage_bytes(
+        layer, b, literal_output_factor=literal_storage))
+
+    flops = np.array([layer.flops for layer in model.layers], dtype=float)
+    throughput = np.array([s.compute_throughput for s in cluster.servers], dtype=float)
+    capacity = np.array([s.storage_capacity for s in cluster.servers], dtype=float)
+    cp = n * (flops[None, :] / throughput[:, None])[:, :, None] * scale[None, :, :]
+    admissible = feasible[None, :, :] & (need[None, :, :] <= capacity[:, None, None])
+    cp[~admissible] = math.inf
+
+    linked = np.zeros((M, M), dtype=bool)
+    bps = np.ones((M, M))
+    prop = np.zeros((M, M))
+    for lk in cluster.links:
+        linked[lk.src, lk.dst] = True
+        bps[lk.src, lk.dst] = lk.capacity_bps
+        prop[lk.src, lk.dst] = lk.propagation_delay
+    cm = n * (payload_bits[:, None, None, :] / bps[None, :, :, None]
+              + prop[None, :, :, None])
+    cm[:, ~linked] = math.inf
+    diag = np.arange(M)
+    cm[:, diag, diag] = 0.0
+    cm = np.where(feasible[:, None, None, :], cm, math.inf)
+    return DelayTable(cp=cp, cm=cm, bit_menu=menu)
+
+
+def path_delay(cp_rows, cm, path) -> tuple[float, float, float]:
+    """(total, compute, comm) of a path of (server, bit position) pairs.
+
+    cp_rows is indexed [layer][server][k] and cm [layer][src][dst][k],
+    as arrays or as nested lists; a masked entry makes the result inf.
+    The one definition of the objective's sums: evaluate_plan and brute
+    force both price through it.
+    """
+    compute = 0.0
+    comm = 0.0
+    for l, (i, k) in enumerate(path):
+        compute += cp_rows[l][i][k]
+        if l + 1 < len(path):
+            comm += cm[l][i][path[l + 1][0]][k]
+    return compute + comm, compute, comm
 
 
 def evaluate_plan(assignments, table: DelayTable) -> tuple[float, float, float]:
@@ -153,25 +216,28 @@ def evaluate_plan(assignments, table: DelayTable) -> tuple[float, float, float]:
 
     Returns (total, compute_part, comm_part). The final layer's output is
     not shipped anywhere (client download is out of the model). Raises
-    InfeasibleEdge when consecutive layers sit on servers with no link.
+    InfeasibleEdge when consecutive layers sit on servers with no link and
+    Inadmissible when a layer sits where the table's mask forbids it.
     """
-    compute = 0.0
-    comm = 0.0
-    for l, (server, bits) in enumerate(assignments):
-        compute += table.cp[(server, l, bits)]
-        if l + 1 < len(assignments):
-            nxt_server = assignments[l + 1][0]
-            edge = table.cm[(l, server, nxt_server, bits)]
-            if math.isinf(edge):
-                raise InfeasibleEdge(
-                    f"no link {server}->{nxt_server} for layers {l}->{l + 1}")
-            comm += edge
-    return compute + comm, compute, comm
+    M = table.cp.shape[0]
+    if any(not 0 <= server < M for server, _ in assignments):
+        raise Inadmissible(f"assignments {assignments} name an unknown server")
+    path = [(server, table.bit_index(bits)) for server, bits in assignments]
+    total, compute, comm = path_delay(table.cp.transpose(1, 0, 2), table.cm, path)
+    if math.isinf(total):
+        for l, (i, k) in enumerate(path):
+            if math.isinf(table.cp[i, l, k]):
+                raise Inadmissible(f"layer {l} cannot run on server {i} "
+                                   f"at {table.bit_menu[k]} bits")
+            if l + 1 < len(path) and math.isinf(table.cm[l, i, path[l + 1][0], k]):
+                raise InfeasibleEdge(f"no link {i}->{path[l + 1][0]} "
+                                     f"for layers {l}->{l + 1}")
+    return float(total), float(compute), float(comm)
 
 
 def cp_table_csv(table: DelayTable) -> str:
-    """Debug export of the compute-delay table."""
+    """Debug export of the admissible compute-delay entries."""
     lines = ["server,layer,bits,cp_seconds"]
-    for (i, l, b) in sorted(table.cp):
-        lines.append(f"{i},{l},{b},{table.cp[(i, l, b)]!r}")
+    for i, l, k in zip(*np.nonzero(np.isfinite(table.cp))):
+        lines.append(f"{i},{l},{table.bit_menu[k]},{float(table.cp[i, l, k])!r}")
     return "\n".join(lines) + "\n"

@@ -8,13 +8,12 @@ Variables:
                      cost in the objective when it cannot be hung on y
                      unambiguously (multiple layers or bit choices)
 
-Columns are emitted only for bit-widths in the layer's feasible set and
-for servers with enough storage; storage feasibility is enforced by
-omission rather than by rows. Missing links turn the corresponding
-dependency rows into mutual-exclusion rows.
-
-Storage model: a layer at b bits occupies b * param_count / 8 bytes. A
-strict-literal mode additionally multiplies by the layer's output size.
+x columns are emitted only for the (server, layer, bits) entries the
+delay table admits (finite cp): widths in the layer's feasible set on
+servers with enough storage under the table's storage model (see
+core.storage_bytes). Storage feasibility is thus enforced by omission
+rather than by rows. Missing links turn the corresponding dependency rows
+into mutual-exclusion rows.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import LayerProfile, ProblemInstance, Violation
+from .core import ProblemInstance, Violation, storage_bytes
 from .delay import DelayTable
 
 
@@ -53,16 +52,7 @@ class IlpModel:
     z_vars: dict[tuple[int, int, int, int], str]  # (src, dst, layer, bits)
 
 
-def storage_bytes(layer: LayerProfile, bits: int, *, literal_output_factor: bool = False) -> float:
-    """Bytes needed to host a layer quantized at the given width."""
-    size = bits * layer.param_count / 8
-    if literal_output_factor:
-        size *= layer.output_size
-    return size
-
-
-def build_ilp(instance: ProblemInstance, table: DelayTable, *,
-              literal_storage: bool = False) -> IlpModel:
+def build_ilp(instance: ProblemInstance, table: DelayTable) -> IlpModel:
     """Materialize objective and constraints for one instance.
 
     Emits, per layer, an exactly-one assignment row; per server, an
@@ -74,13 +64,14 @@ def build_ilp(instance: ProblemInstance, table: DelayTable, *,
     M = instance.cluster.num_servers
     L = instance.model.num_layers
 
+    cp = table.cp.tolist()
+    cm = table.cm.tolist()
+    pos = {b: k for k, b in enumerate(table.bit_menu)}
     x_vars: dict[tuple[int, int, int], str] = {}
     for l in range(L):
-        layer = instance.model.layers[l]
         for i in range(M):
-            cap = instance.cluster.servers[i].storage_capacity
-            for b in instance.feasible_bits[l]:
-                if storage_bytes(layer, b, literal_output_factor=literal_storage) <= cap:
+            for b, k in pos.items():
+                if cp[i][l][k] != math.inf:
                     x_vars[(i, l, b)] = f"x_{i}_{l}_{b}"
     for l in range(L):
         if not any(k[1] == l for k in x_vars):
@@ -100,7 +91,7 @@ def build_ilp(instance: ProblemInstance, table: DelayTable, *,
 
     objective: dict[str, float] = {}
     for (i, l, b), name in sorted(x_vars.items(), key=lambda kv: (kv[0][1], kv[0][0], kv[0][2])):
-        objective[name] = table.cp[(i, l, b)]
+        objective[name] = cp[i][l][pos[b]]
 
     z_vars: dict[tuple[int, int, int, int], str] = {}
     if use_z:
@@ -109,11 +100,11 @@ def build_ilp(instance: ProblemInstance, table: DelayTable, *,
                 for b in instance.feasible_bits[l]:
                     if (i, l, b) in x_vars:
                         z_vars[(i, j, l, b)] = f"z_{i}_{j}_{l}_{b}"
-                        objective[z_vars[(i, j, l, b)]] = table.cm[(l, i, j, b)]
+                        objective[z_vars[(i, j, l, b)]] = cm[l][i][j][pos[b]]
     elif L == 2:
         b0 = source_bits[0]
         for (i, j), name in sorted(y_vars.items()):
-            objective[name] = table.cm[(0, i, j, b0)]
+            objective[name] = cm[0][i][j][pos[b0]]
 
     rows: list[Row] = []
     for l in range(L):

@@ -270,6 +270,11 @@ def load_weight_tensor(json_path) -> WeightTensor:
     shape = tuple(int(s) for s in meta["shape"])
     if raw.size != int(np.prod(shape)):
         raise ParseError(f"{bin_path}: {raw.size} values, shape {shape}")
+    if raw.size == 0:
+        raise ParseError(f"{bin_path}: empty tensor")
+    if not np.isfinite(raw).all():
+        raise ParseError(f"{bin_path}: {int(np.count_nonzero(~np.isfinite(raw)))} "
+                         "non-finite values (NaN or inf)")
     return WeightTensor(layer_name=str(meta["name"]), values=raw, shape=shape)
 
 

@@ -6,17 +6,20 @@ pair. The autoregressive dependency serializes everything, so the trace is
 a single timeline and its completion time must reproduce the closed-form
 objective (the central cross-check of the delay model).
 
-Per-round durations are the n-round totals cp and cm divided by n, since
-the delay table is defined over all n rounds.
+The replay reads no delay table. It evaluates the scalar reference
+functions compute_cp and compute_cm once per layer and per consecutive
+layer pair, straight from the cluster and model specs, and spreads each
+n-round total evenly over the n rounds. Agreement between its completion
+time and a plan's objective therefore checks the vectorised table the
+solvers read against an independent evaluation of the delay model.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .core import ProblemInstance
-from .delay import DelayTable
+from .delay import DelayOptions, compute_cm, compute_cp
 
 
 class InfeasiblePlan(ValueError):
@@ -39,30 +42,41 @@ class SimTrace:
     completion_time: float
 
 
-def simulate(assignments, instance: ProblemInstance, table: DelayTable) -> SimTrace:
-    """Replay the plan; raises InfeasiblePlan on missing links or bad bits."""
-    L = instance.model.num_layers
+def simulate(assignments, instance: ProblemInstance,
+             options: DelayOptions = DelayOptions()) -> SimTrace:
+    """Replay the plan; raises InfeasiblePlan on unknown servers, bits
+    outside a layer's feasible set, or missing links."""
+    cluster, model = instance.cluster, instance.model
+    L = model.num_layers
     n = instance.tokens
     if len(assignments) != L:
         raise InfeasiblePlan(f"{len(assignments)} assignments for {L} layers")
+    steps = []  # (n-round total, kind, layer, resource) in replay order
     for l, (i, b) in enumerate(assignments):
-        if (i, l, b) not in table.cp:
-            raise InfeasiblePlan(f"layer {l}: no delay entry for server {i} at {b} bits")
+        if not 0 <= i < cluster.num_servers:
+            raise InfeasiblePlan(f"layer {l}: unknown server {i}")
+        if b not in instance.feasible_bits[l]:
+            raise InfeasiblePlan(f"layer {l}: {b} bits outside the feasible set "
+                                 f"{instance.feasible_bits[l]}")
+        layer = model.layers[l]
+        steps.append((compute_cp(layer, cluster.servers[i], b, n, options),
+                      "compute", l, f"server:{i}"))
+        if l + 1 < L:
+            j = assignments[l + 1][0]
+            link = cluster.link(i, j)
+            if i != j and link is None:
+                raise InfeasiblePlan(f"no link {i}->{j} for layers {l}->{l + 1}")
+            steps.append((compute_cm(layer, link, b, n, model.batch_size,
+                                     model.embedding_size, options,
+                                     same_server=i == j),
+                           "transfer", l, f"link:{i}->{j}"))
     events: list[SimEvent] = []
     t = 0.0
     for r in range(1, n + 1):
-        for l, (i, b) in enumerate(assignments):
-            dur = table.cp[(i, l, b)] / n
-            events.append(SimEvent(t, t + dur, "compute", r, l, f"server:{i}"))
+        for total, kind, l, resource in steps:
+            dur = total / n
+            events.append(SimEvent(t, t + dur, kind, r, l, resource))
             t += dur
-            if l + 1 < L:
-                j = assignments[l + 1][0]
-                cm = table.cm[(l, i, j, b)]
-                if math.isinf(cm):
-                    raise InfeasiblePlan(f"no link {i}->{j} for layers {l}->{l + 1}")
-                dur = cm / n
-                events.append(SimEvent(t, t + dur, "transfer", r, l, f"link:{i}->{j}"))
-                t += dur
     return SimTrace(events=tuple(events), completion_time=t)
 
 

@@ -1,13 +1,20 @@
 """Exact solvers for the single-model placement problem.
 
-Three routes over the same delay table:
+Three routes over the same delay table, whose math.inf entries are the
+one admissibility mask (missing links, infeasible widths, storage):
   - brute force: every injective server assignment times every feasible
-    bit choice; the verification oracle.
+    bit choice, skipping masked ones; the verification oracle.
   - relaxed DP: shortest path through the layered graph whose stage-l
     nodes are (server, bits), dropping the one-layer-per-server rule;
-    an admissible lower bound.
+    an admissible lower bound, computed with whole-array minima.
   - branch and bound: depth-first over layers with the DP suffix bound,
     guaranteed to reproduce the brute-force optimum and tie-broken plan.
+
+Brute force and branch and bound visit nodes one at a time, so they read
+the table as nested Python lists converted once per solve; per-node numpy
+scalar indexing costs more than the search itself. Bit-widths are handled
+as positions in the instance's bit menu, which is sorted, so the order on
+positions is the order on widths.
 
 Ties are broken by the lexicographically smallest (server, bits) sequence
 so plans, not just objectives, are comparable across solvers.
@@ -21,8 +28,10 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .core import PlacementPlan, ProblemInstance
-from .delay import DelayTable, InfeasibleEdge, evaluate_plan
+from .delay import DelayTable, evaluate_plan, path_delay
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -50,9 +59,16 @@ class SolveResult:
         return self.plan is not None
 
 
-def _make_plan(assignments, table: DelayTable) -> PlacementPlan:
+def _widths(path, table: DelayTable) -> tuple[tuple[int, int], ...]:
+    """(server, bit position) pairs -> (server, bits) assignments."""
+    return tuple((i, table.bit_menu[k]) for i, k in path)
+
+
+def _make_plan(path, table: DelayTable) -> PlacementPlan:
+    """Plan from (server, bit position) pairs, priced by evaluate_plan."""
+    assignments = _widths(path, table)
     total, cp, cm = evaluate_plan(assignments, table)
-    return PlacementPlan(assignments=tuple(assignments), total_delay=total,
+    return PlacementPlan(assignments=assignments, total_delay=total,
                         compute_delay=cp, comm_delay=cm)
 
 
@@ -68,24 +84,25 @@ def solve_brute_force(instance: ProblemInstance, table: DelayTable) -> SolveResu
         return SolveResult("infeasible", None, math.inf, 0, math.inf,
                            time.perf_counter() - t0)
 
-    best_key: Optional[tuple[float, tuple[tuple[int, int], ...]]] = None
+    cp = table.cp.transpose(1, 0, 2).tolist()  # [layer][server][bits]
+    cm = table.cm.tolist()  # [layer][src][dst][bits]
+    widths = [[table.bit_index(b) for b in fb] for fb in instance.feasible_bits]
+    best_total = math.inf
+    best: Optional[tuple[tuple[int, int], ...]] = None
     leaves = 0
-    server_ids = sorted(s.id for s in instance.cluster.servers)
-    for perm in itertools.permutations(server_ids, L):
-        for bits in itertools.product(*(instance.feasible_bits[l] for l in range(L))):
-            assignments = tuple(zip(perm, bits))
+    for perm in itertools.permutations(range(M), L):
+        for bits in itertools.product(*widths):
             leaves += 1
-            try:
-                total, _, _ = evaluate_plan(assignments, table)
-            except InfeasibleEdge:
+            candidate = tuple(zip(perm, bits))
+            total = path_delay(cp, cm, candidate)[0]
+            if total > best_total or math.isinf(total):
                 continue
-            key = (total, assignments)
-            if best_key is None or key < best_key:
-                best_key = key
+            if total < best_total or candidate < best:
+                best_total, best = total, candidate
     wall = time.perf_counter() - t0
-    if best_key is None:
+    if best is None:
         return SolveResult("infeasible", None, math.inf, leaves, math.inf, wall)
-    plan = _make_plan(best_key[1], table)
+    plan = _make_plan(best, table)
     return SolveResult("optimal", plan, plan.total_delay, leaves,
                        plan.total_delay, wall)
 
@@ -94,61 +111,54 @@ def solve_brute_force(instance: ProblemInstance, table: DelayTable) -> SolveResu
 # Layered-graph relaxation
 # ---------------------------------------------------------------------------
 
-def _suffix_bounds(instance: ProblemInstance, table: DelayTable
-                   ) -> list[dict[tuple[int, int], float]]:
-    """H[l][(i, b)] = cheapest completion of layers l..L-1 starting with
-    layer l on server i at b bits, allowing non-consecutive server reuse.
+def _suffix_bounds(table: DelayTable) -> list[np.ndarray]:
+    """H[l][i, k] = cheapest completion of layers l..L-1 starting with
+    layer l on server i at bit position k, allowing non-consecutive server
+    reuse:
+
+        H[l][i, k] = cp[i, l, k] + min_{j != i} (cm[l, i, j, k] + min_k2 H[l+1][j, k2])
 
     Consecutive layers still need distinct, linked servers (any feasible
     plan satisfies that), so the bound stays admissible while excluding
-    free self-edges."""
-    L = instance.model.num_layers
-    M = instance.cluster.num_servers
-    H: list[dict[tuple[int, int], float]] = [dict() for _ in range(L)]
-    for l in range(L - 1, -1, -1):
-        for i in range(M):
-            for b in instance.feasible_bits[l]:
-                cost = table.cp[(i, l, b)]
-                if l == L - 1:
-                    H[l][(i, b)] = cost
-                    continue
-                best = math.inf
-                for (j, b2), tail in H[l + 1].items():
-                    if j == i:
-                        continue
-                    edge = table.cm[(l, i, j, b)]
-                    if math.isfinite(edge):
-                        best = min(best, edge + tail)
-                H[l][(i, b)] = cost + best
+    free self-edges. Adding a constant is monotone under rounding, so
+    taking the inner minimum first gives the same value as minimising
+    every (j, k2) sum."""
+    cp, cm = table.cp, table.cm
+    M, L, _ = cp.shape
+    if L == 0:
+        return []
+    diag = np.arange(M)
+    H = [cp[:, L - 1, :]]
+    for l in range(L - 2, -1, -1):
+        via = cm[l] + H[0].min(axis=1, initial=math.inf)[None, :, None]
+        via[diag, diag] = math.inf
+        H.insert(0, cp[:, l, :] + via.min(axis=1, initial=math.inf))
     return H
 
 
 def solve_relaxed_dp(instance: ProblemInstance, table: DelayTable
                      ) -> tuple[float, Optional[tuple[tuple[int, int], ...]]]:
     """Shortest layered path; returns (lower_bound, path). The path may
-    reuse servers, so it is a bound witness, not a plan."""
+    reuse servers, so it is a bound witness, not a plan. Ties go to the
+    first (server, bits) in row-major order, the lexicographic smallest."""
     L = instance.model.num_layers
     if L == 0:
         return 0.0, ()
-    H = _suffix_bounds(instance, table)
-    if not H[0]:
+    H = _suffix_bounds(table)
+    if H[0].size == 0:
         return math.inf, None
-    start = min(H[0], key=lambda k: (H[0][k], k))
-    bound = H[0][start]
+    B = H[0].shape[1]
+    i, k = divmod(int(np.argmin(H[0])), B)
+    bound = float(H[0][i, k])
     if math.isinf(bound):
         return math.inf, None
-    path = [start]
+    path = [(i, k)]
     for l in range(L - 1):
-        i, b = path[-1]
-        best_node, best_cost = None, math.inf
-        for (j, b2), tail in H[l + 1].items():
-            if j == i:
-                continue
-            edge = table.cm[(l, i, j, b)]
-            if math.isfinite(edge) and edge + tail < best_cost:
-                best_node, best_cost = (j, b2), edge + tail
-        path.append(best_node)
-    return bound, tuple(path)
+        via = table.cm[l, i, :, k][:, None] + H[l + 1]
+        via[i] = math.inf
+        i, k = divmod(int(np.argmin(via)), B)
+        path.append((i, k))
+    return bound, _widths(path, table)
 
 
 def solve_branch_and_bound(instance: ProblemInstance, table: DelayTable,
@@ -158,6 +168,7 @@ def solve_branch_and_bound(instance: ProblemInstance, table: DelayTable,
     Pruning is strict (bound > incumbent) so objective ties survive and the
     lexicographic tie-break matches brute force exactly. Deterministic:
     layers expanded in order, children sorted by (bound, server, bits).
+    Masked (server, layer, bits) entries are never expanded.
     """
     t0 = time.perf_counter()
     L = instance.model.num_layers
@@ -170,12 +181,18 @@ def solve_branch_and_bound(instance: ProblemInstance, table: DelayTable,
         return SolveResult("optimal", plan, 0.0, 0, 0.0,
                            time.perf_counter() - t0)
 
-    H = _suffix_bounds(instance, table)
-    root_bound = min(H[0].values(), default=math.inf)
+    bounds = _suffix_bounds(table)
+    root_bound = float(bounds[0].min(initial=math.inf))
     if math.isinf(root_bound):
         return SolveResult("infeasible", None, math.inf, 0, math.inf,
                            time.perf_counter() - t0)
 
+    cp = table.cp.transpose(1, 0, 2).tolist()  # [layer][server][bits]
+    # [layer][src][bits][dst]: one row per placed parent
+    cm = table.cm.transpose(0, 1, 3, 2).tolist()
+    H = [h.tolist() for h in bounds]  # [layer][server][bits]
+    admissible = [[[k for k, c in enumerate(row) if c != math.inf] for row in layer]
+                  for layer in cp]
     incumbent: Optional[tuple[float, tuple[tuple[int, int], ...]]] = None
     leaves = 0
     expansions = 0
@@ -183,16 +200,18 @@ def solve_branch_and_bound(instance: ProblemInstance, table: DelayTable,
 
     def children(l: int, last: Optional[tuple[int, int]], used: int):
         out = []
+        edges = cm[l - 1][last[0]][last[1]] if last is not None else None
         for i in range(M):
             if used >> i & 1:
                 continue
-            for b in instance.feasible_bits[l]:
-                edge = 0.0
-                if last is not None:
-                    edge = table.cm[(l - 1, last[0], i, last[1])]
-                    if math.isinf(edge):
-                        continue
-                out.append((edge + H[l][(i, b)], i, b, edge))
+            edge = 0.0
+            if edges is not None:
+                edge = edges[i]
+                if edge == math.inf:
+                    continue
+            tails = H[l][i]
+            for k in admissible[l][i]:
+                out.append((edge + tails[k], i, k, edge))
         out.sort()
         return out
 
@@ -202,15 +221,15 @@ def solve_branch_and_bound(instance: ProblemInstance, table: DelayTable,
         if exhausted:
             return
         last = prefix[-1] if prefix else None
-        for bound_tail, i, b, edge in children(l, last, used):
+        for bound_tail, i, k, edge in children(l, last, used):
             expansions += 1
             if expansions > budget:
                 exhausted = True
                 return
             if incumbent is not None and cost + bound_tail > incumbent[0]:
                 continue
-            child_cost = cost + edge + table.cp[(i, l, b)]
-            child_prefix = prefix + ((i, b),)
+            child_cost = cost + edge + cp[l][i][k]
+            child_prefix = prefix + ((i, k),)
             if l == L - 1:
                 leaves += 1
                 key = (child_cost, child_prefix)

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import os
 
 import pytest
 
 from edgeplan.core import (ClusterSpec, LayerProfile, LinkSpec, ModelProfile,
-                           ProblemInstance, ServerSpec)
+                           ProblemInstance, ServerSpec, storage_bytes)
 from edgeplan.delay import build_delay_table
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -30,6 +31,22 @@ def make_2x2_instance(**overrides) -> ProblemInstance:
                   delta=math.inf, tokens=1)
     kwargs.update(overrides)
     return ProblemInstance(**kwargs)
+
+
+def with_binding_storage(inst: ProblemInstance, rng, p: float) -> ProblemInstance:
+    """Give each server, with probability p, a capacity drawn between the
+    smallest and the largest layer footprint over the menu, so storage
+    binds. p = 0 draws nothing and returns the instance unchanged."""
+    if p <= 0:
+        return inst
+    footprints = [storage_bytes(layer, b) for layer in inst.model.layers
+                  for b in inst.bit_menu]
+    servers = tuple(
+        dataclasses.replace(s, storage_capacity=rng.uniform(min(footprints), max(footprints)))
+        if rng.random() < p else s
+        for s in inst.cluster.servers)
+    return dataclasses.replace(
+        inst, cluster=dataclasses.replace(inst.cluster, servers=servers))
 
 
 @pytest.fixture

@@ -89,7 +89,7 @@ def test_criterion_3_simulator_identity(suite):
         result = solve_brute_force(inst, table)
         if result.plan is None:
             continue
-        trace = simulate(result.plan.assignments, inst, table)
+        trace = simulate(result.plan.assignments, inst)
         total, _, _ = evaluate_plan(result.plan.assignments, table)
         scale = max(abs(total), 1e-300)
         ok &= abs(trace.completion_time - total) <= 1e-9 * scale

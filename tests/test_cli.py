@@ -5,7 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from edgeplan.cli import main
+from edgeplan.cli import _write_json, main
+from edgeplan.core import LayerProfile, LinkSpec, ServerSpec
+from edgeplan.delay import compute_cm, compute_cp
 from edgeplan.quant import WeightTensor, save_weight_tensor
 
 from conftest import data_path
@@ -22,6 +24,19 @@ def write_weights(directory, tensors):
     for name, values in tensors.items():
         v = np.asarray(values, dtype=np.float32)
         save_weight_tensor(WeightTensor(name, v, v.shape), directory)
+
+
+def write_non_finite_weights(directory, name, values):
+    """A tensor file pair whose data WeightTensor itself would refuse."""
+    write_weights(directory, {name: np.zeros(len(values))})
+    (directory / f"{name}.bin").write_bytes(np.asarray(values, dtype="<f4").tobytes())
+
+
+def test_write_json_leaves_no_partial_file(tmp_path):
+    out = tmp_path / "doc.json"
+    with pytest.raises(ValueError):
+        _write_json(out, {"a": 1.0, "b": math.nan})
+    assert not out.exists()
 
 
 class TestGen:
@@ -100,6 +115,20 @@ class TestQuantize:
         assert "bad.json" in err
         assert json.loads(out.read_text())["records"]
 
+    def test_unusable_weights_reported_but_continue(self, tmp_path, capsys):
+        wdir = tmp_path / "w"
+        write_weights(wdir, {"good": [-1.0, 1.0], "empty": []})
+        write_non_finite_weights(wdir, "nan", [0.5, math.nan])
+        write_non_finite_weights(wdir, "inf", [math.inf, 1.0])
+        out, stats = tmp_path / "r.json", tmp_path / "s.json"
+        code, _, err = run(["quantize", "--weights-dir", str(wdir),
+                            "--bits", "8", "--delta", "inf", "--out", str(out),
+                            "--stats-out", str(stats)], capsys)
+        assert code == 0
+        assert "nan.bin" in err and "inf.bin" in err and "empty.bin" in err
+        assert {r["layer"] for r in json.loads(out.read_text())["records"]} == {"good"}
+        assert [d["layer"] for d in json.loads(stats.read_text())["layers"]] == ["good"]
+
 
 class TestPlan:
     def plan_args(self, out, solver="bnb"):
@@ -164,6 +193,120 @@ class TestPlan:
         assert code == 4
 
 
+class TestPlanStorage:
+    """Three linked servers; server 0 is the fastest but holds only 10 B,
+    while each 1000-parameter layer needs 1000 B at 8 bits (4000 B under
+    --storage literal, past the 2000 B of servers 1 and 2)."""
+
+    def write_instance(self, tmp_path):
+        cluster = {"servers": [{"id": 0, "ccs_flops": 1e6, "storage_bytes": 10},
+                               {"id": 1, "ccs_flops": 1e3, "storage_bytes": 2000},
+                               {"id": 2, "ccs_flops": 2e3, "storage_bytes": 2000}],
+                   "links": [{"src": i, "dst": j, "capacity_bps": 1e6}
+                             for i in range(3) for j in range(3) if i != j]}
+        model = {"batch_size": 1, "embedding_size": 4, "layers": [
+            {"flops": 1e3, "param_count": 1000, "output_size": 4.0,
+             "original_precision": 32}] * 2}
+        (tmp_path / "cluster.json").write_text(json.dumps(cluster))
+        (tmp_path / "model.json").write_text(json.dumps(model))
+        return ["--cluster", str(tmp_path / "cluster.json"),
+                "--model", str(tmp_path / "model.json"), "--bits", "8"]
+
+    @pytest.mark.parametrize("solver", ["bnb", "brute"])
+    def test_solvers_avoid_full_server(self, tmp_path, capsys, solver):
+        shared = self.write_instance(tmp_path)
+        out = tmp_path / "plan.json"
+        code, _, err = run(["plan", *shared, "--solver", solver,
+                            "--out", str(out)], capsys)
+        assert code == 0, err
+        doc = json.loads(out.read_text())
+        assert {a["server"] for a in doc["assignments"]} == {1, 2}
+        code, _, err = run(["simulate", "--plan", str(out),
+                            "--cluster", str(tmp_path / "cluster.json"),
+                            "--model", str(tmp_path / "model.json"),
+                            "--out", str(tmp_path / "t.csv")], capsys)
+        assert code == 0, err
+
+    @pytest.mark.parametrize("solver", ["bnb", "brute"])
+    def test_servers_listed_out_of_order(self, tmp_path, capsys, solver):
+        """A server is priced by its id, not by its place in the file."""
+        shared = self.write_instance(tmp_path)
+        cluster = json.loads((tmp_path / "cluster.json").read_text())
+        cluster["servers"].reverse()
+        (tmp_path / "cluster.json").write_text(json.dumps(cluster))
+        out = tmp_path / "plan.json"
+        code, _, err = run(["plan", *shared, "--solver", solver,
+                            "--out", str(out)], capsys)
+        assert code == 0, err
+        doc = json.loads(out.read_text())
+        placed = [(a["server"], a["bits"]) for a in doc["assignments"]]
+        assert {i for i, _ in placed} == {1, 2}
+        by_id = {s["id"]: ServerSpec(s["id"], s["ccs_flops"], s["storage_bytes"])
+                 for s in cluster["servers"]}
+        layer = LayerProfile(0, 1e3, 1000, 4.0, 32)
+        n = doc["options"]["tokens"]
+        (i, b), (j, _) = placed
+        compute = compute_cp(layer, by_id[i], b, n) + compute_cp(layer, by_id[j], b, n)
+        comm = compute_cm(layer, LinkSpec(i, j, 1e6), b, n, 1, 4)
+        assert doc["objective"]["compute_s"] == compute
+        assert doc["objective"]["comm_s"] == comm
+        code, _, err = run(["simulate", "--plan", str(out),
+                            "--cluster", str(tmp_path / "cluster.json"),
+                            "--model", str(tmp_path / "model.json"),
+                            "--out", str(tmp_path / "t.csv"),
+                            "--summary", str(tmp_path / "s.json")], capsys)
+        assert code == 0, err
+        summary = json.loads((tmp_path / "s.json").read_text())
+        assert summary["completion_time_s"] == pytest.approx(compute + comm, rel=1e-12)
+
+    def test_relaxed_bound_respects_storage(self, tmp_path, capsys):
+        shared = self.write_instance(tmp_path)
+        out = tmp_path / "relaxed.json"
+        code, _, _ = run(["plan", *shared, "--solver", "relaxed",
+                          "--out", str(out)], capsys)
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert all(a["server"] != 0 for a in doc["assignments"])
+
+    @pytest.mark.parametrize("solver", ["bnb", "brute"])
+    def test_literal_storage_mode_is_infeasible(self, tmp_path, capsys, solver):
+        shared = self.write_instance(tmp_path)
+        code, stdout, _ = run(["plan", *shared, "--storage", "literal",
+                               "--solver", solver,
+                               "--out", str(tmp_path / "p.json")], capsys)
+        assert code == 3
+        assert json.loads(stdout)["status"] == "infeasible"
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("command", ["plan", "export-lp"])
+    def test_nan_throughput_is_input_error(self, tmp_path, capsys, command):
+        doc = json.loads(open(data_path("cluster_2x2.json")).read())
+        doc["servers"][0]["ccs_flops"] = math.nan
+        cpath = tmp_path / "cluster.json"
+        cpath.write_text(json.dumps(doc))  # writes a bare NaN token
+        out = tmp_path / "out"
+        code, stdout, err = run(
+            [command, "--cluster", str(cpath),
+             "--model", data_path("model_2x2.json"), "--bits", "8",
+             "--out", str(out)], capsys)
+        assert code == 2
+        assert "NonFiniteValue" in err
+        assert not out.exists()
+
+    def test_duplicate_link_is_input_error(self, tmp_path, capsys):
+        doc = json.loads(open(data_path("cluster_2x2.json")).read())
+        doc["links"].append(dict(doc["links"][0], capacity_bps=1.0))
+        cpath = tmp_path / "cluster.json"
+        cpath.write_text(json.dumps(doc))
+        code, _, err = run(
+            ["plan", "--cluster", str(cpath),
+             "--model", data_path("model_2x2.json"), "--bits", "8",
+             "--out", str(tmp_path / "p.json")], capsys)
+        assert code == 2
+        assert "DuplicateLink" in err
+
+
 class TestSimulateCommand:
     def make_plan(self, tmp_path, capsys):
         out = tmp_path / "plan.json"
@@ -192,6 +335,19 @@ class TestSimulateCommand:
         plan = self.make_plan(tmp_path, capsys)
         doc = json.loads(plan.read_text())
         doc["objective"]["total_s"] = 2.0
+        plan.write_text(json.dumps(doc))
+        code, _, err = run(
+            ["simulate", "--plan", str(plan),
+             "--cluster", data_path("cluster_2x2.json"),
+             "--model", data_path("model_2x2.json"),
+             "--out", str(tmp_path / "t.csv")], capsys)
+        assert code == 5
+        assert "mismatch" in err
+
+    def test_unreplayable_plan_is_mismatch(self, tmp_path, capsys):
+        plan = self.make_plan(tmp_path, capsys)
+        doc = json.loads(plan.read_text())
+        doc["assignments"][0]["bits"] = 4  # outside the feasible set {8}
         plan.write_text(json.dumps(doc))
         code, _, err = run(
             ["simulate", "--plan", str(plan),
@@ -279,3 +435,21 @@ class TestPlanWithWeights:
         doc = json.loads(out.read_text())
         assert doc["options"]["feasible_bits"] == [[8], [8]]
         assert all(a["bits"] == 8 for a in doc["assignments"])
+
+    def test_non_finite_weights_are_input_error(self, tmp_path, capsys):
+        wdir = tmp_path / "w"
+        write_weights(wdir, {"l1": [-2.0, 1.0, 2.0]})
+        write_non_finite_weights(wdir, "l0", [-2.0, math.nan, 2.0])
+        model = {"batch_size": 1, "embedding_size": 4, "layers": [
+            {"flops": 100.0, "param_count": 10, "output_size": 4.0,
+             "original_precision": 32, "weights": ref} for ref in ("l0", "l1")]}
+        mpath = tmp_path / "model.json"
+        mpath.write_text(json.dumps(model))
+        out = tmp_path / "plan.json"
+        code, _, err = run(
+            ["plan", "--cluster", data_path("cluster_2x2.json"),
+             "--model", str(mpath), "--bits", "8", "--delta", "0.2",
+             "--weights-dir", str(wdir), "--out", str(out)], capsys)
+        assert code == 2
+        assert "l0.bin" in err and "non-finite" in err
+        assert not out.exists()

@@ -59,8 +59,45 @@ class TestValidateInstance:
         inst = make_2x2_instance(feasible_bits=((8,), (4,)))
         assert "FeasibleBitsNotInMenu" in codes(validate_instance(inst))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numbers(self, value):
+        inst = make_2x2_instance()
+        servers = (ServerSpec(0, value, value), ServerSpec(1, 200.0, 1e9))
+        links = (LinkSpec(0, 1, value, value), LinkSpec(1, 0, 32.0))
+        layers = (LayerProfile(0, value, 10, value, 32), inst.model.layers[1])
+        inst = make_2x2_instance(
+            cluster=ClusterSpec(servers=servers, links=links),
+            model=ModelProfile(layers=layers, batch_size=1, embedding_size=4))
+        got = [v for v in validate_instance(inst) if v.code == "NonFiniteValue"]
+        assert len(got) == 6  # ccs, storage, capacity, prop delay, flops, output size
+
+    def test_duplicate_link(self):
+        inst = make_2x2_instance()
+        links = inst.cluster.links + (LinkSpec(0, 1, 64.0),)
+        inst = make_2x2_instance(cluster=ClusterSpec(inst.cluster.servers, links))
+        assert codes(validate_instance(inst)) == ["DuplicateLink"]
+
+    def test_servers_out_of_id_order(self):
+        inst = make_2x2_instance()
+        servers = tuple(reversed(inst.cluster.servers))
+        inst = make_2x2_instance(cluster=ClusterSpec(servers, inst.cluster.links))
+        assert codes(validate_instance(inst)) == ["ServerIdsOutOfOrder"]
+
 
 class TestLoadInstance:
+    def test_servers_sorted_by_id(self, tmp_path):
+        doc = json.loads(open(data_path("cluster_m4.json")).read())
+        doc["servers"].reverse()
+        p = tmp_path / "cluster.json"
+        p.write_text(json.dumps(doc))
+        inst = load_instance(p, data_path("model_l3.json"),
+                             bit_menu=(4, 8), delta=math.inf, tokens=4)
+        ordered = load_instance(data_path("cluster_m4.json"),
+                                data_path("model_l3.json"),
+                                bit_menu=(4, 8), delta=math.inf, tokens=4)
+        assert [s.id for s in inst.cluster.servers] == [0, 1, 2, 3]
+        assert inst == ordered
+
     def test_fixture_counts(self):
         inst = load_instance(data_path("cluster_m4.json"),
                              data_path("model_l3.json"),

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,9 +10,10 @@ from edgeplan.core import LayerProfile, LinkSpec, ServerSpec
 from edgeplan.delay import (DelayOptions, InfeasibleEdge, InvalidBits,
                             build_delay_table, compute_cm, compute_cp,
                             cp_table_csv, evaluate_plan)
+from edgeplan.core import storage_bytes
 from edgeplan.gen import random_test_instance
 
-from conftest import make_2x2_instance
+from conftest import make_2x2_instance, with_binding_storage
 
 
 def layer(flops=100.0, params=10, out=4.0, obp=32, idx=0):
@@ -66,8 +68,10 @@ class TestComputeCm:
 
 class TestDelayTable:
     def test_entry_counts(self, golden_instance, golden_table):
-        assert len(golden_table.cp) == 2 * 2 * 1
-        assert len(golden_table.cm) == 2 * (2 * 2) * 1
+        assert golden_table.cp.shape == (2, 2, 1)  # M, L, B
+        assert golden_table.cm.shape == (2, 2, 2, 1)  # L, M, M, B
+        assert np.isfinite(golden_table.cp).all()
+        assert np.isfinite(golden_table.cm).all()
 
     def test_missing_link_is_infinite(self):
         inst = make_2x2_instance()
@@ -76,28 +80,70 @@ class TestDelayTable:
             cluster=type(inst.cluster)(servers=inst.cluster.servers,
                                        links=one_way))
         table = build_delay_table(inst)
-        assert math.isinf(table.cm[(0, 1, 0, 8)])
-        assert table.cm[(0, 0, 1, 8)] > 0
+        k = table.bit_index(8)
+        assert math.isinf(table.cm[0, 1, 0, k])
+        assert table.cm[0, 0, 1, k] > 0
 
     def test_diagonal_is_zero(self, golden_table):
-        assert golden_table.cm[(0, 0, 0, 8)] == 0.0
-        assert golden_table.cm[(1, 1, 1, 8)] == 0.0
+        k = golden_table.bit_index(8)
+        assert golden_table.cm[0, 0, 0, k] == 0.0
+        assert golden_table.cm[1, 1, 1, k] == 0.0
 
     def test_pointwise_matches_direct_evaluation(self):
         rng = random.Random(20)
         for _ in range(100):
             inst = random_test_instance(rng)
             table = build_delay_table(inst)
-            for (i, l, b), value in table.cp.items():
+            finite = {(int(i), int(l), table.bit_menu[k])
+                      for i, l, k in zip(*np.nonzero(np.isfinite(table.cp)))}
+            assert finite == {(i, l, b) for i in range(inst.cluster.num_servers)
+                              for l, fb in enumerate(inst.feasible_bits) for b in fb}
+            for (i, l, b) in finite:
                 direct = compute_cp(inst.model.layers[l],
                                     inst.cluster.servers[i], b, inst.tokens)
-                assert value == direct
+                assert table.cp[i, l, table.bit_index(b)] == direct
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_entries_match_scalar_functions_and_mask(self, seed):
+        """Every finite entry equals the scalar reference bit for bit; every
+        inf is a missing link, an infeasible width or a storage overflow."""
+        rng = random.Random(30_000 + seed)
+        density, tightness = rng.choice([0.3, 0.6, 0.9]), rng.choice([0.0, 0.5])
+        inst = with_binding_storage(random_test_instance(rng, link_density=density),
+                                    rng, tightness)
+        options = DelayOptions(cp_scaling=rng.choice(["with_pl", "without_pl"]),
+                               per_token_activation=rng.random() < 0.5)
+        literal = rng.random() < 0.3
+        table = build_delay_table(inst, options, literal_storage=literal)
+        cluster, model = inst.cluster, inst.model
+        M, L, B = cluster.num_servers, model.num_layers, len(inst.bit_menu)
+        assert table.cp.shape == (M, L, B) and table.cm.shape == (L, M, M, B)
+        for l, layer in enumerate(model.layers):
+            for k, b in enumerate(inst.bit_menu):
+                feasible = b in inst.feasible_bits[l]
+                for i, server in enumerate(cluster.servers):
+                    fits = (storage_bytes(layer, b, literal_output_factor=literal)
+                            <= server.storage_capacity)
+                    if feasible and fits:
+                        assert table.cp[i, l, k] == compute_cp(
+                            layer, server, b, inst.tokens, options)
+                    else:
+                        assert table.cp[i, l, k] == math.inf
+                    for j in range(M):
+                        link = cluster.link(i, j)
+                        if feasible and (i == j or link is not None):
+                            assert table.cm[l, i, j, k] == compute_cm(
+                                layer, link, b, inst.tokens, model.batch_size,
+                                model.embedding_size, options, same_server=i == j)
+                        else:
+                            assert table.cm[l, i, j, k] == math.inf
 
     def test_csv_export(self, golden_table):
         text = cp_table_csv(golden_table)
         lines = text.strip().split("\n")
         assert lines[0] == "server,layer,bits,cp_seconds"
-        assert len(lines) == 1 + len(golden_table.cp)
+        assert len(lines) == 1 + np.isfinite(golden_table.cp).sum() == 1 + 4
+        assert lines[1] == "0,0,8,1.0"
 
 
 class TestEvaluatePlan:

@@ -12,8 +12,8 @@ from conftest import make_2x2_instance
 
 
 class TestSimulate:
-    def test_golden_trace(self, golden_instance, golden_table):
-        trace = simulate(((0, 8), (1, 8)), golden_instance, golden_table)
+    def test_golden_trace(self, golden_instance):
+        trace = simulate(((0, 8), (1, 8)), golden_instance)
         assert trace.completion_time == pytest.approx(3.0, rel=1e-12)
         spans = [(e.start, e.end, e.kind, e.resource) for e in trace.events]
         assert spans == [
@@ -24,19 +24,19 @@ class TestSimulate:
 
     def test_zero_tokens_empty_trace(self):
         inst = make_2x2_instance(tokens=0)
-        trace = simulate(((0, 8), (1, 8)), inst, build_delay_table(inst))
+        trace = simulate(((0, 8), (1, 8)), inst)
         assert trace.events == ()
         assert trace.completion_time == 0.0
 
     def test_linearity_in_rounds(self):
         inst = make_2x2_instance(tokens=4)
-        trace = simulate(((0, 8), (1, 8)), inst, build_delay_table(inst))
+        trace = simulate(((0, 8), (1, 8)), inst)
         assert trace.completion_time == pytest.approx(4 * 3.0, rel=1e-12)
         assert len(trace.events) == 4 * 3
 
     def test_events_are_contiguous_and_ordered(self):
         inst = make_2x2_instance(tokens=3)
-        trace = simulate(((0, 8), (1, 8)), inst, build_delay_table(inst))
+        trace = simulate(((0, 8), (1, 8)), inst)
         for prev, cur in zip(trace.events, trace.events[1:]):
             assert cur.start == prev.end
         assert trace.completion_time == trace.events[-1].end
@@ -47,11 +47,11 @@ class TestSimulate:
             cluster=type(inst.cluster)(servers=inst.cluster.servers,
                                        links=inst.cluster.links[1:]))
         with pytest.raises(InfeasiblePlan):
-            simulate(((0, 8), (1, 8)), inst, build_delay_table(inst))
+            simulate(((0, 8), (1, 8)), inst)
 
-    def test_unknown_bits_raises(self, golden_instance, golden_table):
+    def test_unknown_bits_raises(self, golden_instance):
         with pytest.raises(InfeasiblePlan):
-            simulate(((0, 4), (1, 4)), golden_instance, golden_table)
+            simulate(((0, 4), (1, 4)), golden_instance)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_closed_form(self, seed):
@@ -61,7 +61,7 @@ class TestSimulate:
         result = solve_brute_force(inst, table)
         if result.plan is None:
             return
-        trace = simulate(result.plan.assignments, inst, table)
+        trace = simulate(result.plan.assignments, inst)
         total, _, _ = evaluate_plan(result.plan.assignments, table)
         assert trace.completion_time == pytest.approx(total, rel=1e-9)
         L = inst.model.num_layers
@@ -69,8 +69,8 @@ class TestSimulate:
 
 
 class TestTimeline:
-    def test_golden_rows(self, golden_instance, golden_table):
-        trace = simulate(((0, 8), (1, 8)), golden_instance, golden_table)
+    def test_golden_rows(self, golden_instance):
+        trace = simulate(((0, 8), (1, 8)), golden_instance)
         rows = trace_to_timeline(trace)
         assert rows[0] == "round,kind,resource,start_s,end_s"
         assert len(rows) == 1 + 3

@@ -2,17 +2,19 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from edgeplan.core import (ClusterSpec, LayerProfile, LinkSpec, ModelProfile,
                            ProblemInstance, ServerSpec)
 from edgeplan.delay import build_delay_table
 from edgeplan.gen import random_test_instance
-from edgeplan.ilp import check_plan_feasible
+from edgeplan.ilp import (EmptyFeasibleSet, build_ilp, check_plan_feasible,
+                          substitute)
 from edgeplan.solver import (SizeLimit, solve_branch_and_bound,
                              solve_brute_force, solve_relaxed_dp)
 
-from conftest import make_2x2_instance
+from conftest import make_2x2_instance, with_binding_storage
 
 
 def dominant_server_instance(num_layers=3):
@@ -42,7 +44,7 @@ class TestBruteForce:
             layers=inst.model.layers[:1], batch_size=1, embedding_size=4))
         table = build_delay_table(inst)
         result = solve_brute_force(inst, table)
-        best = min(((table.cp[(i, 0, 8)], i) for i in range(2)))
+        best = min(((table.cp[i, 0, table.bit_index(8)], i) for i in range(2)))
         assert result.plan.assignments == ((best[1], 8),)
         assert result.objective == best[0]
 
@@ -146,6 +148,70 @@ class TestBranchAndBound:
         inst = make_2x2_instance(feasible_bits=((8,), ()))
         result = solve_branch_and_bound(inst, build_delay_table(inst))
         assert result.status == "infeasible"
+
+
+def _storage_instance(seed):
+    rng = random.Random(5000 + seed)
+    return with_binding_storage(random_test_instance(rng), rng, 0.6)
+
+
+def _without_storage_limits(inst):
+    return ProblemInstance(
+        cluster=ClusterSpec(tuple(ServerSpec(s.id, s.compute_throughput, 1e18)
+                                  for s in inst.cluster.servers),
+                            inst.cluster.links),
+        model=inst.model, bit_menu=inst.bit_menu, delta=inst.delta,
+        tokens=inst.tokens, feasible_bits=inst.feasible_bits)
+
+
+class TestStorageBinding:
+    """Seeded suite where server capacities fall inside the range of layer
+    footprints, so the storage part of the admissibility mask binds."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_oracle_equivalence_and_export_rows(self, seed):
+        inst = _storage_instance(seed)
+        table = build_delay_table(inst)
+        exact = solve_brute_force(inst, table)
+        got = solve_branch_and_bound(inst, table)
+        bound, _ = solve_relaxed_dp(inst, table)
+        assert got.status == exact.status
+        if exact.plan is None:
+            assert got.plan is None
+            return
+        assert got.plan.assignments == exact.plan.assignments
+        assert got.objective == exact.objective
+        assert bound <= exact.objective + 1e-12
+        assert check_plan_feasible(got.plan.assignments, inst) == []
+        _, obj, violated = substitute(build_ilp(inst, table), got.plan.assignments)
+        assert violated == []
+        assert obj == pytest.approx(got.objective, rel=1e-9)
+
+    def test_storage_binds_on_the_suite(self):
+        masked = changed = 0
+        for seed in range(60):
+            inst = _storage_instance(seed)
+            table = build_delay_table(inst)
+            loose = _without_storage_limits(inst)
+            masked += bool((np.isinf(table.cp)
+                            & np.isfinite(build_delay_table(loose).cp)).any())
+            exact = solve_brute_force(inst, table)
+            free = solve_brute_force(loose, build_delay_table(loose))
+            changed += (exact.plan and exact.plan.assignments) != \
+                (free.plan and free.plan.assignments)
+        assert masked >= 30
+        assert changed >= 10
+
+    def test_no_admissible_column_is_infeasible(self):
+        inst = make_2x2_instance(cluster=ClusterSpec(
+            servers=(ServerSpec(0, 100.0, 1.0), ServerSpec(1, 200.0, 1.0)),
+            links=make_2x2_instance().cluster.links))
+        table = build_delay_table(inst)
+        assert solve_brute_force(inst, table).status == "infeasible"
+        assert solve_branch_and_bound(inst, table).status == "infeasible"
+        assert solve_relaxed_dp(inst, table) == (math.inf, None)
+        with pytest.raises(EmptyFeasibleSet):
+            build_ilp(inst, table)
 
 
 def _with_extra_server(inst):
