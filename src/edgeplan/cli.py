@@ -17,9 +17,9 @@ import math
 import os
 import sys
 
-from . import __version__
-from .core import (ParseError, ValidationError, load_instance, require_valid,
-                   save_instance, validate_instance)
+from . import __version__, quant
+from .core import (MAX_BITS, MIN_BITS, ParseError, ValidationError, load_instance,
+                   require_valid, save_instance, validate_instance)
 from .delay import DelayOptions, build_delay_table
 from .gen import PROFILES, generate_instance
 from .ilp import EmptyFeasibleSet, build_ilp, check_plan_feasible, export_lp
@@ -58,6 +58,9 @@ def _parse_bits(text: str) -> tuple[int, ...]:
         raise CliError(f"--bits: {e}")
     if not bits:
         raise CliError("--bits: empty menu")
+    if bits[0] < MIN_BITS or bits[-1] > MAX_BITS:
+        raise CliError(f"--bits: every width must lie in [{MIN_BITS}, {MAX_BITS}], "
+                       f"got {','.join(map(str, bits))}")
     return bits
 
 
@@ -68,8 +71,15 @@ def _parse_delta(text: str) -> float:
         value = float(text)
     except ValueError as e:
         raise CliError(f"--delta: {e}")
-    if value < 0:
-        raise CliError("--delta must be >= 0")
+    if not value >= 0:  # also rejects NaN
+        raise CliError(f"--delta must be >= 0 or 'inf', got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
@@ -92,7 +102,7 @@ def _load_and_filter(args) -> tuple:
     instance = load_instance(args.cluster, args.model, bit_menu=bits,
                              delta=delta, tokens=args.tokens)
     if getattr(args, "weights_dir", None):
-        from .quant import feasible_bits as filter_bits, distribution_stats, recommend_scheme
+        scheme = _forced_scheme(args.scheme)  # None: recommended per layer
         feas = []
         for layer in instance.model.layers:
             ref = layer.weights_ref
@@ -101,8 +111,7 @@ def _load_and_filter(args) -> tuple:
                 continue
             path = os.path.join(args.weights_dir, f"{ref}.json")
             w = load_weight_tensor(path)
-            scheme = _forced_scheme(args.scheme) or recommend_scheme(distribution_stats(w))
-            feas.append(filter_bits(w, bits, delta, scheme))
+            feas.append(quant.feasible_bits(w, bits, delta, scheme))
         instance = require_valid(dataclasses.replace(instance, feasible_bits=tuple(feas)))
     options = DelayOptions(cp_scaling=args.cp_scaling,
                            per_token_activation=args.activation_payload == "per_token")
@@ -378,8 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", required=True)
     p.add_argument("--scheme", choices=["auto", "symmetric", "asymmetric"],
                    default="auto")
-    p.add_argument("--bins", type=int, default=32)
-    p.add_argument("--skew-threshold", type=float, default=0.5)
+    p.add_argument("--bins", type=_positive_int, default=32,
+                   help="histogram bins in the --stats-out document")
+    p.add_argument("--skew-threshold", type=float, default=quant.SKEW_THRESHOLD)
     p.add_argument("--original-precision", type=int, default=32)
     p.add_argument("--out", required=True)
     p.add_argument("--stats-out")

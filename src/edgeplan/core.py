@@ -21,6 +21,7 @@ SCHEMA_VERSION = 1
 
 ALLOWED_PRECISIONS = (8, 16, 32, 64)
 MIN_BITS = 2
+MAX_BITS = 32
 
 
 class ParseError(ValueError):
@@ -111,7 +112,7 @@ class ModelProfile:
 class ProblemInstance:
     cluster: ClusterSpec
     model: ModelProfile
-    bit_menu: tuple[int, ...]  # sorted, each >= MIN_BITS
+    bit_menu: tuple[int, ...]  # sorted, each in [MIN_BITS, MAX_BITS]
     delta: float  # max allowed per-element weight error
     tokens: int  # autoregressive rounds n
     # Per layer, the bit-widths that survive the quantization-error filter.
@@ -219,7 +220,11 @@ def validate_instance(instance: ProblemInstance) -> list[Violation]:
     for b in instance.bit_menu:
         if b < MIN_BITS:
             out.append(Violation("BitsTooSmall", f"bit-width {b} < {MIN_BITS}"))
-    if instance.delta < 0:
+        if b > MAX_BITS:
+            out.append(Violation("BitsTooLarge", f"bit-width {b} > {MAX_BITS}"))
+    if math.isnan(instance.delta):  # inf is legal: no error budget
+        out.append(Violation("NonFiniteValue", "delta nan"))
+    elif instance.delta < 0:
         out.append(Violation("NegativeDelta", f"delta {instance.delta}"))
     if instance.tokens < 0:
         out.append(Violation("NegativeTokens", f"tokens {instance.tokens}"))

@@ -2,6 +2,18 @@
 max-absolute-error feasibility test with its linearized form, per-layer
 feasible-bit filtering, and weight-distribution statistics.
 
+There is one analysis path. ``analyze_tensor`` (the ``quantize`` report)
+and ``feasible_bits`` (the ``plan``/``export-lp --weights-dir`` filter)
+are views of one per-tensor kernel. It casts the weights to float64 once
+and shares that cast between the moments and every bit-width. It evaluates
+each width's max-abs error with in-place ufuncs over preallocated buffers,
+building no code or dequantized arrays, and its results equal the
+reference bit for bit. The histogram is computed only when asked for; of
+the commands only ``quantize`` reports it. ``quantize_symmetric``,
+``quantize_asymmetric`` and ``max_abs_error`` build the codes and the
+dequantized values explicitly; they are the independent reference the
+kernel is tested against.
+
 Only weights are quantized; biases stay untouched, so the tensor API
 carries weight arrays exclusively. Rounding is half-away-from-zero, chosen
 for its symmetry about 0.
@@ -17,6 +29,12 @@ from enum import Enum
 from typing import Iterable, Optional
 
 import numpy as np
+
+from .core import MAX_BITS, MIN_BITS, ParseError
+
+
+# |skewness| above which recommend_scheme picks the asymmetric scheme
+SKEW_THRESHOLD = 0.5
 
 
 class ShapeMismatch(ValueError):
@@ -85,8 +103,8 @@ class DistributionStats:
 
 
 def _check_bits(bits: int) -> None:
-    if not (2 <= bits <= 32):
-        raise ValueError(f"bits={bits} outside [2, 32]")
+    if not (MIN_BITS <= bits <= MAX_BITS):
+        raise ValueError(f"bits={bits} outside [{MIN_BITS}, {MAX_BITS}]")
 
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
@@ -170,43 +188,50 @@ def check_linearized(original: np.ndarray, quantized: np.ndarray,
 
 
 def feasible_bits(w: WeightTensor, bit_menu: Iterable[int], delta: float,
-                  scheme: SchemeKind = SchemeKind.SYMMETRIC_SIGNED,
+                  scheme: Optional[SchemeKind] = SchemeKind.SYMMETRIC_SIGNED,
                   ) -> tuple[int, ...]:
     """Bit-widths from the menu whose quantization error stays within delta.
 
-    The empty tuple is a legal result (the layer cannot be quantized at any
-    offered width without exceeding the error budget).
+    ``scheme=None`` uses the scheme recommended from the tensor's own
+    distribution, as ``analyze_tensor`` does. The empty tuple is a legal
+    result (the layer cannot be quantized at any offered width without
+    exceeding the error budget).
     """
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    keep = []
-    for b in sorted(set(bit_menu)):
-        err = max_abs_error(w.values, dequantize(w, b, scheme))
-        if err <= delta:
-            keep.append(b)
-    return tuple(keep)
+    records, _ = _analyze(w, bit_menu, delta, scheme, None, SKEW_THRESHOLD)
+    return tuple(r.bits for r in records if r.feasible)
 
 
-def distribution_stats(w: WeightTensor, bins: int = 32) -> DistributionStats:
+def distribution_stats(w: WeightTensor, bins: Optional[int] = 32, *,
+                       values: Optional[np.ndarray] = None) -> DistributionStats:
     """Moments and histogram of a weight tensor.
 
     Skewness is the population third standardized moment; it is defined as
     0 for constant tensors. The histogram spans [min, max] with equal-width
     bins (a single bin when min == max) and its counts sum to the element
-    count.
+    count; ``bins=None`` skips it and leaves ``bin_edges`` and ``counts``
+    empty. ``values`` is ``w.values`` already cast to float64, passed by a
+    caller that shares one cast with other work.
     """
-    if bins < 1:
+    if bins is not None and bins < 1:
         raise ValueError("bins must be >= 1")
-    v = w.values.astype(np.float64)
+    v = w.values.astype(np.float64) if values is None else values
     lo, hi = float(v.min()), float(v.max())
     mean = float(v.mean())
-    m2 = float(np.mean((v - mean) ** 2))
+    # d*d and (d*d)*d: numpy has no fast path for ** 3, which goes through
+    # pow per element; d*d is exactly what ** 2 computes
+    d = v - mean
+    dd = d * d
+    m2 = float(np.mean(dd))
     std = math.sqrt(m2)
     if m2 == 0.0:
         skew = 0.0
     else:
-        skew = float(np.mean((v - mean) ** 3)) / m2 ** 1.5
-    if lo == hi:
+        dd *= d
+        skew = float(np.mean(dd)) / m2 ** 1.5
+    del d, dd  # freed before the histogram
+    if bins is None:
+        edges, counts = (), ()
+    elif lo == hi:
         edges = np.array([lo, hi])
         counts = np.array([v.size])
     else:
@@ -220,7 +245,7 @@ def distribution_stats(w: WeightTensor, bins: int = 32) -> DistributionStats:
 
 
 def recommend_scheme(stats: DistributionStats,
-                     skew_threshold: float = 0.5) -> SchemeKind:
+                     skew_threshold: float = SKEW_THRESHOLD) -> SchemeKind:
     """Symmetric for roughly zero-centered distributions, else asymmetric.
 
     Symmetric signed needs zero strictly inside the value range; one-tailed
@@ -249,8 +274,6 @@ def save_weight_tensor(w: WeightTensor, directory, name: Optional[str] = None) -
 
 
 def load_weight_tensor(json_path) -> WeightTensor:
-    from .core import ParseError
-
     try:
         with open(json_path) as f:
             meta = json.load(f)
@@ -280,27 +303,114 @@ def load_weight_tensor(json_path) -> WeightTensor:
 
 def analyze_tensor(w: WeightTensor, bit_menu: Iterable[int], delta: float,
                    scheme: Optional[SchemeKind] = None, bins: int = 32,
-                   skew_threshold: float = 0.5,
+                   skew_threshold: float = SKEW_THRESHOLD,
                    ) -> tuple[list[LayerQuantRecord], DistributionStats]:
-    """Per-bit error records plus distribution stats for one layer.
+    """Per-bit error records plus distribution stats (with a ``bins``-bin
+    histogram) for one layer.
 
     When no scheme is forced, each layer uses the scheme recommended from
     its own weight distribution.
     """
-    stats = distribution_stats(w, bins=bins)
+    return _analyze(w, bit_menu, delta, scheme, bins, skew_threshold)
+
+
+# ---------------------------------------------------------------------------
+# The per-tensor kernel behind analyze_tensor and feasible_bits
+# ---------------------------------------------------------------------------
+
+def _analyze(w: WeightTensor, bit_menu: Iterable[int], delta: float,
+             scheme: Optional[SchemeKind], bins: Optional[int],
+             skew_threshold: float,
+             ) -> tuple[list[LayerQuantRecord], Optional[DistributionStats]]:
+    """One float64 cast, the moments only when a scheme must be recommended
+    or a histogram is asked for (``bins``), then every width's error.
+
+    The stats are None when neither is needed.
+    """
+    if not delta >= 0:  # also rejects NaN
+        raise ValueError("delta must be >= 0")
+    widths = sorted(set(bit_menu))
+    for b in widths:
+        _check_bits(b)
+    v = w.values.astype(np.float64)
+    stats = None
+    if scheme is None or bins is not None:
+        stats = distribution_stats(w, bins, values=v)
+        lo, hi = stats.min, stats.max
+    else:
+        lo, hi = float(v.min()), float(v.max())
     used = scheme or recommend_scheme(stats, skew_threshold)
-    records = []
-    for b in sorted(set(bit_menu)):
-        if used is SchemeKind.SYMMETRIC_SIGNED:
-            res = quantize_symmetric(w, b)
-            zero_point = 0
-        else:
-            res = quantize_asymmetric(w, b)
-            zero_point = res.zero_point
-        err = max_abs_error(w.values, res.dequantized)
-        records.append(LayerQuantRecord(
-            layer_name=w.layer_name, bits=b, scheme=used,
-            scale=res.scale, zero_point=zero_point,
-            max_abs_error=err, feasible=err <= delta,
-        ))
+    if used is SchemeKind.SYMMETRIC_SIGNED:
+        errors = _symmetric_errors(v, max(-lo, hi), widths)
+    else:
+        errors = _asymmetric_errors(v, lo, hi, widths)
+    records = [LayerQuantRecord(
+        layer_name=w.layer_name, bits=b, scheme=used, scale=scale,
+        zero_point=zero_point, max_abs_error=err, feasible=err <= delta)
+        for b, (scale, zero_point, err) in zip(widths, errors)]
     return records, stats
+
+
+def _symmetric_errors(v: np.ndarray, peak: float,
+                      widths: list[int]) -> list[tuple[float, int, float]]:
+    """(scale, 0, max-abs error) per width, equal to ``quantize_symmetric``
+    + ``max_abs_error``. Consumes ``v``, which holds |v| afterwards.
+
+    Works on magnitudes: |v/s| == |v|/s and negation are exact, so
+    | |v| - min(floor(|v|/s + 0.5), qmax) * s | is the reference error bit
+    for bit. ``peak`` is max|v|.
+    """
+    if peak == 0.0:
+        return [(1.0, 0, 0.0)] * len(widths)
+    a = np.abs(v, out=v)
+    buf = np.empty_like(a)
+    out = []
+    for b in widths:
+        qmax = (1 << (b - 1)) - 1
+        scale = peak / qmax
+        np.divide(a, scale, out=buf)
+        buf += 0.5
+        np.floor(buf, out=buf)
+        np.minimum(buf, qmax, out=buf)
+        buf *= scale
+        buf -= a
+        np.abs(buf, out=buf)
+        out.append((scale, 0, float(buf.max())))
+    return out
+
+
+def _asymmetric_errors(v: np.ndarray, lo: float, hi: float,
+                       widths: list[int]) -> list[tuple[float, int, float]]:
+    """(scale, zero_point, max-abs error) per width, equal to
+    ``quantize_asymmetric`` + ``max_abs_error``.
+
+    Rounds as copysign(floor(|x| + 0.5), x), the reference's
+    sign(x) * floor(|x| + 0.5), then adds the zero-point, clips and
+    subtracts it again in float64. Code and zero-point are integers held
+    exactly in float64, so the subtraction rounds their exact difference
+    once, as the reference's int64 difference is rounded once when it is
+    multiplied by the scale (the difference passes 2^53 only for 32-bit
+    widths on a narrow range far from 0).
+    """
+    if hi == lo:
+        return [(0.0, 0, 0.0)] * len(widths)
+    buf = np.empty_like(v)
+    mag = np.empty_like(v)
+    out = []
+    for b in widths:
+        levels = (1 << b) - 1
+        scale = (hi - lo) / levels
+        zero_point = int(_round_half_away(np.array(-lo / scale)))
+        np.divide(v, scale, out=buf)
+        np.abs(buf, out=mag)
+        mag += 0.5
+        np.floor(mag, out=mag)
+        np.copysign(mag, buf, out=buf)
+        buf += zero_point
+        np.clip(buf, 0, levels, out=buf)
+        buf -= zero_point
+        buf *= scale
+        buf -= v
+        np.abs(buf, out=buf)
+        out.append((scale, zero_point, float(buf.max())))
+    return out

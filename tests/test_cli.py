@@ -294,6 +294,56 @@ class TestInputValidation:
         assert "NonFiniteValue" in err
         assert not out.exists()
 
+    @staticmethod
+    def weighted_model(tmp_path):
+        write_weights(tmp_path / "w", {"l0": [-2.0, 1.0, 2.0], "l1": [0.0, 0.5, 3.0]})
+        model = {"batch_size": 1, "embedding_size": 4, "layers": [
+            {"flops": 100.0, "param_count": 10, "output_size": 4.0,
+             "original_precision": 32, "weights": ref} for ref in ("l0", "l1")]}
+        mpath = tmp_path / "model.json"
+        mpath.write_text(json.dumps(model))
+        return str(mpath)
+
+    def command(self, tmp_path, command, bits, delta, weights=True):
+        model = self.weighted_model(tmp_path)
+        out = tmp_path / "out"
+        if command == "quantize":
+            argv = ["quantize", "--weights-dir", str(tmp_path / "w")]
+        else:
+            argv = [command, "--cluster", data_path("cluster_2x2.json"), "--model", model]
+            if weights:
+                argv += ["--weights-dir", str(tmp_path / "w")]
+        return argv + ["--bits", bits, "--delta", delta, "--out", str(out)], out
+
+    @pytest.mark.parametrize("command", ["plan", "export-lp", "quantize"])
+    def test_nan_delta_is_input_error(self, tmp_path, capsys, command):
+        argv, out = self.command(tmp_path, command, "8", "nan")
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert "--delta" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, bits, weights", [
+        ("quantize", "1,4", True), ("plan", "4,40", True), ("plan", "4,40", False),
+        ("export-lp", "0,8", False), ("plan", "33", False)])
+    def test_bits_outside_range_are_input_error(self, tmp_path, capsys, command,
+                                                bits, weights):
+        argv, out = self.command(tmp_path, command, bits, "inf", weights)
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert "[2, 32]" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bins", ["0", "-3"])
+    def test_bins_below_one_is_usage_error(self, tmp_path, capsys, bins):
+        argv, out = self.command(tmp_path, "quantize", "8", "inf")
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--bins", bins])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--bins" in err
+        assert not out.exists()
+
     def test_duplicate_link_is_input_error(self, tmp_path, capsys):
         doc = json.loads(open(data_path("cluster_2x2.json")).read())
         doc["links"].append(dict(doc["links"][0], capacity_bps=1.0))

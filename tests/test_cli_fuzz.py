@@ -1,0 +1,116 @@
+"""Property test over the plan, export-lp and quantize commands.
+
+Draws bit menus, error budgets, token counts, histogram bins and schemes,
+valid and not, against one small generated instance with weight tensors.
+Every run must end in a documented exit code without a traceback; invalid
+input must be an input error (exit 2) and valid input must not be; what
+a run writes on exit 0 must be finite and record the inputs as given.
+"""
+
+import contextlib
+import io
+import json
+import math
+import os
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from edgeplan.cli import main
+from edgeplan.core import save_instance
+from edgeplan.gen import generate_instance
+from edgeplan.quant import WeightTensor, save_weight_tensor
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """4 servers, 3 layers, each layer with a 64-weight tensor: zero-centred,
+    one-sided and constant, so auto picks both schemes."""
+    root = tmp_path_factory.mktemp("fuzz")
+    inst = generate_instance(11, 4, 3, (4, 8, 16), "heterogeneous", tokens=2)
+    save_instance(inst, root / "cluster.json", root / "model.json")
+    model = json.loads((root / "model.json").read_text())
+    rng = np.random.default_rng(11)
+    tensors = {"l0": rng.normal(0.0, 0.5, 64), "l1": rng.standard_exponential(64),
+               "l2": np.full(64, 0.75)}
+    (root / "w").mkdir()
+    for layer, (name, values) in zip(model["layers"], tensors.items()):
+        v = values.astype(np.float32)
+        save_weight_tensor(WeightTensor(name, v, v.shape), root / "w")
+        layer["weights"] = name
+    (root / "model.json").write_text(json.dumps(model))
+    return root
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr); argparse usage errors exit via SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def budget(text: str) -> float:
+    return math.inf if text.lower() in ("inf", "infinity") else float(text)
+
+
+BITS = st.lists(st.sampled_from([0, 1, 2, 3, 4, 8, 16, 32, 33]), min_size=1, max_size=4)
+DELTAS = st.sampled_from(["nan", "NaN", "inf", "-inf", "-1", "0", "1e-300",
+                          "0.01", "0.5", "1e300"])
+
+
+@given(command=st.sampled_from(["plan", "export-lp", "quantize"]), bits=BITS,
+       delta=DELTAS, tokens=st.integers(-1, 4), bins=st.sampled_from([-1, 0, 1, 8, 32]),
+       scheme=st.sampled_from(["auto", "symmetric", "asymmetric"]),
+       weights=st.booleans(), solver=st.sampled_from(["bnb", "brute", "relaxed"]))
+@example(command="plan", bits=[4, 8], delta="nan", tokens=1, bins=32,
+         scheme="auto", weights=False, solver="bnb")
+@example(command="quantize", bits=[1, 4], delta="0.5", tokens=1, bins=32,
+         scheme="auto", weights=True, solver="bnb")
+@example(command="plan", bits=[4, 40], delta="inf", tokens=1, bins=32,
+         scheme="auto", weights=False, solver="bnb")
+@example(command="quantize", bits=[4, 8], delta="0.5", tokens=1, bins=0,
+         scheme="auto", weights=True, solver="bnb")
+@settings(max_examples=60, deadline=None)
+def test_cli_exit_codes(fuzz_dir, command, bits, delta, tokens, bins, scheme,
+                        weights, solver):
+    menu = ",".join(map(str, bits))
+    valid = all(2 <= b <= 32 for b in bits) and budget(delta) >= 0
+    with tempfile.TemporaryDirectory(dir=fuzz_dir) as tmp:
+        out = os.path.join(tmp, "out")
+        if command == "quantize":
+            argv = ["quantize", "--weights-dir", str(fuzz_dir / "w"), "--bins", str(bins)]
+            valid &= bins >= 1
+        else:
+            argv = [command, "--cluster", str(fuzz_dir / "cluster.json"),
+                    "--model", str(fuzz_dir / "model.json"), "--tokens", str(tokens)]
+            argv += ["--weights-dir", str(fuzz_dir / "w")] if weights else []
+            argv += ["--solver", solver] if command == "plan" else []
+            valid &= tokens >= 0
+        argv += ["--bits", menu, "--delta", delta, "--scheme", scheme, "--out", out]
+        code, _, err = run_cli(argv)
+
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        assert "Traceback" not in err
+        assert (code == 2) == (not valid), (argv, code, err)
+        if code != 0:
+            assert not os.path.exists(out)
+            return
+        with open(out) as f:
+            text = f.read()
+    if command == "plan":
+        doc = json.loads(text)
+        assert all(math.isfinite(v) for v in doc["objective"].values())
+        recorded = doc["options"]["delta"]
+        assert (math.inf if recorded == "inf" else recorded) == budget(delta)
+        assert doc["options"]["bits"] == sorted(set(bits))
+    elif command == "quantize":
+        for r in json.loads(text)["records"]:
+            assert r["feasible"] == (r["max_abs_error"] <= budget(delta))
+            assert math.isfinite(r["max_abs_error"]) and math.isfinite(r["scale"])

@@ -71,6 +71,16 @@ class TestValidateInstance:
         got = [v for v in validate_instance(inst) if v.code == "NonFiniteValue"]
         assert len(got) == 6  # ccs, storage, capacity, prop delay, flops, output size
 
+    def test_bit_widths_outside_quantizer_range(self):
+        inst = make_2x2_instance(bit_menu=(1, 8, 33), feasible_bits=((8,), (8,)))
+        assert codes(validate_instance(inst)) == ["BitsTooSmall", "BitsTooLarge"]
+
+    @pytest.mark.parametrize("delta, expect", [(math.nan, ["NonFiniteValue"]),
+                                               (-1.0, ["NegativeDelta"]),
+                                               (math.inf, [])])
+    def test_delta_must_be_a_non_negative_number(self, delta, expect):
+        assert codes(validate_instance(make_2x2_instance(delta=delta))) == expect
+
     def test_duplicate_link(self):
         inst = make_2x2_instance()
         links = inst.cluster.links + (LinkSpec(0, 1, 64.0),)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -254,3 +255,92 @@ class TestAnalyzeTensor:
         records, _ = analyze_tensor(wt([-2.0, 1.0, 2.0]), (8,), 0.2,
                                     scheme=SchemeKind.ASYMMETRIC)
         assert records[0].scheme is SchemeKind.ASYMMETRIC
+
+
+def reference_skewness(v: np.ndarray) -> float:
+    """The third standardized moment by the plain ``** 3`` formula."""
+    v = v.astype(np.float64)
+    mean = float(v.mean())
+    m2 = float(np.mean((v - mean) ** 2))
+    return 0.0 if m2 == 0.0 else float(np.mean((v - mean) ** 3)) / m2 ** 1.5
+
+
+KERNEL_WIDTHS = (2, 3, 4, 8, 16, 24, 32)
+
+
+def kernel_case_tensors(kind: str, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 400))
+    if kind == "gaussian":
+        return rng.normal(0.0, rng.uniform(0.01, 3.0), n)
+    if kind == "positive":
+        return np.abs(rng.normal(1.0, 2.0, n)) + rng.uniform(0.0, 2.0)
+    if kind == "negative":
+        return -np.abs(rng.standard_exponential(n)) - rng.uniform(0.0, 2.0)
+    if kind == "constant":
+        return np.full(n, rng.choice([0.0, -1.5, 3.25, 1e-30]))
+    if kind == "single":
+        return np.array([rng.choice([0.0, -0.7, 2.5, 1e-30])])
+    if kind == "half_steps":
+        # multiples of 0.125: many elements land exactly on a rounding tie
+        return rng.integers(-32, 33, n) * 0.125 + rng.integers(0, 2) * 4.0
+    if kind == "tiny":
+        return rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-31, -29)
+    if kind == "narrow_offset":
+        # two adjacent float32 values far from 0: at 32 bits the zero-point
+        # and the code differences pass 2^53
+        base = np.float32(rng.choice([-1e3, 1e3]))
+        return np.where(np.arange(n) % 2, base, np.nextafter(base, np.float32(0)))
+    raise ValueError(kind)
+
+
+class TestKernelMatchesReference:
+    """analyze_tensor and feasible_bits against quantize_* + max_abs_error."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "positive", "negative", "constant",
+                                      "single", "half_steps", "tiny", "narrow_offset"])
+    def test_equal_to_reference(self, kind):
+        for seed in range(8):
+            w = wt(kernel_case_tensors(kind, seed))
+            ref_stats = distribution_stats(w)
+            ref_skew = reference_skewness(w.values)
+            assert math.isclose(ref_stats.skewness, ref_skew, rel_tol=1e-12, abs_tol=1e-300)
+            recommended = recommend_scheme(dataclasses.replace(ref_stats, skewness=ref_skew))
+            for scheme in (None, SchemeKind.SYMMETRIC_SIGNED, SchemeKind.ASYMMETRIC):
+                used = scheme or recommended
+                quantize = (quantize_symmetric if used is SchemeKind.SYMMETRIC_SIGNED
+                            else quantize_asymmetric)
+                results = {b: quantize(w, b) for b in KERNEL_WIDTHS}
+                errors = {b: max_abs_error(w.values, r.dequantized) for b, r in results.items()}
+                # a budget equal to one width's error puts a tie on the boundary
+                delta = sorted(errors.values())[seed % len(KERNEL_WIDTHS)]
+                records, stats = analyze_tensor(w, KERNEL_WIDTHS, delta, scheme)
+                assert stats == ref_stats
+                for r in records:
+                    res = results[r.bits]
+                    expect = (used, res.scale, getattr(res, "zero_point", 0),
+                              errors[r.bits], errors[r.bits] <= delta)
+                    assert (r.scheme, r.scale, r.zero_point, r.max_abs_error,
+                            r.feasible) == expect, (kind, seed, scheme, r.bits)
+                assert feasible_bits(w, KERNEL_WIDTHS, delta, scheme) == \
+                    tuple(r.bits for r in records if r.feasible)
+
+    def test_histogram_only_when_asked(self):
+        w = wt(kernel_case_tensors("gaussian", 0))
+        full = distribution_stats(w, bins=8)
+        bare = distribution_stats(w, bins=None)
+        assert len(full.counts) == 8 and bare.counts == () and bare.bin_edges == ()
+        assert (bare.min, bare.max, bare.mean, bare.std, bare.skewness) == \
+            (full.min, full.max, full.mean, full.std, full.skewness)
+
+    @pytest.mark.parametrize("delta", [math.nan, -1.0])
+    def test_bad_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            feasible_bits(wt([1.0, -1.0]), (8,), delta)
+        with pytest.raises(ValueError, match="delta"):
+            analyze_tensor(wt([1.0, -1.0]), (8,), delta)
+
+    @pytest.mark.parametrize("bits", [1, 33])
+    def test_width_outside_range_rejected(self, bits):
+        with pytest.raises(ValueError, match="outside"):
+            feasible_bits(wt([1.0, -1.0]), (8, bits), 0.1)
