@@ -83,6 +83,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_float(text: str) -> float:
+    value = float(text)
+    if not value >= 0:  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
 def input_digest(cluster_path, model_path, options_doc: dict) -> str:
     """sha256 over the two input files plus the canonical option record."""
     h = hashlib.sha256()
@@ -389,8 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto")
     p.add_argument("--bins", type=_positive_int, default=32,
                    help="histogram bins in the --stats-out document")
-    p.add_argument("--skew-threshold", type=float, default=quant.SKEW_THRESHOLD)
-    p.add_argument("--original-precision", type=int, default=32)
+    p.add_argument("--skew-threshold", type=_non_negative_float,
+                   default=quant.SKEW_THRESHOLD)
+    p.add_argument("--original-precision", type=_positive_int, default=32)
     p.add_argument("--out", required=True)
     p.add_argument("--stats-out")
     p.set_defaults(func=cmd_quantize)

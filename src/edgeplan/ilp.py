@@ -3,23 +3,31 @@ export to standard LP text format for off-the-shelf MILP solvers.
 
 Variables:
   x_{i}_{l}_{b}      layer l hosted on server i at b bits
-  y_{i}_{j}          some consecutive layer pair crosses the link i -> j
-  z_{i}_{j}_{l}_{b}  x_{ilb} AND (layer l+1 on j); carries the transfer
-                     cost in the objective when it cannot be hung on y
-                     unambiguously (multiple layers or bit choices)
+  z_{i}_{j}_{l}_{b}  layer l on server i at b bits hands its output to
+                     layer l+1 on server j; carries the transfer cost
 
-x columns are emitted only for the (server, layer, bits) entries the
-delay table admits (finite cp): widths in the layer's feasible set on
-servers with enough storage under the table's storage model (see
-core.storage_bytes). Storage feasibility is thus enforced by omission
-rather than by rows. Missing links turn the corresponding dependency rows
-into mutual-exclusion rows.
+The model is a flow through the layers. x columns are emitted only for
+the (server, layer, bits) entries the delay table admits (finite cp):
+widths in the layer's feasible set on servers with enough storage under
+the table's storage model (see core.storage_bytes). A z column exists
+only where its x column exists, j != i, the link i -> j exists (finite
+cm) and server j can host layer l+1. Storage, widths and missing links
+are thus enforced by omission rather than by rows. Rows:
+
+  assign_l{l}         sum over (i, b) of x[i,l,b] = 1
+  cap_s{i}            sum over (l, b) of x[i,l,b] <= 1
+  out_l{l}_s{i}_b{b}  sum over j of z[i,j,l,b] - x[i,l,b] = 0
+  in_l{l}_s{j}        sum over (i, b) of z[i,j,l,b] - sum over b' of x[j,l+1,b'] = 0
+
+At any integral x the flow rows leave exactly one z per layer boundary
+at 1 (the one from layer l's host to layer l+1's host), so declaring z
+binary is exact and the LP needs no continuous section.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import ProblemInstance, Violation, storage_bytes
@@ -48,113 +56,64 @@ class IlpModel:
     constraints: tuple[Row, ...]
     binaries: tuple[str, ...]  # declaration order, also the LP file order
     x_vars: dict[tuple[int, int, int], str]  # (server, layer, bits)
-    y_vars: dict[tuple[int, int], str]
     z_vars: dict[tuple[int, int, int, int], str]  # (src, dst, layer, bits)
 
 
 def build_ilp(instance: ProblemInstance, table: DelayTable) -> IlpModel:
-    """Materialize objective and constraints for one instance.
+    """Materialize the flow model of one instance.
 
     Emits, per layer, an exactly-one assignment row; per server, an
-    at-most-one hosting row; per consecutive layer pair and ordered server
-    pair, a dependency row activating y (or forbidding the pair when the
-    link is missing); and AND-linearization rows tying each z column to its
-    x columns so the exported objective is exact.
+    at-most-one hosting row; per x column below the last layer, an
+    out-flow row handing it to exactly one next host; and per layer
+    boundary and next host, an in-flow row matching the flow that arrives
+    to the x columns that receive it. Columns: x ordered by (layer,
+    server, bits), then z ordered by (src, dst, layer, bits).
     """
-    M = instance.cluster.num_servers
-    L = instance.model.num_layers
-
+    M, L, _ = table.cp.shape
     cp = table.cp.tolist()
     cm = table.cm.tolist()
-    pos = {b: k for k, b in enumerate(table.bit_menu)}
+    menu = table.bit_menu
+
+    # per layer, the admissible (server, bit position, x name) in column order
+    placements: list[list[tuple[int, int, str]]] = []
     x_vars: dict[tuple[int, int, int], str] = {}
-    for l in range(L):
-        for i in range(M):
-            for b, k in pos.items():
-                if cp[i][l][k] != math.inf:
-                    x_vars[(i, l, b)] = f"x_{i}_{l}_{b}"
-    for l in range(L):
-        if not any(k[1] == l for k in x_vars):
-            raise EmptyFeasibleSet(l)
-
-    linked_pairs = sorted(
-        (lk.src, lk.dst) for lk in instance.cluster.links if lk.src != lk.dst)
-    y_vars: dict[tuple[int, int], str] = {}
-    if L >= 2:
-        y_vars = {(i, j): f"y_{i}_{j}" for (i, j) in linked_pairs}
-
-    # cm can live directly on y only when every pair (i, j) maps to a single
-    # transfer cost: exactly one consecutive layer pair and one bit choice
-    # for its source layer.
-    source_bits = sorted({b for (i, l, b) in x_vars if l == 0})
-    use_z = L > 2 or (L == 2 and len(source_bits) > 1)
-
     objective: dict[str, float] = {}
-    for (i, l, b), name in sorted(x_vars.items(), key=lambda kv: (kv[0][1], kv[0][0], kv[0][2])):
-        objective[name] = cp[i][l][pos[b]]
+    rows: list[Row] = []
+    hosted: dict[int, dict[str, float]] = {}
+    for l in range(L):
+        here = [(i, k, f"x_{i}_{l}_{menu[k]}") for i in range(M)
+                for k in range(len(menu)) if cp[i][l][k] != math.inf]
+        if not here:
+            raise EmptyFeasibleSet(l)
+        placements.append(here)
+        for i, k, name in here:
+            x_vars[(i, l, menu[k])] = name
+            objective[name] = cp[i][l][k]
+            hosted.setdefault(i, {})[name] = 1.0
+        rows.append(Row(f"assign_l{l}", {name: 1.0 for _, _, name in here}, "=", 1.0))
+    rows += [Row(f"cap_s{i}", hosted[i], "<=", 1.0) for i in sorted(hosted)]
 
     z_vars: dict[tuple[int, int, int, int], str] = {}
-    if use_z:
-        for (i, j) in linked_pairs:
-            for l in range(L - 1):
-                for b in instance.feasible_bits[l]:
-                    if (i, l, b) in x_vars:
-                        z_vars[(i, j, l, b)] = f"z_{i}_{j}_{l}_{b}"
-                        objective[z_vars[(i, j, l, b)]] = cm[l][i][j][pos[b]]
-    elif L == 2:
-        b0 = source_bits[0]
-        for (i, j), name in sorted(y_vars.items()):
-            objective[name] = cm[0][i][j][pos[b0]]
-
-    rows: list[Row] = []
-    for l in range(L):
-        coeffs = {x_vars[k]: 1.0 for k in sorted(x_vars) if k[1] == l}
-        rows.append(Row(f"assign_l{l}", coeffs, "=", 1.0))
-    for i in range(M):
-        coeffs = {x_vars[k]: 1.0 for k in sorted(x_vars) if k[0] == i}
-        if coeffs:
-            rows.append(Row(f"cap_s{i}", coeffs, "<=", 1.0))
-
-    linked = set(linked_pairs)
     for l in range(L - 1):
-        for i in range(M):
-            for j in range(M):
-                if i == j:
-                    continue
-                for b in instance.feasible_bits[l]:
-                    if (i, l, b) not in x_vars:
-                        continue
-                    for b2 in instance.feasible_bits[l + 1]:
-                        if (j, l + 1, b2) not in x_vars:
-                            continue
-                        xa, xb = x_vars[(i, l, b)], x_vars[(j, l + 1, b2)]
-                        if (i, j) in linked:
-                            rows.append(Row(
-                                f"dep_l{l}_s{i}_{j}_b{b}_{b2}",
-                                {xa: 1.0, xb: 1.0, y_vars[(i, j)]: -1.0},
-                                "<=", 1.0))
-                        else:
-                            rows.append(Row(
-                                f"nolink_l{l}_s{i}_{j}_b{b}_{b2}",
-                                {xa: 1.0, xb: 1.0}, "<=", 1.0))
+        inflow: dict[int, dict[str, float]] = {}  # next host -> in-flow row
+        for j, _, name in placements[l + 1]:
+            inflow.setdefault(j, {})[name] = -1.0
+        for i, k, xname in placements[l]:
+            b = menu[k]
+            out = {xname: -1.0}
+            for j, into in inflow.items():
+                c = cm[l][i][j][k]
+                if j != i and c != math.inf:
+                    name = z_vars[(i, j, l, b)] = f"z_{i}_{j}_{l}_{b}"
+                    objective[name] = c
+                    out[name] = into[name] = 1.0
+            rows.append(Row(f"out_l{l}_s{i}_b{b}", out, "=", 0.0))
+        rows += [Row(f"in_l{l}_s{j}", into, "=", 0.0) for j, into in inflow.items()]
 
-    for (i, j, l, b), zname in sorted(z_vars.items()):
-        xname = x_vars[(i, l, b)]
-        next_cols = {x_vars[(j, l + 1, b2)]: 1.0
-                     for b2 in instance.feasible_bits[l + 1]
-                     if (j, l + 1, b2) in x_vars}
-        rows.append(Row(f"and1_{zname}", {zname: 1.0, xname: -1.0}, "<=", 0.0))
-        rows.append(Row(f"and2_{zname}", {zname: 1.0, **{k: -v for k, v in next_cols.items()}}, "<=", 0.0))
-        rows.append(Row(f"and3_{zname}", {xname: 1.0, **next_cols, zname: -1.0}, "<=", 1.0))
-
-    binaries = (
-        [x_vars[k] for k in sorted(x_vars, key=lambda k: (k[1], k[0], k[2]))]
-        + [y_vars[k] for k in sorted(y_vars)]
-        + [z_vars[k] for k in sorted(z_vars)]
-    )
+    binaries = ([name for here in placements for _, _, name in here]
+                + [z_vars[key] for key in sorted(z_vars)])
     return IlpModel(objective=objective, constraints=tuple(rows),
-                    binaries=tuple(binaries), x_vars=x_vars,
-                    y_vars=y_vars, z_vars=z_vars)
+                    binaries=tuple(binaries), x_vars=x_vars, z_vars=z_vars)
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +163,6 @@ def substitute(model: IlpModel, assignments) -> tuple[dict[str, float], float, l
         i, j = assignments[l][0], assignments[l + 1][0]
         if i != j:
             crossing.add((i, j, l))
-    for (i, j), name in model.y_vars.items():
-        if any((i, j, l) in crossing for l in range(len(assignments) - 1)):
-            values[name] = 1.0
     for (i, j, l, b), name in model.z_vars.items():
         if placement.get(l) == (i, b) and (i, j, l) in crossing:
             values[name] = 1.0
@@ -230,11 +186,11 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _terms(coeffs: dict[str, float], order: tuple[str, ...]) -> str:
+def _terms(coeffs: dict[str, float], column: dict[str, int]) -> str:
+    """One expression, its terms in column order; column maps each name
+    to its declaration position."""
     parts = []
-    for name in order:
-        if name not in coeffs:
-            continue
+    for name in sorted(coeffs, key=column.__getitem__):
         c = coeffs[name]
         if not parts:
             parts.append(f"{_fmt(c)} {name}" if c >= 0 else f"- {_fmt(-c)} {name}")
@@ -242,17 +198,19 @@ def _terms(coeffs: dict[str, float], order: tuple[str, ...]) -> str:
             parts.append(f"+ {_fmt(c)} {name}")
         else:
             parts.append(f"- {_fmt(-c)} {name}")
-    return " ".join(parts) if parts else "0 " + order[0]
+    return " ".join(parts) if parts else "0 " + next(iter(column))
 
 
 def write_lp(model: IlpModel) -> str:
-    """Deterministic LP-format text for the model (golden-test stable)."""
-    order = model.binaries
-    lines = ["Minimize", f" obj: {_terms(model.objective, order)}", "Subject To"]
+    """Deterministic LP-format text for the model (golden-test stable).
+    Each expression sorts only its own terms through one column-index
+    map, so the cost follows the nonzeros, not rows x columns."""
+    column = {name: k for k, name in enumerate(model.binaries)}
+    lines = ["Minimize", f" obj: {_terms(model.objective, column)}", "Subject To"]
     for row in model.constraints:
-        lines.append(f" {row.name}: {_terms(row.coeffs, order)} {row.relation} {_fmt(row.rhs)}")
+        lines.append(f" {row.name}: {_terms(row.coeffs, column)} {row.relation} {_fmt(row.rhs)}")
     lines.append("Binary")
-    for name in order:
+    for name in model.binaries:
         lines.append(f" {name}")
     lines.append("End")
     return "\n".join(lines) + "\n"

@@ -344,6 +344,19 @@ class TestInputValidation:
         assert "usage:" in err and "--bins" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--skew-threshold", "nan"), ("--skew-threshold", "-0.5"),
+        ("--original-precision", "0"), ("--original-precision", "-8")])
+    def test_quantize_flag_out_of_range_is_usage_error(self, tmp_path, capsys,
+                                                       flag, value):
+        argv, out = self.command(tmp_path, "quantize", "8", "inf")
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and flag in err
+        assert not out.exists()
+
     def test_duplicate_link_is_input_error(self, tmp_path, capsys):
         doc = json.loads(open(data_path("cluster_2x2.json")).read())
         doc["links"].append(dict(doc["links"][0], capacity_bps=1.0))

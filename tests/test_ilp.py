@@ -2,18 +2,19 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from edgeplan.core import (ClusterSpec, LayerProfile, ModelProfile,
                            ProblemInstance, ServerSpec)
 from edgeplan.delay import build_delay_table, evaluate_plan
-from edgeplan.gen import random_test_instance
+from edgeplan.gen import generate_instance, random_test_instance
 from edgeplan.ilp import (EmptyFeasibleSet, build_ilp, check_plan_feasible,
                           export_lp, model_as_parsed, parse_lp, storage_bytes,
                           substitute, write_lp)
 from edgeplan.solver import solve_brute_force
 
-from conftest import make_2x2_instance
+from conftest import make_2x2_instance, with_binding_storage
 
 
 def codes(violations):
@@ -24,11 +25,11 @@ class TestBuildIlp:
     def test_golden_counts(self, golden_instance, golden_table):
         m = build_ilp(golden_instance, golden_table)
         assert len(m.x_vars) == 4
-        assert len(m.y_vars) == 2
-        assert len(m.z_vars) == 0
+        assert len(m.z_vars) == 2
+        assert not any(name.startswith("y_") for name in m.binaries)
         names = [r.name for r in m.constraints]
-        assert names[:4] == ["assign_l0", "assign_l1", "cap_s0", "cap_s1"]
-        assert sum(n.startswith("dep_") for n in names) == 2
+        assert names == ["assign_l0", "assign_l1", "cap_s0", "cap_s1",
+                         "out_l0_s0_b8", "out_l0_s1_b8", "in_l0_s0", "in_l0_s1"]
         assert len(m.binaries) == 6
 
     def test_storage_pruning_omits_columns(self):
@@ -62,6 +63,15 @@ class TestBuildIlp:
         m = build_ilp(inst, table)
         assert len(m.x_vars) == 2 * 2 * 2  # M * L * |menu|
 
+    def test_flow_model_size(self):
+        # rows: L assign + M cap + one out row per x below the last layer
+        # + one in row per (boundary, server); nothing is masked here
+        inst = generate_instance(1, 32, 12, (4, 8, 16), "heterogeneous", tokens=32)
+        m = build_ilp(inst, build_delay_table(inst))
+        assert len(m.constraints) == 12 + 32 + 11 * 32 * 3 + 11 * 32 == 1452
+        assert len(m.x_vars) == 12 * 32 * 3
+        assert sum(len(r.coeffs) for r in m.constraints) == 69_888
+
     def test_literal_storage_mode(self):
         layer = LayerProfile(0, 1.0, 10, 4.0, 32)
         assert storage_bytes(layer, 8) == 10.0
@@ -94,53 +104,72 @@ class TestCheckPlanFeasible:
         assert codes(check_plan_feasible(((0, 8),), golden_instance)) == ["WrongLength"]
 
 
-class TestDependencyRows:
-    def test_and_rows_force_conjunction(self):
-        # three layers so the builder switches to z columns
-        inst = _three_layer_instance()
-        table = build_delay_table(inst)
-        m = build_ilp(inst, table)
-        assert m.z_vars
-        (i, j, l, b), zname = sorted(m.z_vars.items())[0]
-        xname = m.x_vars[(i, l, b)]
-        next_names = [m.x_vars[(j, l + 1, b2)]
-                      for b2 in inst.feasible_bits[l + 1]
-                      if (j, l + 1, b2) in m.x_vars]
-        and_rows = [r for r in m.constraints if r.name.endswith(zname)]
-        assert len(and_rows) == 3
-        for x_val, nxt_val in itertools.product([0.0, 1.0], repeat=2):
-            feasible_z = []
-            for z_val in (0.0, 1.0):
-                vals = {xname: x_val, zname: z_val}
-                for nn in next_names:
-                    vals[nn] = 0.0
-                if next_names and nxt_val:
-                    vals[next_names[0]] = 1.0
-                ok = all(
-                    sum(c * vals.get(v, 0.0) for v, c in r.coeffs.items()) <= r.rhs + 1e-12
-                    for r in and_rows)
-                if ok:
-                    feasible_z.append(z_val)
-            assert feasible_z == [x_val * nxt_val]
+class TestFlowRows:
+    def test_missing_link_has_no_z_column(self):
+        inst = make_2x2_instance()
+        inst = make_2x2_instance(
+            cluster=ClusterSpec(servers=inst.cluster.servers,
+                                links=inst.cluster.links[1:]))  # drops 0 -> 1
+        m = build_ilp(inst, build_delay_table(inst))
+        assert set(m.z_vars) == {(1, 0, 0, 8)}
+        referenced = set()
+        for row in m.constraints:
+            referenced |= set(row.coeffs)
+        assert "z_0_1_0_8" not in referenced | set(m.objective)
 
-    def test_dependency_forces_y(self, golden_instance, golden_table):
+    @pytest.mark.parametrize("seed", range(20))
+    def test_z_columns_exactly_where_flow_can_pass(self, seed):
+        rng = random.Random(1_100 + seed)
+        inst = random_test_instance(rng, link_density=(0.3, 0.6, 1.0)[seed % 3])
+        inst = with_binding_storage(inst, rng, 0.6 if seed % 2 else 0.0)
+        table = build_delay_table(inst)
+        try:
+            m = build_ilp(inst, table)
+        except EmptyFeasibleSet:
+            return
+        links = {(lk.src, lk.dst) for lk in inst.cluster.links}
+        want = {(i, j, l, b)
+                for (i, l, b) in m.x_vars
+                for j in range(inst.cluster.num_servers)
+                if l + 1 < inst.model.num_layers and j != i and (i, j) in links
+                and any((j, l + 1, b2) in m.x_vars for b2 in inst.bit_menu)}
+        assert set(m.z_vars) == want
+        for (i, j, l, b), name in m.z_vars.items():
+            assert m.objective[name] == table.cm[l, i, j, table.bit_index(b)]
+
+    def test_placement_without_flow_violates_out_and_in(self, golden_instance,
+                                                        golden_table):
         m = build_ilp(golden_instance, golden_table)
-        # consecutive layers on (0, 1) with y_0_1 = 0 must violate a row
+        # consecutive layers on (0, 1) with every z at 0
         vals = {name: 0.0 for name in m.binaries}
         vals["x_0_0_8"] = vals["x_1_1_8"] = 1.0
-        violated = [r.name for r in m.constraints
-                    if r.relation == "<=" and
-                    sum(c * vals[v] for v, c in r.coeffs.items()) > r.rhs + 1e-12]
-        assert violated == ["dep_l0_s0_1_b8_8"]
+        violated = []
+        for r in m.constraints:
+            lhs = sum(c * vals[v] for v, c in r.coeffs.items())
+            if not (lhs <= r.rhs if r.relation == "<=" else lhs == r.rhs):
+                violated.append(r.name)
+        assert violated == ["out_l0_s0_b8", "in_l0_s1"]
 
-
-def _three_layer_instance():
-    rng = random.Random(5)
-    while True:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_substitute_sets_one_z_per_boundary(self, seed):
+        rng = random.Random(1_200 + seed)
         inst = random_test_instance(rng, max_layers=3, max_servers=4,
-                                    link_density=1.0)
-        if inst.model.num_layers == 3 and len(inst.bit_menu) >= 2:
-            return inst
+                                    link_density=(0.6, 1.0)[seed % 2])
+        m = build_ilp(inst, build_delay_table(inst))
+        L = inst.model.num_layers
+        plans = 0
+        for perm in itertools.permutations(range(inst.cluster.num_servers), L):
+            for bits in itertools.product(*inst.feasible_bits):
+                plan = tuple(zip(perm, bits))
+                if check_plan_feasible(plan, inst):
+                    continue
+                plans += 1
+                values, _, violated = substitute(m, plan)
+                assert violated == []
+                on = sorted((key for key, name in m.z_vars.items() if values[name] == 1.0),
+                            key=lambda key: key[2])
+                assert on == [(perm[l], perm[l + 1], l, bits[l]) for l in range(L - 1)]
+        assert plans > 0
 
 
 class TestSubstitution:
@@ -215,3 +244,64 @@ class TestLpExport:
         m = build_ilp(golden_instance, golden_table)
         with open(data_path("golden_2x2.lp")) as f:
             assert f.read() == write_lp(m)
+
+
+def _milp_solve(text):
+    """Solve an exported LP with HiGHS: (status, objective, assignments)."""
+    from scipy import optimize
+
+    lp = parse_lp(text)
+    column = {name: k for k, name in enumerate(lp.binaries)}
+    c = np.zeros(len(column))
+    for name, v in lp.objective.items():
+        c[column[name]] = v
+    A = np.zeros((len(lp.constraints), len(column)))
+    lo = np.empty(len(lp.constraints))
+    hi = np.empty(len(lp.constraints))
+    for r, row in enumerate(lp.constraints):
+        for name, v in row.coeffs.items():
+            A[r, column[name]] = v
+        lo[r] = -math.inf if row.relation == "<=" else row.rhs
+        hi[r] = math.inf if row.relation == ">=" else row.rhs
+    res = optimize.milp(c, constraints=optimize.LinearConstraint(A, lo, hi),
+                        integrality=np.ones(len(column)),
+                        bounds=optimize.Bounds(0.0, 1.0),
+                        options={"mip_rel_gap": 0.0})
+    if res.status != 0:
+        return res.status, None, None
+    placed = {}
+    for name, value in zip(lp.binaries, res.x):
+        if name.startswith("x_") and value > 0.5:
+            i, l, b = map(int, name.split("_")[1:])
+            placed[l] = (i, b)
+    return 0, res.fun, tuple(placed[l] for l in sorted(placed))
+
+
+class TestHighsGate:
+    def test_flow_lp_optimum_equals_brute_force(self):
+        pytest.importorskip("scipy.optimize")
+        solved = infeasible = 0
+        for seed in range(200):
+            rng = random.Random(1_300_000 + seed)
+            inst = random_test_instance(rng, link_density=rng.choice((0.3, 0.6, 1.0)))
+            inst = with_binding_storage(inst, rng, 0.6 if seed % 2 else 0.0)
+            table = build_delay_table(inst)
+            exact = solve_brute_force(inst, table)
+            try:
+                text = write_lp(build_ilp(inst, table))
+            except EmptyFeasibleSet:
+                assert exact.plan is None, seed
+                infeasible += 1
+                continue
+            status, obj, plan = _milp_solve(text)
+            if exact.plan is None:
+                assert status == 2, seed  # HiGHS: infeasible
+                infeasible += 1
+                continue
+            assert status == 0, seed
+            assert obj == pytest.approx(exact.objective, rel=1e-7), seed
+            assert check_plan_feasible(plan, inst) == [], seed
+            total, _, _ = evaluate_plan(plan, table)
+            assert total == pytest.approx(exact.objective, rel=1e-7), seed
+            solved += 1
+        assert solved >= 150 and infeasible >= 10, (solved, infeasible)
