@@ -2,7 +2,7 @@
 planning, replay simulation, and LP export.
 
 Every command is deterministic given its files, flags, and seed. Exit
-codes: 0 ok, 2 input error, 3 infeasible, 4 node budget exhausted,
+codes: 0 ok, 2 input error, 3 infeasible, 4 search budget exhausted,
 5 plan/simulation mismatch, 6 input digest mismatch.
 """
 
@@ -253,7 +253,12 @@ def cmd_plan(args) -> int:
                                     "bit-feasibility constraints"}))
         return EXIT_INFEASIBLE
     if result.status == "budget_exceeded":
-        print(json.dumps({"status": "budget_exceeded", "budget": budget}))
+        print(json.dumps({
+            "status": "budget_exceeded", "budget": budget,
+            "incumbent_s": result.objective if result.plan is not None else None,
+            "lower_bound_s": (result.lower_bound_at_root
+                              if math.isfinite(result.lower_bound_at_root) else None),
+        }, allow_nan=False))
         return EXIT_BUDGET
     violations = check_plan_feasible(result.plan.assignments, instance,
                                      literal_storage=args.storage == "literal")
@@ -274,6 +279,7 @@ def cmd_plan(args) -> int:
         "options": options_doc,
         "meta": {
             "nodes_explored": result.nodes_explored,
+            "expansions": result.expansions,
             "lower_bound_at_root": result.lower_bound_at_root,
             "wall_time_s": result.wall_time,
             "tool_version": __version__,
@@ -408,7 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=["brute", "bnb", "relaxed"],
                    default="bnb")
     p.add_argument("--budget", type=int,
-                   help=f"node budget (default env EDGEPLAN_BUDGET or {DEFAULT_NODE_BUDGET})")
+                   help="search budget in expansions (children examined, not "
+                        "leaves) for --solver bnb (default env EDGEPLAN_BUDGET "
+                        f"or {DEFAULT_NODE_BUDGET})")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_plan)
 

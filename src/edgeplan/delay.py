@@ -34,14 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (LayerProfile, LinkSpec, ProblemInstance, ServerSpec,
-                   storage_bytes)
-
-MAX_BITS = 64
+from .core import (MAX_BITS, MIN_BITS, LayerProfile, LinkSpec, ProblemInstance,
+                   ServerSpec, storage_bytes)
 
 
 class InvalidBits(ValueError):
-    """Bit-width outside the supported [2, 64] range."""
+    """Bit-width outside the supported [core.MIN_BITS, core.MAX_BITS] range."""
 
 
 class NoLink(ValueError):
@@ -98,8 +96,8 @@ class DelayTable:
 
 
 def _check_bits(bits: int) -> None:
-    if not (2 <= bits <= MAX_BITS):
-        raise InvalidBits(f"bits={bits} outside [2, {MAX_BITS}]")
+    if not (MIN_BITS <= bits <= MAX_BITS):
+        raise InvalidBits(f"bits={bits} outside [{MIN_BITS}, {MAX_BITS}]")
 
 
 def compute_cp(layer: LayerProfile, server: ServerSpec, bits: int,

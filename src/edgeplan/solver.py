@@ -8,6 +8,8 @@ one admissibility mask (missing links, infeasible widths, storage):
     nodes are (server, bits), dropping the one-layer-per-server rule;
     an admissible lower bound, computed with whole-array minima.
   - branch and bound: depth-first over layers with the DP suffix bound,
+    escalating to a Lagrangian bound (per-server penalties on the same
+    DP) when the plain bound does not settle the instance quickly;
     guaranteed to reproduce the brute-force optimum and tie-broken plan.
 
 Brute force and branch and bound visit nodes one at a time, so they read
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -34,6 +37,22 @@ from .core import PlacementPlan, ProblemInstance
 from .delay import DelayTable, evaluate_plan, path_delay
 
 DEFAULT_NODE_BUDGET = 10_000_000
+
+# Expansions (children examined) the search spends under the plain DP
+# bound before it computes Lagrangian multipliers and starts over. One
+# subgradient step is a relaxed DP plus its witness, O(L * M^2 * B): about
+# 0.3 ms at M=16/L=10 on a 2-CPU Xeon, so a pass of 20-100 steps costs
+# 5-30 ms, while 1,000 expansions cost about 3.5 ms there. Shallow
+# instances (L <= 5, any M) mostly finish within the allowance and never
+# pay for a pass; deep ones (L >= 7) mostly escalate.
+_ESCALATE_AFTER = 1_000
+_SUBGRADIENT_STEPS = 100
+_STALL_STEPS = 3  # halve the Polyak step size after this many non-improving steps
+_ESTIMATE_SLACK = 0.1  # target above the DP bound when there is no incumbent yet
+# pruning slack: penalised bounds are rounded sums that may exceed a tied
+# plan's objective by a few ulps, so a bound must beat the incumbent by more
+_TIE_RTOL = 1e-9
+_TIE_ATOL = 1e-12
 
 # solve_brute_force refuses anything past this; exact enumeration of
 # M-permutations times bit products explodes quickly.
@@ -53,6 +72,7 @@ class SolveResult:
     nodes_explored: int  # complete candidate plans evaluated
     lower_bound_at_root: float
     wall_time: float
+    expansions: int = 0  # search-tree children examined (bnb only)
 
     @property
     def feasible(self) -> bool:
@@ -111,7 +131,7 @@ def solve_brute_force(instance: ProblemInstance, table: DelayTable) -> SolveResu
 # Layered-graph relaxation
 # ---------------------------------------------------------------------------
 
-def _suffix_bounds(table: DelayTable) -> list[np.ndarray]:
+def _suffix_bounds(cp: np.ndarray, cm: np.ndarray) -> list[np.ndarray]:
     """H[l][i, k] = cheapest completion of layers l..L-1 starting with
     layer l on server i at bit position k, allowing non-consecutive server
     reuse:
@@ -122,8 +142,8 @@ def _suffix_bounds(table: DelayTable) -> list[np.ndarray]:
     plan satisfies that), so the bound stays admissible while excluding
     free self-edges. Adding a constant is monotone under rounding, so
     taking the inner minimum first gives the same value as minimising
-    every (j, k2) sum."""
-    cp, cm = table.cp, table.cm
+    every (j, k2) sum. cp may carry per-server penalties (the Lagrangian
+    bound passes cp + lambda)."""
     M, L, _ = cp.shape
     if L == 0:
         return []
@@ -136,39 +156,212 @@ def _suffix_bounds(table: DelayTable) -> list[np.ndarray]:
     return H
 
 
-def solve_relaxed_dp(instance: ProblemInstance, table: DelayTable
-                     ) -> tuple[float, Optional[tuple[tuple[int, int], ...]]]:
-    """Shortest layered path; returns (lower_bound, path). The path may
-    reuse servers, so it is a bound witness, not a plan. Ties go to the
-    first (server, bits) in row-major order, the lexicographic smallest."""
-    L = instance.model.num_layers
-    if L == 0:
-        return 0.0, ()
-    H = _suffix_bounds(table)
-    if H[0].size == 0:
-        return math.inf, None
+def _witness(H: list[np.ndarray], cm: np.ndarray) -> list[tuple[int, int]]:
+    """The shortest layered path behind H[0].min() as (server, bit
+    position) pairs; ties go to the first pair in row-major order, the
+    lexicographic smallest. Requires a finite H[0].min()."""
     B = H[0].shape[1]
     i, k = divmod(int(np.argmin(H[0])), B)
-    bound = float(H[0][i, k])
-    if math.isinf(bound):
-        return math.inf, None
     path = [(i, k)]
-    for l in range(L - 1):
-        via = table.cm[l, i, :, k][:, None] + H[l + 1]
+    for l in range(len(H) - 1):
+        via = cm[l, i, :, k][:, None] + H[l + 1]
         via[i] = math.inf
         i, k = divmod(int(np.argmin(via)), B)
         path.append((i, k))
-    return bound, _widths(path, table)
+    return path
+
+
+def solve_relaxed_dp(instance: ProblemInstance, table: DelayTable
+                     ) -> tuple[float, Optional[tuple[tuple[int, int], ...]]]:
+    """Shortest layered path; returns (lower_bound, path). The path may
+    reuse servers, so it is a bound witness, not a plan."""
+    L = instance.model.num_layers
+    if L == 0:
+        return 0.0, ()
+    H = _suffix_bounds(table.cp, table.cm)
+    if H[0].size == 0:
+        return math.inf, None
+    bound = float(H[0].min())
+    if math.isinf(bound):
+        return math.inf, None
+    return bound, _widths(_witness(H, table.cm), table)
+
+
+# ---------------------------------------------------------------------------
+# Lagrangian bound and branch and bound
+# ---------------------------------------------------------------------------
+
+def _lagrangian_root(table: DelayTable, target: float, incumbent):
+    """Multipliers lambda >= 0, one per server, for the bound
+
+        min H_lambda[0] - (sum of the L largest lambda),
+
+    where H_lambda is the relaxed DP on cp + lambda. A feasible plan visits
+    L distinct servers, so it pays at most the L largest penalties back and
+    the bound is admissible for every lambda >= 0; lambda = 0 gives the
+    plain DP bound. Projected subgradient ascent with Polyak steps toward
+    ``target`` (the incumbent's objective or an estimate of one); the
+    subgradient is the witness path's visits per server minus one for each
+    server in the top-L set. A witness on L distinct servers is a feasible
+    plan: it replaces ``incumbent`` (None or (objective, path)) when
+    better, and the target drops to it. Stops after _SUBGRADIENT_STEPS or
+    once the bound reaches the target. Returns (bound, lambda, H_lambda,
+    incumbent)."""
+    cp, cm = table.cp, table.cm
+    M, L, _ = cp.shape
+    lam = np.zeros(M)
+    best = (-math.inf, lam, None)
+    theta, stall = 2.0, 0
+    for _ in range(_SUBGRADIENT_STEPS):
+        H = _suffix_bounds(cp + lam[:, None, None], cm)
+        witness = _witness(H, cm)
+        servers = [i for i, _ in witness]
+        if len(set(servers)) == L:
+            total = float(path_delay(cp.transpose(1, 0, 2), cm, witness)[0])
+            key = (total, tuple(witness))
+            if incumbent is None or key < incumbent:
+                incumbent = key
+                target = min(target, total)
+        visits = np.bincount(servers, minlength=M)
+        # top-L set: largest lambda, ties to the servers the witness visits
+        top = np.lexsort((-visits, -lam))[:L]
+        bound = float(H[0].min()) - float(lam[top].sum())
+        if bound > best[0]:
+            best, stall = (bound, lam, H), 0
+        else:
+            stall += 1
+            if stall == _STALL_STEPS:
+                theta, stall = theta / 2, 0
+        if best[0] >= target - _tie_tolerance(target):
+            break
+        grad = visits.astype(float)
+        grad[top] -= 1.0
+        norm = float(grad @ grad)
+        if norm == 0.0:  # the witness is a plan at the bound
+            break
+        lam = np.maximum(0.0, lam + (theta * (target - bound) / norm) * grad)
+    return (*best, incumbent)
+
+
+def _tie_tolerance(objective: float) -> float:
+    return max(_TIE_RTOL * abs(objective), _TIE_ATOL)
+
+
+def _nested(table: DelayTable):
+    """The table as the search reads it: cp[layer][server][bits],
+    cm[layer][src][bits][dst] (one row per placed parent) and the
+    admissible bit positions [layer][server]."""
+    cp = table.cp.transpose(1, 0, 2).tolist()
+    cm = table.cm.transpose(0, 1, 3, 2).tolist()
+    admissible = [[[k for k, c in enumerate(row) if c != math.inf] for row in layer]
+                  for layer in cp]
+    return cp, cm, admissible
+
+
+def _search(cp, cm, admissible, H, lam, limit: int, incumbent):
+    """Depth-first search over layers under the bound
+
+        compute + comm + edge + H[l][i][k] - (sum of the L - l largest lam
+                                              among the unused servers)
+
+    which is the plain DP bound when lam is all zero. A child whose bound
+    exceeds the incumbent by more than the tie tolerance is pruned: it is
+    not listed, or, if the incumbent improved since the listing, it ends
+    the scan, since children are tried in (bound, server, bits) order and
+    all later ones are no better. Exact ties therefore survive, and the
+    incumbent is the smallest (objective, path) over the leaves reached,
+    with the objective summed as delay.path_delay sums it, so plans are
+    brute force's tie-broken plan. Examines at most ``limit`` children.
+
+    ``incumbent`` is None or (objective, path). Returns (incumbent, leaves,
+    expansions, exhausted).
+    """
+    L, M = len(cp), len(cp[0])
+    order = sorted(range(M), key=lambda i: -lam[i])
+    penalised = any(lam)
+    best_total, best_path = incumbent if incumbent else (math.inf, None)
+    # a finite cutoff also prunes children without any completion (inf
+    # bound) before the first incumbent exists
+    cutoff = (best_total + _tie_tolerance(best_total) if incumbent
+              else sys.float_info.max)
+    path: list[tuple[int, int]] = []
+    leaves = expansions = 0
+    exhausted = False
+
+    def reserve(used: int, n: int) -> float:
+        total = 0.0
+        for i in order:
+            if not used >> i & 1:
+                total += lam[i]
+                n -= 1
+                if n == 0:
+                    break
+        return total
+
+    def dfs(l: int, used: int, compute: float, comm: float) -> None:
+        nonlocal best_total, best_path, cutoff, leaves, expansions, exhausted
+        edges = cm[l - 1][path[-1][0]][path[-1][1]] if l else None
+        base = compute + comm
+        if penalised:
+            base -= reserve(used, L - l)
+        kids = []
+        for i in range(M):
+            if used >> i & 1:
+                continue
+            edge = 0.0
+            if edges is not None:
+                edge = edges[i]
+                if edge == math.inf:
+                    continue
+            tails = H[l][i]
+            for k in admissible[l][i]:
+                bound_tail = edge + tails[k]
+                if base + bound_tail <= cutoff:
+                    kids.append((bound_tail, i, k, edge))
+        kids.sort()
+        leaf = l == L - 1
+        for bound_tail, i, k, edge in kids:
+            if expansions >= limit:
+                exhausted = True
+                return
+            expansions += 1
+            if base + bound_tail > cutoff:
+                break
+            child_compute = compute + cp[l][i][k]
+            path.append((i, k))
+            if leaf:
+                leaves += 1
+                total = child_compute + (comm + edge)
+                if total < best_total or (total == best_total
+                                          and tuple(path) < best_path):
+                    best_total, best_path = total, tuple(path)
+                    cutoff = total + _tie_tolerance(total)
+            else:
+                dfs(l + 1, used | 1 << i, child_compute, comm + edge)
+            path.pop()
+            if exhausted:
+                return
+
+    dfs(0, 0, 0.0, 0.0)
+    found = (best_total, best_path) if best_path is not None else None
+    return found, leaves, expansions, exhausted
 
 
 def solve_branch_and_bound(instance: ProblemInstance, table: DelayTable,
                            budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:
-    """Exact search with DP suffix pruning.
+    """Exact search: the DP suffix bound first, the Lagrangian bound if
+    that runs long.
 
-    Pruning is strict (bound > incumbent) so objective ties survive and the
-    lexicographic tie-break matches brute force exactly. Deterministic:
-    layers expanded in order, children sorted by (bound, server, bits).
-    Masked (server, layer, bits) entries are never expanded.
+    The search runs with the plain DP bound for at most _ESCALATE_AFTER
+    expansions (children examined). If that is not enough, the root
+    subgradient pass (_lagrangian_root) sets per-server multipliers and
+    the search starts over under the penalised bound, keeping the
+    incumbent. ``budget`` caps the expansions of both passes together.
+    Pruning needs the bound to exceed the incumbent by a small relative
+    tolerance, so objective ties survive and the lexicographic tie-break
+    matches brute force exactly. Deterministic; masked (server, layer,
+    bits) entries are never expanded. lower_bound_at_root is the strongest
+    root bound the solve proved.
     """
     t0 = time.perf_counter()
     L = instance.model.num_layers
@@ -181,68 +374,34 @@ def solve_branch_and_bound(instance: ProblemInstance, table: DelayTable,
         return SolveResult("optimal", plan, 0.0, 0, 0.0,
                            time.perf_counter() - t0)
 
-    bounds = _suffix_bounds(table)
+    bounds = _suffix_bounds(table.cp, table.cm)
     root_bound = float(bounds[0].min(initial=math.inf))
     if math.isinf(root_bound):
         return SolveResult("infeasible", None, math.inf, 0, math.inf,
                            time.perf_counter() - t0)
 
-    cp = table.cp.transpose(1, 0, 2).tolist()  # [layer][server][bits]
-    # [layer][src][bits][dst]: one row per placed parent
-    cm = table.cm.transpose(0, 1, 3, 2).tolist()
-    H = [h.tolist() for h in bounds]  # [layer][server][bits]
-    admissible = [[[k for k, c in enumerate(row) if c != math.inf] for row in layer]
-                  for layer in cp]
-    incumbent: Optional[tuple[float, tuple[tuple[int, int], ...]]] = None
-    leaves = 0
-    expansions = 0
-    exhausted = False
-
-    def children(l: int, last: Optional[tuple[int, int]], used: int):
-        out = []
-        edges = cm[l - 1][last[0]][last[1]] if last is not None else None
-        for i in range(M):
-            if used >> i & 1:
-                continue
-            edge = 0.0
-            if edges is not None:
-                edge = edges[i]
-                if edge == math.inf:
-                    continue
-            tails = H[l][i]
-            for k in admissible[l][i]:
-                out.append((edge + tails[k], i, k, edge))
-        out.sort()
-        return out
-
-    def dfs(l: int, used: int, cost: float,
-            prefix: tuple[tuple[int, int], ...]) -> None:
-        nonlocal incumbent, leaves, expansions, exhausted
-        if exhausted:
-            return
-        last = prefix[-1] if prefix else None
-        for bound_tail, i, k, edge in children(l, last, used):
-            expansions += 1
-            if expansions > budget:
-                exhausted = True
-                return
-            if incumbent is not None and cost + bound_tail > incumbent[0]:
-                continue
-            child_cost = cost + edge + cp[l][i][k]
-            child_prefix = prefix + ((i, k),)
-            if l == L - 1:
-                leaves += 1
-                key = (child_cost, child_prefix)
-                if incumbent is None or key < incumbent:
-                    incumbent = key
-            else:
-                dfs(l + 1, used | 1 << i, child_cost, child_prefix)
-
-    dfs(0, 0, 0.0, ())
+    cp, cm, admissible = _nested(table)
+    allowance = min(budget, _ESCALATE_AFTER)
+    incumbent, leaves, expansions, exhausted = _search(
+        cp, cm, admissible, [h.tolist() for h in bounds], [0.0] * M,
+        allowance, None)
+    if exhausted and budget > allowance:
+        # no incumbent yet: aim the Polyak steps a little above the DP bound
+        target = incumbent[0] if incumbent else root_bound * (1 + _ESTIMATE_SLACK)
+        bound, lam, penalised, incumbent = _lagrangian_root(table, target, incumbent)
+        root_bound = max(root_bound, bound)
+        incumbent, more_leaves, more, exhausted = _search(
+            cp, cm, admissible, [h.tolist() for h in penalised], lam.tolist(),
+            budget - expansions, incumbent)
+        leaves += more_leaves
+        expansions += more
     wall = time.perf_counter() - t0
     if incumbent is None:
         status = "budget_exceeded" if exhausted else "infeasible"
-        return SolveResult(status, None, math.inf, leaves, root_bound, wall)
-    plan = _make_plan(incumbent[1], table)
+        return SolveResult(status, None, math.inf, leaves, root_bound, wall,
+                           expansions)
     status = "budget_exceeded" if exhausted else "optimal"
-    return SolveResult(status, plan, plan.total_delay, leaves, root_bound, wall)
+    plan = _make_plan(incumbent[1], table)
+    # the root bound can exceed the objective only by rounding
+    return SolveResult(status, plan, plan.total_delay, leaves,
+                       min(root_bound, plan.total_delay), wall, expansions)

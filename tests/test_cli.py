@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from edgeplan.cli import _write_json, main
+from edgeplan.cli import _write_json, input_digest, main
 from edgeplan.core import LayerProfile, LinkSpec, ServerSpec
 from edgeplan.delay import compute_cm, compute_cp
 from edgeplan.quant import WeightTensor, save_weight_tensor
@@ -191,6 +191,42 @@ class TestPlan:
              "--bits", "4,8,16", "--solver", "bnb", "--budget", "1",
              "--out", str(tmp_path / "p.json")], capsys)
         assert code == 4
+
+    @pytest.mark.parametrize("budget", [1, 8])
+    def test_budget_status_line_says_how_far_it_got(self, tmp_path, capsys, budget):
+        gen_dir = tmp_path / "inst"
+        run(["gen", "--seed", "5", "-m", "6", "-l", "4", "--bits", "4,8,16",
+             "--out-dir", str(gen_dir)], capsys)
+        out = tmp_path / "p.json"
+        code, stdout, _ = run(
+            ["plan", "--cluster", str(gen_dir / "cluster.json"),
+             "--model", str(gen_dir / "model.json"),
+             "--bits", "4,8,16", "--budget", str(budget), "--out", str(out)], capsys)
+        assert code == 4
+        assert not out.exists()
+        status = json.loads(stdout.strip())
+        assert status["status"] == "budget_exceeded"
+        assert status["budget"] == budget
+        assert math.isfinite(status["lower_bound_s"])
+        if budget == 1:  # one child examined: no plan yet
+            assert status["incumbent_s"] is None
+        else:  # the first dive reached a leaf
+            assert status["incumbent_s"] >= status["lower_bound_s"]
+
+    def test_meta_records_expansions_outside_digest(self, tmp_path, capsys):
+        gen_dir = tmp_path / "inst"
+        run(["gen", "--seed", "5", "-m", "6", "-l", "4", "--bits", "4,8,16",
+             "--out-dir", str(gen_dir)], capsys)
+        cluster, model = str(gen_dir / "cluster.json"), str(gen_dir / "model.json")
+        out = tmp_path / "p.json"
+        code, _, _ = run(["plan", "--cluster", cluster, "--model", model,
+                          "--bits", "4,8,16", "--out", str(out)], capsys)
+        assert code == 0
+        doc = json.loads(out.read_text())
+        meta = doc["meta"]
+        assert meta["expansions"] >= meta["nodes_explored"] >= 1
+        assert meta["lower_bound_at_root"] <= doc["objective"]["total_s"]
+        assert doc["digest"] == input_digest(cluster, model, doc["options"])
 
 
 class TestPlanStorage:

@@ -42,6 +42,13 @@ class TestComputeCp:
     def test_invalid_bits(self):
         with pytest.raises(InvalidBits):
             compute_cp(layer(), ServerSpec(0, 1.0, 0.0), 1, 1)
+        # the bound is core.MAX_BITS, the one every instance is validated against
+        with pytest.raises(InvalidBits):
+            compute_cp(layer(), ServerSpec(0, 1.0, 0.0), 33, 1)
+        with pytest.raises(InvalidBits):
+            compute_cm(layer(), LinkSpec(0, 1, 1.0), 33, 1, 1, 16)
+        assert compute_cp(layer(), ServerSpec(0, 1.0, 0.0), 32, 1) > 0
+        assert compute_cm(layer(), LinkSpec(0, 1, 1.0), 32, 1, 1, 16) > 0
 
 
 class TestComputeCm:

@@ -246,25 +246,34 @@ class TestLpExport:
             assert f.read() == write_lp(m)
 
 
-def _milp_solve(text):
-    """Solve an exported LP with HiGHS: (status, objective, assignments)."""
-    from scipy import optimize
+def _milp_solve(text, *, continuous_z=False):
+    """Solve an exported LP with HiGHS: (status, objective, assignments).
+
+    continuous_z relaxes the z columns to [0, 1]. The optimum is the same
+    (at integral x the flow rows leave one z per layer boundary, at 1),
+    and HiGHS is about 10x faster at M=24/L=10."""
+    from scipy import optimize, sparse
 
     lp = parse_lp(text)
     column = {name: k for k, name in enumerate(lp.binaries)}
     c = np.zeros(len(column))
     for name, v in lp.objective.items():
         c[column[name]] = v
-    A = np.zeros((len(lp.constraints), len(column)))
+    rows, cols, vals = [], [], []
     lo = np.empty(len(lp.constraints))
     hi = np.empty(len(lp.constraints))
     for r, row in enumerate(lp.constraints):
         for name, v in row.coeffs.items():
-            A[r, column[name]] = v
+            rows.append(r)
+            cols.append(column[name])
+            vals.append(v)
         lo[r] = -math.inf if row.relation == "<=" else row.rhs
         hi[r] = math.inf if row.relation == ">=" else row.rhs
+    # sparse: the flow model's nonzeros are a small share of rows x columns
+    A = sparse.csr_array((vals, (rows, cols)), shape=(len(lp.constraints), len(column)))
     res = optimize.milp(c, constraints=optimize.LinearConstraint(A, lo, hi),
-                        integrality=np.ones(len(column)),
+                        integrality=[0 if continuous_z and name.startswith("z_") else 1
+                                     for name in lp.binaries],
                         bounds=optimize.Bounds(0.0, 1.0),
                         options={"mip_rel_gap": 0.0})
     if res.status != 0:

@@ -19,6 +19,7 @@ def test_run_solver_suite():
     proc = run_script("run_solver_suite.py", "--instances", "20")
     assert proc.returncode == 0, proc.stderr
     assert "feasible /" in proc.stdout
+    assert "root bound gap:" in proc.stdout
 
 
 def test_demo_pipeline(tmp_path):

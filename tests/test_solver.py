@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -5,12 +6,13 @@ import random
 import numpy as np
 import pytest
 
+from edgeplan import solver
 from edgeplan.core import (ClusterSpec, LayerProfile, LinkSpec, ModelProfile,
                            ProblemInstance, ServerSpec)
-from edgeplan.delay import build_delay_table
-from edgeplan.gen import random_test_instance
+from edgeplan.delay import build_delay_table, evaluate_plan
+from edgeplan.gen import generate_instance, random_test_instance
 from edgeplan.ilp import (EmptyFeasibleSet, build_ilp, check_plan_feasible,
-                          substitute)
+                          substitute, write_lp)
 from edgeplan.solver import (SizeLimit, solve_branch_and_bound,
                              solve_brute_force, solve_relaxed_dp)
 
@@ -256,3 +258,164 @@ class TestMonotonicity:
         if base.plan is not None:
             assert more.plan is not None
             assert more.objective <= base.objective + 1e-12
+
+
+def _identical_servers(inst, rng):
+    """Server 0 copied to every id and one link spec on every pair: any
+    relabelling of a plan's servers keeps its objective bit for bit, so
+    optimal plans tie and only the lexicographic tie-break separates them."""
+    m = inst.cluster.num_servers
+    proto = inst.cluster.servers[0]
+    servers = tuple(dataclasses.replace(proto, id=i) for i in range(m))
+    bps, prop = rng.uniform(1e6, 1e9), rng.choice((0.0, 1e-3))
+    links = tuple(LinkSpec(i, j, bps, prop)
+                  for i in range(m) for j in range(m) if i != j)
+    return dataclasses.replace(inst, cluster=ClusterSpec(servers, links))
+
+
+def _lagrangian_instance(seed):
+    """Sparse links, binding storage, and every fifth seed tie-heavy."""
+    rng = random.Random(6000 + seed)
+    inst = random_test_instance(rng, link_density=rng.choice((0.3, 0.6, 1.0)))
+    inst = with_binding_storage(inst, rng, 0.6)
+    if seed % 5 == 4:
+        inst = _identical_servers(inst, rng)
+    return inst
+
+
+LAGRANGIAN_SEEDS = 320
+
+
+class TestLagrangianRoute:
+    """The plain-DP allowance is 0, so every instance is solved by the
+    penalised search after the root subgradient pass."""
+
+    @pytest.fixture(autouse=True)
+    def escalate_at_once(self, monkeypatch):
+        monkeypatch.setattr(solver, "_ESCALATE_AFTER", 0)
+
+    @pytest.mark.parametrize("seed", range(LAGRANGIAN_SEEDS))
+    def test_oracle_equivalence(self, seed):
+        inst = _lagrangian_instance(seed)
+        table = build_delay_table(inst)
+        exact = solve_brute_force(inst, table)
+        got = solve_branch_and_bound(inst, table)
+        assert got.status == exact.status
+        if exact.plan is None:
+            assert got.plan is None
+            return
+        assert got.objective == exact.objective
+        assert got.plan.assignments == exact.plan.assignments
+        assert got.lower_bound_at_root <= exact.objective
+        assert check_plan_feasible(got.plan.assignments, inst) == []
+
+    def test_root_bound_admissible_and_raised(self):
+        raised = 0
+        for seed in range(LAGRANGIAN_SEEDS):
+            inst = _lagrangian_instance(seed)
+            table = build_delay_table(inst)
+            dp_bound, _ = solve_relaxed_dp(inst, table)
+            if math.isinf(dp_bound) or inst.model.num_layers > inst.cluster.num_servers:
+                continue
+            # the root pass as the solve runs it without an incumbent; its
+            # bound is unclamped, unlike lower_bound_at_root
+            bound, lam, _, incumbent = solver._lagrangian_root(
+                table, dp_bound * (1 + solver._ESTIMATE_SLACK), None)
+            assert (lam >= 0).all(), seed
+            exact = solve_brute_force(inst, table)
+            if exact.plan is not None:
+                assert bound <= exact.objective * (1 + 1e-12), seed
+            if incumbent is not None:  # a witness on distinct servers
+                assert incumbent[0] >= exact.objective, seed
+            raised += bound > dp_bound * (1 + 1e-9)
+        assert raised >= 50, raised
+
+    def test_ties_are_exact_on_identical_servers(self):
+        tied = 0
+        for seed in range(4, LAGRANGIAN_SEEDS, 5):
+            inst = _lagrangian_instance(seed)
+            table = build_delay_table(inst)
+            got = solve_branch_and_bound(inst, table)
+            if got.plan is None or inst.model.num_layers < 2:
+                continue
+            # reversing the servers gives another plan of the same objective
+            servers = [i for i, _ in got.plan.assignments][::-1]
+            swapped = tuple((i, b) for i, (_, b) in zip(servers, got.plan.assignments))
+            assert evaluate_plan(swapped, table)[0] == got.objective, seed
+            assert swapped > got.plan.assignments, seed
+            tied += 1
+        assert tied >= 20, tied
+
+    @pytest.mark.parametrize("penalised", [False, True])
+    def test_tied_incumbent_gives_way_to_smaller_plan(self, penalised):
+        """Seeded with an optimal but lexicographically larger plan, the
+        search must still reach the brute-force plan: a subtree whose bound
+        equals the incumbent is kept."""
+        checked = 0
+        for seed in range(4, LAGRANGIAN_SEEDS, 5):
+            inst = _lagrangian_instance(seed)
+            table = build_delay_table(inst)
+            exact = solve_brute_force(inst, table)
+            if exact.plan is None or inst.model.num_layers < 2:
+                continue
+            best = [(i, table.bit_index(b)) for i, b in exact.plan.assignments]
+            tied = tuple(zip([i for i, _ in best][::-1], [k for _, k in best]))
+            M = inst.cluster.num_servers
+            if penalised:
+                _, lam, H, _ = solver._lagrangian_root(table, exact.objective, None)
+                lam = lam.tolist()
+            else:
+                lam, H = [0.0] * M, solver._suffix_bounds(table.cp, table.cm)
+            found, _, _, exhausted = solver._search(
+                *solver._nested(table), [h.tolist() for h in H], lam, 10 ** 6,
+                (exact.objective, tied))
+            assert not exhausted
+            assert found == (exact.objective, tuple(best)), seed
+            checked += 1
+        assert checked >= 20, checked
+
+    def test_budget_spans_both_passes(self, monkeypatch):
+        monkeypatch.setattr(solver, "_ESCALATE_AFTER", 3)
+        inst = dominant_server_instance(num_layers=4)
+        table = build_delay_table(inst)
+        full = solve_branch_and_bound(inst, table)
+        assert full.status == "optimal" and full.expansions > 3
+        cut = solve_branch_and_bound(inst, table, budget=full.expansions - 1)
+        assert cut.status == "budget_exceeded"
+        assert cut.expansions == full.expansions - 1
+        again = solve_branch_and_bound(inst, table, budget=full.expansions)
+        assert again.status == "optimal"
+        assert again.plan.assignments == full.plan.assignments
+
+
+def _deep_class_instance():
+    """The M=16/L=10 shape of the benchmark's `deep` class: plain-DP search
+    runs out of the default budget on it."""
+    return generate_instance(random.Random("deep:base:19").randrange(2 ** 31),
+                             16, 10, (4, 8, 16), "heterogeneous", tokens=32)
+
+
+class TestAgainstHighs:
+    """Beyond brute force's reach: the flow MILP solved by HiGHS is the
+    reference optimum."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: generate_instance(1, 16, 8, (4, 8, 16), "heterogeneous", tokens=32),
+        lambda: generate_instance(1, 24, 10, (4, 8, 16), "heterogeneous", tokens=32),
+        _deep_class_instance,
+    ], ids=["16x8", "24x10", "deep-16x10"])
+    def test_bnb_objective_equals_milp(self, make):
+        pytest.importorskip("scipy.optimize")
+        from test_ilp import _milp_solve
+
+        inst = make()
+        table = build_delay_table(inst)
+        got = solve_branch_and_bound(inst, table)
+        assert got.status == "optimal"
+        assert check_plan_feasible(got.plan.assignments, inst) == []
+        status, obj, plan = _milp_solve(write_lp(build_ilp(inst, table)),
+                                        continuous_z=True)
+        assert status == 0
+        assert got.objective == pytest.approx(obj, rel=1e-9)
+        assert got.lower_bound_at_root <= got.objective
+        assert evaluate_plan(plan, table)[0] >= got.objective * (1 - 1e-12)
