@@ -108,7 +108,9 @@ def _load_and_filter(args) -> tuple:
     delta = _parse_delta(args.delta)
     instance = load_instance(args.cluster, args.model, bit_menu=bits,
                              delta=delta, tokens=args.tokens)
-    if getattr(args, "weights_dir", None):
+    if args.weights_dir is not None:
+        if not os.path.isdir(args.weights_dir):
+            raise CliError(f"--weights-dir {args.weights_dir}: not a directory")
         scheme = _forced_scheme(args.scheme)  # None: recommended per layer
         feas = []
         for layer in instance.model.layers:
@@ -291,12 +293,44 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
+def _replay_inputs(doc: dict, num_layers: int, path) -> tuple[tuple, float]:
+    """The plan's (server, bits) pairs in layer order and its claimed total.
+
+    A malformed document is an input error: every assignment needs integer
+    (not boolean) layer, server and bits, the layers must be 0..L-1 once
+    each, and objective.total_s must be a finite number. A well-formed plan
+    that names an unknown server or an infeasible width is left to the
+    replay, which reports a mismatch.
+    """
+    entries = doc["assignments"]
+    if not isinstance(entries, list) or not all(isinstance(a, dict) for a in entries):
+        raise CliError(f"{path}: 'assignments' must be a list of objects")
+    for a in entries:
+        for key in ("layer", "server", "bits"):
+            if type(a.get(key)) is not int:  # also rejects bools and missing keys
+                raise CliError(f"{path}: assignment {a}: '{key}' must be an integer")
+    ordered = sorted(entries, key=lambda a: a["layer"])
+    if [a["layer"] for a in ordered] != list(range(num_layers)):
+        raise CliError(f"{path}: assignment layers must be 0..{num_layers - 1}, once each")
+    objective = doc["objective"]
+    claimed = objective.get("total_s") if isinstance(objective, dict) else None
+    try:
+        finite = type(claimed) in (int, float) and math.isfinite(claimed)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise CliError(f"{path}: objective.total_s must be a finite number")
+    return tuple((a["server"], a["bits"]) for a in ordered), float(claimed)
+
+
 def cmd_simulate(args) -> int:
     try:
         with open(args.plan) as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise CliError(f"{args.plan}: {e}")
+    if not isinstance(doc, dict):
+        raise CliError(f"{args.plan}: not a plan document")
     for key in ("digest", "assignments", "objective", "options"):
         if key not in doc:
             raise CliError(f"{args.plan}: missing key '{key}'")
@@ -313,15 +347,12 @@ def cmd_simulate(args) -> int:
         delta=math.inf if delta == "inf" else delta,
         tokens=options_doc["tokens"],
         feasible_bits=options_doc["feasible_bits"])
-    assignments = tuple(
-        (a["server"], a["bits"])
-        for a in sorted(doc["assignments"], key=lambda a: a["layer"]))
+    assignments, claimed = _replay_inputs(doc, instance.model.num_layers, args.plan)
     try:
         trace = simulate(assignments, instance, DelayOptions.from_doc(options_doc))
     except InfeasiblePlan as e:
         print(f"mismatch: plan cannot be replayed: {e}", file=sys.stderr)
         return EXIT_MISMATCH
-    claimed = doc["objective"]["total_s"]
     scale = max(abs(claimed), abs(trace.completion_time), 1e-300)
     if abs(trace.completion_time - claimed) > 1e-9 * scale:
         print(f"mismatch: simulated {trace.completion_time!r} s vs "
@@ -333,10 +364,10 @@ def cmd_simulate(args) -> int:
         _write_json(args.summary, {
             "schema_version": PLAN_SCHEMA_VERSION,
             "completion_time_s": trace.completion_time,
-            "events": len(trace.events),
+            "events": trace.ends.size,
             "rounds": instance.tokens,
         })
-    print(f"completion: {trace.completion_time!r} s, {len(trace.events)} events")
+    print(f"completion: {trace.completion_time!r} s, {trace.ends.size} events")
     return EXIT_OK
 
 

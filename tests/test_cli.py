@@ -393,6 +393,22 @@ class TestInputValidation:
         assert "usage:" in err and flag in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["plan", "export-lp"])
+    @pytest.mark.parametrize("weights_dir", ["missing", "", "a_file"])
+    def test_weights_dir_that_is_no_directory_is_input_error(
+            self, tmp_path, capsys, command, weights_dir):
+        """Even when no layer references a tensor, so the directory is unread."""
+        (tmp_path / "a_file").write_text("")
+        out = tmp_path / "out"
+        code, _, err = run(
+            [command, "--cluster", data_path("cluster_2x2.json"),
+             "--model", data_path("model_2x2.json"), "--bits", "8",
+             "--weights-dir", weights_dir and str(tmp_path / weights_dir),
+             "--out", str(out)], capsys)
+        assert code == 2
+        assert "--weights-dir" in err and "not a directory" in err
+        assert not out.exists()
+
     def test_duplicate_link_is_input_error(self, tmp_path, capsys):
         doc = json.loads(open(data_path("cluster_2x2.json")).read())
         doc["links"].append(dict(doc["links"][0], capacity_bps=1.0))

@@ -1,11 +1,13 @@
-"""Property test over the plan, export-lp and quantize commands.
+"""Property tests over the plan, export-lp, quantize and simulate commands.
 
-Draws bit menus, error budgets, token counts, histogram bins, schemes,
-skew thresholds and original precisions, valid and not, against one
-small generated instance with weight tensors.
+The first draws bit menus, error budgets, token counts, histogram bins,
+schemes, skew thresholds and original precisions, valid and not, against
+one small generated instance with weight tensors. The second mutates a
+plan document and replays it.
 Every run must end in a documented exit code without a traceback; invalid
 input must be an input error (exit 2) and valid input must not be; what
-a run writes on exit 0 must be finite and record the inputs as given.
+a run writes on exit 0 must be finite and record the inputs as given,
+and a run that exits non-zero writes no output file.
 """
 
 import contextlib
@@ -122,3 +124,122 @@ def test_cli_exit_codes(fuzz_dir, command, bits, delta, tokens, bins, scheme,
         for r in json.loads(text)["records"]:
             assert r["feasible"] == (r["max_abs_error"] <= budget(delta))
             assert math.isfinite(r["max_abs_error"]) and math.isfinite(r["scale"])
+
+
+@pytest.fixture(scope="module")
+def plan_doc(fuzz_dir):
+    """A bnb plan for the fuzz instance: layers 0..2 on servers 1, 2, 3 at 4 bits."""
+    path = fuzz_dir / "plan.json"
+    code, _, err = run_cli(["plan", "--cluster", str(fuzz_dir / "cluster.json"),
+                            "--model", str(fuzz_dir / "model.json"), "--bits", "4,8,16",
+                            "--tokens", "2", "--out", str(path)])
+    assert code == 0, err
+    doc = json.loads(path.read_text())
+    assert [(a["server"], a["bits"]) for a in doc["assignments"]] == [(1, 4), (2, 4), (3, 4)]
+    return doc
+
+
+DELETE = object()
+
+# (path into the plan document, new value or DELETE or a function of the old
+# value, stage). The stage is where simulate must stop: 0 a document without
+# the plan keys, 1 the digest, 2 a malformed assignment or objective, 3 a plan
+# the replay refuses, 4 an objective the replay does not reproduce, 5 none
+# (exit 0). Several mutations stop at the earliest stage among them.
+PLAN_MUTATIONS = [
+    ((), lambda doc: [doc], 0),
+    (("digest",), DELETE, 0),
+    (("options",), DELETE, 0),
+    (("objective",), DELETE, 0),
+    (("assignments",), DELETE, 0),
+    (("relaxed",), True, 0),
+    (("digest",), "0" * 64, 1),
+    (("options", "tokens"), 3, 1),
+    (("objective",), [], 2),
+    (("objective", "total_s"), DELETE, 2),
+    (("objective", "total_s"), "nan", 2),
+    (("objective", "total_s"), None, 2),
+    (("objective", "total_s"), True, 2),
+    (("objective", "total_s"), math.nan, 2),
+    (("objective", "total_s"), -math.inf, 2),
+    (("objective", "total_s"), 10 ** 400, 2),
+    (("assignments",), "x", 2),
+    (("assignments",), lambda a: a[:-1], 2),
+    (("assignments",), lambda a: a + [a[0]], 2),
+    (("assignments", 0), 7, 2),
+    (("assignments", 0, "layer"), 1, 2),
+    (("assignments", 0, "layer"), -1, 2),
+    (("assignments", 0, "layer"), "0", 2),
+    (("assignments", 1, "layer"), 1.0, 2),
+    (("assignments", 2, "layer"), DELETE, 2),
+    (("assignments", 0, "server"), "x", 2),
+    (("assignments", 0, "server"), 1.5, 2),
+    (("assignments", 1, "server"), True, 2),
+    (("assignments", 1, "server"), DELETE, 2),
+    (("assignments", 0, "bits"), DELETE, 2),
+    (("assignments", 1, "bits"), "8", 2),
+    (("assignments", 2, "bits"), 8.0, 2),
+    (("assignments", 2, "bits"), False, 2),
+    (("assignments", 0, "server"), 4, 3),
+    (("assignments", 2, "server"), -1, 3),
+    (("assignments", 2, "bits"), 3, 3),
+    (("assignments", 1, "bits"), 32, 3),
+    (("objective", "total_s"), 2.0, 4),
+    (("objective", "total_s"), 0, 4),
+    (("assignments", 0, "server"), 0, 4),
+    (("assignments", 1, "bits"), 8, 4),
+    (("assignments",), lambda a: a[::-1], 5),
+    (("objective", "total_s"), lambda t: t * (1 + 1e-12), 5),
+    (("assignments", 0, "note"), "kept", 5),
+]
+STAGE_EXIT = {0: 2, 1: 6, 2: 2, 3: 5, 4: 5, 5: 0}
+
+
+def pick(path, value) -> int:
+    return next(k for k, (p, v, _) in enumerate(PLAN_MUTATIONS) if (p, v) == (path, value))
+
+
+def mutate(doc, path, value):
+    if not path:
+        return value(doc)
+    *parents, key = path
+    node = doc
+    for k in parents:
+        node = node[k]
+    if value is DELETE:
+        del node[key]
+    else:
+        node[key] = value(node[key]) if callable(value) else value
+    return doc
+
+
+@given(picks=st.lists(st.sampled_from(range(len(PLAN_MUTATIONS))), max_size=3,
+                      unique_by=lambda k: PLAN_MUTATIONS[k][0]))
+@example(picks=[])
+@example(picks=[pick(("objective", "total_s"), DELETE)])
+@example(picks=[pick(("assignments", 0, "bits"), DELETE)])
+@example(picks=[pick(("assignments", 0, "server"), "x")])
+@example(picks=[pick(("assignments", 0, "server"), 1.5)])
+@example(picks=[pick(("objective", "total_s"), "nan")])
+@example(picks=[pick(("assignments", 0, "layer"), 1)])  # layers 0,1,2 -> 1,1,2
+@settings(max_examples=80, deadline=None)
+def test_simulate_plan_mutations(fuzz_dir, plan_doc, picks):
+    # deeper edits first, so an edit to a whole object lands last
+    mutations = sorted((PLAN_MUTATIONS[k] for k in picks), key=lambda m: -len(m[0]))
+    doc = json.loads(json.dumps(plan_doc))
+    for path, value, _ in mutations:
+        doc = mutate(doc, path, value)
+    expected = STAGE_EXIT[min((stage for _, _, stage in mutations), default=5)]
+    with tempfile.TemporaryDirectory(dir=fuzz_dir) as tmp:
+        plan = os.path.join(tmp, "plan.json")
+        with open(plan, "w") as f:
+            json.dump(doc, f)
+        timeline, summary = os.path.join(tmp, "t.csv"), os.path.join(tmp, "s.json")
+        code, _, err = run_cli(["simulate", "--plan", plan,
+                                "--cluster", str(fuzz_dir / "cluster.json"),
+                                "--model", str(fuzz_dir / "model.json"),
+                                "--out", timeline, "--summary", summary])
+        assert "Traceback" not in err
+        assert code == expected, (mutations, code, err)
+        assert os.path.exists(timeline) == (code == 0)
+        assert os.path.exists(summary) == (code == 0)

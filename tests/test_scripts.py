@@ -1,8 +1,12 @@
 """Smoke tests: the shipped scripts run end to end against the package."""
 
 import os
+import re
+import shlex
 import subprocess
 import sys
+
+from edgeplan.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -28,3 +32,27 @@ def test_demo_pipeline(tmp_path):
     for name in ("plan.json", "timeline.csv", "summary.json", "problem.lp",
                  "quant_report.json"):
         assert (tmp_path / name).is_file(), name
+
+
+def readme_cli_commands():
+    """argv of each command in the README's CLI block, continuations joined."""
+    with open(os.path.join(ROOT, "README.md")) as f:
+        readme = f.read()
+    block = re.search(r"^## CLI\n+```sh\n(.*?)^```", readme, re.S | re.M).group(1)
+    return [argv for line in block.replace("\\\n", " ").splitlines()
+            if (argv := shlex.split(line, comments=True))]
+
+
+def test_readme_cli_block_runs_as_written(tmp_path, monkeypatch):
+    commands = readme_cli_commands()
+    assert [argv[1] for argv in commands if argv[0] == "edgeplan"] == \
+        ["gen", "quantize", "plan", "simulate", "export-lp"]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        if argv[0] == "edgeplan":
+            assert main(argv[1:]) == 0, argv
+        else:
+            assert argv[0] == "python3" and argv[1].startswith("scripts/"), argv
+            proc = run_script(argv[1].removeprefix("scripts/"), *argv[2:])
+            assert proc.returncode == 0, (argv, proc.stderr)
+    assert (tmp_path / "run" / "timeline.csv").is_file()
