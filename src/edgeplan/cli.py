@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import __version__, quant
-from .core import (MAX_BITS, MIN_BITS, ParseError, ValidationError, load_instance,
+from .core import (InvalidBits, ParseError, ValidationError, check_bits, load_instance,
                    require_valid, save_instance, validate_instance)
 from .delay import DelayOptions, build_delay_table
 from .gen import PROFILES, generate_instance
@@ -58,9 +58,11 @@ def _parse_bits(text: str) -> tuple[int, ...]:
         raise CliError(f"--bits: {e}")
     if not bits:
         raise CliError("--bits: empty menu")
-    if bits[0] < MIN_BITS or bits[-1] > MAX_BITS:
-        raise CliError(f"--bits: every width must lie in [{MIN_BITS}, {MAX_BITS}], "
-                       f"got {','.join(map(str, bits))}")
+    try:
+        check_bits(bits[0])
+        check_bits(bits[-1])
+    except InvalidBits as e:
+        raise CliError(f"--bits: {e}")
     return bits
 
 
@@ -81,6 +83,19 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _budget(args) -> int:
+    """The search budget: --budget, else EDGEPLAN_BUDGET, else the default.
+    Either source must be an integer >= 1."""
+    for source, text in (("--budget", args.budget),
+                         ("EDGEPLAN_BUDGET", os.environ.get("EDGEPLAN_BUDGET"))):
+        if text is not None:
+            try:
+                return _positive_int(text)
+            except (ValueError, argparse.ArgumentTypeError) as e:
+                raise CliError(f"{source}: {e}")
+    return DEFAULT_NODE_BUDGET
 
 
 def _non_negative_float(text: str) -> float:
@@ -123,16 +138,64 @@ def _load_and_filter(args) -> tuple:
             feas.append(quant.feasible_bits(w, bits, delta, scheme))
         instance = require_valid(dataclasses.replace(instance, feasible_bits=tuple(feas)))
     options = DelayOptions(cp_scaling=args.cp_scaling,
-                           per_token_activation=args.activation_payload == "per_token")
+                           per_token_activation=args.activation_payload == "per_token",
+                           storage=args.storage)
     options_doc = {
         "bits": list(instance.bit_menu),
         "delta": instance.delta if math.isfinite(instance.delta) else "inf",
         "tokens": instance.tokens,
-        "storage": args.storage,
         "feasible_bits": [list(fb) for fb in instance.feasible_bits],
         **options.to_doc(),
     }
     return instance, options, options_doc
+
+
+def _is_finite_number(value) -> bool:
+    """An int or float (not a bool) within the finite float range."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _load_from_options(cluster_path, model_path, doc, path) -> tuple:
+    """The instance and DelayOptions a plan's options block records: the
+    inverse of _load_and_filter.
+
+    A malformed block is an input error. bits must be a list of integers,
+    delta a finite number or "inf", tokens an integer and feasible_bits one
+    list of integers per layer, where no boolean counts as a number; the
+    rest of the block must be a valid DelayOptions record.
+    """
+    def int_list(value) -> bool:
+        return isinstance(value, list) and all(type(v) is int for v in value)
+
+    if not isinstance(doc, dict):
+        raise CliError(f"{path}: 'options' must be an object")
+    for key in ("bits", "delta", "tokens", "feasible_bits"):
+        if key not in doc:
+            raise CliError(f"{path}: options: missing key '{key}'")
+    bits, delta, tokens, feasible = (doc[key] for key in
+                                     ("bits", "delta", "tokens", "feasible_bits"))
+    if not int_list(bits):
+        raise CliError(f"{path}: options.bits must be a list of integers")
+    if delta != "inf" and not _is_finite_number(delta):
+        raise CliError(f"{path}: options.delta must be a finite number or \"inf\"")
+    if type(tokens) is not int:
+        raise CliError(f"{path}: options.tokens must be an integer")
+    if not (isinstance(feasible, list) and all(int_list(fb) for fb in feasible)):
+        raise CliError(f"{path}: options.feasible_bits must be a list of integer lists")
+    try:
+        options = DelayOptions.from_doc(doc)
+    except ValueError as e:
+        raise CliError(f"{path}: options: {e}")
+    instance = load_instance(cluster_path, model_path, bit_menu=bits,
+                             delta=math.inf if delta == "inf" else delta,
+                             tokens=tokens, feasible_bits=feasible)
+    if len(feasible) != instance.model.num_layers:
+        raise CliError(f"{path}: options.feasible_bits has {len(feasible)} entries "
+                       f"for {instance.model.num_layers} layers")
+    return instance, options
 
 
 def _forced_scheme(text):
@@ -220,10 +283,8 @@ def cmd_quantize(args) -> int:
 
 def cmd_plan(args) -> int:
     instance, options, options_doc = _load_and_filter(args)
-    table = build_delay_table(instance, options,
-                              literal_storage=args.storage == "literal")
-    budget = args.budget if args.budget is not None else int(
-        os.environ.get("EDGEPLAN_BUDGET", DEFAULT_NODE_BUDGET))
+    table = build_delay_table(instance, options)
+    budget = _budget(args)
 
     if args.solver == "relaxed":
         bound, path = solve_relaxed_dp(instance, table)
@@ -262,8 +323,7 @@ def cmd_plan(args) -> int:
                               if math.isfinite(result.lower_bound_at_root) else None),
         }, allow_nan=False))
         return EXIT_BUDGET
-    violations = check_plan_feasible(result.plan.assignments, instance,
-                                     literal_storage=args.storage == "literal")
+    violations = check_plan_feasible(result.plan.assignments, instance, options)
     if violations:  # solver bug guard, should be unreachable
         raise CliError("solver emitted infeasible plan: "
                        + "; ".join(map(str, violations)), EXIT_MISMATCH)
@@ -314,11 +374,7 @@ def _replay_inputs(doc: dict, num_layers: int, path) -> tuple[tuple, float]:
         raise CliError(f"{path}: assignment layers must be 0..{num_layers - 1}, once each")
     objective = doc["objective"]
     claimed = objective.get("total_s") if isinstance(objective, dict) else None
-    try:
-        finite = type(claimed) in (int, float) and math.isfinite(claimed)
-    except OverflowError:  # an integer beyond the float range
-        finite = False
-    if not finite:
+    if not _is_finite_number(claimed):
         raise CliError(f"{path}: objective.total_s must be a finite number")
     return tuple((a["server"], a["bits"]) for a in ordered), float(claimed)
 
@@ -341,15 +397,10 @@ def cmd_simulate(args) -> int:
         print("digest mismatch: plan was produced from different inputs or flags",
               file=sys.stderr)
         return EXIT_DIGEST
-    delta = options_doc["delta"]
-    instance = load_instance(
-        args.cluster, args.model, bit_menu=options_doc["bits"],
-        delta=math.inf if delta == "inf" else delta,
-        tokens=options_doc["tokens"],
-        feasible_bits=options_doc["feasible_bits"])
+    instance, options = _load_from_options(args.cluster, args.model, options_doc, args.plan)
     assignments, claimed = _replay_inputs(doc, instance.model.num_layers, args.plan)
     try:
-        trace = simulate(assignments, instance, DelayOptions.from_doc(options_doc))
+        trace = simulate(assignments, instance, options)
     except InfeasiblePlan as e:
         print(f"mismatch: plan cannot be replayed: {e}", file=sys.stderr)
         return EXIT_MISMATCH
@@ -373,8 +424,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_export_lp(args) -> int:
     instance, options, _ = _load_and_filter(args)
-    table = build_delay_table(instance, options,
-                              literal_storage=args.storage == "literal")
+    table = build_delay_table(instance, options)
     try:
         model = build_ilp(instance, table)
     except EmptyFeasibleSet as e:
@@ -444,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared_plan_args(p)
     p.add_argument("--solver", choices=["brute", "bnb", "relaxed"],
                    default="bnb")
-    p.add_argument("--budget", type=int,
+    p.add_argument("--budget",
                    help="search budget in expansions (children examined, not "
                         "leaves) for --solver bnb (default env EDGEPLAN_BUDGET "
                         f"or {DEFAULT_NODE_BUDGET})")

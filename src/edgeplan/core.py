@@ -24,6 +24,16 @@ MIN_BITS = 2
 MAX_BITS = 32
 
 
+class InvalidBits(ValueError):
+    """Bit-width outside the supported [MIN_BITS, MAX_BITS] range."""
+
+
+def check_bits(bits: int) -> None:
+    """Raise InvalidBits unless MIN_BITS <= bits <= MAX_BITS."""
+    if not (MIN_BITS <= bits <= MAX_BITS):
+        raise InvalidBits(f"bits={bits} outside [{MIN_BITS}, {MAX_BITS}]")
+
+
 class ParseError(ValueError):
     """Input file is malformed (missing key, wrong type, bad JSON)."""
 

@@ -9,14 +9,19 @@ Transfer delay of shipping layer l's output across a link for n rounds:
 
     cm = n * (payload_l * b / capacity + prop_delay)
 
-where the per-round payload defaults to batch_size * embedding_size
-elements (each autoregressive round moves one token's activation; the KV
-cache keeps earlier tokens resident). Setting per_token_activation=False
-uses the layer's declared output_size instead, the literal reading.
+The paper's formulas admit more than one reading, and DelayOptions is the
+one record of which reading a run uses. Its to_doc/from_doc are the one
+codec between that record and a plan's ``options`` block:
 
-The b * p_l / original_precision scaling in cp is kept by default;
-cp_scaling="without_pl" drops the p_l factor (scaling b/original_precision)
-since its dimensional role is debatable.
+- cp_scaling: the b * p_l / original_precision scaling in cp is kept by
+  default; "without_pl" drops the p_l factor (scaling b/original_precision)
+  since its dimensional role is debatable.
+- per_token_activation: the per-round payload defaults to batch_size *
+  embedding_size elements (each autoregressive round moves one token's
+  activation; the KV cache keeps earlier tokens resident). False uses the
+  layer's declared output_size instead, the literal reading.
+- storage: "compact" hosts a layer in b * param_count / 8 bytes; "literal"
+  multiplies that by the layer's output size (see core.storage_bytes).
 
 compute_cp and compute_cm are the scalar reference. build_delay_table
 evaluates the same expressions, in the same operation order, over whole
@@ -29,17 +34,15 @@ functions directly, so it checks the table rather than re-reading it.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (MAX_BITS, MIN_BITS, LayerProfile, LinkSpec, ProblemInstance,
-                   ServerSpec, storage_bytes)
-
-
-class InvalidBits(ValueError):
-    """Bit-width outside the supported [core.MIN_BITS, core.MAX_BITS] range."""
+# InvalidBits is what compute_cp and compute_cm raise, importable from here
+from .core import (InvalidBits, LayerProfile, LinkSpec, ProblemInstance,
+                   ServerSpec, check_bits, storage_bytes)
 
 
 class NoLink(ValueError):
@@ -56,21 +59,32 @@ class Inadmissible(ValueError):
 
 @dataclass(frozen=True)
 class DelayOptions:
+    """Which reading of the delay and storage formulas a run uses (see the
+    module docstring). ValueError on a value of the wrong type or kind."""
     cp_scaling: str = "with_pl"  # or "without_pl"
     per_token_activation: bool = True
+    storage: str = "compact"  # or "literal"
 
     def __post_init__(self):
         if self.cp_scaling not in ("with_pl", "without_pl"):
-            raise ValueError(f"cp_scaling: {self.cp_scaling!r}")
+            raise ValueError(f"cp_scaling {self.cp_scaling!r}: not 'with_pl' or 'without_pl'")
+        if type(self.per_token_activation) is not bool:
+            raise ValueError(f"per_token_activation {self.per_token_activation!r}: not a bool")
+        if self.storage not in ("compact", "literal"):
+            raise ValueError(f"storage {self.storage!r}: not 'compact' or 'literal'")
+
+    def bytes_needed(self, layer: LayerProfile, bits: int) -> float:
+        """Storage a server needs to host the layer at the given width."""
+        return storage_bytes(layer, bits, literal_output_factor=self.storage == "literal")
 
     def to_doc(self) -> dict:
-        return {"cp_scaling": self.cp_scaling,
-                "per_token_activation": self.per_token_activation}
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_doc(cls, doc: dict) -> "DelayOptions":
-        return cls(cp_scaling=doc.get("cp_scaling", "with_pl"),
-                   per_token_activation=doc.get("per_token_activation", True))
+        """The record to_doc wrote; absent keys keep their defaults and other
+        keys are ignored."""
+        return cls(**{f.name: doc[f.name] for f in dataclasses.fields(cls) if f.name in doc})
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,15 +109,10 @@ class DelayTable:
             raise Inadmissible(f"{bits} bits not in menu {self.bit_menu}") from None
 
 
-def _check_bits(bits: int) -> None:
-    if not (MIN_BITS <= bits <= MAX_BITS):
-        raise InvalidBits(f"bits={bits} outside [{MIN_BITS}, {MAX_BITS}]")
-
-
 def compute_cp(layer: LayerProfile, server: ServerSpec, bits: int,
                tokens: int, options: DelayOptions = DelayOptions()) -> float:
     """Compute delay in seconds for all n autoregressive rounds."""
-    _check_bits(bits)
+    check_bits(bits)
     return tokens * (layer.flops / server.compute_throughput) * _cp_scale(layer, bits, options)
 
 
@@ -131,7 +140,7 @@ def compute_cm(layer: LayerProfile, link: LinkSpec | None, bits: int,
     ``link=None`` with distinct servers raises NoLink; the table builder
     converts that case to an infinity sentinel instead.
     """
-    _check_bits(bits)
+    check_bits(bits)
     if same_server:
         return 0.0
     if link is None:
@@ -141,21 +150,20 @@ def compute_cm(layer: LayerProfile, link: LinkSpec | None, bits: int,
 
 
 def build_delay_table(instance: ProblemInstance,
-                      options: DelayOptions = DelayOptions(), *,
-                      literal_storage: bool = False) -> DelayTable:
+                      options: DelayOptions = DelayOptions()) -> DelayTable:
     """Evaluate cp and cm over every (server, layer, bits) and link.
 
     Per-(layer, bits) factors come from the scalar helpers; servers and
     links enter as a throughput vector and M x M capacity/propagation
-    matrices filled once from the link list. ``literal_storage`` selects
-    the storage model the mask applies (see core.storage_bytes).
+    matrices filled once from the link list. The storage mask applies
+    ``options.storage``.
     """
     cluster, model = instance.cluster, instance.model
     menu = instance.bit_menu
     M, L, B = cluster.num_servers, model.num_layers, len(menu)
     n = instance.tokens
     for b in {b for fb in instance.feasible_bits for b in fb}:
-        _check_bits(b)
+        check_bits(b)
 
     def per_layer_bits(f):
         return np.array([[f(layer, b) for b in menu] for layer in model.layers],
@@ -166,8 +174,7 @@ def build_delay_table(instance: ProblemInstance,
     scale = per_layer_bits(lambda layer, b: _cp_scale(layer, b, options))
     payload_bits = per_layer_bits(lambda layer, b: round_payload_elements(
         layer, model.batch_size, model.embedding_size, options) * b)
-    need = per_layer_bits(lambda layer, b: storage_bytes(
-        layer, b, literal_output_factor=literal_storage))
+    need = per_layer_bits(options.bytes_needed)
 
     flops = np.array([layer.flops for layer in model.layers], dtype=float)
     throughput = np.array([s.compute_throughput for s in cluster.servers], dtype=float)

@@ -30,8 +30,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+# storage_bytes, the storage formula the x columns obey, importable from here
 from .core import ProblemInstance, Violation, storage_bytes
-from .delay import DelayTable
+from .delay import DelayOptions, DelayTable
 
 
 class EmptyFeasibleSet(ValueError):
@@ -120,9 +121,10 @@ def build_ilp(instance: ProblemInstance, table: DelayTable) -> IlpModel:
 # Plan feasibility
 # ---------------------------------------------------------------------------
 
-def check_plan_feasible(assignments, instance: ProblemInstance, *,
-                        literal_storage: bool = False) -> list[Violation]:
-    """Constraint violations of an assignment sequence [(server, bits), ...]."""
+def check_plan_feasible(assignments, instance: ProblemInstance,
+                        options: DelayOptions = DelayOptions()) -> list[Violation]:
+    """Constraint violations of an assignment sequence [(server, bits), ...],
+    storage under ``options.storage``."""
     out: list[Violation] = []
     L = instance.model.num_layers
     M = instance.cluster.num_servers
@@ -138,7 +140,7 @@ def check_plan_feasible(assignments, instance: ProblemInstance, *,
             continue
         if b not in instance.feasible_bits[l]:
             out.append(Violation("InfeasibleBits", f"layer {l} at {b} bits (allowed {instance.feasible_bits[l]})"))
-        need = storage_bytes(instance.model.layers[l], b, literal_output_factor=literal_storage)
+        need = options.bytes_needed(instance.model.layers[l], b)
         cap = instance.cluster.servers[i].storage_capacity
         if need > cap:
             out.append(Violation("StorageOverflow", f"layer {l} needs {need} B, server {i} has {cap} B"))

@@ -2,13 +2,13 @@
 max-absolute-error feasibility test with its linearized form, per-layer
 feasible-bit filtering, and weight-distribution statistics.
 
-There is one analysis path. ``analyze_tensor`` (the ``quantize`` report)
-and ``feasible_bits`` (the ``plan``/``export-lp --weights-dir`` filter)
-are views of one per-tensor kernel. It casts the weights to float64 once
-and shares that cast between the moments and every bit-width. It evaluates
-each width's max-abs error with in-place ufuncs over preallocated buffers,
-building no code or dequantized arrays, and its results equal the
-reference bit for bit. The histogram is computed only when asked for; of
+There is one analysis path: the per-tensor kernel ``analyze_tensor``
+behind the ``quantize`` report, of which ``feasible_bits`` (the
+``plan``/``export-lp --weights-dir`` filter) is a view. It casts the
+weights to float64 once and shares that cast between the moments and
+every bit-width. It evaluates each width's max-abs error with in-place
+ufuncs over preallocated buffers, building no code or dequantized
+arrays, and its results equal the reference bit for bit. The histogram is computed only when asked for; of
 the commands only ``quantize`` reports it. ``quantize_symmetric``,
 ``quantize_asymmetric`` and ``max_abs_error`` build the codes and the
 dequantized values explicitly; they are the independent reference the
@@ -30,7 +30,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import MAX_BITS, MIN_BITS, ParseError
+from .core import ParseError, check_bits
 
 
 # |skewness| above which recommend_scheme picks the asymmetric scheme
@@ -102,11 +102,6 @@ class DistributionStats:
     counts: tuple[int, ...]
 
 
-def _check_bits(bits: int) -> None:
-    if not (MIN_BITS <= bits <= MAX_BITS):
-        raise ValueError(f"bits={bits} outside [{MIN_BITS}, {MAX_BITS}]")
-
-
 def _round_half_away(x: np.ndarray) -> np.ndarray:
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
@@ -117,7 +112,7 @@ def quantize_symmetric(w: WeightTensor, bits: int) -> SymmetricResult:
     The extreme value max|w| maps exactly to +/-qmax, so no element is
     pushed past its nearest level and the error never exceeds scale/2.
     """
-    _check_bits(bits)
+    check_bits(bits)
     qmax = (1 << (bits - 1)) - 1
     # float64 throughout: a float32 division would underflow tiny scales
     # to zero and round dequantized values past the scale/2 error bound
@@ -133,7 +128,7 @@ def quantize_symmetric(w: WeightTensor, bits: int) -> SymmetricResult:
 
 def quantize_asymmetric(w: WeightTensor, bits: int) -> AsymmetricResult:
     """Min-max affine quantization onto [0, 2^b - 1] with a zero-point."""
-    _check_bits(bits)
+    check_bits(bits)
     v = w.values.astype(np.float64)
     lo = float(np.min(v)) if v.size else 0.0
     hi = float(np.max(v)) if v.size else 0.0
@@ -197,7 +192,7 @@ def feasible_bits(w: WeightTensor, bit_menu: Iterable[int], delta: float,
     result (the layer cannot be quantized at any offered width without
     exceeding the error budget).
     """
-    records, _ = _analyze(w, bit_menu, delta, scheme, None, SKEW_THRESHOLD)
+    records, _ = analyze_tensor(w, bit_menu, delta, scheme, bins=None)
     return tuple(r.bits for r in records if r.feasible)
 
 
@@ -301,37 +296,28 @@ def load_weight_tensor(json_path) -> WeightTensor:
     return WeightTensor(layer_name=str(meta["name"]), values=raw, shape=shape)
 
 
+# ---------------------------------------------------------------------------
+# The per-tensor kernel behind the quantize report and feasible_bits
+# ---------------------------------------------------------------------------
+
 def analyze_tensor(w: WeightTensor, bit_menu: Iterable[int], delta: float,
-                   scheme: Optional[SchemeKind] = None, bins: int = 32,
+                   scheme: Optional[SchemeKind] = None, bins: Optional[int] = 32,
                    skew_threshold: float = SKEW_THRESHOLD,
-                   ) -> tuple[list[LayerQuantRecord], DistributionStats]:
+                   ) -> tuple[list[LayerQuantRecord], Optional[DistributionStats]]:
     """Per-bit error records plus distribution stats (with a ``bins``-bin
     histogram) for one layer.
 
-    When no scheme is forced, each layer uses the scheme recommended from
-    its own weight distribution.
-    """
-    return _analyze(w, bit_menu, delta, scheme, bins, skew_threshold)
-
-
-# ---------------------------------------------------------------------------
-# The per-tensor kernel behind analyze_tensor and feasible_bits
-# ---------------------------------------------------------------------------
-
-def _analyze(w: WeightTensor, bit_menu: Iterable[int], delta: float,
-             scheme: Optional[SchemeKind], bins: Optional[int],
-             skew_threshold: float,
-             ) -> tuple[list[LayerQuantRecord], Optional[DistributionStats]]:
-    """One float64 cast, the moments only when a scheme must be recommended
-    or a histogram is asked for (``bins``), then every width's error.
-
-    The stats are None when neither is needed.
+    When no scheme is forced, the layer uses the scheme recommended from
+    its own weight distribution. One float64 cast, the moments only when a
+    scheme must be recommended or a histogram is asked for, then every
+    width's error. ``bins=None`` skips the histogram; the stats are then
+    None when no scheme had to be recommended either.
     """
     if not delta >= 0:  # also rejects NaN
         raise ValueError("delta must be >= 0")
     widths = sorted(set(bit_menu))
     for b in widths:
-        _check_bits(b)
+        check_bits(b)
     v = w.values.astype(np.float64)
     stats = None
     if scheme is None or bins is not None:

@@ -28,8 +28,8 @@ builds the SimEvent tuple only when it is first read.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
-from typing import Iterable, Optional
 
 import numpy as np
 
@@ -63,43 +63,29 @@ class SimStep:
 
 
 class SimTrace:
-    """A replay timeline.
-
-    `simulate` returns the columnar form: `steps`, the events of one round
+    """A replay timeline in columnar form: `steps`, the events of one round
     in order; `rounds`, the number of rounds; and `ends`, the end time of
-    each of the rounds * len(steps) events. SimTrace(events, completion_time)
-    wraps events built one by one instead; its `steps` is None.
-    """
+    each of the rounds * len(steps) events."""
 
-    def __init__(self, events: Iterable[SimEvent], completion_time: float):
-        self._events: Optional[tuple[SimEvent, ...]] = tuple(events)
-        self.completion_time = completion_time
-        self.steps: Optional[tuple[SimStep, ...]] = None
-        self.rounds = 0
-        self.ends = np.array([e.end for e in self._events], dtype=np.float64)
+    def __init__(self, steps: tuple[SimStep, ...], rounds: int, ends: np.ndarray):
+        self.steps, self.rounds, self.ends = steps, rounds, ends
+        self.completion_time = float(ends[-1]) if ends.size else 0.0
 
     @classmethod
     def from_steps(cls, steps: tuple[SimStep, ...], rounds: int) -> "SimTrace":
         """`rounds` rounds of `steps`, back to back from time 0.0."""
         durations = np.array([s.duration for s in steps], dtype=np.float64)
-        trace = cls.__new__(cls)
-        trace._events = None
-        trace.steps, trace.rounds = steps, rounds
-        trace.ends = np.cumsum(np.tile(durations, rounds))
-        trace.completion_time = float(trace.ends[-1]) if trace.ends.size else 0.0
-        return trace
+        return cls(steps, rounds, np.cumsum(np.tile(durations, rounds)))
 
-    @property
+    @cached_property
     def events(self) -> tuple[SimEvent, ...]:
         """One SimEvent per event, built from the columns on first access."""
-        if self._events is None:
-            ends = self.ends.tolist()
-            self._events = tuple(
-                SimEvent(start, end, s.kind, r, s.layer, s.resource)
-                for (r, s), start, end in zip(
-                    product(range(1, self.rounds + 1), self.steps),
-                    [0.0, *ends[:-1]], ends))
-        return self._events
+        ends = self.ends.tolist()
+        return tuple(
+            SimEvent(start, end, s.kind, r, s.layer, s.resource)
+            for (r, s), start, end in zip(
+                product(range(1, self.rounds + 1), self.steps),
+                [0.0, *ends[:-1]], ends))
 
 
 def simulate(assignments, instance: ProblemInstance,
@@ -136,10 +122,6 @@ def simulate(assignments, instance: ProblemInstance,
 def trace_to_timeline(trace: SimTrace) -> list[str]:
     """CSV rows (header included), one per event, in time order."""
     rows = [TIMELINE_HEADER]
-    if trace.steps is None:  # events given one by one
-        rows += [f"{e.round},{e.kind},{e.resource},{e.start!r},{e.end!r}"
-                 for e in trace.events]
-        return rows
     ends = list(map(repr, trace.ends.tolist()))
     prefixes = [f",{s.kind},{s.resource}," for s in trace.steps]
     labels = [r + p for r in map(str, range(1, trace.rounds + 1)) for p in prefixes]

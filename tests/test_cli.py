@@ -1,11 +1,14 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from edgeplan.cli import _write_json, input_digest, main
+from edgeplan.cli import (_load_and_filter, _load_from_options, _write_json,
+                          build_parser, input_digest, main)
+from edgeplan.delay import DelayOptions
 from edgeplan.core import LayerProfile, LinkSpec, ServerSpec
 from edgeplan.delay import compute_cm, compute_cp
 from edgeplan.quant import WeightTensor, save_weight_tensor
@@ -213,6 +216,21 @@ class TestPlan:
         else:  # the first dive reached a leaf
             assert status["incumbent_s"] >= status["lower_bound_s"]
 
+    @pytest.mark.parametrize("flags, env", [
+        ([], "abc"), ([], "-3"), (["--budget", "-5"], None), (["--budget", "0"], None)])
+    def test_budget_not_a_positive_integer_is_input_error(self, tmp_path, capsys,
+                                                          monkeypatch, flags, env):
+        if env is None:
+            monkeypatch.delenv("EDGEPLAN_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("EDGEPLAN_BUDGET", env)
+        out = tmp_path / "plan.json"
+        code, stdout, err = run(self.plan_args(out) + flags, capsys)
+        assert code == 2
+        assert ("--budget" if flags else "EDGEPLAN_BUDGET") in err
+        assert "Traceback" not in err and stdout == ""
+        assert not out.exists()
+
     def test_meta_records_expansions_outside_digest(self, tmp_path, capsys):
         gen_dir = tmp_path / "inst"
         run(["gen", "--seed", "5", "-m", "6", "-l", "4", "--bits", "4,8,16",
@@ -317,7 +335,7 @@ class TestPlanStorage:
 class TestInputValidation:
     @pytest.mark.parametrize("command", ["plan", "export-lp"])
     def test_nan_throughput_is_input_error(self, tmp_path, capsys, command):
-        doc = json.loads(open(data_path("cluster_2x2.json")).read())
+        doc = json.loads(Path(data_path("cluster_2x2.json")).read_text())
         doc["servers"][0]["ccs_flops"] = math.nan
         cpath = tmp_path / "cluster.json"
         cpath.write_text(json.dumps(doc))  # writes a bare NaN token
@@ -410,7 +428,7 @@ class TestInputValidation:
         assert not out.exists()
 
     def test_duplicate_link_is_input_error(self, tmp_path, capsys):
-        doc = json.loads(open(data_path("cluster_2x2.json")).read())
+        doc = json.loads(Path(data_path("cluster_2x2.json")).read_text())
         doc["links"].append(dict(doc["links"][0], capacity_bps=1.0))
         cpath = tmp_path / "cluster.json"
         cpath.write_text(json.dumps(doc))
@@ -472,10 +490,53 @@ class TestSimulateCommand:
         assert code == 5
         assert "mismatch" in err
 
+    def test_literal_storage_plan_replays(self, tmp_path, capsys):
+        """Each 10-parameter layer needs 40 B at 8 bits under --storage
+        literal, far below the 1e9 B servers."""
+        out = tmp_path / "plan.json"
+        code, _, err = run(["plan", "--cluster", data_path("cluster_2x2.json"),
+                            "--model", data_path("model_2x2.json"), "--bits", "8",
+                            "--storage", "literal", "--out", str(out)], capsys)
+        assert code == 0, err
+        assert json.loads(out.read_text())["options"]["storage"] == "literal"
+        code, _, err = run(
+            ["simulate", "--plan", str(out),
+             "--cluster", data_path("cluster_2x2.json"),
+             "--model", data_path("model_2x2.json"),
+             "--out", str(tmp_path / "t.csv")], capsys)
+        assert code == 0, err
+
+    @pytest.mark.parametrize("flags, options", [
+        (["--bits", "8"], DelayOptions()),
+        (["--bits", "3,8", "--delta", "0.2", "--scheme", "symmetric", "--tokens", "3",
+          "--storage", "literal", "--cp-scaling", "without_pl",
+          "--activation-payload", "output_size"],
+         DelayOptions("without_pl", False, "literal"))])
+    def test_options_block_round_trips(self, tmp_path, capsys, flags, options):
+        """Decoding a plan's options gives back the instance (bit menu,
+        delta, tokens, feasible bits) and the DelayOptions its flags built."""
+        wdir = tmp_path / "w"
+        write_weights(wdir, {"l0": [-2.0, 1.0, 2.0], "l1": [-2.0, 1.0, 2.0]})
+        model = json.loads(Path(data_path("model_2x2.json")).read_text())
+        for layer, ref in zip(model["layers"], ("l0", "l1")):
+            layer["weights"] = ref
+        mpath = tmp_path / "model.json"
+        mpath.write_text(json.dumps(model))
+        out = tmp_path / "plan.json"
+        argv = ["plan", "--cluster", data_path("cluster_2x2.json"), "--model", str(mpath),
+                "--weights-dir", str(wdir), *flags, "--out", str(out)]
+        code, _, err = run(argv, capsys)
+        assert code == 0, err
+        instance, built, _ = _load_and_filter(build_parser().parse_args(argv))
+        assert built == options and instance.feasible_bits == ((8,), (8,))
+        decoded = _load_from_options(data_path("cluster_2x2.json"), mpath,
+                                     json.loads(out.read_text())["options"], out)
+        assert decoded == (instance, options)
+
     def test_stale_inputs_are_digest_mismatch(self, tmp_path, capsys):
         plan = self.make_plan(tmp_path, capsys)
         stale = tmp_path / "cluster.json"
-        doc = json.loads(open(data_path("cluster_2x2.json")).read())
+        doc = json.loads(Path(data_path("cluster_2x2.json")).read_text())
         doc["servers"][0]["ccs_flops"] = 123.0
         stale.write_text(json.dumps(doc))
         code, _, err = run(
@@ -496,7 +557,7 @@ class TestExportLp:
         out = tmp_path / "out.lp"
         code, _, _ = run(self.args(out), capsys)
         assert code == 0
-        assert out.read_bytes() == open(data_path("golden_2x2.lp"), "rb").read()
+        assert out.read_bytes() == Path(data_path("golden_2x2.lp")).read_bytes()
 
     def test_byte_identical_across_runs(self, tmp_path, capsys):
         a, b = tmp_path / "a.lp", tmp_path / "b.lp"

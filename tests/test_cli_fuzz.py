@@ -16,13 +16,14 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edgeplan.cli import main
+from edgeplan.cli import input_digest, main
 from edgeplan.core import save_instance
 from edgeplan.gen import generate_instance
 from edgeplan.quant import WeightTensor, save_weight_tensor
@@ -141,11 +142,21 @@ def plan_doc(fuzz_dir):
 
 DELETE = object()
 
+
+@dataclass(frozen=True)
+class Signed:
+    """A new value whose edit is followed by a recomputed digest, as a
+    document written from other flags would carry."""
+    value: object
+
+
 # (path into the plan document, new value or DELETE or a function of the old
-# value, stage). The stage is where simulate must stop: 0 a document without
-# the plan keys, 1 the digest, 2 a malformed assignment or objective, 3 a plan
-# the replay refuses, 4 an objective the replay does not reproduce, 5 none
-# (exit 0). Several mutations stop at the earliest stage among them.
+# value or a Signed value, stage). The stage is where simulate must stop: 0 a
+# document without the plan keys, 1 the digest, 2 malformed options, a
+# malformed assignment or objective, 3 a plan the replay refuses, 4 an
+# objective the replay does not reproduce, 5 none (exit 0). Several mutations
+# stop at the earliest stage among them; Signed edits are made first, so
+# every other edit lands after the digest is recomputed.
 PLAN_MUTATIONS = [
     ((), lambda doc: [doc], 0),
     (("digest",), DELETE, 0),
@@ -191,6 +202,17 @@ PLAN_MUTATIONS = [
     (("assignments",), lambda a: a[::-1], 5),
     (("objective", "total_s"), lambda t: t * (1 + 1e-12), 5),
     (("assignments", 0, "note"), "kept", 5),
+    (("options", "tokens"), Signed("x"), 2),
+    (("options", "tokens"), Signed(True), 2),
+    (("options", "tokens"), Signed(2.5), 2),
+    (("options", "bits"), Signed("8"), 2),
+    (("options", "delta"), Signed("abc"), 2),
+    (("options", "feasible_bits"), Signed(3), 2),
+    (("options", "feasible_bits"), Signed([]), 2),
+    (("options", "cp_scaling"), Signed(5), 2),
+    (("options", "per_token_activation"), Signed("no"), 2),
+    (("options", "storage"), Signed("bogus"), 2),
+    (("options", "storage"), Signed(7), 2),
 ]
 STAGE_EXIT = {0: 2, 1: 6, 2: 2, 3: 5, 4: 5, 5: 0}
 
@@ -224,10 +246,28 @@ def mutate(doc, path, value):
 @example(picks=[pick(("assignments", 0, "layer"), 1)])  # layers 0,1,2 -> 1,1,2
 @settings(max_examples=80, deadline=None)
 def test_simulate_plan_mutations(fuzz_dir, plan_doc, picks):
-    # deeper edits first, so an edit to a whole object lands last
-    mutations = sorted((PLAN_MUTATIONS[k] for k in picks), key=lambda m: -len(m[0]))
+    replay_mutated(fuzz_dir, plan_doc, picks)
+
+
+@pytest.mark.parametrize("k", range(len(PLAN_MUTATIONS)))
+def test_each_plan_mutation_alone(fuzz_dir, plan_doc, k):
+    replay_mutated(fuzz_dir, plan_doc, [k])
+
+
+def replay_mutated(fuzz_dir, plan_doc, picks):
+    """Simulate the plan with the picked mutations applied; the exit code
+    must be the earliest stage's, with no traceback and no output unless 0."""
+    mutations = [PLAN_MUTATIONS[k] for k in picks]
     doc = json.loads(json.dumps(plan_doc))
-    for path, value, _ in mutations:
+    signed = [m for m in mutations if isinstance(m[1], Signed)]
+    for path, value, _ in signed:
+        doc = mutate(doc, path, value.value)
+    if signed:
+        doc["digest"] = input_digest(fuzz_dir / "cluster.json", fuzz_dir / "model.json",
+                                     doc["options"])
+    # deeper edits first, so an edit to a whole object lands last
+    for path, value, _ in sorted((m for m in mutations if m not in signed),
+                                 key=lambda m: -len(m[0])):
         doc = mutate(doc, path, value)
     expected = STAGE_EXIT[min((stage for _, _, stage in mutations), default=5)]
     with tempfile.TemporaryDirectory(dir=fuzz_dir) as tmp:

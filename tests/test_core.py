@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -96,7 +97,7 @@ class TestValidateInstance:
 
 class TestLoadInstance:
     def test_servers_sorted_by_id(self, tmp_path):
-        doc = json.loads(open(data_path("cluster_m4.json")).read())
+        doc = json.loads(Path(data_path("cluster_m4.json")).read_text())
         doc["servers"].reverse()
         p = tmp_path / "cluster.json"
         p.write_text(json.dumps(doc))

@@ -51,6 +51,20 @@ class TestComputeCp:
         assert compute_cm(layer(), LinkSpec(0, 1, 1.0), 32, 1, 1, 16) > 0
 
 
+class TestDelayOptions:
+    @pytest.mark.parametrize("field, value", [
+        ("cp_scaling", "pl"), ("cp_scaling", 5), ("per_token_activation", "no"),
+        ("per_token_activation", 1), ("storage", "bogus"), ("storage", 7)])
+    def test_bad_value_is_value_error(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DelayOptions(**{field: value})
+
+    def test_doc_round_trip_and_defaults(self):
+        options = DelayOptions("without_pl", False, "literal")
+        assert DelayOptions.from_doc(options.to_doc()) == options
+        assert DelayOptions.from_doc({"bits": [8]}) == DelayOptions()
+
+
 class TestComputeCm:
     def test_hand_example_output_size_payload(self):
         # n=3, payload=10 elements, b=4, capacity=120 bps -> 3 * 40/120 = 1.0
@@ -119,9 +133,10 @@ class TestDelayTable:
         inst = with_binding_storage(random_test_instance(rng, link_density=density),
                                     rng, tightness)
         options = DelayOptions(cp_scaling=rng.choice(["with_pl", "without_pl"]),
-                               per_token_activation=rng.random() < 0.5)
-        literal = rng.random() < 0.3
-        table = build_delay_table(inst, options, literal_storage=literal)
+                               per_token_activation=rng.random() < 0.5,
+                               storage="literal" if rng.random() < 0.3 else "compact")
+        literal = options.storage == "literal"
+        table = build_delay_table(inst, options)
         cluster, model = inst.cluster, inst.model
         M, L, B = cluster.num_servers, model.num_layers, len(inst.bit_menu)
         assert table.cp.shape == (M, L, B) and table.cm.shape == (L, M, M, B)

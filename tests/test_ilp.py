@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -7,7 +8,7 @@ import pytest
 
 from edgeplan.core import (ClusterSpec, LayerProfile, ModelProfile,
                            ProblemInstance, ServerSpec)
-from edgeplan.delay import build_delay_table, evaluate_plan
+from edgeplan.delay import DelayOptions, build_delay_table, evaluate_plan
 from edgeplan.gen import generate_instance, random_test_instance
 from edgeplan.ilp import (EmptyFeasibleSet, build_ilp, check_plan_feasible,
                           export_lp, model_as_parsed, parse_lp, storage_bytes,
@@ -99,6 +100,16 @@ class TestCheckPlanFeasible:
                                 links=inst.cluster.links[1:]))
         got = check_plan_feasible(((0, 8), (1, 8)), inst)
         assert "MissingLink" in codes(got)
+
+    def test_storage_follows_options(self):
+        """Each layer needs 10 B at 8 bits, 40 B under literal storage."""
+        inst = make_2x2_instance()
+        servers = tuple(dataclasses.replace(s, storage_capacity=20.0)
+                        for s in inst.cluster.servers)
+        inst = make_2x2_instance(cluster=ClusterSpec(servers, inst.cluster.links))
+        assert check_plan_feasible(((0, 8), (1, 8)), inst) == []
+        got = check_plan_feasible(((0, 8), (1, 8)), inst, DelayOptions(storage="literal"))
+        assert codes(got) == ["StorageOverflow", "StorageOverflow"]
 
     def test_wrong_length(self, golden_instance):
         assert codes(check_plan_feasible(((0, 8),), golden_instance)) == ["WrongLength"]

@@ -81,7 +81,7 @@ class TestTimeline:
         assert rows[1].startswith("1,compute,server:0,0.0,1.0")
 
     def test_empty_trace_is_header_only(self):
-        assert trace_to_timeline(SimTrace((), 0.0)) == \
+        assert trace_to_timeline(SimTrace.from_steps((), 0)) == \
             ["round,kind,resource,start_s,end_s"]
 
 
