@@ -8,9 +8,8 @@ import pytest
 
 from edgeplan.cli import (_load_and_filter, _load_from_options, _write_json,
                           build_parser, input_digest, main)
-from edgeplan.delay import DelayOptions
 from edgeplan.core import LayerProfile, LinkSpec, ServerSpec
-from edgeplan.delay import compute_cm, compute_cp
+from edgeplan.delay import DelayOptions, compute_cm, compute_cp
 from edgeplan.quant import WeightTensor, save_weight_tensor
 
 from conftest import data_path
