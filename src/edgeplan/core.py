@@ -126,12 +126,13 @@ class ProblemInstance:
     delta: float  # max allowed per-element weight error
     tokens: int  # autoregressive rounds n
     # Per layer, the bit-widths that survive the quantization-error filter.
-    # Defaults to the full menu until the analyzer narrows it.
-    feasible_bits: tuple[tuple[int, ...], ...] = ()
+    # None (not narrowed) means the full menu for every layer; any sequence,
+    # empty too, is taken as given and must have one entry per layer.
+    feasible_bits: Optional[tuple[tuple[int, ...], ...]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "bit_menu", tuple(sorted(set(self.bit_menu))))
-        if not self.feasible_bits:
+        if self.feasible_bits is None:
             full = tuple(
                 tuple(self.bit_menu) for _ in range(self.model.num_layers)
             )
@@ -328,7 +329,8 @@ def load_instance(cluster_path, model_path, *, bit_menu: Iterable[int],
     inst = ProblemInstance(
         cluster=cluster, model=model, bit_menu=tuple(bit_menu),
         delta=float(delta), tokens=int(tokens),
-        feasible_bits=tuple(tuple(fb) for fb in feasible_bits) if feasible_bits else (),
+        feasible_bits=(None if feasible_bits is None
+                       else tuple(tuple(fb) for fb in feasible_bits)),
     )
     return require_valid(inst)
 

@@ -42,7 +42,8 @@ import numpy as np
 
 # InvalidBits is what compute_cp and compute_cm raise, importable from here
 from .core import (InvalidBits, LayerProfile, LinkSpec, ProblemInstance,
-                   ServerSpec, check_bits, storage_bytes)
+                   ServerSpec, ValidationError, Violation, check_bits,
+                   storage_bytes)
 
 
 class NoLink(ValueError):
@@ -156,12 +157,17 @@ def build_delay_table(instance: ProblemInstance,
     Per-(layer, bits) factors come from the scalar helpers; servers and
     links enter as a throughput vector and M x M capacity/propagation
     matrices filled once from the link list. The storage mask applies
-    ``options.storage``.
+    ``options.storage``. A delay beyond the float range raises
+    ValidationError (DelayOverflow) rather than reading as the mask.
     """
     cluster, model = instance.cluster, instance.model
     menu = instance.bit_menu
     M, L, B = cluster.num_servers, model.num_layers, len(menu)
-    n = instance.tokens
+    try:
+        n = float(instance.tokens)
+    except OverflowError:
+        raise ValidationError([Violation(
+            "DelayOverflow", "tokens beyond the float range")]) from None
     for b in {b for fb in instance.feasible_bits for b in fb}:
         check_bits(b)
 
@@ -179,19 +185,26 @@ def build_delay_table(instance: ProblemInstance,
     flops = np.array([layer.flops for layer in model.layers], dtype=float)
     throughput = np.array([s.compute_throughput for s in cluster.servers], dtype=float)
     capacity = np.array([s.storage_capacity for s in cluster.servers], dtype=float)
-    cp = n * (flops[None, :] / throughput[:, None])[:, :, None] * scale[None, :, :]
-    admissible = feasible[None, :, :] & (need[None, :, :] <= capacity[:, None, None])
-    cp[~admissible] = math.inf
-
     linked = np.zeros((M, M), dtype=bool)
-    bps = np.ones((M, M))
+    # unlinked pairs get no finite capacity, so only a link's delay can overflow
+    bps = np.full((M, M), math.inf)
     prop = np.zeros((M, M))
     for lk in cluster.links:
         linked[lk.src, lk.dst] = True
         bps[lk.src, lk.dst] = lk.capacity_bps
         prop[lk.src, lk.dst] = lk.propagation_delay
-    cm = n * (payload_bits[:, None, None, :] / bps[None, :, :, None]
-              + prop[None, :, :, None])
+    with np.errstate(over="raise"):
+        try:
+            cp = n * (flops[None, :] / throughput[:, None])[:, :, None] * scale[None, :, :]
+            cm = n * (payload_bits[:, None, None, :] / bps[None, :, :, None]
+                      + prop[None, :, :, None])
+        except FloatingPointError:
+            raise ValidationError([Violation(
+                "DelayOverflow", "a compute or transfer delay is beyond the "
+                "float range")]) from None
+    admissible = feasible[None, :, :] & (need[None, :, :] <= capacity[:, None, None])
+    cp[~admissible] = math.inf
+
     cm[:, ~linked] = math.inf
     diag = np.arange(M)
     cm[:, diag, diag] = 0.0

@@ -73,7 +73,7 @@ def generate_instance(seed: int, m: int, l: int, bits: Iterable[int],
     return ProblemInstance(
         cluster=cluster, model=model, bit_menu=tuple(bits),
         delta=delta, tokens=tokens,
-        feasible_bits=tuple(feasible_bits) if feasible_bits else (),
+        feasible_bits=None if feasible_bits is None else tuple(feasible_bits),
     )
 
 

@@ -230,6 +230,22 @@ class TestPlan:
         assert "Traceback" not in err and stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("zeros, expect", [(307, 0), (308, 2), (310, 2)])
+    def test_tokens_near_the_float_limit(self, tmp_path, capsys, zeros, expect):
+        # --tokens 1e307: every delay is finite (objective 3e307 s); 1e308:
+        # layer 1's compute delay on server 0 overflows; 1e310 is no float
+        out = tmp_path / "plan.json"
+        argv = self.plan_args(out)
+        argv[argv.index("--tokens") + 1] = "1" + "0" * zeros
+        code, _, err = run(argv, capsys)
+        assert code == expect
+        if expect:
+            assert "DelayOverflow" in err and "Traceback" not in err
+            assert not out.exists()
+        else:
+            doc = json.loads(out.read_text())
+            assert doc["objective"]["total_s"] == pytest.approx(3e307, rel=1e-12)
+
     def test_meta_records_expansions_outside_digest(self, tmp_path, capsys):
         gen_dir = tmp_path / "inst"
         run(["gen", "--seed", "5", "-m", "6", "-l", "4", "--bits", "4,8,16",

@@ -117,6 +117,18 @@ class TestLoadInstance:
         assert inst.model.num_layers == 3
         assert inst.feasible_bits == ((4, 8),) * 3
 
+    def test_only_none_means_not_narrowed(self):
+        paths = data_path("cluster_2x2.json"), data_path("model_2x2.json")
+        kwargs = dict(bit_menu=(4, 8), delta=math.inf, tokens=1)
+        assert load_instance(*paths, **kwargs).feasible_bits == ((4, 8), (4, 8))
+        # an explicit sequence is taken as given, so an empty one does not
+        # widen the two layers to the full menu
+        with pytest.raises(ValidationError) as exc:
+            load_instance(*paths, **kwargs, feasible_bits=[])
+        assert codes(exc.value.violations) == ["FeasibleBitsLengthMismatch"]
+        assert codes(validate_instance(make_2x2_instance(feasible_bits=()))) == \
+            ["FeasibleBitsLengthMismatch"]
+
     def test_missing_layers_key(self, tmp_path):
         p = tmp_path / "model.json"
         p.write_text(json.dumps({"batch_size": 1, "embedding_size": 4}))

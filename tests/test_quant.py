@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from edgeplan import quant
 from edgeplan.core import ParseError
 from edgeplan.quant import (DistributionStats, SchemeKind, ShapeMismatch,
                             WeightTensor, analyze_tensor, check_linearized,
@@ -229,6 +230,13 @@ class TestTensorFiles:
         with pytest.raises(ParseError, match="shape"):
             load_weight_tensor(tmp_path / "bad.json")
 
+    def test_non_finite_values_counted(self, tmp_path):
+        save_weight_tensor(wt([0.0, 0.0, 0.0]), tmp_path, "bad")
+        (tmp_path / "bad.bin").write_bytes(
+            np.array([np.nan, 1.0, np.inf], dtype="<f4").tobytes())
+        with pytest.raises(ParseError, match=r"bad\.bin: 2 non-finite values"):
+            load_weight_tensor(tmp_path / "bad.json")
+
     def test_size_mismatch(self, tmp_path):
         (tmp_path / "bad.json").write_text(
             '{"name": "bad", "shape": [4], "dtype": "f32", "order": "row-major"}')
@@ -266,6 +274,8 @@ def reference_skewness(v: np.ndarray) -> float:
 
 
 KERNEL_WIDTHS = (2, 3, 4, 8, 16, 24, 32)
+KERNEL_KINDS = ("gaussian", "positive", "negative", "constant", "single",
+                "half_steps", "tiny", "narrow_offset")
 
 
 def kernel_case_tensors(kind: str, seed: int) -> np.ndarray:
@@ -297,8 +307,7 @@ def kernel_case_tensors(kind: str, seed: int) -> np.ndarray:
 class TestKernelMatchesReference:
     """analyze_tensor and feasible_bits against quantize_* + max_abs_error."""
 
-    @pytest.mark.parametrize("kind", ["gaussian", "positive", "negative", "constant",
-                                      "single", "half_steps", "tiny", "narrow_offset"])
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
     def test_equal_to_reference(self, kind):
         for seed in range(8):
             w = wt(kernel_case_tensors(kind, seed))
@@ -344,3 +353,128 @@ class TestKernelMatchesReference:
     def test_width_outside_range_rejected(self, bits):
         with pytest.raises(ValueError, match="outside"):
             feasible_bits(wt([1.0, -1.0]), (8, bits), 0.1)
+
+
+def reference_error(w: WeightTensor, bits: int, scheme: SchemeKind) -> tuple[float, float]:
+    """(scale, max-abs error) of the reference quantizer."""
+    quantize = (quantize_symmetric if scheme is SchemeKind.SYMMETRIC_SIGNED
+                else quantize_asymmetric)
+    res = quantize(w, bits)
+    return res.scale, max_abs_error(w.values, res.dequantized)
+
+
+def rounding_slack(values: np.ndarray, scheme: SchemeKind) -> float:
+    """The bound's slack: 8u max(|lo|, |hi|), plus 8u (hi - lo) when asymmetric."""
+    lo, hi = float(values.min()), float(values.max())
+    magnitude = max(-lo, hi)
+    if scheme is SchemeKind.ASYMMETRIC:
+        magnitude += hi - lo
+    return 8 * 2.0 ** -53 * magnitude
+
+
+def narrow_tensor(base: float, negative: bool, ulps: int, n: int, seed: int) -> np.ndarray:
+    """n float32 values within ``ulps`` steps above |base|, far from 0."""
+    rng = np.random.default_rng(seed)
+    start = np.array([abs(base)], dtype=np.float32).view(np.int32)[0]
+    v = (start + rng.integers(0, ulps + 1, n)).astype(np.int32).view(np.float32)
+    return -v if negative else v
+
+
+class TestCertifyOrWitness:
+    """feasible_bits certifies widths from the rounding bound and scans the
+    rest block by block; its verdicts must equal analyze_tensor's."""
+
+    @given(st.sampled_from(KERNEL_KINDS), st.integers(0, 2 ** 16), st.integers(2, 32),
+           st.sampled_from(list(SchemeKind)))
+    @settings(max_examples=400, deadline=None)
+    def test_error_within_rounding_bound(self, kind, seed, bits, scheme):
+        w = wt(kernel_case_tensors(kind, seed))
+        scale, err = reference_error(w, bits, scheme)
+        assert err <= scale / 2 + rounding_slack(w.values, scheme)
+
+    @given(st.floats(2.0 ** -100, 2.0 ** 100, width=32), st.booleans(), st.integers(1, 64),
+           st.integers(1, 300), st.integers(0, 2 ** 16), st.integers(2, 32),
+           st.sampled_from(list(SchemeKind)))
+    @settings(max_examples=400, deadline=None)
+    def test_narrow_range_within_rounding_bound(self, base, negative, ulps, n, seed,
+                                                bits, scheme):
+        w = wt(narrow_tensor(base, negative, ulps, n, seed))
+        scale, err = reference_error(w, bits, scheme)
+        assert err <= scale / 2 + rounding_slack(w.values, scheme)
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    def test_verdicts_equal_report_at_boundary_deltas(self, kind):
+        for seed in range(4):
+            w = wt(kernel_case_tensors(kind, seed))
+            for scheme in (None, SchemeKind.SYMMETRIC_SIGNED, SchemeKind.ASYMMETRIC):
+                records, _ = analyze_tensor(w, KERNEL_WIDTHS, 0.0, scheme)
+                slack = rounding_slack(w.values, records[0].scheme)
+                deltas = {0.0, math.inf}
+                for r in records:
+                    # the width's own error and the certification threshold
+                    for edge in (r.max_abs_error, r.scale * 0.5 + slack):
+                        deltas |= {edge, np.nextafter(edge, -math.inf),
+                                   np.nextafter(edge, math.inf)}
+                for delta in sorted(float(d) for d in deltas if d >= 0):
+                    expect = tuple(r.bits for r in records if r.max_abs_error <= delta)
+                    assert feasible_bits(w, KERNEL_WIDTHS, delta, scheme) == expect, \
+                        (kind, seed, scheme, delta)
+
+    def test_certified_widths_are_never_scanned(self, monkeypatch):
+        # values on the 8-bit symmetric grid of peak 1: 8 bits errs only by
+        # float32 rounding, below delta = s8/4 but not provably so, and is
+        # scanned to the end; 16 bits is certified (s16/2 + slack <= delta);
+        # 2 and 4 bits miss delta within block 0
+        scanned = []
+        block_error = quant._block_error
+
+        def spy(x, buf, mag, symmetric, grid):
+            scanned.append((grid.bits, x.size))
+            return block_error(x, buf, mag, symmetric, grid)
+
+        monkeypatch.setattr(quant, "_block_error", spy)
+        n = 2 * quant._BLOCK + 100
+        codes = np.random.default_rng(0).integers(-127, 128, n)
+        codes[0] = 127
+        w = wt(codes / 127.0)
+        delta = 1 / 127 / 4
+        assert feasible_bits(w, (2, 4, 8, 16), delta) == (8, 16)
+        assert scanned == [(2, quant._BLOCK), (4, quant._BLOCK), (8, quant._BLOCK),
+                           (8, quant._BLOCK), (8, 100)]
+        records, _ = analyze_tensor(w, (2, 4, 8, 16), delta,
+                                    SchemeKind.SYMMETRIC_SIGNED, bins=None)
+        assert [r.bits for r in records if r.feasible] == [8, 16]
+
+    @pytest.mark.parametrize("kind", ["positive", "negative", "constant", "narrow_offset"])
+    def test_one_sided_tensors_skip_the_moments(self, kind, monkeypatch):
+        calls = []
+        stats = quant.distribution_stats
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].layer_name)
+            return stats(*args, **kwargs)
+
+        monkeypatch.setattr(quant, "distribution_stats", spy)
+        for seed in range(8):
+            w = wt(kernel_case_tensors(kind, seed))
+            records, _ = analyze_tensor(w, KERNEL_WIDTHS, 1e-3)
+            assert records[0].scheme is SchemeKind.ASYMMETRIC
+            calls.clear()
+            assert feasible_bits(w, KERNEL_WIDTHS, 1e-3, None) == \
+                tuple(r.bits for r in records if r.feasible)
+            assert calls == []
+        feasible_bits(wt([-1.0, 0.5, 2.0], name="two_sided"), KERNEL_WIDTHS, 1e-3, None)
+        assert calls == ["two_sided"]
+
+    @pytest.mark.parametrize("n", [quant._BLOCK - 1, quant._BLOCK, 2 * quant._BLOCK + 7])
+    def test_errors_across_block_boundaries(self, n):
+        rng = np.random.default_rng(n)
+        for values in (rng.normal(0.0, 1.0, n), rng.gamma(2.0, 0.05, n)):
+            w = wt(values)
+            for scheme in SchemeKind:
+                records, _ = analyze_tensor(w, KERNEL_WIDTHS, 1e-3, scheme, bins=None)
+                for r in records:
+                    scale, err = reference_error(w, r.bits, scheme)
+                    assert (r.scale, r.max_abs_error) == (scale, err)
+                assert feasible_bits(w, KERNEL_WIDTHS, 1e-3, scheme) == \
+                    tuple(r.bits for r in records if r.feasible)
