@@ -98,13 +98,6 @@ def _budget(args) -> int:
     return DEFAULT_NODE_BUDGET
 
 
-def _non_negative_float(text: str) -> float:
-    value = float(text)
-    if not value >= 0:  # also rejects NaN
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
-    return value
-
-
 def input_digest(cluster_path, model_path, options_doc: dict) -> str:
     """sha256 over the two input files plus the canonical option record."""
     h = hashlib.sha256()
@@ -248,8 +241,7 @@ def cmd_quantize(args) -> int:
             failures.append(str(e))
             print(f"error: {e}", file=sys.stderr)
             continue
-        recs, stats = analyze_tensor(w, bits, delta, scheme, bins=args.bins,
-                                     skew_threshold=args.skew_threshold)
+        recs, stats = analyze_tensor(w, bits, delta, scheme, bins=args.bins)
         feas = [r.bits for r in recs if r.feasible]
         for r in recs:
             records.append({
@@ -483,8 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto")
     p.add_argument("--bins", type=_positive_int, default=32,
                    help="histogram bins in the --stats-out document")
-    p.add_argument("--skew-threshold", type=_non_negative_float,
-                   default=quant.SKEW_THRESHOLD)
     p.add_argument("--original-precision", type=_positive_int, default=32)
     p.add_argument("--out", required=True)
     p.add_argument("--stats-out")

@@ -25,11 +25,12 @@ codec between that record and a plan's ``options`` block:
 
 compute_cp and compute_cm are the scalar reference. build_delay_table
 evaluates the same expressions, in the same operation order, over whole
-arrays: cp[M, L, B] and cm[L, M, M, B], with the bit axis indexed by
-position in the instance's bit menu. Every finite entry equals the scalar
-function bit for bit; math.inf is the one admissibility mask the solvers
-and build_ilp read. The replay simulator evaluates the scalar
-functions directly, so it checks the table rather than re-reading it.
+arrays keyed by placement first, cp[layer, server, bits] and
+cm[layer, src, bits, dst], the bit axis indexed by position in the bit
+menu; every solver and build_ilp reads them in that order. Every finite
+entry equals the scalar function bit for bit; math.inf is the one
+admissibility mask. The replay simulator evaluates the scalar functions
+directly, so it checks the table rather than re-reading it.
 """
 
 from __future__ import annotations
@@ -44,6 +45,13 @@ import numpy as np
 from .core import (InvalidBits, LayerProfile, LinkSpec, ProblemInstance,
                    ServerSpec, ValidationError, Violation, check_bits,
                    storage_bytes)
+
+# The largest plan total times this must be finite. Brute force, the DP
+# and the plain search sum at most that total. The Lagrangian pass adds
+# multipliers that nothing bounds a priori; its penalised sums, targets and
+# steps stayed below 1.6 times the total on about 7,000 instances with the
+# pass forced, so 4 leaves more than twice that.
+_TOTAL_HEADROOM = 4.0
 
 
 class NoLink(ValueError):
@@ -92,9 +100,10 @@ class DelayOptions:
 class DelayTable:
     """Delay coefficients of one instance, in seconds over all n rounds.
 
-    cp[i, l, k] is layer l on server i at bit_menu[k] bits; cm[l, i, j, k]
-    ships layer l's output from server i to server j at bit_menu[k] bits,
-    exactly 0.0 on the diagonal. math.inf marks an inadmissible entry: in
+    cp[l, i, k] is layer l on server i at bit_menu[k] bits, shape
+    (L, M, B); cm[l, i, k, j] ships the output of layer l, placed on server
+    i at bit_menu[k] bits, to server j, shape (L, M, B, M), exactly 0.0 on
+    the diagonal i == j. math.inf marks an inadmissible entry: in
     cp a width outside the layer's feasible set or a layer that overflows
     the server's storage; in cm a missing link or an infeasible width.
     """
@@ -138,8 +147,8 @@ def compute_cm(layer: LayerProfile, link: LinkSpec | None, bits: int,
                same_server: bool = False) -> float:
     """Transfer delay in seconds for all n rounds; 0 on a self-link.
 
-    ``link=None`` with distinct servers raises NoLink; the table builder
-    converts that case to an infinity sentinel instead.
+    ``link=None`` with distinct servers raises NoLink. build_delay_table
+    does not call it; it is the independent check of the table's cm.
     """
     check_bits(bits)
     if same_server:
@@ -152,13 +161,14 @@ def compute_cm(layer: LayerProfile, link: LinkSpec | None, bits: int,
 
 def build_delay_table(instance: ProblemInstance,
                       options: DelayOptions = DelayOptions()) -> DelayTable:
-    """Evaluate cp and cm over every (server, layer, bits) and link.
+    """Evaluate cp and cm over every (layer, server, bits) and link.
 
     Per-(layer, bits) factors come from the scalar helpers; servers and
     links enter as a throughput vector and M x M capacity/propagation
     matrices filled once from the link list. The storage mask applies
     ``options.storage``. A delay beyond the float range raises
-    ValidationError (DelayOverflow) rather than reading as the mask.
+    ValidationError (DelayOverflow) rather than reading as the mask, and so
+    does a largest plan total within a factor _TOTAL_HEADROOM of it.
     """
     cluster, model = instance.cluster, instance.model
     menu = instance.bit_menu
@@ -195,37 +205,51 @@ def build_delay_table(instance: ProblemInstance,
         prop[lk.src, lk.dst] = lk.propagation_delay
     with np.errstate(over="raise"):
         try:
-            cp = n * (flops[None, :] / throughput[:, None])[:, :, None] * scale[None, :, :]
-            cm = n * (payload_bits[:, None, None, :] / bps[None, :, :, None]
-                      + prop[None, :, :, None])
+            cp = n * (flops[:, None] / throughput[None, :])[:, :, None] * scale[:, None, :]
+            cm = n * (payload_bits[:, None, :, None] / bps[None, :, None, :]
+                      + prop[None, :, None, :])
         except FloatingPointError:
             raise ValidationError([Violation(
                 "DelayOverflow", "a compute or transfer delay is beyond the "
                 "float range")]) from None
-    admissible = feasible[None, :, :] & (need[None, :, :] <= capacity[:, None, None])
+    admissible = feasible[:, None, :] & (need[:, None, :] <= capacity[None, :, None])
     cp[~admissible] = math.inf
 
-    cm[:, ~linked] = math.inf
+    np.copyto(cm, math.inf, where=~linked[None, :, None, :])
     diag = np.arange(M)
-    cm[:, diag, diag] = 0.0
-    cm = np.where(feasible[:, None, None, :], cm, math.inf)
+    cm[:, diag, :, diag] = 0.0
+    np.copyto(cm, math.inf, where=~feasible[:, None, :, None])
+
+    # each layer's largest finite cp plus, below the last layer, its largest
+    # finite cm: every entry can be finite while a plan's total is not
+    with np.errstate(over="raise"):
+        try:
+            largest = (cp.max(axis=(1, 2), where=cp < math.inf, initial=0.0).sum()
+                       + cm[:-1].max(axis=(1, 2, 3), where=cm[:-1] < math.inf,
+                                     initial=0.0).sum())
+            largest * _TOTAL_HEADROOM  # raises past the float range
+        except FloatingPointError:
+            raise ValidationError([Violation(
+                "DelayOverflow", "the total delay of some plan is beyond the "
+                "float range")]) from None
     return DelayTable(cp=cp, cm=cm, bit_menu=menu)
 
 
-def path_delay(cp_rows, cm, path) -> tuple[float, float, float]:
+def path_delay(cp, cm, path) -> tuple[float, float, float]:
     """(total, compute, comm) of a path of (server, bit position) pairs.
 
-    cp_rows is indexed [layer][server][k] and cm [layer][src][dst][k],
-    as arrays or as nested lists; a masked entry makes the result inf.
-    The one definition of the objective's sums: evaluate_plan and brute
-    force both price through it.
+    cp and cm are indexed as DelayTable stores them, cp[layer][server][k]
+    and cm[layer][src][k][dst], as arrays or as nested lists; a masked
+    entry makes the result inf. The one definition of the objective's sums:
+    evaluate_plan, brute force and the Lagrangian witness all price
+    through it.
     """
     compute = 0.0
     comm = 0.0
     for l, (i, k) in enumerate(path):
-        compute += cp_rows[l][i][k]
+        compute += cp[l][i][k]
         if l + 1 < len(path):
-            comm += cm[l][i][path[l + 1][0]][k]
+            comm += cm[l][i][k][path[l + 1][0]]
     return compute + comm, compute, comm
 
 
@@ -237,25 +261,18 @@ def evaluate_plan(assignments, table: DelayTable) -> tuple[float, float, float]:
     InfeasibleEdge when consecutive layers sit on servers with no link and
     Inadmissible when a layer sits where the table's mask forbids it.
     """
-    M = table.cp.shape[0]
+    M = table.cp.shape[1]
     if any(not 0 <= server < M for server, _ in assignments):
         raise Inadmissible(f"assignments {assignments} name an unknown server")
     path = [(server, table.bit_index(bits)) for server, bits in assignments]
-    total, compute, comm = path_delay(table.cp.transpose(1, 0, 2), table.cm, path)
+    total, compute, comm = path_delay(table.cp, table.cm, path)
     if math.isinf(total):
         for l, (i, k) in enumerate(path):
-            if math.isinf(table.cp[i, l, k]):
+            if math.isinf(table.cp[l, i, k]):
                 raise Inadmissible(f"layer {l} cannot run on server {i} "
                                    f"at {table.bit_menu[k]} bits")
-            if l + 1 < len(path) and math.isinf(table.cm[l, i, path[l + 1][0], k]):
+            if l + 1 < len(path) and math.isinf(table.cm[l, i, k, path[l + 1][0]]):
                 raise InfeasibleEdge(f"no link {i}->{path[l + 1][0]} "
                                      f"for layers {l}->{l + 1}")
     return float(total), float(compute), float(comm)
 
-
-def cp_table_csv(table: DelayTable) -> str:
-    """Debug export of the admissible compute-delay entries."""
-    lines = ["server,layer,bits,cp_seconds"]
-    for i, l, k in zip(*np.nonzero(np.isfinite(table.cp))):
-        lines.append(f"{i},{l},{table.bit_menu[k]},{float(table.cp[i, l, k])!r}")
-    return "\n".join(lines) + "\n"

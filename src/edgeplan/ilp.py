@@ -6,8 +6,10 @@ Variables:
   z_{i}_{j}_{l}_{b}  layer l on server i at b bits hands its output to
                      layer l+1 on server j; carries the transfer cost
 
-The model is a flow through the layers. x columns are emitted only for
-the (server, layer, bits) entries the delay table admits (finite cp):
+The model is a flow through the layers. x_{i}_{l}_{b} costs the delay
+table's cp[l, i, k] and z_{i}_{j}_{l}_{b} its cm[l, i, k, j], with k the
+position of b in the bit menu; build_ilp reads both in that stored order.
+x columns are emitted only for the entries the table admits (finite cp):
 widths in the layer's feasible set on servers with enough storage under
 the table's storage model (see core.storage_bytes). A z column exists
 only where its x column exists, j != i, the link i -> j exists (finite
@@ -70,9 +72,8 @@ def build_ilp(instance: ProblemInstance, table: DelayTable) -> IlpModel:
     to the x columns that receive it. Columns: x ordered by (layer,
     server, bits), then z ordered by (src, dst, layer, bits).
     """
-    M, L, _ = table.cp.shape
-    cp = table.cp.tolist()
-    cm = table.cm.tolist()
+    L, M, _ = table.cp.shape
+    cp, cm = table.cp.tolist(), table.cm.tolist()
     menu = table.bit_menu
 
     # per layer, the admissible (server, bit position, x name) in column order
@@ -83,13 +84,13 @@ def build_ilp(instance: ProblemInstance, table: DelayTable) -> IlpModel:
     hosted: dict[int, dict[str, float]] = {}
     for l in range(L):
         here = [(i, k, f"x_{i}_{l}_{menu[k]}") for i in range(M)
-                for k in range(len(menu)) if cp[i][l][k] != math.inf]
+                for k in range(len(menu)) if cp[l][i][k] != math.inf]
         if not here:
             raise EmptyFeasibleSet(l)
         placements.append(here)
         for i, k, name in here:
             x_vars[(i, l, menu[k])] = name
-            objective[name] = cp[i][l][k]
+            objective[name] = cp[l][i][k]
             hosted.setdefault(i, {})[name] = 1.0
         rows.append(Row(f"assign_l{l}", {name: 1.0 for _, _, name in here}, "=", 1.0))
     rows += [Row(f"cap_s{i}", hosted[i], "<=", 1.0) for i in sorted(hosted)]
@@ -103,7 +104,7 @@ def build_ilp(instance: ProblemInstance, table: DelayTable) -> IlpModel:
             b = menu[k]
             out = {xname: -1.0}
             for j, into in inflow.items():
-                c = cm[l][i][j][k]
+                c = cm[l][i][k][j]
                 if j != i and c != math.inf:
                     name = z_vars[(i, j, l, b)] = f"z_{i}_{j}_{l}_{b}"
                     objective[name] = c

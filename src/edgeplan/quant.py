@@ -239,14 +239,13 @@ def distribution_stats(w: WeightTensor, bins: Optional[int] = 32) -> Distributio
     )
 
 
-def recommend_scheme(stats: DistributionStats,
-                     skew_threshold: float = SKEW_THRESHOLD) -> SchemeKind:
+def recommend_scheme(stats: DistributionStats) -> SchemeKind:
     """Symmetric for roughly zero-centered distributions, else asymmetric.
 
     Symmetric signed needs zero strictly inside the value range; one-tailed
     or skewed layers map better onto an affine grid.
     """
-    if abs(stats.skewness) <= skew_threshold and stats.min < 0 < stats.max:
+    if abs(stats.skewness) <= SKEW_THRESHOLD and stats.min < 0 < stats.max:
         return SchemeKind.SYMMETRIC_SIGNED
     return SchemeKind.ASYMMETRIC
 
@@ -352,7 +351,6 @@ def _grids(scheme: SchemeKind, lo: float, hi: float,
 
 def analyze_tensor(w: WeightTensor, bit_menu: Iterable[int], delta: float,
                    scheme: Optional[SchemeKind] = None, bins: Optional[int] = 32,
-                   skew_threshold: float = SKEW_THRESHOLD,
                    ) -> tuple[list[LayerQuantRecord], Optional[DistributionStats]]:
     """Per-bit error records plus distribution stats (with a ``bins``-bin
     histogram) for one layer.
@@ -371,7 +369,7 @@ def analyze_tensor(w: WeightTensor, bit_menu: Iterable[int], delta: float,
         lo, hi = stats.min, stats.max
     else:
         lo, hi = float(w.values.min()), float(w.values.max())
-    used = scheme or recommend_scheme(stats, skew_threshold)
+    used = scheme or recommend_scheme(stats)
     grids, flat = _grids(used, lo, hi, widths)
     errors = [0.0] * len(grids) if flat else _scan(w.values, used, grids)
     records = [LayerQuantRecord(

@@ -12,11 +12,12 @@ one admissibility mask (missing links, infeasible widths, storage):
     DP) when the plain bound does not settle the instance quickly;
     guaranteed to reproduce the brute-force optimum and tie-broken plan.
 
-Brute force and branch and bound visit nodes one at a time, so they read
-the table as nested Python lists converted once per solve; per-node numpy
-scalar indexing costs more than the search itself. Bit-widths are handled
-as positions in the instance's bit menu, which is sorted, so the order on
-positions is the order on widths.
+Every route reads the table in its stored order, cp[layer, server, bits]
+and cm[layer, src, bits, dst]. Brute force and branch and bound visit nodes
+one at a time, so they read it as nested Python lists (one ``tolist()`` per
+solve); per-node numpy scalar indexing costs more than the search itself.
+Bit-widths are handled as positions in the instance's bit menu, which is
+sorted, so the order on positions is the order on widths.
 
 Ties are broken by the lexicographically smallest (server, bits) sequence
 so plans, not just objectives, are comparable across solvers.
@@ -104,8 +105,7 @@ def solve_brute_force(instance: ProblemInstance, table: DelayTable) -> SolveResu
         return SolveResult("infeasible", None, math.inf, 0, math.inf,
                            time.perf_counter() - t0)
 
-    cp = table.cp.transpose(1, 0, 2).tolist()  # [layer][server][bits]
-    cm = table.cm.tolist()  # [layer][src][dst][bits]
+    cp, cm = table.cp.tolist(), table.cm.tolist()
     widths = [[table.bit_index(b) for b in fb] for fb in instance.feasible_bits]
     best_total = math.inf
     best: Optional[tuple[tuple[int, int], ...]] = None
@@ -136,7 +136,7 @@ def _suffix_bounds(cp: np.ndarray, cm: np.ndarray) -> list[np.ndarray]:
     layer l on server i at bit position k, allowing non-consecutive server
     reuse:
 
-        H[l][i, k] = cp[i, l, k] + min_{j != i} (cm[l, i, j, k] + min_k2 H[l+1][j, k2])
+        H[l][i, k] = cp[l, i, k] + min_{j != i} (cm[l, i, k, j] + min_k2 H[l+1][j, k2])
 
     Consecutive layers still need distinct, linked servers (any feasible
     plan satisfies that), so the bound stays admissible while excluding
@@ -144,15 +144,15 @@ def _suffix_bounds(cp: np.ndarray, cm: np.ndarray) -> list[np.ndarray]:
     taking the inner minimum first gives the same value as minimising
     every (j, k2) sum. cp may carry per-server penalties (the Lagrangian
     bound passes cp + lambda)."""
-    M, L, _ = cp.shape
+    L, M, _ = cp.shape
     if L == 0:
         return []
     diag = np.arange(M)
-    H = [cp[:, L - 1, :]]
+    H = [cp[L - 1]]
     for l in range(L - 2, -1, -1):
-        via = cm[l] + H[0].min(axis=1, initial=math.inf)[None, :, None]
-        via[diag, diag] = math.inf
-        H.insert(0, cp[:, l, :] + via.min(axis=1, initial=math.inf))
+        via = cm[l] + H[0].min(axis=1, initial=math.inf)
+        via[diag, :, diag] = math.inf
+        H.insert(0, cp[l] + via.min(axis=2, initial=math.inf))
     return H
 
 
@@ -164,7 +164,7 @@ def _witness(H: list[np.ndarray], cm: np.ndarray) -> list[tuple[int, int]]:
     i, k = divmod(int(np.argmin(H[0])), B)
     path = [(i, k)]
     for l in range(len(H) - 1):
-        via = cm[l, i, :, k][:, None] + H[l + 1]
+        via = cm[l, i, k][:, None] + H[l + 1]
         via[i] = math.inf
         i, k = divmod(int(np.argmin(via)), B)
         path.append((i, k))
@@ -208,16 +208,16 @@ def _lagrangian_root(table: DelayTable, target: float, incumbent):
     once the bound reaches the target. Returns (bound, lambda, H_lambda,
     incumbent)."""
     cp, cm = table.cp, table.cm
-    M, L, _ = cp.shape
+    L, M, _ = cp.shape
     lam = np.zeros(M)
     best = (-math.inf, lam, None)
     theta, stall = 2.0, 0
     for _ in range(_SUBGRADIENT_STEPS):
-        H = _suffix_bounds(cp + lam[:, None, None], cm)
+        H = _suffix_bounds(cp + lam[None, :, None], cm)
         witness = _witness(H, cm)
         servers = [i for i, _ in witness]
         if len(set(servers)) == L:
-            total = float(path_delay(cp.transpose(1, 0, 2), cm, witness)[0])
+            total = float(path_delay(cp, cm, witness)[0])
             key = (total, tuple(witness))
             if incumbent is None or key < incumbent:
                 incumbent = key
@@ -247,18 +247,7 @@ def _tie_tolerance(objective: float) -> float:
     return max(_TIE_RTOL * abs(objective), _TIE_ATOL)
 
 
-def _nested(table: DelayTable):
-    """The table as the search reads it: cp[layer][server][bits],
-    cm[layer][src][bits][dst] (one row per placed parent) and the
-    admissible bit positions [layer][server]."""
-    cp = table.cp.transpose(1, 0, 2).tolist()
-    cm = table.cm.transpose(0, 1, 3, 2).tolist()
-    admissible = [[[k for k, c in enumerate(row) if c != math.inf] for row in layer]
-                  for layer in cp]
-    return cp, cm, admissible
-
-
-def _search(cp, cm, admissible, H, lam, limit: int, incumbent):
+def _search(cp, cm, H, lam, limit: int, incumbent):
     """Depth-first search over layers under the bound
 
         compute + comm + edge + H[l][i][k] - (sum of the L - l largest lam
@@ -273,10 +262,13 @@ def _search(cp, cm, admissible, H, lam, limit: int, incumbent):
     with the objective summed as delay.path_delay sums it, so plans are
     brute force's tie-broken plan. Examines at most ``limit`` children.
 
-    ``incumbent`` is None or (objective, path). Returns (incumbent, leaves,
-    expansions, exhausted).
+    cp and cm are the table's nested lists; cm[l - 1][i][k] is the row of
+    edges from the placed parent. A masked width has an infinite H[l][i][k],
+    so the finite cutoff drops it. ``incumbent`` is None or (objective,
+    path). Returns (incumbent, leaves, expansions, exhausted).
     """
-    L, M = len(cp), len(cp[0])
+    L, M, B = len(cp), len(cp[0]), len(cp[0][0])
+    ks = range(B)
     order = sorted(range(M), key=lambda i: -lam[i])
     penalised = any(lam)
     best_total, best_path = incumbent if incumbent else (math.inf, None)
@@ -314,7 +306,7 @@ def _search(cp, cm, admissible, H, lam, limit: int, incumbent):
                 if edge == math.inf:
                     continue
             tails = H[l][i]
-            for k in admissible[l][i]:
+            for k in ks:
                 bound_tail = edge + tails[k]
                 if base + bound_tail <= cutoff:
                     kids.append((bound_tail, i, k, edge))
@@ -380,18 +372,17 @@ def solve_branch_and_bound(instance: ProblemInstance, table: DelayTable,
         return SolveResult("infeasible", None, math.inf, 0, math.inf,
                            time.perf_counter() - t0)
 
-    cp, cm, admissible = _nested(table)
+    cp, cm = table.cp.tolist(), table.cm.tolist()
     allowance = min(budget, _ESCALATE_AFTER)
     incumbent, leaves, expansions, exhausted = _search(
-        cp, cm, admissible, [h.tolist() for h in bounds], [0.0] * M,
-        allowance, None)
+        cp, cm, [h.tolist() for h in bounds], [0.0] * M, allowance, None)
     if exhausted and budget > allowance:
         # no incumbent yet: aim the Polyak steps a little above the DP bound
         target = incumbent[0] if incumbent else root_bound * (1 + _ESTIMATE_SLACK)
         bound, lam, penalised, incumbent = _lagrangian_root(table, target, incumbent)
         root_bound = max(root_bound, bound)
         incumbent, more_leaves, more, exhausted = _search(
-            cp, cm, admissible, [h.tolist() for h in penalised], lam.tolist(),
+            cp, cm, [h.tolist() for h in penalised], lam.tolist(),
             budget - expansions, incumbent)
         leaves += more_leaves
         expansions += more

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from edgeplan import solver as solver_module
 from edgeplan.cli import (_load_and_filter, _load_from_options, _write_json,
                           build_parser, input_digest, main)
 from edgeplan.core import LayerProfile, LinkSpec, ServerSpec
@@ -246,6 +247,52 @@ class TestPlan:
             doc = json.loads(out.read_text())
             assert doc["objective"]["total_s"] == pytest.approx(3e307, rel=1e-12)
 
+    @pytest.mark.parametrize("command, solver", [
+        ("plan", "bnb"), ("plan", "brute"), ("plan", "relaxed"), ("export-lp", None)])
+    def test_plan_total_beyond_the_float_range(self, tmp_path, capsys, command, solver):
+        # --tokens 7e307: every delay is finite (7e307 to 1.4e308), every
+        # plan total is not
+        out = tmp_path / "out"
+        argv = [command, "--cluster", data_path("cluster_2x2.json"),
+                "--model", data_path("model_2x2.json"), "--bits", "8",
+                "--tokens", "7" + "0" * 307, "--out", str(out)]
+        code, stdout, err = run(argv + (["--solver", solver] if solver else []), capsys)
+        assert code == 2
+        assert "DelayOverflow" in err and "Traceback" not in err
+        assert stdout == "" and not out.exists()
+
+    def test_lagrangian_pass_near_the_float_limit(self, tmp_path, capsys,
+                                                  monkeypatch):
+        """The largest total the table admits, with the root Lagrangian
+        pass run at once: its penalised sums stay in range."""
+        monkeypatch.setattr(solver_module, "_ESCALATE_AFTER", 0)
+        model = {"batch_size": 1, "embedding_size": 4, "layers": [
+            {"flops": 1e12 * (l + 1), "param_count": 10, "output_size": 4.0,
+             "original_precision": 32} for l in range(3)]}
+        mpath = tmp_path / "model.json"
+        mpath.write_text(json.dumps(model))
+        argv = ["plan", "--cluster", data_path("cluster_m4.json"),
+                "--model", str(mpath), "--bits", "4,8", "--out",
+                str(tmp_path / "plan.json"), "--tokens"]
+        # bisect for the largest token count the overflow check admits:
+        # geometric steps first, then arithmetic ones to 1e-12 relative
+        admitted, rejected = 1, 10 ** 309
+        while rejected - admitted > admitted // 10 ** 12:
+            mid = (math.isqrt(admitted * rejected) if rejected > 2 * admitted
+                   else (admitted + rejected) // 2)
+            code, _, err = run(argv + [str(mid)], capsys)
+            assert code in (0, 2), err
+            if code == 0:
+                admitted = mid
+            else:
+                assert "DelayOverflow" in err
+                rejected = mid
+        assert admitted > 10 ** 290
+        assert run(argv + [str(admitted)], capsys)[0] == 0
+        doc = json.loads((tmp_path / "plan.json").read_text())
+        assert math.isfinite(doc["meta"]["lower_bound_at_root"])
+        assert doc["meta"]["expansions"] > 0
+
     def test_meta_records_expansions_outside_digest(self, tmp_path, capsys):
         gen_dir = tmp_path / "inst"
         run(["gen", "--seed", "5", "-m", "6", "-l", "4", "--bits", "4,8,16",
@@ -414,7 +461,6 @@ class TestInputValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [
-        ("--skew-threshold", "nan"), ("--skew-threshold", "-0.5"),
         ("--original-precision", "0"), ("--original-precision", "-8")])
     def test_quantize_flag_out_of_range_is_usage_error(self, tmp_path, capsys,
                                                        flag, value):
@@ -626,6 +672,43 @@ class TestPlanWithWeights:
         doc = json.loads(out.read_text())
         assert doc["options"]["feasible_bits"] == [[8], [8]]
         assert all(a["bits"] == 8 for a in doc["assignments"])
+
+    @pytest.mark.parametrize("scheme", ["auto", "symmetric", "asymmetric"])
+    def test_quantize_report_and_plan_filter_agree(self, tmp_path, capsys, scheme):
+        """One scheme rule: the widths the quantize report finds feasible are
+        the ones plan --weights-dir records, for a one-sided, a symmetric
+        two-sided and a skewed two-sided tensor (skewness about 0.79)."""
+        rng = np.random.default_rng(0)
+        tensors = {"one_sided": rng.gamma(2.0, 1.0, 10_000),
+                   "two_sided": rng.normal(0.0, 1.0, 10_000),
+                   "skewed": np.concatenate([rng.normal(0.0, 1.0, 9_000),
+                                             rng.gamma(2.0, 1.0, 1_000)])}
+        wdir = tmp_path / "w"
+        write_weights(wdir, tensors)
+        model = {"batch_size": 1, "embedding_size": 4, "layers": [
+            {"flops": 100.0, "param_count": 10, "output_size": 4.0,
+             "original_precision": 32, "weights": ref} for ref in tensors]}
+        mpath = tmp_path / "model.json"
+        mpath.write_text(json.dumps(model))
+        flags = ["--bits", "4,5,6,8", "--delta", "0.3", "--scheme", scheme]
+        report, plan = tmp_path / "report.json", tmp_path / "plan.json"
+        code, _, _ = run(["quantize", "--weights-dir", str(wdir), *flags,
+                          "--out", str(report)], capsys)
+        assert code == 0
+        code, _, _ = run(["plan", "--cluster", data_path("cluster_m4.json"),
+                          "--model", str(mpath), "--weights-dir", str(wdir),
+                          *flags, "--out", str(plan)], capsys)
+        assert code == 0
+        feasible, used = {ref: [] for ref in tensors}, {}
+        for r in json.loads(report.read_text())["records"]:
+            used[r["layer"]] = r["scheme"]
+            if r["feasible"]:
+                feasible[r["layer"]].append(r["bits"])
+        recorded = json.loads(plan.read_text())["options"]["feasible_bits"]
+        assert recorded == [feasible[ref] for ref in tensors]
+        if scheme == "auto":
+            assert used == {"one_sided": "asymmetric", "two_sided": "symmetric_signed",
+                            "skewed": "asymmetric"}
 
     def test_non_finite_weights_are_input_error(self, tmp_path, capsys):
         wdir = tmp_path / "w"

@@ -1,7 +1,7 @@
 """Property tests over the plan, export-lp, quantize and simulate commands.
 
 The first draws bit menus, error budgets, token counts, histogram bins,
-schemes, skew thresholds and original precisions, valid and not, against
+schemes and original precisions, valid and not, against
 one small generated instance with weight tensors. The second mutates a
 plan document and replays it.
 Every run must end in a documented exit code without a traceback; invalid
@@ -67,37 +67,34 @@ def budget(text: str) -> float:
 BITS = st.lists(st.sampled_from([0, 1, 2, 3, 4, 8, 16, 32, 33]), min_size=1, max_size=4)
 DELTAS = st.sampled_from(["nan", "NaN", "inf", "-inf", "-1", "0", "1e-300",
                           "0.01", "0.5", "1e300"])
-SKEWS = st.sampled_from(["nan", "-inf", "-0.5", "0", "0.5", "2", "inf"])
 
 
 @given(command=st.sampled_from(["plan", "export-lp", "quantize"]), bits=BITS,
        delta=DELTAS, tokens=st.integers(-1, 4), bins=st.sampled_from([-1, 0, 1, 8, 32]),
        scheme=st.sampled_from(["auto", "symmetric", "asymmetric"]),
        weights=st.booleans(), solver=st.sampled_from(["bnb", "brute", "relaxed"]),
-       skew=SKEWS, precision=st.sampled_from([-8, 0, 1, 16, 32]))
+       precision=st.sampled_from([-8, 0, 1, 16, 32]))
 @example(command="plan", bits=[4, 8], delta="nan", tokens=1, bins=32,
-         scheme="auto", weights=False, solver="bnb", skew="0.5", precision=32)
+         scheme="auto", weights=False, solver="bnb", precision=32)
 @example(command="quantize", bits=[1, 4], delta="0.5", tokens=1, bins=32,
-         scheme="auto", weights=True, solver="bnb", skew="0.5", precision=32)
+         scheme="auto", weights=True, solver="bnb", precision=32)
 @example(command="plan", bits=[4, 40], delta="inf", tokens=1, bins=32,
-         scheme="auto", weights=False, solver="bnb", skew="0.5", precision=32)
+         scheme="auto", weights=False, solver="bnb", precision=32)
 @example(command="quantize", bits=[4, 8], delta="0.5", tokens=1, bins=0,
-         scheme="auto", weights=True, solver="bnb", skew="0.5", precision=32)
+         scheme="auto", weights=True, solver="bnb", precision=32)
 @example(command="quantize", bits=[4, 8], delta="0.5", tokens=1, bins=32,
-         scheme="auto", weights=True, solver="bnb", skew="nan", precision=32)
-@example(command="quantize", bits=[4, 8], delta="0.5", tokens=1, bins=32,
-         scheme="auto", weights=True, solver="bnb", skew="0.5", precision=-8)
+         scheme="auto", weights=True, solver="bnb", precision=-8)
 @settings(max_examples=60, deadline=None)
 def test_cli_exit_codes(fuzz_dir, command, bits, delta, tokens, bins, scheme,
-                        weights, solver, skew, precision):
+                        weights, solver, precision):
     menu = ",".join(map(str, bits))
     valid = all(2 <= b <= 32 for b in bits) and budget(delta) >= 0
     with tempfile.TemporaryDirectory(dir=fuzz_dir) as tmp:
         out = os.path.join(tmp, "out")
         if command == "quantize":
             argv = ["quantize", "--weights-dir", str(fuzz_dir / "w"), "--bins", str(bins),
-                    "--skew-threshold", skew, "--original-precision", str(precision)]
-            valid &= bins >= 1 and float(skew) >= 0 and precision >= 1
+                    "--original-precision", str(precision)]
+            valid &= bins >= 1 and precision >= 1
         else:
             argv = [command, "--cluster", str(fuzz_dir / "cluster.json"),
                     "--model", str(fuzz_dir / "model.json"), "--tokens", str(tokens)]

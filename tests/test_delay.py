@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from edgeplan.core import LayerProfile, LinkSpec, ServerSpec
 from edgeplan.delay import (DelayOptions, InfeasibleEdge, InvalidBits,
                             build_delay_table, compute_cm, compute_cp,
-                            cp_table_csv, evaluate_plan)
+                            evaluate_plan)
 from edgeplan.core import storage_bytes
 from edgeplan.gen import random_test_instance
 
@@ -89,8 +89,8 @@ class TestComputeCm:
 
 class TestDelayTable:
     def test_entry_counts(self, golden_instance, golden_table):
-        assert golden_table.cp.shape == (2, 2, 1)  # M, L, B
-        assert golden_table.cm.shape == (2, 2, 2, 1)  # L, M, M, B
+        assert golden_table.cp.shape == (2, 2, 1)  # L, M, B
+        assert golden_table.cm.shape == (2, 2, 1, 2)  # L, M, B, M
         assert np.isfinite(golden_table.cp).all()
         assert np.isfinite(golden_table.cm).all()
 
@@ -102,13 +102,13 @@ class TestDelayTable:
                                        links=one_way))
         table = build_delay_table(inst)
         k = table.bit_index(8)
-        assert math.isinf(table.cm[0, 1, 0, k])
-        assert table.cm[0, 0, 1, k] > 0
+        assert math.isinf(table.cm[0, 1, k, 0])
+        assert table.cm[0, 0, k, 1] > 0
 
     def test_diagonal_is_zero(self, golden_table):
         k = golden_table.bit_index(8)
-        assert golden_table.cm[0, 0, 0, k] == 0.0
-        assert golden_table.cm[1, 1, 1, k] == 0.0
+        assert golden_table.cm[0, 0, k, 0] == 0.0
+        assert golden_table.cm[1, 1, k, 1] == 0.0
 
     def test_pointwise_matches_direct_evaluation(self):
         rng = random.Random(20)
@@ -116,13 +116,13 @@ class TestDelayTable:
             inst = random_test_instance(rng)
             table = build_delay_table(inst)
             finite = {(int(i), int(l), table.bit_menu[k])
-                      for i, l, k in zip(*np.nonzero(np.isfinite(table.cp)))}
+                      for l, i, k in zip(*np.nonzero(np.isfinite(table.cp)))}
             assert finite == {(i, l, b) for i in range(inst.cluster.num_servers)
                               for l, fb in enumerate(inst.feasible_bits) for b in fb}
             for (i, l, b) in finite:
                 direct = compute_cp(inst.model.layers[l],
                                     inst.cluster.servers[i], b, inst.tokens)
-                assert table.cp[i, l, table.bit_index(b)] == direct
+                assert table.cp[l, i, table.bit_index(b)] == direct
 
     @pytest.mark.parametrize("seed", range(100))
     def test_entries_match_scalar_functions_and_mask(self, seed):
@@ -139,7 +139,7 @@ class TestDelayTable:
         table = build_delay_table(inst, options)
         cluster, model = inst.cluster, inst.model
         M, L, B = cluster.num_servers, model.num_layers, len(inst.bit_menu)
-        assert table.cp.shape == (M, L, B) and table.cm.shape == (L, M, M, B)
+        assert table.cp.shape == (L, M, B) and table.cm.shape == (L, M, B, M)
         for l, layer in enumerate(model.layers):
             for k, b in enumerate(inst.bit_menu):
                 feasible = b in inst.feasible_bits[l]
@@ -147,25 +147,18 @@ class TestDelayTable:
                     fits = (storage_bytes(layer, b, literal_output_factor=literal)
                             <= server.storage_capacity)
                     if feasible and fits:
-                        assert table.cp[i, l, k] == compute_cp(
+                        assert table.cp[l, i, k] == compute_cp(
                             layer, server, b, inst.tokens, options)
                     else:
-                        assert table.cp[i, l, k] == math.inf
+                        assert table.cp[l, i, k] == math.inf
                     for j in range(M):
                         link = cluster.link(i, j)
                         if feasible and (i == j or link is not None):
-                            assert table.cm[l, i, j, k] == compute_cm(
+                            assert table.cm[l, i, k, j] == compute_cm(
                                 layer, link, b, inst.tokens, model.batch_size,
                                 model.embedding_size, options, same_server=i == j)
                         else:
-                            assert table.cm[l, i, j, k] == math.inf
-
-    def test_csv_export(self, golden_table):
-        text = cp_table_csv(golden_table)
-        lines = text.strip().split("\n")
-        assert lines[0] == "server,layer,bits,cp_seconds"
-        assert len(lines) == 1 + np.isfinite(golden_table.cp).sum() == 1 + 4
-        assert lines[1] == "0,0,8,1.0"
+                            assert table.cm[l, i, k, j] == math.inf
 
 
 class TestEvaluatePlan:

@@ -1,0 +1,81 @@
+"""The search trajectory, pinned: branch and bound's plan, objective,
+leaves, expansions and root bound, and the relaxed bound and witness, on a
+fixed set of instances, equal to tests/data/golden_search.json exactly.
+
+A refactor that changes what the search does fails here. A change that
+alters the search on purpose regenerates the file with
+
+    PYTHONPATH=src python3 tests/test_golden_search.py
+
+and says why in CHANGES.md.
+"""
+
+import json
+import random
+
+import pytest
+
+from edgeplan.delay import DelayOptions, build_delay_table
+from edgeplan.gen import generate_instance, random_test_instance
+from edgeplan.solver import solve_branch_and_bound, solve_relaxed_dp
+
+from conftest import data_path, with_binding_storage
+
+GOLDEN = data_path("golden_search.json")
+
+# the ladder includes instances that escalate to the Lagrangian pass
+LADDER = [(m, l, seed) for m, l in ((16, 8), (24, 10), (32, 12), (48, 5))
+          for seed in (1, 2, 3)]
+RANDOM_CASES = 20
+
+
+def cases():
+    """(id, instance, options) of every pinned instance."""
+    for m, l, seed in LADDER:
+        inst = generate_instance(seed, m, l, (4, 8, 16), "heterogeneous", tokens=32)
+        yield f"ladder-{m}x{l}-s{seed}", inst, DelayOptions()
+    for seed in range(RANDOM_CASES):
+        rng = random.Random(50_000 + seed)
+        inst = with_binding_storage(
+            random_test_instance(rng, max_servers=8, link_density=0.3), rng, 0.3)
+        options = DelayOptions(storage="literal" if seed % 2 else "compact")
+        yield f"random-{seed}", inst, options
+
+
+def record(inst, options) -> dict:
+    table = build_delay_table(inst, options)
+    got = solve_branch_and_bound(inst, table)
+    bound, witness = solve_relaxed_dp(inst, table)
+    return {
+        "status": got.status,
+        "assignments": None if got.plan is None else [list(a) for a in got.plan.assignments],
+        "objective": repr(got.objective),
+        "nodes_explored": got.nodes_explored,
+        "expansions": got.expansions,
+        "lower_bound_at_root": repr(got.lower_bound_at_root),
+        "relaxed_bound": repr(bound),
+        "relaxed_witness": None if witness is None else [list(a) for a in witness],
+    }
+
+
+def _golden() -> dict:
+    with open(GOLDEN) as f:
+        return json.load(f)
+
+
+@pytest.mark.parametrize("case", list(cases()), ids=lambda c: c[0])
+def test_search_trajectory_is_pinned(case):
+    name, inst, options = case
+    assert record(inst, options) == _golden()[name]
+
+
+def test_golden_covers_every_case():
+    assert sorted(_golden()) == sorted(name for name, _, _ in cases())
+
+
+if __name__ == "__main__":
+    doc = {name: record(inst, options) for name, inst, options in cases()}
+    with open(GOLDEN, "w") as f:
+        json.dump(doc, f, indent=1, sort_keys=True)
+        f.write("\n")
+    print(f"wrote {GOLDEN}: {len(doc)} cases")

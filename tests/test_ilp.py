@@ -146,7 +146,7 @@ class TestFlowRows:
                 and any((j, l + 1, b2) in m.x_vars for b2 in inst.bit_menu)}
         assert set(m.z_vars) == want
         for (i, j, l, b), name in m.z_vars.items():
-            assert m.objective[name] == table.cm[l, i, j, table.bit_index(b)]
+            assert m.objective[name] == table.cm[l, i, table.bit_index(b), j]
 
     def test_placement_without_flow_violates_out_and_in(self, golden_instance,
                                                         golden_table):

@@ -159,18 +159,18 @@ class TestDistributionStats:
 class TestRecommendScheme:
     def test_zero_centered_gets_symmetric(self):
         stats = distribution_stats(wt([-1.0, 0.0, 1.0]))
-        assert recommend_scheme(stats, 0.5) is SchemeKind.SYMMETRIC_SIGNED
+        assert recommend_scheme(stats) is SchemeKind.SYMMETRIC_SIGNED
 
     def test_one_tailed_gets_asymmetric(self):
         stats = distribution_stats(wt([0.0, 1.0, 2.0, 3.0, 10.0]))
         assert stats.skewness > 0.5
-        assert recommend_scheme(stats, 0.5) is SchemeKind.ASYMMETRIC
+        assert recommend_scheme(stats) is SchemeKind.ASYMMETRIC
 
     def test_all_positive_gets_asymmetric(self):
         # near-symmetric shape but zero is not interior
         stats = distribution_stats(wt([1.0, 2.0, 3.0]))
         assert abs(stats.skewness) <= 0.5
-        assert recommend_scheme(stats, 0.5) is SchemeKind.ASYMMETRIC
+        assert recommend_scheme(stats) is SchemeKind.ASYMMETRIC
 
 
 class TestErrorBounds:

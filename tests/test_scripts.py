@@ -12,10 +12,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_script(name, *args):
+    """Run a shipped script; a numpy overflow or invalid operation fails it,
+    as the suite's warning filter fails an in-process test."""
     env = dict(os.environ)
     src = os.path.join(ROOT, "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name), *args],
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           os.path.join(ROOT, "scripts", name), *args],
                           env=env, capture_output=True, text=True, timeout=300)
 
 

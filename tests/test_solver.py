@@ -46,7 +46,7 @@ class TestBruteForce:
             layers=inst.model.layers[:1], batch_size=1, embedding_size=4))
         table = build_delay_table(inst)
         result = solve_brute_force(inst, table)
-        best = min(((table.cp[i, 0, table.bit_index(8)], i) for i in range(2)))
+        best = min(((table.cp[0, i, table.bit_index(8)], i) for i in range(2)))
         assert result.plan.assignments == ((best[1], 8),)
         assert result.objective == best[0]
 
@@ -367,8 +367,8 @@ class TestLagrangianRoute:
             else:
                 lam, H = [0.0] * M, solver._suffix_bounds(table.cp, table.cm)
             found, _, _, exhausted = solver._search(
-                *solver._nested(table), [h.tolist() for h in H], lam, 10 ** 6,
-                (exact.objective, tied))
+                table.cp.tolist(), table.cm.tolist(), [h.tolist() for h in H],
+                lam, 10 ** 6, (exact.objective, tied))
             assert not exhausted
             assert found == (exact.objective, tuple(best)), seed
             checked += 1
