@@ -5,6 +5,9 @@ Reports, per instance: optimum, relaxed-DP lower bound and its gap, the
 gap of the strongest root bound branch and bound proved (the DP bound, or
 the Lagrangian bound when the search escalated), and how much of the
 brute-force leaf space the branch-and-bound search actually visited.
+Every branch-and-bound plan must equal brute force's, pass the plan
+checker and replay through the simulator to its objective within 1e-9
+relative.
 """
 
 import argparse
@@ -13,6 +16,8 @@ import statistics
 
 from edgeplan.delay import build_delay_table
 from edgeplan.gen import random_test_instance
+from edgeplan.ilp import check_plan_feasible
+from edgeplan.sim import simulate
 from edgeplan.solver import (solve_branch_and_bound, solve_brute_force,
                              solve_relaxed_dp)
 
@@ -40,6 +45,9 @@ def main():
             continue
         bnb = solve_branch_and_bound(inst, table)
         assert bnb.plan.assignments == exact.plan.assignments
+        assert not check_plan_feasible(bnb.plan.assignments, inst)
+        replayed = simulate(bnb.plan.assignments, inst).completion_time
+        assert abs(replayed - bnb.objective) <= 1e-9 * max(abs(bnb.objective), 1e-300)
         bound, _ = solve_relaxed_dp(inst, table)
         gap = 100 * (exact.objective - bound) / exact.objective
         root_gap = 100 * (exact.objective - bnb.lower_bound_at_root) / exact.objective

@@ -85,19 +85,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _budget(args) -> int:
-    """The search budget: --budget, else EDGEPLAN_BUDGET, else the default.
-    Either source must be an integer >= 1."""
-    for source, text in (("--budget", args.budget),
-                         ("EDGEPLAN_BUDGET", os.environ.get("EDGEPLAN_BUDGET"))):
-        if text is not None:
-            try:
-                return _positive_int(text)
-            except (ValueError, argparse.ArgumentTypeError) as e:
-                raise CliError(f"{source}: {e}")
-    return DEFAULT_NODE_BUDGET
-
-
 def input_digest(cluster_path, model_path, options_doc: dict) -> str:
     """sha256 over the two input files plus the canonical option record."""
     h = hashlib.sha256()
@@ -212,7 +199,7 @@ def cmd_gen(args) -> int:
                                  args.profile, tokens=args.tokens)
     violations = [v for v in validate_instance(instance)
                   if v.code != "MoreLayersThanServers"]
-    if violations:  # generator bug, not user error
+    if violations:  # -l 0, or a generator bug
         raise CliError("generated instance invalid: " + "; ".join(map(str, violations)))
     os.makedirs(args.out_dir, exist_ok=True)
     cluster_path = os.path.join(args.out_dir, "cluster.json")
@@ -276,31 +263,34 @@ def cmd_quantize(args) -> int:
 def cmd_plan(args) -> int:
     instance, options, options_doc = _load_and_filter(args)
     table = build_delay_table(instance, options)
-    budget = _budget(args)
+
+    def write_plan(assignments, objective: dict, meta: dict, **extra) -> None:
+        """The one plan document; each solver supplies its objective and
+        meta fields, the relaxed DP also its flag."""
+        _write_json(args.out, {
+            "schema_version": PLAN_SCHEMA_VERSION,
+            "digest": input_digest(args.cluster, args.model, options_doc),
+            "solver": args.solver,
+            "assignments": [{"layer": l, "server": i, "bits": b}
+                            for l, (i, b) in enumerate(assignments)],
+            "objective": objective,
+            "options": options_doc,
+            "meta": {**meta, "tool_version": __version__},
+            **extra,
+        })
 
     if args.solver == "relaxed":
         bound, path = solve_relaxed_dp(instance, table)
         if path is None:
             raise CliError("no layered path exists", EXIT_INFEASIBLE)
-        doc = {
-            "schema_version": PLAN_SCHEMA_VERSION,
-            "digest": input_digest(args.cluster, args.model, options_doc),
-            "solver": "relaxed",
-            "relaxed": True,
-            "assignments": [{"layer": l, "server": i, "bits": b}
-                            for l, (i, b) in enumerate(path)],
-            "objective": {"lower_bound_s": bound},
-            "options": options_doc,
-            "meta": {"tool_version": __version__},
-        }
-        _write_json(args.out, doc)
+        write_plan(path, {"lower_bound_s": bound}, {}, relaxed=True)
         print(f"lower bound: {bound!r} s (server reuse allowed)")
         return EXIT_OK
 
     if args.solver == "brute":
         result = solve_brute_force(instance, table)
     else:
-        result = solve_branch_and_bound(instance, table, budget)
+        result = solve_branch_and_bound(instance, table, args.budget)
     if result.status == "infeasible":
         print(json.dumps({"status": "infeasible",
                           "reason": "no feasible placement under the "
@@ -309,7 +299,7 @@ def cmd_plan(args) -> int:
         return EXIT_INFEASIBLE
     if result.status == "budget_exceeded":
         print(json.dumps({
-            "status": "budget_exceeded", "budget": budget,
+            "status": "budget_exceeded", "budget": args.budget,
             "incumbent_s": result.objective if result.plan is not None else None,
             "lower_bound_s": (result.lower_bound_at_root
                               if math.isfinite(result.lower_bound_at_root) else None),
@@ -319,27 +309,16 @@ def cmd_plan(args) -> int:
     if violations:  # solver bug guard, should be unreachable
         raise CliError("solver emitted infeasible plan: "
                        + "; ".join(map(str, violations)), EXIT_MISMATCH)
-    doc = {
-        "schema_version": PLAN_SCHEMA_VERSION,
-        "digest": input_digest(args.cluster, args.model, options_doc),
-        "solver": args.solver,
-        "assignments": [{"layer": l, "server": i, "bits": b}
-                        for l, (i, b) in enumerate(result.plan.assignments)],
-        "objective": {
-            "total_s": result.plan.total_delay,
-            "compute_s": result.plan.compute_delay,
-            "comm_s": result.plan.comm_delay,
-        },
-        "options": options_doc,
-        "meta": {
-            "nodes_explored": result.nodes_explored,
-            "expansions": result.expansions,
-            "lower_bound_at_root": result.lower_bound_at_root,
-            "wall_time_s": result.wall_time,
-            "tool_version": __version__,
-        },
-    }
-    _write_json(args.out, doc)
+    write_plan(result.plan.assignments, {
+        "total_s": result.plan.total_delay,
+        "compute_s": result.plan.compute_delay,
+        "comm_s": result.plan.comm_delay,
+    }, {
+        "nodes_explored": result.nodes_explored,
+        "expansions": result.expansions,
+        "lower_bound_at_root": result.lower_bound_at_root,
+        "wall_time_s": result.wall_time,
+    })
     print(f"objective: {result.plan.total_delay!r} s "
           f"(compute {result.plan.compute_delay!r}, comm {result.plan.comm_delay!r})")
     return EXIT_OK
@@ -484,10 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared_plan_args(p)
     p.add_argument("--solver", choices=["brute", "bnb", "relaxed"],
                    default="bnb")
-    p.add_argument("--budget",
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET,
                    help="search budget in expansions (children examined, not "
-                        "leaves) for --solver bnb (default env EDGEPLAN_BUDGET "
-                        f"or {DEFAULT_NODE_BUDGET})")
+                        f"leaves) for --solver bnb (default {DEFAULT_NODE_BUDGET})")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_plan)
 

@@ -208,6 +208,8 @@ def validate_instance(instance: ProblemInstance) -> list[Violation]:
             out.append(Violation("NegativePropagationDelay", f"link {lk.src}->{lk.dst}"))
 
     layers = instance.model.layers
+    if not layers:
+        out.append(Violation("NoLayers", "the model has no layers"))
     if [l.index for l in layers] != list(range(len(layers))):
         out.append(Violation("LayerIndexGap", f"layer indices {[l.index for l in layers]} are not 0..L-1"))
     for l in layers:

@@ -55,7 +55,8 @@ _TOTAL_HEADROOM = 4.0
 
 
 class NoLink(ValueError):
-    """Distinct servers with no declared link between them."""
+    """Two servers with no declared link between them; no server has a link
+    to itself."""
 
 
 class InfeasibleEdge(ValueError):
@@ -102,10 +103,11 @@ class DelayTable:
 
     cp[l, i, k] is layer l on server i at bit_menu[k] bits, shape
     (L, M, B); cm[l, i, k, j] ships the output of layer l, placed on server
-    i at bit_menu[k] bits, to server j, shape (L, M, B, M), exactly 0.0 on
-    the diagonal i == j. math.inf marks an inadmissible entry: in
-    cp a width outside the layer's feasible set or a layer that overflows
-    the server's storage; in cm a missing link or an infeasible width.
+    i at bit_menu[k] bits, to server j, shape (L, M, B, M). math.inf marks
+    an inadmissible entry: in cp a width outside the layer's feasible set
+    or a layer that overflows the server's storage; in cm a missing link or
+    an infeasible width. No server links to itself, so the diagonal i == j
+    is math.inf: consecutive layers need distinct servers.
     """
     cp: np.ndarray
     cm: np.ndarray
@@ -143,16 +145,14 @@ def round_payload_elements(layer: LayerProfile, batch: int, embedding: int,
 
 def compute_cm(layer: LayerProfile, link: LinkSpec | None, bits: int,
                tokens: int, batch: int, embedding: int,
-               options: DelayOptions = DelayOptions(), *,
-               same_server: bool = False) -> float:
-    """Transfer delay in seconds for all n rounds; 0 on a self-link.
+               options: DelayOptions = DelayOptions()) -> float:
+    """Transfer delay in seconds for all n rounds over ``link``.
 
-    ``link=None`` with distinct servers raises NoLink. build_delay_table
-    does not call it; it is the independent check of the table's cm.
+    ``link=None`` raises NoLink, also for a hop from a server to itself,
+    which no link can be. build_delay_table does not call it; it is the
+    independent check of the table's cm.
     """
     check_bits(bits)
-    if same_server:
-        return 0.0
     if link is None:
         raise NoLink("no link between the requested servers")
     payload = round_payload_elements(layer, batch, embedding, options)
@@ -217,7 +217,7 @@ def build_delay_table(instance: ProblemInstance,
 
     np.copyto(cm, math.inf, where=~linked[None, :, None, :])
     diag = np.arange(M)
-    cm[:, diag, :, diag] = 0.0
+    cm[:, diag, :, diag] = math.inf  # consecutive layers need distinct servers
     np.copyto(cm, math.inf, where=~feasible[:, None, :, None])
 
     # each layer's largest finite cp plus, below the last layer, its largest
@@ -258,8 +258,9 @@ def evaluate_plan(assignments, table: DelayTable) -> tuple[float, float, float]:
 
     Returns (total, compute_part, comm_part). The final layer's output is
     not shipped anywhere (client download is out of the model). Raises
-    InfeasibleEdge when consecutive layers sit on servers with no link and
-    Inadmissible when a layer sits where the table's mask forbids it.
+    InfeasibleEdge when consecutive layers sit on one server or on servers
+    with no link, and Inadmissible when a layer sits where the table's mask
+    forbids it.
     """
     M = table.cp.shape[1]
     if any(not 0 <= server < M for server, _ in assignments):

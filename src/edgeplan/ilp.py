@@ -12,9 +12,10 @@ position of b in the bit menu; build_ilp reads both in that stored order.
 x columns are emitted only for the entries the table admits (finite cp):
 widths in the layer's feasible set on servers with enough storage under
 the table's storage model (see core.storage_bytes). A z column exists
-only where its x column exists, j != i, the link i -> j exists (finite
-cm) and server j can host layer l+1. Storage, widths and missing links
-are thus enforced by omission rather than by rows. Rows:
+only where its x column exists, cm is finite (a link i -> j exists, so
+j != i, since the table masks the diagonal) and server j can host layer
+l+1. Storage, widths, missing links and consecutive repeats are thus
+enforced by omission rather than by rows. Rows:
 
   assign_l{l}         sum over (i, b) of x[i,l,b] = 1
   cap_s{i}            sum over (l, b) of x[i,l,b] <= 1
@@ -24,6 +25,11 @@ are thus enforced by omission rather than by rows. Rows:
 At any integral x the flow rows leave exactly one z per layer boundary
 at 1 (the one from layer l's host to layer l+1's host), so declaring z
 binary is exact and the LP needs no continuous section.
+
+check_plan_feasible states the same rules over the raw specs, reading no
+table: it is the one plan checker of code that holds an assignment, so
+`plan` runs it on every plan it emits and `simulate` on every plan it
+replays.
 """
 
 from __future__ import annotations
@@ -105,7 +111,7 @@ def build_ilp(instance: ProblemInstance, table: DelayTable) -> IlpModel:
             out = {xname: -1.0}
             for j, into in inflow.items():
                 c = cm[l][i][k][j]
-                if j != i and c != math.inf:
+                if c != math.inf:
                     name = z_vars[(i, j, l, b)] = f"z_{i}_{j}_{l}_{b}"
                     objective[name] = c
                     out[name] = into[name] = 1.0
@@ -161,11 +167,8 @@ def substitute(model: IlpModel, assignments) -> tuple[dict[str, float], float, l
     for (i, l, b), name in model.x_vars.items():
         if placement.get(l) == (i, b):
             values[name] = 1.0
-    crossing = set()
-    for l in range(len(assignments) - 1):
-        i, j = assignments[l][0], assignments[l + 1][0]
-        if i != j:
-            crossing.add((i, j, l))
+    crossing = {(here[0], there[0], l)
+                for l, (here, there) in enumerate(zip(assignments, assignments[1:]))}
     for (i, j, l, b), name in model.z_vars.items():
         if placement.get(l) == (i, b) and (i, j, l) in crossing:
             values[name] = 1.0
@@ -191,7 +194,7 @@ def _fmt(value: float) -> str:
 
 def _terms(coeffs: dict[str, float], column: dict[str, int]) -> str:
     """One expression, its terms in column order; column maps each name
-    to its declaration position."""
+    to its declaration position. Every expression of a model has a term."""
     parts = []
     for name in sorted(coeffs, key=column.__getitem__):
         c = coeffs[name]
@@ -201,7 +204,7 @@ def _terms(coeffs: dict[str, float], column: dict[str, int]) -> str:
             parts.append(f"+ {_fmt(c)} {name}")
         else:
             parts.append(f"- {_fmt(-c)} {name}")
-    return " ".join(parts) if parts else "0 " + next(iter(column))
+    return " ".join(parts)
 
 
 def write_lp(model: IlpModel) -> str:

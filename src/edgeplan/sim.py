@@ -11,7 +11,10 @@ functions compute_cp and compute_cm once per layer and per consecutive
 layer pair, straight from the cluster and model specs, and spreads each
 n-round total evenly over the n rounds. Agreement between its completion
 time and a plan's objective therefore checks the vectorised table the
-solvers read against an independent evaluation of the delay model.
+solvers read against an independent evaluation of the delay model. It
+keeps no plan rule of its own: it replays only what
+ilp.check_plan_feasible accepts, the same checker `plan` runs on every
+plan it emits.
 
 The trace is columnar: the 2L-1 steps of one round (duration, kind, layer,
 resource) times n rounds, plus one float64 array with the end time of
@@ -35,6 +38,7 @@ import numpy as np
 
 from .core import ProblemInstance
 from .delay import DelayOptions, compute_cm, compute_cp
+from .ilp import check_plan_feasible
 
 TIMELINE_HEADER = "round,kind,resource,start_s,end_s"
 
@@ -90,31 +94,26 @@ class SimTrace:
 
 def simulate(assignments, instance: ProblemInstance,
              options: DelayOptions = DelayOptions()) -> SimTrace:
-    """Replay the plan; raises InfeasiblePlan on unknown servers, bits
-    outside a layer's feasible set, or missing links."""
+    """Replay the plan; raises InfeasiblePlan, naming every violation,
+    when check_plan_feasible rejects it (a wrong length, an unknown or
+    reused server, bits outside a layer's feasible set, a layer over its
+    server's storage, a missing link)."""
+    violations = check_plan_feasible(assignments, instance, options)
+    if violations:
+        raise InfeasiblePlan("; ".join(map(str, violations)))
     cluster, model = instance.cluster, instance.model
     L = model.num_layers
     n = instance.tokens
-    if len(assignments) != L:
-        raise InfeasiblePlan(f"{len(assignments)} assignments for {L} layers")
     per_round = n or 1  # n = 0 replays no round
     steps = []
     for l, (i, b) in enumerate(assignments):
-        if not 0 <= i < cluster.num_servers:
-            raise InfeasiblePlan(f"layer {l}: unknown server {i}")
-        if b not in instance.feasible_bits[l]:
-            raise InfeasiblePlan(f"layer {l}: {b} bits outside the feasible set "
-                                 f"{instance.feasible_bits[l]}")
         layer = model.layers[l]
         total = compute_cp(layer, cluster.servers[i], b, n, options)
         steps.append(SimStep(total / per_round, "compute", l, f"server:{i}"))
         if l + 1 < L:
             j = assignments[l + 1][0]
-            link = cluster.link(i, j)
-            if i != j and link is None:
-                raise InfeasiblePlan(f"no link {i}->{j} for layers {l}->{l + 1}")
-            total = compute_cm(layer, link, b, n, model.batch_size,
-                               model.embedding_size, options, same_server=i == j)
+            total = compute_cm(layer, cluster.link(i, j), b, n, model.batch_size,
+                               model.embedding_size, options)
             steps.append(SimStep(total / per_round, "transfer", l, f"link:{i}->{j}"))
     return SimTrace.from_steps(tuple(steps), n)
 

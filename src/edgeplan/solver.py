@@ -136,22 +136,18 @@ def _suffix_bounds(cp: np.ndarray, cm: np.ndarray) -> list[np.ndarray]:
     layer l on server i at bit position k, allowing non-consecutive server
     reuse:
 
-        H[l][i, k] = cp[l, i, k] + min_{j != i} (cm[l, i, k, j] + min_k2 H[l+1][j, k2])
+        H[l][i, k] = cp[l, i, k] + min_j (cm[l, i, k, j] + min_k2 H[l+1][j, k2])
 
-    Consecutive layers still need distinct, linked servers (any feasible
-    plan satisfies that), so the bound stays admissible while excluding
-    free self-edges. Adding a constant is monotone under rounding, so
-    taking the inner minimum first gives the same value as minimising
-    every (j, k2) sum. cp may carry per-server penalties (the Lagrangian
-    bound passes cp + lambda)."""
-    L, M, _ = cp.shape
-    if L == 0:
-        return []
-    diag = np.arange(M)
+    The table masks every hop from a server to itself, so consecutive
+    layers still need distinct, linked servers, as in every feasible plan,
+    and the bound stays admissible. Adding a constant is monotone under rounding, so taking
+    the inner minimum first gives the same value as minimising every
+    (j, k2) sum. cp may carry per-server penalties (the Lagrangian bound
+    passes cp + lambda). Needs L >= 1."""
+    L = cp.shape[0]
     H = [cp[L - 1]]
     for l in range(L - 2, -1, -1):
         via = cm[l] + H[0].min(axis=1, initial=math.inf)
-        via[diag, :, diag] = math.inf
         H.insert(0, cp[l] + via.min(axis=2, initial=math.inf))
     return H
 
@@ -165,7 +161,6 @@ def _witness(H: list[np.ndarray], cm: np.ndarray) -> list[tuple[int, int]]:
     path = [(i, k)]
     for l in range(len(H) - 1):
         via = cm[l, i, k][:, None] + H[l + 1]
-        via[i] = math.inf
         i, k = divmod(int(np.argmin(via)), B)
         path.append((i, k))
     return path
@@ -175,9 +170,6 @@ def solve_relaxed_dp(instance: ProblemInstance, table: DelayTable
                      ) -> tuple[float, Optional[tuple[tuple[int, int], ...]]]:
     """Shortest layered path; returns (lower_bound, path). The path may
     reuse servers, so it is a bound witness, not a plan."""
-    L = instance.model.num_layers
-    if L == 0:
-        return 0.0, ()
     H = _suffix_bounds(table.cp, table.cm)
     if H[0].size == 0:
         return math.inf, None
@@ -360,10 +352,6 @@ def solve_branch_and_bound(instance: ProblemInstance, table: DelayTable,
     M = instance.cluster.num_servers
     if L > M or any(not fb for fb in instance.feasible_bits):
         return SolveResult("infeasible", None, math.inf, 0, math.inf,
-                           time.perf_counter() - t0)
-    if L == 0:
-        plan = PlacementPlan((), 0.0, 0.0, 0.0)
-        return SolveResult("optimal", plan, 0.0, 0, 0.0,
                            time.perf_counter() - t0)
 
     bounds = _suffix_bounds(table.cp, table.cm)

@@ -9,8 +9,9 @@ import pytest
 from edgeplan import solver as solver_module
 from edgeplan.cli import (_load_and_filter, _load_from_options, _write_json,
                           build_parser, input_digest, main)
-from edgeplan.core import LayerProfile, LinkSpec, ServerSpec
-from edgeplan.delay import DelayOptions, compute_cm, compute_cp
+from edgeplan.core import LayerProfile, LinkSpec, ServerSpec, load_instance
+from edgeplan.delay import (DelayOptions, InfeasibleEdge, build_delay_table,
+                            compute_cm, compute_cp, evaluate_plan)
 from edgeplan.quant import WeightTensor, save_weight_tensor
 
 from conftest import data_path
@@ -216,19 +217,16 @@ class TestPlan:
         else:  # the first dive reached a leaf
             assert status["incumbent_s"] >= status["lower_bound_s"]
 
-    @pytest.mark.parametrize("flags, env", [
-        ([], "abc"), ([], "-3"), (["--budget", "-5"], None), (["--budget", "0"], None)])
+    @pytest.mark.parametrize("budget", ["-5", "0", "abc"])
     def test_budget_not_a_positive_integer_is_input_error(self, tmp_path, capsys,
-                                                          monkeypatch, flags, env):
-        if env is None:
-            monkeypatch.delenv("EDGEPLAN_BUDGET", raising=False)
-        else:
-            monkeypatch.setenv("EDGEPLAN_BUDGET", env)
+                                                          budget):
         out = tmp_path / "plan.json"
-        code, stdout, err = run(self.plan_args(out) + flags, capsys)
-        assert code == 2
-        assert ("--budget" if flags else "EDGEPLAN_BUDGET") in err
-        assert "Traceback" not in err and stdout == ""
+        with pytest.raises(SystemExit) as exc:
+            main(self.plan_args(out) + ["--budget", budget])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--budget" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("zeros, expect", [(307, 0), (308, 2), (310, 2)])
@@ -726,4 +724,118 @@ class TestPlanWithWeights:
              "--weights-dir", str(wdir), "--out", str(out)], capsys)
         assert code == 2
         assert "l0.bin" in err and "non-finite" in err
+        assert not out.exists()
+
+
+class TestHandEditedPlans:
+    """`gen --seed 7 -m 5 -l 4` planned at --tokens 16: the optimum,
+    855.5727 s, runs on servers [0, 3, 1, 2] at 4 bits. Each edit below
+    breaks one plan rule and claims the total that a replay charging no
+    self-hop would compute, so only the plan rules can refuse it."""
+
+    def setup(self, tmp_path, capsys, tiny_server=None):
+        run(["gen", "--seed", "7", "-m", "5", "-l", "4", "--bits", "4,8,16",
+             "--out-dir", str(tmp_path)], capsys)
+        cluster, model = tmp_path / "cluster.json", tmp_path / "model.json"
+        if tiny_server is not None:
+            doc = json.loads(cluster.read_text())
+            doc["servers"][tiny_server]["storage_bytes"] = 1.0
+            cluster.write_text(json.dumps(doc))
+        plan = tmp_path / "plan.json"
+        code, _, err = run(["plan", "--cluster", str(cluster), "--model", str(model),
+                            "--bits", "4,8,16", "--tokens", "16", "--out", str(plan)],
+                           capsys)
+        assert code == 0, err
+        doc = json.loads(plan.read_text())
+        assert [a["server"] for a in doc["assignments"]] == [0, 3, 1, 2]
+        assert doc["objective"]["total_s"] == pytest.approx(855.5727, abs=1e-4)
+        return cluster, model, plan, doc
+
+    @staticmethod
+    def free_self_hop_total(servers, cluster, model):
+        inst = load_instance(cluster, model, bit_menu=(4, 8, 16), delta=math.inf,
+                             tokens=16)
+        layers, n = inst.model.layers, inst.tokens
+        total = sum(compute_cp(layers[l], inst.cluster.servers[i], 4, n)
+                    for l, i in enumerate(servers))
+        for l, (i, j) in enumerate(zip(servers, servers[1:])):
+            if i != j:
+                total += compute_cm(layers[l], inst.cluster.link(i, j), 4, n,
+                                    inst.model.batch_size, inst.model.embedding_size)
+        return total
+
+    @pytest.mark.parametrize("servers, tiny_server, violation, total", [
+        ([0, 0, 1, 2], None, "DuplicateServer", 847.9874),
+        ([0, 3, 0, 2], None, "DuplicateServer", 907.6768),
+        ([0, 3, 1, 4], 4, "StorageOverflow", None)],
+        ids=["consecutive_repeat", "repeat", "storage"])
+    def test_simulate_refuses(self, tmp_path, capsys, servers, tiny_server,
+                              violation, total):
+        cluster, model, plan, doc = self.setup(tmp_path, capsys, tiny_server)
+        for a, i in zip(doc["assignments"], servers):
+            a["server"] = i
+        claimed = self.free_self_hop_total(servers, cluster, model)
+        if total is not None:
+            assert claimed == pytest.approx(total, abs=1e-4)
+        doc["objective"]["total_s"] = claimed
+        plan.write_text(json.dumps(doc))
+        timeline, summary = tmp_path / "timeline.csv", tmp_path / "summary.json"
+        code, stdout, err = run(["simulate", "--plan", str(plan), "--cluster", str(cluster),
+                                 "--model", str(model), "--out", str(timeline),
+                                 "--summary", str(summary)], capsys)
+        assert code == 5
+        assert violation in err and "Traceback" not in err and stdout == ""
+        assert not timeline.exists() and not summary.exists()
+
+    def test_evaluate_plan_refuses_a_consecutive_repeat(self, tmp_path, capsys):
+        cluster, model, _, _ = self.setup(tmp_path, capsys)
+        table = build_delay_table(load_instance(cluster, model, bit_menu=(4, 8, 16),
+                                                delta=math.inf, tokens=16))
+        with pytest.raises(InfeasibleEdge):
+            evaluate_plan(((0, 4), (0, 4), (1, 4), (2, 4)), table)
+
+
+class TestNoLayers:
+    """A model with no layers is an input error, with no output written."""
+
+    def write_model(self, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"batch_size": 1, "embedding_size": 4,
+                                     "layers": []}))
+        return model
+
+    @pytest.mark.parametrize("argv", [
+        ["plan", "--solver", "bnb"], ["plan", "--solver", "brute"],
+        ["plan", "--solver", "relaxed"], ["export-lp"]],
+        ids=["bnb", "brute", "relaxed", "export-lp"])
+    def test_plan_and_export_lp(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        code, stdout, err = run(argv + ["--cluster", data_path("cluster_2x2.json"),
+                                        "--model", str(self.write_model(tmp_path)),
+                                        "--bits", "8", "--out", str(out)], capsys)
+        assert code == 2
+        assert "NoLayers" in err and "Traceback" not in err and stdout == ""
+        assert not out.exists()
+
+    def test_simulate(self, tmp_path, capsys):
+        cluster, model = data_path("cluster_2x2.json"), self.write_model(tmp_path)
+        options = {"bits": [8], "delta": "inf", "tokens": 1, "feasible_bits": [],
+                   **DelayOptions().to_doc()}
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({
+            "digest": input_digest(cluster, model, options), "assignments": [],
+            "objective": {"total_s": 0.0}, "options": options}))
+        timeline = tmp_path / "timeline.csv"
+        code, _, err = run(["simulate", "--plan", str(plan), "--cluster", cluster,
+                            "--model", str(model), "--out", str(timeline)], capsys)
+        assert code == 2
+        assert "NoLayers" in err and "Traceback" not in err
+        assert not timeline.exists()
+
+    def test_gen(self, tmp_path, capsys):
+        out = tmp_path / "inst"
+        code, _, err = run(["gen", "--seed", "1", "-m", "3", "-l", "0",
+                            "--out-dir", str(out)], capsys)
+        assert code == 2
+        assert "NoLayers" in err and "Traceback" not in err
         assert not out.exists()

@@ -72,10 +72,6 @@ class TestComputeCm:
         got = compute_cm(layer(out=10.0), LinkSpec(0, 1, 120.0), 4, 3, 1, 16, opts)
         assert got == pytest.approx(1.0, rel=1e-12)
 
-    def test_self_link_is_free(self):
-        got = compute_cm(layer(), None, 8, 5, 1, 16, same_server=True)
-        assert got == 0.0
-
     def test_propagation_term(self):
         # n=2, payload=1*16, b=8, capacity=256 -> 2 * (128/256 + 0.01) = 1.02
         got = compute_cm(layer(), LinkSpec(0, 1, 256.0, 0.01), 8, 2, 1, 16)
@@ -92,7 +88,9 @@ class TestDelayTable:
         assert golden_table.cp.shape == (2, 2, 1)  # L, M, B
         assert golden_table.cm.shape == (2, 2, 1, 2)  # L, M, B, M
         assert np.isfinite(golden_table.cp).all()
-        assert np.isfinite(golden_table.cm).all()
+        off_diagonal = ~np.eye(2, dtype=bool)[None, :, None, :]
+        assert np.isfinite(golden_table.cm[np.broadcast_to(
+            off_diagonal, golden_table.cm.shape)]).all()
 
     def test_missing_link_is_infinite(self):
         inst = make_2x2_instance()
@@ -105,10 +103,11 @@ class TestDelayTable:
         assert math.isinf(table.cm[0, 1, k, 0])
         assert table.cm[0, 0, k, 1] > 0
 
-    def test_diagonal_is_zero(self, golden_table):
+    def test_diagonal_is_infinite(self, golden_table):
+        """No server links to itself: consecutive layers need distinct servers."""
         k = golden_table.bit_index(8)
-        assert golden_table.cm[0, 0, k, 0] == 0.0
-        assert golden_table.cm[1, 1, k, 1] == 0.0
+        assert golden_table.cm[0, 0, k, 0] == math.inf
+        assert golden_table.cm[1, 1, k, 1] == math.inf
 
     def test_pointwise_matches_direct_evaluation(self):
         rng = random.Random(20)
@@ -127,7 +126,8 @@ class TestDelayTable:
     @pytest.mark.parametrize("seed", range(100))
     def test_entries_match_scalar_functions_and_mask(self, seed):
         """Every finite entry equals the scalar reference bit for bit; every
-        inf is a missing link, an infeasible width or a storage overflow."""
+        inf is a missing link (the diagonal among them), an infeasible width
+        or a storage overflow."""
         rng = random.Random(30_000 + seed)
         density, tightness = rng.choice([0.3, 0.6, 0.9]), rng.choice([0.0, 0.5])
         inst = with_binding_storage(random_test_instance(rng, link_density=density),
@@ -153,10 +153,10 @@ class TestDelayTable:
                         assert table.cp[l, i, k] == math.inf
                     for j in range(M):
                         link = cluster.link(i, j)
-                        if feasible and (i == j or link is not None):
+                        if feasible and link is not None:
                             assert table.cm[l, i, k, j] == compute_cm(
                                 layer, link, b, inst.tokens, model.batch_size,
-                                model.embedding_size, options, same_server=i == j)
+                                model.embedding_size, options)
                         else:
                             assert table.cm[l, i, k, j] == math.inf
 

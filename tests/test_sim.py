@@ -9,6 +9,7 @@ from edgeplan.core import ModelProfile, ProblemInstance
 from edgeplan.delay import (DelayOptions, build_delay_table, compute_cm, compute_cp,
                             evaluate_plan)
 from edgeplan.gen import generate_instance, random_test_instance
+from edgeplan.ilp import check_plan_feasible
 from edgeplan.sim import InfeasiblePlan, SimEvent, SimTrace, simulate, trace_to_timeline
 from edgeplan.solver import solve_brute_force
 
@@ -88,29 +89,22 @@ class TestTimeline:
 def reference_replay(assignments, instance, options=DelayOptions()):
     """The event-by-event replay that the columnar trace must reproduce bit
     for bit: one SimEvent per event and a running sum `t += dur`. Returns
-    (events, completion time, timeline rows)."""
+    (events, completion time, timeline rows). It refuses exactly the plans
+    check_plan_feasible rejects, naming every violation."""
+    violations = check_plan_feasible(assignments, instance, options)
+    if violations:
+        raise InfeasiblePlan("; ".join(map(str, violations)))
     cluster, model = instance.cluster, instance.model
     L, n = model.num_layers, instance.tokens
-    if len(assignments) != L:
-        raise InfeasiblePlan(f"{len(assignments)} assignments for {L} layers")
     steps = []
     for l, (i, b) in enumerate(assignments):
-        if not 0 <= i < cluster.num_servers:
-            raise InfeasiblePlan(f"layer {l}: unknown server {i}")
-        if b not in instance.feasible_bits[l]:
-            raise InfeasiblePlan(f"layer {l}: {b} bits outside the feasible set "
-                                 f"{instance.feasible_bits[l]}")
         layer = model.layers[l]
         steps.append((compute_cp(layer, cluster.servers[i], b, n, options),
                       "compute", l, f"server:{i}"))
         if l + 1 < L:
             j = assignments[l + 1][0]
-            link = cluster.link(i, j)
-            if i != j and link is None:
-                raise InfeasiblePlan(f"no link {i}->{j} for layers {l}->{l + 1}")
-            steps.append((compute_cm(layer, link, b, n, model.batch_size,
-                                     model.embedding_size, options,
-                                     same_server=i == j),
+            steps.append((compute_cm(layer, cluster.link(i, j), b, n, model.batch_size,
+                                     model.embedding_size, options),
                            "transfer", l, f"link:{i}->{j}"))
     events = []
     t = 0.0
@@ -148,10 +142,12 @@ class TestColumnarReplayOracle:
         rng = random.Random(9000 + seed)
         inst = random_test_instance(rng, tokens=rng.randint(0, 40))
         options = DelayOptions(per_token_activation=rng.random() < 0.5)
-        L = inst.model.num_layers
-        for _ in range(20):  # servers may repeat: same-server transfers occur
-            plan = tuple((rng.randrange(inst.cluster.num_servers),
-                          rng.choice(inst.feasible_bits[l])) for l in range(L))
+        L, M = inst.model.num_layers, inst.cluster.num_servers
+        for attempt in range(20):  # odd draws may reuse a server: both refuse
+            servers = (rng.sample(range(M), L) if attempt % 2 == 0
+                       else [rng.randrange(M) for _ in range(L)])
+            plan = tuple((i, rng.choice(inst.feasible_bits[l]))
+                         for l, i in enumerate(servers))
             if replays_as_reference(plan, inst, options):
                 return
         pytest.fail("no replayable plan drawn")
@@ -169,12 +165,12 @@ class TestColumnarReplayOracle:
         assert replays_as_reference(((2, 8),), inst)
         assert len(simulate(((2, 8),), inst).events) == tokens
 
-    def test_same_server_transfers_take_no_time(self):
+    def test_server_reuse_is_refused(self):
+        """No hop from a server to itself is free: the plan is refused."""
         inst = make_2x2_instance(tokens=3)
-        assert replays_as_reference(((0, 8), (0, 8)), inst)
-        transfers = [e for e in simulate(((0, 8), (0, 8)), inst).events
-                     if e.kind == "transfer"]
-        assert transfers and all(e.start == e.end for e in transfers)
+        assert not replays_as_reference(((0, 8), (0, 8)), inst)
+        with pytest.raises(InfeasiblePlan, match="DuplicateServer"):
+            simulate(((0, 8), (0, 8)), inst)
 
     @pytest.mark.parametrize("plan", [((0, 8),), ((2, 8), (1, 8)), ((0, 4), (1, 8))])
     def test_refusals_match(self, plan):
