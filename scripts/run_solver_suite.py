@@ -5,16 +5,18 @@ Reports, per instance: optimum, relaxed-DP lower bound and its gap, the
 gap of the strongest root bound branch and bound proved (the DP bound, or
 the Lagrangian bound when the search escalated), and how much of the
 brute-force leaf space the branch-and-bound search actually visited.
-Every branch-and-bound plan must equal brute force's, pass the plan
-checker and replay through the simulator to its objective within 1e-9
-relative.
+Each instance draws its reading of the delay and storage formulas
+(DelayOptions) from its own seeded generator. Every branch-and-bound plan
+must equal brute force's, which enumerates every width while the search
+keeps each layer's smallest, pass the plan checker and replay through the
+simulator to its objective within 1e-9 relative.
 """
 
 import argparse
 import random
 import statistics
 
-from edgeplan.delay import build_delay_table
+from edgeplan.delay import DelayOptions, build_delay_table
 from edgeplan.gen import random_test_instance
 from edgeplan.ilp import check_plan_feasible
 from edgeplan.sim import simulate
@@ -38,15 +40,19 @@ def main():
         rng = random.Random(args.seed * 1_000_003 + k)
         inst = random_test_instance(rng, max_layers=args.max_layers,
                                     max_servers=args.max_servers)
-        table = build_delay_table(inst)
+        options = DelayOptions(
+            cp_scaling=rng.choice(("with_pl", "without_pl")),
+            per_token_activation=rng.random() < 0.5,
+            storage=rng.choice(("compact", "literal")))
+        table = build_delay_table(inst, options)
         exact = solve_brute_force(inst, table)
         if exact.plan is None:
             infeasible += 1
             continue
         bnb = solve_branch_and_bound(inst, table)
         assert bnb.plan.assignments == exact.plan.assignments
-        assert not check_plan_feasible(bnb.plan.assignments, inst)
-        replayed = simulate(bnb.plan.assignments, inst).completion_time
+        assert not check_plan_feasible(bnb.plan.assignments, inst, options)
+        replayed = simulate(bnb.plan.assignments, inst, options).completion_time
         assert abs(replayed - bnb.objective) <= 1e-9 * max(abs(bnb.objective), 1e-300)
         bound, _ = solve_relaxed_dp(inst, table)
         gap = 100 * (exact.objective - bound) / exact.objective

@@ -24,13 +24,13 @@ codec between that record and a plan's ``options`` block:
   multiplies that by the layer's output size (see core.storage_bytes).
 
 compute_cp and compute_cm are the scalar reference. build_delay_table
-evaluates the same expressions, in the same operation order, over whole
-arrays keyed by placement first, cp[layer, server, bits] and
-cm[layer, src, bits, dst], the bit axis indexed by position in the bit
-menu; every solver and build_ilp reads them in that order. Every finite
-entry equals the scalar function bit for bit; math.inf is the one
-admissibility mask. The replay simulator evaluates the scalar functions
-directly, so it checks the table rather than re-reading it.
+runs each layer at the smallest width its filter kept (its docstring
+shows no other width can win) and evaluates the same expressions, in the
+same operation order, over arrays keyed by placement first,
+cp[layer, server] and cm[layer, src, dst], as every solver and build_ilp
+reads them. Every finite entry equals the scalar function bit for bit;
+math.inf is the one admissibility mask. The replay simulator and brute
+force evaluate the scalar functions directly, so they check the table.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -101,24 +102,18 @@ class DelayOptions:
 class DelayTable:
     """Delay coefficients of one instance, in seconds over all n rounds.
 
-    cp[l, i, k] is layer l on server i at bit_menu[k] bits, shape
-    (L, M, B); cm[l, i, k, j] ships the output of layer l, placed on server
-    i at bit_menu[k] bits, to server j, shape (L, M, B, M). math.inf marks
-    an inadmissible entry: in cp a width outside the layer's feasible set
-    or a layer that overflows the server's storage; in cm a missing link or
-    an infeasible width. No server links to itself, so the diagonal i == j
-    is math.inf: consecutive layers need distinct servers.
+    widths[l] is the one width layer l runs at, the smallest it keeps
+    (None if it keeps none). cp[l, i], shape (L, M), is layer l on server
+    i at that width; cm[l, i, j], shape (L, M, M), ships layer l's output
+    from server i to server j. math.inf marks an inadmissible entry: a
+    layer without a width, in cp a storage overflow, in cm a missing link,
+    the diagonal i == j among them (consecutive layers need distinct
+    servers). ``options`` is the reading the table was built under.
     """
+    widths: tuple[Optional[int], ...]
     cp: np.ndarray
     cm: np.ndarray
-    bit_menu: tuple[int, ...]
-
-    def bit_index(self, bits: int) -> int:
-        """Position of a bit-width on the bit axis; Inadmissible if absent."""
-        try:
-            return self.bit_menu.index(bits)
-        except ValueError:
-            raise Inadmissible(f"{bits} bits not in menu {self.bit_menu}") from None
+    options: DelayOptions
 
 
 def compute_cp(layer: LayerProfile, server: ServerSpec, bits: int,
@@ -161,18 +156,26 @@ def compute_cm(layer: LayerProfile, link: LinkSpec | None, bits: int,
 
 def build_delay_table(instance: ProblemInstance,
                       options: DelayOptions = DelayOptions()) -> DelayTable:
-    """Evaluate cp and cm over every (layer, server, bits) and link.
+    """Evaluate cp and cm over every (layer, server) and link, each layer
+    at widths[l], the smallest width its filter kept.
 
-    Per-(layer, bits) factors come from the scalar helpers; servers and
-    links enter as a throughput vector and M x M capacity/propagation
-    matrices filled once from the link list. The storage mask applies
+    No other width can win. cp, cm and the storage need are each b times
+    non-negative factors in every DelayOptions reading, and IEEE *, / and
+    + are monotone, so every entry is non-decreasing in b. Lowering a
+    width thus only shrinks storage and leaves the link mask unchanged: a
+    feasible plan stays feasible and its total does not rise. On a tie the
+    lexicographic (server, bits) tie-break picks the smaller width. Brute
+    force, which enumerates every width, checks this.
+
+    Per-layer factors come from the scalar helpers; servers and links
+    enter as a throughput vector and M x M capacity/propagation matrices
+    filled once from the link list. The storage mask applies
     ``options.storage``. A delay beyond the float range raises
     ValidationError (DelayOverflow) rather than reading as the mask, and so
     does a largest plan total within a factor _TOTAL_HEADROOM of it.
     """
     cluster, model = instance.cluster, instance.model
-    menu = instance.bit_menu
-    M, L, B = cluster.num_servers, model.num_layers, len(menu)
+    M = cluster.num_servers
     try:
         n = float(instance.tokens)
     except OverflowError:
@@ -180,17 +183,15 @@ def build_delay_table(instance: ProblemInstance,
             "DelayOverflow", "tokens beyond the float range")]) from None
     for b in {b for fb in instance.feasible_bits for b in fb}:
         check_bits(b)
-
-    def per_layer_bits(f):
-        return np.array([[f(layer, b) for b in menu] for layer in model.layers],
-                        dtype=float).reshape(L, B)
-
-    feasible = np.array([[b in fb for b in menu] for fb in instance.feasible_bits],
-                        dtype=bool).reshape(L, B)
-    scale = per_layer_bits(lambda layer, b: _cp_scale(layer, b, options))
-    payload_bits = per_layer_bits(lambda layer, b: round_payload_elements(
-        layer, model.batch_size, model.embedding_size, options) * b)
-    need = per_layer_bits(options.bytes_needed)
+    widths = tuple(min(fb, default=None) for fb in instance.feasible_bits)
+    # a layer without a width is masked below; 0 only keeps its factors finite
+    scale, payload_bits, need = np.array([
+        (_cp_scale(layer, b, options), round_payload_elements(
+            layer, model.batch_size, model.embedding_size, options) * b,
+         options.bytes_needed(layer, b))
+        for layer, b in zip(model.layers, (w or 0 for w in widths))],
+        dtype=float).reshape(-1, 3).T
+    has_width = np.array([w is not None for w in widths], dtype=bool)
 
     flops = np.array([layer.flops for layer in model.layers], dtype=float)
     throughput = np.array([s.compute_throughput for s in cluster.servers], dtype=float)
@@ -205,51 +206,49 @@ def build_delay_table(instance: ProblemInstance,
         prop[lk.src, lk.dst] = lk.propagation_delay
     with np.errstate(over="raise"):
         try:
-            cp = n * (flops[:, None] / throughput[None, :])[:, :, None] * scale[:, None, :]
-            cm = n * (payload_bits[:, None, :, None] / bps[None, :, None, :]
-                      + prop[None, :, None, :])
+            cp = n * (flops[:, None] / throughput[None, :]) * scale[:, None]
+            cm = n * (payload_bits[:, None, None] / bps[None] + prop[None])
         except FloatingPointError:
             raise ValidationError([Violation(
                 "DelayOverflow", "a compute or transfer delay is beyond the "
                 "float range")]) from None
-    admissible = feasible[:, None, :] & (need[:, None, :] <= capacity[None, :, None])
-    cp[~admissible] = math.inf
+    cp[~(has_width[:, None] & (need[:, None] <= capacity[None, :]))] = math.inf
 
-    np.copyto(cm, math.inf, where=~linked[None, :, None, :])
+    np.copyto(cm, math.inf, where=~linked)
     diag = np.arange(M)
-    cm[:, diag, :, diag] = math.inf  # consecutive layers need distinct servers
-    np.copyto(cm, math.inf, where=~feasible[:, None, :, None])
+    cm[:, diag, diag] = math.inf  # consecutive layers need distinct servers
+    cm[~has_width] = math.inf
 
     # each layer's largest finite cp plus, below the last layer, its largest
     # finite cm: every entry can be finite while a plan's total is not
     with np.errstate(over="raise"):
         try:
-            largest = (cp.max(axis=(1, 2), where=cp < math.inf, initial=0.0).sum()
-                       + cm[:-1].max(axis=(1, 2, 3), where=cm[:-1] < math.inf,
+            largest = (cp.max(axis=1, where=cp < math.inf, initial=0.0).sum()
+                       + cm[:-1].max(axis=(1, 2), where=cm[:-1] < math.inf,
                                      initial=0.0).sum())
             largest * _TOTAL_HEADROOM  # raises past the float range
         except FloatingPointError:
             raise ValidationError([Violation(
                 "DelayOverflow", "the total delay of some plan is beyond the "
                 "float range")]) from None
-    return DelayTable(cp=cp, cm=cm, bit_menu=menu)
+    return DelayTable(widths=widths, cp=cp, cm=cm, options=options)
 
 
-def path_delay(cp, cm, path) -> tuple[float, float, float]:
-    """(total, compute, comm) of a path of (server, bit position) pairs.
+def path_delay(cp, cm, servers) -> tuple[float, float, float]:
+    """(total, compute, comm) of a path, one server per layer.
 
-    cp and cm are indexed as DelayTable stores them, cp[layer][server][k]
-    and cm[layer][src][k][dst], as arrays or as nested lists; a masked
-    entry makes the result inf. The one definition of the objective's sums:
+    cp and cm are indexed as DelayTable stores them, cp[layer][server] and
+    cm[layer][src][dst], as arrays or as nested lists; a masked entry makes
+    the result inf. The one definition of the objective's sums:
     evaluate_plan, brute force and the Lagrangian witness all price
     through it.
     """
     compute = 0.0
     comm = 0.0
-    for l, (i, k) in enumerate(path):
-        compute += cp[l][i][k]
-        if l + 1 < len(path):
-            comm += cm[l][i][k][path[l + 1][0]]
+    for l, i in enumerate(servers):
+        compute += cp[l][i]
+        if l + 1 < len(servers):
+            comm += cm[l][i][servers[l + 1]]
     return compute + comm, compute, comm
 
 
@@ -260,20 +259,23 @@ def evaluate_plan(assignments, table: DelayTable) -> tuple[float, float, float]:
     not shipped anywhere (client download is out of the model). Raises
     InfeasibleEdge when consecutive layers sit on one server or on servers
     with no link, and Inadmissible when a layer sits where the table's mask
-    forbids it.
+    forbids it or at a width other than the one the table kept for it.
     """
     M = table.cp.shape[1]
     if any(not 0 <= server < M for server, _ in assignments):
         raise Inadmissible(f"assignments {assignments} name an unknown server")
-    path = [(server, table.bit_index(bits)) for server, bits in assignments]
-    total, compute, comm = path_delay(table.cp, table.cm, path)
+    for l, (_, bits) in enumerate(assignments):
+        if bits != table.widths[l]:
+            raise Inadmissible(f"layer {l} at {bits} bits: the table keeps "
+                               f"{table.widths[l] or 'no'} bits for it")
+    servers = [server for server, _ in assignments]
+    total, compute, comm = path_delay(table.cp, table.cm, servers)
     if math.isinf(total):
-        for l, (i, k) in enumerate(path):
-            if math.isinf(table.cp[l, i, k]):
+        for l, i in enumerate(servers):
+            if math.isinf(table.cp[l, i]):
                 raise Inadmissible(f"layer {l} cannot run on server {i} "
-                                   f"at {table.bit_menu[k]} bits")
-            if l + 1 < len(path) and math.isinf(table.cm[l, i, k, path[l + 1][0]]):
-                raise InfeasibleEdge(f"no link {i}->{path[l + 1][0]} "
+                                   f"at {table.widths[l]} bits")
+            if l + 1 < len(servers) and math.isinf(table.cm[l, i, servers[l + 1]]):
+                raise InfeasibleEdge(f"no link {i}->{servers[l + 1]} "
                                      f"for layers {l}->{l + 1}")
     return float(total), float(compute), float(comm)
-

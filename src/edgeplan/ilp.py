@@ -1,26 +1,28 @@
-"""Binary program for joint layer placement and bit-width selection, plus
-export to standard LP text format for off-the-shelf MILP solvers.
+"""Binary program for layer placement, plus export to standard LP text
+format for off-the-shelf MILP solvers.
 
-Variables:
+Variables, with b (b') the width the delay table keeps for layer l (l+1):
   x_{i}_{l}_{b}      layer l hosted on server i at b bits
   z_{i}_{j}_{l}_{b}  layer l on server i at b bits hands its output to
                      layer l+1 on server j; carries the transfer cost
 
 The model is a flow through the layers. x_{i}_{l}_{b} costs the delay
-table's cp[l, i, k] and z_{i}_{j}_{l}_{b} its cm[l, i, k, j], with k the
-position of b in the bit menu; build_ilp reads both in that stored order.
-x columns are emitted only for the entries the table admits (finite cp):
-widths in the layer's feasible set on servers with enough storage under
-the table's storage model (see core.storage_bytes). A z column exists
-only where its x column exists, cm is finite (a link i -> j exists, so
-j != i, since the table masks the diagonal) and server j can host layer
-l+1. Storage, widths, missing links and consecutive repeats are thus
-enforced by omission rather than by rows. Rows:
+table's cp[l, i] and z_{i}_{j}_{l}_{b} its cm[l, i, j]; build_ilp reads
+both in that stored order. Each layer has one width, the smallest its
+filter kept: any other width is dominated, never faster and never needing
+less storage (see build_delay_table), so its columns could not change the
+optimum and are left out. x columns are emitted only for the entries the
+table admits (finite cp): servers with enough storage under the table's
+storage model (see core.storage_bytes). A z column exists only where its x
+column exists, cm is finite (a link i -> j exists, so j != i, since the
+table masks the diagonal) and server j can host layer l+1. Storage,
+widths, missing links and consecutive repeats are thus enforced by
+omission rather than by rows. Rows:
 
-  assign_l{l}         sum over (i, b) of x[i,l,b] = 1
-  cap_s{i}            sum over (l, b) of x[i,l,b] <= 1
+  assign_l{l}         sum over i of x[i,l,b] = 1
+  cap_s{i}            sum over l of x[i,l,b] <= 1
   out_l{l}_s{i}_b{b}  sum over j of z[i,j,l,b] - x[i,l,b] = 0
-  in_l{l}_s{j}        sum over (i, b) of z[i,j,l,b] - sum over b' of x[j,l+1,b'] = 0
+  in_l{l}_s{j}        sum over i of z[i,j,l,b] - x[j,l+1,b'] = 0
 
 At any integral x the flow rows leave exactly one z per layer boundary
 at 1 (the one from layer l's host to layer l+1's host), so declaring z
@@ -75,42 +77,39 @@ def build_ilp(instance: ProblemInstance, table: DelayTable) -> IlpModel:
     at-most-one hosting row; per x column below the last layer, an
     out-flow row handing it to exactly one next host; and per layer
     boundary and next host, an in-flow row matching the flow that arrives
-    to the x columns that receive it. Columns: x ordered by (layer,
-    server, bits), then z ordered by (src, dst, layer, bits).
+    to the x column that receives it. Columns: x ordered by (layer,
+    server), then z ordered by (src, dst, layer).
     """
-    L, M, _ = table.cp.shape
+    M = table.cp.shape[1]
     cp, cm = table.cp.tolist(), table.cm.tolist()
-    menu = table.bit_menu
 
-    # per layer, the admissible (server, bit position, x name) in column order
-    placements: list[list[tuple[int, int, str]]] = []
+    # per layer, the admissible (server, x name) in column order
+    placements: list[list[tuple[int, str]]] = []
     x_vars: dict[tuple[int, int, int], str] = {}
     objective: dict[str, float] = {}
     rows: list[Row] = []
     hosted: dict[int, dict[str, float]] = {}
-    for l in range(L):
-        here = [(i, k, f"x_{i}_{l}_{menu[k]}") for i in range(M)
-                for k in range(len(menu)) if cp[l][i][k] != math.inf]
+    for l, b in enumerate(table.widths):
+        here = [(i, f"x_{i}_{l}_{b}") for i in range(M) if cp[l][i] != math.inf]
         if not here:
             raise EmptyFeasibleSet(l)
         placements.append(here)
-        for i, k, name in here:
-            x_vars[(i, l, menu[k])] = name
-            objective[name] = cp[l][i][k]
+        for i, name in here:
+            x_vars[(i, l, b)] = name
+            objective[name] = cp[l][i]
             hosted.setdefault(i, {})[name] = 1.0
-        rows.append(Row(f"assign_l{l}", {name: 1.0 for _, _, name in here}, "=", 1.0))
+        rows.append(Row(f"assign_l{l}", {name: 1.0 for _, name in here}, "=", 1.0))
     rows += [Row(f"cap_s{i}", hosted[i], "<=", 1.0) for i in sorted(hosted)]
 
     z_vars: dict[tuple[int, int, int, int], str] = {}
-    for l in range(L - 1):
+    for l, b in enumerate(table.widths[:-1]):
         inflow: dict[int, dict[str, float]] = {}  # next host -> in-flow row
-        for j, _, name in placements[l + 1]:
-            inflow.setdefault(j, {})[name] = -1.0
-        for i, k, xname in placements[l]:
-            b = menu[k]
+        for j, name in placements[l + 1]:
+            inflow[j] = {name: -1.0}
+        for i, xname in placements[l]:
             out = {xname: -1.0}
             for j, into in inflow.items():
-                c = cm[l][i][k][j]
+                c = cm[l][i][j]
                 if c != math.inf:
                     name = z_vars[(i, j, l, b)] = f"z_{i}_{j}_{l}_{b}"
                     objective[name] = c
@@ -118,7 +117,7 @@ def build_ilp(instance: ProblemInstance, table: DelayTable) -> IlpModel:
             rows.append(Row(f"out_l{l}_s{i}_b{b}", out, "=", 0.0))
         rows += [Row(f"in_l{l}_s{j}", into, "=", 0.0) for j, into in inflow.items()]
 
-    binaries = ([name for here in placements for _, _, name in here]
+    binaries = ([name for here in placements for _, name in here]
                 + [z_vars[key] for key in sorted(z_vars)])
     return IlpModel(objective=objective, constraints=tuple(rows),
                     binaries=tuple(binaries), x_vars=x_vars, z_vars=z_vars)

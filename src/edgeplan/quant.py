@@ -318,7 +318,7 @@ class _Grid(NamedTuple):
     top: int
 
 
-def _checked_widths(bit_menu: Iterable[int], delta: float) -> list[int]:
+def _checked_menu(bit_menu: Iterable[int], delta: float) -> list[int]:
     if not delta >= 0:  # also rejects NaN
         raise ValueError("delta must be >= 0")
     widths = sorted(set(bit_menu))
@@ -362,7 +362,7 @@ def analyze_tensor(w: WeightTensor, bit_menu: Iterable[int], delta: float,
     the histogram; the stats are then None when no scheme had to be
     recommended either.
     """
-    widths = _checked_widths(bit_menu, delta)
+    widths = _checked_menu(bit_menu, delta)
     stats = None
     if scheme is None or bins is not None:
         stats = distribution_stats(w, bins)
@@ -391,7 +391,7 @@ def feasible_bits(w: WeightTensor, bit_menu: Iterable[int], delta: float,
     does. The empty tuple is a legal result (the layer cannot be quantized
     at any offered width without exceeding the error budget).
     """
-    widths = _checked_widths(bit_menu, delta)
+    widths = _checked_menu(bit_menu, delta)
     lo, hi = float(w.values.min()), float(w.values.max())
     if scheme is None:
         # recommend_scheme picks asymmetric for a range on one side of 0

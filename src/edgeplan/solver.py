@@ -1,23 +1,22 @@
 """Exact solvers for the single-model placement problem.
 
-Three routes over the same delay table, whose math.inf entries are the
-one admissibility mask (missing links, infeasible widths, storage):
-  - brute force: every injective server assignment times every feasible
-    bit choice, skipping masked ones; the verification oracle.
+The delay table runs each layer at one width, the smallest its filter
+kept (see build_delay_table), so the relaxed DP and branch and bound
+choose a server per layer, within the table's math.inf mask:
   - relaxed DP: shortest path through the layered graph whose stage-l
-    nodes are (server, bits), dropping the one-layer-per-server rule;
-    an admissible lower bound, computed with whole-array minima.
+    nodes are servers, dropping the one-layer-per-server rule; an
+    admissible lower bound, computed with whole-array minima.
   - branch and bound: depth-first over layers with the DP suffix bound,
     escalating to a Lagrangian bound (per-server penalties on the same
     DP) when the plain bound does not settle the instance quickly;
     guaranteed to reproduce the brute-force optimum and tie-broken plan.
+  - brute force: every injective server assignment times every feasible
+    width, priced by compute_cp/compute_cm on the raw specs; the oracle
+    of the search, of the table and of the smallest-width rule.
 
-Every route reads the table in its stored order, cp[layer, server, bits]
-and cm[layer, src, bits, dst]. Brute force and branch and bound visit nodes
-one at a time, so they read it as nested Python lists (one ``tolist()`` per
-solve); per-node numpy scalar indexing costs more than the search itself.
-Bit-widths are handled as positions in the instance's bit menu, which is
-sorted, so the order on positions is the order on widths.
+Branch and bound visits nodes one at a time, so it reads the table as
+nested Python lists (one ``tolist()`` per solve); per-node numpy scalar
+indexing costs more than the search itself.
 
 Ties are broken by the lexicographically smallest (server, bits) sequence
 so plans, not just objectives, are comparable across solvers.
@@ -35,13 +34,13 @@ from typing import Optional
 import numpy as np
 
 from .core import PlacementPlan, ProblemInstance
-from .delay import DelayTable, evaluate_plan, path_delay
+from .delay import DelayTable, compute_cm, compute_cp, evaluate_plan, path_delay
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
 # Expansions (children examined) the search spends under the plain DP
 # bound before it computes Lagrangian multipliers and starts over. One
-# subgradient step is a relaxed DP plus its witness, O(L * M^2 * B): about
+# subgradient step is a relaxed DP plus its witness, O(L * M^2): about
 # 0.3 ms at M=16/L=10 on a 2-CPU Xeon, so a pass of 20-100 steps costs
 # 5-30 ms, while 1,000 expansions cost about 3.5 ms there. Shallow
 # instances (L <= 5, any M) mostly finish within the allowance and never
@@ -80,21 +79,35 @@ class SolveResult:
         return self.plan is not None
 
 
-def _widths(path, table: DelayTable) -> tuple[tuple[int, int], ...]:
-    """(server, bit position) pairs -> (server, bits) assignments."""
-    return tuple((i, table.bit_menu[k]) for i, k in path)
-
-
-def _make_plan(path, table: DelayTable) -> PlacementPlan:
-    """Plan from (server, bit position) pairs, priced by evaluate_plan."""
-    assignments = _widths(path, table)
+def _make_plan(assignments, table: DelayTable) -> PlacementPlan:
+    """Plan from (server, bits) pairs, priced by evaluate_plan."""
     total, cp, cm = evaluate_plan(assignments, table)
     return PlacementPlan(assignments=assignments, total_delay=total,
                         compute_delay=cp, comm_delay=cm)
 
 
+def _scalar_prices(instance: ProblemInstance, options) -> tuple[list, list]:
+    """cp[l][b][i] and cm[l][b][i][j] at every width b layer l keeps, from
+    the scalar functions on the raw specs, masked as the table masks."""
+    cluster, model, n = instance.cluster, instance.model, instance.tokens
+    servers = range(cluster.num_servers)
+    cp, cm = [], []
+    for layer, fb in zip(model.layers, instance.feasible_bits):
+        cp.append({b: [compute_cp(layer, s, b, n, options)
+                       if options.bytes_needed(layer, b) <= s.storage_capacity
+                       else math.inf for s in cluster.servers] for b in fb})
+        cm.append({b: [[math.inf if (link := cluster.link(i, j)) is None else
+                        compute_cm(layer, link, b, n, model.batch_size,
+                                   model.embedding_size, options) for j in servers]
+                       for i in servers] for b in fb})
+    return cp, cm
+
+
 def solve_brute_force(instance: ProblemInstance, table: DelayTable) -> SolveResult:
-    """Enumerate every feasible plan; exact by construction."""
+    """Enumerate every feasible plan at every feasible width, priced from
+    the raw specs under ``table.options``; exact by construction. The
+    table prices only the plan returned, so a wrong entry or an optimum
+    at a width the table dropped fails rather than agrees."""
     L = instance.model.num_layers
     M = instance.cluster.num_servers
     if L > BRUTE_FORCE_MAX_LAYERS or M > BRUTE_FORCE_MAX_SERVERS:
@@ -105,18 +118,19 @@ def solve_brute_force(instance: ProblemInstance, table: DelayTable) -> SolveResu
         return SolveResult("infeasible", None, math.inf, 0, math.inf,
                            time.perf_counter() - t0)
 
-    cp, cm = table.cp.tolist(), table.cm.tolist()
-    widths = [[table.bit_index(b) for b in fb] for fb in instance.feasible_bits]
+    cp, cm = _scalar_prices(instance, table.options)
     best_total = math.inf
     best: Optional[tuple[tuple[int, int], ...]] = None
     leaves = 0
-    for perm in itertools.permutations(range(M), L):
-        for bits in itertools.product(*widths):
+    for bits in itertools.product(*instance.feasible_bits):
+        cp_at = [cp[l][b] for l, b in enumerate(bits)]
+        cm_at = [cm[l][b] for l, b in enumerate(bits)]
+        for perm in itertools.permutations(range(M), L):
             leaves += 1
-            candidate = tuple(zip(perm, bits))
-            total = path_delay(cp, cm, candidate)[0]
+            total = path_delay(cp_at, cm_at, perm)[0]
             if total > best_total or math.isinf(total):
                 continue
+            candidate = tuple(zip(perm, bits))
             if total < best_total or candidate < best:
                 best_total, best = total, candidate
     wall = time.perf_counter() - t0
@@ -132,51 +146,41 @@ def solve_brute_force(instance: ProblemInstance, table: DelayTable) -> SolveResu
 # ---------------------------------------------------------------------------
 
 def _suffix_bounds(cp: np.ndarray, cm: np.ndarray) -> list[np.ndarray]:
-    """H[l][i, k] = cheapest completion of layers l..L-1 starting with
-    layer l on server i at bit position k, allowing non-consecutive server
-    reuse:
+    """H[l][i] = cheapest completion of layers l..L-1 starting with layer
+    l on server i, allowing non-consecutive server reuse:
 
-        H[l][i, k] = cp[l, i, k] + min_j (cm[l, i, k, j] + min_k2 H[l+1][j, k2])
+        H[l][i] = cp[l, i] + min_j (cm[l, i, j] + H[l+1][j])
 
     The table masks every hop from a server to itself, so consecutive
     layers still need distinct, linked servers, as in every feasible plan,
-    and the bound stays admissible. Adding a constant is monotone under rounding, so taking
-    the inner minimum first gives the same value as minimising every
-    (j, k2) sum. cp may carry per-server penalties (the Lagrangian bound
-    passes cp + lambda). Needs L >= 1."""
+    and the bound stays admissible. cp may carry per-server penalties (the
+    Lagrangian bound passes cp + lambda). Needs L >= 1."""
     L = cp.shape[0]
     H = [cp[L - 1]]
     for l in range(L - 2, -1, -1):
-        via = cm[l] + H[0].min(axis=1, initial=math.inf)
-        H.insert(0, cp[l] + via.min(axis=2, initial=math.inf))
+        H.insert(0, cp[l] + (cm[l] + H[0]).min(axis=1, initial=math.inf))
     return H
 
 
-def _witness(H: list[np.ndarray], cm: np.ndarray) -> list[tuple[int, int]]:
-    """The shortest layered path behind H[0].min() as (server, bit
-    position) pairs; ties go to the first pair in row-major order, the
-    lexicographic smallest. Requires a finite H[0].min()."""
-    B = H[0].shape[1]
-    i, k = divmod(int(np.argmin(H[0])), B)
-    path = [(i, k)]
+def _witness(H: list[np.ndarray], cm: np.ndarray) -> list[int]:
+    """The shortest layered path behind H[0].min(), one server per layer;
+    ties go to the smallest server, so the path is the lexicographic
+    smallest. Requires a finite H[0].min()."""
+    path = [int(np.argmin(H[0]))]
     for l in range(len(H) - 1):
-        via = cm[l, i, k][:, None] + H[l + 1]
-        i, k = divmod(int(np.argmin(via)), B)
-        path.append((i, k))
+        path.append(int(np.argmin(cm[l, path[-1]] + H[l + 1])))
     return path
 
 
 def solve_relaxed_dp(instance: ProblemInstance, table: DelayTable
                      ) -> tuple[float, Optional[tuple[tuple[int, int], ...]]]:
-    """Shortest layered path; returns (lower_bound, path). The path may
-    reuse servers, so it is a bound witness, not a plan."""
+    """Shortest layered path; returns (lower_bound, (server, bits) path).
+    The path may reuse servers, so it is a bound witness, not a plan."""
     H = _suffix_bounds(table.cp, table.cm)
-    if H[0].size == 0:
-        return math.inf, None
-    bound = float(H[0].min())
+    bound = float(H[0].min(initial=math.inf))
     if math.isinf(bound):
         return math.inf, None
-    return bound, _widths(_witness(H, table.cm), table)
+    return bound, tuple(zip(_witness(H, table.cm), table.widths))
 
 
 # ---------------------------------------------------------------------------
@@ -200,21 +204,20 @@ def _lagrangian_root(table: DelayTable, target: float, incumbent):
     once the bound reaches the target. Returns (bound, lambda, H_lambda,
     incumbent)."""
     cp, cm = table.cp, table.cm
-    L, M, _ = cp.shape
+    L, M = cp.shape
     lam = np.zeros(M)
     best = (-math.inf, lam, None)
     theta, stall = 2.0, 0
     for _ in range(_SUBGRADIENT_STEPS):
-        H = _suffix_bounds(cp + lam[None, :, None], cm)
+        H = _suffix_bounds(cp + lam[None, :], cm)
         witness = _witness(H, cm)
-        servers = [i for i, _ in witness]
-        if len(set(servers)) == L:
+        if len(set(witness)) == L:
             total = float(path_delay(cp, cm, witness)[0])
             key = (total, tuple(witness))
             if incumbent is None or key < incumbent:
                 incumbent = key
                 target = min(target, total)
-        visits = np.bincount(servers, minlength=M)
+        visits = np.bincount(witness, minlength=M)
         # top-L set: largest lambda, ties to the servers the witness visits
         top = np.lexsort((-visits, -lam))[:L]
         bound = float(H[0].min()) - float(lam[top].sum())
@@ -242,25 +245,25 @@ def _tie_tolerance(objective: float) -> float:
 def _search(cp, cm, H, lam, limit: int, incumbent):
     """Depth-first search over layers under the bound
 
-        compute + comm + edge + H[l][i][k] - (sum of the L - l largest lam
-                                              among the unused servers)
+        compute + comm + edge + H[l][i] - (sum of the L - l largest lam
+                                           among the unused servers)
 
     which is the plain DP bound when lam is all zero. A child whose bound
     exceeds the incumbent by more than the tie tolerance is pruned: it is
     not listed, or, if the incumbent improved since the listing, it ends
-    the scan, since children are tried in (bound, server, bits) order and
+    the scan, since children are tried in (bound, server) order and
     all later ones are no better. Exact ties therefore survive, and the
     incumbent is the smallest (objective, path) over the leaves reached,
     with the objective summed as delay.path_delay sums it, so plans are
     brute force's tie-broken plan. Examines at most ``limit`` children.
 
-    cp and cm are the table's nested lists; cm[l - 1][i][k] is the row of
-    edges from the placed parent. A masked width has an infinite H[l][i][k],
-    so the finite cutoff drops it. ``incumbent`` is None or (objective,
-    path). Returns (incumbent, leaves, expansions, exhausted).
+    cp and cm are the table's nested lists; cm[l - 1][i] is the row of
+    edges from the placed parent. A masked placement has an infinite
+    H[l][i], so the finite cutoff drops it. A path is one server per layer;
+    ``incumbent`` is None or (objective, path). Returns (incumbent, leaves,
+    expansions, exhausted).
     """
-    L, M, B = len(cp), len(cp[0]), len(cp[0][0])
-    ks = range(B)
+    L, M = len(cp), len(cp[0])
     order = sorted(range(M), key=lambda i: -lam[i])
     penalised = any(lam)
     best_total, best_path = incumbent if incumbent else (math.inf, None)
@@ -268,7 +271,7 @@ def _search(cp, cm, H, lam, limit: int, incumbent):
     # bound) before the first incumbent exists
     cutoff = (best_total + _tie_tolerance(best_total) if incumbent
               else sys.float_info.max)
-    path: list[tuple[int, int]] = []
+    path: list[int] = []
     leaves = expansions = 0
     exhausted = False
 
@@ -284,7 +287,8 @@ def _search(cp, cm, H, lam, limit: int, incumbent):
 
     def dfs(l: int, used: int, compute: float, comm: float) -> None:
         nonlocal best_total, best_path, cutoff, leaves, expansions, exhausted
-        edges = cm[l - 1][path[-1][0]][path[-1][1]] if l else None
+        edges = cm[l - 1][path[-1]] if l else None
+        tails = H[l]
         base = compute + comm
         if penalised:
             base -= reserve(used, L - l)
@@ -292,27 +296,21 @@ def _search(cp, cm, H, lam, limit: int, incumbent):
         for i in range(M):
             if used >> i & 1:
                 continue
-            edge = 0.0
-            if edges is not None:
-                edge = edges[i]
-                if edge == math.inf:
-                    continue
-            tails = H[l][i]
-            for k in ks:
-                bound_tail = edge + tails[k]
-                if base + bound_tail <= cutoff:
-                    kids.append((bound_tail, i, k, edge))
+            edge = 0.0 if edges is None else edges[i]
+            bound_tail = edge + tails[i]
+            if base + bound_tail <= cutoff:
+                kids.append((bound_tail, i, edge))
         kids.sort()
         leaf = l == L - 1
-        for bound_tail, i, k, edge in kids:
+        for bound_tail, i, edge in kids:
             if expansions >= limit:
                 exhausted = True
                 return
             expansions += 1
             if base + bound_tail > cutoff:
                 break
-            child_compute = compute + cp[l][i][k]
-            path.append((i, k))
+            child_compute = compute + cp[l][i]
+            path.append(i)
             if leaf:
                 leaves += 1
                 total = child_compute + (comm + edge)
@@ -343,8 +341,8 @@ def solve_branch_and_bound(instance: ProblemInstance, table: DelayTable,
     incumbent. ``budget`` caps the expansions of both passes together.
     Pruning needs the bound to exceed the incumbent by a small relative
     tolerance, so objective ties survive and the lexicographic tie-break
-    matches brute force exactly. Deterministic; masked (server, layer,
-    bits) entries are never expanded. lower_bound_at_root is the strongest
+    matches brute force exactly. Deterministic; masked (layer, server)
+    entries are never expanded. lower_bound_at_root is the strongest
     root bound the solve proved.
     """
     t0 = time.perf_counter()
@@ -380,7 +378,7 @@ def solve_branch_and_bound(instance: ProblemInstance, table: DelayTable,
         return SolveResult(status, None, math.inf, leaves, root_bound, wall,
                            expansions)
     status = "budget_exceeded" if exhausted else "optimal"
-    plan = _make_plan(incumbent[1], table)
+    plan = _make_plan(tuple(zip(incumbent[1], table.widths)), table)
     # the root bound can exceed the objective only by rounding
     return SolveResult(status, plan, plan.total_delay, leaves,
                        min(root_bound, plan.total_delay), wall, expansions)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -7,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeplan.core import LayerProfile, LinkSpec, ServerSpec
-from edgeplan.delay import (DelayOptions, InfeasibleEdge, InvalidBits,
-                            build_delay_table, compute_cm, compute_cp,
-                            evaluate_plan)
+from edgeplan.delay import (DelayOptions, Inadmissible, InfeasibleEdge,
+                            InvalidBits, build_delay_table, compute_cm,
+                            compute_cp, evaluate_plan)
 from edgeplan.core import storage_bytes
 from edgeplan.gen import random_test_instance
+from edgeplan.ilp import check_plan_feasible
 
 from conftest import make_2x2_instance, with_binding_storage
 
@@ -85,12 +87,12 @@ class TestComputeCm:
 
 class TestDelayTable:
     def test_entry_counts(self, golden_instance, golden_table):
-        assert golden_table.cp.shape == (2, 2, 1)  # L, M, B
-        assert golden_table.cm.shape == (2, 2, 1, 2)  # L, M, B, M
+        assert golden_table.widths == (8, 8)
+        assert golden_table.cp.shape == (2, 2)  # L, M
+        assert golden_table.cm.shape == (2, 2, 2)  # L, M, M
         assert np.isfinite(golden_table.cp).all()
-        off_diagonal = ~np.eye(2, dtype=bool)[None, :, None, :]
-        assert np.isfinite(golden_table.cm[np.broadcast_to(
-            off_diagonal, golden_table.cm.shape)]).all()
+        off_diagonal = ~np.eye(2, dtype=bool)
+        assert np.isfinite(golden_table.cm[:, off_diagonal]).all()
 
     def test_missing_link_is_infinite(self):
         inst = make_2x2_instance()
@@ -99,66 +101,72 @@ class TestDelayTable:
             cluster=type(inst.cluster)(servers=inst.cluster.servers,
                                        links=one_way))
         table = build_delay_table(inst)
-        k = table.bit_index(8)
-        assert math.isinf(table.cm[0, 1, k, 0])
-        assert table.cm[0, 0, k, 1] > 0
+        assert math.isinf(table.cm[0, 1, 0])
+        assert table.cm[0, 0, 1] > 0
 
     def test_diagonal_is_infinite(self, golden_table):
         """No server links to itself: consecutive layers need distinct servers."""
-        k = golden_table.bit_index(8)
-        assert golden_table.cm[0, 0, k, 0] == math.inf
-        assert golden_table.cm[1, 1, k, 1] == math.inf
+        assert golden_table.cm[0, 0, 0] == math.inf
+        assert golden_table.cm[1, 1, 1] == math.inf
 
     def test_pointwise_matches_direct_evaluation(self):
         rng = random.Random(20)
         for _ in range(100):
             inst = random_test_instance(rng)
             table = build_delay_table(inst)
-            finite = {(int(i), int(l), table.bit_menu[k])
-                      for l, i, k in zip(*np.nonzero(np.isfinite(table.cp)))}
-            assert finite == {(i, l, b) for i in range(inst.cluster.num_servers)
-                              for l, fb in enumerate(inst.feasible_bits) for b in fb}
-            for (i, l, b) in finite:
-                direct = compute_cp(inst.model.layers[l],
-                                    inst.cluster.servers[i], b, inst.tokens)
-                assert table.cp[l, i, table.bit_index(b)] == direct
+            finite = {(int(i), int(l))
+                      for l, i in zip(*np.nonzero(np.isfinite(table.cp)))}
+            assert finite == {(i, l) for i in range(inst.cluster.num_servers)
+                              for l, fb in enumerate(inst.feasible_bits) if fb}
+            for (i, l) in finite:
+                direct = compute_cp(inst.model.layers[l], inst.cluster.servers[i],
+                                    inst.feasible_bits[l][0], inst.tokens)
+                assert table.cp[l, i] == direct
 
     @pytest.mark.parametrize("seed", range(100))
     def test_entries_match_scalar_functions_and_mask(self, seed):
-        """Every finite entry equals the scalar reference bit for bit; every
-        inf is a missing link (the diagonal among them), an infeasible width
-        or a storage overflow."""
+        """Each layer runs at the smallest width it keeps, also when the
+        set is given unsorted; every finite entry equals the scalar
+        reference at that width bit for bit; every inf is a missing link
+        (the diagonal among them), a layer without a width or a storage
+        overflow."""
         rng = random.Random(30_000 + seed)
         density, tightness = rng.choice([0.3, 0.6, 0.9]), rng.choice([0.0, 0.5])
         inst = with_binding_storage(random_test_instance(rng, link_density=density),
                                     rng, tightness)
+        feasible = list(inst.feasible_bits)
+        feasible[0] = tuple(rng.sample(inst.bit_menu, len(inst.bit_menu)))
+        if seed % 3 == 0:
+            feasible[-1] = ()  # cp[-1] is all inf
+        inst = dataclasses.replace(inst, feasible_bits=tuple(feasible))
         options = DelayOptions(cp_scaling=rng.choice(["with_pl", "without_pl"]),
                                per_token_activation=rng.random() < 0.5,
                                storage="literal" if rng.random() < 0.3 else "compact")
         literal = options.storage == "literal"
         table = build_delay_table(inst, options)
         cluster, model = inst.cluster, inst.model
-        M, L, B = cluster.num_servers, model.num_layers, len(inst.bit_menu)
-        assert table.cp.shape == (L, M, B) and table.cm.shape == (L, M, B, M)
+        M, L = cluster.num_servers, model.num_layers
+        assert table.widths == tuple(min(fb) if fb else None for fb in feasible)
+        assert table.cp.shape == (L, M) and table.cm.shape == (L, M, M)
         for l, layer in enumerate(model.layers):
-            for k, b in enumerate(inst.bit_menu):
-                feasible = b in inst.feasible_bits[l]
-                for i, server in enumerate(cluster.servers):
-                    fits = (storage_bytes(layer, b, literal_output_factor=literal)
-                            <= server.storage_capacity)
-                    if feasible and fits:
-                        assert table.cp[l, i, k] == compute_cp(
-                            layer, server, b, inst.tokens, options)
+            b = table.widths[l]
+            for i, server in enumerate(cluster.servers):
+                fits = b is not None and (
+                    storage_bytes(layer, b, literal_output_factor=literal)
+                    <= server.storage_capacity)
+                if fits:
+                    assert table.cp[l, i] == compute_cp(
+                        layer, server, b, inst.tokens, options)
+                else:
+                    assert table.cp[l, i] == math.inf
+                for j in range(M):
+                    link = cluster.link(i, j)
+                    if b is not None and link is not None:
+                        assert table.cm[l, i, j] == compute_cm(
+                            layer, link, b, inst.tokens, model.batch_size,
+                            model.embedding_size, options)
                     else:
-                        assert table.cp[l, i, k] == math.inf
-                    for j in range(M):
-                        link = cluster.link(i, j)
-                        if feasible and link is not None:
-                            assert table.cm[l, i, k, j] == compute_cm(
-                                layer, link, b, inst.tokens, model.batch_size,
-                                model.embedding_size, options)
-                        else:
-                            assert table.cm[l, i, k, j] == math.inf
+                        assert table.cm[l, i, j] == math.inf
 
 
 class TestEvaluatePlan:
@@ -189,6 +197,21 @@ class TestEvaluatePlan:
         table = build_delay_table(inst)
         with pytest.raises(InfeasibleEdge):
             evaluate_plan(((0, 8), (1, 8)), table)
+
+    def test_dominated_width_is_inadmissible(self):
+        """A feasible plan at a width above the kept one is refused, and
+        the message names the width the table keeps."""
+        inst = make_2x2_instance(bit_menu=(4, 8), feasible_bits=((8, 4), (8,)))
+        table = build_delay_table(inst)
+        assert table.widths == (4, 8)
+        assert check_plan_feasible(((0, 8), (1, 8)), inst) == []
+        with pytest.raises(Inadmissible, match="layer 0 at 8 bits: the table "
+                                               "keeps 4 bits for it"):
+            evaluate_plan(((0, 8), (1, 8)), table)
+        evaluate_plan(((0, 4), (1, 8)), table)
+        inst = make_2x2_instance(feasible_bits=((8,), ()))
+        with pytest.raises(Inadmissible, match="layer 1 at 8 bits: the table keeps no bits"):
+            evaluate_plan(((0, 8), (1, 8)), build_delay_table(inst))
 
 
 def _scale_instance(inst, *, link_factor=1.0, ccs_factor=1.0, tokens=None):

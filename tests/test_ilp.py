@@ -8,7 +8,8 @@ import pytest
 
 from edgeplan.core import (ClusterSpec, LayerProfile, ModelProfile,
                            ProblemInstance, ServerSpec)
-from edgeplan.delay import DelayOptions, build_delay_table, evaluate_plan
+from edgeplan.delay import (DelayOptions, build_delay_table, compute_cm,
+                            compute_cp, evaluate_plan)
 from edgeplan.gen import generate_instance, random_test_instance
 from edgeplan.ilp import (EmptyFeasibleSet, build_ilp, check_plan_feasible,
                           export_lp, model_as_parsed, parse_lp, storage_bytes,
@@ -62,16 +63,17 @@ class TestBuildIlp:
         inst = make_2x2_instance(bit_menu=(4, 8))
         table = build_delay_table(inst)
         m = build_ilp(inst, table)
-        assert len(m.x_vars) == 2 * 2 * 2  # M * L * |menu|
+        assert len(m.x_vars) == 2 * 2  # M * L, at the one kept width per layer
 
     def test_flow_model_size(self):
         # rows: L assign + M cap + one out row per x below the last layer
-        # + one in row per (boundary, server); nothing is masked here
+        # + one in row per (boundary, server); nothing is masked here, and
+        # each layer has one column per server, at its kept width
         inst = generate_instance(1, 32, 12, (4, 8, 16), "heterogeneous", tokens=32)
         m = build_ilp(inst, build_delay_table(inst))
-        assert len(m.constraints) == 12 + 32 + 11 * 32 * 3 + 11 * 32 == 1452
-        assert len(m.x_vars) == 12 * 32 * 3
-        assert sum(len(r.coeffs) for r in m.constraints) == 69_888
+        assert len(m.constraints) == 12 + 32 + 11 * 32 + 11 * 32 == 748
+        assert len(m.x_vars) == 12 * 32
+        assert sum(len(r.coeffs) for r in m.constraints) == 23_296
 
     def test_literal_storage_mode(self):
         layer = LayerProfile(0, 1.0, 10, 4.0, 32)
@@ -146,7 +148,8 @@ class TestFlowRows:
                 and any((j, l + 1, b2) in m.x_vars for b2 in inst.bit_menu)}
         assert set(m.z_vars) == want
         for (i, j, l, b), name in m.z_vars.items():
-            assert m.objective[name] == table.cm[l, i, table.bit_index(b), j]
+            assert b == table.widths[l]
+            assert m.objective[name] == table.cm[l, i, j]
 
     def test_placement_without_flow_violates_out_and_in(self, golden_instance,
                                                         golden_table):
@@ -166,21 +169,35 @@ class TestFlowRows:
         rng = random.Random(1_200 + seed)
         inst = random_test_instance(rng, max_layers=3, max_servers=4,
                                     link_density=(0.6, 1.0)[seed % 2])
-        m = build_ilp(inst, build_delay_table(inst))
+        table = build_delay_table(inst)
+        m = build_ilp(inst, table)
         L = inst.model.num_layers
+        bits = table.widths  # the LP has columns at the kept widths only
         plans = 0
         for perm in itertools.permutations(range(inst.cluster.num_servers), L):
-            for bits in itertools.product(*inst.feasible_bits):
-                plan = tuple(zip(perm, bits))
-                if check_plan_feasible(plan, inst):
-                    continue
-                plans += 1
-                values, _, violated = substitute(m, plan)
-                assert violated == []
-                on = sorted((key for key, name in m.z_vars.items() if values[name] == 1.0),
-                            key=lambda key: key[2])
-                assert on == [(perm[l], perm[l + 1], l, bits[l]) for l in range(L - 1)]
+            plan = tuple(zip(perm, bits))
+            if check_plan_feasible(plan, inst):
+                continue
+            plans += 1
+            values, _, violated = substitute(m, plan)
+            assert violated == []
+            on = sorted((key for key, name in m.z_vars.items() if values[name] == 1.0),
+                        key=lambda key: key[2])
+            assert on == [(perm[l], perm[l + 1], l, bits[l]) for l in range(L - 1)]
         assert plans > 0
+
+
+def _scalar_total(plan, inst):
+    """A plan's total from compute_cp and compute_cm, summed in
+    delay.path_delay's order: the computes, then the transfers."""
+    cluster, model = inst.cluster, inst.model
+    compute = comm = 0.0
+    for l, (i, b) in enumerate(plan):
+        compute += compute_cp(model.layers[l], cluster.servers[i], b, inst.tokens)
+        if l + 1 < len(plan):
+            comm += compute_cm(model.layers[l], cluster.link(i, plan[l + 1][0]), b,
+                               inst.tokens, model.batch_size, model.embedding_size)
+    return compute + comm
 
 
 class TestSubstitution:
@@ -204,21 +221,28 @@ class TestSubstitution:
     @pytest.mark.parametrize("seed", range(10))
     def test_all_feasible_plans_match_objective(self, seed):
         rng = random.Random(600 + seed)
-        inst = random_test_instance(rng, max_layers=3, max_servers=4,
-                                    link_density=1.0)
-        table = build_delay_table(inst)
-        m = build_ilp(inst, table)
-        L = inst.model.num_layers
-        server_ids = range(inst.cluster.num_servers)
-        for perm in itertools.permutations(server_ids, L):
-            for bits in itertools.product(*inst.feasible_bits):
-                plan = tuple(zip(perm, bits))
-                if check_plan_feasible(plan, inst):
-                    continue
-                _, obj, violated = substitute(m, plan)
-                assert violated == []
-                total, _, _ = evaluate_plan(plan, table)
-                assert obj == pytest.approx(total, rel=1e-9)
+        drawn = random_test_instance(rng, max_layers=3, max_servers=4,
+                                     link_density=1.0)
+        # the drawn widths, then the whole menu on every layer
+        for inst in (drawn, dataclasses.replace(drawn, feasible_bits=None)):
+            table = build_delay_table(inst)
+            m = build_ilp(inst, table)
+            L = inst.model.num_layers
+            for perm in itertools.permutations(range(inst.cluster.num_servers), L):
+                for bits in itertools.product(*inst.feasible_bits):
+                    plan = tuple(zip(perm, bits))
+                    if check_plan_feasible(plan, inst):
+                        continue
+                    if bits != table.widths:
+                        # a dominated width has no column; its scalar price
+                        # is never below the same servers at the kept widths
+                        kept = tuple(zip(perm, table.widths))
+                        assert _scalar_total(plan, inst) >= evaluate_plan(kept, table)[0]
+                        continue
+                    _, obj, violated = substitute(m, plan)
+                    assert violated == []
+                    total, _, _ = evaluate_plan(plan, table)
+                    assert obj == pytest.approx(total, rel=1e-9)
 
 
 class TestLpExport:

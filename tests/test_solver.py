@@ -9,7 +9,7 @@ import pytest
 from edgeplan import solver
 from edgeplan.core import (ClusterSpec, LayerProfile, LinkSpec, ModelProfile,
                            ProblemInstance, ServerSpec)
-from edgeplan.delay import build_delay_table, evaluate_plan
+from edgeplan.delay import DelayOptions, build_delay_table, evaluate_plan
 from edgeplan.gen import generate_instance, random_test_instance
 from edgeplan.ilp import (EmptyFeasibleSet, build_ilp, check_plan_feasible,
                           substitute, write_lp)
@@ -46,7 +46,7 @@ class TestBruteForce:
             layers=inst.model.layers[:1], batch_size=1, embedding_size=4))
         table = build_delay_table(inst)
         result = solve_brute_force(inst, table)
-        best = min(((table.cp[0, i, table.bit_index(8)], i) for i in range(2)))
+        best = min(((table.cp[0, i], i) for i in range(2)))
         assert result.plan.assignments == ((best[1], 8),)
         assert result.objective == best[0]
 
@@ -166,14 +166,22 @@ def _without_storage_limits(inst):
         tokens=inst.tokens, feasible_bits=inst.feasible_bits)
 
 
+# every reading of the delay and storage formulas
+ALL_OPTIONS = [DelayOptions(*reading) for reading in itertools.product(
+    ("with_pl", "without_pl"), (True, False), ("compact", "literal"))]
+
+
 class TestStorageBinding:
     """Seeded suite where server capacities fall inside the range of layer
     footprints, so the storage part of the admissibility mask binds."""
 
     @pytest.mark.parametrize("seed", range(60))
     def test_oracle_equivalence_and_export_rows(self, seed):
+        """Brute force over every width equals the search over the kept
+        width, under each of the 8 DelayOptions readings in turn."""
         inst = _storage_instance(seed)
-        table = build_delay_table(inst)
+        options = ALL_OPTIONS[seed % len(ALL_OPTIONS)]
+        table = build_delay_table(inst, options)
         exact = solve_brute_force(inst, table)
         got = solve_branch_and_bound(inst, table)
         bound, _ = solve_relaxed_dp(inst, table)
@@ -184,7 +192,7 @@ class TestStorageBinding:
         assert got.plan.assignments == exact.plan.assignments
         assert got.objective == exact.objective
         assert bound <= exact.objective + 1e-12
-        assert check_plan_feasible(got.plan.assignments, inst) == []
+        assert check_plan_feasible(got.plan.assignments, inst, options) == []
         _, obj, violated = substitute(build_ilp(inst, table), got.plan.assignments)
         assert violated == []
         assert obj == pytest.approx(got.objective, rel=1e-9)
@@ -358,8 +366,8 @@ class TestLagrangianRoute:
             exact = solve_brute_force(inst, table)
             if exact.plan is None or inst.model.num_layers < 2:
                 continue
-            best = [(i, table.bit_index(b)) for i, b in exact.plan.assignments]
-            tied = tuple(zip([i for i, _ in best][::-1], [k for _, k in best]))
+            best = tuple(i for i, _ in exact.plan.assignments)
+            tied = best[::-1]
             M = inst.cluster.num_servers
             if penalised:
                 _, lam, H, _ = solver._lagrangian_root(table, exact.objective, None)
@@ -370,7 +378,7 @@ class TestLagrangianRoute:
                 table.cp.tolist(), table.cm.tolist(), [h.tolist() for h in H],
                 lam, 10 ** 6, (exact.objective, tied))
             assert not exhausted
-            assert found == (exact.objective, tuple(best)), seed
+            assert found == (exact.objective, best), seed
             checked += 1
         assert checked >= 20, checked
 
