@@ -8,8 +8,10 @@ brute-force leaf space the branch-and-bound search actually visited.
 Each instance draws its reading of the delay and storage formulas
 (DelayOptions) from its own seeded generator. Every branch-and-bound plan
 must equal brute force's, which enumerates every width while the search
-keeps each layer's smallest, pass the plan checker and replay through the
-simulator to its objective within 1e-9 relative.
+keeps each layer's smallest, and its objective must equal brute force's
+exactly: the search prices from the delay table, brute force from the
+raw specs. Every plan must also pass the plan checker and replay through
+the simulator to its objective within 1e-9 relative.
 """
 
 import argparse
@@ -49,12 +51,15 @@ def main():
         if exact.plan is None:
             infeasible += 1
             continue
-        bnb = solve_branch_and_bound(inst, table)
+        bnb = solve_branch_and_bound(table)
         assert bnb.plan.assignments == exact.plan.assignments
+        # brute force prices from the specs, bnb from the table: equal bit
+        # for bit where the table is right
+        assert bnb.objective == exact.objective
         assert not check_plan_feasible(bnb.plan.assignments, inst, options)
         replayed = simulate(bnb.plan.assignments, inst, options).completion_time
         assert abs(replayed - bnb.objective) <= 1e-9 * max(abs(bnb.objective), 1e-300)
-        bound, _ = solve_relaxed_dp(inst, table)
+        bound, _ = solve_relaxed_dp(table)
         gap = 100 * (exact.objective - bound) / exact.objective
         root_gap = 100 * (exact.objective - bnb.lower_bound_at_root) / exact.objective
         visited = 100 * bnb.nodes_explored / max(exact.nodes_explored, 1)

@@ -25,7 +25,7 @@ from .gen import PROFILES, generate_instance
 from .ilp import EmptyFeasibleSet, build_ilp, check_plan_feasible, export_lp
 from .quant import SchemeKind, analyze_tensor, load_weight_tensor
 from .sim import InfeasiblePlan, simulate, trace_to_timeline
-from .solver import (DEFAULT_NODE_BUDGET, solve_branch_and_bound,
+from .solver import (DEFAULT_NODE_BUDGET, SizeLimit, solve_branch_and_bound,
                      solve_brute_force, solve_relaxed_dp)
 
 EXIT_OK = 0
@@ -172,9 +172,6 @@ def _load_from_options(cluster_path, model_path, doc, path) -> tuple:
     instance = load_instance(cluster_path, model_path, bit_menu=bits,
                              delta=math.inf if delta == "inf" else delta,
                              tokens=tokens, feasible_bits=feasible)
-    if len(feasible) != instance.model.num_layers:
-        raise CliError(f"{path}: options.feasible_bits has {len(feasible)} entries "
-                       f"for {instance.model.num_layers} layers")
     return instance, options
 
 
@@ -219,16 +216,17 @@ def cmd_quantize(args) -> int:
             f"no weight tensors in {args.weights_dir}; expected <name>.json "
             "metadata ({\"name\",\"shape\",\"dtype\":\"f32\",\"order\":\"row-major\"}) "
             "plus <name>.bin little-endian float32 data")
-    records, stats_docs, failures = [], [], []
+    # the moments and histogram only go to --stats-out
+    bins = args.bins if args.stats_out else None
+    records, stats_docs = [], []
     numerator = denominator = 0.0
     for path in metas:
         try:
             w = load_weight_tensor(path)
         except ParseError as e:
-            failures.append(str(e))
             print(f"error: {e}", file=sys.stderr)
             continue
-        recs, stats = analyze_tensor(w, bits, delta, scheme, bins=args.bins)
+        recs, stats = analyze_tensor(w, bits, delta, scheme, bins=bins)
         feas = [r.bits for r in recs if r.feasible]
         for r in recs:
             records.append({
@@ -237,13 +235,14 @@ def cmd_quantize(args) -> int:
                 "zero_point": r.zero_point,
                 "max_abs_error": r.max_abs_error, "feasible": r.feasible,
             })
-        stats_docs.append({
-            "layer": stats.layer_name, "count": stats.count,
-            "min": stats.min, "max": stats.max, "mean": stats.mean,
-            "std": stats.std, "skewness": stats.skewness,
-            "histogram": {"bin_edges": list(stats.bin_edges),
-                          "counts": list(stats.counts)},
-        })
+        if args.stats_out:
+            stats_docs.append({
+                "layer": stats.layer_name, "count": stats.count,
+                "min": stats.min, "max": stats.max, "mean": stats.mean,
+                "std": stats.std, "skewness": stats.skewness,
+                "histogram": {"bin_edges": list(stats.bin_edges),
+                              "counts": list(stats.counts)},
+            })
         original_bits = args.original_precision
         numerator += (min(feas) if feas else original_bits) * w.values.size
         denominator += original_bits * w.values.size
@@ -280,7 +279,7 @@ def cmd_plan(args) -> int:
         })
 
     if args.solver == "relaxed":
-        bound, path = solve_relaxed_dp(instance, table)
+        bound, path = solve_relaxed_dp(table)
         if path is None:
             raise CliError("no layered path exists", EXIT_INFEASIBLE)
         write_plan(path, {"lower_bound_s": bound}, {}, relaxed=True)
@@ -288,9 +287,12 @@ def cmd_plan(args) -> int:
         return EXIT_OK
 
     if args.solver == "brute":
-        result = solve_brute_force(instance, table)
+        try:
+            result = solve_brute_force(instance, table)
+        except SizeLimit as e:
+            raise CliError(f"--solver brute: {e}")
     else:
-        result = solve_branch_and_bound(instance, table, args.budget)
+        result = solve_branch_and_bound(table, args.budget)
     if result.status == "infeasible":
         print(json.dumps({"status": "infeasible",
                           "reason": "no feasible placement under the "

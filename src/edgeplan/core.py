@@ -261,13 +261,60 @@ def validate_instance(instance: ProblemInstance) -> list[Violation]:
 # File I/O
 # ---------------------------------------------------------------------------
 
-def _require(obj: dict, key: str, where: str) -> Any:
-    if key not in obj:
-        raise ParseError(f"{where}: missing key '{key}'")
-    return obj[key]
+# JSON types by the Python type the json module reads them as; a JSON
+# boolean reads as bool, which is none of these
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string",
+               int: "an integer", float: "a number"}
+REQUIRED = object()
 
 
-def _load_json(path) -> dict:
+def _where(where: str, path: tuple) -> str:
+    return where + "".join(f"[{p}]" if type(p) is int else f".{p}" for p in path)
+
+
+def read_typed(value, kind: type, where: str, *path) -> Any:
+    """value if it has the JSON type ``kind`` (dict, list, str, int or
+    float), else ParseError naming ``where`` (the file) and ``path`` (the
+    keys and indices down to the value).
+
+    int is a JSON integer; float is any JSON number, an integer read with
+    float(), so 5 reads as 5.0 but one beyond the float range is refused.
+    A boolean is neither. The location string is built only on failure.
+    """
+    if type(value) is kind:
+        return value
+    if kind is float and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    shown = json.dumps(value)
+    if len(shown) > 40:
+        shown = shown[:37] + "..."
+    raise ParseError(f"{_where(where, path)}: must be {_JSON_KINDS[kind]}, "
+                     f"got {shown}")
+
+
+def read_fields(obj, schema: tuple, where: str, *path) -> list:
+    """The values of a JSON object's fields, one per (key, kind, default)
+    entry of ``schema``, each checked by ``read_typed``. A missing key
+    takes its default, or is a ParseError when the default is REQUIRED;
+    ``obj`` must be an object."""
+    obj = read_typed(obj, dict, where, *path)
+    values = []
+    for key, kind, default in schema:
+        if key not in obj:
+            if default is REQUIRED:
+                raise ParseError(f"{_where(where, path)}: missing key '{key}'")
+            values.append(default)
+            continue
+        value = obj[key]
+        values.append(value if type(value) is kind
+                      else read_typed(value, kind, where, *path, key))
+    return values
+
+
+def _load_json(path) -> Any:
     try:
         with open(path) as f:
             return json.load(f)
@@ -277,44 +324,40 @@ def _load_json(path) -> dict:
         raise ParseError(f"{path}: {e}") from e
 
 
-def parse_cluster(doc: dict, where: str = "cluster") -> ClusterSpec:
-    servers = []
-    for k, s in enumerate(_require(doc, "servers", where)):
-        servers.append(ServerSpec(
-            id=int(_require(s, "id", f"{where}.servers[{k}]")),
-            compute_throughput=float(_require(s, "ccs_flops", f"{where}.servers[{k}]")),
-            storage_capacity=float(_require(s, "storage_bytes", f"{where}.servers[{k}]")),
-        ))
-    links = []
-    for k, lk in enumerate(doc.get("links", [])):
-        links.append(LinkSpec(
-            src=int(_require(lk, "src", f"{where}.links[{k}]")),
-            dst=int(_require(lk, "dst", f"{where}.links[{k}]")),
-            capacity_bps=float(_require(lk, "capacity_bps", f"{where}.links[{k}]")),
-            propagation_delay=float(lk.get("prop_delay_s", 0.0)),
-        ))
+_CLUSTER = (("servers", list, REQUIRED), ("links", list, ()))
+_SERVER = (("id", int, REQUIRED), ("ccs_flops", float, REQUIRED),
+           ("storage_bytes", float, REQUIRED))
+_LINK = (("src", int, REQUIRED), ("dst", int, REQUIRED),
+         ("capacity_bps", float, REQUIRED), ("prop_delay_s", float, 0.0))
+_MODEL = (("layers", list, REQUIRED), ("batch_size", int, REQUIRED),
+          ("embedding_size", int, REQUIRED))
+_LAYER = (("flops", float, REQUIRED), ("param_count", int, REQUIRED),
+          ("output_size", float, REQUIRED), ("original_precision", int, REQUIRED),
+          ("weights", str, None))
+
+
+def parse_cluster(doc, where: str = "cluster") -> ClusterSpec:
+    """ClusterSpec from a parsed cluster document; ParseError on a missing
+    key or a field of the wrong JSON type."""
+    server_docs, link_docs = read_fields(doc, _CLUSTER, where)
+    servers = [ServerSpec(*read_fields(s, _SERVER, where, "servers", k))
+               for k, s in enumerate(server_docs)]
+    links = tuple(LinkSpec(*read_fields(lk, _LINK, where, "links", k))
+                  for k, lk in enumerate(link_docs))
     # position == id from here on: the delay table, the simulator and the
     # plan checker all index servers by position
     servers.sort(key=lambda s: s.id)
-    return ClusterSpec(servers=tuple(servers), links=tuple(links))
+    return ClusterSpec(servers=tuple(servers), links=links)
 
 
-def parse_model(doc: dict, where: str = "model") -> ModelProfile:
-    layers = []
-    for k, l in enumerate(_require(doc, "layers", where)):
-        layers.append(LayerProfile(
-            index=k,
-            flops=float(_require(l, "flops", f"{where}.layers[{k}]")),
-            param_count=int(_require(l, "param_count", f"{where}.layers[{k}]")),
-            output_size=float(_require(l, "output_size", f"{where}.layers[{k}]")),
-            original_precision=int(_require(l, "original_precision", f"{where}.layers[{k}]")),
-            weights_ref=l.get("weights"),
-        ))
-    return ModelProfile(
-        layers=tuple(layers),
-        batch_size=int(_require(doc, "batch_size", where)),
-        embedding_size=int(_require(doc, "embedding_size", where)),
-    )
+def parse_model(doc, where: str = "model") -> ModelProfile:
+    """ModelProfile from a parsed model document; ParseError on a missing
+    key or a field of the wrong JSON type."""
+    layer_docs, batch_size, embedding_size = read_fields(doc, _MODEL, where)
+    layers = tuple(LayerProfile(k, *read_fields(l, _LAYER, where, "layers", k))
+                   for k, l in enumerate(layer_docs))
+    return ModelProfile(layers=layers, batch_size=batch_size,
+                        embedding_size=embedding_size)
 
 
 def load_instance(cluster_path, model_path, *, bit_menu: Iterable[int],

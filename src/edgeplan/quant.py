@@ -11,8 +11,9 @@ dequantized arrays.
 
 ``analyze_tensor``, behind the ``quantize`` report, computes every
 width's exact error, equal to the reference's bit for bit: the maxima of
-the blocks combine to the same float. The histogram is computed only
-when asked for; of the commands only ``quantize`` reports it.
+the blocks combine to the same float. The moments and histogram are
+computed only when asked for; of the commands only ``quantize
+--stats-out`` reports them.
 
 ``feasible_bits``, the ``plan``/``export-lp --weights-dir`` filter,
 reports verdicts, not errors: the widths whose reference error is at most
@@ -20,7 +21,8 @@ delta, with no error computed that a verdict does not need.
 
 1. One-sided scheme. With no scheme forced, a tensor whose range does not
    straddle 0 is quantized asymmetrically whatever its skewness, so only a
-   two-sided tensor pays for the moments.
+   two-sided tensor pays for the moments. ``analyze_tensor`` picks its
+   scheme by the same rule.
 2. Certify. The reference's error at scale s is at most s/2 + slack, with
    slack = 8u max(|min|, |max|) (symmetric) or
    8u (max(|min|, |max|) + max - min) (asymmetric) and u = 2^-53 (proof in
@@ -46,7 +48,7 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import ParseError, check_bits
+from .core import REQUIRED, ParseError, check_bits, read_fields, read_typed
 
 
 # |skewness| above which recommend_scheme picks the asymmetric scheme
@@ -267,30 +269,38 @@ def save_weight_tensor(w: WeightTensor, directory, name: Optional[str] = None) -
     return json_path
 
 
+_META = (("name", str, REQUIRED), ("shape", list, REQUIRED),
+         ("dtype", str, REQUIRED), ("order", str, REQUIRED))
+
+
 def load_weight_tensor(json_path) -> WeightTensor:
+    """The tensor a metadata file and its .bin describe; ParseError on a
+    malformed file, a field of the wrong JSON type (``shape`` a list of
+    integers, the rest strings), or data that do not fit the shape."""
+    where = str(json_path)
     try:
         with open(json_path) as f:
             meta = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
-        raise ParseError(f"{json_path}: {e}") from e
-    for key in ("name", "shape", "dtype", "order"):
-        if key not in meta:
-            raise ParseError(f"{json_path}: missing key '{key}'")
-    if meta["dtype"] != "f32" or meta["order"] != "row-major":
-        raise ParseError(f"{json_path}: unsupported dtype/order "
-                         f"{meta['dtype']}/{meta['order']}")
-    bin_path = os.path.splitext(str(json_path))[0] + ".bin"
+        raise ParseError(f"{where}: {e}") from e
+    name, dims, dtype, order = read_fields(meta, _META, where)
+    if dtype != "f32" or order != "row-major":
+        raise ParseError(f"{where}: unsupported dtype/order {dtype}/{order}")
+    shape = tuple(read_typed(d, int, where, "shape", k) for k, d in enumerate(dims))
+    if any(d < 0 for d in shape):
+        raise ParseError(f"{where}: negative entry in shape {list(shape)}")
+    bin_path = os.path.splitext(where)[0] + ".bin"
     try:
         raw = np.fromfile(bin_path, dtype="<f4")
     except OSError as e:
         raise ParseError(f"{bin_path}: {e}") from e
-    shape = tuple(int(s) for s in meta["shape"])
-    if raw.size != int(np.prod(shape)):
+    # exact for any integer entries; np.prod wraps around in int64
+    if raw.size != math.prod(shape):
         raise ParseError(f"{bin_path}: {raw.size} values, shape {shape}")
     if raw.size == 0:
         raise ParseError(f"{bin_path}: empty tensor")
     try:
-        return WeightTensor(layer_name=str(meta["name"]), values=raw, shape=shape)
+        return WeightTensor(layer_name=name, values=raw, shape=shape)
     except ValueError as e:  # the size matches, so the values are not finite
         raise ParseError(f"{bin_path}: {int(np.count_nonzero(~np.isfinite(raw)))} "
                          "non-finite values (NaN or inf)") from e
@@ -349,27 +359,39 @@ def _grids(scheme: SchemeKind, lo: float, hi: float,
     return grids, False
 
 
+def _pick_scheme(w: WeightTensor, lo: float, hi: float,
+                 scheme: Optional[SchemeKind],
+                 stats: Optional[DistributionStats] = None) -> SchemeKind:
+    """The one scheme rule of both analysis entry points: the forced scheme
+    if there is one; else asymmetric for a range [lo, hi] on one side of 0,
+    which recommend_scheme picks whatever the skewness; else
+    recommend_scheme on the moments, taken from ``stats`` when the caller
+    has them."""
+    if scheme is not None:
+        return scheme
+    if not lo < 0 < hi:
+        return SchemeKind.ASYMMETRIC
+    return recommend_scheme(stats or distribution_stats(w, None))
+
+
 def analyze_tensor(w: WeightTensor, bit_menu: Iterable[int], delta: float,
                    scheme: Optional[SchemeKind] = None, bins: Optional[int] = 32,
                    ) -> tuple[list[LayerQuantRecord], Optional[DistributionStats]]:
-    """Per-bit error records plus distribution stats (with a ``bins``-bin
-    histogram) for one layer.
+    """Per-bit error records for one layer, plus its distribution stats
+    with a ``bins``-bin histogram exactly when ``bins`` is not None.
 
     When no scheme is forced, the layer uses the scheme recommended from
-    its own weight distribution. The moments only when a scheme must be
-    recommended or a histogram is asked for, then every width's exact
-    error from one blocked scan with no early stop. ``bins=None`` skips
-    the histogram; the stats are then None when no scheme had to be
-    recommended either.
+    its own weight distribution (see _pick_scheme), then every width's
+    exact error comes from one blocked scan with no early stop.
     """
     widths = _checked_menu(bit_menu, delta)
     stats = None
-    if scheme is None or bins is not None:
+    if bins is not None:
         stats = distribution_stats(w, bins)
         lo, hi = stats.min, stats.max
     else:
         lo, hi = float(w.values.min()), float(w.values.max())
-    used = scheme or recommend_scheme(stats)
+    used = _pick_scheme(w, lo, hi, scheme, stats)
     grids, flat = _grids(used, lo, hi, widths)
     errors = [0.0] * len(grids) if flat else _scan(w.values, used, grids)
     records = [LayerQuantRecord(
@@ -393,11 +415,7 @@ def feasible_bits(w: WeightTensor, bit_menu: Iterable[int], delta: float,
     """
     widths = _checked_menu(bit_menu, delta)
     lo, hi = float(w.values.min()), float(w.values.max())
-    if scheme is None:
-        # recommend_scheme picks asymmetric for a range on one side of 0
-        # whatever its skewness, so only a two-sided range needs moments
-        scheme = (recommend_scheme(distribution_stats(w, None)) if lo < 0 < hi
-                  else SchemeKind.ASYMMETRIC)
+    scheme = _pick_scheme(w, lo, hi, scheme)
     grids, flat = _grids(scheme, lo, hi, widths)
     if flat:
         return tuple(widths)

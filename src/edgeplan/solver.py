@@ -1,18 +1,22 @@
 """Exact solvers for the single-model placement problem.
 
-The delay table runs each layer at one width, the smallest its filter
-kept (see build_delay_table), so the relaxed DP and branch and bound
-choose a server per layer, within the table's math.inf mask:
+The solvers split along one line. The planner side reads the delay table
+and nothing else. The table runs each layer at one width, the smallest
+its filter kept (see build_delay_table), so the relaxed DP and branch and
+bound choose a server per layer, within the table's math.inf mask:
   - relaxed DP: shortest path through the layered graph whose stage-l
     nodes are servers, dropping the one-layer-per-server rule; an
     admissible lower bound, computed with whole-array minima.
   - branch and bound: depth-first over layers with the DP suffix bound,
     escalating to a Lagrangian bound (per-server penalties on the same
-    DP) when the plain bound does not settle the instance quickly;
+    DP) when the plain bound does not settle the search quickly;
     guaranteed to reproduce the brute-force optimum and tie-broken plan.
+The oracle reads the raw specs and, of the table, only its DelayOptions:
   - brute force: every injective server assignment times every feasible
-    width, priced by compute_cp/compute_cm on the raw specs; the oracle
-    of the search, of the table and of the smallest-width rule.
+    width, priced by compute_cp/compute_cm; the oracle of the search, of
+    the table and of the smallest-width rule. Its plan and objective never
+    pass through the table, so an equal objective is a bit-for-bit check
+    of the table at the optimum.
 
 Branch and bound visits nodes one at a time, so it reads the table as
 nested Python lists (one ``tolist()`` per solve); per-node numpy scalar
@@ -43,7 +47,7 @@ DEFAULT_NODE_BUDGET = 10_000_000
 # subgradient step is a relaxed DP plus its witness, O(L * M^2): about
 # 0.3 ms at M=16/L=10 on a 2-CPU Xeon, so a pass of 20-100 steps costs
 # 5-30 ms, while 1,000 expansions cost about 3.5 ms there. Shallow
-# instances (L <= 5, any M) mostly finish within the allowance and never
+# searches (L <= 5, any M) mostly finish within the allowance and never
 # pay for a pass; deep ones (L >= 7) mostly escalate.
 _ESCALATE_AFTER = 1_000
 _SUBGRADIENT_STEPS = 100
@@ -61,7 +65,7 @@ BRUTE_FORCE_MAX_SERVERS = 9
 
 
 class SizeLimit(ValueError):
-    """Instance too large for the brute-force guard."""
+    """A problem too large for the brute-force guard."""
 
 
 @dataclass(frozen=True)
@@ -73,17 +77,6 @@ class SolveResult:
     lower_bound_at_root: float
     wall_time: float
     expansions: int = 0  # search-tree children examined (bnb only)
-
-    @property
-    def feasible(self) -> bool:
-        return self.plan is not None
-
-
-def _make_plan(assignments, table: DelayTable) -> PlacementPlan:
-    """Plan from (server, bits) pairs, priced by evaluate_plan."""
-    total, cp, cm = evaluate_plan(assignments, table)
-    return PlacementPlan(assignments=assignments, total_delay=total,
-                        compute_delay=cp, comm_delay=cm)
 
 
 def _scalar_prices(instance: ProblemInstance, options) -> tuple[list, list]:
@@ -105,21 +98,19 @@ def _scalar_prices(instance: ProblemInstance, options) -> tuple[list, list]:
 
 def solve_brute_force(instance: ProblemInstance, table: DelayTable) -> SolveResult:
     """Enumerate every feasible plan at every feasible width, priced from
-    the raw specs under ``table.options``; exact by construction. The
-    table prices only the plan returned, so a wrong entry or an optimum
-    at a width the table dropped fails rather than agrees."""
+    the raw specs under ``table.options``; exact by construction. Of the
+    table it reads only the options, so a wrong entry, or an optimum at a
+    width the table dropped, shows as a different plan or objective from
+    the search's. With more layers than servers, or a layer that keeps no
+    width, there is nothing to enumerate: 0 leaves, infeasible."""
     L = instance.model.num_layers
     M = instance.cluster.num_servers
     if L > BRUTE_FORCE_MAX_LAYERS or M > BRUTE_FORCE_MAX_SERVERS:
         raise SizeLimit(f"L={L}, M={M} beyond brute-force guard "
                         f"({BRUTE_FORCE_MAX_LAYERS}, {BRUTE_FORCE_MAX_SERVERS})")
     t0 = time.perf_counter()
-    if L > M or any(not fb for fb in instance.feasible_bits):
-        return SolveResult("infeasible", None, math.inf, 0, math.inf,
-                           time.perf_counter() - t0)
-
     cp, cm = _scalar_prices(instance, table.options)
-    best_total = math.inf
+    best_delay = (math.inf, math.inf, math.inf)
     best: Optional[tuple[tuple[int, int], ...]] = None
     leaves = 0
     for bits in itertools.product(*instance.feasible_bits):
@@ -127,18 +118,20 @@ def solve_brute_force(instance: ProblemInstance, table: DelayTable) -> SolveResu
         cm_at = [cm[l][b] for l, b in enumerate(bits)]
         for perm in itertools.permutations(range(M), L):
             leaves += 1
-            total = path_delay(cp_at, cm_at, perm)[0]
-            if total > best_total or math.isinf(total):
+            delay = path_delay(cp_at, cm_at, perm)
+            total = delay[0]
+            if total > best_delay[0] or math.isinf(total):
                 continue
             candidate = tuple(zip(perm, bits))
-            if total < best_total or candidate < best:
-                best_total, best = total, candidate
+            if total < best_delay[0] or candidate < best:
+                best_delay, best = delay, candidate
     wall = time.perf_counter() - t0
     if best is None:
         return SolveResult("infeasible", None, math.inf, leaves, math.inf, wall)
-    plan = _make_plan(best, table)
-    return SolveResult("optimal", plan, plan.total_delay, leaves,
-                       plan.total_delay, wall)
+    total, compute, comm = best_delay
+    plan = PlacementPlan(assignments=best, total_delay=total,
+                         compute_delay=compute, comm_delay=comm)
+    return SolveResult("optimal", plan, total, leaves, total, wall)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +165,7 @@ def _witness(H: list[np.ndarray], cm: np.ndarray) -> list[int]:
     return path
 
 
-def solve_relaxed_dp(instance: ProblemInstance, table: DelayTable
+def solve_relaxed_dp(table: DelayTable
                      ) -> tuple[float, Optional[tuple[tuple[int, int], ...]]]:
     """Shortest layered path; returns (lower_bound, (server, bits) path).
     The path may reuse servers, so it is a bound witness, not a plan."""
@@ -329,7 +322,7 @@ def _search(cp, cm, H, lam, limit: int, incumbent):
     return found, leaves, expansions, exhausted
 
 
-def solve_branch_and_bound(instance: ProblemInstance, table: DelayTable,
+def solve_branch_and_bound(table: DelayTable,
                            budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:
     """Exact search: the DP suffix bound first, the Lagrangian bound if
     that runs long.
@@ -346,15 +339,11 @@ def solve_branch_and_bound(instance: ProblemInstance, table: DelayTable,
     root bound the solve proved.
     """
     t0 = time.perf_counter()
-    L = instance.model.num_layers
-    M = instance.cluster.num_servers
-    if L > M or any(not fb for fb in instance.feasible_bits):
-        return SolveResult("infeasible", None, math.inf, 0, math.inf,
-                           time.perf_counter() - t0)
-
+    L, M = table.cp.shape
     bounds = _suffix_bounds(table.cp, table.cm)
     root_bound = float(bounds[0].min(initial=math.inf))
-    if math.isinf(root_bound):
+    # a layer that keeps no width has an all-inf cp row: an inf root bound
+    if L > M or math.isinf(root_bound):
         return SolveResult("infeasible", None, math.inf, 0, math.inf,
                            time.perf_counter() - t0)
 
@@ -378,7 +367,10 @@ def solve_branch_and_bound(instance: ProblemInstance, table: DelayTable,
         return SolveResult(status, None, math.inf, leaves, root_bound, wall,
                            expansions)
     status = "budget_exceeded" if exhausted else "optimal"
-    plan = _make_plan(tuple(zip(incumbent[1], table.widths)), table)
+    assignments = tuple(zip(incumbent[1], table.widths))
+    total, compute, comm = evaluate_plan(assignments, table)
+    plan = PlacementPlan(assignments=assignments, total_delay=total,
+                         compute_delay=compute, comm_delay=comm)
     # the root bound can exceed the objective only by rounding
-    return SolveResult(status, plan, plan.total_delay, leaves,
-                       min(root_bound, plan.total_delay), wall, expansions)
+    return SolveResult(status, plan, total, leaves, min(root_bound, total),
+                       wall, expansions)

@@ -5,8 +5,8 @@ import os
 import pytest
 
 from edgeplan.core import (ClusterSpec, LayerProfile, LinkSpec, ModelProfile,
-                           ProblemInstance, ServerSpec, storage_bytes)
-from edgeplan.delay import build_delay_table
+                           ProblemInstance, ServerSpec)
+from edgeplan.delay import DelayOptions, build_delay_table
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -33,13 +33,15 @@ def make_2x2_instance(**overrides) -> ProblemInstance:
     return ProblemInstance(**kwargs)
 
 
-def with_binding_storage(inst: ProblemInstance, rng, p: float) -> ProblemInstance:
+def with_binding_storage(inst: ProblemInstance, rng, p: float,
+                         options: DelayOptions = DelayOptions()) -> ProblemInstance:
     """Give each server, with probability p, a capacity drawn between the
-    smallest and the largest layer footprint over the menu, so storage
-    binds. p = 0 draws nothing and returns the instance unchanged."""
+    smallest and the largest layer footprint over the menu under the
+    options' storage reading, so storage binds. p = 0 draws nothing and
+    returns the instance unchanged; every reading makes the same draws."""
     if p <= 0:
         return inst
-    footprints = [storage_bytes(layer, b) for layer in inst.model.layers
+    footprints = [options.bytes_needed(layer, b) for layer in inst.model.layers
                   for b in inst.bit_menu]
     servers = tuple(
         dataclasses.replace(s, storage_capacity=rng.uniform(min(footprints), max(footprints)))

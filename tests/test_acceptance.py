@@ -51,7 +51,7 @@ def test_criterion_1_oracle_equivalence(suite):
     ok = True
     for inst, table in suite:
         exact = solve_brute_force(inst, table)
-        got = solve_branch_and_bound(inst, table)
+        got = solve_branch_and_bound(table)
         if exact.plan is None:
             ok &= got.plan is None
             continue
@@ -71,11 +71,11 @@ def test_criterion_2_relaxation_admissibility(suite):
         exact = solve_brute_force(inst, table)
         if exact.plan is None:
             continue
-        bound, _ = solve_relaxed_dp(inst, table)
+        bound, _ = solve_relaxed_dp(table)
         ok &= bound <= exact.objective + 1e-12
     fixture = dominant_server_instance()
     table = build_delay_table(fixture)
-    bound, _ = solve_relaxed_dp(fixture, table)
+    bound, _ = solve_relaxed_dp(table)
     optimum = solve_brute_force(fixture, table).objective
     strict = bound < optimum - 1e-12
     _report("criterion 2: DP lower bound admissible on the suite and "
@@ -220,17 +220,17 @@ def test_criterion_8_structural_monotonicity():
     for seed in range(25):
         rng = random.Random(800_000 + seed)
         inst = random_test_instance(rng, max_servers=5)
-        base = solve_branch_and_bound(inst, build_delay_table(inst))
+        base = solve_branch_and_bound(build_delay_table(inst))
         grown = _with_extra_server(inst)
-        more = solve_branch_and_bound(grown, build_delay_table(grown))
+        more = solve_branch_and_bound(build_delay_table(grown))
         if base.plan is not None:
             ok &= more.plan is not None and more.objective <= base.objective + 1e-12
     for seed in range(25):
         rng = random.Random(850_000 + seed)
         inst = random_test_instance(rng)
-        base = solve_branch_and_bound(inst, build_delay_table(inst))
+        base = solve_branch_and_bound(build_delay_table(inst))
         wide = _with_full_bits(inst)
-        more = solve_branch_and_bound(wide, build_delay_table(wide))
+        more = solve_branch_and_bound(build_delay_table(wide))
         if base.plan is not None:
             ok &= more.plan is not None and more.objective <= base.objective + 1e-12
     _report("criterion 8: adding a server or widening feasible-bit sets "

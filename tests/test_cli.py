@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from edgeplan import quant
 from edgeplan import solver as solver_module
 from edgeplan.cli import (_load_and_filter, _load_from_options, _write_json,
                           build_parser, input_digest, main)
@@ -119,6 +120,32 @@ class TestQuantize:
         assert "bad.json" in err
         assert json.loads(out.read_text())["records"]
 
+    def test_moments_only_for_the_stats_document(self, tmp_path, capsys, monkeypatch):
+        """Without --stats-out, only a two-sided tensor pays for moments,
+        and for no histogram; the report is the same either way."""
+        wdir = tmp_path / "w"
+        write_weights(wdir, {"one_sided": [0.5, 1.0, 2.0],
+                             "two_sided": [-1.0, 0.5, 2.0]})
+        calls = []
+        stats = quant.distribution_stats
+
+        def spy(w, bins=32):
+            calls.append((w.layer_name, bins))
+            return stats(w, bins)
+
+        monkeypatch.setattr(quant, "distribution_stats", spy)
+        argv = ["quantize", "--weights-dir", str(wdir), "--bits", "4,8",
+                "--delta", "0.1", "--out"]
+        code, _, _ = run(argv + [str(tmp_path / "a.json")], capsys)
+        assert code == 0
+        assert calls == [("two_sided", None)]
+        calls.clear()
+        code, _, _ = run(argv + [str(tmp_path / "b.json"), "--stats-out",
+                                 str(tmp_path / "s.json")], capsys)
+        assert code == 0
+        assert calls == [("one_sided", 32), ("two_sided", 32)]
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
     def test_unusable_weights_reported_but_continue(self, tmp_path, capsys):
         wdir = tmp_path / "w"
         write_weights(wdir, {"good": [-1.0, 1.0], "empty": []})
@@ -184,6 +211,19 @@ class TestPlan:
              "--bits", "8", "--out", str(tmp_path / "p.json")], capsys)
         assert code == 3
         assert json.loads(stdout.strip())["status"] == "infeasible"
+
+    def test_brute_past_its_size_guard_is_input_error(self, tmp_path, capsys):
+        gen_dir = tmp_path / "inst"
+        run(["gen", "--seed", "1", "-m", "10", "-l", "4",
+             "--out-dir", str(gen_dir)], capsys)
+        out = tmp_path / "p.json"
+        code, stdout, err = run(
+            ["plan", "--cluster", str(gen_dir / "cluster.json"),
+             "--model", str(gen_dir / "model.json"), "--bits", "4,8,16",
+             "--solver", "brute", "--out", str(out)], capsys)
+        assert code == 2
+        assert "brute-force guard" in err
+        assert stdout == "" and not out.exists()
 
     def test_budget_exit_code(self, tmp_path, capsys):
         gen_dir = tmp_path / "inst"

@@ -3,7 +3,8 @@
 The first draws bit menus, error budgets, token counts, histogram bins,
 schemes and original precisions, valid and not, against
 one small generated instance with weight tensors. The second mutates a
-plan document and replays it.
+plan document and replays it. The third mutates the instance's cluster,
+model and weight metadata files and plans them.
 Every run must end in a documented exit code without a traceback; invalid
 input must be an input error (exit 2) and valid input must not be; what
 a run writes on exit 0 must be finite and record the inputs as given,
@@ -15,6 +16,8 @@ import io
 import json
 import math
 import os
+import pathlib
+import shutil
 import tempfile
 from dataclasses import dataclass
 
@@ -280,3 +283,114 @@ def replay_mutated(fuzz_dir, plan_doc, picks):
         assert code == expected, (mutations, code, err)
         assert os.path.exists(timeline) == (code == 0)
         assert os.path.exists(summary) == (code == 0)
+
+
+# (file, path into its document, new value or a function of the old value,
+# valid). A field of the wrong JSON type is an input error (exit 2); an
+# integer in a number field is a number, and the run stays valid (exit 0).
+# The weight metadata file is read by `plan --weights-dir`; `quantize`
+# reports a malformed one and skips it.
+INSTANCE_MUTATIONS = [
+    ("cluster.json", (), lambda doc: None, False),
+    ("cluster.json", (), lambda doc: [doc], False),
+    ("cluster.json", ("servers",), 5, False),
+    ("cluster.json", ("servers", 0), 7, False),
+    ("cluster.json", ("servers", 0, "id"), "x", False),
+    ("cluster.json", ("servers", 0, "id"), 0.0, False),
+    ("cluster.json", ("servers", 1, "id"), 1.7, False),
+    ("cluster.json", ("servers", 1, "id"), True, False),
+    ("cluster.json", ("servers", 0, "ccs_flops"), None, False),
+    ("cluster.json", ("servers", 0, "ccs_flops"), "abc", False),
+    ("cluster.json", ("servers", 0, "ccs_flops"), True, False),
+    ("cluster.json", ("servers", 0, "ccs_flops"), 10 ** 400, False),
+    ("cluster.json", ("servers", 1, "storage_bytes"), [1e9], False),
+    ("cluster.json", ("links",), {}, False),
+    ("cluster.json", ("links", 0), "x", False),
+    ("cluster.json", ("links", 0, "src"), None, False),
+    ("cluster.json", ("links", 1, "dst"), float, False),
+    ("cluster.json", ("links", 2, "capacity_bps"), "fast", False),
+    ("cluster.json", ("links", 3, "prop_delay_s"), None, False),
+    ("cluster.json", ("servers", 0, "ccs_flops"), int, True),
+    ("cluster.json", ("servers", 1, "storage_bytes"), int, True),
+    ("cluster.json", ("links", 2, "capacity_bps"), int, True),
+    ("cluster.json", ("links", 3, "prop_delay_s"), 0, True),
+    ("model.json", (), lambda doc: None, False),
+    ("model.json", ("layers",), "abc", False),
+    ("model.json", ("layers", 0), 3, False),
+    ("model.json", ("layers", 0, "param_count"), "big", False),
+    ("model.json", ("layers", 0, "param_count"), float, False),
+    ("model.json", ("layers", 1, "flops"), [1], False),
+    ("model.json", ("layers", 1, "output_size"), False, False),
+    ("model.json", ("layers", 2, "original_precision"), 32.0, False),
+    ("model.json", ("layers", 2, "weights"), 5, False),
+    ("model.json", ("batch_size",), None, False),
+    ("model.json", ("batch_size",), 1.0, False),
+    ("model.json", ("embedding_size",), "512", False),
+    ("model.json", ("layers", 1, "flops"), int, True),
+    ("model.json", ("layers", 1, "output_size"), int, True),
+    ("w/l0.json", (), lambda doc: None, False),
+    ("w/l0.json", ("shape",), ["a"], False),
+    ("w/l0.json", ("shape",), 6, False),
+    ("w/l0.json", ("shape", 0), 64.0, False),
+    ("w/l0.json", ("shape",), [-8, -8], False),
+    ("w/l0.json", ("name",), 5, False),
+]
+
+
+def mutated_instance(fuzz_dir, tmp, picks):
+    """Copies of the fuzz instance's files under tmp with the picked
+    mutations applied, deeper edits first."""
+    docs = {}
+    for name in ("cluster.json", "model.json", "w/l0.json"):
+        docs[name] = json.loads((fuzz_dir / name).read_text())
+    for k in sorted(picks, key=lambda k: -len(INSTANCE_MUTATIONS[k][1])):
+        name, path, value, _ = INSTANCE_MUTATIONS[k]
+        docs[name] = mutate(docs[name], path, value)
+    shutil.copytree(fuzz_dir / "w", tmp / "w")
+    for name, doc in docs.items():
+        (tmp / name).write_text(json.dumps(doc))
+
+
+def plan_mutated(fuzz_dir, picks):
+    """Plan the mutated instance with --weights-dir: exit 2 with no
+    traceback and no output when any mutation is invalid, else exit 0."""
+    valid = all(INSTANCE_MUTATIONS[k][3] for k in picks)
+    with tempfile.TemporaryDirectory(dir=fuzz_dir) as name:
+        tmp = pathlib.Path(name)
+        mutated_instance(fuzz_dir, tmp, picks)
+        out = tmp / "plan.json"
+        code, stdout, err = run_cli(["plan", "--cluster", str(tmp / "cluster.json"),
+                                     "--model", str(tmp / "model.json"),
+                                     "--weights-dir", str(tmp / "w"),
+                                     "--bits", "4,8,16", "--tokens", "2",
+                                     "--out", str(out)])
+        assert "Traceback" not in err
+        assert code == (0 if valid else 2), (picks, code, err)
+        if not valid:
+            assert stdout == "" and not out.exists()
+        return tmp
+
+
+@pytest.mark.parametrize("k", range(len(INSTANCE_MUTATIONS)))
+def test_each_instance_mutation_alone(fuzz_dir, k):
+    plan_mutated(fuzz_dir, [k])
+    name, _, _, valid = INSTANCE_MUTATIONS[k]
+    if name != "w/l0.json":
+        return
+    with tempfile.TemporaryDirectory(dir=fuzz_dir) as tmp:
+        mutated_instance(fuzz_dir, pathlib.Path(tmp), [k])
+        out = os.path.join(tmp, "report.json")
+        code, _, err = run_cli(["quantize", "--weights-dir", os.path.join(tmp, "w"),
+                                "--bits", "4,8", "--delta", "0.1", "--out", out])
+        assert code == 0 and "Traceback" not in err
+        with open(out) as f:
+            layers = {r["layer"] for r in json.load(f)["records"]}
+    assert layers == {"l1", "l2"}
+    assert "l0.json" in err
+
+
+@given(picks=st.lists(st.sampled_from(range(len(INSTANCE_MUTATIONS))), max_size=3,
+                      unique_by=lambda k: INSTANCE_MUTATIONS[k][:2]))
+@settings(max_examples=40, deadline=None)
+def test_instance_mutations(fuzz_dir, picks):
+    plan_mutated(fuzz_dir, picks)

@@ -44,8 +44,8 @@ def cases():
 
 def record(inst, options) -> dict:
     table = build_delay_table(inst, options)
-    got = solve_branch_and_bound(inst, table)
-    bound, witness = solve_relaxed_dp(inst, table)
+    got = solve_branch_and_bound(table)
+    bound, witness = solve_relaxed_dp(table)
     return {
         "status": got.status,
         "assignments": None if got.plan is None else [list(a) for a in got.plan.assignments],

@@ -460,6 +460,7 @@ class TestCertifyOrWitness:
             records, _ = analyze_tensor(w, KERNEL_WIDTHS, 1e-3)
             assert records[0].scheme is SchemeKind.ASYMMETRIC
             calls.clear()
+            assert analyze_tensor(w, KERNEL_WIDTHS, 1e-3, bins=None) == (records, None)
             assert feasible_bits(w, KERNEL_WIDTHS, 1e-3, None) == \
                 tuple(r.bits for r in records if r.feasible)
             assert calls == []

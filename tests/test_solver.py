@@ -73,14 +73,14 @@ class TestBruteForce:
 
 class TestRelaxedDp:
     def test_golden_bound_is_tight(self, golden_instance, golden_table):
-        bound, path = solve_relaxed_dp(golden_instance, golden_table)
+        bound, path = solve_relaxed_dp(golden_table)
         assert bound == pytest.approx(3.0, rel=1e-12)
         assert path == ((0, 8), (1, 8))
 
     def test_dominant_server_gives_strict_gap(self):
         inst = dominant_server_instance()
         table = build_delay_table(inst)
-        bound, path = solve_relaxed_dp(inst, table)
+        bound, path = solve_relaxed_dp(table)
         optimum = solve_brute_force(inst, table).objective
         assert bound < optimum - 1e-12
         servers = [i for i, _ in path]
@@ -91,7 +91,7 @@ class TestRelaxedDp:
         inst = make_2x2_instance(model=ModelProfile(
             layers=inst.model.layers[:1], batch_size=1, embedding_size=4))
         table = build_delay_table(inst)
-        bound, _ = solve_relaxed_dp(inst, table)
+        bound, _ = solve_relaxed_dp(table)
         assert bound == solve_brute_force(inst, table).objective
 
     @pytest.mark.parametrize("seed", range(40))
@@ -100,14 +100,14 @@ class TestRelaxedDp:
         inst = random_test_instance(rng)
         table = build_delay_table(inst)
         exact = solve_brute_force(inst, table)
-        bound, _ = solve_relaxed_dp(inst, table)
+        bound, _ = solve_relaxed_dp(table)
         if exact.plan is not None:
             assert bound <= exact.objective + 1e-12
 
 
 class TestBranchAndBound:
     def test_golden_matches_brute_force(self, golden_instance, golden_table):
-        result = solve_branch_and_bound(golden_instance, golden_table)
+        result = solve_branch_and_bound(golden_table)
         assert result.objective == pytest.approx(3.0, rel=1e-12)
         assert result.plan.assignments == ((0, 8), (1, 8))
         assert result.lower_bound_at_root <= result.objective + 1e-12
@@ -118,7 +118,7 @@ class TestBranchAndBound:
         inst = random_test_instance(rng)
         table = build_delay_table(inst)
         exact = solve_brute_force(inst, table)
-        got = solve_branch_and_bound(inst, table)
+        got = solve_branch_and_bound(table)
         if exact.plan is None:
             assert got.plan is None
         else:
@@ -132,8 +132,8 @@ class TestBranchAndBound:
         rng = random.Random(7)
         inst = random_test_instance(rng)
         table = build_delay_table(inst)
-        a = solve_branch_and_bound(inst, table)
-        b = solve_branch_and_bound(inst, table)
+        a = solve_branch_and_bound(table)
+        b = solve_branch_and_bound(table)
         assert (a.status, a.objective, a.nodes_explored) == \
             (b.status, b.objective, b.nodes_explored)
         assert (a.plan is None) == (b.plan is None)
@@ -143,18 +143,29 @@ class TestBranchAndBound:
     def test_budget_exhaustion(self):
         inst = dominant_server_instance(num_layers=4)
         table = build_delay_table(inst)
-        result = solve_branch_and_bound(inst, table, budget=1)
+        result = solve_branch_and_bound(table, budget=1)
         assert result.status == "budget_exceeded"
 
     def test_empty_feasible_bits_is_infeasible(self):
         inst = make_2x2_instance(feasible_bits=((8,), ()))
-        result = solve_branch_and_bound(inst, build_delay_table(inst))
+        result = solve_branch_and_bound(build_delay_table(inst))
         assert result.status == "infeasible"
 
 
+# every reading of the delay and storage formulas
+ALL_OPTIONS = [DelayOptions(*reading) for reading in itertools.product(
+    ("with_pl", "without_pl"), (True, False), ("compact", "literal"))]
+
+
+def _storage_options(seed):
+    return ALL_OPTIONS[seed % len(ALL_OPTIONS)]
+
+
 def _storage_instance(seed):
+    """Capacities drawn from the footprints of the seed's own reading."""
     rng = random.Random(5000 + seed)
-    return with_binding_storage(random_test_instance(rng), rng, 0.6)
+    return with_binding_storage(random_test_instance(rng), rng, 0.6,
+                                _storage_options(seed))
 
 
 def _without_storage_limits(inst):
@@ -166,11 +177,6 @@ def _without_storage_limits(inst):
         tokens=inst.tokens, feasible_bits=inst.feasible_bits)
 
 
-# every reading of the delay and storage formulas
-ALL_OPTIONS = [DelayOptions(*reading) for reading in itertools.product(
-    ("with_pl", "without_pl"), (True, False), ("compact", "literal"))]
-
-
 class TestStorageBinding:
     """Seeded suite where server capacities fall inside the range of layer
     footprints, so the storage part of the admissibility mask binds."""
@@ -180,11 +186,11 @@ class TestStorageBinding:
         """Brute force over every width equals the search over the kept
         width, under each of the 8 DelayOptions readings in turn."""
         inst = _storage_instance(seed)
-        options = ALL_OPTIONS[seed % len(ALL_OPTIONS)]
+        options = _storage_options(seed)
         table = build_delay_table(inst, options)
         exact = solve_brute_force(inst, table)
-        got = solve_branch_and_bound(inst, table)
-        bound, _ = solve_relaxed_dp(inst, table)
+        got = solve_branch_and_bound(table)
+        bound, _ = solve_relaxed_dp(table)
         assert got.status == exact.status
         if exact.plan is None:
             assert got.plan is None
@@ -198,19 +204,28 @@ class TestStorageBinding:
         assert obj == pytest.approx(got.objective, rel=1e-9)
 
     def test_storage_binds_on_the_suite(self):
-        masked = changed = 0
+        """Storage masks and moves plans under every reading, and the
+        literal-storage seeds stay mostly feasible, with enough layers that
+        keep two widths for brute force to check the smallest-width rule."""
+        masked = changed = literal_feasible = literal_two_widths = 0
         for seed in range(60):
             inst = _storage_instance(seed)
-            table = build_delay_table(inst)
+            options = _storage_options(seed)
+            table = build_delay_table(inst, options)
             loose = _without_storage_limits(inst)
-            masked += bool((np.isinf(table.cp)
-                            & np.isfinite(build_delay_table(loose).cp)).any())
+            loose_table = build_delay_table(loose, options)
+            masked += bool((np.isinf(table.cp) & np.isfinite(loose_table.cp)).any())
             exact = solve_brute_force(inst, table)
-            free = solve_brute_force(loose, build_delay_table(loose))
+            free = solve_brute_force(loose, loose_table)
             changed += (exact.plan and exact.plan.assignments) != \
                 (free.plan and free.plan.assignments)
+            if options.storage == "literal" and exact.plan is not None:
+                literal_feasible += 1
+                literal_two_widths += any(len(fb) > 1 for fb in inst.feasible_bits)
         assert masked >= 30
         assert changed >= 10
+        assert literal_feasible >= 25, literal_feasible
+        assert literal_two_widths >= 12, literal_two_widths
 
     def test_no_admissible_column_is_infeasible(self):
         inst = make_2x2_instance(cluster=ClusterSpec(
@@ -218,8 +233,8 @@ class TestStorageBinding:
             links=make_2x2_instance().cluster.links))
         table = build_delay_table(inst)
         assert solve_brute_force(inst, table).status == "infeasible"
-        assert solve_branch_and_bound(inst, table).status == "infeasible"
-        assert solve_relaxed_dp(inst, table) == (math.inf, None)
+        assert solve_branch_and_bound(table).status == "infeasible"
+        assert solve_relaxed_dp(table) == (math.inf, None)
         with pytest.raises(EmptyFeasibleSet):
             build_ilp(inst, table)
 
@@ -249,9 +264,9 @@ class TestMonotonicity:
     def test_extra_server_never_hurts(self, seed):
         rng = random.Random(3000 + seed)
         inst = random_test_instance(rng, max_servers=5)
-        base = solve_branch_and_bound(inst, build_delay_table(inst))
+        base = solve_branch_and_bound(build_delay_table(inst))
         grown = _with_extra_server(inst)
-        more = solve_branch_and_bound(grown, build_delay_table(grown))
+        more = solve_branch_and_bound(build_delay_table(grown))
         if base.plan is not None:
             assert more.plan is not None
             assert more.objective <= base.objective + 1e-12
@@ -260,9 +275,9 @@ class TestMonotonicity:
     def test_wider_bit_sets_never_hurt(self, seed):
         rng = random.Random(4000 + seed)
         inst = random_test_instance(rng)
-        base = solve_branch_and_bound(inst, build_delay_table(inst))
+        base = solve_branch_and_bound(build_delay_table(inst))
         wide = _with_full_bits(inst)
-        more = solve_branch_and_bound(wide, build_delay_table(wide))
+        more = solve_branch_and_bound(build_delay_table(wide))
         if base.plan is not None:
             assert more.plan is not None
             assert more.objective <= base.objective + 1e-12
@@ -307,7 +322,7 @@ class TestLagrangianRoute:
         inst = _lagrangian_instance(seed)
         table = build_delay_table(inst)
         exact = solve_brute_force(inst, table)
-        got = solve_branch_and_bound(inst, table)
+        got = solve_branch_and_bound(table)
         assert got.status == exact.status
         if exact.plan is None:
             assert got.plan is None
@@ -322,7 +337,7 @@ class TestLagrangianRoute:
         for seed in range(LAGRANGIAN_SEEDS):
             inst = _lagrangian_instance(seed)
             table = build_delay_table(inst)
-            dp_bound, _ = solve_relaxed_dp(inst, table)
+            dp_bound, _ = solve_relaxed_dp(table)
             if math.isinf(dp_bound) or inst.model.num_layers > inst.cluster.num_servers:
                 continue
             # the root pass as the solve runs it without an incumbent; its
@@ -343,7 +358,7 @@ class TestLagrangianRoute:
         for seed in range(4, LAGRANGIAN_SEEDS, 5):
             inst = _lagrangian_instance(seed)
             table = build_delay_table(inst)
-            got = solve_branch_and_bound(inst, table)
+            got = solve_branch_and_bound(table)
             if got.plan is None or inst.model.num_layers < 2:
                 continue
             # reversing the servers gives another plan of the same objective
@@ -386,12 +401,12 @@ class TestLagrangianRoute:
         monkeypatch.setattr(solver, "_ESCALATE_AFTER", 3)
         inst = dominant_server_instance(num_layers=4)
         table = build_delay_table(inst)
-        full = solve_branch_and_bound(inst, table)
+        full = solve_branch_and_bound(table)
         assert full.status == "optimal" and full.expansions > 3
-        cut = solve_branch_and_bound(inst, table, budget=full.expansions - 1)
+        cut = solve_branch_and_bound(table, budget=full.expansions - 1)
         assert cut.status == "budget_exceeded"
         assert cut.expansions == full.expansions - 1
-        again = solve_branch_and_bound(inst, table, budget=full.expansions)
+        again = solve_branch_and_bound(table, budget=full.expansions)
         assert again.status == "optimal"
         assert again.plan.assignments == full.plan.assignments
 
@@ -418,7 +433,7 @@ class TestAgainstHighs:
 
         inst = make()
         table = build_delay_table(inst)
-        got = solve_branch_and_bound(inst, table)
+        got = solve_branch_and_bound(table)
         assert got.status == "optimal"
         assert check_plan_feasible(got.plan.assignments, inst) == []
         status, obj, plan = _milp_solve(write_lp(build_ilp(inst, table)),
