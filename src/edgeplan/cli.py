@@ -2,13 +2,15 @@
 planning, replay simulation, and LP export.
 
 Every command is deterministic given its files, flags, and seed. Exit
-codes: 0 ok, 2 input error, 3 infeasible, 4 search budget exhausted,
-5 plan/simulation mismatch, 6 input digest mismatch.
+codes: 0 ok, 2 input error (a file that cannot be read or written too),
+3 infeasible, 4 search budget exhausted, 5 plan/simulation mismatch,
+6 input digest mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import glob
 import hashlib
@@ -19,7 +21,7 @@ import sys
 
 from . import __version__, quant
 from .core import (InvalidBits, ParseError, ValidationError, check_bits, load_instance,
-                   require_valid, save_instance, validate_instance)
+                   require_valid, save_instance)
 from .delay import DelayOptions, build_delay_table
 from .gen import PROFILES, generate_instance
 from .ilp import EmptyFeasibleSet, build_ilp, check_plan_feasible, export_lp
@@ -44,11 +46,29 @@ class CliError(Exception):
         self.code = code
 
 
+def _json_text(doc) -> str:
+    # serialise before any file is opened, so a non-finite value leaves none
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _write_outputs(*files) -> None:
+    """Write each (path, text) pair in order. If one cannot be written, the
+    files this call wrote are removed, so a failed run leaves no output."""
+    written = []
+    try:
+        for path, text in files:
+            with open(path, "w") as f:
+                written.append(path)
+                f.write(text)
+    except OSError:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def _write_json(path, doc) -> None:
-    # serialise first, so a non-finite value never leaves a partial file
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w") as f:
-        f.write(text + "\n")
+    _write_outputs((path, _json_text(doc)))
 
 
 def _parse_bits(text: str) -> tuple[int, ...]:
@@ -194,10 +214,7 @@ def cmd_gen(args) -> int:
         raise CliError(f"--profile must be one of {PROFILES}")
     instance = generate_instance(args.seed, args.servers, args.layers, bits,
                                  args.profile, tokens=args.tokens)
-    violations = [v for v in validate_instance(instance)
-                  if v.code != "MoreLayersThanServers"]
-    if violations:  # -l 0, or a generator bug
-        raise CliError("generated instance invalid: " + "; ".join(map(str, violations)))
+    require_valid(instance)  # -l 0, or a generator bug
     os.makedirs(args.out_dir, exist_ok=True)
     cluster_path = os.path.join(args.out_dir, "cluster.json")
     model_path = os.path.join(args.out_dir, "model.json")
@@ -251,11 +268,12 @@ def cmd_quantize(args) -> int:
     if denominator > 0:
         ratio = numerator / denominator
         print(f"quantization ratio: {100 * ratio:.2f}%")
-    _write_json(args.out, {"schema_version": PLAN_SCHEMA_VERSION,
-                           "records": records})
+    outputs = [(args.out, _json_text({"schema_version": PLAN_SCHEMA_VERSION,
+                                      "records": records}))]
     if args.stats_out:
-        _write_json(args.stats_out, {"schema_version": PLAN_SCHEMA_VERSION,
-                                     "layers": stats_docs})
+        outputs.append((args.stats_out, _json_text({
+            "schema_version": PLAN_SCHEMA_VERSION, "layers": stats_docs})))
+    _write_outputs(*outputs)
     return EXIT_OK
 
 
@@ -382,15 +400,15 @@ def cmd_simulate(args) -> int:
         print(f"mismatch: simulated {trace.completion_time!r} s vs "
               f"plan objective {claimed!r} s", file=sys.stderr)
         return EXIT_MISMATCH
-    with open(args.out, "w") as f:
-        f.write("\n".join(trace_to_timeline(trace)) + "\n")
+    outputs = [(args.out, "\n".join(trace_to_timeline(trace)) + "\n")]
     if args.summary:
-        _write_json(args.summary, {
+        outputs.append((args.summary, _json_text({
             "schema_version": PLAN_SCHEMA_VERSION,
             "completion_time_s": trace.completion_time,
             "events": trace.ends.size,
             "rounds": instance.tokens,
-        })
+        })))
+    _write_outputs(*outputs)
     print(f"completion: {trace.completion_time!r} s, {trace.ends.size} events")
     return EXIT_OK
 
@@ -493,7 +511,7 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except (ParseError, ValidationError) as e:
+    except (ParseError, ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

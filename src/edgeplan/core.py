@@ -97,14 +97,10 @@ class LayerProfile:
     weights_ref: Optional[str] = None
 
 
-def storage_bytes(layer: LayerProfile, bits: int, *,
-                  literal_output_factor: bool = False) -> float:
-    """Bytes needed to host a layer quantized at the given width: b * p / 8,
-    times the layer's output size in the strict-literal storage mode."""
-    size = bits * layer.param_count / 8
-    if literal_output_factor:
-        size *= layer.output_size
-    return size
+def storage_bytes(layer: LayerProfile, bits: int) -> float:
+    """Bytes needed to host a layer quantized at the given width, b * p / 8,
+    in the compact storage reading; DelayOptions.bytes_needed reads both."""
+    return bits * layer.param_count / 8
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ codec between that record and a plan's ``options`` block:
   embedding_size elements (each autoregressive round moves one token's
   activation; the KV cache keeps earlier tokens resident). False uses the
   layer's declared output_size instead, the literal reading.
-- storage: "compact" hosts a layer in b * param_count / 8 bytes; "literal"
-  multiplies that by the layer's output size (see core.storage_bytes).
+- storage: "compact" hosts a layer in core.storage_bytes, b * param_count
+  / 8 bytes; "literal" multiplies that by the layer's output size.
 
 compute_cp and compute_cm are the scalar reference. build_delay_table
 runs each layer at the smallest width its filter kept (its docstring
@@ -31,6 +31,9 @@ cp[layer, server] and cm[layer, src, dst], as every solver and build_ilp
 reads them. Every finite entry equals the scalar function bit for bit;
 math.inf is the one admissibility mask. The replay simulator and brute
 force evaluate the scalar functions directly, so they check the table.
+path_delay sums a plan's cp and cm, from the table or from the scalar
+functions, and is the one pricer of plans; ilp.check_plan_feasible, on
+the raw specs, is the one checker.
 """
 
 from __future__ import annotations
@@ -60,14 +63,6 @@ class NoLink(ValueError):
     to itself."""
 
 
-class InfeasibleEdge(ValueError):
-    """A plan routes consecutive layers over a missing link."""
-
-
-class Inadmissible(ValueError):
-    """A plan places a layer at a (server, bits) the table masks out."""
-
-
 @dataclass(frozen=True)
 class DelayOptions:
     """Which reading of the delay and storage formulas a run uses (see the
@@ -86,7 +81,8 @@ class DelayOptions:
 
     def bytes_needed(self, layer: LayerProfile, bits: int) -> float:
         """Storage a server needs to host the layer at the given width."""
-        return storage_bytes(layer, bits, literal_output_factor=self.storage == "literal")
+        factor = layer.output_size if self.storage == "literal" else 1
+        return storage_bytes(layer, bits) * factor
 
     def to_doc(self) -> dict:
         return dataclasses.asdict(self)
@@ -239,9 +235,10 @@ def path_delay(cp, cm, servers) -> tuple[float, float, float]:
 
     cp and cm are indexed as DelayTable stores them, cp[layer][server] and
     cm[layer][src][dst], as arrays or as nested lists; a masked entry makes
-    the result inf. The one definition of the objective's sums:
-    evaluate_plan, brute force and the Lagrangian witness all price
-    through it.
+    the result inf. The one definition of the objective's sums: branch
+    and bound, brute force and the Lagrangian witness all price through
+    it. The last layer's output is shipped nowhere (client download is
+    out of the model). It refuses nothing; ilp.check_plan_feasible does.
     """
     compute = 0.0
     comm = 0.0
@@ -250,32 +247,3 @@ def path_delay(cp, cm, servers) -> tuple[float, float, float]:
         if l + 1 < len(servers):
             comm += cm[l][i][servers[l + 1]]
     return compute + comm, compute, comm
-
-
-def evaluate_plan(assignments, table: DelayTable) -> tuple[float, float, float]:
-    """Total completion time of an assignment sequence [(server, bits), ...].
-
-    Returns (total, compute_part, comm_part). The final layer's output is
-    not shipped anywhere (client download is out of the model). Raises
-    InfeasibleEdge when consecutive layers sit on one server or on servers
-    with no link, and Inadmissible when a layer sits where the table's mask
-    forbids it or at a width other than the one the table kept for it.
-    """
-    M = table.cp.shape[1]
-    if any(not 0 <= server < M for server, _ in assignments):
-        raise Inadmissible(f"assignments {assignments} name an unknown server")
-    for l, (_, bits) in enumerate(assignments):
-        if bits != table.widths[l]:
-            raise Inadmissible(f"layer {l} at {bits} bits: the table keeps "
-                               f"{table.widths[l] or 'no'} bits for it")
-    servers = [server for server, _ in assignments]
-    total, compute, comm = path_delay(table.cp, table.cm, servers)
-    if math.isinf(total):
-        for l, i in enumerate(servers):
-            if math.isinf(table.cp[l, i]):
-                raise Inadmissible(f"layer {l} cannot run on server {i} "
-                                   f"at {table.widths[l]} bits")
-            if l + 1 < len(servers) and math.isinf(table.cm[l, i, servers[l + 1]]):
-                raise InfeasibleEdge(f"no link {i}->{servers[l + 1]} "
-                                     f"for layers {l}->{l + 1}")
-    return float(total), float(compute), float(comm)

@@ -63,18 +63,15 @@ def generate_model(rng: random.Random, l: int, *, batch_size: int = 1,
 
 
 def generate_instance(seed: int, m: int, l: int, bits: Iterable[int],
-                      profile: str = "uniform", *, delta: float = 0.0,
-                      tokens: int = 8, link_density: float = 1.0,
-                      feasible_bits: Optional[list] = None) -> ProblemInstance:
-    """Seed-deterministic problem instance; same seed, same bytes on disk."""
+                      profile: str = "uniform", *, tokens: int = 8,
+                      link_density: float = 1.0) -> ProblemInstance:
+    """Seed-deterministic problem instance, at delta 0 with the full menu
+    on every layer; same seed, same bytes on disk."""
     rng = random.Random(seed)
     cluster = generate_cluster(rng, m, profile, link_density)
     model = generate_model(rng, l)
-    return ProblemInstance(
-        cluster=cluster, model=model, bit_menu=tuple(bits),
-        delta=delta, tokens=tokens,
-        feasible_bits=None if feasible_bits is None else tuple(feasible_bits),
-    )
+    return ProblemInstance(cluster=cluster, model=model, bit_menu=tuple(bits),
+                           delta=0.0, tokens=tokens)
 
 
 def random_test_instance(rng: random.Random, *, max_layers: int = 4,

@@ -13,8 +13,8 @@ filter kept: any other width is dominated, never faster and never needing
 less storage (see build_delay_table), so its columns could not change the
 optimum and are left out. x columns are emitted only for the entries the
 table admits (finite cp): servers with enough storage under the table's
-storage model (see core.storage_bytes). A z column exists only where its x
-column exists, cm is finite (a link i -> j exists, so j != i, since the
+DelayOptions.bytes_needed. A z column exists only where its x column
+exists, cm is finite (a link i -> j exists, so j != i, since the
 table masks the diagonal) and server j can host layer l+1. Storage,
 widths, missing links and consecutive repeats are thus enforced by
 omission rather than by rows. Rows:
@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-# storage_bytes, the storage formula the x columns obey, importable from here
+# storage_bytes, the compact storage formula, importable from here
 from .core import ProblemInstance, Violation, storage_bytes
 from .delay import DelayOptions, DelayTable
 

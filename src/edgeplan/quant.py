@@ -402,16 +402,16 @@ def analyze_tensor(w: WeightTensor, bit_menu: Iterable[int], delta: float,
 
 
 def feasible_bits(w: WeightTensor, bit_menu: Iterable[int], delta: float,
-                  scheme: Optional[SchemeKind] = SchemeKind.SYMMETRIC_SIGNED,
-                  ) -> tuple[int, ...]:
+                  scheme: Optional[SchemeKind] = None) -> tuple[int, ...]:
     """Bit-widths from the menu whose quantization error stays within delta.
 
     Verdicts, not errors: each equals ``analyze_tensor``'s ``feasible``,
     reached by the module docstring's three steps (one-sided scheme,
-    certify, witness by blocks). ``scheme=None`` uses the scheme
-    recommended from the tensor's own distribution, as ``analyze_tensor``
-    does. The empty tuple is a legal result (the layer cannot be quantized
-    at any offered width without exceeding the error budget).
+    certify, witness by blocks). ``scheme=None``, the default, uses the
+    scheme recommended from the tensor's own distribution, as
+    ``analyze_tensor`` does. The empty tuple is a legal result (the layer
+    cannot be quantized at any offered width without exceeding the error
+    budget).
     """
     widths = _checked_menu(bit_menu, delta)
     lo, hi = float(w.values.min()), float(w.values.max())

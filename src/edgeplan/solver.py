@@ -17,6 +17,9 @@ The oracle reads the raw specs and, of the table, only its DelayOptions:
     the table and of the smallest-width rule. Its plan and objective never
     pass through the table, so an equal objective is a bit-for-bit check
     of the table at the optimum.
+Both price their plans with delay.path_delay, branch and bound on the
+table's entries and brute force on its scalar prices, so the objective is
+summed in one order. Neither checks a plan; ilp.check_plan_feasible does.
 
 Branch and bound visits nodes one at a time, so it reads the table as
 nested Python lists (one ``tolist()`` per solve); per-node numpy scalar
@@ -38,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .core import PlacementPlan, ProblemInstance
-from .delay import DelayTable, compute_cm, compute_cp, evaluate_plan, path_delay
+from .delay import DelayTable, compute_cm, compute_cp, path_delay
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -367,10 +370,10 @@ def solve_branch_and_bound(table: DelayTable,
         return SolveResult(status, None, math.inf, leaves, root_bound, wall,
                            expansions)
     status = "budget_exceeded" if exhausted else "optimal"
-    assignments = tuple(zip(incumbent[1], table.widths))
-    total, compute, comm = evaluate_plan(assignments, table)
-    plan = PlacementPlan(assignments=assignments, total_delay=total,
-                         compute_delay=compute, comm_delay=comm)
+    total, compute, comm = path_delay(cp, cm, incumbent[1])
+    plan = PlacementPlan(assignments=tuple(zip(incumbent[1], table.widths)),
+                         total_delay=total, compute_delay=compute,
+                         comm_delay=comm)
     # the root bound can exceed the objective only by rounding
     return SolveResult(status, plan, total, leaves, min(root_bound, total),
                        wall, expansions)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from edgeplan.cli import main as cli_main
-from edgeplan.delay import build_delay_table, evaluate_plan
+from edgeplan.delay import build_delay_table, path_delay
 from edgeplan.gen import random_test_instance
 from edgeplan.ilp import (EmptyFeasibleSet, build_ilp, check_plan_feasible,
                           model_as_parsed, parse_lp, substitute, write_lp)
@@ -90,7 +90,8 @@ def test_criterion_3_simulator_identity(suite):
         if result.plan is None:
             continue
         trace = simulate(result.plan.assignments, inst)
-        total, _, _ = evaluate_plan(result.plan.assignments, table)
+        servers = [i for i, _ in result.plan.assignments]
+        total, _, _ = path_delay(table.cp, table.cm, servers)
         scale = max(abs(total), 1e-300)
         ok &= abs(trace.completion_time - total) <= 1e-9 * scale
         L = inst.model.num_layers

@@ -11,8 +11,7 @@ from edgeplan import solver as solver_module
 from edgeplan.cli import (_load_and_filter, _load_from_options, _write_json,
                           build_parser, input_digest, main)
 from edgeplan.core import LayerProfile, LinkSpec, ServerSpec, load_instance
-from edgeplan.delay import (DelayOptions, InfeasibleEdge, build_delay_table,
-                            compute_cm, compute_cp, evaluate_plan)
+from edgeplan.delay import DelayOptions, compute_cm, compute_cp
 from edgeplan.quant import WeightTensor, save_weight_tensor
 
 from conftest import data_path
@@ -767,6 +766,51 @@ class TestPlanWithWeights:
         assert not out.exists()
 
 
+class TestBadPaths:
+    """A file that cannot be read or written is an input error: exit 2, no
+    traceback, and no output file left behind, also by simulate and
+    quantize when a second output fails after the first was written."""
+
+    CLUSTER, MODEL = data_path("cluster_2x2.json"), data_path("model_2x2.json")
+    FLAGS = {
+        "plan": {"--cluster": CLUSTER, "--model": MODEL, "--bits": "8",
+                 "--out": "plan.json"},
+        "export-lp": {"--cluster": CLUSTER, "--model": MODEL, "--bits": "8",
+                      "--out": "model.lp"},
+        "simulate": {"--plan": "inputs/plan.json", "--cluster": CLUSTER,
+                     "--model": MODEL, "--out": "timeline.csv",
+                     "--summary": "summary.json"},
+        "quantize": {"--weights-dir": "inputs/w", "--bits": "8", "--delta": "inf",
+                     "--out": "report.json", "--stats-out": "stats.json"},
+    }
+
+    @pytest.mark.parametrize("command, flag, path", [
+        ("plan", "--out", "nodir/plan.json"),
+        ("export-lp", "--out", "nodir/model.lp"),
+        ("simulate", "--out", "nodir/timeline.csv"),
+        ("simulate", "--cluster", "missing.json"),
+        ("simulate", "--cluster", "inputs"),
+        ("simulate", "--summary", "nodir/summary.json"),
+        ("quantize", "--stats-out", "nodir/stats.json")],
+        ids=["plan-out", "export-lp-out", "simulate-out", "simulate-missing-cluster",
+             "simulate-cluster-is-directory", "simulate-summary", "quantize-stats-out"])
+    def test_is_input_error_and_writes_nothing(self, tmp_path, monkeypatch, capsys,
+                                               command, flag, path):
+        def argv(command, **changed):
+            flags = {**self.FLAGS[command], **changed}
+            return [command] + [token for pair in flags.items() for token in pair]
+
+        monkeypatch.chdir(tmp_path)
+        write_weights(tmp_path / "inputs" / "w", {"layer0": [-1.0, 0.5, 1.0]})
+        code, _, err = run(argv("plan", **{"--out": "inputs/plan.json"}), capsys)
+        assert code == 0, err
+        before = sorted(tmp_path.rglob("*"))
+        code, _, err = run(argv(command, **{flag: path}), capsys)
+        assert code == 2
+        assert err.startswith("error: ") and path in err and "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestHandEditedPlans:
     """`gen --seed 7 -m 5 -l 4` planned at --tokens 16: the optimum,
     855.5727 s, runs on servers [0, 3, 1, 2] at 4 bits. Each edit below
@@ -826,13 +870,6 @@ class TestHandEditedPlans:
         assert code == 5
         assert violation in err and "Traceback" not in err and stdout == ""
         assert not timeline.exists() and not summary.exists()
-
-    def test_evaluate_plan_refuses_a_consecutive_repeat(self, tmp_path, capsys):
-        cluster, model, _, _ = self.setup(tmp_path, capsys)
-        table = build_delay_table(load_instance(cluster, model, bit_menu=(4, 8, 16),
-                                                delta=math.inf, tokens=16))
-        with pytest.raises(InfeasibleEdge):
-            evaluate_plan(((0, 4), (0, 4), (1, 4), (2, 4)), table)
 
 
 class TestNoLayers:

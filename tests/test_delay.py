@@ -8,10 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeplan.core import LayerProfile, LinkSpec, ServerSpec
-from edgeplan.delay import (DelayOptions, Inadmissible, InfeasibleEdge,
-                            InvalidBits, build_delay_table, compute_cm,
-                            compute_cp, evaluate_plan)
-from edgeplan.core import storage_bytes
+from edgeplan.delay import (DelayOptions, InvalidBits, build_delay_table,
+                            compute_cm, compute_cp, path_delay)
 from edgeplan.gen import random_test_instance
 from edgeplan.ilp import check_plan_feasible
 
@@ -142,7 +140,6 @@ class TestDelayTable:
         options = DelayOptions(cp_scaling=rng.choice(["with_pl", "without_pl"]),
                                per_token_activation=rng.random() < 0.5,
                                storage="literal" if rng.random() < 0.3 else "compact")
-        literal = options.storage == "literal"
         table = build_delay_table(inst, options)
         cluster, model = inst.cluster, inst.model
         M, L = cluster.num_servers, model.num_layers
@@ -152,8 +149,7 @@ class TestDelayTable:
             b = table.widths[l]
             for i, server in enumerate(cluster.servers):
                 fits = b is not None and (
-                    storage_bytes(layer, b, literal_output_factor=literal)
-                    <= server.storage_capacity)
+                    options.bytes_needed(layer, b) <= server.storage_capacity)
                 if fits:
                     assert table.cp[l, i] == compute_cp(
                         layer, server, b, inst.tokens, options)
@@ -170,14 +166,16 @@ class TestDelayTable:
 
 
 class TestEvaluatePlan:
+    """Pricing a plan: path_delay over the table's entries."""
+
     def test_golden_plan(self, golden_table):
-        total, cp, cm = evaluate_plan(((0, 8), (1, 8)), golden_table)
+        total, cp, cm = path_delay(golden_table.cp, golden_table.cm, [0, 1])
         assert total == pytest.approx(3.0, rel=1e-12)
         assert cp == pytest.approx(2.0, rel=1e-12)
         assert cm == pytest.approx(1.0, rel=1e-12)
 
     def test_swapped_plan(self, golden_table):
-        total, _, _ = evaluate_plan(((1, 8), (0, 8)), golden_table)
+        total, _, _ = path_delay(golden_table.cp, golden_table.cm, [1, 0])
         assert total == pytest.approx(3.5, rel=1e-12)
 
     def test_single_layer_has_no_comm(self):
@@ -185,33 +183,24 @@ class TestEvaluatePlan:
         inst = make_2x2_instance(model=type(inst.model)(
             layers=inst.model.layers[:1], batch_size=1, embedding_size=4))
         table = build_delay_table(inst)
-        total, cp, cm = evaluate_plan(((0, 8),), table)
+        total, cp, cm = path_delay(table.cp, table.cm, [0])
         assert cm == 0.0
         assert total == cp
 
-    def test_missing_link_raises(self):
-        inst = make_2x2_instance()
-        inst = make_2x2_instance(
-            cluster=type(inst.cluster)(servers=inst.cluster.servers,
-                                       links=inst.cluster.links[1:]))
-        table = build_delay_table(inst)
-        with pytest.raises(InfeasibleEdge):
-            evaluate_plan(((0, 8), (1, 8)), table)
-
-    def test_dominated_width_is_inadmissible(self):
-        """A feasible plan at a width above the kept one is refused, and
-        the message names the width the table keeps."""
+    def test_dominated_width_is_feasible_but_not_kept(self):
+        """The table keeps only the smallest width; a plan at a larger
+        feasible width still passes the plan checker."""
         inst = make_2x2_instance(bit_menu=(4, 8), feasible_bits=((8, 4), (8,)))
-        table = build_delay_table(inst)
-        assert table.widths == (4, 8)
+        assert build_delay_table(inst).widths == (4, 8)
         assert check_plan_feasible(((0, 8), (1, 8)), inst) == []
-        with pytest.raises(Inadmissible, match="layer 0 at 8 bits: the table "
-                                               "keeps 4 bits for it"):
-            evaluate_plan(((0, 8), (1, 8)), table)
-        evaluate_plan(((0, 4), (1, 8)), table)
-        inst = make_2x2_instance(feasible_bits=((8,), ()))
-        with pytest.raises(Inadmissible, match="layer 1 at 8 bits: the table keeps no bits"):
-            evaluate_plan(((0, 8), (1, 8)), build_delay_table(inst))
+
+
+def price(servers, inst):
+    """(total, compute, comm) of an admissible path on inst's table."""
+    table = build_delay_table(inst)
+    delay = path_delay(table.cp, table.cm, servers)
+    assert math.isfinite(delay[0])
+    return delay
 
 
 def _scale_instance(inst, *, link_factor=1.0, ccs_factor=1.0, tokens=None):
@@ -231,29 +220,26 @@ class TestScalingProperties:
     def test_link_capacity_scaling_divides_comm(self, seed):
         rng = random.Random(seed)
         inst = random_test_instance(rng, link_density=1.0)
-        plan = [(l, inst.feasible_bits[l][0]) for l in range(inst.model.num_layers)]
-        _, _, comm = evaluate_plan(plan, build_delay_table(inst))
-        _, _, comm_scaled = evaluate_plan(plan, build_delay_table(
-            _scale_instance(inst, link_factor=4.0)))
+        servers = range(inst.model.num_layers)
+        _, _, comm = price(servers, inst)
+        _, _, comm_scaled = price(servers, _scale_instance(inst, link_factor=4.0))
         assert comm_scaled == pytest.approx(comm / 4.0, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_throughput_scaling_divides_compute(self, seed):
         rng = random.Random(100 + seed)
         inst = random_test_instance(rng, link_density=1.0)
-        plan = [(l, inst.feasible_bits[l][0]) for l in range(inst.model.num_layers)]
-        _, cp, _ = evaluate_plan(plan, build_delay_table(inst))
-        _, cp_scaled, _ = evaluate_plan(plan, build_delay_table(
-            _scale_instance(inst, ccs_factor=2.0)))
+        servers = range(inst.model.num_layers)
+        _, cp, _ = price(servers, inst)
+        _, cp_scaled, _ = price(servers, _scale_instance(inst, ccs_factor=2.0))
         assert cp_scaled == pytest.approx(cp / 2.0, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_total_linear_in_tokens(self, seed):
         rng = random.Random(200 + seed)
         inst = random_test_instance(rng, link_density=1.0, tokens=3)
-        plan = [(l, inst.feasible_bits[l][0]) for l in range(inst.model.num_layers)]
+        servers = range(inst.model.num_layers)
         base = _scale_instance(inst)  # zeroes the propagation delays
-        total_a, _, _ = evaluate_plan(plan, build_delay_table(base))
-        total_2a, _, _ = evaluate_plan(plan, build_delay_table(
-            _scale_instance(inst, tokens=6)))
+        total_a, _, _ = price(servers, base)
+        total_2a, _, _ = price(servers, _scale_instance(inst, tokens=6))
         assert total_2a == pytest.approx(2.0 * total_a, rel=1e-12)

@@ -9,7 +9,7 @@ import pytest
 from edgeplan.core import (ClusterSpec, LayerProfile, ModelProfile,
                            ProblemInstance, ServerSpec)
 from edgeplan.delay import (DelayOptions, build_delay_table, compute_cm,
-                            compute_cp, evaluate_plan)
+                            compute_cp, path_delay)
 from edgeplan.gen import generate_instance, random_test_instance
 from edgeplan.ilp import (EmptyFeasibleSet, build_ilp, check_plan_feasible,
                           export_lp, model_as_parsed, parse_lp, storage_bytes,
@@ -77,8 +77,8 @@ class TestBuildIlp:
 
     def test_literal_storage_mode(self):
         layer = LayerProfile(0, 1.0, 10, 4.0, 32)
-        assert storage_bytes(layer, 8) == 10.0
-        assert storage_bytes(layer, 8, literal_output_factor=True) == 40.0
+        assert storage_bytes(layer, 8) == DelayOptions().bytes_needed(layer, 8) == 10.0
+        assert DelayOptions(storage="literal").bytes_needed(layer, 8) == 40.0
 
 
 class TestCheckPlanFeasible:
@@ -215,7 +215,8 @@ class TestSubstitution:
             return
         _, obj, violated = substitute(m, result.plan.assignments)
         assert violated == []
-        total, _, _ = evaluate_plan(result.plan.assignments, table)
+        servers = [i for i, _ in result.plan.assignments]
+        total, _, _ = path_delay(table.cp, table.cm, servers)
         assert obj == pytest.approx(total, rel=1e-9)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -236,12 +237,12 @@ class TestSubstitution:
                     if bits != table.widths:
                         # a dominated width has no column; its scalar price
                         # is never below the same servers at the kept widths
-                        kept = tuple(zip(perm, table.widths))
-                        assert _scalar_total(plan, inst) >= evaluate_plan(kept, table)[0]
+                        kept = path_delay(table.cp, table.cm, perm)[0]
+                        assert _scalar_total(plan, inst) >= kept
                         continue
                     _, obj, violated = substitute(m, plan)
                     assert violated == []
-                    total, _, _ = evaluate_plan(plan, table)
+                    total, _, _ = path_delay(table.cp, table.cm, perm)
                     assert obj == pytest.approx(total, rel=1e-9)
 
 
@@ -345,7 +346,7 @@ class TestHighsGate:
             assert status == 0, seed
             assert obj == pytest.approx(exact.objective, rel=1e-7), seed
             assert check_plan_feasible(plan, inst) == [], seed
-            total, _, _ = evaluate_plan(plan, table)
+            total, _, _ = path_delay(table.cp, table.cm, [i for i, _ in plan])
             assert total == pytest.approx(exact.objective, rel=1e-7), seed
             solved += 1
         assert solved >= 150 and infeasible >= 10, (solved, infeasible)

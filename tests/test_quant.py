@@ -438,7 +438,8 @@ class TestCertifyOrWitness:
         codes[0] = 127
         w = wt(codes / 127.0)
         delta = 1 / 127 / 4
-        assert feasible_bits(w, (2, 4, 8, 16), delta) == (8, 16)
+        assert feasible_bits(w, (2, 4, 8, 16), delta,
+                             SchemeKind.SYMMETRIC_SIGNED) == (8, 16)
         assert scanned == [(2, quant._BLOCK), (4, quant._BLOCK), (8, quant._BLOCK),
                            (8, quant._BLOCK), (8, 100)]
         records, _ = analyze_tensor(w, (2, 4, 8, 16), delta,

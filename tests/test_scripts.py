@@ -1,14 +1,18 @@
 """Smoke tests: the shipped scripts run end to end against the package."""
 
+import importlib
 import os
 import re
 import shlex
 import subprocess
 import sys
 
+import pytest
+
 from edgeplan.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 def run_script(name, *args):
@@ -59,3 +63,43 @@ def test_readme_cli_block_runs_as_written(tmp_path, monkeypatch):
             proc = run_script(argv[1].removeprefix("scripts/"), *argv[2:])
             assert proc.returncode == 0, (argv, proc.stderr)
     assert (tmp_path / "run" / "timeline.csv").is_file()
+
+
+@pytest.fixture
+def perfbench():
+    """perfbench's session, inputs, checks and tracing modules, imported as
+    its scripts import them; sys.path and sys.modules are restored after."""
+    saved_path, saved_modules = list(sys.path), set(sys.modules)
+    sys.path.insert(0, PERFBENCH)
+    try:
+        yield {name: importlib.import_module(name)
+               for name in ("session", "inputs", "checks", "tracing")}
+    finally:
+        sys.path[:] = saved_path
+        for name in set(sys.modules) - saved_modules:
+            if (getattr(sys.modules[name], "__file__", None) or "").startswith(PERFBENCH):
+                del sys.modules[name]
+
+
+@pytest.mark.parametrize("workload", ["wide", "deep", "artifacts"])
+def test_benchmark_chain_runs_and_checks(perfbench, workload, tmp_path, capsys):
+    """The benchmark's first case of each workload runs its command chain
+    under the tracer, and every check it applies finds no problem: the
+    names and signatures the benchmark uses still hold."""
+    session, checks = perfbench["session"], perfbench["checks"]
+    case = perfbench["inputs"].write_pool(workload, 1, 1, str(tmp_path))[0]
+    tracer = perfbench["tracing"].Tracer()
+    try:
+        tracer.install()
+        for argv in session.chain_commands(case):
+            assert main(argv) == 0, (argv, capsys.readouterr().err)
+    finally:
+        tracer.uninstall()
+    assert tracer.spans and tracer.counters["sim.events"] > 0
+    plan = case.out("plan.json")
+    problems = (checks.check_plan(case, plan)
+                + checks.check_simulation(case, plan, case.out("summary.json")))
+    if case.weights_dir:
+        problems += (checks.check_quant_paths(case, case.out("quant.json"), plan)
+                     + checks.check_lp(case, case.out("model.lp"), plan))
+    assert problems == []

@@ -7,7 +7,7 @@ import edgeplan.sim
 from edgeplan.cli import main
 from edgeplan.core import ModelProfile, ProblemInstance
 from edgeplan.delay import (DelayOptions, build_delay_table, compute_cm, compute_cp,
-                            evaluate_plan)
+                            path_delay)
 from edgeplan.gen import generate_instance, random_test_instance
 from edgeplan.ilp import check_plan_feasible
 from edgeplan.sim import InfeasiblePlan, SimEvent, SimTrace, simulate, trace_to_timeline
@@ -67,7 +67,8 @@ class TestSimulate:
         if result.plan is None:
             return
         trace = simulate(result.plan.assignments, inst)
-        total, _, _ = evaluate_plan(result.plan.assignments, table)
+        servers = [i for i, _ in result.plan.assignments]
+        total, _, _ = path_delay(table.cp, table.cm, servers)
         assert trace.completion_time == pytest.approx(total, rel=1e-9)
         L = inst.model.num_layers
         assert len(trace.events) == inst.tokens * (2 * L - 1)

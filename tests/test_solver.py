@@ -9,7 +9,7 @@ import pytest
 from edgeplan import solver
 from edgeplan.core import (ClusterSpec, LayerProfile, LinkSpec, ModelProfile,
                            ProblemInstance, ServerSpec)
-from edgeplan.delay import DelayOptions, build_delay_table, evaluate_plan
+from edgeplan.delay import DelayOptions, build_delay_table, path_delay
 from edgeplan.gen import generate_instance, random_test_instance
 from edgeplan.ilp import (EmptyFeasibleSet, build_ilp, check_plan_feasible,
                           substitute, write_lp)
@@ -364,7 +364,7 @@ class TestLagrangianRoute:
             # reversing the servers gives another plan of the same objective
             servers = [i for i, _ in got.plan.assignments][::-1]
             swapped = tuple((i, b) for i, (_, b) in zip(servers, got.plan.assignments))
-            assert evaluate_plan(swapped, table)[0] == got.objective, seed
+            assert path_delay(table.cp, table.cm, servers)[0] == got.objective, seed
             assert swapped > got.plan.assignments, seed
             tied += 1
         assert tied >= 20, tied
@@ -441,4 +441,6 @@ class TestAgainstHighs:
         assert status == 0
         assert got.objective == pytest.approx(obj, rel=1e-9)
         assert got.lower_bound_at_root <= got.objective
-        assert evaluate_plan(plan, table)[0] >= got.objective * (1 - 1e-12)
+        assert check_plan_feasible(plan, inst) == []
+        servers = [i for i, _ in plan]
+        assert path_delay(table.cp, table.cm, servers)[0] >= got.objective * (1 - 1e-12)
