@@ -10,13 +10,13 @@
 """
 
 import argparse
-import json
 import os
 import sys
 
 import numpy as np
 
 from edgeplan.cli import main as cli
+from edgeplan.core import json_text, load_json, write_outputs
 from edgeplan.quant import WeightTensor, save_weight_tensor
 
 
@@ -49,17 +49,14 @@ def main():
     os.makedirs(wdir, exist_ok=True)
     rng = np.random.default_rng(args.seed)
     model_path = os.path.join(out, "model.json")
-    with open(model_path) as f:
-        model_doc = json.load(f)
+    model_doc = load_json(model_path)
     for l, layer in enumerate(model_doc["layers"]):
         n = min(layer["param_count"], 50_000)
         values = rng.normal(0.0, 0.05 * (l + 1), n).astype(np.float32)
         name = f"layer{l}"
         save_weight_tensor(WeightTensor(name, values, values.shape), wdir)
         layer["weights"] = name
-    with open(model_path, "w") as f:
-        json.dump(model_doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_outputs((model_path, json_text(model_doc)))
 
     run(["quantize", "--weights-dir", wdir, "--bits", args.bits,
          "--delta", args.delta, "--out", os.path.join(out, "quant_report.json"),

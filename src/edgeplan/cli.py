@@ -5,23 +5,25 @@ Every command is deterministic given its files, flags, and seed. Exit
 codes: 0 ok, 2 input error (a file that cannot be read or written too),
 3 infeasible, 4 search budget exhausted, 5 plan/simulation mismatch,
 6 input digest mismatch.
+
+JSON documents are read, type-checked and written by ``core``; this
+module declares the plan document's schemas and what each command writes.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import glob
-import hashlib
-import json
 import math
 import os
 import sys
 
 from . import __version__, quant
-from .core import (InvalidBits, ParseError, ValidationError, check_bits, load_instance,
-                   require_valid, save_instance)
+from .core import (REQUIRED, InvalidBits, ParseError, ValidationError, check_bits,
+                   input_digest, json_line, json_text, load_instance, load_json,
+                   read_fields, read_finite, read_ints, read_typed, require_valid,
+                   save_instance, write_outputs)
 from .delay import DelayOptions, build_delay_table
 from .gen import PROFILES, generate_instance
 from .ilp import EmptyFeasibleSet, build_ilp, check_plan_feasible, export_lp
@@ -44,31 +46,6 @@ class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_INPUT):
         super().__init__(message)
         self.code = code
-
-
-def _json_text(doc) -> str:
-    # serialise before any file is opened, so a non-finite value leaves none
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def _write_outputs(*files) -> None:
-    """Write each (path, text) pair in order. If one cannot be written, the
-    files this call wrote are removed, so a failed run leaves no output."""
-    written = []
-    try:
-        for path, text in files:
-            with open(path, "w") as f:
-                written.append(path)
-                f.write(text)
-    except OSError:
-        for path in written:
-            with contextlib.suppress(OSError):
-                os.remove(path)
-        raise
-
-
-def _write_json(path, doc) -> None:
-    _write_outputs((path, _json_text(doc)))
 
 
 def _parse_bits(text: str) -> tuple[int, ...]:
@@ -105,17 +82,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def input_digest(cluster_path, model_path, options_doc: dict) -> str:
-    """sha256 over the two input files plus the canonical option record."""
-    h = hashlib.sha256()
-    for path in (cluster_path, model_path):
-        with open(path, "rb") as f:
-            h.update(f.read())
-        h.update(b"\x00")
-    h.update(json.dumps(options_doc, sort_keys=True).encode())
-    return h.hexdigest()
-
-
 def _load_and_filter(args) -> tuple:
     """Shared plan/export-lp input path: load, validate, optionally narrow
     feasible bits from on-disk weight tensors."""
@@ -150,47 +116,32 @@ def _load_and_filter(args) -> tuple:
     return instance, options, options_doc
 
 
-def _is_finite_number(value) -> bool:
-    """An int or float (not a bool) within the finite float range."""
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
+def _read_delta(value, where: str, *path) -> float:
+    return math.inf if value == "inf" else read_finite(value, where, *path)
+
+
+# The plan document's fields, read by simulate. A field of the wrong JSON
+# type is an input error, and no boolean counts as a number.
+_OPTIONS = (("bits", read_ints, REQUIRED), ("delta", _read_delta, REQUIRED),
+            ("tokens", int, REQUIRED), ("feasible_bits", list, REQUIRED))
+_ASSIGNMENT = (("layer", int, REQUIRED), ("server", int, REQUIRED),
+               ("bits", int, REQUIRED))
+_OBJECTIVE = (("total_s", read_finite, REQUIRED),)
 
 
 def _load_from_options(cluster_path, model_path, doc, path) -> tuple:
     """The instance and DelayOptions a plan's options block records: the
-    inverse of _load_and_filter.
-
-    A malformed block is an input error. bits must be a list of integers,
-    delta a finite number or "inf", tokens an integer and feasible_bits one
-    list of integers per layer, where no boolean counts as a number; the
-    rest of the block must be a valid DelayOptions record.
-    """
-    def int_list(value) -> bool:
-        return isinstance(value, list) and all(type(v) is int for v in value)
-
-    if not isinstance(doc, dict):
-        raise CliError(f"{path}: 'options' must be an object")
-    for key in ("bits", "delta", "tokens", "feasible_bits"):
-        if key not in doc:
-            raise CliError(f"{path}: options: missing key '{key}'")
-    bits, delta, tokens, feasible = (doc[key] for key in
-                                     ("bits", "delta", "tokens", "feasible_bits"))
-    if not int_list(bits):
-        raise CliError(f"{path}: options.bits must be a list of integers")
-    if delta != "inf" and not _is_finite_number(delta):
-        raise CliError(f"{path}: options.delta must be a finite number or \"inf\"")
-    if type(tokens) is not int:
-        raise CliError(f"{path}: options.tokens must be an integer")
-    if not (isinstance(feasible, list) and all(int_list(fb) for fb in feasible)):
-        raise CliError(f"{path}: options.feasible_bits must be a list of integer lists")
+    inverse of _load_and_filter. feasible_bits holds one list of integers
+    per layer, and the rest of the block is a DelayOptions record."""
+    where = str(path)
+    bits, delta, tokens, rows = read_fields(doc, _OPTIONS, where, "options")
+    feasible = [read_ints(row, where, "options", "feasible_bits", k)
+                for k, row in enumerate(rows)]
     try:
         options = DelayOptions.from_doc(doc)
     except ValueError as e:
         raise CliError(f"{path}: options: {e}")
-    instance = load_instance(cluster_path, model_path, bit_menu=bits,
-                             delta=math.inf if delta == "inf" else delta,
+    instance = load_instance(cluster_path, model_path, bit_menu=bits, delta=delta,
                              tokens=tokens, feasible_bits=feasible)
     return instance, options
 
@@ -210,8 +161,6 @@ def cmd_gen(args) -> int:
         raise CliError(f"--layers {args.layers} > --servers {args.servers}: "
                        "no one-layer-per-server placement can exist")
     bits = _parse_bits(args.bits)
-    if args.profile not in PROFILES:
-        raise CliError(f"--profile must be one of {PROFILES}")
     instance = generate_instance(args.seed, args.servers, args.layers, bits,
                                  args.profile, tokens=args.tokens)
     require_valid(instance)  # -l 0, or a generator bug
@@ -260,20 +209,20 @@ def cmd_quantize(args) -> int:
                 "histogram": {"bin_edges": list(stats.bin_edges),
                               "counts": list(stats.counts)},
             })
-        original_bits = args.original_precision
-        numerator += (min(feas) if feas else original_bits) * w.values.size
-        denominator += original_bits * w.values.size
+        stored_bits = 8 * w.values.itemsize
+        numerator += (min(feas) if feas else stored_bits) * w.values.size
+        denominator += stored_bits * w.values.size
         feas_str = ",".join(map(str, feas)) if feas else "-"
         print(f"{w.layer_name}: feasible bits {{{feas_str}}}")
     if denominator > 0:
         ratio = numerator / denominator
         print(f"quantization ratio: {100 * ratio:.2f}%")
-    outputs = [(args.out, _json_text({"schema_version": PLAN_SCHEMA_VERSION,
-                                      "records": records}))]
+    outputs = [(args.out, json_text({"schema_version": PLAN_SCHEMA_VERSION,
+                                     "records": records}))]
     if args.stats_out:
-        outputs.append((args.stats_out, _json_text({
+        outputs.append((args.stats_out, json_text({
             "schema_version": PLAN_SCHEMA_VERSION, "layers": stats_docs})))
-    _write_outputs(*outputs)
+    write_outputs(*outputs)
     return EXIT_OK
 
 
@@ -284,7 +233,7 @@ def cmd_plan(args) -> int:
     def write_plan(assignments, objective: dict, meta: dict, **extra) -> None:
         """The one plan document; each solver supplies its objective and
         meta fields, the relaxed DP also its flag."""
-        _write_json(args.out, {
+        write_outputs((args.out, json_text({
             "schema_version": PLAN_SCHEMA_VERSION,
             "digest": input_digest(args.cluster, args.model, options_doc),
             "solver": args.solver,
@@ -294,7 +243,7 @@ def cmd_plan(args) -> int:
             "options": options_doc,
             "meta": {**meta, "tool_version": __version__},
             **extra,
-        })
+        })))
 
     if args.solver == "relaxed":
         bound, path = solve_relaxed_dp(table)
@@ -312,18 +261,18 @@ def cmd_plan(args) -> int:
     else:
         result = solve_branch_and_bound(table, args.budget)
     if result.status == "infeasible":
-        print(json.dumps({"status": "infeasible",
-                          "reason": "no feasible placement under the "
-                                    "distinct-server, storage, link, and "
-                                    "bit-feasibility constraints"}))
+        print(json_line({"status": "infeasible",
+                         "reason": "no feasible placement under the "
+                                   "distinct-server, storage, link, and "
+                                   "bit-feasibility constraints"}))
         return EXIT_INFEASIBLE
     if result.status == "budget_exceeded":
-        print(json.dumps({
+        print(json_line({
             "status": "budget_exceeded", "budget": args.budget,
             "incumbent_s": result.objective if result.plan is not None else None,
             "lower_bound_s": (result.lower_bound_at_root
                               if math.isfinite(result.lower_bound_at_root) else None),
-        }, allow_nan=False))
+        }))
         return EXIT_BUDGET
     violations = check_plan_feasible(result.plan.assignments, instance, options)
     if violations:  # solver bug guard, should be unreachable
@@ -344,40 +293,22 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def _replay_inputs(doc: dict, num_layers: int, path) -> tuple[tuple, float]:
-    """The plan's (server, bits) pairs in layer order and its claimed total.
-
-    A malformed document is an input error: every assignment needs integer
-    (not boolean) layer, server and bits, the layers must be 0..L-1 once
-    each, and objective.total_s must be a finite number. A well-formed plan
-    that names an unknown server or an infeasible width is left to the
-    replay, which reports a mismatch.
-    """
-    entries = doc["assignments"]
-    if not isinstance(entries, list) or not all(isinstance(a, dict) for a in entries):
-        raise CliError(f"{path}: 'assignments' must be a list of objects")
-    for a in entries:
-        for key in ("layer", "server", "bits"):
-            if type(a.get(key)) is not int:  # also rejects bools and missing keys
-                raise CliError(f"{path}: assignment {a}: '{key}' must be an integer")
-    ordered = sorted(entries, key=lambda a: a["layer"])
-    if [a["layer"] for a in ordered] != list(range(num_layers)):
-        raise CliError(f"{path}: assignment layers must be 0..{num_layers - 1}, once each")
-    objective = doc["objective"]
-    claimed = objective.get("total_s") if isinstance(objective, dict) else None
-    if not _is_finite_number(claimed):
-        raise CliError(f"{path}: objective.total_s must be a finite number")
-    return tuple((a["server"], a["bits"]) for a in ordered), float(claimed)
+def _replay_inputs(doc: dict, num_layers: int, where: str) -> tuple[tuple, float]:
+    """The plan's (server, bits) pairs in layer order and its claimed total;
+    the layers must be 0..L-1 once each. A well-formed plan that names an
+    unknown server or an infeasible width is left to the replay, which
+    reports a mismatch."""
+    entries = read_typed(doc["assignments"], list, where, "assignments")
+    rows = sorted(read_fields(a, _ASSIGNMENT, where, "assignments", k)
+                  for k, a in enumerate(entries))
+    if [layer for layer, _, _ in rows] != list(range(num_layers)):
+        raise CliError(f"{where}: assignment layers must be 0..{num_layers - 1}, once each")
+    (claimed,) = read_fields(doc["objective"], _OBJECTIVE, where, "objective")
+    return tuple((server, bits) for _, server, bits in rows), claimed
 
 
 def cmd_simulate(args) -> int:
-    try:
-        with open(args.plan) as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        raise CliError(f"{args.plan}: {e}")
-    if not isinstance(doc, dict):
-        raise CliError(f"{args.plan}: not a plan document")
+    doc = read_typed(load_json(args.plan), dict, args.plan)
     for key in ("digest", "assignments", "objective", "options"):
         if key not in doc:
             raise CliError(f"{args.plan}: missing key '{key}'")
@@ -402,13 +333,13 @@ def cmd_simulate(args) -> int:
         return EXIT_MISMATCH
     outputs = [(args.out, "\n".join(trace_to_timeline(trace)) + "\n")]
     if args.summary:
-        outputs.append((args.summary, _json_text({
+        outputs.append((args.summary, json_text({
             "schema_version": PLAN_SCHEMA_VERSION,
             "completion_time_s": trace.completion_time,
             "events": trace.ends.size,
             "rounds": instance.tokens,
         })))
-    _write_outputs(*outputs)
+    write_outputs(*outputs)
     print(f"completion: {trace.completion_time!r} s, {trace.ends.size} events")
     return EXIT_OK
 
@@ -419,8 +350,8 @@ def cmd_export_lp(args) -> int:
     try:
         model = build_ilp(instance, table)
     except EmptyFeasibleSet as e:
-        print(json.dumps({"status": "infeasible", "layer": e.layer,
-                          "reason": str(e)}))
+        print(json_line({"status": "infeasible", "layer": e.layer,
+                         "reason": str(e)}))
         return EXIT_INFEASIBLE
     export_lp(model, args.out)
     print(f"wrote {args.out}: {len(model.binaries)} binaries, "
@@ -474,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto")
     p.add_argument("--bins", type=_positive_int, default=32,
                    help="histogram bins in the --stats-out document")
-    p.add_argument("--original-precision", type=_positive_int, default=32)
     p.add_argument("--out", required=True)
     p.add_argument("--stats-out")
     p.set_defaults(func=cmd_quantize)

@@ -1,8 +1,13 @@
-"""Problem-instance data model: clusters, model profiles, placement plans.
+"""Problem-instance data model: clusters, model profiles, placement plans,
+and the JSON document I/O every module shares.
 
 All types are frozen dataclasses, safe to share across threads. Validation
 never raises for bad *values* (violations are returned as data); exceptions
 are reserved for malformed files.
+
+Every JSON document edgeplan reads or writes goes through this module:
+``load_json`` loads it, ``read_fields`` schemas type-check it, ``json_text``
+serialises it and ``write_outputs`` writes it, leaving no partial output.
 
 Note on units: ``compute_throughput`` is effective floating-point throughput
 in FLOP/s (delay formulas divide per-layer FLOP counts by it), not a clock
@@ -11,10 +16,12 @@ frequency. Link capacities are bits per second, storage is bytes.
 
 from __future__ import annotations
 
-import dataclasses
+import contextlib
+import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
 SCHEMA_VERSION = 1
@@ -284,18 +291,40 @@ def read_typed(value, kind: type, where: str, *path) -> Any:
             return float(value)
         except OverflowError:
             pass
+    _refuse(value, _JSON_KINDS[kind], where, path)
+
+
+def _refuse(value, expected: str, where: str, path: tuple):
     shown = json.dumps(value)
     if len(shown) > 40:
         shown = shown[:37] + "..."
-    raise ParseError(f"{_where(where, path)}: must be {_JSON_KINDS[kind]}, "
-                     f"got {shown}")
+    raise ParseError(f"{_where(where, path)}: must be {expected}, got {shown}")
+
+
+def read_ints(value, where: str, *path) -> list:
+    """value if it is a JSON array of JSON integers, else ParseError naming
+    the array or its first entry that is not an integer."""
+    for k, v in enumerate(read_typed(value, list, where, *path)):
+        if type(v) is not int:
+            read_typed(v, int, where, *path, k)
+    return value
+
+
+def read_finite(value, where: str, *path) -> float:
+    """read_typed(value, float, ...) that also refuses NaN and the
+    infinities, which the loader reads from JSON's NaN and Infinity."""
+    number = read_typed(value, float, where, *path)
+    if not math.isfinite(number):
+        _refuse(value, "a finite number", where, path)
+    return number
 
 
 def read_fields(obj, schema: tuple, where: str, *path) -> list:
     """The values of a JSON object's fields, one per (key, kind, default)
-    entry of ``schema``, each checked by ``read_typed``. A missing key
-    takes its default, or is a ParseError when the default is REQUIRED;
-    ``obj`` must be an object."""
+    entry of ``schema``. ``kind`` is a JSON type, checked by
+    ``read_typed``, or a reader called as kind(value, where, *path, key),
+    such as ``read_ints``. A missing key takes its default, or is a
+    ParseError when the default is REQUIRED; ``obj`` must be an object."""
     obj = read_typed(obj, dict, where, *path)
     values = []
     for key, kind, default in schema:
@@ -305,12 +334,17 @@ def read_fields(obj, schema: tuple, where: str, *path) -> list:
             values.append(default)
             continue
         value = obj[key]
-        values.append(value if type(value) is kind
-                      else read_typed(value, kind, where, *path, key))
+        if type(value) is not kind:
+            value = (read_typed(value, kind, where, *path, key) if isinstance(kind, type)
+                     else kind(value, where, *path, key))
+        values.append(value)
     return values
 
 
-def _load_json(path) -> Any:
+def load_json(path) -> Any:
+    """The JSON document in the file at ``path``; ParseError naming the
+    file when it cannot be read or is not JSON. NaN and Infinity load as
+    floats, for read_finite to refuse where a field must be finite."""
     try:
         with open(path) as f:
             return json.load(f)
@@ -318,6 +352,47 @@ def _load_json(path) -> Any:
         raise ParseError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
     except OSError as e:
         raise ParseError(f"{path}: {e}") from e
+
+
+def json_text(doc) -> str:
+    """The text of every JSON document edgeplan writes: indented, keys
+    sorted, one trailing newline. A NaN or infinity is a ValueError, raised
+    before any file is opened, so a non-finite value leaves no file."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def json_line(doc) -> str:
+    """A record printed on stdout: one line, keys in the order given."""
+    return json.dumps(doc, allow_nan=False)
+
+
+def write_outputs(*files) -> None:
+    """Write each (path, data) pair in order, data a str or, for a binary
+    file, bytes. If one cannot be written, the files this call wrote are
+    removed, so a failed run leaves no output."""
+    written = []
+    try:
+        for path, data in files:
+            with open(path, "wb" if isinstance(data, bytes) else "w") as f:
+                written.append(path)
+                f.write(data)
+    except OSError:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
+def input_digest(cluster_path, model_path, options_doc) -> str:
+    """sha256 over the two input files plus the canonical option record,
+    which may hold anything a plan document does, NaN and Infinity too."""
+    h = hashlib.sha256()
+    for path in (cluster_path, model_path):
+        with open(path, "rb") as f:
+            h.update(f.read())
+        h.update(b"\x00")
+    h.update(json.dumps(options_doc, sort_keys=True).encode())
+    return h.hexdigest()
 
 
 _CLUSTER = (("servers", list, REQUIRED), ("links", list, ()))
@@ -365,8 +440,8 @@ def load_instance(cluster_path, model_path, *, bit_menu: Iterable[int],
     Raises ParseError on malformed files and ValidationError when the data
     breaks an invariant (carrying the full violation list).
     """
-    cluster = parse_cluster(_load_json(cluster_path), str(cluster_path))
-    model = parse_model(_load_json(model_path), str(model_path))
+    cluster = parse_cluster(load_json(cluster_path), str(cluster_path))
+    model = parse_model(load_json(model_path), str(model_path))
     inst = ProblemInstance(
         cluster=cluster, model=model, bit_menu=tuple(bit_menu),
         delta=float(delta), tokens=int(tokens),
@@ -418,9 +493,7 @@ def model_to_doc(model: ModelProfile) -> dict:
 
 
 def save_instance(instance: ProblemInstance, cluster_path, model_path) -> None:
-    """Inverse of load_instance for the file-backed part of the data model."""
-    for path, doc in ((cluster_path, cluster_to_doc(instance.cluster)),
-                      (model_path, model_to_doc(instance.model))):
-        with open(path, "w") as f:
-            json.dump(doc, f, indent=2, sort_keys=True)
-            f.write("\n")
+    """Inverse of load_instance for the file-backed part of the data model;
+    a failed write leaves neither file."""
+    write_outputs((cluster_path, json_text(cluster_to_doc(instance.cluster))),
+                  (model_path, json_text(model_to_doc(instance.model))))

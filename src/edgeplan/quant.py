@@ -32,6 +32,9 @@ delta, with no error computed that a verdict does not need.
    dropped at the first block whose maximum error exceeds delta; that is
    exact, since the global maximum is at least any block's.
 
+A weight tensor's <name>.json metadata is read and written by ``core``,
+which owns every JSON document's I/O; this module handles its .bin data.
+
 Only weights are quantized; biases stay untouched, so the tensor API
 carries weight arrays exclusively. Rounding is half-away-from-zero, chosen
 for its symmetry about 0.
@@ -39,7 +42,6 @@ for its symmetry about 0.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -48,7 +50,8 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import REQUIRED, ParseError, check_bits, read_fields, read_typed
+from .core import (REQUIRED, ParseError, check_bits, json_text, load_json,
+                   read_fields, read_ints, write_outputs)
 
 
 # |skewness| above which recommend_scheme picks the asymmetric scheme
@@ -261,15 +264,12 @@ def save_weight_tensor(w: WeightTensor, directory, name: Optional[str] = None) -
     meta = {"name": w.layer_name, "shape": list(w.shape),
             "dtype": "f32", "order": "row-major"}
     json_path = os.path.join(directory, f"{name}.json")
-    with open(json_path, "w") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-        f.write("\n")
-    with open(os.path.join(directory, f"{name}.bin"), "wb") as f:
-        f.write(w.values.astype("<f4").tobytes())
+    write_outputs((json_path, json_text(meta)),
+                  (os.path.join(directory, f"{name}.bin"), w.values.astype("<f4").tobytes()))
     return json_path
 
 
-_META = (("name", str, REQUIRED), ("shape", list, REQUIRED),
+_META = (("name", str, REQUIRED), ("shape", read_ints, REQUIRED),
          ("dtype", str, REQUIRED), ("order", str, REQUIRED))
 
 
@@ -278,15 +278,10 @@ def load_weight_tensor(json_path) -> WeightTensor:
     malformed file, a field of the wrong JSON type (``shape`` a list of
     integers, the rest strings), or data that do not fit the shape."""
     where = str(json_path)
-    try:
-        with open(json_path) as f:
-            meta = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        raise ParseError(f"{where}: {e}") from e
-    name, dims, dtype, order = read_fields(meta, _META, where)
+    name, dims, dtype, order = read_fields(load_json(json_path), _META, where)
     if dtype != "f32" or order != "row-major":
         raise ParseError(f"{where}: unsupported dtype/order {dtype}/{order}")
-    shape = tuple(read_typed(d, int, where, "shape", k) for k, d in enumerate(dims))
+    shape = tuple(dims)
     if any(d < 0 for d in shape):
         raise ParseError(f"{where}: negative entry in shape {list(shape)}")
     bin_path = os.path.splitext(where)[0] + ".bin"

@@ -2,9 +2,7 @@
 PASS/FAIL line. Run with `pytest tests/test_acceptance.py -s` to see the
 per-criterion lines as they execute."""
 
-import itertools
 import json
-import math
 import random
 import time
 
@@ -14,11 +12,11 @@ import pytest
 from edgeplan.cli import main as cli_main
 from edgeplan.delay import build_delay_table, path_delay
 from edgeplan.gen import random_test_instance
-from edgeplan.ilp import (EmptyFeasibleSet, build_ilp, check_plan_feasible,
-                          model_as_parsed, parse_lp, substitute, write_lp)
-from edgeplan.quant import (SchemeKind, WeightTensor, check_linearized,
-                            feasible_bits, max_abs_error, quantize_asymmetric,
-                            quantize_symmetric, save_weight_tensor)
+from edgeplan.ilp import (EmptyFeasibleSet, build_ilp, model_as_parsed, parse_lp,
+                          substitute, write_lp)
+from edgeplan.quant import (WeightTensor, check_linearized, max_abs_error,
+                            quantize_asymmetric, quantize_symmetric,
+                            save_weight_tensor)
 from edgeplan.sim import simulate
 from edgeplan.solver import (solve_branch_and_bound, solve_brute_force,
                              solve_relaxed_dp)

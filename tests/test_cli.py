@@ -8,9 +8,10 @@ import pytest
 
 from edgeplan import quant
 from edgeplan import solver as solver_module
-from edgeplan.cli import (_load_and_filter, _load_from_options, _write_json,
-                          build_parser, input_digest, main)
-from edgeplan.core import LayerProfile, LinkSpec, ServerSpec, load_instance
+from edgeplan.cli import (_load_and_filter, _load_from_options, build_parser,
+                          input_digest, main)
+from edgeplan.core import (LayerProfile, LinkSpec, ServerSpec, json_text, load_instance,
+                           write_outputs)
 from edgeplan.delay import DelayOptions, compute_cm, compute_cp
 from edgeplan.quant import WeightTensor, save_weight_tensor
 
@@ -39,7 +40,7 @@ def write_non_finite_weights(directory, name, values):
 def test_write_json_leaves_no_partial_file(tmp_path):
     out = tmp_path / "doc.json"
     with pytest.raises(ValueError):
-        _write_json(out, {"a": 1.0, "b": math.nan})
+        write_outputs((out, json_text({"a": 1.0, "b": math.nan})))
     assert not out.exists()
 
 
@@ -497,18 +498,6 @@ class TestInputValidation:
         assert "usage:" in err and "--bins" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--original-precision", "0"), ("--original-precision", "-8")])
-    def test_quantize_flag_out_of_range_is_usage_error(self, tmp_path, capsys,
-                                                       flag, value):
-        argv, out = self.command(tmp_path, "quantize", "8", "inf")
-        with pytest.raises(SystemExit) as exc:
-            main(argv + [flag, value])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "usage:" in err and flag in err
-        assert not out.exists()
-
     @pytest.mark.parametrize("command", ["plan", "export-lp"])
     @pytest.mark.parametrize("weights_dir", ["missing", "", "a_file"])
     def test_weights_dir_that_is_no_directory_is_input_error(
@@ -587,6 +576,36 @@ class TestSimulateCommand:
              "--out", str(tmp_path / "t.csv")], capsys)
         assert code == 5
         assert "mismatch" in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["assignments"][1].update(server=True),
+         "assignments[1].server: must be an integer, got true"),
+        (lambda doc: doc["assignments"][0].pop("bits"),
+         "assignments[0]: missing key 'bits'"),
+        (lambda doc: doc["objective"].update(total_s=math.inf),
+         "objective.total_s: must be a finite number, got Infinity"),
+        (lambda doc: doc["options"].update(delta=math.nan),
+         "options.delta: must be a finite number, got NaN"),
+        (lambda doc: doc["options"]["feasible_bits"][1].append(8.0),
+         "options.feasible_bits[1][1]: must be an integer, got 8.0")],
+        ids=["boolean-server", "missing-bits", "infinite-total", "nan-delta",
+             "float-width"])
+    def test_malformed_plan_names_file_and_field(self, tmp_path, capsys, edit, message):
+        """The plan's fields are read like the instance files' fields: the
+        error names the file and the path down to the field."""
+        plan = self.make_plan(tmp_path, capsys)
+        doc = json.loads(plan.read_text())
+        edit(doc)
+        doc["digest"] = input_digest(data_path("cluster_2x2.json"),
+                                     data_path("model_2x2.json"), doc["options"])
+        plan.write_text(json.dumps(doc))
+        code, stdout, err = run(
+            ["simulate", "--plan", str(plan),
+             "--cluster", data_path("cluster_2x2.json"),
+             "--model", data_path("model_2x2.json"),
+             "--out", str(tmp_path / "t.csv")], capsys)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {plan}.{message}\n"
 
     def test_literal_storage_plan_replays(self, tmp_path, capsys):
         """Each 10-parameter layer needs 40 B at 8 bits under --storage
@@ -768,11 +787,12 @@ class TestPlanWithWeights:
 
 class TestBadPaths:
     """A file that cannot be read or written is an input error: exit 2, no
-    traceback, and no output file left behind, also by simulate and
+    traceback, and no output file left behind, also by gen, simulate and
     quantize when a second output fails after the first was written."""
 
     CLUSTER, MODEL = data_path("cluster_2x2.json"), data_path("model_2x2.json")
     FLAGS = {
+        "gen": {"--seed": "7", "-m": "5", "-l": "4", "--out-dir": "gen"},
         "plan": {"--cluster": CLUSTER, "--model": MODEL, "--bits": "8",
                  "--out": "plan.json"},
         "export-lp": {"--cluster": CLUSTER, "--model": MODEL, "--bits": "8",
@@ -785,6 +805,7 @@ class TestBadPaths:
     }
 
     @pytest.mark.parametrize("command, flag, path", [
+        ("gen", "--out-dir", "taken"),
         ("plan", "--out", "nodir/plan.json"),
         ("export-lp", "--out", "nodir/model.lp"),
         ("simulate", "--out", "nodir/timeline.csv"),
@@ -792,8 +813,9 @@ class TestBadPaths:
         ("simulate", "--cluster", "inputs"),
         ("simulate", "--summary", "nodir/summary.json"),
         ("quantize", "--stats-out", "nodir/stats.json")],
-        ids=["plan-out", "export-lp-out", "simulate-out", "simulate-missing-cluster",
-             "simulate-cluster-is-directory", "simulate-summary", "quantize-stats-out"])
+        ids=["gen-model-is-directory", "plan-out", "export-lp-out", "simulate-out",
+             "simulate-missing-cluster", "simulate-cluster-is-directory",
+             "simulate-summary", "quantize-stats-out"])
     def test_is_input_error_and_writes_nothing(self, tmp_path, monkeypatch, capsys,
                                                command, flag, path):
         def argv(command, **changed):
@@ -802,6 +824,7 @@ class TestBadPaths:
 
         monkeypatch.chdir(tmp_path)
         write_weights(tmp_path / "inputs" / "w", {"layer0": [-1.0, 0.5, 1.0]})
+        (tmp_path / "taken" / "model.json").mkdir(parents=True)
         code, _, err = run(argv("plan", **{"--out": "inputs/plan.json"}), capsys)
         assert code == 0, err
         before = sorted(tmp_path.rglob("*"))

@@ -1,8 +1,8 @@
 """Property tests over the plan, export-lp, quantize and simulate commands.
 
-The first draws bit menus, error budgets, token counts, histogram bins,
-schemes and original precisions, valid and not, against
-one small generated instance with weight tensors. The second mutates a
+The first draws bit menus, error budgets, token counts, histogram bins
+and schemes, valid and not, against one small generated instance with
+weight tensors. The second mutates a
 plan document and replays it. The third mutates the instance's cluster,
 model and weight metadata files and plans them.
 Every run must end in a documented exit code without a traceback; invalid
@@ -75,29 +75,25 @@ DELTAS = st.sampled_from(["nan", "NaN", "inf", "-inf", "-1", "0", "1e-300",
 @given(command=st.sampled_from(["plan", "export-lp", "quantize"]), bits=BITS,
        delta=DELTAS, tokens=st.integers(-1, 4), bins=st.sampled_from([-1, 0, 1, 8, 32]),
        scheme=st.sampled_from(["auto", "symmetric", "asymmetric"]),
-       weights=st.booleans(), solver=st.sampled_from(["bnb", "brute", "relaxed"]),
-       precision=st.sampled_from([-8, 0, 1, 16, 32]))
+       weights=st.booleans(), solver=st.sampled_from(["bnb", "brute", "relaxed"]))
 @example(command="plan", bits=[4, 8], delta="nan", tokens=1, bins=32,
-         scheme="auto", weights=False, solver="bnb", precision=32)
+         scheme="auto", weights=False, solver="bnb")
 @example(command="quantize", bits=[1, 4], delta="0.5", tokens=1, bins=32,
-         scheme="auto", weights=True, solver="bnb", precision=32)
+         scheme="auto", weights=True, solver="bnb")
 @example(command="plan", bits=[4, 40], delta="inf", tokens=1, bins=32,
-         scheme="auto", weights=False, solver="bnb", precision=32)
+         scheme="auto", weights=False, solver="bnb")
 @example(command="quantize", bits=[4, 8], delta="0.5", tokens=1, bins=0,
-         scheme="auto", weights=True, solver="bnb", precision=32)
-@example(command="quantize", bits=[4, 8], delta="0.5", tokens=1, bins=32,
-         scheme="auto", weights=True, solver="bnb", precision=-8)
+         scheme="auto", weights=True, solver="bnb")
 @settings(max_examples=60, deadline=None)
 def test_cli_exit_codes(fuzz_dir, command, bits, delta, tokens, bins, scheme,
-                        weights, solver, precision):
+                        weights, solver):
     menu = ",".join(map(str, bits))
     valid = all(2 <= b <= 32 for b in bits) and budget(delta) >= 0
     with tempfile.TemporaryDirectory(dir=fuzz_dir) as tmp:
         out = os.path.join(tmp, "out")
         if command == "quantize":
-            argv = ["quantize", "--weights-dir", str(fuzz_dir / "w"), "--bins", str(bins),
-                    "--original-precision", str(precision)]
-            valid &= bins >= 1 and precision >= 1
+            argv = ["quantize", "--weights-dir", str(fuzz_dir / "w"), "--bins", str(bins)]
+            valid &= bins >= 1
         else:
             argv = [command, "--cluster", str(fuzz_dir / "cluster.json"),
                     "--model", str(fuzz_dir / "model.json"), "--tokens", str(tokens)]
@@ -174,6 +170,7 @@ PLAN_MUTATIONS = [
     (("objective", "total_s"), math.nan, 2),
     (("objective", "total_s"), -math.inf, 2),
     (("objective", "total_s"), 10 ** 400, 2),
+    (("objective", "total_s"), math.inf, 2),
     (("assignments",), "x", 2),
     (("assignments",), lambda a: a[:-1], 2),
     (("assignments",), lambda a: a + [a[0]], 2),
@@ -207,6 +204,10 @@ PLAN_MUTATIONS = [
     (("options", "tokens"), Signed(2.5), 2),
     (("options", "bits"), Signed("8"), 2),
     (("options", "delta"), Signed("abc"), 2),
+    (("options", "delta"), Signed(math.inf), 2),
+    (("options", "bits"), Signed([True]), 2),
+    (("options", "feasible_bits"),
+     Signed(lambda fb: [[float(b) for b in row] for row in fb]), 2),
     (("options", "feasible_bits"), Signed(3), 2),
     (("options", "feasible_bits"), Signed([]), 2),
     (("options", "cp_scaling"), Signed(5), 2),

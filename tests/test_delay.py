@@ -4,8 +4,6 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from edgeplan.core import LayerProfile, LinkSpec, ServerSpec
 from edgeplan.delay import (DelayOptions, InvalidBits, build_delay_table,

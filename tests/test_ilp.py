@@ -6,8 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from edgeplan.core import (ClusterSpec, LayerProfile, ModelProfile,
-                           ProblemInstance, ServerSpec)
+from edgeplan.core import ClusterSpec, LayerProfile, ServerSpec
 from edgeplan.delay import (DelayOptions, build_delay_table, compute_cm,
                             compute_cp, path_delay)
 from edgeplan.gen import generate_instance, random_test_instance

@@ -9,8 +9,8 @@ from hypothesis.extra import numpy as hnp
 
 from edgeplan import quant
 from edgeplan.core import ParseError
-from edgeplan.quant import (DistributionStats, SchemeKind, ShapeMismatch,
-                            WeightTensor, analyze_tensor, check_linearized,
+from edgeplan.quant import (SchemeKind, ShapeMismatch, WeightTensor,
+                            analyze_tensor, check_linearized,
                             dequantize, distribution_stats, feasible_bits,
                             load_weight_tensor, max_abs_error,
                             quantize_asymmetric, quantize_symmetric,
@@ -224,6 +224,14 @@ class TestTensorFiles:
         assert back.layer_name == "block0"
         assert back.shape == (3, 4)
         np.testing.assert_array_equal(back.values, obj.values)
+
+    def test_failed_save_leaves_no_metadata(self, tmp_path):
+        """The data file cannot be written, so the metadata written before
+        it is removed: no tensor is left half on disk."""
+        (tmp_path / "block0.bin").mkdir()
+        with pytest.raises(OSError):
+            save_weight_tensor(wt([0.5, -0.5], name="block0"), tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["block0.bin"]
 
     def test_missing_metadata_key(self, tmp_path):
         (tmp_path / "bad.json").write_text('{"name": "bad"}')

@@ -5,7 +5,6 @@ import pytest
 
 import edgeplan.sim
 from edgeplan.cli import main
-from edgeplan.core import ModelProfile, ProblemInstance
 from edgeplan.delay import (DelayOptions, build_delay_table, compute_cm, compute_cp,
                             path_delay)
 from edgeplan.gen import generate_instance, random_test_instance
