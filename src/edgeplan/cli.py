@@ -19,14 +19,14 @@ import math
 import os
 import sys
 
-from . import __version__, quant
-from .core import (REQUIRED, InvalidBits, ParseError, ValidationError, check_bits,
-                   input_digest, json_line, json_text, load_instance, load_json,
-                   read_fields, read_finite, read_ints, read_typed, require_valid,
-                   save_instance, write_outputs)
-from .delay import DelayOptions, build_delay_table
+from . import __version__, ilp, quant
+from .core import (REQUIRED, SCHEMA_VERSION, InvalidBits, ParseError, ValidationError,
+                   check_bits, input_digest, json_line, json_text, load_instance,
+                   load_json, read_fields, read_finite, read_ints, read_typed,
+                   require_valid, save_instance, write_outputs)
+from .delay import CP_SCALINGS, STORAGES, DelayOptions, build_delay_table
 from .gen import PROFILES, generate_instance
-from .ilp import EmptyFeasibleSet, build_ilp, check_plan_feasible, export_lp
+from .ilp import EmptyFeasibleSet, build_ilp, check_plan_feasible
 from .quant import SchemeKind, analyze_tensor, load_weight_tensor
 from .sim import InfeasiblePlan, simulate, trace_to_timeline
 from .solver import (DEFAULT_NODE_BUDGET, SizeLimit, solve_branch_and_bound,
@@ -38,8 +38,6 @@ EXIT_INFEASIBLE = 3
 EXIT_BUDGET = 4
 EXIT_MISMATCH = 5
 EXIT_DIGEST = 6
-
-PLAN_SCHEMA_VERSION = 1
 
 
 class CliError(Exception):
@@ -137,10 +135,7 @@ def _load_from_options(cluster_path, model_path, doc, path) -> tuple:
     bits, delta, tokens, rows = read_fields(doc, _OPTIONS, where, "options")
     feasible = [read_ints(row, where, "options", "feasible_bits", k)
                 for k, row in enumerate(rows)]
-    try:
-        options = DelayOptions.from_doc(doc)
-    except ValueError as e:
-        raise CliError(f"{path}: options: {e}")
+    options = DelayOptions.from_doc(doc, where, "options")
     instance = load_instance(cluster_path, model_path, bit_menu=bits, delta=delta,
                              tokens=tokens, feasible_bits=feasible)
     return instance, options
@@ -217,11 +212,11 @@ def cmd_quantize(args) -> int:
     if denominator > 0:
         ratio = numerator / denominator
         print(f"quantization ratio: {100 * ratio:.2f}%")
-    outputs = [(args.out, json_text({"schema_version": PLAN_SCHEMA_VERSION,
+    outputs = [(args.out, json_text({"schema_version": SCHEMA_VERSION,
                                      "records": records}))]
     if args.stats_out:
         outputs.append((args.stats_out, json_text({
-            "schema_version": PLAN_SCHEMA_VERSION, "layers": stats_docs})))
+            "schema_version": SCHEMA_VERSION, "layers": stats_docs})))
     write_outputs(*outputs)
     return EXIT_OK
 
@@ -234,7 +229,7 @@ def cmd_plan(args) -> int:
         """The one plan document; each solver supplies its objective and
         meta fields, the relaxed DP also its flag."""
         write_outputs((args.out, json_text({
-            "schema_version": PLAN_SCHEMA_VERSION,
+            "schema_version": SCHEMA_VERSION,
             "digest": input_digest(args.cluster, args.model, options_doc),
             "solver": args.solver,
             "assignments": [{"layer": l, "server": i, "bits": b}
@@ -323,6 +318,8 @@ def cmd_simulate(args) -> int:
     assignments, claimed = _replay_inputs(doc, instance.model.num_layers, args.plan)
     try:
         trace = simulate(assignments, instance, options)
+    except ValidationError as e:  # more rounds than the trace can index
+        raise CliError(f"{args.plan}.options.tokens: " + "; ".join(map(str, e.violations)))
     except InfeasiblePlan as e:
         print(f"mismatch: plan cannot be replayed: {e}", file=sys.stderr)
         return EXIT_MISMATCH
@@ -334,7 +331,7 @@ def cmd_simulate(args) -> int:
     outputs = [(args.out, "\n".join(trace_to_timeline(trace)) + "\n")]
     if args.summary:
         outputs.append((args.summary, json_text({
-            "schema_version": PLAN_SCHEMA_VERSION,
+            "schema_version": SCHEMA_VERSION,
             "completion_time_s": trace.completion_time,
             "events": trace.ends.size,
             "rounds": instance.tokens,
@@ -353,7 +350,7 @@ def cmd_export_lp(args) -> int:
         print(json_line({"status": "infeasible", "layer": e.layer,
                          "reason": str(e)}))
         return EXIT_INFEASIBLE
-    export_lp(model, args.out)
+    write_outputs((args.out, ilp.write_lp(model)))
     print(f"wrote {args.out}: {len(model.binaries)} binaries, "
           f"{len(model.constraints)} constraints")
     return EXIT_OK
@@ -372,11 +369,10 @@ def _add_shared_plan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--weights-dir", help="narrow feasible bits from weight tensors")
     p.add_argument("--scheme", choices=["auto", "symmetric", "asymmetric"],
                    default="auto")
-    p.add_argument("--cp-scaling", choices=["with_pl", "without_pl"],
-                   default="with_pl")
+    p.add_argument("--cp-scaling", choices=CP_SCALINGS, default="with_pl")
     p.add_argument("--activation-payload", choices=["per_token", "output_size"],
                    default="per_token")
-    p.add_argument("--storage", choices=["compact", "literal"], default="compact")
+    p.add_argument("--storage", choices=STORAGES, default="compact")
 
 
 def build_parser() -> argparse.ArgumentParser:

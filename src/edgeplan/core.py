@@ -96,7 +96,6 @@ class ClusterSpec:
 
 @dataclass(frozen=True)
 class LayerProfile:
-    index: int
     flops: float  # FLOP per token pass
     param_count: int  # weight elements
     output_size: float  # output tensor elements per token per batch row
@@ -136,16 +135,10 @@ class ProblemInstance:
     def __post_init__(self):
         object.__setattr__(self, "bit_menu", tuple(sorted(set(self.bit_menu))))
         if self.feasible_bits is None:
-            full = tuple(
-                tuple(self.bit_menu) for _ in range(self.model.num_layers)
-            )
-            object.__setattr__(self, "feasible_bits", full)
+            feasible = (self.bit_menu,) * self.model.num_layers
         else:
-            object.__setattr__(
-                self,
-                "feasible_bits",
-                tuple(tuple(sorted(set(fb))) for fb in self.feasible_bits),
-            )
+            feasible = tuple(tuple(sorted(set(fb))) for fb in self.feasible_bits)
+        object.__setattr__(self, "feasible_bits", feasible)
 
 
 @dataclass(frozen=True)
@@ -169,9 +162,11 @@ def _non_finite(where: str, **values: float) -> list[Violation]:
 def validate_instance(instance: ProblemInstance) -> list[Violation]:
     """Return every structural violation; an empty list means valid.
 
-    Pure and idempotent. ``MoreLayersThanServers`` is reported as a distinct
-    code because it makes the placement infeasible (one layer per server)
-    without being a malformed input per se.
+    Pure and idempotent, and the one statement of what a valid instance
+    is: the delay table, the solvers, the plan checker and the replay
+    take a validated instance and check none of this again. More layers
+    than servers is no violation: it is infeasible, not malformed, and
+    the solvers report it.
     """
     out: list[Violation] = []
     servers = instance.cluster.servers
@@ -213,19 +208,17 @@ def validate_instance(instance: ProblemInstance) -> list[Violation]:
     layers = instance.model.layers
     if not layers:
         out.append(Violation("NoLayers", "the model has no layers"))
-    if [l.index for l in layers] != list(range(len(layers))):
-        out.append(Violation("LayerIndexGap", f"layer indices {[l.index for l in layers]} are not 0..L-1"))
-    for l in layers:
+    for k, l in enumerate(layers):
         if not (math.isfinite(l.flops) and math.isfinite(l.output_size)):
-            out += _non_finite(f"layer {l.index}", flops=l.flops, output_size=l.output_size)
+            out += _non_finite(f"layer {k}", flops=l.flops, output_size=l.output_size)
         if l.flops < 0:
-            out.append(Violation("NegativeFlops", f"layer {l.index}"))
+            out.append(Violation("NegativeFlops", f"layer {k}"))
         if l.param_count < 0:
-            out.append(Violation("NegativeParamCount", f"layer {l.index}"))
+            out.append(Violation("NegativeParamCount", f"layer {k}"))
         if l.output_size < 0:
-            out.append(Violation("NegativeOutputSize", f"layer {l.index}"))
+            out.append(Violation("NegativeOutputSize", f"layer {k}"))
         if l.original_precision not in ALLOWED_PRECISIONS:
-            out.append(Violation("BadOriginalPrecision", f"layer {l.index}: {l.original_precision}"))
+            out.append(Violation("BadOriginalPrecision", f"layer {k}: {l.original_precision}"))
     if instance.model.batch_size < 1:
         out.append(Violation("BadBatchSize", f"batch_size {instance.model.batch_size}"))
     if instance.model.embedding_size < 1:
@@ -244,6 +237,10 @@ def validate_instance(instance: ProblemInstance) -> list[Violation]:
         out.append(Violation("NegativeDelta", f"delta {instance.delta}"))
     if instance.tokens < 0:
         out.append(Violation("NegativeTokens", f"tokens {instance.tokens}"))
+    try:
+        float(instance.tokens)  # every delay is n times a float
+    except OverflowError:
+        out.append(Violation("DelayOverflow", "tokens beyond the float range"))
 
     if len(instance.feasible_bits) != len(layers):
         out.append(Violation("FeasibleBitsLengthMismatch",
@@ -253,10 +250,6 @@ def validate_instance(instance: ProblemInstance) -> list[Violation]:
         for l, fb in enumerate(instance.feasible_bits):
             if not set(fb) <= menu:
                 out.append(Violation("FeasibleBitsNotInMenu", f"layer {l}: {fb}"))
-
-    if len(layers) > len(servers):
-        out.append(Violation("MoreLayersThanServers",
-                             f"L={len(layers)} > M={len(servers)}: no one-layer-per-server placement exists"))
     return out
 
 
@@ -265,9 +258,9 @@ def validate_instance(instance: ProblemInstance) -> list[Violation]:
 # ---------------------------------------------------------------------------
 
 # JSON types by the Python type the json module reads them as; a JSON
-# boolean reads as bool, which is none of these
+# boolean reads as bool, which is neither int nor float
 _JSON_KINDS = {dict: "an object", list: "an array", str: "a string",
-               int: "an integer", float: "a number"}
+               int: "an integer", float: "a number", bool: "a boolean"}
 REQUIRED = object()
 
 
@@ -276,8 +269,8 @@ def _where(where: str, path: tuple) -> str:
 
 
 def read_typed(value, kind: type, where: str, *path) -> Any:
-    """value if it has the JSON type ``kind`` (dict, list, str, int or
-    float), else ParseError naming ``where`` (the file) and ``path`` (the
+    """value if it has the JSON type ``kind`` (dict, list, str, int, float
+    or bool), else ParseError naming ``where`` (the file) and ``path`` (the
     keys and indices down to the value).
 
     int is a JSON integer; float is any JSON number, an integer read with
@@ -299,6 +292,15 @@ def _refuse(value, expected: str, where: str, path: tuple):
     if len(shown) > 40:
         shown = shown[:37] + "..."
     raise ParseError(f"{_where(where, path)}: must be {expected}, got {shown}")
+
+
+def read_choice(*choices: str):
+    """A read_fields reader of a string that must be one of ``choices``."""
+    def read(value, where: str, *path) -> str:
+        if type(value) is not str or value not in choices:
+            _refuse(value, " or ".join(map(json.dumps, choices)), where, path)
+        return value
+    return read
 
 
 def read_ints(value, where: str, *path) -> list:
@@ -425,7 +427,7 @@ def parse_model(doc, where: str = "model") -> ModelProfile:
     """ModelProfile from a parsed model document; ParseError on a missing
     key or a field of the wrong JSON type."""
     layer_docs, batch_size, embedding_size = read_fields(doc, _MODEL, where)
-    layers = tuple(LayerProfile(k, *read_fields(l, _LAYER, where, "layers", k))
+    layers = tuple(LayerProfile(*read_fields(l, _LAYER, where, "layers", k))
                    for k, l in enumerate(layer_docs))
     return ModelProfile(layers=layers, batch_size=batch_size,
                         embedding_size=embedding_size)
@@ -453,11 +455,10 @@ def load_instance(cluster_path, model_path, *, bit_menu: Iterable[int],
 
 def require_valid(instance: ProblemInstance) -> ProblemInstance:
     """Return the instance unchanged, or raise ValidationError carrying every
-    violation except MoreLayersThanServers (an infeasible, not malformed,
-    input that the solvers report themselves)."""
-    hard = [v for v in validate_instance(instance) if v.code != "MoreLayersThanServers"]
-    if hard:
-        raise ValidationError(hard)
+    violation validate_instance finds."""
+    violations = validate_instance(instance)
+    if violations:
+        raise ValidationError(violations)
     return instance
 
 

@@ -45,10 +45,9 @@ from typing import Optional
 
 import numpy as np
 
-# InvalidBits is what compute_cp and compute_cm raise, importable from here
-from .core import (InvalidBits, LayerProfile, LinkSpec, ProblemInstance,
-                   ServerSpec, ValidationError, Violation, check_bits,
-                   storage_bytes)
+from .core import (LayerProfile, LinkSpec, ProblemInstance, ServerSpec,
+                   ValidationError, Violation, check_bits, read_choice,
+                   read_fields, storage_bytes)
 
 # The largest plan total times this must be finite. Brute force, the DP
 # and the plain search sum at most that total. The Lagrangian pass adds
@@ -63,21 +62,21 @@ class NoLink(ValueError):
     to itself."""
 
 
+CP_SCALINGS = ("with_pl", "without_pl")
+STORAGES = ("compact", "literal")
+
+
 @dataclass(frozen=True)
 class DelayOptions:
     """Which reading of the delay and storage formulas a run uses (see the
-    module docstring). ValueError on a value of the wrong type or kind."""
+    module docstring). ParseError, a ValueError naming the field, on a
+    value of the wrong type or kind."""
     cp_scaling: str = "with_pl"  # or "without_pl"
     per_token_activation: bool = True
     storage: str = "compact"  # or "literal"
 
     def __post_init__(self):
-        if self.cp_scaling not in ("with_pl", "without_pl"):
-            raise ValueError(f"cp_scaling {self.cp_scaling!r}: not 'with_pl' or 'without_pl'")
-        if type(self.per_token_activation) is not bool:
-            raise ValueError(f"per_token_activation {self.per_token_activation!r}: not a bool")
-        if self.storage not in ("compact", "literal"):
-            raise ValueError(f"storage {self.storage!r}: not 'compact' or 'literal'")
+        read_fields(self.to_doc(), _FIELDS, "DelayOptions")
 
     def bytes_needed(self, layer: LayerProfile, bits: int) -> float:
         """Storage a server needs to host the layer at the given width."""
@@ -88,10 +87,16 @@ class DelayOptions:
         return dataclasses.asdict(self)
 
     @classmethod
-    def from_doc(cls, doc: dict) -> "DelayOptions":
+    def from_doc(cls, doc: dict, where: str = "options", *path) -> "DelayOptions":
         """The record to_doc wrote; absent keys keep their defaults and other
-        keys are ignored."""
-        return cls(**{f.name: doc[f.name] for f in dataclasses.fields(cls) if f.name in doc})
+        keys are ignored. A ParseError names ``where`` and ``path`` down to
+        the field, as core.read_fields does."""
+        return cls(*read_fields(doc, _FIELDS, where, *path))
+
+
+# each field's reading, the one statement of the values it allows
+_FIELDS = tuple((f.name, kind, f.default) for f, kind in zip(
+    dataclasses.fields(DelayOptions), (read_choice(*CP_SCALINGS), bool, read_choice(*STORAGES))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,22 +168,18 @@ def build_delay_table(instance: ProblemInstance,
     lexicographic (server, bits) tie-break picks the smaller width. Brute
     force, which enumerates every width, checks this.
 
-    Per-layer factors come from the scalar helpers; servers and links
-    enter as a throughput vector and M x M capacity/propagation matrices
-    filled once from the link list. The storage mask applies
-    ``options.storage``. A delay beyond the float range raises
-    ValidationError (DelayOverflow) rather than reading as the mask, and so
-    does a largest plan total within a factor _TOTAL_HEADROOM of it.
+    The instance must be valid (core.validate_instance), as for the
+    solvers, the plan checker and the replay. Per-layer factors come from
+    the scalar helpers; servers and links enter as a throughput vector and
+    M x M capacity/propagation matrices filled once from the link list.
+    The storage mask applies ``options.storage``. A delay beyond the float
+    range raises ValidationError (DelayOverflow) rather than reading as
+    the mask, and so does a largest plan total within a factor
+    _TOTAL_HEADROOM of it.
     """
     cluster, model = instance.cluster, instance.model
     M = cluster.num_servers
-    try:
-        n = float(instance.tokens)
-    except OverflowError:
-        raise ValidationError([Violation(
-            "DelayOverflow", "tokens beyond the float range")]) from None
-    for b in {b for fb in instance.feasible_bits for b in fb}:
-        check_bits(b)
+    n = float(instance.tokens)
     widths = tuple(min(fb, default=None) for fb in instance.feasible_bits)
     # a layer without a width is masked below; 0 only keeps its factors finite
     scale, payload_bits, need = np.array([

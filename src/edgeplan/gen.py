@@ -49,10 +49,9 @@ def generate_cluster(rng: random.Random, m: int, profile: str = "uniform",
 def generate_model(rng: random.Random, l: int, *, batch_size: int = 1,
                    embedding_size: int = 512) -> ModelProfile:
     layers = []
-    for idx in range(l):
+    for _ in range(l):
         params = rng.randrange(10_000, 2_000_000)
         layers.append(LayerProfile(
-            index=idx,
             flops=float(rng.randrange(1_000_000, 500_000_000)),
             param_count=params,
             output_size=float(batch_size * embedding_size),

@@ -221,11 +221,6 @@ def write_lp(model: IlpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_lp(model: IlpModel, path) -> None:
-    with open(path, "w", newline="\n") as f:
-        f.write(write_lp(model))
-
-
 @dataclass(frozen=True)
 class ParsedLp:
     objective: dict[str, float]

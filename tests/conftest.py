@@ -23,8 +23,8 @@ def make_2x2_instance(**overrides) -> ProblemInstance:
         links=(LinkSpec(0, 1, 32.0), LinkSpec(1, 0, 32.0)),
     )
     model = ModelProfile(
-        layers=(LayerProfile(0, 100.0, 10, 4.0, 32),
-                LayerProfile(1, 200.0, 10, 4.0, 32)),
+        layers=(LayerProfile(100.0, 10, 4.0, 32),
+                LayerProfile(200.0, 10, 4.0, 32)),
         batch_size=1, embedding_size=4,
     )
     kwargs = dict(cluster=cluster, model=model, bit_menu=(8,),

@@ -204,6 +204,21 @@ class TestPlan:
         assert doc["relaxed"] is True
         assert doc["objective"]["lower_bound_s"] == pytest.approx(3.0)
 
+    def test_relaxed_without_a_layered_path_is_infeasible(self, tmp_path, capsys):
+        """Both servers hold 1 B, so no layer fits on either."""
+        cluster = {"servers": [{"id": 0, "ccs_flops": 1.0, "storage_bytes": 1.0},
+                               {"id": 1, "ccs_flops": 1.0, "storage_bytes": 1.0}],
+                   "links": [{"src": 0, "dst": 1, "capacity_bps": 1.0}]}
+        cpath = tmp_path / "cluster.json"
+        cpath.write_text(json.dumps(cluster))
+        out = tmp_path / "plan.json"
+        code, stdout, err = run(["plan", "--cluster", str(cpath),
+                                 "--model", data_path("model_2x2.json"), "--bits", "8",
+                                 "--solver", "relaxed", "--out", str(out)], capsys)
+        assert (code, stdout) == (3, "")
+        assert "no layered path" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_infeasible_exit_code(self, tmp_path, capsys):
         code, stdout, _ = run(
             ["plan", "--cluster", data_path("cluster_2x2.json"),
@@ -397,7 +412,7 @@ class TestPlanStorage:
         assert {i for i, _ in placed} == {1, 2}
         by_id = {s["id"]: ServerSpec(s["id"], s["ccs_flops"], s["storage_bytes"])
                  for s in cluster["servers"]}
-        layer = LayerProfile(0, 1e3, 1000, 4.0, 32)
+        layer = LayerProfile(1e3, 1000, 4.0, 32)
         n = doc["options"]["tokens"]
         (i, b), (j, _) = placed
         compute = compute_cp(layer, by_id[i], b, n) + compute_cp(layer, by_id[j], b, n)
@@ -486,6 +501,18 @@ class TestInputValidation:
         code, _, err = run(argv, capsys)
         assert code == 2
         assert "[2, 32]" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--tokens", "-1", "NegativeTokens"), ("--bits", "4,x", "--bits"),
+        ("--bits", ",", "--bits"), ("--delta", "abc", "--delta")])
+    def test_malformed_flag_is_input_error(self, tmp_path, capsys, flag, value, named):
+        out = tmp_path / "plan.json"
+        code, stdout, err = run(["plan", "--cluster", data_path("cluster_2x2.json"),
+                                 "--model", data_path("model_2x2.json"), "--bits", "8",
+                                 "--out", str(out), flag, value], capsys)
+        assert (code, stdout) == (2, "")
+        assert named in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("bins", ["0", "-3"])
@@ -650,6 +677,25 @@ class TestSimulateCommand:
                                      json.loads(out.read_text())["options"], out)
         assert decoded == (instance, options)
 
+    def test_more_rounds_than_the_trace_can_index(self, tmp_path, capsys):
+        """plan admits 10**300 tokens, but numpy cannot index 10**300
+        rounds of 3 events: simulate refuses the count and writes nothing."""
+        run(["gen", "--seed", "1", "-m", "4", "-l", "2", "--bits", "4,8",
+             "--out-dir", str(tmp_path)], capsys)
+        files = ["--cluster", str(tmp_path / "cluster.json"),
+                 "--model", str(tmp_path / "model.json")]
+        plan = tmp_path / "plan.json"
+        code, _, err = run(["plan", *files, "--bits", "4,8", "--tokens", "1" + "0" * 300,
+                            "--out", str(plan)], capsys)
+        assert code == 0, err
+        timeline, summary = tmp_path / "t.csv", tmp_path / "s.json"
+        code, stdout, err = run(["simulate", "--plan", str(plan), *files,
+                                 "--out", str(timeline), "--summary", str(summary)], capsys)
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: {plan}.options.tokens: ReplayTooLong: ")
+        assert "Traceback" not in err
+        assert not timeline.exists() and not summary.exists()
+
     def test_stale_inputs_are_digest_mismatch(self, tmp_path, capsys):
         plan = self.make_plan(tmp_path, capsys)
         stale = tmp_path / "cluster.json"
@@ -728,6 +774,25 @@ class TestPlanWithWeights:
         doc = json.loads(out.read_text())
         assert doc["options"]["feasible_bits"] == [[8], [8]]
         assert all(a["bits"] == 8 for a in doc["assignments"])
+
+    def test_layer_without_weights_keeps_the_full_menu(self, tmp_path, capsys):
+        wdir = tmp_path / "w"
+        write_weights(wdir, {"l0": [-2.0, 1.0, 2.0]})
+        model = {"batch_size": 1, "embedding_size": 4, "layers": [
+            {"flops": 100.0, "param_count": 10, "output_size": 4.0,
+             "original_precision": 32, "weights": "l0"},
+            {"flops": 200.0, "param_count": 10, "output_size": 4.0,
+             "original_precision": 32}]}
+        mpath = tmp_path / "model.json"
+        mpath.write_text(json.dumps(model))
+        out = tmp_path / "plan.json"
+        code, _, err = run(
+            ["plan", "--cluster", data_path("cluster_2x2.json"),
+             "--model", str(mpath), "--bits", "3,8", "--delta", "0.2",
+             "--scheme", "symmetric", "--weights-dir", str(wdir), "--out", str(out)],
+            capsys)
+        assert code == 0, err
+        assert json.loads(out.read_text())["options"]["feasible_bits"] == [[8], [3, 8]]
 
     @pytest.mark.parametrize("scheme", ["auto", "symmetric", "asymmetric"])
     def test_quantize_report_and_plan_filter_agree(self, tmp_path, capsys, scheme):

@@ -148,11 +148,12 @@ class Signed:
 
 # (path into the plan document, new value or DELETE or a function of the old
 # value or a Signed value, stage). The stage is where simulate must stop: 0 a
-# document without the plan keys, 1 the digest, 2 malformed options, a
-# malformed assignment or objective, 3 a plan the replay refuses, 4 an
-# objective the replay does not reproduce, 5 none (exit 0). Several mutations
-# stop at the earliest stage among them; Signed edits are made first, so
-# every other edit lands after the digest is recomputed.
+# document without the plan keys, 1 the digest, 2 malformed options (more
+# rounds than the replay can index too), a malformed assignment or
+# objective, 3 a plan the replay refuses, 4 an objective the replay does not
+# reproduce, 5 none (exit 0). Several mutations stop at the earliest stage
+# among them; Signed edits are made first, so every other edit lands after
+# the digest is recomputed.
 PLAN_MUTATIONS = [
     ((), lambda doc: [doc], 0),
     (("digest",), DELETE, 0),
@@ -214,6 +215,8 @@ PLAN_MUTATIONS = [
     (("options", "per_token_activation"), Signed("no"), 2),
     (("options", "storage"), Signed("bogus"), 2),
     (("options", "storage"), Signed(7), 2),
+    (("options", "tokens"), Signed(10 ** 300), 2),
+    (("options", "tokens"), Signed(10 ** 400), 2),
 ]
 STAGE_EXIT = {0: 2, 1: 6, 2: 2, 3: 5, 4: 5, 5: 0}
 
@@ -255,9 +258,23 @@ def test_each_plan_mutation_alone(fuzz_dir, plan_doc, k):
     replay_mutated(fuzz_dir, plan_doc, [k])
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("cp_scaling", 5, 'must be "with_pl" or "without_pl", got 5'),
+    ("per_token_activation", "no", 'must be a boolean, got "no"'),
+    ("storage", "bogus", 'must be "compact" or "literal", got "bogus"'),
+    ("storage", 7, 'must be "compact" or "literal", got 7')])
+def test_reading_refusal_names_file_and_field(fuzz_dir, plan_doc, field, value, message):
+    """A DelayOptions field is refused in the form of every other plan
+    document field: the file, the path down to the field, the values it
+    allows."""
+    plan, err = replay_mutated(fuzz_dir, plan_doc, [pick(("options", field), Signed(value))])
+    assert err == f"error: {plan}.options.{field}: {message}\n"
+
+
 def replay_mutated(fuzz_dir, plan_doc, picks):
     """Simulate the plan with the picked mutations applied; the exit code
-    must be the earliest stage's, with no traceback and no output unless 0."""
+    must be the earliest stage's, with no traceback and no output unless 0.
+    Returns the plan's path and simulate's stderr."""
     mutations = [PLAN_MUTATIONS[k] for k in picks]
     doc = json.loads(json.dumps(plan_doc))
     signed = [m for m in mutations if isinstance(m[1], Signed)]
@@ -284,10 +301,11 @@ def replay_mutated(fuzz_dir, plan_doc, picks):
         assert code == expected, (mutations, code, err)
         assert os.path.exists(timeline) == (code == 0)
         assert os.path.exists(summary) == (code == 0)
+    return plan, err
 
 
-# (file, path into its document, new value or a function of the old value,
-# valid). A field of the wrong JSON type is an input error (exit 2); an
+# (file, path into its document, new value or DELETE or a function of the
+# old value, valid). A field of the wrong JSON type is an input error (exit 2); an
 # integer in a number field is a number, and the run stays valid (exit 0).
 # The weight metadata file is read by `plan --weights-dir`; `quantize`
 # reports a malformed one and skips it.
@@ -335,6 +353,21 @@ INSTANCE_MUTATIONS = [
     ("w/l0.json", ("shape", 0), 64.0, False),
     ("w/l0.json", ("shape",), [-8, -8], False),
     ("w/l0.json", ("name",), 5, False),
+    ("w/l0.json", ("dtype",), "f16", False),
+    # each breaks one rule of core.validate_instance, named in test_core
+    ("cluster.json", ("servers", 1, "id"), 0, False),
+    ("cluster.json", ("servers", 3, "id"), 4, False),
+    ("cluster.json", ("links", 0, "dst"), 0, False),
+    ("cluster.json", ("links", 4, "src"), 9, False),
+    ("cluster.json", ("links", 5, "prop_delay_s"), -1.0, False),
+    ("cluster.json", ("servers", 2, "ccs_flops"), 0.0, False),
+    ("model.json", ("layers", 0, "flops"), -1.0, False),
+    ("model.json", ("layers", 0, "output_size"), -1.0, False),
+    ("model.json", ("layers", 1, "param_count"), -1, False),
+    ("model.json", ("batch_size",), 0, False),
+    ("model.json", ("embedding_size",), 0, False),
+    # a layer without a tensor keeps the full menu
+    ("model.json", ("layers", 1, "weights"), DELETE, True),
 ]
 
 

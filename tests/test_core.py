@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -18,9 +19,59 @@ def codes(violations):
     return [v.code for v in violations]
 
 
+def with_servers(inst, servers):
+    return dataclasses.replace(inst, cluster=dataclasses.replace(inst.cluster, servers=servers))
+
+
+def with_links(inst, links):
+    return dataclasses.replace(inst, cluster=dataclasses.replace(inst.cluster, links=links))
+
+
+def with_model(inst, **changes):
+    return dataclasses.replace(inst, model=dataclasses.replace(inst.model, **changes))
+
+
+def with_layer(inst, k, **changes):
+    layers = list(inst.model.layers)
+    layers[k] = dataclasses.replace(layers[k], **changes)
+    return with_model(inst, layers=tuple(layers))
+
+
+# (violation as printed, the 2x2 instance edited to break that one rule)
+ONE_RULE_BROKEN = [
+    ("DuplicateServerId: server ids [0, 1, 1] contain duplicates",
+     lambda i: with_servers(i, i.cluster.servers + (ServerSpec(1, 1.0, 1.0),))),
+    ("NonContiguousServerIds: server ids [0, 1, 3] are not 0..M-1",
+     lambda i: with_servers(i, i.cluster.servers + (ServerSpec(3, 1.0, 1.0),))),
+    ("NonPositiveThroughput: server 0 throughput 0.0",
+     lambda i: with_servers(i, (ServerSpec(0, 0.0, 1e9), i.cluster.servers[1]))),
+    ("SelfLink: link 0->0 is a self-loop",
+     lambda i: with_links(i, i.cluster.links + (LinkSpec(0, 0, 32.0),))),
+    ("UnknownServerInLink: link 0->2 references unknown server",
+     lambda i: with_links(i, i.cluster.links + (LinkSpec(0, 2, 32.0),))),
+    ("NegativePropagationDelay: link 0->1",
+     lambda i: with_links(i, (LinkSpec(0, 1, 32.0, -1.0), i.cluster.links[1]))),
+    ("NegativeFlops: layer 0", lambda i: with_layer(i, 0, flops=-1.0)),
+    ("NegativeOutputSize: layer 0", lambda i: with_layer(i, 0, output_size=-1.0)),
+    ("NegativeParamCount: layer 1", lambda i: with_layer(i, 1, param_count=-1)),
+    ("BadBatchSize: batch_size 0", lambda i: with_model(i, batch_size=0)),
+    ("BadEmbeddingSize: embedding_size 0", lambda i: with_model(i, embedding_size=0)),
+    ("NegativeTokens: tokens -1", lambda i: dataclasses.replace(i, tokens=-1)),
+    ("DelayOverflow: tokens beyond the float range",
+     lambda i: dataclasses.replace(i, tokens=10 ** 400)),
+]
+
+
 class TestValidateInstance:
     def test_well_formed_instance_is_clean(self):
         assert validate_instance(make_2x2_instance()) == []
+
+    @pytest.mark.parametrize("expect, edit", ONE_RULE_BROKEN,
+                             ids=[expect.split(":")[0] for expect, _ in ONE_RULE_BROKEN])
+    def test_each_rule_is_reported_alone(self, expect, edit):
+        """Each rule, broken alone, is the one violation reported; a
+        layer is named by its position in the model."""
+        assert list(map(str, validate_instance(edit(make_2x2_instance())))) == [expect]
 
     def test_zero_capacity_link(self):
         inst = make_2x2_instance()
@@ -29,18 +80,11 @@ class TestValidateInstance:
         inst = make_2x2_instance(cluster=bad)
         assert codes(validate_instance(inst)) == ["LinkCapacityNonPositive"]
 
-    def test_more_layers_than_servers(self):
-        model = ModelProfile(
-            layers=tuple(LayerProfile(i, 1.0, 1, 1.0, 32) for i in range(3)),
-            batch_size=1, embedding_size=4)
-        inst = make_2x2_instance(model=model)
-        assert "MoreLayersThanServers" in codes(validate_instance(inst))
-
     def test_negative_storage_and_bad_precision(self):
         cluster = ClusterSpec(
             servers=(ServerSpec(0, 1.0, -1.0), ServerSpec(1, 1.0, 0.0)),
             links=())
-        model = ModelProfile(layers=(LayerProfile(0, 1.0, 1, 1.0, 7),),
+        model = ModelProfile(layers=(LayerProfile(1.0, 1, 1.0, 7),),
                              batch_size=1, embedding_size=1)
         inst = ProblemInstance(cluster=cluster, model=model, bit_menu=(8,),
                                delta=0.0, tokens=1)
@@ -65,7 +109,7 @@ class TestValidateInstance:
         inst = make_2x2_instance()
         servers = (ServerSpec(0, value, value), ServerSpec(1, 200.0, 1e9))
         links = (LinkSpec(0, 1, value, value), LinkSpec(1, 0, 32.0))
-        layers = (LayerProfile(0, value, 10, value, 32), inst.model.layers[1])
+        layers = (LayerProfile(value, 10, value, 32), inst.model.layers[1])
         inst = make_2x2_instance(
             cluster=ClusterSpec(servers=servers, links=links),
             model=ModelProfile(layers=layers, batch_size=1, embedding_size=4))
@@ -175,11 +219,11 @@ def instances(draw):
                                       draw(st.floats(0.0, 1.0))))
     n_layers = draw(st.integers(1, 4))
     layers = tuple(
-        LayerProfile(i, draw(st.floats(0.0, 1e9)),
+        LayerProfile(draw(st.floats(0.0, 1e9)),
                      draw(st.integers(0, 10**7)),
                      draw(st.floats(0.0, 1e6)),
                      draw(st.sampled_from([8, 16, 32, 64])))
-        for i in range(n_layers))
+        for _ in range(n_layers))
     return ProblemInstance(
         cluster=ClusterSpec(servers=servers, links=tuple(links)),
         model=ModelProfile(layers=layers, batch_size=draw(st.integers(1, 8)),

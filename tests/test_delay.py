@@ -5,17 +5,17 @@ import random
 import numpy as np
 import pytest
 
-from edgeplan.core import LayerProfile, LinkSpec, ServerSpec
-from edgeplan.delay import (DelayOptions, InvalidBits, build_delay_table,
-                            compute_cm, compute_cp, path_delay)
+from edgeplan.core import InvalidBits, LayerProfile, LinkSpec, ServerSpec
+from edgeplan.delay import (DelayOptions, build_delay_table, compute_cm,
+                            compute_cp, path_delay)
 from edgeplan.gen import random_test_instance
 from edgeplan.ilp import check_plan_feasible
 
 from conftest import make_2x2_instance, with_binding_storage
 
 
-def layer(flops=100.0, params=10, out=4.0, obp=32, idx=0):
-    return LayerProfile(idx, flops, params, out, obp)
+def layer(flops=100.0, params=10, out=4.0, obp=32):
+    return LayerProfile(flops, params, out, obp)
 
 
 class TestComputeCp:

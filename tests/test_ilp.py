@@ -6,13 +6,13 @@ import random
 import numpy as np
 import pytest
 
-from edgeplan.core import ClusterSpec, LayerProfile, ServerSpec
+from edgeplan.core import ClusterSpec, LayerProfile, ServerSpec, write_outputs
 from edgeplan.delay import (DelayOptions, build_delay_table, compute_cm,
                             compute_cp, path_delay)
 from edgeplan.gen import generate_instance, random_test_instance
 from edgeplan.ilp import (EmptyFeasibleSet, build_ilp, check_plan_feasible,
-                          export_lp, model_as_parsed, parse_lp, storage_bytes,
-                          substitute, write_lp)
+                          model_as_parsed, parse_lp, storage_bytes, substitute,
+                          write_lp)
 from edgeplan.solver import solve_brute_force
 
 from conftest import make_2x2_instance, with_binding_storage
@@ -75,7 +75,7 @@ class TestBuildIlp:
         assert sum(len(r.coeffs) for r in m.constraints) == 23_296
 
     def test_literal_storage_mode(self):
-        layer = LayerProfile(0, 1.0, 10, 4.0, 32)
+        layer = LayerProfile(1.0, 10, 4.0, 32)
         assert storage_bytes(layer, 8) == DelayOptions().bytes_needed(layer, 8) == 10.0
         assert DelayOptions(storage="literal").bytes_needed(layer, 8) == 40.0
 
@@ -111,6 +111,11 @@ class TestCheckPlanFeasible:
         assert check_plan_feasible(((0, 8), (1, 8)), inst) == []
         got = check_plan_feasible(((0, 8), (1, 8)), inst, DelayOptions(storage="literal"))
         assert codes(got) == ["StorageOverflow", "StorageOverflow"]
+
+    @pytest.mark.parametrize("server", [-1, 2])
+    def test_unknown_server(self, golden_instance, server):
+        got = check_plan_feasible(((0, 8), (server, 8)), golden_instance)
+        assert codes(got) == ["UnknownServer", "MissingLink"]
 
     def test_wrong_length(self, golden_instance):
         assert codes(check_plan_feasible(((0, 8),), golden_instance)) == ["WrongLength"]
@@ -249,8 +254,7 @@ class TestLpExport:
     def test_deterministic_bytes(self, golden_instance, golden_table, tmp_path):
         m1 = build_ilp(golden_instance, golden_table)
         m2 = build_ilp(golden_instance, build_delay_table(golden_instance))
-        export_lp(m1, tmp_path / "a.lp")
-        export_lp(m2, tmp_path / "b.lp")
+        write_outputs((tmp_path / "a.lp", write_lp(m1)), (tmp_path / "b.lp", write_lp(m2)))
         assert (tmp_path / "a.lp").read_bytes() == (tmp_path / "b.lp").read_bytes()
 
     def test_round_trip(self, golden_instance, golden_table):

@@ -16,8 +16,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SOURCES = sorted(path for pattern in ("src/edgeplan/*.py", "tests/*.py", "scripts/*.py")
                  for path in glob.glob(os.path.join(ROOT, pattern)))
 # (module file, name): importable from the module that re-exports it
-REEXPORTS = {("src/edgeplan/delay.py", "InvalidBits"),
-             ("src/edgeplan/ilp.py", "storage_bytes")}
+REEXPORTS = {("src/edgeplan/ilp.py", "storage_bytes")}
 
 
 def unused_imports(source: str) -> list[str]:

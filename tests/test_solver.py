@@ -27,7 +27,7 @@ def dominant_server_instance(num_layers=3):
         ServerSpec(i, 1e4 if i == 0 else 1e2, 1e9) for i in range(m))
     links = tuple(LinkSpec(i, j, 1e6)
                   for i in range(m) for j in range(m) if i != j)
-    layers = tuple(LayerProfile(l, 1e4, 10, 4.0, 32) for l in range(num_layers))
+    layers = tuple(LayerProfile(1e4, 10, 4.0, 32) for _ in range(num_layers))
     model = ModelProfile(layers=layers, batch_size=1, embedding_size=4)
     return ProblemInstance(cluster=ClusterSpec(servers, links), model=model,
                            bit_menu=(8,), delta=math.inf, tokens=1)
@@ -52,7 +52,7 @@ class TestBruteForce:
 
     def test_pigeonhole_infeasible(self):
         model = ModelProfile(
-            layers=tuple(LayerProfile(i, 1.0, 1, 1.0, 32) for i in range(3)),
+            layers=tuple(LayerProfile(1.0, 1, 1.0, 32) for _ in range(3)),
             batch_size=1, embedding_size=4)
         inst = make_2x2_instance(model=model)
         result = solve_brute_force(inst, build_delay_table(inst))
