@@ -41,8 +41,7 @@ def main():
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
     run(["gen", "--seed", str(args.seed), "-m", str(args.servers),
-         "-l", str(args.layers), "--bits", args.bits,
-         "--tokens", str(args.tokens), "--out-dir", out])
+         "-l", str(args.layers), "--out-dir", out])
 
     # synthetic weights: roughly zero-centered gaussians with varying spread
     wdir = os.path.join(out, "weights")

@@ -50,7 +50,7 @@ class ValidationError(ValueError):
 
     def __init__(self, violations: list["Violation"]):
         self.violations = violations
-        super().__init__("; ".join(v.code for v in violations))
+        super().__init__("; ".join(map(str, violations)))
 
 
 @dataclass(frozen=True)

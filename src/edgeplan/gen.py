@@ -61,7 +61,7 @@ def generate_model(rng: random.Random, l: int, *, batch_size: int = 1,
                         embedding_size=embedding_size)
 
 
-def generate_instance(seed: int, m: int, l: int, bits: Iterable[int],
+def generate_instance(seed: int, m: int, l: int, bits: Iterable[int] = (4, 8, 16),
                       profile: str = "uniform", *, tokens: int = 8,
                       link_density: float = 1.0) -> ProblemInstance:
     """Seed-deterministic problem instance, at delta 0 with the full menu

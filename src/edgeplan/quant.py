@@ -32,8 +32,13 @@ delta, with no error computed that a verdict does not need.
    dropped at the first block whose maximum error exceeds delta; that is
    exact, since the global maximum is at least any block's.
 
-A weight tensor's <name>.json metadata is read and written by ``core``,
-which owns every JSON document's I/O; this module handles its .bin data.
+``WeightTensor`` is the one statement of a valid tensor, in memory or on
+disk: no negative shape entry, as many values as the shape's product, at
+least one, all finite. It records the float32 range once; the analyses
+and ``distribution_stats`` read it, the reference quantizers take their
+own. ``core`` reads and writes a tensor's <name>.json metadata, as every
+JSON document; ``load_weight_tensor`` reads the .bin and reports
+WeightTensor's refusals as ParseErrors.
 
 Only weights are quantized; biases stay untouched, so the tensor API
 carries weight arrays exclusively. Rounding is half-away-from-zero, chosen
@@ -44,7 +49,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional
 
@@ -62,6 +67,10 @@ class ShapeMismatch(ValueError):
     pass
 
 
+class InvalidShape(ValueError):
+    pass
+
+
 class SchemeKind(str, Enum):
     SYMMETRIC_SIGNED = "symmetric_signed"
     ASYMMETRIC = "asymmetric"
@@ -72,16 +81,28 @@ class WeightTensor:
     layer_name: str
     values: np.ndarray  # float32, flat
     shape: tuple[int, ...]
+    lo: float = field(init=False)  # the float32 range
+    hi: float = field(init=False)
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.values, dtype=np.float32).ravel()
-        if int(np.prod(self.shape)) != v.size:
-            raise ShapeMismatch(
-                f"{self.layer_name}: shape {self.shape} does not match {v.size} values")
-        if not np.all(np.isfinite(v)):
-            raise ValueError(f"{self.layer_name}: non-finite weight values")
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
+        shape = tuple(int(s) for s in self.shape)
+        if any(s < 0 for s in shape):
+            raise InvalidShape(f"negative entry in shape {list(shape)}")
+        # math.prod is exact for any integer entries; an int64 product wraps
+        if math.prod(shape) != v.size:
+            raise ShapeMismatch(f"{v.size} values, shape {shape}")
+        if v.size == 0:
+            raise ValueError("empty tensor")
+        # NaN and +/-inf reach the min/max pair, so finite ends prove every
+        # value finite. + 0.0 reads a zero end as +0.0: which signed zero a
+        # reduction returns depends on its lane order
+        lo, hi = float(v.min()) + 0.0, float(v.max()) + 0.0
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"{int(np.count_nonzero(~np.isfinite(v)))} "
+                             "non-finite values (NaN or inf)")
+        for key, value in (("values", v), ("shape", shape), ("lo", lo), ("hi", hi)):
+            object.__setattr__(self, key, value)
 
 
 @dataclass(frozen=True)
@@ -138,7 +159,7 @@ def quantize_symmetric(w: WeightTensor, bits: int) -> SymmetricResult:
     # float64 throughout: a float32 division would underflow tiny scales
     # to zero and round dequantized values past the scale/2 error bound
     v = w.values.astype(np.float64)
-    peak = float(np.max(np.abs(v))) if v.size else 0.0
+    peak = float(np.max(np.abs(v)))
     if peak == 0.0:
         codes = np.zeros(v.size, dtype=np.int64)
         return SymmetricResult(codes, 1.0, np.zeros(v.size))
@@ -151,8 +172,7 @@ def quantize_asymmetric(w: WeightTensor, bits: int) -> AsymmetricResult:
     """Min-max affine quantization onto [0, 2^b - 1] with a zero-point."""
     check_bits(bits)
     v = w.values.astype(np.float64)
-    lo = float(np.min(v)) if v.size else 0.0
-    hi = float(np.max(v)) if v.size else 0.0
+    lo, hi = float(np.min(v)), float(np.max(v))
     levels = (1 << bits) - 1
     if hi == lo:
         codes = np.zeros(v.size, dtype=np.int64)
@@ -215,7 +235,6 @@ def distribution_stats(w: WeightTensor, bins: Optional[int] = 32) -> Distributio
     if bins is not None and bins < 1:
         raise ValueError("bins must be >= 1")
     v = w.values.astype(np.float64)
-    lo, hi = float(v.min()), float(v.max())
     mean = float(v.mean())
     # d*d and (d*d)*d: numpy has no fast path for ** 3, which goes through
     # pow per element; d*d is exactly what ** 2 computes
@@ -231,14 +250,14 @@ def distribution_stats(w: WeightTensor, bins: Optional[int] = 32) -> Distributio
     del d, dd  # freed before the histogram
     if bins is None:
         edges, counts = (), ()
-    elif lo == hi:
-        edges = np.array([lo, hi])
+    elif w.lo == w.hi:
+        edges = np.array([w.lo, w.hi])
         counts = np.array([v.size])
     else:
-        counts, edges = np.histogram(v, bins=bins, range=(lo, hi))
+        counts, edges = np.histogram(v, bins=bins, range=(w.lo, w.hi))
     return DistributionStats(
         layer_name=w.layer_name, count=int(v.size),
-        min=lo, max=hi, mean=mean, std=std, skewness=skew,
+        min=w.lo, max=w.hi, mean=mean, std=std, skewness=skew,
         bin_edges=tuple(float(e) for e in edges),
         counts=tuple(int(c) for c in counts),
     )
@@ -276,29 +295,19 @@ _META = (("name", str, REQUIRED), ("shape", read_ints, REQUIRED),
 def load_weight_tensor(json_path) -> WeightTensor:
     """The tensor a metadata file and its .bin describe; ParseError on a
     malformed file, a field of the wrong JSON type (``shape`` a list of
-    integers, the rest strings), or data that do not fit the shape."""
+    integers, the rest strings), or a tensor WeightTensor refuses, naming
+    the .json for a bad shape and the .bin for data that do not fit it."""
     where = str(json_path)
     name, dims, dtype, order = read_fields(load_json(json_path), _META, where)
     if dtype != "f32" or order != "row-major":
         raise ParseError(f"{where}: unsupported dtype/order {dtype}/{order}")
-    shape = tuple(dims)
-    if any(d < 0 for d in shape):
-        raise ParseError(f"{where}: negative entry in shape {list(shape)}")
     bin_path = os.path.splitext(where)[0] + ".bin"
     try:
-        raw = np.fromfile(bin_path, dtype="<f4")
+        return WeightTensor(name, np.fromfile(bin_path, dtype="<f4"), tuple(dims))
     except OSError as e:
         raise ParseError(f"{bin_path}: {e}") from e
-    # exact for any integer entries; np.prod wraps around in int64
-    if raw.size != math.prod(shape):
-        raise ParseError(f"{bin_path}: {raw.size} values, shape {shape}")
-    if raw.size == 0:
-        raise ParseError(f"{bin_path}: empty tensor")
-    try:
-        return WeightTensor(layer_name=name, values=raw, shape=shape)
-    except ValueError as e:  # the size matches, so the values are not finite
-        raise ParseError(f"{bin_path}: {int(np.count_nonzero(~np.isfinite(raw)))} "
-                         "non-finite values (NaN or inf)") from e
+    except ValueError as e:
+        raise ParseError(f"{where if isinstance(e, InvalidShape) else bin_path}: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -332,11 +341,12 @@ def _checked_menu(bit_menu: Iterable[int], delta: float) -> list[int]:
     return widths
 
 
-def _grids(scheme: SchemeKind, lo: float, hi: float,
+def _grids(scheme: SchemeKind, w: WeightTensor,
            widths: list[int]) -> tuple[list[_Grid], bool]:
-    """Each width's grid over the value range [lo, hi], and whether the
-    tensor is flat: all zeros (symmetric) or constant (asymmetric), which
-    every width represents with error 0."""
+    """Each width's grid over the tensor's range [lo, hi], and whether it
+    is flat: all zeros (symmetric) or constant (asymmetric), which every
+    width represents with error 0."""
+    lo, hi = w.lo, w.hi
     if scheme is SchemeKind.SYMMETRIC_SIGNED:
         peak = max(-lo, hi)
         if peak == 0.0:
@@ -354,17 +364,15 @@ def _grids(scheme: SchemeKind, lo: float, hi: float,
     return grids, False
 
 
-def _pick_scheme(w: WeightTensor, lo: float, hi: float,
-                 scheme: Optional[SchemeKind],
+def _pick_scheme(w: WeightTensor, scheme: Optional[SchemeKind],
                  stats: Optional[DistributionStats] = None) -> SchemeKind:
     """The one scheme rule of both analysis entry points: the forced scheme
-    if there is one; else asymmetric for a range [lo, hi] on one side of 0,
-    which recommend_scheme picks whatever the skewness; else
-    recommend_scheme on the moments, taken from ``stats`` when the caller
-    has them."""
+    if there is one; else asymmetric for a range on one side of 0, which
+    recommend_scheme picks whatever the skewness; else recommend_scheme on
+    the moments, taken from ``stats`` when the caller has them."""
     if scheme is not None:
         return scheme
-    if not lo < 0 < hi:
+    if not w.lo < 0 < w.hi:
         return SchemeKind.ASYMMETRIC
     return recommend_scheme(stats or distribution_stats(w, None))
 
@@ -380,14 +388,9 @@ def analyze_tensor(w: WeightTensor, bit_menu: Iterable[int], delta: float,
     exact error comes from one blocked scan with no early stop.
     """
     widths = _checked_menu(bit_menu, delta)
-    stats = None
-    if bins is not None:
-        stats = distribution_stats(w, bins)
-        lo, hi = stats.min, stats.max
-    else:
-        lo, hi = float(w.values.min()), float(w.values.max())
-    used = _pick_scheme(w, lo, hi, scheme, stats)
-    grids, flat = _grids(used, lo, hi, widths)
+    stats = None if bins is None else distribution_stats(w, bins)
+    used = _pick_scheme(w, scheme, stats)
+    grids, flat = _grids(used, w, widths)
     errors = [0.0] * len(grids) if flat else _scan(w.values, used, grids)
     records = [LayerQuantRecord(
         layer_name=w.layer_name, bits=g.bits, scheme=used, scale=g.scale,
@@ -409,14 +412,13 @@ def feasible_bits(w: WeightTensor, bit_menu: Iterable[int], delta: float,
     budget).
     """
     widths = _checked_menu(bit_menu, delta)
-    lo, hi = float(w.values.min()), float(w.values.max())
-    scheme = _pick_scheme(w, lo, hi, scheme)
-    grids, flat = _grids(scheme, lo, hi, widths)
+    scheme = _pick_scheme(w, scheme)
+    grids, flat = _grids(scheme, w, widths)
     if flat:
         return tuple(widths)
-    magnitude = max(-lo, hi)
+    magnitude = max(-w.lo, w.hi)
     if scheme is SchemeKind.ASYMMETRIC:
-        magnitude += hi - lo
+        magnitude += w.hi - w.lo
     slack = _SLACK * magnitude
     pending = [g for g in grids if not _certified(g.scale, slack, delta)]
     errors = _scan(w.values, scheme, pending, delta)

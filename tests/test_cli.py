@@ -31,9 +31,11 @@ def write_weights(directory, tensors):
         save_weight_tensor(WeightTensor(name, v, v.shape), directory)
 
 
-def write_non_finite_weights(directory, name, values):
-    """A tensor file pair whose data WeightTensor itself would refuse."""
-    write_weights(directory, {name: np.zeros(len(values))})
+def write_refused_weights(directory, name, values):
+    """A tensor file pair whose data WeightTensor itself refuses."""
+    os.makedirs(directory, exist_ok=True)
+    (directory / f"{name}.json").write_text(json.dumps(
+        {"name": name, "shape": [len(values)], "dtype": "f32", "order": "row-major"}))
     (directory / f"{name}.bin").write_bytes(np.asarray(values, dtype="<f4").tobytes())
 
 
@@ -68,6 +70,17 @@ class TestGen:
                             "--out-dir", str(tmp_path)], capsys)
         assert code == 2
         assert "layers" in err
+
+    @pytest.mark.parametrize("flag, value", [("--bits", "4,8"), ("--tokens", "5")])
+    def test_no_menu_or_token_flags(self, tmp_path, capsys, flag, value):
+        """gen writes the cluster and the model only; the bit menu and the
+        token count are flags of the commands that read them."""
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--seed", "1", "-m", "3", "-l", "2", flag, value,
+                  "--out-dir", str(tmp_path / "inst")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "inst").exists()
 
 
 class TestQuantize:
@@ -148,9 +161,10 @@ class TestQuantize:
 
     def test_unusable_weights_reported_but_continue(self, tmp_path, capsys):
         wdir = tmp_path / "w"
-        write_weights(wdir, {"good": [-1.0, 1.0], "empty": []})
-        write_non_finite_weights(wdir, "nan", [0.5, math.nan])
-        write_non_finite_weights(wdir, "inf", [math.inf, 1.0])
+        write_weights(wdir, {"good": [-1.0, 1.0]})
+        write_refused_weights(wdir, "empty", [])
+        write_refused_weights(wdir, "nan", [0.5, math.nan])
+        write_refused_weights(wdir, "inf", [math.inf, 1.0])
         out, stats = tmp_path / "r.json", tmp_path / "s.json"
         code, _, err = run(["quantize", "--weights-dir", str(wdir),
                             "--bits", "8", "--delta", "inf", "--out", str(out),
@@ -181,7 +195,7 @@ class TestPlan:
     def test_bnb_and_brute_agree(self, tmp_path, capsys, seed):
         gen_dir = tmp_path / "inst"
         run(["gen", "--seed", str(seed), "-m", "4", "-l", "3",
-             "--bits", "4,8", "--out-dir", str(gen_dir)], capsys)
+             "--out-dir", str(gen_dir)], capsys)
         docs = {}
         for solver in ("brute", "bnb"):
             out = tmp_path / f"{solver}.json"
@@ -242,7 +256,7 @@ class TestPlan:
 
     def test_budget_exit_code(self, tmp_path, capsys):
         gen_dir = tmp_path / "inst"
-        run(["gen", "--seed", "5", "-m", "6", "-l", "4", "--bits", "4,8,16",
+        run(["gen", "--seed", "5", "-m", "6", "-l", "4",
              "--out-dir", str(gen_dir)], capsys)
         code, stdout, _ = run(
             ["plan", "--cluster", str(gen_dir / "cluster.json"),
@@ -254,7 +268,7 @@ class TestPlan:
     @pytest.mark.parametrize("budget", [1, 8])
     def test_budget_status_line_says_how_far_it_got(self, tmp_path, capsys, budget):
         gen_dir = tmp_path / "inst"
-        run(["gen", "--seed", "5", "-m", "6", "-l", "4", "--bits", "4,8,16",
+        run(["gen", "--seed", "5", "-m", "6", "-l", "4",
              "--out-dir", str(gen_dir)], capsys)
         out = tmp_path / "p.json"
         code, stdout, _ = run(
@@ -348,7 +362,7 @@ class TestPlan:
 
     def test_meta_records_expansions_outside_digest(self, tmp_path, capsys):
         gen_dir = tmp_path / "inst"
-        run(["gen", "--seed", "5", "-m", "6", "-l", "4", "--bits", "4,8,16",
+        run(["gen", "--seed", "5", "-m", "6", "-l", "4",
              "--out-dir", str(gen_dir)], capsys)
         cluster, model = str(gen_dir / "cluster.json"), str(gen_dir / "model.json")
         out = tmp_path / "p.json"
@@ -504,7 +518,10 @@ class TestInputValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value, named", [
-        ("--tokens", "-1", "NegativeTokens"), ("--bits", "4,x", "--bits"),
+        # the violation's text, not its code alone; the id is the code's
+        pytest.param("--tokens", "-1", "error: NegativeTokens: tokens -1",
+                     id="--tokens--1-NegativeTokens"),
+        ("--bits", "4,x", "--bits"),
         ("--bits", ",", "--bits"), ("--delta", "abc", "--delta")])
     def test_malformed_flag_is_input_error(self, tmp_path, capsys, flag, value, named):
         out = tmp_path / "plan.json"
@@ -680,8 +697,8 @@ class TestSimulateCommand:
     def test_more_rounds_than_the_trace_can_index(self, tmp_path, capsys):
         """plan admits 10**300 tokens, but numpy cannot index 10**300
         rounds of 3 events: simulate refuses the count and writes nothing."""
-        run(["gen", "--seed", "1", "-m", "4", "-l", "2", "--bits", "4,8",
-             "--out-dir", str(tmp_path)], capsys)
+        run(["gen", "--seed", "1", "-m", "4", "-l", "2", "--out-dir", str(tmp_path)],
+            capsys)
         files = ["--cluster", str(tmp_path / "cluster.json"),
                  "--model", str(tmp_path / "model.json")]
         plan = tmp_path / "plan.json"
@@ -834,7 +851,7 @@ class TestPlanWithWeights:
     def test_non_finite_weights_are_input_error(self, tmp_path, capsys):
         wdir = tmp_path / "w"
         write_weights(wdir, {"l1": [-2.0, 1.0, 2.0]})
-        write_non_finite_weights(wdir, "l0", [-2.0, math.nan, 2.0])
+        write_refused_weights(wdir, "l0", [-2.0, math.nan, 2.0])
         model = {"batch_size": 1, "embedding_size": 4, "layers": [
             {"flops": 100.0, "param_count": 10, "output_size": 4.0,
              "original_precision": 32, "weights": ref} for ref in ("l0", "l1")]}
@@ -906,7 +923,7 @@ class TestHandEditedPlans:
     self-hop would compute, so only the plan rules can refuse it."""
 
     def setup(self, tmp_path, capsys, tiny_server=None):
-        run(["gen", "--seed", "7", "-m", "5", "-l", "4", "--bits", "4,8,16",
+        run(["gen", "--seed", "7", "-m", "5", "-l", "4",
              "--out-dir", str(tmp_path)], capsys)
         cluster, model = tmp_path / "cluster.json", tmp_path / "model.json"
         if tiny_server is not None:

@@ -4,7 +4,7 @@ The first draws bit menus, error budgets, token counts, histogram bins
 and schemes, valid and not, against one small generated instance with
 weight tensors. The second mutates a
 plan document and replays it. The third mutates the instance's cluster,
-model and weight metadata files and plans them.
+model and weight files, metadata and data, and plans them.
 Every run must end in a documented exit code without a traceback; invalid
 input must be an input error (exit 2) and valid input must not be; what
 a run writes on exit 0 must be finite and record the inputs as given,
@@ -63,10 +63,6 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def budget(text: str) -> float:
-    return math.inf if text.lower() in ("inf", "infinity") else float(text)
-
-
 BITS = st.lists(st.sampled_from([0, 1, 2, 3, 4, 8, 16, 32, 33]), min_size=1, max_size=4)
 DELTAS = st.sampled_from(["nan", "NaN", "inf", "-inf", "-1", "0", "1e-300",
                           "0.01", "0.5", "1e300"])
@@ -88,7 +84,7 @@ DELTAS = st.sampled_from(["nan", "NaN", "inf", "-inf", "-1", "0", "1e-300",
 def test_cli_exit_codes(fuzz_dir, command, bits, delta, tokens, bins, scheme,
                         weights, solver):
     menu = ",".join(map(str, bits))
-    valid = all(2 <= b <= 32 for b in bits) and budget(delta) >= 0
+    valid = all(2 <= b <= 32 for b in bits) and float(delta) >= 0
     with tempfile.TemporaryDirectory(dir=fuzz_dir) as tmp:
         out = os.path.join(tmp, "out")
         if command == "quantize":
@@ -115,11 +111,11 @@ def test_cli_exit_codes(fuzz_dir, command, bits, delta, tokens, bins, scheme,
         doc = json.loads(text)
         assert all(math.isfinite(v) for v in doc["objective"].values())
         recorded = doc["options"]["delta"]
-        assert (math.inf if recorded == "inf" else recorded) == budget(delta)
+        assert (math.inf if recorded == "inf" else recorded) == float(delta)
         assert doc["options"]["bits"] == sorted(set(bits))
     elif command == "quantize":
         for r in json.loads(text)["records"]:
-            assert r["feasible"] == (r["max_abs_error"] <= budget(delta))
+            assert r["feasible"] == (r["max_abs_error"] <= float(delta))
             assert math.isfinite(r["max_abs_error"]) and math.isfinite(r["scale"])
 
 
@@ -307,8 +303,9 @@ def replay_mutated(fuzz_dir, plan_doc, picks):
 # (file, path into its document, new value or DELETE or a function of the
 # old value, valid). A field of the wrong JSON type is an input error (exit 2); an
 # integer in a number field is a number, and the run stays valid (exit 0).
-# The weight metadata file is read by `plan --weights-dir`; `quantize`
-# reports a malformed one and skips it.
+# The weight files are read by `plan --weights-dir`; `quantize` reports
+# a malformed one and skips its tensor. A .bin mutation is a function of
+# the file's bytes.
 INSTANCE_MUTATIONS = [
     ("cluster.json", (), lambda doc: None, False),
     ("cluster.json", (), lambda doc: [doc], False),
@@ -368,13 +365,18 @@ INSTANCE_MUTATIONS = [
     ("model.json", ("embedding_size",), 0, False),
     # a layer without a tensor keeps the full menu
     ("model.json", ("layers", 1, "weights"), DELETE, True),
+    # the weight data: truncated, one value too many, a NaN, an inf
+    ("w/l0.bin", (), lambda raw: raw[:len(raw) // 2], False),
+    ("w/l0.bin", (), lambda raw: raw + raw[:4], False),
+    ("w/l0.bin", (), lambda raw: raw[:8] + np.float32(np.nan).tobytes() + raw[12:], False),
+    ("w/l0.bin", (), lambda raw: raw[:8] + np.float32(-np.inf).tobytes() + raw[12:], False),
 ]
 
 
 def mutated_instance(fuzz_dir, tmp, picks):
     """Copies of the fuzz instance's files under tmp with the picked
     mutations applied, deeper edits first."""
-    docs = {}
+    docs = {"w/l0.bin": (fuzz_dir / "w/l0.bin").read_bytes()}
     for name in ("cluster.json", "model.json", "w/l0.json"):
         docs[name] = json.loads((fuzz_dir / name).read_text())
     for k in sorted(picks, key=lambda k: -len(INSTANCE_MUTATIONS[k][1])):
@@ -382,7 +384,10 @@ def mutated_instance(fuzz_dir, tmp, picks):
         docs[name] = mutate(docs[name], path, value)
     shutil.copytree(fuzz_dir / "w", tmp / "w")
     for name, doc in docs.items():
-        (tmp / name).write_text(json.dumps(doc))
+        if isinstance(doc, bytes):
+            (tmp / name).write_bytes(doc)
+        else:
+            (tmp / name).write_text(json.dumps(doc))
 
 
 def plan_mutated(fuzz_dir, picks):
@@ -409,7 +414,7 @@ def plan_mutated(fuzz_dir, picks):
 def test_each_instance_mutation_alone(fuzz_dir, k):
     plan_mutated(fuzz_dir, [k])
     name, _, _, valid = INSTANCE_MUTATIONS[k]
-    if name != "w/l0.json":
+    if not name.startswith("w/"):
         return
     with tempfile.TemporaryDirectory(dir=fuzz_dir) as tmp:
         mutated_instance(fuzz_dir, pathlib.Path(tmp), [k])
@@ -420,7 +425,7 @@ def test_each_instance_mutation_alone(fuzz_dir, k):
         with open(out) as f:
             layers = {r["layer"] for r in json.load(f)["records"]}
     assert layers == {"l1", "l2"}
-    assert "l0.json" in err
+    assert os.path.basename(name) in err
 
 
 @given(picks=st.lists(st.sampled_from(range(len(INSTANCE_MUTATIONS))), max_size=3,

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from edgeplan import quant
 from edgeplan.core import ParseError
-from edgeplan.quant import (SchemeKind, ShapeMismatch, WeightTensor,
+from edgeplan.quant import (InvalidShape, SchemeKind, ShapeMismatch, WeightTensor,
                             analyze_tensor, check_linearized,
                             dequantize, distribution_stats, feasible_bits,
                             load_weight_tensor, max_abs_error,
@@ -25,6 +26,40 @@ def wt(values, name="layer"):
 finite_arrays = hnp.arrays(
     np.float32, st.integers(1, 64),
     elements=st.floats(-100.0, 100.0, width=32))
+
+
+class TestWeightTensor:
+    @pytest.mark.parametrize("values, shape, error, text", [
+        # 2**64 wraps around to 0 in int64
+        ([], (2 ** 32, 2 ** 32), ShapeMismatch, r"0 values, shape \(4294967296, 4294967296\)"),
+        ([1.0, 2.0], (-1, -2), InvalidShape, r"negative entry in shape \[-1, -2\]"),
+        ([], (0,), ValueError, "empty tensor"),
+        ([0.5, math.nan, -math.inf], (3,), ValueError, r"2 non-finite values \(NaN or inf\)"),
+    ], ids=["product_wraps", "negative_entries", "empty", "non_finite"])
+    def test_refused_at_construction(self, values, shape, error, text):
+        with pytest.raises(error, match=text):
+            WeightTensor("layer", np.asarray(values, dtype=np.float32), shape)
+
+    def test_range_is_recorded_once(self):
+        w = wt([0.25, -3.5, 2.0])
+        assert (w.lo, w.hi) == (-3.5, 2.0)
+        stats = distribution_stats(w)
+        assert (stats.min, stats.max) == (w.lo, w.hi)
+
+    @pytest.mark.parametrize("n", [2, 9, 33, 1000])
+    def test_zero_ends_read_as_positive_zero(self, n):
+        """Which signed zero a min or max reduction returns depends on its
+        lane order; the recorded range, the stats and the histogram edges
+        read +0.0 for either."""
+        rng = np.random.default_rng(n)
+        zeros = rng.choice([0.0, -0.0], n)
+        zeros[0] = -0.0
+        for values in (zeros, np.where(rng.random(n) < 0.3, 1.5, zeros),
+                       np.where(rng.random(n) < 0.3, -1.5, zeros), -np.zeros(n)):
+            w = wt(values)
+            stats = distribution_stats(w, bins=4)
+            ends = (w.lo, w.hi, stats.min, stats.max, stats.bin_edges[0], stats.bin_edges[-1])
+            assert not any(e == 0.0 and math.copysign(1.0, e) < 0 for e in ends), ends
 
 
 class TestSymmetric:
@@ -244,6 +279,19 @@ class TestTensorFiles:
             np.array([np.nan, 1.0, np.inf], dtype="<f4").tobytes())
         with pytest.raises(ParseError, match=r"bad\.bin: 2 non-finite values"):
             load_weight_tensor(tmp_path / "bad.json")
+
+    @pytest.mark.parametrize("shape, values, at_fault, text", [
+        ([-2, -1], [1.0, 2.0], "bad.json", "negative entry in shape [-2, -1]"),
+        ([4], [1.0, 2.0], "bad.bin", "2 values, shape (4,)"),
+        ([0], [], "bad.bin", "empty tensor"),
+    ], ids=["negative_entry", "size", "empty"])
+    def test_refusal_names_the_file_at_fault(self, tmp_path, shape, values, at_fault, text):
+        (tmp_path / "bad.json").write_text(json.dumps(
+            {"name": "bad", "shape": shape, "dtype": "f32", "order": "row-major"}))
+        (tmp_path / "bad.bin").write_bytes(np.asarray(values, dtype="<f4").tobytes())
+        with pytest.raises(ParseError) as exc:
+            load_weight_tensor(tmp_path / "bad.json")
+        assert str(exc.value) == f"{tmp_path / at_fault}: {text}"
 
     def test_size_mismatch(self, tmp_path):
         (tmp_path / "bad.json").write_text(
