@@ -116,8 +116,17 @@ def _read_delta(value, where: str, *path) -> float:
     return math.inf if value == "inf" else read_finite(value, where, *path)
 
 
+def _read_later(value, where: str, *path):
+    """A read_fields reader that leaves the value to be read in full later."""
+    return value
+
+
 # The plan document's fields, read by simulate. A field of the wrong JSON
-# type is an input error, and no boolean counts as a number.
+# type is an input error, and no boolean counts as a number. Of the top
+# level, only digest and relaxed are read before the digest comparison.
+_PLAN = (("digest", str, REQUIRED), ("assignments", _read_later, REQUIRED),
+         ("objective", _read_later, REQUIRED), ("options", _read_later, REQUIRED),
+         ("relaxed", bool, False))
 _OPTIONS = (("bits", read_ints, REQUIRED), ("delta", _read_delta, REQUIRED),
             ("tokens", int, REQUIRED), ("feasible_bits", list, REQUIRED))
 _ASSIGNMENT = (("layer", int, REQUIRED), ("server", int, REQUIRED),
@@ -300,14 +309,11 @@ def _replay_inputs(doc: dict, num_layers: int, where: str) -> tuple[tuple, float
 
 
 def cmd_simulate(args) -> int:
-    doc = read_typed(load_json(args.plan), dict, args.plan)
-    for key in ("digest", "assignments", "objective", "options"):
-        if key not in doc:
-            raise CliError(f"{args.plan}: missing key '{key}'")
-    if doc.get("relaxed"):
+    doc = load_json(args.plan)
+    digest, _, _, options_doc, relaxed = read_fields(doc, _PLAN, args.plan)
+    if relaxed:
         raise CliError("relaxed documents carry a bound, not a runnable plan")
-    options_doc = doc["options"]
-    if input_digest(args.cluster, args.model, options_doc) != doc["digest"]:
+    if input_digest(args.cluster, args.model, options_doc) != digest:
         print("digest mismatch: plan was produced from different inputs or flags",
               file=sys.stderr)
         return EXIT_DIGEST

@@ -28,6 +28,10 @@ At any integral x the flow rows leave exactly one z per layer boundary
 at 1 (the one from layer l's host to layer l+1's host), so declaring z
 binary is exact and the LP needs no continuous section.
 
+Columns are declared once, in the order the LP file lists them: x by
+(layer, server), then z by (layer, src, dst). Every row and the objective
+hold their terms in that order, so write_lp writes them as stored.
+
 check_plan_feasible states the same rules over the raw specs, reading no
 table: it is the one plan checker of code that holds an assignment, so
 `plan` runs it on every plan it emits and `simulate` on every plan it
@@ -38,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 # storage_bytes, the compact storage formula, importable from here
 from .core import ProblemInstance, Violation, storage_bytes
@@ -56,18 +59,26 @@ class EmptyFeasibleSet(ValueError):
 @dataclass(frozen=True)
 class Row:
     name: str
-    coeffs: dict[str, float]
-    relation: str  # "<=", ">=", "="
+    coeffs: dict[str, float]  # terms in column order
+    relation: str  # "<=" or "="
     rhs: float
 
 
 @dataclass(frozen=True)
 class IlpModel:
+    """What the LP file holds. The objective has one term per column, in
+    column order, so its keys are the binaries too."""
     objective: dict[str, float]
     constraints: tuple[Row, ...]
-    binaries: tuple[str, ...]  # declaration order, also the LP file order
-    x_vars: dict[tuple[int, int, int], str]  # (server, layer, bits)
-    z_vars: dict[tuple[int, int, int, int], str]  # (src, dst, layer, bits)
+    binaries: tuple[str, ...]  # column order, also the LP file order
+
+
+def _x(i: int, l: int, b: int) -> str:
+    return f"x_{i}_{l}_{b}"
+
+
+def _z(i: int, j: int, l: int, b: int) -> str:
+    return f"z_{i}_{j}_{l}_{b}"
 
 
 def build_ilp(instance: ProblemInstance, table: DelayTable) -> IlpModel:
@@ -77,50 +88,41 @@ def build_ilp(instance: ProblemInstance, table: DelayTable) -> IlpModel:
     at-most-one hosting row; per x column below the last layer, an
     out-flow row handing it to exactly one next host; and per layer
     boundary and next host, an in-flow row matching the flow that arrives
-    to the x column that receives it. Columns: x ordered by (layer,
-    server), then z ordered by (src, dst, layer).
+    to the x column that receives it, all in column order.
     """
     M = table.cp.shape[1]
     cp, cm = table.cp.tolist(), table.cm.tolist()
 
     # per layer, the admissible (server, x name) in column order
     placements: list[list[tuple[int, str]]] = []
-    x_vars: dict[tuple[int, int, int], str] = {}
     objective: dict[str, float] = {}
     rows: list[Row] = []
-    hosted: dict[int, dict[str, float]] = {}
+    hosted: dict[int, dict[str, float]] = {i: {} for i in range(M)}
     for l, b in enumerate(table.widths):
-        here = [(i, f"x_{i}_{l}_{b}") for i in range(M) if cp[l][i] != math.inf]
+        here = [(i, _x(i, l, b)) for i in range(M) if cp[l][i] != math.inf]
         if not here:
             raise EmptyFeasibleSet(l)
         placements.append(here)
         for i, name in here:
-            x_vars[(i, l, b)] = name
             objective[name] = cp[l][i]
-            hosted.setdefault(i, {})[name] = 1.0
+            hosted[i][name] = 1.0
         rows.append(Row(f"assign_l{l}", {name: 1.0 for _, name in here}, "=", 1.0))
-    rows += [Row(f"cap_s{i}", hosted[i], "<=", 1.0) for i in sorted(hosted)]
+    rows += [Row(f"cap_s{i}", row, "<=", 1.0) for i, row in hosted.items() if row]
 
-    z_vars: dict[tuple[int, int, int, int], str] = {}
     for l, b in enumerate(table.widths[:-1]):
-        inflow: dict[int, dict[str, float]] = {}  # next host -> in-flow row
-        for j, name in placements[l + 1]:
-            inflow[j] = {name: -1.0}
+        # next host -> in-flow row
+        inflow = {j: {name: -1.0} for j, name in placements[l + 1]}
         for i, xname in placements[l]:
             out = {xname: -1.0}
             for j, into in inflow.items():
                 c = cm[l][i][j]
                 if c != math.inf:
-                    name = z_vars[(i, j, l, b)] = f"z_{i}_{j}_{l}_{b}"
+                    name = _z(i, j, l, b)
                     objective[name] = c
                     out[name] = into[name] = 1.0
             rows.append(Row(f"out_l{l}_s{i}_b{b}", out, "=", 0.0))
         rows += [Row(f"in_l{l}_s{j}", into, "=", 0.0) for j, into in inflow.items()]
-
-    binaries = ([name for here in placements for _, name in here]
-                + [z_vars[key] for key in sorted(z_vars)])
-    return IlpModel(objective=objective, constraints=tuple(rows),
-                    binaries=tuple(binaries), x_vars=x_vars, z_vars=z_vars)
+    return IlpModel(objective=objective, constraints=tuple(rows), binaries=tuple(objective))
 
 
 # ---------------------------------------------------------------------------
@@ -161,24 +163,18 @@ def substitute(model: IlpModel, assignments) -> tuple[dict[str, float], float, l
     """Plug an assignment into the model: variable values, objective value,
     and names of violated rows. Used to cross-check the export against the
     in-process solvers."""
-    values = {name: 0.0 for name in model.binaries}
-    placement = {l: (i, b) for l, (i, b) in enumerate(assignments)}
-    for (i, l, b), name in model.x_vars.items():
-        if placement.get(l) == (i, b):
-            values[name] = 1.0
-    crossing = {(here[0], there[0], l)
-                for l, (here, there) in enumerate(zip(assignments, assignments[1:]))}
-    for (i, j, l, b), name in model.z_vars.items():
-        if placement.get(l) == (i, b) and (i, j, l) in crossing:
+    values = dict.fromkeys(model.binaries, 0.0)
+    on = [_x(i, l, b) for l, (i, b) in enumerate(assignments)]
+    on += [_z(i, j, l, b)
+           for l, ((i, b), (j, _)) in enumerate(zip(assignments, assignments[1:]))]
+    for name in on:
+        if name in values:  # a placement the model has no column for stays 0
             values[name] = 1.0
     obj = sum(c * values[v] for v, c in model.objective.items())
     violated = []
     for row in model.constraints:
         lhs = sum(c * values[v] for v, c in row.coeffs.items())
-        ok = (lhs <= row.rhs + 1e-9 if row.relation == "<=" else
-              lhs >= row.rhs - 1e-9 if row.relation == ">=" else
-              abs(lhs - row.rhs) <= 1e-9)
-        if not ok:
+        if not (lhs <= row.rhs + 1e-9 if row.relation == "<=" else abs(lhs - row.rhs) <= 1e-9):
             violated.append(row.name)
     return values, obj, violated
 
@@ -191,97 +187,58 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _terms(coeffs: dict[str, float], column: dict[str, int]) -> str:
-    """One expression, its terms in column order; column maps each name
-    to its declaration position. Every expression of a model has a term."""
-    parts = []
-    for name in sorted(coeffs, key=column.__getitem__):
-        c = coeffs[name]
-        if not parts:
-            parts.append(f"{_fmt(c)} {name}" if c >= 0 else f"- {_fmt(-c)} {name}")
-        elif c >= 0:
-            parts.append(f"+ {_fmt(c)} {name}")
-        else:
-            parts.append(f"- {_fmt(-c)} {name}")
-    return " ".join(parts)
+def _terms(coeffs: dict[str, float]) -> str:
+    """One expression, its terms as stored: build_ilp adds them in column
+    order. Every expression of a model has a term."""
+    return " ".join(f"+ {_fmt(c)} {name}" if c >= 0 else f"- {_fmt(-c)} {name}"
+                    for name, c in coeffs.items()).removeprefix("+ ")
 
 
 def write_lp(model: IlpModel) -> str:
-    """Deterministic LP-format text for the model (golden-test stable).
-    Each expression sorts only its own terms through one column-index
-    map, so the cost follows the nonzeros, not rows x columns."""
-    column = {name: k for k, name in enumerate(model.binaries)}
-    lines = ["Minimize", f" obj: {_terms(model.objective, column)}", "Subject To"]
+    """Deterministic LP-format text for the model (golden-test stable)."""
+    lines = ["Minimize", f" obj: {_terms(model.objective)}", "Subject To"]
     for row in model.constraints:
-        lines.append(f" {row.name}: {_terms(row.coeffs, column)} {row.relation} {_fmt(row.rhs)}")
+        lines.append(f" {row.name}: {_terms(row.coeffs)} {row.relation} {_fmt(row.rhs)}")
     lines.append("Binary")
-    for name in model.binaries:
-        lines.append(f" {name}")
+    lines += [f" {name}" for name in model.binaries]
     lines.append("End")
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class ParsedLp:
-    objective: dict[str, float]
-    constraints: tuple[Row, ...]
-    binaries: tuple[str, ...]
-
-
-def parse_lp(text: str) -> ParsedLp:
-    """Read back the LP subset emitted by write_lp (round-trip check)."""
+def parse_lp(text: str) -> IlpModel:
+    """Read back what write_lp writes (round-trip check): `<=` and `=`
+    rows, a coefficient on every term, and no comment lines."""
     objective: dict[str, float] = {}
     rows: list[Row] = []
     binaries: list[str] = []
     section = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("\\"):
-            continue
-        low = line.lower()
-        if low in ("minimize", "subject to", "binary", "end"):
-            section = low
-            continue
-        if section == "minimize":
-            _, expr = line.split(":", 1)
-            objective.update(_parse_terms(expr))
-        elif section == "subject to":
+    for line in text.splitlines():
+        line = line.strip()
+        if line in ("Minimize", "Subject To", "Binary", "End"):
+            section = line
+        elif section == "Minimize":
+            objective = _parse_terms(line.split(":", 1)[1])
+        elif section == "Subject To":
             name, rest = line.split(":", 1)
-            for rel in ("<=", ">=", "="):
-                if rel in rest:
-                    expr, rhs = rest.rsplit(rel, 1)
-                    rows.append(Row(name.strip(), _parse_terms(expr), rel, float(rhs)))
-                    break
-            else:
-                raise ValueError(f"constraint without relation: {line}")
-        elif section == "binary":
+            rel = "<=" if "<=" in rest else "="
+            expr, rhs = rest.rsplit(rel, 1)
+            rows.append(Row(name.strip(), _parse_terms(expr), rel, float(rhs)))
+        elif section == "Binary":
             binaries.append(line)
-    return ParsedLp(objective=objective, constraints=tuple(rows),
-                    binaries=tuple(binaries))
+    return IlpModel(objective=objective, constraints=tuple(rows), binaries=tuple(binaries))
 
 
 def _parse_terms(expr: str) -> dict[str, float]:
+    """Terms as _terms writes them: `[- ]c name`, then `+ c name` or
+    `- c name`."""
     tokens = expr.split()
-    coeffs: dict[str, float] = {}
-    sign = 1.0
-    pending: Optional[float] = None
-    for tok in tokens:
-        if tok == "+":
-            sign, pending = 1.0, None
-        elif tok == "-":
-            sign, pending = -1.0, None
-        else:
-            try:
-                pending = float(tok)
-            except ValueError:
-                coeff = sign * (pending if pending is not None else 1.0)
-                coeffs[tok] = coeffs.get(tok, 0.0) + coeff
-                sign, pending = 1.0, None
-    return coeffs
+    if tokens[0] != "-":
+        tokens.insert(0, "+")
+    return {name: -float(c) if sign == "-" else float(c)
+            for sign, c, name in zip(tokens[::3], tokens[1::3], tokens[2::3])}
 
 
-def model_as_parsed(model: IlpModel) -> ParsedLp:
-    """Projection of an IlpModel onto the fields the LP file carries."""
-    return ParsedLp(objective=dict(model.objective),
-                    constraints=model.constraints,
-                    binaries=model.binaries)
+def model_as_parsed(model: IlpModel) -> IlpModel:
+    """The model itself, as parse_lp returns an IlpModel; kept because
+    perfbench/checks.py compares a reparsed file with it."""
+    return model

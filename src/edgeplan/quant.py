@@ -33,8 +33,8 @@ delta, with no error computed that a verdict does not need.
    exact, since the global maximum is at least any block's.
 
 ``WeightTensor`` is the one statement of a valid tensor, in memory or on
-disk: no negative shape entry, as many values as the shape's product, at
-least one, all finite. It records the float32 range once; the analyses
+disk: integer shape entries, none negative, as many values as the shape's
+product, at least one, all finite. It records the float32 range once; the analyses
 and ``distribution_stats`` read it, the reference quantizers take their
 own. ``core`` reads and writes a tensor's <name>.json metadata, as every
 JSON document; ``load_weight_tensor`` reads the .bin and reports
@@ -86,6 +86,10 @@ class WeightTensor:
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.values, dtype=np.float32).ravel()
+        # as the loader's read_ints: no float and no boolean; numpy integers,
+        # as in values.shape, are integers
+        if any(type(s) is bool or not isinstance(s, (int, np.integer)) for s in self.shape):
+            raise InvalidShape(f"non-integer entry in shape {list(self.shape)}")
         shape = tuple(int(s) for s in self.shape)
         if any(s < 0 for s in shape):
             raise InvalidShape(f"negative entry in shape {list(shape)}")
@@ -295,15 +299,20 @@ _META = (("name", str, REQUIRED), ("shape", read_ints, REQUIRED),
 def load_weight_tensor(json_path) -> WeightTensor:
     """The tensor a metadata file and its .bin describe; ParseError on a
     malformed file, a field of the wrong JSON type (``shape`` a list of
-    integers, the rest strings), or a tensor WeightTensor refuses, naming
-    the .json for a bad shape and the .bin for data that do not fit it."""
+    integers, the rest strings), a .bin that ends in a partial float32
+    value, or a tensor WeightTensor refuses, naming the .json for a bad
+    shape and the .bin for data that do not fit it."""
     where = str(json_path)
     name, dims, dtype, order = read_fields(load_json(json_path), _META, where)
     if dtype != "f32" or order != "row-major":
         raise ParseError(f"{where}: unsupported dtype/order {dtype}/{order}")
     bin_path = os.path.splitext(where)[0] + ".bin"
     try:
-        return WeightTensor(name, np.fromfile(bin_path, dtype="<f4"), tuple(dims))
+        values = np.fromfile(bin_path, dtype="<f4")
+        size = os.path.getsize(bin_path)
+        if size != values.nbytes:  # fromfile drops a trailing partial value
+            raise ValueError(f"{size} bytes, not a whole number of float32 values")
+        return WeightTensor(name, values, tuple(dims))
     except OSError as e:
         raise ParseError(f"{bin_path}: {e}") from e
     except ValueError as e:

@@ -12,8 +12,7 @@ import pytest
 from edgeplan.cli import main as cli_main
 from edgeplan.delay import build_delay_table, path_delay
 from edgeplan.gen import random_test_instance
-from edgeplan.ilp import (EmptyFeasibleSet, build_ilp, model_as_parsed, parse_lp,
-                          substitute, write_lp)
+from edgeplan.ilp import EmptyFeasibleSet, build_ilp, parse_lp, substitute, write_lp
 from edgeplan.quant import (WeightTensor, check_linearized, max_abs_error,
                             quantize_asymmetric, quantize_symmetric,
                             save_weight_tensor)
@@ -185,7 +184,7 @@ def test_criterion_7_lp_export(tmp_path, capsys):
                      "--model", data_path("model_2x2.json"),
                      "--bits", "8", "--tokens", "1", "--out", str(out)])
     ok &= code == 0 and out.read_text() == golden
-    ok &= parse_lp(golden) == model_as_parsed(model)
+    ok &= parse_lp(golden) == model
 
     # brute-force optimum satisfies every exported row, on the golden
     # fixture and across random instances (including multi-bit z models)

@@ -631,17 +631,22 @@ class TestSimulateCommand:
         (lambda doc: doc["options"].update(delta=math.nan),
          "options.delta: must be a finite number, got NaN"),
         (lambda doc: doc["options"]["feasible_bits"][1].append(8.0),
-         "options.feasible_bits[1][1]: must be an integer, got 8.0")],
+         "options.feasible_bits[1][1]: must be an integer, got 8.0"),
+        (lambda doc: doc.update(digest=5), "digest: must be a string, got 5"),
+        (lambda doc: doc.update(relaxed="no"), 'relaxed: must be a boolean, got "no"'),
+        (lambda doc: doc.update(relaxed=0), "relaxed: must be a boolean, got 0")],
         ids=["boolean-server", "missing-bits", "infinite-total", "nan-delta",
-             "float-width"])
+             "float-width", "number-digest", "string-relaxed", "zero-relaxed"])
     def test_malformed_plan_names_file_and_field(self, tmp_path, capsys, edit, message):
         """The plan's fields are read like the instance files' fields: the
-        error names the file and the path down to the field."""
+        error names the file and the path down to the field. An edit that
+        leaves the digest alone gets the digest of its edited options."""
         plan = self.make_plan(tmp_path, capsys)
         doc = json.loads(plan.read_text())
+        del doc["digest"]
         edit(doc)
-        doc["digest"] = input_digest(data_path("cluster_2x2.json"),
-                                     data_path("model_2x2.json"), doc["options"])
+        doc.setdefault("digest", input_digest(data_path("cluster_2x2.json"),
+                                              data_path("model_2x2.json"), doc["options"]))
         plan.write_text(json.dumps(doc))
         code, stdout, err = run(
             ["simulate", "--plan", str(plan),
@@ -739,6 +744,15 @@ class TestExportLp:
         assert code == 0
         assert out.read_bytes() == Path(data_path("golden_2x2.lp")).read_bytes()
 
+    def test_matches_frozen_golden_m4_l3(self, tmp_path, capsys):
+        """Three layers on four servers: the file pins the z column order."""
+        out = tmp_path / "out.lp"
+        code, stdout, _ = run(["export-lp", "--cluster", data_path("cluster_m4.json"),
+                               "--model", data_path("model_l3.json"), "--bits", "4,8",
+                               "--tokens", "2", "--out", str(out)], capsys)
+        assert (code, stdout) == (0, f"wrote {out}: 36 binaries, 23 constraints\n")
+        assert out.read_bytes() == Path(data_path("golden_m4_l3.lp")).read_bytes()
+
     def test_byte_identical_across_runs(self, tmp_path, capsys):
         a, b = tmp_path / "a.lp", tmp_path / "b.lp"
         run(self.args(a), capsys)
@@ -746,14 +760,14 @@ class TestExportLp:
         assert a.read_bytes() == b.read_bytes()
 
     def test_round_trip_parse(self, tmp_path, capsys):
-        from edgeplan.ilp import parse_lp, model_as_parsed, build_ilp
+        from edgeplan.ilp import parse_lp, build_ilp
         from edgeplan.delay import build_delay_table
         from conftest import make_2x2_instance
         out = tmp_path / "out.lp"
         run(self.args(out), capsys)
         inst = make_2x2_instance()
         model = build_ilp(inst, build_delay_table(inst))
-        assert parse_lp(out.read_text()) == model_as_parsed(model)
+        assert parse_lp(out.read_text()) == model
 
     def test_oversized_layer_is_infeasible(self, tmp_path, capsys):
         cluster = {"servers": [{"id": 0, "ccs_flops": 1.0, "storage_bytes": 1.0},

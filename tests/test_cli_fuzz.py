@@ -365,11 +365,13 @@ INSTANCE_MUTATIONS = [
     ("model.json", ("embedding_size",), 0, False),
     # a layer without a tensor keeps the full menu
     ("model.json", ("layers", 1, "weights"), DELETE, True),
-    # the weight data: truncated, one value too many, a NaN, an inf
+    # the weight data: truncated, one value too many, a NaN, an inf, and
+    # two bytes past the last whole value
     ("w/l0.bin", (), lambda raw: raw[:len(raw) // 2], False),
     ("w/l0.bin", (), lambda raw: raw + raw[:4], False),
     ("w/l0.bin", (), lambda raw: raw[:8] + np.float32(np.nan).tobytes() + raw[12:], False),
     ("w/l0.bin", (), lambda raw: raw[:8] + np.float32(-np.inf).tobytes() + raw[12:], False),
+    ("w/l0.bin", (), lambda raw: raw + b"\x00\x01", False),
 ]
 
 

@@ -6,32 +6,37 @@ import random
 import numpy as np
 import pytest
 
-from edgeplan.core import ClusterSpec, LayerProfile, ServerSpec, write_outputs
+from edgeplan.core import (ClusterSpec, LayerProfile, ServerSpec, load_instance,
+                           write_outputs)
 from edgeplan.delay import (DelayOptions, build_delay_table, compute_cm,
                             compute_cp, path_delay)
 from edgeplan.gen import generate_instance, random_test_instance
 from edgeplan.ilp import (EmptyFeasibleSet, build_ilp, check_plan_feasible,
-                          model_as_parsed, parse_lp, storage_bytes, substitute,
-                          write_lp)
+                          parse_lp, storage_bytes, substitute, write_lp)
 from edgeplan.solver import solve_brute_force
 
-from conftest import make_2x2_instance, with_binding_storage
+from conftest import data_path, make_2x2_instance, with_binding_storage
 
 
 def codes(violations):
     return [v.code for v in violations]
 
 
+def columns(m, kind):
+    """The index tuples of the model's x or z columns, in column order:
+    x_{i}_{l}_{b} gives (i, l, b) and z_{i}_{j}_{l}_{b} gives (i, j, l, b)."""
+    return [tuple(map(int, name.split("_")[1:]))
+            for name in m.binaries if name.startswith(kind + "_")]
+
+
 class TestBuildIlp:
     def test_golden_counts(self, golden_instance, golden_table):
         m = build_ilp(golden_instance, golden_table)
-        assert len(m.x_vars) == 4
-        assert len(m.z_vars) == 2
-        assert not any(name.startswith("y_") for name in m.binaries)
+        assert m.binaries == ("x_0_0_8", "x_1_0_8", "x_0_1_8", "x_1_1_8",
+                              "z_0_1_0_8", "z_1_0_0_8")
         names = [r.name for r in m.constraints]
         assert names == ["assign_l0", "assign_l1", "cap_s0", "cap_s1",
                          "out_l0_s0_b8", "out_l0_s1_b8", "in_l0_s0", "in_l0_s1"]
-        assert len(m.binaries) == 6
 
     def test_storage_pruning_omits_columns(self):
         # layer needs bits * 10 / 8 bytes; cap server 0 below the 8-bit need
@@ -42,7 +47,7 @@ class TestBuildIlp:
         inst = make_2x2_instance(cluster=cluster)
         table = build_delay_table(inst)
         m = build_ilp(inst, table)
-        assert (0, 0, 8) not in m.x_vars and (0, 1, 8) not in m.x_vars
+        assert "x_0_0_8" not in m.binaries and "x_0_1_8" not in m.binaries
         referenced = set()
         for row in m.constraints:
             referenced |= set(row.coeffs)
@@ -62,7 +67,7 @@ class TestBuildIlp:
         inst = make_2x2_instance(bit_menu=(4, 8))
         table = build_delay_table(inst)
         m = build_ilp(inst, table)
-        assert len(m.x_vars) == 2 * 2  # M * L, at the one kept width per layer
+        assert len(columns(m, "x")) == 2 * 2  # M * L, at the one kept width per layer
 
     def test_flow_model_size(self):
         # rows: L assign + M cap + one out row per x below the last layer
@@ -71,7 +76,7 @@ class TestBuildIlp:
         inst = generate_instance(1, 32, 12, (4, 8, 16), "heterogeneous", tokens=32)
         m = build_ilp(inst, build_delay_table(inst))
         assert len(m.constraints) == 12 + 32 + 11 * 32 + 11 * 32 == 748
-        assert len(m.x_vars) == 12 * 32
+        assert columns(m, "x") == [(i, l, 4) for l in range(12) for i in range(32)]
         assert sum(len(r.coeffs) for r in m.constraints) == 23_296
 
     def test_literal_storage_mode(self):
@@ -128,7 +133,7 @@ class TestFlowRows:
             cluster=ClusterSpec(servers=inst.cluster.servers,
                                 links=inst.cluster.links[1:]))  # drops 0 -> 1
         m = build_ilp(inst, build_delay_table(inst))
-        assert set(m.z_vars) == {(1, 0, 0, 8)}
+        assert columns(m, "z") == [(1, 0, 0, 8)]
         referenced = set()
         for row in m.constraints:
             referenced |= set(row.coeffs)
@@ -145,15 +150,17 @@ class TestFlowRows:
         except EmptyFeasibleSet:
             return
         links = {(lk.src, lk.dst) for lk in inst.cluster.links}
-        want = {(i, j, l, b)
-                for (i, l, b) in m.x_vars
+        x = columns(m, "x")
+        want = [(i, j, l, b)
+                for l in range(inst.model.num_layers - 1)
+                for (i, l0, b) in x if l0 == l
                 for j in range(inst.cluster.num_servers)
-                if l + 1 < inst.model.num_layers and j != i and (i, j) in links
-                and any((j, l + 1, b2) in m.x_vars for b2 in inst.bit_menu)}
-        assert set(m.z_vars) == want
-        for (i, j, l, b), name in m.z_vars.items():
+                if j != i and (i, j) in links
+                and any((j, l + 1, b2) in x for b2 in inst.bit_menu)]
+        assert columns(m, "z") == want  # also in (layer, src, dst) order
+        for i, j, l, b in want:
             assert b == table.widths[l]
-            assert m.objective[name] == table.cm[l, i, j]
+            assert m.objective[f"z_{i}_{j}_{l}_{b}"] == table.cm[l, i, j]
 
     def test_placement_without_flow_violates_out_and_in(self, golden_instance,
                                                         golden_table):
@@ -185,8 +192,8 @@ class TestFlowRows:
             plans += 1
             values, _, violated = substitute(m, plan)
             assert violated == []
-            on = sorted((key for key, name in m.z_vars.items() if values[name] == 1.0),
-                        key=lambda key: key[2])
+            on = [tuple(map(int, name.split("_")[1:])) for name, v in values.items()
+                  if name.startswith("z_") and v == 1.0]
             assert on == [(perm[l], perm[l + 1], l, bits[l]) for l in range(L - 1)]
         assert plans > 0
 
@@ -259,8 +266,7 @@ class TestLpExport:
 
     def test_round_trip(self, golden_instance, golden_table):
         m = build_ilp(golden_instance, golden_table)
-        parsed = parse_lp(write_lp(m))
-        assert parsed == model_as_parsed(m)
+        assert parse_lp(write_lp(m)) == m
 
     @pytest.mark.parametrize("seed", range(10))
     def test_round_trip_random(self, seed):
@@ -277,12 +283,24 @@ class TestLpExport:
             assert got.relation == want.relation
             assert got.rhs == want.rhs
             assert got.coeffs == pytest.approx(want.coeffs)
+        # the file lists every expression's terms in Binary order
+        column = {name: k for k, name in enumerate(parsed.binaries)}
+        for coeffs in (parsed.objective, *(r.coeffs for r in parsed.constraints)):
+            at = [column[name] for name in coeffs]
+            assert at == sorted(at)
 
     def test_golden_file_frozen(self, golden_instance, golden_table):
-        from conftest import data_path
         m = build_ilp(golden_instance, golden_table)
         with open(data_path("golden_2x2.lp")) as f:
             assert f.read() == write_lp(m)
+
+    def test_golden_m4_l3_frozen(self):
+        """Two layer boundaries, so the file pins the z order: (layer, src,
+        dst), after every x column."""
+        inst = load_instance(data_path("cluster_m4.json"), data_path("model_l3.json"),
+                             bit_menu=(4, 8), delta=math.inf, tokens=2)
+        with open(data_path("golden_m4_l3.lp")) as f:
+            assert f.read() == write_lp(build_ilp(inst, build_delay_table(inst)))
 
 
 def _milp_solve(text, *, continuous_z=False):
@@ -307,7 +325,7 @@ def _milp_solve(text, *, continuous_z=False):
             cols.append(column[name])
             vals.append(v)
         lo[r] = -math.inf if row.relation == "<=" else row.rhs
-        hi[r] = math.inf if row.relation == ">=" else row.rhs
+        hi[r] = row.rhs  # write_lp writes only <= and = rows
     # sparse: the flow model's nonzeros are a small share of rows x columns
     A = sparse.csr_array((vals, (rows, cols)), shape=(len(lp.constraints), len(column)))
     res = optimize.milp(c, constraints=optimize.LinearConstraint(A, lo, hi),

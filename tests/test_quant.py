@@ -35,10 +35,18 @@ class TestWeightTensor:
         ([1.0, 2.0], (-1, -2), InvalidShape, r"negative entry in shape \[-1, -2\]"),
         ([], (0,), ValueError, "empty tensor"),
         ([0.5, math.nan, -math.inf], (3,), ValueError, r"2 non-finite values \(NaN or inf\)"),
-    ], ids=["product_wraps", "negative_entries", "empty", "non_finite"])
+        ([1.0, 2.0], (2.7,), InvalidShape, r"non-integer entry in shape \[2.7\]"),
+        ([1.0], (True,), InvalidShape, r"non-integer entry in shape \[True\]"),
+    ], ids=["product_wraps", "negative_entries", "empty", "non_finite", "float_entry",
+            "boolean_entry"])
     def test_refused_at_construction(self, values, shape, error, text):
         with pytest.raises(error, match=text):
             WeightTensor("layer", np.asarray(values, dtype=np.float32), shape)
+
+    def test_numpy_integer_entries_accepted(self):
+        values = np.zeros((2, 3), dtype=np.float32)
+        w = WeightTensor("layer", values, (np.int64(2), np.int32(3)))
+        assert w.shape == (2, 3) and all(type(s) is int for s in w.shape)
 
     def test_range_is_recorded_once(self):
         w = wt([0.25, -3.5, 2.0])
@@ -299,6 +307,17 @@ class TestTensorFiles:
         (tmp_path / "bad.bin").write_bytes(b"\x00" * 8)  # 2 floats, not 4
         with pytest.raises(ParseError):
             load_weight_tensor(tmp_path / "bad.json")
+
+    def test_partial_value_refused(self, tmp_path):
+        """Two bytes past the last whole value: the shape fits the whole
+        values, but the file is not a float32 array."""
+        (tmp_path / "bad.json").write_text(
+            '{"name": "bad", "shape": [2], "dtype": "f32", "order": "row-major"}')
+        (tmp_path / "bad.bin").write_bytes(b"\x00" * 8 + b"\x00\x01")
+        with pytest.raises(ParseError) as exc:
+            load_weight_tensor(tmp_path / "bad.json")
+        assert str(exc.value) == (f"{tmp_path / 'bad.bin'}: 10 bytes, "
+                                  "not a whole number of float32 values")
 
 
 class TestAnalyzeTensor:
