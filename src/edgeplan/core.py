@@ -5,6 +5,13 @@ All types are frozen dataclasses, safe to share across threads. Validation
 never raises for bad *values* (violations are returned as data); exceptions
 are reserved for malformed files.
 
+A cluster stores its links as one LinkRecord: four columns (src, dst,
+capacity, propagation delay) that read as a sequence of LinkSpec. The
+parser fills the columns in one pass, and the validator, the delay table,
+the generator and the writer read them without building a LinkSpec per
+link. ClusterSpec.link finds the link between two servers in O(1) from a
+(src, dst) index the record builds once.
+
 Every JSON document edgeplan reads or writes goes through this module:
 ``load_json`` loads it, ``read_fields`` schemas type-check it, ``json_text``
 serialises it and ``write_outputs`` writes it, leaving no partial output.
@@ -21,7 +28,9 @@ import hashlib
 import json
 import math
 import os
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterable, Optional
 
 SCHEMA_VERSION = 1
@@ -78,20 +87,62 @@ class LinkSpec:
 
 
 @dataclass(frozen=True)
+class LinkRecord(Sequence):
+    """A cluster's links as four columns, one entry per link in declaration
+    order. As a Sequence of LinkSpec, an index yields a LinkSpec, a slice a
+    LinkRecord and iteration LinkSpecs; readers that touch every link read
+    the columns."""
+    # empty by default, so LinkRecord(*zip(*rows)) transposes (src, dst,
+    # capacity, delay) rows into a record, no rows included
+    src: tuple[int, ...] = ()
+    dst: tuple[int, ...] = ()
+    capacity_bps: tuple[float, ...] = ()
+    propagation_delay: tuple[float, ...] = ()
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return LinkRecord(self.src[k], self.dst[k], self.capacity_bps[k],
+                              self.propagation_delay[k])
+        return LinkSpec(self.src[k], self.dst[k], self.capacity_bps[k],
+                        self.propagation_delay[k])
+
+    def __iter__(self) -> Iterator[LinkSpec]:
+        return map(LinkSpec, self.src, self.dst, self.capacity_bps, self.propagation_delay)
+
+    @cached_property
+    def first_position(self) -> dict[tuple[int, int], int]:
+        """(src, dst) -> position of the first link declared src -> dst;
+        fewer entries than links means a pair is declared twice."""
+        n = len(self.src)
+        return dict(zip(zip(self.src[::-1], self.dst[::-1]), range(n - 1, -1, -1)))
+
+
+@dataclass(frozen=True)
 class ClusterSpec:
+    """Servers, by position, and links. Any iterable of LinkSpec given as
+    ``links`` is stored as one LinkRecord."""
     servers: tuple[ServerSpec, ...]
-    links: tuple[LinkSpec, ...]
+    links: LinkRecord
+
+    def __post_init__(self):
+        if type(self.links) is not LinkRecord:
+            object.__setattr__(self, "links", LinkRecord(*zip(*(
+                (lk.src, lk.dst, lk.capacity_bps, lk.propagation_delay)
+                for lk in self.links))))
 
     @property
     def num_servers(self) -> int:
         return len(self.servers)
 
     def link(self, src: int, dst: int) -> Optional[LinkSpec]:
-        """Directed link src -> dst, or None when absent (unusable edge)."""
-        for lk in self.links:
-            if lk.src == src and lk.dst == dst:
-                return lk
-        return None
+        """Directed link src -> dst, or None when absent (unusable edge);
+        the first declared when a pair is declared twice. O(1): the record
+        builds its (src, dst) index on the first lookup."""
+        k = self.links.first_position.get((src, dst))
+        return None if k is None else self.links[k]
 
 
 @dataclass(frozen=True)
@@ -187,23 +238,28 @@ def validate_instance(instance: ProblemInstance) -> list[Violation]:
         if s.storage_capacity < 0:
             out.append(Violation("NegativeStorage", f"server {s.id} storage {s.storage_capacity}"))
     id_set = set(ids)
-    seen_links = set()
-    for lk in instance.cluster.links:
-        if not (math.isfinite(lk.capacity_bps) and math.isfinite(lk.propagation_delay)):
-            out += _non_finite(f"link {lk.src}->{lk.dst}", capacity_bps=lk.capacity_bps,
-                               prop_delay_s=lk.propagation_delay)
-        pair = (lk.src, lk.dst)
-        if pair in seen_links:
-            out.append(Violation("DuplicateLink", f"link {lk.src}->{lk.dst} is declared twice"))
-        seen_links.add(pair)
-        if lk.capacity_bps <= 0:
-            out.append(Violation("LinkCapacityNonPositive", f"link {lk.src}->{lk.dst} capacity {lk.capacity_bps}"))
-        if lk.src == lk.dst:
-            out.append(Violation("SelfLink", f"link {lk.src}->{lk.dst} is a self-loop"))
-        if lk.src not in id_set or lk.dst not in id_set:
-            out.append(Violation("UnknownServerInLink", f"link {lk.src}->{lk.dst} references unknown server"))
-        if lk.propagation_delay < 0:
-            out.append(Violation("NegativePropagationDelay", f"link {lk.src}->{lk.dst}"))
+    links = instance.cluster.links
+    first = links.first_position
+    unique = len(first) == len(links)
+    for k, (src, dst, capacity, delay) in enumerate(zip(
+            links.src, links.dst, links.capacity_bps, links.propagation_delay)):
+        # a clean link passes this one test; a flagged one is checked rule by rule
+        if (0.0 < capacity < math.inf and 0.0 <= delay < math.inf and src != dst
+                and src in id_set and dst in id_set and (unique or first[src, dst] == k)):
+            continue
+        if not (math.isfinite(capacity) and math.isfinite(delay)):
+            out += _non_finite(f"link {src}->{dst}", capacity_bps=capacity,
+                               prop_delay_s=delay)
+        if first[src, dst] != k:
+            out.append(Violation("DuplicateLink", f"link {src}->{dst} is declared twice"))
+        if capacity <= 0:
+            out.append(Violation("LinkCapacityNonPositive", f"link {src}->{dst} capacity {capacity}"))
+        if src == dst:
+            out.append(Violation("SelfLink", f"link {src}->{dst} is a self-loop"))
+        if src not in id_set or dst not in id_set:
+            out.append(Violation("UnknownServerInLink", f"link {src}->{dst} references unknown server"))
+        if delay < 0:
+            out.append(Violation("NegativePropagationDelay", f"link {src}->{dst}"))
 
     layers = instance.model.layers
     if not layers:
@@ -415,12 +471,21 @@ def parse_cluster(doc, where: str = "cluster") -> ClusterSpec:
     server_docs, link_docs = read_fields(doc, _CLUSTER, where)
     servers = [ServerSpec(*read_fields(s, _SERVER, where, "servers", k))
                for k, s in enumerate(server_docs)]
-    links = tuple(LinkSpec(*read_fields(lk, _LINK, where, "links", k))
-                  for k, lk in enumerate(link_docs))
+    rows = []
+    for k, lk in enumerate(link_docs):
+        # one type test per field; an entry that fails one, an integer to
+        # read as a float included, is read, or refused, by read_fields
+        if (type(lk) is dict and type(i := lk.get("src")) is int
+                and type(j := lk.get("dst")) is int
+                and type(c := lk.get("capacity_bps")) is float
+                and type(p := lk.get("prop_delay_s", 0.0)) is float):
+            rows.append((i, j, c, p))
+        else:
+            rows.append(read_fields(lk, _LINK, where, "links", k))
     # position == id from here on: the delay table, the simulator and the
     # plan checker all index servers by position
     servers.sort(key=lambda s: s.id)
-    return ClusterSpec(servers=tuple(servers), links=links)
+    return ClusterSpec(servers=tuple(servers), links=LinkRecord(*zip(*rows)))
 
 
 def parse_model(doc, where: str = "model") -> ModelProfile:
@@ -463,6 +528,7 @@ def require_valid(instance: ProblemInstance) -> ProblemInstance:
 
 
 def cluster_to_doc(cluster: ClusterSpec) -> dict:
+    links = cluster.links
     return {
         "schema_version": SCHEMA_VERSION,
         "servers": [
@@ -470,9 +536,9 @@ def cluster_to_doc(cluster: ClusterSpec) -> dict:
             for s in cluster.servers
         ],
         "links": [
-            {"src": lk.src, "dst": lk.dst, "capacity_bps": lk.capacity_bps,
-             "prop_delay_s": lk.propagation_delay}
-            for lk in cluster.links
+            {"src": i, "dst": j, "capacity_bps": c, "prop_delay_s": p}
+            for i, j, c, p in zip(links.src, links.dst, links.capacity_bps,
+                                  links.propagation_delay)
         ],
     }
 

@@ -28,12 +28,14 @@ runs each layer at the smallest width its filter kept (its docstring
 shows no other width can win) and evaluates the same expressions, in the
 same operation order, over arrays keyed by placement first,
 cp[layer, server] and cm[layer, src, dst], as every solver and build_ilp
-reads them. Every finite entry equals the scalar function bit for bit;
-math.inf is the one admissibility mask. The replay simulator and brute
-force evaluate the scalar functions directly, so they check the table.
-path_delay sums a plan's cp and cm, from the table or from the scalar
-functions, and is the one pricer of plans; ilp.check_plan_feasible, on
-the raw specs, is the one checker.
+reads them. cm's capacity and propagation matrices are indexed from the
+cluster's link columns (core.LinkRecord), with no loop over links. Every
+finite entry equals the scalar function bit for bit; math.inf is the one
+admissibility mask. The replay simulator and brute force evaluate the
+scalar functions directly, so they check the table. path_delay sums a
+plan's cp and cm, from the table or from the scalar functions, and is the
+one pricer of plans; ilp.check_plan_feasible, on the raw specs, is the one
+checker.
 """
 
 from __future__ import annotations
@@ -170,8 +172,10 @@ def build_delay_table(instance: ProblemInstance,
 
     The instance must be valid (core.validate_instance), as for the
     solvers, the plan checker and the replay. Per-layer factors come from
-    the scalar helpers; servers and links enter as a throughput vector and
-    M x M capacity/propagation matrices filled once from the link list.
+    the scalar helpers. Servers enter as a throughput vector. Links enter
+    as M x M mask, capacity and propagation matrices, each indexed from
+    the cluster's link columns in one assignment; a valid cluster declares
+    each (src, dst) pair once, so no write overwrites another.
     The storage mask applies ``options.storage``. A delay beyond the float
     range raises ValidationError (DelayOverflow) rather than reading as
     the mask, and so does a largest plan total within a factor
@@ -193,14 +197,15 @@ def build_delay_table(instance: ProblemInstance,
     flops = np.array([layer.flops for layer in model.layers], dtype=float)
     throughput = np.array([s.compute_throughput for s in cluster.servers], dtype=float)
     capacity = np.array([s.storage_capacity for s in cluster.servers], dtype=float)
+    links = cluster.links
+    at = (np.array(links.src, dtype=np.intp), np.array(links.dst, dtype=np.intp))
     linked = np.zeros((M, M), dtype=bool)
+    linked[at] = True
     # unlinked pairs get no finite capacity, so only a link's delay can overflow
     bps = np.full((M, M), math.inf)
+    bps[at] = links.capacity_bps
     prop = np.zeros((M, M))
-    for lk in cluster.links:
-        linked[lk.src, lk.dst] = True
-        bps[lk.src, lk.dst] = lk.capacity_bps
-        prop[lk.src, lk.dst] = lk.propagation_delay
+    prop[at] = links.propagation_delay
     with np.errstate(over="raise"):
         try:
             cp = n * (flops[:, None] / throughput[None, :]) * scale[:, None]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Optional
 
-from .core import (ClusterSpec, LayerProfile, LinkSpec, ModelProfile,
+from .core import (ClusterSpec, LayerProfile, LinkRecord, ModelProfile,
                    ProblemInstance, ServerSpec)
 
 PROFILES = ("uniform", "heterogeneous")
@@ -40,10 +40,8 @@ def generate_cluster(rng: random.Random, m: int, profile: str = "uniform",
             if i == j:
                 continue
             if link_density >= 1.0 or rng.random() < link_density:
-                links.append(LinkSpec(src=i, dst=j,
-                                      capacity_bps=rng.uniform(1e7, 1e9),
-                                      propagation_delay=0.0))
-    return ClusterSpec(servers=tuple(servers), links=tuple(links))
+                links.append((i, j, rng.uniform(1e7, 1e9), 0.0))
+    return ClusterSpec(servers=tuple(servers), links=LinkRecord(*zip(*links)))
 
 
 def generate_model(rng: random.Random, l: int, *, batch_size: int = 1,

@@ -132,7 +132,8 @@ def build_ilp(instance: ProblemInstance, table: DelayTable) -> IlpModel:
 def check_plan_feasible(assignments, instance: ProblemInstance,
                         options: DelayOptions = DelayOptions()) -> list[Violation]:
     """Constraint violations of an assignment sequence [(server, bits), ...],
-    storage under ``options.storage``."""
+    storage under ``options.storage``; each hop's link is one O(1)
+    ClusterSpec.link lookup."""
     out: list[Violation] = []
     L = instance.model.num_layers
     M = instance.cluster.num_servers

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +210,38 @@ class TestPlan:
             doc.pop("solver")
             docs[solver] = doc
         assert docs["brute"] == docs["bnb"]
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        """Flags, --version and a usage error leave nothing behind in the
+        parser main keeps: a later plain plan takes every default again and
+        writes the bytes a newly built parser writes, but for its wall time."""
+        def without_wall_time(path):
+            return re.sub(rb'"wall_time_s": [^,\n]*', b"", path.read_bytes())
+
+        def plain(out):
+            return ["plan", "--cluster", data_path("cluster_2x2.json"),
+                    "--model", data_path("model_2x2.json"), "--bits", "8",
+                    "--out", str(out)]
+
+        fresh = tmp_path / "fresh.json"
+        args = build_parser().parse_args(plain(fresh))
+        assert args.func(args) == 0
+        code, _, _ = run(plain(tmp_path / "literal.json")
+                         + ["--storage", "literal", "--tokens", "3"], capsys)
+        assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--model", data_path("model_2x2.json"), "--bits", "8",
+                  "--out", str(tmp_path / "unused.json")])
+        assert exc.value.code == 2
+        out = tmp_path / "plain.json"
+        code, _, _ = run(plain(out), capsys)
+        assert code == 0
+        options = json.loads(out.read_text())["options"]
+        assert (options["storage"], options["tokens"]) == ("compact", 1)
+        assert without_wall_time(out) == without_wall_time(fresh)
 
     def test_relaxed_solver_reports_bound(self, tmp_path, capsys):
         out = tmp_path / "plan.json"

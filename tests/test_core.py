@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 
 from edgeplan.core import (ClusterSpec, LayerProfile, LinkSpec, ModelProfile,
                            ParseError, ProblemInstance, ServerSpec,
-                           ValidationError, load_instance, save_instance,
-                           validate_instance)
+                           ValidationError, load_instance, parse_cluster,
+                           save_instance, validate_instance)
+from edgeplan.gen import generate_instance
 
 from conftest import data_path, make_2x2_instance
 
@@ -46,9 +48,9 @@ ONE_RULE_BROKEN = [
     ("NonPositiveThroughput: server 0 throughput 0.0",
      lambda i: with_servers(i, (ServerSpec(0, 0.0, 1e9), i.cluster.servers[1]))),
     ("SelfLink: link 0->0 is a self-loop",
-     lambda i: with_links(i, i.cluster.links + (LinkSpec(0, 0, 32.0),))),
+     lambda i: with_links(i, (*i.cluster.links, LinkSpec(0, 0, 32.0)))),
     ("UnknownServerInLink: link 0->2 references unknown server",
-     lambda i: with_links(i, i.cluster.links + (LinkSpec(0, 2, 32.0),))),
+     lambda i: with_links(i, (*i.cluster.links, LinkSpec(0, 2, 32.0)))),
     ("NegativePropagationDelay: link 0->1",
      lambda i: with_links(i, (LinkSpec(0, 1, 32.0, -1.0), i.cluster.links[1]))),
     ("NegativeFlops: layer 0", lambda i: with_layer(i, 0, flops=-1.0)),
@@ -128,7 +130,7 @@ class TestValidateInstance:
 
     def test_duplicate_link(self):
         inst = make_2x2_instance()
-        links = inst.cluster.links + (LinkSpec(0, 1, 64.0),)
+        links = (*inst.cluster.links, LinkSpec(0, 1, 64.0))
         inst = make_2x2_instance(cluster=ClusterSpec(inst.cluster.servers, links))
         assert codes(validate_instance(inst)) == ["DuplicateLink"]
 
@@ -196,6 +198,95 @@ class TestLoadInstance:
         with pytest.raises(ParseError):
             load_instance(p, data_path("model_2x2.json"),
                           bit_menu=(8,), delta=0.0, tokens=1)
+
+
+# -- link entries ------------------------------------------------------------
+
+LINK = {"src": 0, "dst": 1, "capacity_bps": 32.0, "prop_delay_s": 0.0}
+
+# (id, the second link entry, the ParseError text)
+BAD_LINK_FIELDS = [
+    ("not_an_object", "x", 'c.json.links[1]: must be an object, got "x"'),
+    ("missing_src", {k: v for k, v in LINK.items() if k != "src"},
+     "c.json.links[1]: missing key 'src'"),
+    ("dst_boolean", dict(LINK, dst=True), "c.json.links[1].dst: must be an integer, got true"),
+    ("capacity_string", dict(LINK, capacity_bps="fast"),
+     'c.json.links[1].capacity_bps: must be a number, got "fast"'),
+    ("capacity_beyond_float", dict(LINK, capacity_bps=10 ** 400),
+     "c.json.links[1].capacity_bps: must be a number, got "
+     "1000000000000000000000000000000000000..."),
+    ("prop_delay_null", dict(LINK, prop_delay_s=None),
+     "c.json.links[1].prop_delay_s: must be a number, got null"),
+]
+
+
+def cluster_doc(*links):
+    return {"servers": [{"id": 0, "ccs_flops": 1.0, "storage_bytes": 1.0},
+                        {"id": 1, "ccs_flops": 1.0, "storage_bytes": 1.0}],
+            "links": list(links)}
+
+
+class TestLinkFields:
+    @pytest.mark.parametrize("entry, message", [case[1:] for case in BAD_LINK_FIELDS],
+                             ids=[case[0] for case in BAD_LINK_FIELDS])
+    def test_refusal_text(self, entry, message):
+        with pytest.raises(ParseError) as exc:
+            parse_cluster(cluster_doc(LINK, entry), "c.json")
+        assert str(exc.value) == message
+
+    def test_integers_and_a_missing_delay_read_as_floats(self):
+        links = parse_cluster(cluster_doc(
+            dict(LINK, capacity_bps=5, prop_delay_s=0),
+            {"src": 1, "dst": 0, "capacity_bps": 2.0})).links
+        assert list(links) == [LinkSpec(0, 1, 5.0, 0.0), LinkSpec(1, 0, 2.0, 0.0)]
+        assert all(type(x) is float for lk in links
+                   for x in (lk.capacity_bps, lk.propagation_delay))
+
+
+def scan_link(cluster, src, dst):
+    """The reference lookup: the first declared link src -> dst."""
+    for lk in cluster.links:
+        if lk.src == src and lk.dst == dst:
+            return lk
+    return None
+
+
+class TestClusterLink:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_a_scan_on_generated_clusters(self, seed):
+        cluster = generate_instance(seed, 9, 3, link_density=0.5).cluster
+        pairs = [(i, j) for i in range(-1, 10) for j in range(-1, 10)]
+        assert [cluster.link(i, j) for i, j in pairs] == \
+            [scan_link(cluster, i, j) for i, j in pairs]
+        assert sum(cluster.link(i, j) is None for i, j in pairs) > 9 * 9 // 4
+
+    def test_first_declaration_wins(self):
+        links = (LinkSpec(0, 1, 32.0), LinkSpec(1, 0, 8.0), LinkSpec(0, 1, 64.0, 0.5),
+                 LinkSpec(1, 1, 4.0))
+        cluster = ClusterSpec(make_2x2_instance().cluster.servers, links)
+        for i in range(2):
+            for j in range(2):
+                assert cluster.link(i, j) == scan_link(cluster, i, j)
+        assert cluster.link(0, 1) == LinkSpec(0, 1, 32.0)
+
+
+# sha256 of the files save_instance writes for
+# generate_instance(seed, 12, 5, "heterogeneous", link_density=0.6)
+GENERATED_SHA256 = {
+    1: ("3661d00251457602bcac1b4a7c36d21486e07016509fa7eba19667b33b1a0869",
+        "7514a60bf2bddef7f22d45e61f9af02e3e37c8e7666bef8c7e9eb5e528ca9cf5"),
+    2: ("5c41e7c628c5da58a33573cbb1453b1ba2163179a5518351bb1ae73ccac84123",
+        "420cf784d8b7f8f92eb453089f896324d5c83557b8dcbd1f48a5151738fe48cc"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GENERATED_SHA256))
+def test_generated_files_are_pinned(tmp_path, seed):
+    inst = generate_instance(seed, 12, 5, profile="heterogeneous", link_density=0.6)
+    save_instance(inst, tmp_path / "cluster.json", tmp_path / "model.json")
+    got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in ("cluster.json", "model.json"))
+    assert got == GENERATED_SHA256[seed]
 
 
 # -- save/load round trip ---------------------------------------------------
