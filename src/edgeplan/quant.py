@@ -7,7 +7,12 @@ build the codes and the dequantized values explicitly; they are the
 independent reference. Both analysis entry points run one cache-blocked
 kernel instead: it evaluates the reference's float64 operations in place,
 32,768 elements (256 KiB of float64) at a time, building no code or
-dequantized arrays.
+dequantized arrays. ``distribution_stats`` reads the tensor in the same
+blocks: one pass sums the values (and bins them in float64), a second
+sums the squared and cubed deviations from the mean. Each moment is a
+sum of per-block sums, so a tensor of at most one block gets the
+whole-array float64 sums bit for bit and a larger one may differ from
+them in the last bits; the histogram counts are exact either way.
 
 ``analyze_tensor``, behind the ``quantize`` report, computes every
 width's exact error, equal to the reference's bit for bit: the maxima of
@@ -235,32 +240,48 @@ def distribution_stats(w: WeightTensor, bins: Optional[int] = 32) -> Distributio
     bins (a single bin when min == max) and its counts sum to the element
     count; ``bins=None`` skips it and leaves ``bin_edges`` and ``counts``
     empty.
+
+    Two passes of ``_BLOCK`` elements at a time, each block cast into one
+    reused float64 buffer: the first sums (and bins) the values, the second
+    sums the squared and cubed deviations from the mean. A moment is the
+    sum of the per-block sums over n: for a tensor of at most one block,
+    the whole-array float64 sums bit for bit; past one block, it may differ
+    from them in the last bits. Each block is binned in float64 over the
+    fixed range [min, max], so the counts are exact either way.
     """
     if bins is not None and bins < 1:
         raise ValueError("bins must be >= 1")
-    v = w.values.astype(np.float64)
-    mean = float(v.mean())
+    values, n = w.values, w.values.size
+    x, buf = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
+    binned = bins is not None and w.lo != w.hi
+    total, counts = 0.0, 0
+    # .sum() is numpy's pairwise sum; a BLAS dot product would make the
+    # moments depend on the BLAS build and its thread count
+    for xb in _float64_blocks(values, x):
+        total += float(xb.sum())
+        if binned:
+            block_counts, edges = np.histogram(xb, bins=bins, range=(w.lo, w.hi))
+            counts = counts + block_counts
+    mean = total / n
     # d*d and (d*d)*d: numpy has no fast path for ** 3, which goes through
     # pow per element; d*d is exactly what ** 2 computes
-    d = v - mean
-    dd = d * d
-    m2 = float(np.mean(dd))
-    std = math.sqrt(m2)
-    if m2 == 0.0:
-        skew = 0.0
-    else:
+    sum2 = sum3 = 0.0
+    for d in _float64_blocks(values, x):
+        d -= mean
+        dd = buf[:d.size]
+        np.multiply(d, d, out=dd)
+        sum2 += float(dd.sum())
         dd *= d
-        skew = float(np.mean(dd)) / m2 ** 1.5
-    del d, dd  # freed before the histogram
+        sum3 += float(dd.sum())
+    m2 = sum2 / n
+    std = math.sqrt(m2)
+    skew = 0.0 if m2 == 0.0 else sum3 / n / m2 ** 1.5
     if bins is None:
         edges, counts = (), ()
-    elif w.lo == w.hi:
-        edges = np.array([w.lo, w.hi])
-        counts = np.array([v.size])
-    else:
-        counts, edges = np.histogram(v, bins=bins, range=(w.lo, w.hi))
+    elif not binned:
+        edges, counts = (w.lo, w.hi), (n,)
     return DistributionStats(
-        layer_name=w.layer_name, count=int(v.size),
+        layer_name=w.layer_name, count=n,
         min=w.lo, max=w.hi, mean=mean, std=std, skewness=skew,
         bin_edges=tuple(float(e) for e in edges),
         counts=tuple(int(c) for c in counts),
@@ -371,6 +392,18 @@ def _grids(scheme: SchemeKind, w: WeightTensor,
         zero_point = int(_round_half_away(np.array(-lo / scale)))
         grids.append(_Grid(b, scale, zero_point, levels))
     return grids, False
+
+
+def _float64_blocks(values: np.ndarray, x: np.ndarray) -> Iterable[np.ndarray]:
+    """Each ``_BLOCK``-element block of the float32 ``values``, cast into
+    the front of the float64 buffer ``x``, which the next block overwrites.
+    The cast comes first: a float32 block minus a Python float would be
+    computed, and rounded, in float32."""
+    for start in range(0, values.size, _BLOCK):
+        chunk = values[start:start + _BLOCK]
+        xb = x[:chunk.size]
+        xb[...] = chunk
+        yield xb
 
 
 def _pick_scheme(w: WeightTensor, scheme: Optional[SchemeKind],

@@ -2,11 +2,13 @@ import dataclasses
 import math
 import os
 
+import numpy as np
 import pytest
 
 from edgeplan.core import (ClusterSpec, LayerProfile, LinkSpec, ModelProfile,
                            ProblemInstance, ServerSpec)
 from edgeplan.delay import DelayOptions, build_delay_table
+from edgeplan.quant import WeightTensor, distribution_stats
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -59,3 +61,25 @@ def golden_instance():
 @pytest.fixture
 def golden_table(golden_instance):
     return build_delay_table(golden_instance)
+
+
+def tensor_with_skewness(target: float, n: int, seed: int) -> np.ndarray:
+    """n float32 values straddling 0, z + a (z^2 - 1) for a standard normal
+    sample z (negated for a negative target), whose skewness, as
+    ``distribution_stats`` computes it, bisection brings to just below
+    |target| in magnitude."""
+    z = np.random.default_rng(seed).normal(0.0, 1.0, n)
+    sign = math.copysign(1.0, target)
+
+    def values(a: float) -> np.ndarray:
+        return (sign * (z + a * (z * z - 1.0))).astype(np.float32)
+
+    lo, hi = 0.0, 1.0
+    for _ in range(50):
+        mid = (lo + hi) / 2
+        v = values(mid)
+        if abs(distribution_stats(WeightTensor("t", v, v.shape), None).skewness) < abs(target):
+            lo = mid
+        else:
+            hi = mid
+    return values(lo)

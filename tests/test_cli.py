@@ -16,7 +16,7 @@ from edgeplan.core import (LayerProfile, LinkSpec, ServerSpec, json_text, load_i
 from edgeplan.delay import DelayOptions, compute_cm, compute_cp
 from edgeplan.quant import WeightTensor, save_weight_tensor
 
-from conftest import data_path
+from conftest import data_path, tensor_with_skewness
 
 
 def run(argv, capsys):
@@ -862,12 +862,14 @@ class TestPlanWithWeights:
     def test_quantize_report_and_plan_filter_agree(self, tmp_path, capsys, scheme):
         """One scheme rule: the widths the quantize report finds feasible are
         the ones plan --weights-dir records, for a one-sided, a symmetric
-        two-sided and a skewed two-sided tensor (skewness about 0.79)."""
+        two-sided and a skewed two-sided tensor (skewness about 0.79), and
+        one of more than a block with skewness just below the threshold."""
         rng = np.random.default_rng(0)
         tensors = {"one_sided": rng.gamma(2.0, 1.0, 10_000),
                    "two_sided": rng.normal(0.0, 1.0, 10_000),
                    "skewed": np.concatenate([rng.normal(0.0, 1.0, 9_000),
-                                             rng.gamma(2.0, 1.0, 1_000)])}
+                                             rng.gamma(2.0, 1.0, 1_000)]),
+                   "near_threshold": tensor_with_skewness(0.4995, quant._BLOCK + 1000, 3)}
         wdir = tmp_path / "w"
         write_weights(wdir, tensors)
         model = {"batch_size": 1, "embedding_size": 4, "layers": [
@@ -893,7 +895,7 @@ class TestPlanWithWeights:
         assert recorded == [feasible[ref] for ref in tensors]
         if scheme == "auto":
             assert used == {"one_sided": "asymmetric", "two_sided": "symmetric_signed",
-                            "skewed": "asymmetric"}
+                            "skewed": "asymmetric", "near_threshold": "symmetric_signed"}
 
     def test_non_finite_weights_are_input_error(self, tmp_path, capsys):
         wdir = tmp_path / "w"

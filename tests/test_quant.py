@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from edgeplan.quant import (InvalidShape, SchemeKind, ShapeMismatch, WeightTenso
                             load_weight_tensor, max_abs_error,
                             quantize_asymmetric, quantize_symmetric,
                             recommend_scheme, save_weight_tensor)
+
+from conftest import tensor_with_skewness
 
 
 def wt(values, name="layer"):
@@ -555,3 +558,103 @@ class TestCertifyOrWitness:
                     assert (r.scale, r.max_abs_error) == (scale, err)
                 assert feasible_bits(w, KERNEL_WIDTHS, 1e-3, scheme) == \
                     tuple(r.bits for r in records if r.feasible)
+
+
+def whole_array_moments(values: np.ndarray) -> tuple[float, float, float]:
+    """Mean, std and skewness from sums over the whole float64 array."""
+    v = values.astype(np.float64)
+    mean = float(v.mean())
+    d = v - mean
+    m2 = float(np.mean(d * d))
+    skew = 0.0 if m2 == 0.0 else float(np.mean((d * d) * d)) / m2 ** 1.5
+    return mean, math.sqrt(m2), skew
+
+
+def fsum_moments(values: np.ndarray) -> tuple[float, float, float]:
+    """Mean, std and skewness from correctly rounded sums (math.fsum)."""
+    v = values.astype(np.float64)
+    mean = math.fsum(v) / v.size
+    d = v - mean
+    m2 = math.fsum(d * d) / v.size
+    return mean, math.sqrt(m2), math.fsum(d * d * d) / v.size / m2 ** 1.5
+
+
+class TestBlockedMoments:
+    """distribution_stats sums block by block; the moments, histogram and
+    scheme verdicts must not depend on where the blocks end."""
+
+    @pytest.mark.parametrize("n", [quant._BLOCK - 1, quant._BLOCK, quant._BLOCK + 1,
+                                   3 * quant._BLOCK + 7])
+    def test_moments_across_block_boundaries(self, n):
+        rng = np.random.default_rng(n)
+        for values in (rng.normal(0.0, 1.0, n), rng.gamma(2.0, 0.05, n),
+                       rng.normal(5.0, 0.01, n)):
+            w = wt(values)
+            stats = distribution_stats(w, None)
+            got = (stats.mean, stats.std, stats.skewness)
+            if n <= quant._BLOCK:
+                assert got == whole_array_moments(w.values)
+                continue
+            # each block's pairwise sum, and the sum of the at most four
+            # block sums, loses at most about (log2(_BLOCK) + 4) u, some
+            # 2e-15, of the sum of magnitudes; 1e-13 leaves a wide margin.
+            # A mean off by e moves the skewness by about 3 e / std
+            mean, std, skew = fsum_moments(w.values)
+            peak = float(np.max(np.abs(w.values)))
+            assert abs(stats.mean - mean) <= 1e-13 * peak
+            assert abs(stats.std - std) <= 1e-13 * std
+            assert abs(stats.skewness - skew) <= 1e-13 * peak / std
+
+    @pytest.mark.parametrize("bins", [1, 7, 8, 32])
+    def test_histogram_equals_whole_array_histogram(self, bins):
+        # eighths of [-1, 1]: with 8 bins, every eighth value is on an edge
+        n = 3 * quant._BLOCK + 11
+        rng = np.random.default_rng(bins)
+        values = np.where(np.arange(n) % 8 == 0, rng.integers(-8, 9, n) / 8,
+                          rng.uniform(-1.0, 1.0, n)).astype(np.float32)
+        values[[0, -1]] = (-1.0, 1.0)
+        stats = distribution_stats(wt(values), bins)
+        counts, edges = np.histogram(values.astype(np.float64), bins=bins, range=(-1.0, 1.0))
+        assert stats.bin_edges == tuple(edges.tolist())
+        assert stats.counts == tuple(counts.tolist())
+
+    def test_constant_tensor_has_one_bin(self):
+        n = 2 * quant._BLOCK + 3
+        stats = distribution_stats(wt(np.full(n, 0.1)), 32)
+        assert stats.bin_edges == (stats.min, stats.max) and stats.counts == (n,)
+
+    @pytest.mark.parametrize("target", [0.4995, 0.5005, -0.4995, -0.5005])
+    def test_verdict_at_the_skew_threshold(self, target):
+        w = wt(tensor_with_skewness(target, quant._BLOCK + 1000, seed=3))
+        assert w.lo < 0 < w.hi
+        skew = distribution_stats(w, None).skewness
+        assert abs(abs(skew) - quant.SKEW_THRESHOLD) < 1e-3
+        assert math.isclose(skew, fsum_moments(w.values)[2], rel_tol=1e-12)
+        expect = (SchemeKind.SYMMETRIC_SIGNED if abs(target) < quant.SKEW_THRESHOLD
+                  else SchemeKind.ASYMMETRIC)
+        assert recommend_scheme(distribution_stats(w)) is expect
+        # at delta 0.15 the two schemes keep different widths
+        widths, delta = (4, 5, 6, 8), 0.15
+        assert feasible_bits(w, widths, delta, SchemeKind.SYMMETRIC_SIGNED) != \
+            feasible_bits(w, widths, delta, SchemeKind.ASYMMETRIC)
+        for bins in (None, 32):
+            records, _ = analyze_tensor(w, widths, delta, bins=bins)
+            assert {r.scheme for r in records} == {expect}
+            assert feasible_bits(w, widths, delta) == \
+                tuple(r.bits for r in records if r.feasible) == \
+                feasible_bits(w, widths, delta, expect)
+
+    def test_memory_stays_block_sized(self):
+        # a two-sided 1M-element tensor: whole-array moments would take
+        # three 8 MB float64 arrays
+        values = np.random.default_rng(0).normal(0.0, 1.0, 1 << 20).astype(np.float32)
+        w = wt(values)
+        for analysis in (lambda: distribution_stats(w, None),
+                         lambda: feasible_bits(w, (4, 8, 16), 1e-4)):
+            tracemalloc.start()
+            try:
+                analysis()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2_000_000
