@@ -5,11 +5,13 @@ feasible-bit filtering, and weight-distribution statistics.
 ``quantize_symmetric``, ``quantize_asymmetric`` and ``max_abs_error``
 build the codes and the dequantized values explicitly; they are the
 independent reference. Both analysis entry points run one cache-blocked
-kernel instead: it evaluates the reference's float64 operations in place,
-32,768 elements (256 KiB of float64) at a time, building no code or
-dequantized arrays. ``distribution_stats`` reads the tensor in the same
-blocks: one pass sums the values (and bins them in float64), a second
-sums the squared and cubed deviations from the mean. Each moment is a
+kernel instead: 32,768 elements (256 KiB of float64) at a time, it
+screens the block in float32 and evaluates the reference's float64
+operations in place on the elements that may hold the block's maximum
+error, building no code or dequantized arrays. ``distribution_stats``
+reads the tensor in the same blocks: one pass sums the values (and bins
+them in float64), a second sums the squared and cubed deviations from
+the mean. Each moment is a
 sum of per-block sums, so a tensor of at most one block gets the
 whole-array float64 sums bit for bit and a larger one may differ from
 them in the last bits; the histogram counts are exact either way.
@@ -24,10 +26,15 @@ computed only when asked for; of the commands only ``quantize
 reports verdicts, not errors: the widths whose reference error is at most
 delta, with no error computed that a verdict does not need.
 
+0. Lazy pick. With no scheme forced, a two-sided tensor gets the
+   verdicts of both schemes by steps 2 and 3. Equal verdicts are the
+   recommended scheme's whichever it is, so the moments are computed
+   only to choose between two different sets.
 1. One-sided scheme. With no scheme forced, a tensor whose range does not
-   straddle 0 is quantized asymmetrically whatever its skewness, so only a
-   two-sided tensor pays for the moments. ``analyze_tensor`` picks its
-   scheme by the same rule.
+   straddle 0 is quantized asymmetrically whatever its skewness, so its
+   moments are never needed. ``analyze_tensor``, whose records name the
+   scheme, picks by the same rule and takes the moments of every
+   two-sided tensor.
 2. Certify. The reference's error at scale s is at most s/2 + slack, with
    slack = 8u max(|min|, |max|) (symmetric) or
    8u (max(|min|, |max|) + max - min) (asymmetric) and u = 2^-53 (proof in
@@ -35,7 +42,11 @@ delta, with no error computed that a verdict does not need.
    is feasible without a pass over the data.
 3. Witness by blocks. Every other width is scanned block by block and
    dropped at the first block whose maximum error exceeds delta; that is
-   exact, since the global maximum is at least any block's.
+   exact, since the global maximum is at least any block's. The scan, as
+   ``analyze_tensor``'s, screens each block in float32 and runs the
+   float64 operations only on the few elements that may hold the block's
+   maximum (proof in ``_scan``), so every error it reports is still the
+   reference's bit for bit.
 
 ``WeightTensor`` is the one statement of a valid tensor, in memory or on
 disk: integer shape entries, none negative, as many values as the shape's
@@ -309,7 +320,8 @@ def save_weight_tensor(w: WeightTensor, directory, name: Optional[str] = None) -
             "dtype": "f32", "order": "row-major"}
     json_path = os.path.join(directory, f"{name}.json")
     write_outputs((json_path, json_text(meta)),
-                  (os.path.join(directory, f"{name}.bin"), w.values.astype("<f4").tobytes()))
+                  (os.path.join(directory, f"{name}.bin"),
+                   np.asarray(w.values, dtype="<f4").tobytes()))
     return json_path
 
 
@@ -433,7 +445,7 @@ def analyze_tensor(w: WeightTensor, bit_menu: Iterable[int], delta: float,
     stats = None if bins is None else distribution_stats(w, bins)
     used = _pick_scheme(w, scheme, stats)
     grids, flat = _grids(used, w, widths)
-    errors = [0.0] * len(grids) if flat else _scan(w.values, used, grids)
+    errors = [0.0] * len(grids) if flat else _scan(w, used, grids)
     records = [LayerQuantRecord(
         layer_name=w.layer_name, bits=g.bits, scheme=used, scale=g.scale,
         zero_point=g.zero_point, max_abs_error=err, feasible=err <= delta)
@@ -446,26 +458,45 @@ def feasible_bits(w: WeightTensor, bit_menu: Iterable[int], delta: float,
     """Bit-widths from the menu whose quantization error stays within delta.
 
     Verdicts, not errors: each equals ``analyze_tensor``'s ``feasible``,
-    reached by the module docstring's three steps (one-sided scheme,
-    certify, witness by blocks). ``scheme=None``, the default, uses the
-    scheme recommended from the tensor's own distribution, as
-    ``analyze_tensor`` does. The empty tuple is a legal result (the layer
-    cannot be quantized at any offered width without exceeding the error
-    budget).
+    reached by the module docstring's four steps (lazy pick, one-sided
+    scheme, certify, witness by blocks). ``scheme=None``, the default, gives
+    the verdicts of the scheme recommended from the tensor's own
+    distribution, as ``analyze_tensor`` does. The empty tuple is a legal
+    result (the layer cannot be quantized at any offered width without
+    exceeding the error budget).
     """
     widths = _checked_menu(bit_menu, delta)
-    scheme = _pick_scheme(w, scheme)
+    if scheme is None and w.lo < 0 < w.hi:
+        # equal verdicts are the recommended scheme's whichever it is: the
+        # moments only break a disagreement
+        sym = _verdicts(w, widths, delta, SchemeKind.SYMMETRIC_SIGNED)
+        asym = _verdicts(w, widths, delta, SchemeKind.ASYMMETRIC)
+        if sym == asym or _pick_scheme(w, None) is SchemeKind.ASYMMETRIC:
+            return asym
+        return sym
+    return _verdicts(w, widths, delta, _pick_scheme(w, scheme))
+
+
+def _verdicts(w: WeightTensor, widths: list[int], delta: float,
+              scheme: SchemeKind) -> tuple[int, ...]:
+    """The widths feasible under one scheme: certified, or witnessed by
+    blocks (steps 2 and 3)."""
     grids, flat = _grids(scheme, w, widths)
     if flat:
         return tuple(widths)
+    slack = _slack(w, scheme)
+    pending = [g for g in grids if not _certified(g.scale, slack, delta)]
+    errors = _scan(w, scheme, pending, delta)
+    dropped = {g.bits for g, err in zip(pending, errors) if err > delta}
+    return tuple(b for b in widths if b not in dropped)
+
+
+def _slack(w: WeightTensor, scheme: SchemeKind) -> float:
+    """The rounding slack of the a-priori bound (see _certified)."""
     magnitude = max(-w.lo, w.hi)
     if scheme is SchemeKind.ASYMMETRIC:
         magnitude += w.hi - w.lo
-    slack = _SLACK * magnitude
-    pending = [g for g in grids if not _certified(g.scale, slack, delta)]
-    errors = _scan(w.values, scheme, pending, delta)
-    dropped = {g.bits for g, err in zip(pending, errors) if err > delta}
-    return tuple(b for b in widths if b not in dropped)
+    return _SLACK * magnitude
 
 
 def _certified(scale: float, slack: float, delta: float) -> bool:
@@ -513,46 +544,140 @@ def _certified(scale: float, slack: float, delta: float) -> bool:
     return slack <= scale * 0.25 and scale * 0.5 + slack <= delta
 
 
-def _scan(values: np.ndarray, scheme: SchemeKind, grids: list[_Grid],
+def _scan(w: WeightTensor, scheme: SchemeKind, grids: list[_Grid],
           delta: float = math.inf) -> list[float]:
-    """Max-abs error of each grid over the float32 ``values``, block by
-    block.
+    """Max-abs error of each grid over the tensor's float32 values, block
+    by block.
 
-    Each block is cast to float64 once (taken as |v| under the symmetric
-    scheme) and every live grid passes over it while it is in cache. A
-    grid whose error so far exceeds delta is dropped after that block: its
-    entry is then a lower bound that already exceeds delta, which is the
-    exact verdict since the global maximum is at least any block's. With
+    Every live grid passes over a block while it is in cache. A grid whose
+    error so far exceeds delta is dropped after that block: its entry is
+    then a lower bound that already exceeds delta, which is the exact
+    verdict since the global maximum is at least any block's. With
     delta = inf no grid is dropped, and every entry is the exact maximum:
     block maxima combine to the same float.
+
+    Screen. A grid at scale s is screened when a = fl32(1/s) is a normal
+    float32 and eps <= 2^-6, with
+
+        eps = 3 * 2^-24 * reach + 2 * slack / s + 2^-149,
+
+    reach = max(|lo|, |hi|) / s from the recorded range and slack as in
+    ``_certified``; any other grid runs the reference's float64 operations
+    (``_block_error``) on the whole block. In a screened block, float32
+    operations on the stored values give each element's distance to the
+    grid in steps, d~ = |t~ - rint(t~)| with t~ = fl32(v * a); only the
+    elements with d~ >= max d~ - 2 eps are cast to float64 (|v| under the
+    symmetric scheme) and passed to ``_block_error``.
+
+    Lemma: each element's d~ is within eps of its reference error e in
+    steps, e / s. Proof, in the model of ``_certified``, with t = v/s and
+    dist(y) = |y - rint(y)|, the distance to the nearest integer, which
+    is 1-Lipschitz and even (so taking |v| changes nothing), and which
+    moves by integers (so the zero-point changes nothing).
+    Float32 side: a = (1/s)(1 + e1), |e1| <= 2^-24 + u, from the float64
+    quotient and its float32 rounding; fl32(v a) = v a (1 + e2) + h, with
+    |e2| <= 2^-24 and |h| <= 2^-150 for a subnormal product; |t| <= reach
+    <= 2^18, so |t~ - t| <= (2^-23 + 2^-47) reach + 2^-150. rint is exact,
+    and so is t~ - rint(t~): rint(t~) is 0 or within a factor 2 of t~
+    (Sterbenz). So d~ = dist(t~) and |d~ - dist(t)| <= |t~ - t|.
+    Float64 side: eps <= 2^-6 gives slack <= s/4, so ``_certified``'s
+    lemma holds: the reference's effective code k is an integer with
+    |k - t| <= 1/2 + n, n = u(2V/s + 1/2) (symmetric) or
+    u(2V/s + 1/2) + 2u levels (asymmetric, levels s <= R(1 + 2u)), and
+    its product and subtraction add at most u(V + 2s). Since n < 1/2, k
+    is t's nearest integer, or t is within n of a half-integer and k its
+    other neighbour; either way ||k - t| - dist(t)| <= 2n, and
+    |e/s - dist(t)| <= 5uV/s + 4uR/s + 3u, below 2 slack / s as
+    V/s >= 1 (symmetric) and R/s >= 3 (asymmetric). The sum is within
+    eps, whose float32 term exceeds its bound by more than 2^-25 reach
+    >= 2^-26: far more than the float64 roundings of eps and of the
+    threshold max d~ - 2 eps, each below 2^-52.
+    Verdict: let j be an element of the block's largest reference error.
+    For every element i, d~_j >= e_j/s - eps >= e_i/s - eps >= d~_i - 2 eps,
+    so d~_j >= max d~ - 2 eps: j is kept, and the kept elements' maximum
+    error is the block's, bit for bit. The threshold is compared as the
+    largest float32 not above its float64 value, which keeps exactly the
+    float32 d~ that are not below that value. Every error and every early
+    stop is the unscreened scan's.
     """
     symmetric = scheme is SchemeKind.SYMMETRIC_SIGNED
+    slack, peak = _slack(w, scheme), max(-w.lo, w.hi)
+    screens = [_screen(g.scale, peak, slack) for g in grids]
+    values = w.values
     size = min(values.size, _BLOCK)
-    x, buf, mag = np.empty(size), np.empty(size), np.empty(size)
+    work = _Work(np.empty(size), np.empty(size), np.empty(size),
+                 np.empty(size, np.float32), np.empty(size, np.float32))
     errors = [0.0] * len(grids)
     live = list(range(len(grids)))
     for start in range(0, values.size, _BLOCK):
         if not live:
             break
         chunk = values[start:start + _BLOCK]
-        n = chunk.size
-        xb = x[:n]
-        if symmetric:
-            np.abs(chunk, out=xb)
-        else:
-            xb[...] = chunk
         for i in live:
-            err = _block_error(xb, buf[:n], mag[:n], symmetric, grids[i])
+            err = _block_max(chunk, work, symmetric, grids[i], screens[i])
             errors[i] = max(errors[i], err)
         live = [i for i in live if errors[i] <= delta]
     return errors
 
 
+class _Work(NamedTuple):
+    """A scan's buffers, one block long: float64 ``x`` (the elements the
+    reference operations read), ``buf`` and ``mag``; float32 ``t`` and
+    ``r`` of the screen."""
+    x: np.ndarray
+    buf: np.ndarray
+    mag: np.ndarray
+    t: np.ndarray
+    r: np.ndarray
+
+
+# the normal float32 range, as Python floats: compared with a numpy
+# float32, a Python float would be cast to float32 first
+_NORMAL32 = (float(np.finfo(np.float32).tiny), float(np.finfo(np.float32).max))
+
+
+def _screen(scale: float, peak: float, slack: float) -> Optional[tuple[np.float32, float]]:
+    """(fl32(1/s), eps) of a grid that ``_scan`` screens, else None."""
+    inverse = 1.0 / scale
+    if not _NORMAL32[0] <= inverse <= _NORMAL32[1]:
+        return None
+    eps = 3 * 2.0 ** -24 * (peak / scale) + 2 * slack / scale + 2.0 ** -149
+    return (np.float32(inverse), eps) if eps <= 2.0 ** -6 else None
+
+
+def _block_max(chunk: np.ndarray, work: _Work, symmetric: bool, grid: _Grid,
+               screen: Optional[tuple[np.float32, float]]) -> float:
+    """Max-abs error of one grid over one float32 block: over the elements
+    its screen keeps, or over all of them when it has none (see _scan)."""
+    if screen is None:
+        kept = chunk
+    else:
+        n = chunk.size
+        t, r = work.t[:n], work.r[:n]
+        np.multiply(chunk, screen[0], out=t)
+        np.rint(t, out=r)
+        t -= r
+        np.abs(t, out=t)
+        floor = float(t.max()) - 2 * screen[1]
+        threshold = np.float32(floor)
+        if float(threshold) > floor:
+            threshold = np.nextafter(threshold, np.float32(-np.inf))
+        # index by position: a boolean index of a sparse, scattered mask
+        # is several times slower
+        kept = chunk[np.flatnonzero(t >= threshold)]
+    x = work.x[:kept.size]
+    if symmetric:
+        np.abs(kept, out=x)
+    else:
+        x[...] = kept
+    return _block_error(x, work.buf[:kept.size], work.mag[:kept.size], symmetric, grid)
+
+
 def _block_error(x: np.ndarray, buf: np.ndarray, mag: np.ndarray,
                  symmetric: bool, grid: _Grid) -> float:
-    """Max-abs error of one grid over one block by the reference's own
-    float64 operations, in place: ``x`` is the block (|v| under the
-    symmetric scheme), ``buf`` and ``mag`` work buffers of its size.
+    """Max-abs error of one grid over some elements by the reference's own
+    float64 operations, in place: ``x`` holds the elements (|v| under the
+    symmetric scheme), ``buf`` and ``mag`` are work buffers of its size.
 
     Symmetric: |v/s| == |v|/s and negation are exact, so
     | |v| - min(floor(|v|/s + 0.5), qmax) * s | is the reference error bit
@@ -577,7 +702,8 @@ def _block_error(x: np.ndarray, buf: np.ndarray, mag: np.ndarray,
         np.floor(mag, out=mag)
         np.copysign(mag, buf, out=buf)
         buf += grid.zero_point
-        np.clip(buf, 0, grid.top, out=buf)
+        np.maximum(buf, 0, out=buf)
+        np.minimum(buf, grid.top, out=buf)
         buf -= grid.zero_point
     buf *= grid.scale
     buf -= x

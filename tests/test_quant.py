@@ -504,13 +504,13 @@ class TestCertifyOrWitness:
         # scanned to the end; 16 bits is certified (s16/2 + slack <= delta);
         # 2 and 4 bits miss delta within block 0
         scanned = []
-        block_error = quant._block_error
+        block_max = quant._block_max
 
-        def spy(x, buf, mag, symmetric, grid):
-            scanned.append((grid.bits, x.size))
-            return block_error(x, buf, mag, symmetric, grid)
+        def spy(chunk, work, symmetric, grid, screen):
+            scanned.append((grid.bits, chunk.size))
+            return block_max(chunk, work, symmetric, grid, screen)
 
-        monkeypatch.setattr(quant, "_block_error", spy)
+        monkeypatch.setattr(quant, "_block_max", spy)
         n = 2 * quant._BLOCK + 100
         codes = np.random.default_rng(0).integers(-127, 128, n)
         codes[0] = 127
@@ -543,8 +543,40 @@ class TestCertifyOrWitness:
             assert feasible_bits(w, KERNEL_WIDTHS, 1e-3, None) == \
                 tuple(r.bits for r in records if r.feasible)
             assert calls == []
-        feasible_bits(wt([-1.0, 0.5, 2.0], name="two_sided"), KERNEL_WIDTHS, 1e-3, None)
-        assert calls == ["two_sided"]
+        # two-sided: the filter computes the moments only when the two
+        # schemes' verdicts differ
+        agree = wt([-1.0, 0.5, 2.0], name="agree")
+        assert feasible_bits(agree, KERNEL_WIDTHS, 1e-3, SchemeKind.SYMMETRIC_SIGNED) == \
+            feasible_bits(agree, KERNEL_WIDTHS, 1e-3, SchemeKind.ASYMMETRIC)
+        assert feasible_bits(agree, KERNEL_WIDTHS, 1e-3, None) == \
+            feasible_bits(agree, KERNEL_WIDTHS, 1e-3, SchemeKind.ASYMMETRIC)
+        assert calls == []
+        # widths 4, 5, 6, 8 at delta 0.15: see test_verdict_at_the_skew_threshold
+        differ = wt(tensor_with_skewness(0.4995, quant._BLOCK + 1000, seed=3), name="differ")
+        assert feasible_bits(differ, (4, 5, 6, 8), 0.15, SchemeKind.SYMMETRIC_SIGNED) != \
+            feasible_bits(differ, (4, 5, 6, 8), 0.15, SchemeKind.ASYMMETRIC)
+        feasible_bits(differ, (4, 5, 6, 8), 0.15, None)
+        assert calls == ["differ"]
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    def test_lazy_pick_is_the_recommended_scheme(self, kind):
+        """With no scheme forced, the filter returns the recommended
+        scheme's verdicts whether or not it computes the moments: checked
+        at each scheme's boundary deltas, where the two disagree."""
+        for seed in range(4):
+            w = wt(kernel_case_tensors(kind, seed))
+            recommended = recommend_scheme(distribution_stats(w, None))
+            deltas = {0.0, math.inf}
+            for scheme in SchemeKind:
+                records, _ = analyze_tensor(w, KERNEL_WIDTHS, 0.0, scheme, bins=None)
+                slack = rounding_slack(w.values, scheme)
+                for r in records:
+                    for edge in (r.max_abs_error, r.scale * 0.5 + slack):
+                        deltas |= {edge, np.nextafter(edge, -math.inf),
+                                   np.nextafter(edge, math.inf)}
+            for delta in sorted(float(d) for d in deltas if d >= 0):
+                assert feasible_bits(w, KERNEL_WIDTHS, delta, None) == \
+                    feasible_bits(w, KERNEL_WIDTHS, delta, recommended), (kind, seed, delta)
 
     @pytest.mark.parametrize("n", [quant._BLOCK - 1, quant._BLOCK, 2 * quant._BLOCK + 7])
     def test_errors_across_block_boundaries(self, n):
@@ -558,6 +590,56 @@ class TestCertifyOrWitness:
                     assert (r.scale, r.max_abs_error) == (scale, err)
                 assert feasible_bits(w, KERNEL_WIDTHS, 1e-3, scheme) == \
                     tuple(r.bits for r in records if r.feasible)
+
+
+def screen_distance(values: np.ndarray, scale: float) -> np.ndarray:
+    """The float32 screen's distance to the grid in steps, |t - rint(t)|
+    with t = fl32(v * fl32(1/s))."""
+    t = values * np.float32(1.0 / scale)
+    return np.abs(t - np.rint(t))
+
+
+class TestScreen:
+    """_scan screens a block in float32 and runs the float64 reference
+    operations only on the elements that may hold its maximum error."""
+
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    def test_screen_maximum_is_not_the_exact_maximum(self, scheme):
+        # at 16 bits over [0, 1] the float32 t = v / s has steps of up to
+        # 2^-8, so two elements whose errors differ by less than eps can
+        # swap order; both grids hold 0 and 1 exactly
+        rng = np.random.default_rng(0)
+        pool = wt(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 4000)]))
+        scale, _ = reference_error(pool, 16, scheme)
+        quantize = (quantize_symmetric if scheme is SchemeKind.SYMMETRIC_SIGNED
+                    else quantize_asymmetric)
+        errors = np.abs(pool.values - quantize(pool, 16).dequantized)
+        screened = screen_distance(pool.values, scale)
+        j = next(j for j in np.argsort(-errors)
+                 if np.any((screened > screened[j]) & (errors < errors[j])))
+        i = int(np.flatnonzero((screened > screened[j]) & (errors < errors[j]))[0])
+        w = wt([0.0, 1.0, pool.values[i], pool.values[j]])
+        assert reference_error(w, 16, scheme) == (scale, errors[j])
+        records, _ = analyze_tensor(w, (4, 8, 16), math.inf, scheme, bins=None)
+        for r in records:
+            assert (r.scale, r.max_abs_error) == reference_error(w, r.bits, scheme)
+        assert feasible_bits(w, (16,), float(errors[j]), scheme) == (16,)
+        assert feasible_bits(w, (16,), float(np.nextafter(errors[j], 0.0)), scheme) == ()
+
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    def test_gaussian_block_is_screened(self, scheme, monkeypatch):
+        sizes = []
+        block_error = quant._block_error
+
+        def spy(x, *args):
+            sizes.append(x.size)
+            return block_error(x, *args)
+
+        monkeypatch.setattr(quant, "_block_error", spy)
+        w = wt(np.random.default_rng(1).normal(0.0, 0.05, quant._BLOCK))
+        records, _ = analyze_tensor(w, (16,), math.inf, scheme, bins=None)
+        assert (records[0].scale, records[0].max_abs_error) == reference_error(w, 16, scheme)
+        assert len(sizes) == 1 and 0 < sizes[0] < quant._BLOCK // 10
 
 
 def whole_array_moments(values: np.ndarray) -> tuple[float, float, float]:
