@@ -275,10 +275,18 @@ def validate_instance(instance: ProblemInstance) -> list[Violation]:
             out.append(Violation("NegativeOutputSize", f"layer {k}"))
         if l.original_precision not in ALLOWED_PRECISIONS:
             out.append(Violation("BadOriginalPrecision", f"layer {k}: {l.original_precision}"))
+        try:
+            storage_bytes(l, MAX_BITS)  # the largest footprint a menu allows
+        except OverflowError:
+            out.append(Violation("ParamCountOverflow", f"layer {k} storage beyond the float range"))
     if instance.model.batch_size < 1:
         out.append(Violation("BadBatchSize", f"batch_size {instance.model.batch_size}"))
     if instance.model.embedding_size < 1:
         out.append(Violation("BadEmbeddingSize", f"embedding_size {instance.model.embedding_size}"))
+    try:
+        float(instance.model.batch_size * instance.model.embedding_size)  # the activation payload
+    except OverflowError:
+        out.append(Violation("PayloadOverflow", "batch_size * embedding_size beyond the float range"))
 
     if not instance.bit_menu:
         out.append(Violation("EmptyBitMenu", "bit menu is empty"))

@@ -132,8 +132,9 @@ def build_ilp(instance: ProblemInstance, table: DelayTable) -> IlpModel:
 def check_plan_feasible(assignments, instance: ProblemInstance,
                         options: DelayOptions = DelayOptions()) -> list[Violation]:
     """Constraint violations of an assignment sequence [(server, bits), ...],
-    storage under ``options.storage``; each hop's link is one O(1)
-    ClusterSpec.link lookup."""
+    storage under ``options.storage`` for the widths a layer keeps (a
+    width outside them is the one violation of its layer); each hop's link
+    is one O(1) ClusterSpec.link lookup."""
     out: list[Violation] = []
     L = instance.model.num_layers
     M = instance.cluster.num_servers
@@ -149,6 +150,7 @@ def check_plan_feasible(assignments, instance: ProblemInstance,
             continue
         if b not in instance.feasible_bits[l]:
             out.append(Violation("InfeasibleBits", f"layer {l} at {b} bits (allowed {instance.feasible_bits[l]})"))
+            continue
         need = options.bytes_needed(instance.model.layers[l], b)
         cap = instance.cluster.servers[i].storage_capacity
         if need > cap:

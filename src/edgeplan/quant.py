@@ -1,20 +1,20 @@
-"""Uniform weight quantization (symmetric signed and asymmetric), the
-max-absolute-error feasibility test with its linearized form, per-layer
-feasible-bit filtering, and weight-distribution statistics.
+"""Uniform weight quantization (symmetric signed and asymmetric): the
+max-absolute-error feasibility test, per-layer feasible-bit filtering, and
+weight-distribution statistics.
 
-``quantize_symmetric``, ``quantize_asymmetric`` and ``max_abs_error``
-build the codes and the dequantized values explicitly; they are the
-independent reference. Both analysis entry points run one cache-blocked
-kernel instead: 32,768 elements (256 KiB of float64) at a time, it
-screens the block in float32 and evaluates the reference's float64
-operations in place on the elements that may hold the block's maximum
-error, building no code or dequantized arrays. ``distribution_stats``
-reads the tensor in the same blocks: one pass sums the values (and bins
-them in float64), a second sums the squared and cubed deviations from
-the mean. Each moment is a
-sum of per-block sums, so a tensor of at most one block gets the
-whole-array float64 sums bit for bit and a larger one may differ from
-them in the last bits; the histogram counts are exact either way.
+"The reference" below is the textbook quantizer of each scheme, which
+builds the codes and the dequantized values explicitly in float64; the
+tests hold it (tests/oracles.py) and check every error here against it.
+Both analysis entry points run one cache-blocked kernel instead: 32,768
+elements (256 KiB of float64) at a time, it screens the block in float32
+and evaluates the reference's float64 operations in place on the elements
+that may hold the block's maximum error, building no code or dequantized
+arrays. ``distribution_stats`` reads the tensor in the same blocks: one
+pass sums the values (and bins them in float64), a second sums the
+squared and cubed deviations from the mean. Each moment is a sum of
+per-block sums, so a tensor of at most one block gets the whole-array
+float64 sums bit for bit and a larger one may differ from them in the
+last bits; the histogram counts are exact either way.
 
 ``analyze_tensor``, behind the ``quantize`` report, computes every
 width's exact error, equal to the reference's bit for bit: the maxima of
@@ -50,11 +50,11 @@ delta, with no error computed that a verdict does not need.
 
 ``WeightTensor`` is the one statement of a valid tensor, in memory or on
 disk: integer shape entries, none negative, as many values as the shape's
-product, at least one, all finite. It records the float32 range once; the analyses
-and ``distribution_stats`` read it, the reference quantizers take their
-own. ``core`` reads and writes a tensor's <name>.json metadata, as every
-JSON document; ``load_weight_tensor`` reads the .bin and reports
-WeightTensor's refusals as ParseErrors.
+product, at least one, all finite. It records the float32 range once; the
+analyses and ``distribution_stats`` read it. ``core`` reads and writes a
+tensor's <name>.json metadata, as every JSON document;
+``load_weight_tensor`` reads the .bin and reports WeightTensor's refusals
+as ParseErrors.
 
 Only weights are quantized; biases stay untouched, so the tensor API
 carries weight arrays exclusively. Rounding is half-away-from-zero, chosen
@@ -126,21 +126,6 @@ class WeightTensor:
 
 
 @dataclass(frozen=True)
-class SymmetricResult:
-    codes: np.ndarray  # signed integers in [-qmax, qmax]
-    scale: float
-    dequantized: np.ndarray
-
-
-@dataclass(frozen=True)
-class AsymmetricResult:
-    codes: np.ndarray  # unsigned integers in [0, 2^b - 1]
-    scale: float
-    zero_point: int
-    dequantized: np.ndarray
-
-
-@dataclass(frozen=True)
 class LayerQuantRecord:
     layer_name: str
     bits: int
@@ -166,81 +151,6 @@ class DistributionStats:
 
 def _round_half_away(x: np.ndarray) -> np.ndarray:
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
-
-
-def quantize_symmetric(w: WeightTensor, bits: int) -> SymmetricResult:
-    """Signed symmetric quantization with 2^(b-1)-1 levels each side of 0.
-
-    The extreme value max|w| maps exactly to +/-qmax, so no element is
-    pushed past its nearest level and the error never exceeds scale/2.
-    """
-    check_bits(bits)
-    qmax = (1 << (bits - 1)) - 1
-    # float64 throughout: a float32 division would underflow tiny scales
-    # to zero and round dequantized values past the scale/2 error bound
-    v = w.values.astype(np.float64)
-    peak = float(np.max(np.abs(v)))
-    if peak == 0.0:
-        codes = np.zeros(v.size, dtype=np.int64)
-        return SymmetricResult(codes, 1.0, np.zeros(v.size))
-    scale = peak / qmax
-    codes = np.clip(_round_half_away(v / scale), -qmax, qmax).astype(np.int64)
-    return SymmetricResult(codes, scale, codes * scale)
-
-
-def quantize_asymmetric(w: WeightTensor, bits: int) -> AsymmetricResult:
-    """Min-max affine quantization onto [0, 2^b - 1] with a zero-point."""
-    check_bits(bits)
-    v = w.values.astype(np.float64)
-    lo, hi = float(np.min(v)), float(np.max(v))
-    levels = (1 << bits) - 1
-    if hi == lo:
-        codes = np.zeros(v.size, dtype=np.int64)
-        return AsymmetricResult(codes, 0.0, 0, v.copy())
-    scale = (hi - lo) / levels
-    # zero_point is deliberately not clamped into [0, levels]: for one-sided
-    # ranges the clamp would shift the whole grid off [min, max] and the
-    # error could reach the full range instead of scale/2. Codes themselves
-    # always land in [0, levels] because round is monotone and the extremes
-    # map to 0 and levels exactly.
-    zero_point = int(_round_half_away(np.array(-lo / scale)))
-    codes = np.clip(_round_half_away(v / scale) + zero_point, 0, levels)
-    codes = codes.astype(np.int64)
-    return AsymmetricResult(codes, scale, zero_point, (codes - zero_point) * scale)
-
-
-def dequantize(w: WeightTensor, bits: int, scheme: SchemeKind) -> np.ndarray:
-    if scheme is SchemeKind.SYMMETRIC_SIGNED:
-        return quantize_symmetric(w, bits).dequantized
-    return quantize_asymmetric(w, bits).dequantized
-
-
-def max_abs_error(original: np.ndarray, quantized: np.ndarray) -> float:
-    """max over elements of |original - quantized|."""
-    a = np.asarray(original, dtype=np.float64).ravel()
-    b = np.asarray(quantized, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"{a.shape} vs {b.shape}")
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a - b)))
-
-
-def check_linearized(original: np.ndarray, quantized: np.ndarray,
-                     delta: float) -> bool:
-    """Two-sided element-wise test: (o - q <= delta) and (o - q >= -delta).
-
-    Logically equivalent to max_abs_error(o, q) <= delta; kept as a
-    separate code path so the equivalence can be tested, not assumed.
-    """
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
-    a = np.asarray(original, dtype=np.float64).ravel()
-    b = np.asarray(quantized, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"{a.shape} vs {b.shape}")
-    diff = a - b
-    return bool(np.all(diff <= delta) and np.all(diff >= -delta))
 
 
 def distribution_stats(w: WeightTensor, bins: Optional[int] = 32) -> DistributionStats:
@@ -684,7 +594,7 @@ def _block_error(x: np.ndarray, buf: np.ndarray, mag: np.ndarray,
     for bit.
 
     Asymmetric: rounds as copysign(floor(|x| + 0.5), x), the reference's
-    sign(x) * floor(|x| + 0.5), then adds the zero-point, clips and
+    half-away rounding bit for bit, then adds the zero-point, clips and
     subtracts it again in float64. Code and zero-point are integers held
     exactly in float64, so the subtraction rounds their exact difference
     once, as the reference's int64 difference is rounded once when it is

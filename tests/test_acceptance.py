@@ -13,14 +13,14 @@ from edgeplan.cli import main as cli_main
 from edgeplan.delay import build_delay_table, path_delay
 from edgeplan.gen import random_test_instance
 from edgeplan.ilp import EmptyFeasibleSet, build_ilp, parse_lp, substitute, write_lp
-from edgeplan.quant import (WeightTensor, check_linearized, max_abs_error,
-                            quantize_asymmetric, quantize_symmetric,
-                            save_weight_tensor)
+from edgeplan.quant import WeightTensor, save_weight_tensor
 from edgeplan.sim import simulate
 from edgeplan.solver import (solve_branch_and_bound, solve_brute_force,
                              solve_relaxed_dp)
 
 from conftest import data_path, make_2x2_instance
+from oracles import (check_linearized, max_abs_error, quantize_asymmetric,
+                     quantize_symmetric)
 from test_solver import dominant_server_instance
 
 N_SUITE = 200

@@ -213,6 +213,8 @@ PLAN_MUTATIONS = [
     (("options", "storage"), Signed(7), 2),
     (("options", "tokens"), Signed(10 ** 300), 2),
     (("options", "tokens"), Signed(10 ** 400), 2),
+    # a width outside the layer's set is refused before its footprint is priced
+    (("assignments", 0, "bits"), 10 ** 400, 3),
 ]
 STAGE_EXIT = {0: 2, 1: 6, 2: 2, 3: 5, 4: 5, 5: 0}
 
@@ -372,6 +374,9 @@ INSTANCE_MUTATIONS = [
     ("w/l0.bin", (), lambda raw: raw[:8] + np.float32(np.nan).tobytes() + raw[12:], False),
     ("w/l0.bin", (), lambda raw: raw[:8] + np.float32(-np.inf).tobytes() + raw[12:], False),
     ("w/l0.bin", (), lambda raw: raw + b"\x00\x01", False),
+    # integers whose footprint or payload is beyond the float range
+    ("model.json", ("layers", 0, "param_count"), 10 ** 400, False),
+    ("model.json", ("embedding_size",), 10 ** 400, False),
 ]
 
 

@@ -61,6 +61,10 @@ ONE_RULE_BROKEN = [
     ("NegativeTokens: tokens -1", lambda i: dataclasses.replace(i, tokens=-1)),
     ("DelayOverflow: tokens beyond the float range",
      lambda i: dataclasses.replace(i, tokens=10 ** 400)),
+    ("ParamCountOverflow: layer 0 storage beyond the float range",
+     lambda i: with_layer(i, 0, param_count=10 ** 400)),
+    ("PayloadOverflow: batch_size * embedding_size beyond the float range",
+     lambda i: with_model(i, embedding_size=10 ** 400)),
 ]
 
 
@@ -74,6 +78,11 @@ class TestValidateInstance:
         """Each rule, broken alone, is the one violation reported; a
         layer is named by its position in the model."""
         assert list(map(str, validate_instance(edit(make_2x2_instance())))) == [expect]
+
+    def test_payload_overflow_of_a_product(self):
+        """Each factor is a float; their product is not."""
+        inst = with_model(make_2x2_instance(), batch_size=10 ** 200, embedding_size=10 ** 200)
+        assert codes(validate_instance(inst)) == ["PayloadOverflow"]
 
     def test_zero_capacity_link(self):
         inst = make_2x2_instance()

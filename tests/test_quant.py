@@ -12,13 +12,12 @@ from hypothesis.extra import numpy as hnp
 from edgeplan import quant
 from edgeplan.core import ParseError
 from edgeplan.quant import (InvalidShape, SchemeKind, ShapeMismatch, WeightTensor,
-                            analyze_tensor, check_linearized,
-                            dequantize, distribution_stats, feasible_bits,
-                            load_weight_tensor, max_abs_error,
-                            quantize_asymmetric, quantize_symmetric,
-                            recommend_scheme, save_weight_tensor)
+                            analyze_tensor, distribution_stats, feasible_bits,
+                            load_weight_tensor, recommend_scheme, save_weight_tensor)
 
 from conftest import tensor_with_skewness
+from oracles import (check_linearized, max_abs_error, quantize, quantize_asymmetric,
+                     quantize_symmetric)
 
 
 def wt(values, name="layer"):
@@ -162,7 +161,8 @@ class TestLinearization:
 class TestFeasibleBits:
     def test_hand_example(self):
         w = wt([-2.0, 1.0, 2.0])
-        errs = {b: max_abs_error(w.values, dequantize(w, b, SchemeKind.SYMMETRIC_SIGNED))
+        errs = {b: max_abs_error(w.values,
+                                 quantize(w, b, SchemeKind.SYMMETRIC_SIGNED).dequantized)
                 for b in (2, 3, 8)}
         assert errs[2] == pytest.approx(1.0, rel=1e-6)
         assert errs[3] == pytest.approx(1.0 / 3.0, rel=1e-6)
@@ -383,7 +383,8 @@ def kernel_case_tensors(kind: str, seed: int) -> np.ndarray:
 
 
 class TestKernelMatchesReference:
-    """analyze_tensor and feasible_bits against quantize_* + max_abs_error."""
+    """analyze_tensor and feasible_bits against the oracle's quantize and
+    max_abs_error."""
 
     @pytest.mark.parametrize("kind", KERNEL_KINDS)
     def test_equal_to_reference(self, kind):
@@ -395,9 +396,7 @@ class TestKernelMatchesReference:
             recommended = recommend_scheme(dataclasses.replace(ref_stats, skewness=ref_skew))
             for scheme in (None, SchemeKind.SYMMETRIC_SIGNED, SchemeKind.ASYMMETRIC):
                 used = scheme or recommended
-                quantize = (quantize_symmetric if used is SchemeKind.SYMMETRIC_SIGNED
-                            else quantize_asymmetric)
-                results = {b: quantize(w, b) for b in KERNEL_WIDTHS}
+                results = {b: quantize(w, b, used) for b in KERNEL_WIDTHS}
                 errors = {b: max_abs_error(w.values, r.dequantized) for b, r in results.items()}
                 # a budget equal to one width's error puts a tie on the boundary
                 delta = sorted(errors.values())[seed % len(KERNEL_WIDTHS)]
@@ -405,12 +404,23 @@ class TestKernelMatchesReference:
                 assert stats == ref_stats
                 for r in records:
                     res = results[r.bits]
-                    expect = (used, res.scale, getattr(res, "zero_point", 0),
+                    expect = (used, res.scale, res.zero_point,
                               errors[r.bits], errors[r.bits] <= delta)
                     assert (r.scheme, r.scale, r.zero_point, r.max_abs_error,
                             r.feasible) == expect, (kind, seed, scheme, r.bits)
                 assert feasible_bits(w, KERNEL_WIDTHS, delta, scheme) == \
                     tuple(r.bits for r in records if r.feasible)
+
+    @pytest.mark.parametrize("values, zero_point", [
+        ([-0.5, 2.5], 1), ([0.5, 3.5], -1), ([-2.5, 0.5], 3)])
+    def test_zero_point_ties_round_away_from_zero(self, values, zero_point):
+        """At 2 bits the scale is 1 and -min/scale is a half-integer, where
+        rounding half to even would pick the other neighbour."""
+        w = wt(values)
+        res = quantize_asymmetric(w, 2)
+        assert (res.scale, res.zero_point) == (1.0, zero_point)
+        records, _ = analyze_tensor(w, (2,), 0.5, SchemeKind.ASYMMETRIC)
+        assert (records[0].scale, records[0].zero_point) == (1.0, zero_point)
 
     def test_histogram_only_when_asked(self):
         w = wt(kernel_case_tensors("gaussian", 0))
@@ -435,9 +445,7 @@ class TestKernelMatchesReference:
 
 def reference_error(w: WeightTensor, bits: int, scheme: SchemeKind) -> tuple[float, float]:
     """(scale, max-abs error) of the reference quantizer."""
-    quantize = (quantize_symmetric if scheme is SchemeKind.SYMMETRIC_SIGNED
-                else quantize_asymmetric)
-    res = quantize(w, bits)
+    res = quantize(w, bits, scheme)
     return res.scale, max_abs_error(w.values, res.dequantized)
 
 
@@ -611,9 +619,7 @@ class TestScreen:
         rng = np.random.default_rng(0)
         pool = wt(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 4000)]))
         scale, _ = reference_error(pool, 16, scheme)
-        quantize = (quantize_symmetric if scheme is SchemeKind.SYMMETRIC_SIGNED
-                    else quantize_asymmetric)
-        errors = np.abs(pool.values - quantize(pool, 16).dequantized)
+        errors = np.abs(pool.values - quantize(pool, 16, scheme).dequantized)
         screened = screen_distance(pool.values, scale)
         j = next(j for j in np.argsort(-errors)
                  if np.any((screened > screened[j]) & (errors < errors[j])))

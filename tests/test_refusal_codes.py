@@ -46,7 +46,8 @@ def test_codes_are_found():
 
 
 def test_scan_sees_the_codes():
-    assert {"NoLayers", "UnknownServer", "DelayOverflow", "ReplayTooLong"} <= set(CODES)
+    assert {"NoLayers", "UnknownServer", "DelayOverflow", "ParamCountOverflow",
+            "PayloadOverflow", "ReplayTooLong"} <= set(CODES)
     assert os.path.join(ROOT, "tests", "test_core.py") in TESTS
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -17,6 +18,7 @@ from edgeplan.solver import (SizeLimit, solve_branch_and_bound,
                              solve_brute_force, solve_relaxed_dp)
 
 from conftest import make_2x2_instance, with_binding_storage
+from oracles import held_karp
 
 
 def dominant_server_instance(num_layers=3):
@@ -444,3 +446,84 @@ class TestAgainstHighs:
         assert check_plan_feasible(plan, inst) == []
         servers = [i for i, _ in plan]
         assert path_delay(table.cp, table.cm, servers)[0] >= got.objective * (1 - 1e-12)
+
+
+def _close(a: float, b: float) -> bool:
+    """Equal within the search's tie tolerance: the oracle sums a path in
+    another order than delay.path_delay does."""
+    return a == b or abs(a - b) <= solver._tie_tolerance(b)
+
+
+def _held_karp_instance(seed):
+    """Small enough for brute force: sparse links, binding storage."""
+    rng = random.Random(7000 + seed)
+    inst = random_test_instance(rng, max_layers=5, max_servers=7,
+                                link_density=rng.choice((0.3, 0.6, 1.0)))
+    return with_binding_storage(inst, rng, 0.3)
+
+
+HELD_KARP_SEEDS = 200
+
+
+class TestHeldKarpOracle:
+    @pytest.mark.parametrize("seed", range(HELD_KARP_SEEDS))
+    def test_equals_brute_force(self, seed):
+        inst = _held_karp_instance(seed)
+        table = build_delay_table(inst)
+        exact = solve_brute_force(inst, table)
+        assert _close(held_karp(table.cp, table.cm), exact.objective)
+
+    def test_suite_has_both_outcomes(self):
+        tables = [build_delay_table(_held_karp_instance(seed)) for seed in range(HELD_KARP_SEEDS)]
+        feasible = sum(math.isfinite(held_karp(t.cp, t.cm)) for t in tables)
+        assert 0 < feasible < HELD_KARP_SEEDS, feasible
+
+    def test_too_many_servers_refused(self):
+        # refused before the (2^M, M) table is allocated
+        with pytest.raises(ValueError, match="19 servers"):
+            held_karp(np.zeros((2, 19)), np.zeros((2, 19, 19)))
+
+
+# expansions: the identical-layer instances that exhaust it take about
+# 0.5 s each
+SEARCH_BUDGET = 200_000
+SEARCH_SEEDS = 32
+
+
+@functools.lru_cache(maxsize=None)
+def _searched(seed):
+    """(oracle optimum, capped search) on M 10-16, L 6 to min(M, 12): every
+    other instance a stack of identical layers, ROADMAP's hard case, with
+    binding storage and sparse links."""
+    rng = random.Random(8000 + seed)
+    m = rng.randint(10, 16)
+    l = rng.randint(6, min(m, 12))
+    inst = generate_instance(seed, m, l, (4, 8, 16), "heterogeneous", tokens=32,
+                             link_density=rng.choice((0.5, 0.8, 1.0)))
+    if seed % 2:
+        model = dataclasses.replace(inst.model, layers=(inst.model.layers[0],) * l)
+        inst = dataclasses.replace(inst, model=model)
+    table = build_delay_table(with_binding_storage(inst, rng, 0.3))
+    return held_karp(table.cp, table.cm), solve_branch_and_bound(table, budget=SEARCH_BUDGET)
+
+
+class TestSearchAgainstHeldKarp:
+    """Beyond brute force's reach: an optimal search equals the oracle, and
+    one that runs out of budget brackets it between its root bound and its
+    incumbent."""
+
+    @pytest.mark.parametrize("seed", range(SEARCH_SEEDS))
+    def test_search_agrees_with_oracle(self, seed):
+        exact, got = _searched(seed)
+        if got.status == "optimal":
+            assert _close(got.objective, exact)
+        elif got.status == "budget_exceeded":
+            assert got.lower_bound_at_root <= exact or _close(got.lower_bound_at_root, exact)
+            assert exact <= got.objective or _close(exact, got.objective)
+        else:
+            assert got.status == "infeasible" and exact == math.inf
+
+    def test_suite_exhausts_the_budget(self):
+        statuses = [_searched(seed)[1].status for seed in range(SEARCH_SEEDS)]
+        assert statuses.count("optimal") >= SEARCH_SEEDS // 2
+        assert "budget_exceeded" in statuses
