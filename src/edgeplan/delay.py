@@ -206,14 +206,16 @@ def build_delay_table(instance: ProblemInstance,
     bps[at] = links.capacity_bps
     prop = np.zeros((M, M))
     prop[at] = links.propagation_delay
+    # the per-layer factors are Python products, which overflow to inf
+    # without a flag; errstate below catches the array products
+    if not (np.isfinite(scale).all() and np.isfinite(payload_bits).all()):
+        raise _overflow("a compute or transfer delay")
     with np.errstate(over="raise"):
         try:
             cp = n * (flops[:, None] / throughput[None, :]) * scale[:, None]
             cm = n * (payload_bits[:, None, None] / bps[None] + prop[None])
         except FloatingPointError:
-            raise ValidationError([Violation(
-                "DelayOverflow", "a compute or transfer delay is beyond the "
-                "float range")]) from None
+            raise _overflow("a compute or transfer delay") from None
     cp[~(has_width[:, None] & (need[:, None] <= capacity[None, :]))] = math.inf
 
     np.copyto(cm, math.inf, where=~linked)
@@ -230,10 +232,12 @@ def build_delay_table(instance: ProblemInstance,
                                      initial=0.0).sum())
             largest * _TOTAL_HEADROOM  # raises past the float range
         except FloatingPointError:
-            raise ValidationError([Violation(
-                "DelayOverflow", "the total delay of some plan is beyond the "
-                "float range")]) from None
+            raise _overflow("the total delay of some plan") from None
     return DelayTable(widths=widths, cp=cp, cm=cm, options=options)
+
+
+def _overflow(what: str) -> ValidationError:
+    return ValidationError([Violation("DelayOverflow", f"{what} is beyond the float range")])
 
 
 def path_delay(cp, cm, servers) -> tuple[float, float, float]:

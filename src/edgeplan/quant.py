@@ -53,8 +53,13 @@ disk: integer shape entries, none negative, as many values as the shape's
 product, at least one, all finite. It records the float32 range once; the
 analyses and ``distribution_stats`` read it. ``core`` reads and writes a
 tensor's <name>.json metadata, as every JSON document;
-``load_weight_tensor`` reads the .bin and reports WeightTensor's refusals
-as ParseErrors.
+``load_weight_tensor`` maps the .bin copy-on-write instead of copying it
+(no ``np.fromfile`` read) and reports WeightTensor's refusals as
+ParseErrors. WeightTensor's float32 array and every blocked pass above
+are views of the mapping, so each analysis streams the tensor from the
+page cache. A .bin must therefore not be truncated or rewritten while a
+command runs: reading a truncated mapped file ends the process with
+SIGBUS.
 
 Only weights are quantized; biases stay untouched, so the tensor API
 carries weight arrays exclusively. Rounding is half-away-from-zero, chosen
@@ -64,6 +69,7 @@ for its symmetry about 0.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 from dataclasses import dataclass, field
 from enum import Enum
@@ -244,17 +250,24 @@ def load_weight_tensor(json_path) -> WeightTensor:
     malformed file, a field of the wrong JSON type (``shape`` a list of
     integers, the rest strings), a .bin that ends in a partial float32
     value, or a tensor WeightTensor refuses, naming the .json for a bad
-    shape and the .bin for data that do not fit it."""
+    shape and the .bin for data that do not fit it.
+
+    The values are the .bin mapped copy-on-write: writable, and no write
+    reaches the file. The file must not be truncated while the tensor is
+    alive (see the module docstring)."""
     where = str(json_path)
     name, dims, dtype, order = read_fields(load_json(json_path), _META, where)
     if dtype != "f32" or order != "row-major":
         raise ParseError(f"{where}: unsupported dtype/order {dtype}/{order}")
     bin_path = os.path.splitext(where)[0] + ".bin"
     try:
-        values = np.fromfile(bin_path, dtype="<f4")
-        size = os.path.getsize(bin_path)
-        if size != values.nbytes:  # fromfile drops a trailing partial value
-            raise ValueError(f"{size} bytes, not a whole number of float32 values")
+        with open(bin_path, "rb") as f:
+            size = os.fstat(f.fileno()).st_size
+            if size % 4:
+                raise ValueError(f"{size} bytes, not a whole number of float32 values")
+            # mmap refuses length 0; WeightTensor refuses the empty tensor
+            values = np.empty(0, "<f4") if size == 0 else np.frombuffer(
+                mmap.mmap(f.fileno(), size, access=mmap.ACCESS_COPY), "<f4")
         return WeightTensor(name, values, tuple(dims))
     except OSError as e:
         raise ParseError(f"{bin_path}: {e}") from e

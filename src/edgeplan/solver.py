@@ -47,11 +47,12 @@ DEFAULT_NODE_BUDGET = 10_000_000
 
 # Expansions (children examined) the search spends under the plain DP
 # bound before it computes Lagrangian multipliers and starts over. One
-# subgradient step is a relaxed DP plus its witness, O(L * M^2): about
-# 0.3 ms at M=16/L=10 on a 2-CPU Xeon, so a pass of 20-100 steps costs
-# 5-30 ms, while 1,000 expansions cost about 3.5 ms there. Shallow
-# searches (L <= 5, any M) mostly finish within the allowance and never
-# pay for a pass; deep ones (L >= 7) mostly escalate.
+# subgradient step is a relaxed DP plus its witness, O(L * M^2): 33-87 us
+# on the seed-1 `deep` benchmark pool (M 10-16, L 6-10) on a 2-CPU Xeon, so
+# a pass of 20-100 steps costs about 1-9 ms, while 1,000 expansions cost
+# 1.5-3.8 ms there. Shallow searches (L <= 5, any M) mostly finish within
+# the allowance and never pay for a pass; deep ones (L >= 7) mostly
+# escalate.
 _ESCALATE_AFTER = 1_000
 _SUBGRADIENT_STEPS = 100
 _STALL_STEPS = 3  # halve the Polyak step size after this many non-improving steps

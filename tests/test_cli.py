@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -360,6 +361,29 @@ class TestPlan:
         assert code == 2
         assert "DelayOverflow" in err and "Traceback" not in err
         assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("command, solver", [
+        ("plan", "bnb"), ("plan", "brute"), ("plan", "relaxed"), ("export-lp", None)])
+    def test_payload_beyond_the_float_range(self, tmp_path, capsys, command, solver):
+        # layer 0's payload, output_size 1e308 times 4 to 16 bits, is beyond
+        # the float range: refused, not read as a missing link, and no
+        # inf / inf on an unlinked pair warns on the way
+        gen_dir = tmp_path / "inst"
+        run(["gen", "--seed", "1", "-m", "4", "-l", "3", "--out-dir", str(gen_dir)], capsys)
+        doc = json.loads((gen_dir / "model.json").read_text())
+        doc["layers"][0]["output_size"] = 1e308
+        (gen_dir / "model.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = [command, "--cluster", str(gen_dir / "cluster.json"),
+                "--model", str(gen_dir / "model.json"), "--bits", "4,8,16",
+                "--activation-payload", "output_size", "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, err = run(argv + (["--solver", solver] if solver else []), capsys)
+        assert code == 2
+        assert "DelayOverflow" in err and "Traceback" not in err
+        assert stdout == "" and not out.exists()
+        assert caught == []
 
     def test_lagrangian_pass_near_the_float_limit(self, tmp_path, capsys,
                                                   monkeypatch):

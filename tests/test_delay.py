@@ -1,11 +1,13 @@
 import dataclasses
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
-from edgeplan.core import InvalidBits, LayerProfile, LinkSpec, ServerSpec
+from edgeplan.core import (InvalidBits, LayerProfile, LinkSpec, ServerSpec,
+                           ValidationError)
 from edgeplan.delay import (DelayOptions, build_delay_table, compute_cm,
                             compute_cp, path_delay)
 from edgeplan.gen import random_test_instance
@@ -104,6 +106,24 @@ class TestDelayTable:
         """No server links to itself: consecutive layers need distinct servers."""
         assert golden_table.cm[0, 0, 0] == math.inf
         assert golden_table.cm[1, 1, 1] == math.inf
+
+    @pytest.mark.parametrize("options", [
+        DelayOptions(cp_scaling="without_pl", per_token_activation=False), DelayOptions()],
+        ids=["payload", "cp_scale"])
+    def test_layer_factor_beyond_the_float_range(self, options):
+        """Output size 1e308 at 32 bits of an 8-bit layer: the payload
+        (1e308 * 32) or the compute scaling (32 / 8 * 1e308) is a Python
+        product, which overflows to inf without a flag. The table refuses
+        it as DelayOverflow, with no warning, instead of reading it as the
+        mask."""
+        base = make_2x2_instance()
+        layers = (LayerProfile(100.0, 10, 1e308, 8), base.model.layers[1])
+        inst = make_2x2_instance(bit_menu=(32,),
+                                 model=dataclasses.replace(base.model, layers=layers))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="DelayOverflow"):
+                build_delay_table(inst, options)
 
     def test_pointwise_matches_direct_evaluation(self):
         rng = random.Random(20)

@@ -1,6 +1,8 @@
 import dataclasses
+import errno
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -308,8 +310,21 @@ class TestTensorFiles:
         (tmp_path / "bad.json").write_text(
             '{"name": "bad", "shape": [4], "dtype": "f32", "order": "row-major"}')
         (tmp_path / "bad.bin").write_bytes(b"\x00" * 8)  # 2 floats, not 4
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             load_weight_tensor(tmp_path / "bad.json")
+        assert str(exc.value) == f"{tmp_path / 'bad.bin'}: 2 values, shape (4,)"
+
+    @pytest.mark.parametrize("kind, code", [("missing", errno.ENOENT),
+                                            ("directory", errno.EISDIR)])
+    def test_unreadable_bin_refused(self, tmp_path, kind, code):
+        (tmp_path / "bad.json").write_text(
+            '{"name": "bad", "shape": [2], "dtype": "f32", "order": "row-major"}')
+        bin_path = tmp_path / "bad.bin"
+        if kind == "directory":
+            bin_path.mkdir()
+        with pytest.raises(ParseError) as exc:
+            load_weight_tensor(tmp_path / "bad.json")
+        assert str(exc.value) == f"{bin_path}: [Errno {code}] {os.strerror(code)}: '{bin_path}'"
 
     def test_partial_value_refused(self, tmp_path):
         """Two bytes past the last whole value: the shape fits the whole
@@ -322,6 +337,50 @@ class TestTensorFiles:
         assert str(exc.value) == (f"{tmp_path / 'bad.bin'}: 10 bytes, "
                                   "not a whole number of float32 values")
 
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_values_bit_identical_to_the_file(self, tmp_path, seed):
+        """Every finite float32 bit pattern, signed zeros, subnormals and
+        the float32 extremes among them, loads as the file holds it."""
+        rng = np.random.default_rng(seed)
+        f32 = np.finfo(np.float32)
+        patterns = rng.integers(0, 2 ** 32, int(rng.integers(1, 3 * quant._BLOCK)),
+                                dtype=np.uint32).view(np.float32)
+        special = np.array([-0.0, 0.0, f32.smallest_subnormal, -f32.smallest_subnormal,
+                            f32.tiny, -f32.tiny, f32.max, -f32.max], dtype=np.float32)
+        values = rng.permutation(np.concatenate([patterns[np.isfinite(patterns)], special]))
+        save_weight_tensor(wt(values, name="w"), tmp_path)
+        back = load_weight_tensor(tmp_path / "w.json")
+        np.testing.assert_array_equal(
+            back.values.view(np.uint32), np.fromfile(tmp_path / "w.bin", "<f4").view(np.uint32))
+
+    def test_writes_do_not_reach_the_file(self, tmp_path):
+        save_weight_tensor(wt([0.5, -0.5, 2.0], name="w"), tmp_path)
+        before = (tmp_path / "w.bin").read_bytes()
+        w = load_weight_tensor(tmp_path / "w.json")
+        w.values[:] = 7.0
+        assert (w.values == 7.0).all()
+        del w
+        assert (tmp_path / "w.bin").read_bytes() == before
+        np.testing.assert_array_equal(load_weight_tensor(tmp_path / "w.json").values,
+                                      [0.5, -0.5, 2.0])
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"),
+                        reason="reads the process's mappings from /proc")
+    def test_no_mapping_outlives_its_tensor(self, tmp_path):
+        save_weight_tensor(wt(np.arange(1.0, 5000.0), name="w"), tmp_path)
+        bin_path = os.path.realpath(tmp_path / "w.bin")
+
+        def mapped() -> bool:
+            with open("/proc/self/maps") as f:
+                return bin_path in f.read()
+
+        for _ in range(200):
+            w = load_weight_tensor(tmp_path / "w.json")
+            assert w.values.sum() > 0
+        assert mapped()  # the live tensor's
+        del w
+        assert not mapped()
 
 class TestAnalyzeTensor:
     def test_records_and_feasibility(self):
