@@ -6,7 +6,7 @@ its filter kept (see build_delay_table), so the relaxed DP and branch and
 bound choose a server per layer, within the table's math.inf mask:
   - relaxed DP: shortest path through the layered graph whose stage-l
     nodes are servers, dropping the one-layer-per-server rule; an
-    admissible lower bound, computed with whole-array minima.
+    admissible lower bound, computed one M x M layer at a time.
   - branch and bound: depth-first over layers with the DP suffix bound,
     escalating to a Lagrangian bound (per-server penalties on the same
     DP) when the plain bound does not settle the search quickly;
@@ -21,9 +21,11 @@ Both price their plans with delay.path_delay, branch and bound on the
 table's entries and brute force on its scalar prices, so the objective is
 summed in one order. Neither checks a plan; ilp.check_plan_feasible does.
 
-Branch and bound visits nodes one at a time, so it reads the table as
-nested Python lists (one ``tolist()`` per solve); per-node numpy scalar
-indexing costs more than the search itself.
+Branch and bound visits nodes one at a time, and a numpy call per node
+would cost more than the search itself. So it reads the table once per
+(layer, parent server) pair it reaches: one sorted child list in Python
+floats, which every node under that pair walks. Of the table only cp
+(L x M) becomes nested lists; the L x M x M edge array stays numpy.
 
 Ties are broken by the lexicographically smallest (server, bits) sequence
 so plans, not just objectives, are comparable across solvers.
@@ -47,12 +49,12 @@ DEFAULT_NODE_BUDGET = 10_000_000
 
 # Expansions (children examined) the search spends under the plain DP
 # bound before it computes Lagrangian multipliers and starts over. One
-# subgradient step is a relaxed DP plus its witness, O(L * M^2): 33-87 us
+# subgradient step is a relaxed DP with its witness, O(L * M^2): 36-86 us
 # on the seed-1 `deep` benchmark pool (M 10-16, L 6-10) on a 2-CPU Xeon, so
-# a pass of 20-100 steps costs about 1-9 ms, while 1,000 expansions cost
-# 1.5-3.8 ms there. Shallow searches (L <= 5, any M) mostly finish within
+# a pass of 12-100 steps costs about 0.5-9 ms, while 1,000 expansions cost
+# 0.7-1.6 ms there. Shallow searches (L <= 5, any M) mostly finish within
 # the allowance and never pay for a pass; deep ones (L >= 7) mostly
-# escalate.
+# escalate (26 of the pool's 39 plans).
 _ESCALATE_AFTER = 1_000
 _SUBGRADIENT_STEPS = 100
 _STALL_STEPS = 3  # halve the Polyak step size after this many non-improving steps
@@ -142,30 +144,46 @@ def solve_brute_force(instance: ProblemInstance, table: DelayTable) -> SolveResu
 # Layered-graph relaxation
 # ---------------------------------------------------------------------------
 
-def _suffix_bounds(cp: np.ndarray, cm: np.ndarray) -> list[np.ndarray]:
-    """H[l][i] = cheapest completion of layers l..L-1 starting with layer
+def _suffix_bounds(cp: np.ndarray, cm: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """H[l, i] = cheapest completion of layers l..L-1 starting with layer
     l on server i, allowing non-consecutive server reuse:
 
-        H[l][i] = cp[l, i] + min_j (cm[l, i, j] + H[l+1][j])
+        H[l, i] = cp[l, i] + min_j (cm[l, i, j] + H[l + 1, j])
 
     The table masks every hop from a server to itself, so consecutive
     layers still need distinct, linked servers, as in every feasible plan,
     and the bound stays admissible. cp may carry per-server penalties (the
-    Lagrangian bound passes cp + lambda). Needs L >= 1."""
-    L = cp.shape[0]
-    H = [cp[L - 1]]
+    Lagrangian bound passes cp + lambda). Returns (H, nxt): H an (L, M)
+    array, and nxt[l, i] the first j attaining the minimum, the witness's
+    next server. Each layer writes its sums to one reused M x M buffer,
+    takes each row's first argmin and reads the minimum back there, the
+    float a min-reduce gives; keeping all L - 1 layers' sums for the
+    witness instead made an ascent step at M = 1024 half again as slow.
+    Needs L >= 1."""
+    L, M = cp.shape
+    H = np.empty((L, M))
+    H[L - 1] = cp[L - 1]
+    nxt = np.empty((L - 1, M), dtype=np.intp)
+    if M == 0:  # argmin refuses empty rows; H is empty anyway
+        return H, nxt
+    via = np.empty((M, M))
+    flat, starts = via.reshape(-1), np.arange(0, M * M, M)
     for l in range(L - 2, -1, -1):
-        H.insert(0, cp[l] + (cm[l] + H[0]).min(axis=1, initial=math.inf))
-    return H
+        np.add(cm[l], H[l + 1], out=via)
+        via.argmin(axis=1, out=nxt[l])
+        np.add(cp[l], flat.take(nxt[l] + starts), out=H[l])
+    return H, nxt
 
 
-def _witness(H: list[np.ndarray], cm: np.ndarray) -> list[int]:
-    """The shortest layered path behind H[0].min(), one server per layer;
-    ties go to the smallest server, so the path is the lexicographic
-    smallest. Requires a finite H[0].min()."""
-    path = [int(np.argmin(H[0]))]
-    for l in range(len(H) - 1):
-        path.append(int(np.argmin(cm[l, path[-1]] + H[l + 1])))
+def _witness(H: np.ndarray, nxt: np.ndarray) -> list[int]:
+    """The shortest layered path behind H[0].min(), one server per layer,
+    following _suffix_bounds' first minima: ties go to the smallest server,
+    so the path is the lexicographic smallest. Requires a finite
+    H[0].min()."""
+    path = [int(H[0].argmin())]
+    for row in nxt:
+        path.append(int(row[path[-1]]))
     return path
 
 
@@ -173,11 +191,11 @@ def solve_relaxed_dp(table: DelayTable
                      ) -> tuple[float, Optional[tuple[tuple[int, int], ...]]]:
     """Shortest layered path; returns (lower_bound, (server, bits) path).
     The path may reuse servers, so it is a bound witness, not a plan."""
-    H = _suffix_bounds(table.cp, table.cm)
+    H, nxt = _suffix_bounds(table.cp, table.cm)
     bound = float(H[0].min(initial=math.inf))
     if math.isinf(bound):
         return math.inf, None
-    return bound, tuple(zip(_witness(H, table.cm), table.widths))
+    return bound, tuple(zip(_witness(H, nxt), table.widths))
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +224,8 @@ def _lagrangian_root(table: DelayTable, target: float, incumbent):
     best = (-math.inf, lam, None)
     theta, stall = 2.0, 0
     for _ in range(_SUBGRADIENT_STEPS):
-        H = _suffix_bounds(cp + lam[None, :], cm)
-        witness = _witness(H, cm)
+        H, nxt = _suffix_bounds(cp + lam[None, :], cm)
+        witness = _witness(H, nxt)
         if len(set(witness)) == L:
             total = float(path_delay(cp, cm, witness)[0])
             key = (total, tuple(witness))
@@ -242,25 +260,29 @@ def _tie_tolerance(objective: float) -> float:
 def _search(cp, cm, H, lam, limit: int, incumbent):
     """Depth-first search over layers under the bound
 
-        compute + comm + edge + H[l][i] - (sum of the L - l largest lam
+        compute + comm + edge + H[l, i] - (sum of the L - l largest lam
                                            among the unused servers)
 
-    which is the plain DP bound when lam is all zero. A child whose bound
-    exceeds the incumbent by more than the tie tolerance is pruned: it is
-    not listed, or, if the incumbent improved since the listing, it ends
-    the scan, since children are tried in (bound, server) order and
-    all later ones are no better. Exact ties therefore survive, and the
-    incumbent is the smallest (objective, path) over the leaves reached,
-    with the objective summed as delay.path_delay sums it, so plans are
-    brute force's tie-broken plan. Examines at most ``limit`` children.
-
-    cp and cm are the table's nested lists; cm[l - 1][i] is the row of
-    edges from the placed parent. A masked placement has an infinite
-    H[l][i], so the finite cutoff drops it. A path is one server per layer;
-    ``incumbent`` is None or (objective, path). Returns (incumbent, leaves,
-    expansions, exhausted).
+    which is the plain DP bound when lam is all zero. cp, cm and H are
+    arrays (the table's and _suffix_bounds'), lam a list. The children of
+    a node at layer l under parent server p are the servers in (edge +
+    H[l, i], server) order, edge = cm[l - 1, p, i] (0 at the root); that
+    list is sorted once per (l, p), the first time the search reaches
+    the pair, and a node walks it, skipping used servers. The walk stops
+    at the first child whose bound exceeds the incumbent by more than the
+    tie tolerance, measured against the incumbent at node entry before the
+    child counts as examined and against the current one after, since
+    all later children are no better. Exact ties therefore survive, and
+    the incumbent is the smallest (objective, path) over the leaves
+    reached, with the objective summed as delay.path_delay sums it, so
+    plans are brute force's tie-broken plan. Examines at most ``limit``
+    children. A masked placement has an infinite bound, so the finite
+    cutoff drops it. A path is one server per layer; ``incumbent`` is None
+    or (objective, path). Returns (incumbent, leaves, expansions,
+    exhausted).
     """
-    L, M = len(cp), len(cp[0])
+    L, M = cp.shape
+    cpl = cp.tolist()
     order = sorted(range(M), key=lambda i: -lam[i])
     penalised = any(lam)
     best_total, best_path = incumbent if incumbent else (math.inf, None)
@@ -271,6 +293,15 @@ def _search(cp, cm, H, lam, limit: int, incumbent):
     path: list[int] = []
     leaves = expansions = 0
     exhausted = False
+    # kids[l][p]: (bound_tail, server, edge) of layer l under parent p
+    kids: list[list] = [[None] * M for _ in range(L)]
+
+    def children(l: int, p: int) -> list:
+        edges = cm[l - 1, p] if l else np.zeros(M)
+        tails = edges + H[l]
+        by_bound = tails.argsort(kind="stable")
+        return list(zip(tails[by_bound].tolist(), by_bound.tolist(),
+                        edges[by_bound].tolist()))
 
     def reserve(used: int, n: int) -> float:
         total = 0.0
@@ -284,29 +315,29 @@ def _search(cp, cm, H, lam, limit: int, incumbent):
 
     def dfs(l: int, used: int, compute: float, comm: float) -> None:
         nonlocal best_total, best_path, cutoff, leaves, expansions, exhausted
-        edges = cm[l - 1][path[-1]] if l else None
-        tails = H[l]
+        p = path[-1] if l else 0
+        listed = kids[l][p]
+        if listed is None:
+            listed = kids[l][p] = children(l, p)
         base = compute + comm
         if penalised:
             base -= reserve(used, L - l)
-        kids = []
-        for i in range(M):
+        entry = cutoff
+        cp_l = cpl[l]
+        leaf = l == L - 1
+        for bound_tail, i, edge in listed:
+            bound = base + bound_tail
+            if bound > entry:
+                break
             if used >> i & 1:
                 continue
-            edge = 0.0 if edges is None else edges[i]
-            bound_tail = edge + tails[i]
-            if base + bound_tail <= cutoff:
-                kids.append((bound_tail, i, edge))
-        kids.sort()
-        leaf = l == L - 1
-        for bound_tail, i, edge in kids:
             if expansions >= limit:
                 exhausted = True
                 return
             expansions += 1
-            if base + bound_tail > cutoff:
+            if bound > cutoff:
                 break
-            child_compute = compute + cp[l][i]
+            child_compute = compute + cp_l[i]
             path.append(i)
             if leaf:
                 leaves += 1
@@ -344,25 +375,24 @@ def solve_branch_and_bound(table: DelayTable,
     """
     t0 = time.perf_counter()
     L, M = table.cp.shape
-    bounds = _suffix_bounds(table.cp, table.cm)
+    bounds = _suffix_bounds(table.cp, table.cm)[0]
     root_bound = float(bounds[0].min(initial=math.inf))
     # a layer that keeps no width has an all-inf cp row: an inf root bound
     if L > M or math.isinf(root_bound):
         return SolveResult("infeasible", None, math.inf, 0, math.inf,
                            time.perf_counter() - t0)
 
-    cp, cm = table.cp.tolist(), table.cm.tolist()
+    cp, cm = table.cp, table.cm
     allowance = min(budget, _ESCALATE_AFTER)
     incumbent, leaves, expansions, exhausted = _search(
-        cp, cm, [h.tolist() for h in bounds], [0.0] * M, allowance, None)
+        cp, cm, bounds, [0.0] * M, allowance, None)
     if exhausted and budget > allowance:
         # no incumbent yet: aim the Polyak steps a little above the DP bound
         target = incumbent[0] if incumbent else root_bound * (1 + _ESTIMATE_SLACK)
         bound, lam, penalised, incumbent = _lagrangian_root(table, target, incumbent)
         root_bound = max(root_bound, bound)
         incumbent, more_leaves, more, exhausted = _search(
-            cp, cm, [h.tolist() for h in penalised], lam.tolist(),
-            budget - expansions, incumbent)
+            cp, cm, penalised, lam.tolist(), budget - expansions, incumbent)
         leaves += more_leaves
         expansions += more
     wall = time.perf_counter() - t0
@@ -371,7 +401,8 @@ def solve_branch_and_bound(table: DelayTable,
         return SolveResult(status, None, math.inf, leaves, root_bound, wall,
                            expansions)
     status = "budget_exceeded" if exhausted else "optimal"
-    total, compute, comm = path_delay(cp, cm, incumbent[1])
+    # array entries sum to numpy scalars: the plan carries Python floats
+    total, compute, comm = map(float, path_delay(cp, cm, incumbent[1]))
     plan = PlacementPlan(assignments=tuple(zip(incumbent[1], table.widths)),
                          total_delay=total, compute_delay=compute,
                          comm_delay=comm)

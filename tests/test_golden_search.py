@@ -1,6 +1,8 @@
 """The search trajectory, pinned: branch and bound's plan, objective,
 leaves, expansions and root bound, and the relaxed bound and witness, on a
 fixed set of instances, equal to tests/data/golden_search.json exactly.
+On the ladder it also pins where a cut budget stops the search: inside a
+node, at the plain-DP allowance and just past it (BUDGET_CUTS).
 
 A refactor that changes what the search does fails here. A change that
 alters the search on purpose regenerates the file with
@@ -27,6 +29,9 @@ GOLDEN = data_path("golden_search.json")
 LADDER = [(m, l, seed) for m, l in ((16, 8), (24, 10), (32, 12), (48, 5))
           for seed in (1, 2, 3)]
 RANDOM_CASES = 20
+# budgets around the escalation to the Lagrangian pass (1,000 expansions);
+# each ladder case also runs at its full expansion count minus one
+BUDGET_CUTS = (1, 500, 999, 1000, 1001)
 
 
 def cases():
@@ -42,11 +47,41 @@ def cases():
         yield f"random-{seed}", inst, options
 
 
-def record(inst, options) -> dict:
+def _floats(got) -> None:
+    """Every number the solve returns is a Python float, not a numpy scalar
+    (a plan document would print ``np.float64(...)``)."""
+    numbers = [got.objective, got.lower_bound_at_root]
+    if got.plan is not None:
+        numbers += [got.plan.total_delay, got.plan.compute_delay,
+                    got.plan.comm_delay]
+    for x in numbers:
+        assert type(x) is float, (type(x), x)
+
+
+def budget_cuts(table, expansions: int) -> list:
+    """Status, leaves, expansions, objective and root bound of the solve
+    cut at each budget of BUDGET_CUTS and at ``expansions - 1``."""
+    cuts = []
+    for budget in (*BUDGET_CUTS, expansions - 1):
+        got = solve_branch_and_bound(table, budget=budget)
+        _floats(got)
+        cuts.append({
+            "budget": budget,
+            "status": got.status,
+            "nodes_explored": got.nodes_explored,
+            "expansions": got.expansions,
+            "objective": repr(got.objective),
+            "lower_bound_at_root": repr(got.lower_bound_at_root),
+        })
+    return cuts
+
+
+def record(name, inst, options) -> dict:
     table = build_delay_table(inst, options)
     got = solve_branch_and_bound(table)
+    _floats(got)
     bound, witness = solve_relaxed_dp(table)
-    return {
+    doc = {
         "status": got.status,
         "assignments": None if got.plan is None else [list(a) for a in got.plan.assignments],
         "objective": repr(got.objective),
@@ -56,6 +91,9 @@ def record(inst, options) -> dict:
         "relaxed_bound": repr(bound),
         "relaxed_witness": None if witness is None else [list(a) for a in witness],
     }
+    if name.startswith("ladder-"):
+        doc["budget_cuts"] = budget_cuts(table, got.expansions)
+    return doc
 
 
 def _golden() -> dict:
@@ -66,7 +104,7 @@ def _golden() -> dict:
 @pytest.mark.parametrize("case", list(cases()), ids=lambda c: c[0])
 def test_search_trajectory_is_pinned(case):
     name, inst, options = case
-    assert record(inst, options) == _golden()[name]
+    assert record(name, inst, options) == _golden()[name]
 
 
 def test_golden_covers_every_case():
@@ -74,7 +112,7 @@ def test_golden_covers_every_case():
 
 
 if __name__ == "__main__":
-    doc = {name: record(inst, options) for name, inst, options in cases()}
+    doc = {name: record(name, inst, options) for name, inst, options in cases()}
     with open(GOLDEN, "w") as f:
         json.dump(doc, f, indent=1, sort_keys=True)
         f.write("\n")

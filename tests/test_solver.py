@@ -10,7 +10,8 @@ import pytest
 from edgeplan import solver
 from edgeplan.core import (ClusterSpec, LayerProfile, LinkSpec, ModelProfile,
                            ProblemInstance, ServerSpec)
-from edgeplan.delay import DelayOptions, build_delay_table, path_delay
+from edgeplan.delay import (DelayOptions, DelayTable, build_delay_table,
+                            path_delay)
 from edgeplan.gen import generate_instance, random_test_instance
 from edgeplan.ilp import (EmptyFeasibleSet, build_ilp, check_plan_feasible,
                           substitute, write_lp)
@@ -106,6 +107,32 @@ class TestRelaxedDp:
         if exact.plan is not None:
             assert bound <= exact.objective + 1e-12
 
+    @pytest.mark.parametrize("seed", range(60))
+    def test_witness_is_smallest_sequence(self, seed):
+        """Small-integer prices sum exactly and tie often: the bound and
+        witness are the smallest (cost, path) over every server sequence,
+        reuse allowed, so each tie goes to the smaller server."""
+        rng = random.Random(7000 + seed)
+        M, L = rng.randint(1, 5), rng.randint(1, 4)
+        masked = rng.choice((0.0, 0.2, 0.5))
+
+        def price(*shape):
+            return np.array([rng.choice((math.inf,) if rng.random() < masked
+                                        else (0.0, 1.0, 2.0, 3.0))
+                             for _ in range(math.prod(shape))]).reshape(shape)
+
+        cm = price(L, M, M)
+        cm[:, range(M), range(M)] = math.inf
+        table = DelayTable((8,) * L, price(L, M), cm, DelayOptions())
+        cost, path = min((path_delay(table.cp, table.cm, seq)[0], seq)
+                         for seq in itertools.product(range(M), repeat=L))
+        bound, witness = solve_relaxed_dp(table)
+        if math.isinf(cost):
+            assert (bound, witness) == (math.inf, None)
+        else:
+            assert bound == cost
+            assert witness == tuple((i, 8) for i in path)
+
 
 class TestBranchAndBound:
     def test_golden_matches_brute_force(self, golden_instance, golden_table):
@@ -152,6 +179,15 @@ class TestBranchAndBound:
         inst = make_2x2_instance(feasible_bits=((8,), ()))
         result = solve_branch_and_bound(build_delay_table(inst))
         assert result.status == "infeasible"
+
+    def test_no_servers_is_infeasible(self):
+        """A cluster without servers is valid input; every route finds no
+        plan, and the DP has no rows to take a minimum over."""
+        inst = make_2x2_instance(cluster=ClusterSpec(servers=(), links=()))
+        table = build_delay_table(inst)
+        assert solve_branch_and_bound(table).status == "infeasible"
+        assert solve_brute_force(inst, table).status == "infeasible"
+        assert solve_relaxed_dp(table) == (math.inf, None)
 
 
 # every reading of the delay and storage formulas
@@ -390,10 +426,9 @@ class TestLagrangianRoute:
                 _, lam, H, _ = solver._lagrangian_root(table, exact.objective, None)
                 lam = lam.tolist()
             else:
-                lam, H = [0.0] * M, solver._suffix_bounds(table.cp, table.cm)
+                lam, H = [0.0] * M, solver._suffix_bounds(table.cp, table.cm)[0]
             found, _, _, exhausted = solver._search(
-                table.cp.tolist(), table.cm.tolist(), [h.tolist() for h in H],
-                lam, 10 ** 6, (exact.objective, tied))
+                table.cp, table.cm, H, lam, 10 ** 6, (exact.objective, tied))
             assert not exhausted
             assert found == (exact.objective, best), seed
             checked += 1
