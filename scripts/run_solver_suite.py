@@ -22,7 +22,8 @@ from edgeplan.delay import DelayOptions, build_delay_table
 from edgeplan.gen import random_test_instance
 from edgeplan.ilp import check_plan_feasible
 from edgeplan.sim import simulate
-from edgeplan.solver import (solve_branch_and_bound, solve_brute_force,
+from edgeplan.solver import (BRUTE_FORCE_MAX_LAYERS, BRUTE_FORCE_MAX_SERVERS,
+                             solve_branch_and_bound, solve_brute_force,
                              solve_relaxed_dp)
 
 
@@ -33,6 +34,14 @@ def main():
     ap.add_argument("--max-layers", type=int, default=4)
     ap.add_argument("--max-servers", type=int, default=6)
     args = ap.parse_args()
+    # each instance draws 1 <= L <= M <= --max-servers, and brute force
+    # refuses an instance beyond its guard
+    if not 1 <= args.max_layers <= args.max_servers:
+        ap.error("need 1 <= --max-layers <= --max-servers")
+    if args.max_layers > BRUTE_FORCE_MAX_LAYERS:
+        ap.error(f"--max-layers above brute force's limit of {BRUTE_FORCE_MAX_LAYERS}")
+    if args.max_servers > BRUTE_FORCE_MAX_SERVERS:
+        ap.error(f"--max-servers above brute force's limit of {BRUTE_FORCE_MAX_SERVERS}")
 
     gaps, root_gaps, visit_ratios = [], [], []
     infeasible = 0

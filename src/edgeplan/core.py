@@ -6,7 +6,7 @@ never raises for bad *values* (violations are returned as data); exceptions
 are reserved for malformed files.
 
 A cluster stores its links as one LinkRecord: four columns (src, dst,
-capacity, propagation delay) that read as a sequence of LinkSpec. The
+capacity, propagation delay) that iterate as LinkSpecs. The
 parser fills the columns in one pass, and the validator, the delay table,
 the generator and the writer read them without building a LinkSpec per
 link. ClusterSpec.link finds the link between two servers in O(1) from a
@@ -28,7 +28,7 @@ import hashlib
 import json
 import math
 import os
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Optional
@@ -87,11 +87,10 @@ class LinkSpec:
 
 
 @dataclass(frozen=True)
-class LinkRecord(Sequence):
+class LinkRecord:
     """A cluster's links as four columns, one entry per link in declaration
-    order. As a Sequence of LinkSpec, an index yields a LinkSpec, a slice a
-    LinkRecord and iteration LinkSpecs; readers that touch every link read
-    the columns."""
+    order. Iteration yields one LinkSpec per link; readers that touch every
+    link read the columns."""
     # empty by default, so LinkRecord(*zip(*rows)) transposes (src, dst,
     # capacity, delay) rows into a record, no rows included
     src: tuple[int, ...] = ()
@@ -101,13 +100,6 @@ class LinkRecord(Sequence):
 
     def __len__(self) -> int:
         return len(self.src)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return LinkRecord(self.src[k], self.dst[k], self.capacity_bps[k],
-                              self.propagation_delay[k])
-        return LinkSpec(self.src[k], self.dst[k], self.capacity_bps[k],
-                        self.propagation_delay[k])
 
     def __iter__(self) -> Iterator[LinkSpec]:
         return map(LinkSpec, self.src, self.dst, self.capacity_bps, self.propagation_delay)
@@ -141,8 +133,10 @@ class ClusterSpec:
         """Directed link src -> dst, or None when absent (unusable edge);
         the first declared when a pair is declared twice. O(1): the record
         builds its (src, dst) index on the first lookup."""
-        k = self.links.first_position.get((src, dst))
-        return None if k is None else self.links[k]
+        links = self.links
+        k = links.first_position.get((src, dst))
+        return None if k is None else LinkSpec(
+            links.src[k], links.dst[k], links.capacity_bps[k], links.propagation_delay[k])
 
 
 @dataclass(frozen=True)
@@ -517,12 +511,10 @@ def load_instance(cluster_path, model_path, *, bit_menu: Iterable[int],
     """
     cluster = parse_cluster(load_json(cluster_path), str(cluster_path))
     model = parse_model(load_json(model_path), str(model_path))
-    inst = ProblemInstance(
-        cluster=cluster, model=model, bit_menu=tuple(bit_menu),
-        delta=float(delta), tokens=int(tokens),
-        feasible_bits=(None if feasible_bits is None
-                       else tuple(tuple(fb) for fb in feasible_bits)),
-    )
+    # ProblemInstance sorts, de-duplicates and tuples the menu and the sets
+    inst = ProblemInstance(cluster=cluster, model=model, bit_menu=bit_menu,
+                           delta=float(delta), tokens=int(tokens),
+                           feasible_bits=feasible_bits)
     return require_valid(inst)
 
 

@@ -59,11 +59,6 @@ from .core import (LayerProfile, LinkSpec, ProblemInstance, ServerSpec,
 _TOTAL_HEADROOM = 4.0
 
 
-class NoLink(ValueError):
-    """Two servers with no declared link between them; no server has a link
-    to itself."""
-
-
 CP_SCALINGS = ("with_pl", "without_pl")
 STORAGES = ("compact", "literal")
 
@@ -141,18 +136,16 @@ def round_payload_elements(layer: LayerProfile, batch: int, embedding: int,
     return layer.output_size
 
 
-def compute_cm(layer: LayerProfile, link: LinkSpec | None, bits: int,
+def compute_cm(layer: LayerProfile, link: LinkSpec, bits: int,
                tokens: int, batch: int, embedding: int,
                options: DelayOptions = DelayOptions()) -> float:
-    """Transfer delay in seconds for all n rounds over ``link``.
-
-    ``link=None`` raises NoLink, also for a hop from a server to itself,
-    which no link can be. build_delay_table does not call it; it is the
-    independent check of the table's cm.
+    """Transfer delay in seconds for all n rounds over ``link``. Callers
+    price only declared links: the replay runs after check_plan_feasible,
+    which refuses a missing hop, and brute force masks one first.
+    build_delay_table does not call it; it is the independent check of
+    the table's cm.
     """
     check_bits(bits)
-    if link is None:
-        raise NoLink("no link between the requested servers")
     payload = round_payload_elements(layer, batch, embedding, options)
     return tokens * (payload * bits / link.capacity_bps + link.propagation_delay)
 

@@ -44,18 +44,20 @@ def generate_cluster(rng: random.Random, m: int, profile: str = "uniform",
     return ClusterSpec(servers=tuple(servers), links=LinkRecord(*zip(*links)))
 
 
-def generate_model(rng: random.Random, l: int, *, batch_size: int = 1,
+def generate_model(rng: random.Random, l: int, *,
                    embedding_size: int = 512) -> ModelProfile:
+    """Random l-layer model at batch size 1, so each layer's output is one
+    embedding."""
     layers = []
     for _ in range(l):
         params = rng.randrange(10_000, 2_000_000)
         layers.append(LayerProfile(
             flops=float(rng.randrange(1_000_000, 500_000_000)),
             param_count=params,
-            output_size=float(batch_size * embedding_size),
+            output_size=float(embedding_size),
             original_precision=32,
         ))
-    return ModelProfile(layers=tuple(layers), batch_size=batch_size,
+    return ModelProfile(layers=tuple(layers), batch_size=1,
                         embedding_size=embedding_size)
 
 
@@ -72,17 +74,16 @@ def generate_instance(seed: int, m: int, l: int, bits: Iterable[int] = (4, 8, 16
 
 
 def random_test_instance(rng: random.Random, *, max_layers: int = 4,
-                         max_servers: int = 6, bits: Iterable[int] = (4, 8, 16),
-                         link_density: float = 0.9, tokens: Optional[int] = None,
-                         ) -> ProblemInstance:
-    """Small random instance with random feasible-bit subsets, for the
-    randomized oracle-equivalence suites."""
-    bits = tuple(sorted(bits))
+                         max_servers: int = 6, link_density: float = 0.9,
+                         tokens: Optional[int] = None) -> ProblemInstance:
+    """Small random instance with a random menu drawn from (4, 8, 16) and
+    random feasible-bit subsets, for the randomized oracle-equivalence
+    suites."""
     l = rng.randint(1, max_layers)
     m = rng.randint(l, max_servers)
     cluster = generate_cluster(rng, m, rng.choice(list(PROFILES)), link_density)
     model = generate_model(rng, l, embedding_size=rng.choice([64, 256, 512]))
-    menu = tuple(sorted(rng.sample(bits, rng.randint(1, min(3, len(bits))))))
+    menu = tuple(sorted(rng.sample((4, 8, 16), rng.randint(1, 3))))
     feas = tuple(
         tuple(sorted(rng.sample(menu, rng.randint(1, len(menu)))))
         for _ in range(l)

@@ -230,15 +230,14 @@ def recommend_scheme(stats: DistributionStats) -> SchemeKind:
 # Weight tensor files: <name>.json metadata + <name>.bin little-endian f32
 # ---------------------------------------------------------------------------
 
-def save_weight_tensor(w: WeightTensor, directory, name: Optional[str] = None) -> str:
-    name = name or w.layer_name
+def save_weight_tensor(w: WeightTensor, directory) -> str:
+    """Write <layer_name>.json and .bin into ``directory``; the .json path."""
     meta = {"name": w.layer_name, "shape": list(w.shape),
             "dtype": "f32", "order": "row-major"}
-    json_path = os.path.join(directory, f"{name}.json")
-    write_outputs((json_path, json_text(meta)),
-                  (os.path.join(directory, f"{name}.bin"),
-                   np.asarray(w.values, dtype="<f4").tobytes()))
-    return json_path
+    stem = os.path.join(directory, w.layer_name)
+    write_outputs((stem + ".json", json_text(meta)),
+                  (stem + ".bin", np.asarray(w.values, dtype="<f4").tobytes()))
+    return stem + ".json"
 
 
 _META = (("name", str, REQUIRED), ("shape", read_ints, REQUIRED),

@@ -68,18 +68,15 @@ class SimStep:
 
 class SimTrace:
     """A replay timeline in columnar form: `steps`, the events of one round
-    in order; `rounds`, the number of rounds; and `ends`, the end time of
-    each of the rounds * len(steps) events."""
+    in order, run `rounds` times back to back from time 0.0; `ends`, the
+    end time of each of the rounds * len(steps) events; and
+    `completion_time`, the last end (0.0 with no event)."""
 
-    def __init__(self, steps: tuple[SimStep, ...], rounds: int, ends: np.ndarray):
-        self.steps, self.rounds, self.ends = steps, rounds, ends
-        self.completion_time = float(ends[-1]) if ends.size else 0.0
-
-    @classmethod
-    def from_steps(cls, steps: tuple[SimStep, ...], rounds: int) -> "SimTrace":
-        """`rounds` rounds of `steps`, back to back from time 0.0."""
+    def __init__(self, steps: tuple[SimStep, ...], rounds: int):
         durations = np.array([s.duration for s in steps], dtype=np.float64)
-        return cls(steps, rounds, np.cumsum(np.tile(durations, rounds)))
+        self.steps, self.rounds = steps, rounds
+        self.ends = np.cumsum(np.tile(durations, rounds))
+        self.completion_time = float(self.ends[-1]) if self.ends.size else 0.0
 
     @cached_property
     def events(self) -> tuple[SimEvent, ...]:
@@ -119,7 +116,7 @@ def simulate(assignments, instance: ProblemInstance,
             total = compute_cm(layer, cluster.link(i, j), b, n, model.batch_size,
                                model.embedding_size, options)
             steps.append(SimStep(total / per_round, "transfer", l, f"link:{i}->{j}"))
-    return SimTrace.from_steps(tuple(steps), n)
+    return SimTrace(tuple(steps), n)
 
 
 def trace_to_timeline(trace: SimTrace) -> list[str]:

@@ -52,7 +52,7 @@ ONE_RULE_BROKEN = [
     ("UnknownServerInLink: link 0->2 references unknown server",
      lambda i: with_links(i, (*i.cluster.links, LinkSpec(0, 2, 32.0)))),
     ("NegativePropagationDelay: link 0->1",
-     lambda i: with_links(i, (LinkSpec(0, 1, 32.0, -1.0), i.cluster.links[1]))),
+     lambda i: with_links(i, (LinkSpec(0, 1, 32.0, -1.0), tuple(i.cluster.links)[1]))),
     ("NegativeFlops: layer 0", lambda i: with_layer(i, 0, flops=-1.0)),
     ("NegativeOutputSize: layer 0", lambda i: with_layer(i, 0, output_size=-1.0)),
     ("NegativeParamCount: layer 1", lambda i: with_layer(i, 1, param_count=-1)),

@@ -1,15 +1,21 @@
-"""Every top-level definition of the package is read by the code that ships.
+"""Every top-level definition of the package is read, and every defaulted
+parameter passed, by the code that ships.
 
 The scan parses the package, the scripts and the benchmark with ``ast``,
 as tests/test_imports.py does. A top-level function, class or constant of
 ``src/edgeplan/*.py`` counts as read when some name, attribute or import
-in those files names it outside its own definition. Code that only the
-tests read belongs with the tests (tests/oracles.py), not in the package.
+in those files names it outside its own definition. A defaulted parameter
+of a module-level function or method counts as passed when some call in
+those files, matched by name (a class's name calls its ``__init__``),
+passes it by keyword, positionally at its index, or through ``*`` or
+``**``. Code that only the tests read or pass belongs with the tests
+(tests/oracles.py), not in the package.
 """
 
 import ast
 import glob
 import os
+from collections import defaultdict
 
 import pytest
 
@@ -91,3 +97,78 @@ def test_unread_definitions_are_found():
 def test_every_definition_is_read(path):
     names = unread(path, TREES)
     assert names == [], f"{os.path.relpath(path, ROOT)}: nothing outside tests/ reads {names}"
+
+
+# random_test_instance is the generator the tests share with
+# scripts/run_solver_suite.py; its link_density and tokens exist for the tests
+TEST_PARAMETERS = ("random_test_instance(link_density)", "random_test_instance(tokens)")
+
+
+def defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None]]:
+    """(callee name, parameter, positional index or None if keyword-only)
+    for each defaulted parameter of the module's functions and of its
+    classes' methods; ``self``/``cls`` take no index, and ``__init__`` is
+    called by its class's name."""
+    funcs = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        funcs += [(cls.name if f.name == "__init__" else f.name, f)
+                  for f in cls.body if isinstance(f, ast.FunctionDef)]
+    out = []
+    for name, f in funcs:
+        a = f.args
+        positional = [arg.arg for arg in a.posonlyargs + a.args]
+        if positional[:1] in (["self"], ["cls"]):
+            positional = positional[1:]
+        first = len(positional) - len(a.defaults)
+        out += [(name, arg, first + k) for k, arg in enumerate(positional[first:])]
+        out += [(name, arg.arg, None) for arg, default in zip(a.kwonlyargs, a.kw_defaults)
+                if default is not None]
+    return out
+
+
+def calls(trees) -> dict[str, list[tuple[int, bool, set]]]:
+    """callee name -> (positional count, has ``*``, keyword names with None
+    for ``**``) per call in the trees."""
+    out = defaultdict(list)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                star = any(isinstance(arg, ast.Starred) for arg in node.args)
+                out[name].append((len(node.args), star, {kw.arg for kw in node.keywords}))
+    return out
+
+
+def unpassed(tree: ast.Module, trees) -> list[str]:
+    """name(parameter) of each defaulted parameter of ``tree`` that no call
+    in ``trees`` passes."""
+    seen = calls(trees)
+    return sorted(f"{name}({param})" for name, param, index in defaulted_parameters(tree)
+                  if not any(
+                      param in keywords or None in keywords
+                      or (index is not None and (star or index < count))
+                      for count, star, keywords in seen[name]))
+
+
+def test_unpassed_parameters_are_found():
+    module = ("def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+              "def g(a=1):\n    pass\n"
+              "class K:\n"
+              "    def __init__(self, x=1, y=2):\n        pass\n"
+              "    def m(self, z=1):\n        pass\n")
+    caller = ("f(0, 1, d=2)\ng(*args)\nK(0)\nK(**opts)\nobj.m(z=2)\n")
+    assert unpassed(ast.parse(module), [ast.parse(caller)]) == ["f(c)", "f(e)"]
+    assert unpassed(ast.parse(module), []) == ["K(x)", "K(y)", "f(b)", "f(c)", "f(d)",
+                                               "f(e)", "g(a)", "m(z)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: os.path.relpath(p, ROOT))
+def test_every_parameter_is_passed(path):
+    names = [name for name in unpassed(TREES[path], TREES.values())
+             if name not in TEST_PARAMETERS]
+    assert names == [], f"{os.path.relpath(path, ROOT)}: nothing outside tests/ passes {names}"
+
+
+def test_allowed_parameters_are_still_unpassed():
+    gen = os.path.join(ROOT, "src", "edgeplan", "gen.py")
+    assert set(TEST_PARAMETERS) <= set(unpassed(TREES[gen], TREES.values()))

@@ -103,7 +103,7 @@ class TestCheckPlanFeasible:
         inst = make_2x2_instance()
         inst = make_2x2_instance(
             cluster=ClusterSpec(servers=inst.cluster.servers,
-                                links=inst.cluster.links[1:]))
+                                links=tuple(inst.cluster.links)[1:]))
         got = check_plan_feasible(((0, 8), (1, 8)), inst)
         assert "MissingLink" in codes(got)
 
@@ -131,7 +131,7 @@ class TestFlowRows:
         inst = make_2x2_instance()
         inst = make_2x2_instance(
             cluster=ClusterSpec(servers=inst.cluster.servers,
-                                links=inst.cluster.links[1:]))  # drops 0 -> 1
+                                links=tuple(inst.cluster.links)[1:]))  # drops 0 -> 1
         m = build_ilp(inst, build_delay_table(inst))
         assert columns(m, "z") == [(1, 0, 0, 8)]
         referenced = set()

@@ -287,7 +287,7 @@ class TestTensorFiles:
             load_weight_tensor(tmp_path / "bad.json")
 
     def test_non_finite_values_counted(self, tmp_path):
-        save_weight_tensor(wt([0.0, 0.0, 0.0]), tmp_path, "bad")
+        save_weight_tensor(wt([0.0, 0.0, 0.0], name="bad"), tmp_path)
         (tmp_path / "bad.bin").write_bytes(
             np.array([np.nan, 1.0, np.inf], dtype="<f4").tobytes())
         with pytest.raises(ParseError, match=r"bad\.bin: 2 non-finite values"):

@@ -33,6 +33,19 @@ def test_run_solver_suite():
     assert "root bound gap:" in proc.stdout
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--max-layers", "0"), "need 1 <= --max-layers <= --max-servers"),
+    (("--max-layers", "7", "--max-servers", "5"), "need 1 <= --max-layers <= --max-servers"),
+    (("--max-layers", "7", "--max-servers", "9"), "--max-layers above brute force's limit of 6"),
+    (("--max-layers", "4", "--max-servers", "10"), "--max-servers above brute force's limit of 9"),
+])
+def test_run_solver_suite_refuses_sizes_it_cannot_run(args, message):
+    proc = run_script("run_solver_suite.py", "--instances", "1", *args)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_demo_pipeline(tmp_path):
     proc = run_script("demo_pipeline.py", "--out-dir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr

@@ -49,7 +49,7 @@ class TestSimulate:
         inst = make_2x2_instance()
         inst = make_2x2_instance(
             cluster=type(inst.cluster)(servers=inst.cluster.servers,
-                                       links=inst.cluster.links[1:]))
+                                       links=tuple(inst.cluster.links)[1:]))
         with pytest.raises(InfeasiblePlan):
             simulate(((0, 8), (1, 8)), inst)
 
@@ -82,7 +82,7 @@ class TestTimeline:
         assert rows[1].startswith("1,compute,server:0,0.0,1.0")
 
     def test_empty_trace_is_header_only(self):
-        assert trace_to_timeline(SimTrace.from_steps((), 0)) == \
+        assert trace_to_timeline(SimTrace((), 0)) == \
             ["round,kind,resource,start_s,end_s"]
 
 
