@@ -21,8 +21,8 @@ import os
 import sys
 
 from . import __version__, ilp, quant
-from .core import (REQUIRED, SCHEMA_VERSION, InvalidBits, ParseError, ValidationError,
-                   check_bits, input_digest, json_line, json_text, load_instance,
+from .core import (MAX_BITS, MIN_BITS, REQUIRED, SCHEMA_VERSION, ParseError,
+                   ValidationError, input_digest, json_line, json_text, load_instance,
                    load_json, read_fields, read_finite, read_ints, read_typed,
                    require_valid, save_instance, write_outputs)
 from .delay import CP_SCALINGS, STORAGES, DelayOptions, build_delay_table
@@ -54,11 +54,9 @@ def _parse_bits(text: str) -> tuple[int, ...]:
         raise CliError(f"--bits: {e}")
     if not bits:
         raise CliError("--bits: empty menu")
-    try:
-        check_bits(bits[0])
-        check_bits(bits[-1])
-    except InvalidBits as e:
-        raise CliError(f"--bits: {e}")
+    for b in (bits[0], bits[-1]):
+        if not MIN_BITS <= b <= MAX_BITS:
+            raise CliError(f"--bits: bits={b} outside [{MIN_BITS}, {MAX_BITS}]")
     return bits
 
 
@@ -272,8 +270,7 @@ def cmd_plan(args) -> int:
         print(json_line({
             "status": "budget_exceeded", "budget": args.budget,
             "incumbent_s": result.objective if result.plan is not None else None,
-            "lower_bound_s": (result.lower_bound_at_root
-                              if math.isfinite(result.lower_bound_at_root) else None),
+            "lower_bound_s": result.lower_bound_at_root,
         }))
         return EXIT_BUDGET
     violations = check_plan_feasible(result.plan.assignments, instance, options)
@@ -322,8 +319,12 @@ def cmd_simulate(args) -> int:
     assignments, claimed = _replay_inputs(doc, instance.model.num_layers, args.plan)
     try:
         trace = simulate(assignments, instance, options)
+        timeline = "\n".join(trace_to_timeline(trace)) + "\n"
     except ValidationError as e:  # more rounds than the trace can index
         raise CliError(f"{args.plan}.options.tokens: {e}")
+    except MemoryError:  # more rounds than this process can hold
+        raise CliError(f"{args.plan}.options.tokens: ReplayTooLong: {instance.tokens} rounds "
+                       f"of {2 * instance.model.num_layers - 1} events do not fit in memory")
     except InfeasiblePlan as e:
         print(f"mismatch: plan cannot be replayed: {e}", file=sys.stderr)
         return EXIT_MISMATCH
@@ -332,7 +333,7 @@ def cmd_simulate(args) -> int:
         print(f"mismatch: simulated {trace.completion_time!r} s vs "
               f"plan objective {claimed!r} s", file=sys.stderr)
         return EXIT_MISMATCH
-    outputs = [(args.out, "\n".join(trace_to_timeline(trace)) + "\n")]
+    outputs = [(args.out, timeline)]
     if args.summary:
         outputs.append((args.summary, json_text({
             "schema_version": SCHEMA_VERSION,
@@ -379,7 +380,9 @@ def _add_shared_plan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--storage", choices=STORAGES, default="compact")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: parsing leaves no state in the parser."""
     parser = argparse.ArgumentParser(
         prog="edgeplan",
         description="Joint layer placement and quantization planning "
@@ -432,15 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser main uses: parsing leaves no state in it, and it does
-    not depend on argv, so it is built once per process."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as e:

@@ -5,6 +5,10 @@ All types are frozen dataclasses, safe to share across threads. Validation
 never raises for bad *values* (violations are returned as data); exceptions
 are reserved for malformed files.
 
+Each input rule is checked once, where it enters: ``validate_instance`` for
+instance and plan files (bit widths and delta among them), the CLI's parser
+for flags. No module downstream checks them again.
+
 A cluster stores its links as one LinkRecord: four columns (src, dst,
 capacity, propagation delay) that iterate as LinkSpecs. The
 parser fills the columns in one pass, and the validator, the delay table,
@@ -38,16 +42,6 @@ SCHEMA_VERSION = 1
 ALLOWED_PRECISIONS = (8, 16, 32, 64)
 MIN_BITS = 2
 MAX_BITS = 32
-
-
-class InvalidBits(ValueError):
-    """Bit-width outside the supported [MIN_BITS, MAX_BITS] range."""
-
-
-def check_bits(bits: int) -> None:
-    """Raise InvalidBits unless MIN_BITS <= bits <= MAX_BITS."""
-    if not (MIN_BITS <= bits <= MAX_BITS):
-        raise InvalidBits(f"bits={bits} outside [{MIN_BITS}, {MAX_BITS}]")
 
 
 class ParseError(ValueError):

@@ -48,8 +48,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (LayerProfile, LinkSpec, ProblemInstance, ServerSpec,
-                   ValidationError, Violation, check_bits, read_choice,
-                   read_fields, storage_bytes)
+                   ValidationError, Violation, read_choice, read_fields,
+                   storage_bytes)
 
 # The largest plan total times this must be finite. Brute force, the DP
 # and the plain search sum at most that total. The Lagrangian pass adds
@@ -116,8 +116,8 @@ class DelayTable:
 
 def compute_cp(layer: LayerProfile, server: ServerSpec, bits: int,
                tokens: int, options: DelayOptions = DelayOptions()) -> float:
-    """Compute delay in seconds for all n autoregressive rounds."""
-    check_bits(bits)
+    """Compute delay in seconds for all n autoregressive rounds, at a width
+    of a validated instance: core.validate_instance owns the range."""
     return tokens * (layer.flops / server.compute_throughput) * _cp_scale(layer, bits, options)
 
 
@@ -140,12 +140,10 @@ def compute_cm(layer: LayerProfile, link: LinkSpec, bits: int,
                tokens: int, batch: int, embedding: int,
                options: DelayOptions = DelayOptions()) -> float:
     """Transfer delay in seconds for all n rounds over ``link``. Callers
-    price only declared links: the replay runs after check_plan_feasible,
-    which refuses a missing hop, and brute force masks one first.
-    build_delay_table does not call it; it is the independent check of
-    the table's cm.
-    """
-    check_bits(bits)
+    price only declared links at validated widths, as for compute_cp: the
+    replay runs after check_plan_feasible, which refuses a missing hop, and
+    brute force masks one first. build_delay_table does not call it; it is
+    the independent check of the table's cm."""
     payload = round_payload_elements(layer, batch, embedding, options)
     return tokens * (payload * bits / link.capacity_bps + link.propagation_delay)
 

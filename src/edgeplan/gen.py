@@ -17,9 +17,8 @@ def generate_cluster(rng: random.Random, m: int, profile: str = "uniform",
 
     Heterogeneous clusters force a >= 4x spread in compute throughput by
     pinning the first server to the low end and the second to the high end.
+    ``profile`` is one of PROFILES, the choices of ``gen --profile``.
     """
-    if profile not in PROFILES:
-        raise ValueError(f"profile {profile!r} not in {PROFILES}")
     servers = []
     for i in range(m):
         if profile == "uniform":

@@ -14,7 +14,8 @@ pass sums the values (and bins them in float64), a second sums the
 squared and cubed deviations from the mean. Each moment is a sum of
 per-block sums, so a tensor of at most one block gets the whole-array
 float64 sums bit for bit and a larger one may differ from them in the
-last bits; the histogram counts are exact either way.
+last bits; the histogram counts are exact either way. The bit menu and
+delta arrive checked by the CLI's parser (see ``core``).
 
 ``analyze_tensor``, behind the ``quantize`` report, computes every
 width's exact error, equal to the reference's bit for bit: the maxima of
@@ -77,16 +78,12 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import (REQUIRED, ParseError, check_bits, json_text, load_json,
-                   read_fields, read_ints, write_outputs)
+from .core import (REQUIRED, ParseError, json_text, load_json, read_fields,
+                   read_ints, write_outputs)
 
 
 # |skewness| above which recommend_scheme picks the asymmetric scheme
 SKEW_THRESHOLD = 0.5
-
-
-class ShapeMismatch(ValueError):
-    pass
 
 
 class InvalidShape(ValueError):
@@ -117,7 +114,7 @@ class WeightTensor:
             raise InvalidShape(f"negative entry in shape {list(shape)}")
         # math.prod is exact for any integer entries; an int64 product wraps
         if math.prod(shape) != v.size:
-            raise ShapeMismatch(f"{v.size} values, shape {shape}")
+            raise ValueError(f"{v.size} values, shape {shape}")
         if v.size == 0:
             raise ValueError("empty tensor")
         # NaN and +/-inf reach the min/max pair, so finite ends prove every
@@ -166,7 +163,7 @@ def distribution_stats(w: WeightTensor, bins: Optional[int] = 32) -> Distributio
     0 for constant tensors. The histogram spans [min, max] with equal-width
     bins (a single bin when min == max) and its counts sum to the element
     count; ``bins=None`` skips it and leaves ``bin_edges`` and ``counts``
-    empty.
+    empty. A given ``bins`` is at least 1, as ``quantize --bins`` parses it.
 
     Two passes of ``_BLOCK`` elements at a time, each block cast into one
     reused float64 buffer: the first sums (and bins) the values, the second
@@ -176,8 +173,6 @@ def distribution_stats(w: WeightTensor, bins: Optional[int] = 32) -> Distributio
     from them in the last bits. Each block is binned in float64 over the
     fixed range [min, max], so the counts are exact either way.
     """
-    if bins is not None and bins < 1:
-        raise ValueError("bins must be >= 1")
     values, n = w.values, w.values.size
     x, buf = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
     binned = bins is not None and w.lo != w.hi
@@ -296,15 +291,6 @@ class _Grid(NamedTuple):
     top: int
 
 
-def _checked_menu(bit_menu: Iterable[int], delta: float) -> list[int]:
-    if not delta >= 0:  # also rejects NaN
-        raise ValueError("delta must be >= 0")
-    widths = sorted(set(bit_menu))
-    for b in widths:
-        check_bits(b)
-    return widths
-
-
 def _grids(scheme: SchemeKind, w: WeightTensor,
            widths: list[int]) -> tuple[list[_Grid], bool]:
     """Each width's grid over the tensor's range [lo, hi], and whether it
@@ -363,7 +349,7 @@ def analyze_tensor(w: WeightTensor, bit_menu: Iterable[int], delta: float,
     its own weight distribution (see _pick_scheme), then every width's
     exact error comes from one blocked scan with no early stop.
     """
-    widths = _checked_menu(bit_menu, delta)
+    widths = sorted(set(bit_menu))
     stats = None if bins is None else distribution_stats(w, bins)
     used = _pick_scheme(w, scheme, stats)
     grids, flat = _grids(used, w, widths)
@@ -387,7 +373,7 @@ def feasible_bits(w: WeightTensor, bit_menu: Iterable[int], delta: float,
     result (the layer cannot be quantized at any offered width without
     exceeding the error budget).
     """
-    widths = _checked_menu(bit_menu, delta)
+    widths = sorted(set(bit_menu))
     if scheme is None and w.lo < 0 < w.hi:
         # equal verdicts are the recommended scheme's whichever it is: the
         # moments only break a disagreement

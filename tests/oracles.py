@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from edgeplan.core import check_bits
-from edgeplan.quant import SchemeKind, ShapeMismatch, WeightTensor
+from edgeplan.core import MAX_BITS, MIN_BITS
+from edgeplan.quant import SchemeKind, WeightTensor
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,20 @@ def round_half_away(x):
     return np.trunc(x + np.copysign(0.5, x))
 
 
+def _check_width(bits: int) -> None:
+    """The quantizers' own guard: ValueError unless MIN_BITS <= bits <=
+    MAX_BITS, the range the CLI and core.validate_instance enforce."""
+    if not MIN_BITS <= bits <= MAX_BITS:
+        raise ValueError(f"bits={bits} outside [{MIN_BITS}, {MAX_BITS}]")
+
+
 def quantize_symmetric(w: WeightTensor, bits: int) -> Quantized:
     """Signed symmetric quantization with 2^(b-1)-1 levels each side of 0.
 
     The extreme value max|w| maps exactly to +/-qmax, so no element is
     pushed past its nearest level and the error never exceeds scale/2.
     """
-    check_bits(bits)
+    _check_width(bits)
     qmax = (1 << (bits - 1)) - 1
     # float64 throughout: a float32 division would underflow tiny scales
     # to zero and round dequantized values past the scale/2 error bound
@@ -69,7 +76,7 @@ def quantize_symmetric(w: WeightTensor, bits: int) -> Quantized:
 
 def quantize_asymmetric(w: WeightTensor, bits: int) -> Quantized:
     """Min-max affine quantization onto [0, 2^b - 1] with a zero-point."""
-    check_bits(bits)
+    _check_width(bits)
     v = w.values.astype(np.float64)
     lo, hi = float(np.min(v)), float(np.max(v))
     levels = (1 << bits) - 1
@@ -95,11 +102,11 @@ def quantize(w: WeightTensor, bits: int, scheme: SchemeKind) -> Quantized:
 
 
 def _float64_pair(original, quantized) -> tuple[np.ndarray, np.ndarray]:
-    """Both arrays flat in float64; ShapeMismatch unless equally long."""
+    """Both arrays flat in float64; ValueError unless equally long."""
     a = np.asarray(original, dtype=np.float64).ravel()
     b = np.asarray(quantized, dtype=np.float64).ravel()
     if a.shape != b.shape:
-        raise ShapeMismatch(f"{a.shape} vs {b.shape}")
+        raise ValueError(f"{a.shape} vs {b.shape}")
     return a, b
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edgeplan import quant
+from edgeplan import cli, quant
 from edgeplan import solver as solver_module
 from edgeplan.cli import (_load_and_filter, _load_from_options, build_parser,
                           input_digest, main)
@@ -82,6 +82,14 @@ class TestGen:
                   "--out-dir", str(tmp_path / "inst")])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "inst").exists()
+
+    def test_unknown_profile_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--seed", "1", "-m", "3", "-l", "2", "--profile", "bogus",
+                  "--out-dir", str(tmp_path / "inst")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
         assert not (tmp_path / "inst").exists()
 
 
@@ -557,11 +565,13 @@ class TestInputValidation:
 
     @pytest.mark.parametrize("command", ["plan", "export-lp", "quantize"])
     def test_nan_delta_is_input_error(self, tmp_path, capsys, command):
-        argv, out = self.command(tmp_path, command, "8", "nan")
-        code, _, err = run(argv, capsys)
-        assert code == 2
-        assert "--delta" in err
-        assert not out.exists()
+        # a negative delta too: the parser is the one owner of the rule
+        for delta in ("nan", "-1"):
+            argv, out = self.command(tmp_path, command, "8", delta)
+            code, _, err = run(argv, capsys)
+            assert code == 2
+            assert "--delta" in err and "Traceback" not in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("command, bits, weights", [
         ("quantize", "1,4", True), ("plan", "4,40", True), ("plan", "4,40", False),
@@ -773,6 +783,38 @@ class TestSimulateCommand:
         assert (code, stdout) == (2, "")
         assert err.startswith(f"error: {plan}.options.tokens: ReplayTooLong: ")
         assert "Traceback" not in err
+        assert not timeline.exists() and not summary.exists()
+
+    @pytest.mark.parametrize("where, tokens", [("trace", 10 ** 8), ("timeline", 1000)],
+                             ids=["trace", "timeline"])
+    def test_replay_beyond_memory_is_input_error(self, tmp_path, capsys, monkeypatch,
+                                                 where, tokens):
+        """10**8 rounds of 7 events are indexable but take 5.6 GB of end
+        times: simulate refuses the count and writes nothing. Here the
+        trace's np.tile, or the timeline of a short replay, raises
+        MemoryError without allocating anything large."""
+        run(["gen", "--seed", "7", "-m", "5", "-l", "4", "--out-dir", str(tmp_path)],
+            capsys)
+        files = ["--cluster", str(tmp_path / "cluster.json"),
+                 "--model", str(tmp_path / "model.json")]
+        plan = tmp_path / "plan.json"
+        code, _, err = run(["plan", *files, "--bits", "8", "--tokens", str(tokens),
+                            "--out", str(plan)], capsys)
+        assert code == 0, err
+
+        def out_of_memory(*args):
+            raise MemoryError
+
+        if where == "trace":
+            monkeypatch.setattr(np, "tile", out_of_memory)
+        else:
+            monkeypatch.setattr(cli, "trace_to_timeline", out_of_memory)
+        timeline, summary = tmp_path / "t.csv", tmp_path / "s.json"
+        code, stdout, err = run(["simulate", "--plan", str(plan), *files,
+                                 "--out", str(timeline), "--summary", str(summary)], capsys)
+        assert (code, stdout) == (2, "")
+        assert err == (f"error: {plan}.options.tokens: ReplayTooLong: {tokens} rounds "
+                       "of 7 events do not fit in memory\n")
         assert not timeline.exists() and not summary.exists()
 
     def test_stale_inputs_are_digest_mismatch(self, tmp_path, capsys):

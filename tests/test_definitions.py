@@ -8,11 +8,16 @@ in those files names it outside its own definition. A defaulted parameter
 of a module-level function or method counts as passed when some call in
 those files, matched by name (a class's name calls its ``__init__``),
 passes it by keyword, positionally at its index, or through ``*`` or
-``**``. Code that only the tests read or pass belongs with the tests
-(tests/oracles.py), not in the package.
+``**``. An exception class of the package counts as caught when some
+``except`` clause in those files names it, or some ``isinstance`` or
+``issubclass`` call names it as its class argument; a distinction that
+nothing catches is a plain ValueError. Code that only the tests read,
+pass or catch belongs with the tests (tests/oracles.py), not in the
+package.
 """
 
 import ast
+import builtins
 import glob
 import os
 from collections import defaultdict
@@ -172,3 +177,71 @@ def test_every_parameter_is_passed(path):
 def test_allowed_parameters_are_still_unpassed():
     gen = os.path.join(ROOT, "src", "edgeplan", "gen.py")
     assert set(TEST_PARAMETERS) <= set(unpassed(TREES[gen], TREES.values()))
+
+
+def exception_classes(trees: dict[str, ast.Module]) -> dict[str, str]:
+    """class name -> path of each top-level class in ``trees`` whose bases
+    reach Exception, through builtin exceptions or other classes of the
+    trees, matched by name."""
+    bases = {node.name: ([b.id if isinstance(b, ast.Name) else b.attr for b in node.bases
+                          if isinstance(b, (ast.Name, ast.Attribute))], path)
+             for path, tree in trees.items() for node in tree.body
+             if isinstance(node, ast.ClassDef)}
+
+    def reaches(name: str, seen: frozenset = frozenset()) -> bool:
+        if name not in bases:
+            builtin = getattr(builtins, name, None)
+            return isinstance(builtin, type) and issubclass(builtin, Exception)
+        return name not in seen and any(reaches(b, seen | {name}) for b in bases[name][0])
+
+    return {name: path for name, (_, path) in bases.items() if reaches(name)}
+
+
+def names_caught(trees) -> set[str]:
+    """The names in the trees' ``except`` clauses and in the class argument
+    of their ``isinstance`` and ``issubclass`` calls."""
+    out = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                target = node.type
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in ("isinstance", "issubclass") and len(node.args) == 2):
+                target = node.args[1]
+            else:
+                continue
+            out |= names_read(target)
+    return out
+
+
+def test_uncaught_exceptions_are_found():
+    module = ("class A(ValueError):\n    pass\n"
+              "class B(A):\n    pass\n"
+              "class C(B):\n    pass\n"
+              "class D(errors.Error, Exception):\n    pass\n"
+              "class E(OSError):\n    pass\n"
+              "class F(Exception):\n    pass\n"
+              "class G(KeyboardInterrupt):\n    pass\n"
+              "class H(str):\n    pass\n"
+              "raise C()\n")
+    caller = ("try:\n    f()\nexcept (m.A, KeyError):\n    pass\n"
+              "except E as e:\n    pass\n"
+              "isinstance(x, D)\nissubclass(y, (int, F))\ncallable(B)\n")
+    trees = {"m.py": ast.parse(module)}
+    classes = exception_classes(trees)
+    assert sorted(classes) == ["A", "B", "C", "D", "E", "F"]
+    assert sorted(set(classes) - names_caught([ast.parse(caller)])) == ["B", "C"]
+
+
+EXCEPTIONS = exception_classes({path: TREES[path] for path in PACKAGE})
+CAUGHT = names_caught(TREES.values())
+
+
+def test_scan_sees_the_exceptions():
+    assert {"CliError", "ParseError", "InvalidShape", "SizeLimit"} <= set(EXCEPTIONS)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: os.path.relpath(p, ROOT))
+def test_every_exception_is_caught(path):
+    names = sorted(name for name, p in EXCEPTIONS.items() if p == path and name not in CAUGHT)
+    assert names == [], f"{os.path.relpath(path, ROOT)}: nothing outside tests/ catches {names}"

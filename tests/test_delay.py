@@ -6,8 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from edgeplan.core import (InvalidBits, LayerProfile, LinkSpec, ServerSpec,
-                           ValidationError)
+from edgeplan.core import LayerProfile, LinkSpec, ServerSpec, ValidationError
 from edgeplan.delay import (DelayOptions, build_delay_table, compute_cm,
                             compute_cp, path_delay)
 from edgeplan.gen import random_test_instance
@@ -38,17 +37,6 @@ class TestComputeCp:
         opts = DelayOptions(cp_scaling="without_pl")
         got = compute_cp(layer(100.0, out=4.0), ServerSpec(0, 50.0, 0.0), 8, 2, opts)
         assert got == pytest.approx(4.0 / 4.0, rel=1e-12)
-
-    def test_invalid_bits(self):
-        with pytest.raises(InvalidBits):
-            compute_cp(layer(), ServerSpec(0, 1.0, 0.0), 1, 1)
-        # the bound is core.MAX_BITS, the one every instance is validated against
-        with pytest.raises(InvalidBits):
-            compute_cp(layer(), ServerSpec(0, 1.0, 0.0), 33, 1)
-        with pytest.raises(InvalidBits):
-            compute_cm(layer(), LinkSpec(0, 1, 1.0), 33, 1, 1, 16)
-        assert compute_cp(layer(), ServerSpec(0, 1.0, 0.0), 32, 1) > 0
-        assert compute_cm(layer(), LinkSpec(0, 1, 1.0), 32, 1, 1, 16) > 0
 
 
 class TestDelayOptions:

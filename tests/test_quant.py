@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from edgeplan import quant
 from edgeplan.core import ParseError
-from edgeplan.quant import (InvalidShape, SchemeKind, ShapeMismatch, WeightTensor,
+from edgeplan.quant import (InvalidShape, SchemeKind, WeightTensor,
                             analyze_tensor, distribution_stats, feasible_bits,
                             load_weight_tensor, recommend_scheme, save_weight_tensor)
 
@@ -35,7 +35,7 @@ finite_arrays = hnp.arrays(
 class TestWeightTensor:
     @pytest.mark.parametrize("values, shape, error, text", [
         # 2**64 wraps around to 0 in int64
-        ([], (2 ** 32, 2 ** 32), ShapeMismatch, r"0 values, shape \(4294967296, 4294967296\)"),
+        ([], (2 ** 32, 2 ** 32), ValueError, r"0 values, shape \(4294967296, 4294967296\)"),
         ([1.0, 2.0], (-1, -2), InvalidShape, r"negative entry in shape \[-1, -2\]"),
         ([], (0,), ValueError, "empty tensor"),
         ([0.5, math.nan, -math.inf], (3,), ValueError, r"2 non-finite values \(NaN or inf\)"),
@@ -137,7 +137,7 @@ class TestMaxAbsError:
         assert max_abs_error(np.array([0.0]), np.array([0.25])) == 0.25
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match=r"\(3,\) vs \(4,\)"):
             max_abs_error(np.zeros(3), np.zeros(4))
 
 
@@ -488,18 +488,6 @@ class TestKernelMatchesReference:
         assert len(full.counts) == 8 and bare.counts == () and bare.bin_edges == ()
         assert (bare.min, bare.max, bare.mean, bare.std, bare.skewness) == \
             (full.min, full.max, full.mean, full.std, full.skewness)
-
-    @pytest.mark.parametrize("delta", [math.nan, -1.0])
-    def test_bad_delta_rejected(self, delta):
-        with pytest.raises(ValueError, match="delta"):
-            feasible_bits(wt([1.0, -1.0]), (8,), delta)
-        with pytest.raises(ValueError, match="delta"):
-            analyze_tensor(wt([1.0, -1.0]), (8,), delta)
-
-    @pytest.mark.parametrize("bits", [1, 33])
-    def test_width_outside_range_rejected(self, bits):
-        with pytest.raises(ValueError, match="outside"):
-            feasible_bits(wt([1.0, -1.0]), (8, bits), 0.1)
 
 
 def reference_error(w: WeightTensor, bits: int, scheme: SchemeKind) -> tuple[float, float]:
