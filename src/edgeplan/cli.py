@@ -40,6 +40,10 @@ EXIT_BUDGET = 4
 EXIT_MISMATCH = 5
 EXIT_DIGEST = 6
 
+# --scheme's choices and the scheme each forces; None: recommended per layer
+SCHEMES = {"auto": None, "symmetric": SchemeKind.SYMMETRIC_SIGNED,
+           "asymmetric": SchemeKind.ASYMMETRIC}
+
 
 class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_INPUT):
@@ -87,7 +91,6 @@ def _load_and_filter(args) -> tuple:
     if args.weights_dir is not None:
         if not os.path.isdir(args.weights_dir):
             raise CliError(f"--weights-dir {args.weights_dir}: not a directory")
-        scheme = _forced_scheme(args.scheme)  # None: recommended per layer
         feas = []
         for layer in instance.model.layers:
             ref = layer.weights_ref
@@ -96,7 +99,7 @@ def _load_and_filter(args) -> tuple:
                 continue
             path = os.path.join(args.weights_dir, f"{ref}.json")
             w = load_weight_tensor(path)
-            feas.append(quant.feasible_bits(w, bits, delta, scheme))
+            feas.append(quant.feasible_bits(w, bits, delta, SCHEMES[args.scheme]))
         instance = require_valid(dataclasses.replace(instance, feasible_bits=tuple(feas)))
     options = DelayOptions(cp_scaling=args.cp_scaling,
                            per_token_activation=args.activation_payload == "per_token",
@@ -147,12 +150,6 @@ def _load_from_options(cluster_path, model_path, doc, path) -> tuple:
     return instance, options
 
 
-def _forced_scheme(text):
-    if text in (None, "auto"):
-        return None
-    return SchemeKind.SYMMETRIC_SIGNED if text == "symmetric" else SchemeKind.ASYMMETRIC
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -175,7 +172,6 @@ def cmd_gen(args) -> int:
 def cmd_quantize(args) -> int:
     bits = _parse_bits(args.bits)
     delta = _parse_delta(args.delta)
-    scheme = _forced_scheme(args.scheme)
     metas = sorted(glob.glob(os.path.join(args.weights_dir, "*.json")))
     if not metas:
         raise CliError(
@@ -192,7 +188,7 @@ def cmd_quantize(args) -> int:
         except ParseError as e:
             print(f"error: {e}", file=sys.stderr)
             continue
-        recs, stats = analyze_tensor(w, bits, delta, scheme, bins=bins)
+        recs, stats = analyze_tensor(w, bits, delta, SCHEMES[args.scheme], bins=bins)
         feas = [r.bits for r in recs if r.feasible]
         for r in recs:
             records.append({
@@ -320,9 +316,7 @@ def cmd_simulate(args) -> int:
     try:
         trace = simulate(assignments, instance, options)
         timeline = "\n".join(trace_to_timeline(trace)) + "\n"
-    except ValidationError as e:  # more rounds than the trace can index
-        raise CliError(f"{args.plan}.options.tokens: {e}")
-    except MemoryError:  # more rounds than this process can hold
+    except MemoryError:  # more rounds than this process can index or hold
         raise CliError(f"{args.plan}.options.tokens: ReplayTooLong: {instance.tokens} rounds "
                        f"of {2 * instance.model.num_layers - 1} events do not fit in memory")
     except InfeasiblePlan as e:
@@ -372,8 +366,7 @@ def _add_shared_plan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", default="inf", help="max weight error (or 'inf')")
     p.add_argument("--tokens", type=int, default=1)
     p.add_argument("--weights-dir", help="narrow feasible bits from weight tensors")
-    p.add_argument("--scheme", choices=["auto", "symmetric", "asymmetric"],
-                   default="auto")
+    p.add_argument("--scheme", choices=SCHEMES, default="auto")
     p.add_argument("--cp-scaling", choices=CP_SCALINGS, default="with_pl")
     p.add_argument("--activation-payload", choices=["per_token", "output_size"],
                    default="per_token")
@@ -402,8 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights-dir", required=True)
     p.add_argument("--bits", required=True)
     p.add_argument("--delta", required=True)
-    p.add_argument("--scheme", choices=["auto", "symmetric", "asymmetric"],
-                   default="auto")
+    p.add_argument("--scheme", choices=SCHEMES, default="auto")
     p.add_argument("--bins", type=_positive_int, default=32,
                    help="histogram bins in the --stats-out document")
     p.add_argument("--out", required=True)

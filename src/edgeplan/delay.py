@@ -170,7 +170,8 @@ def build_delay_table(instance: ProblemInstance,
     The storage mask applies ``options.storage``. A delay beyond the float
     range raises ValidationError (DelayOverflow) rather than reading as
     the mask, and so does a largest plan total within a factor
-    _TOTAL_HEADROOM of it.
+    _TOTAL_HEADROOM of it: both are tested on results computed with
+    overflow ignored, by finite maxima.
     """
     cluster, model = instance.cluster, instance.model
     M = cluster.num_servers
@@ -197,33 +198,26 @@ def build_delay_table(instance: ProblemInstance,
     bps[at] = links.capacity_bps
     prop = np.zeros((M, M))
     prop[at] = links.propagation_delay
-    # the per-layer factors are Python products, which overflow to inf
-    # without a flag; errstate below catches the array products
-    if not (np.isfinite(scale).all() and np.isfinite(payload_bits).all()):
-        raise _overflow("a compute or transfer delay")
-    with np.errstate(over="raise"):
-        try:
-            cp = n * (flops[:, None] / throughput[None, :]) * scale[:, None]
-            cm = n * (payload_bits[:, None, None] / bps[None] + prop[None])
-        except FloatingPointError:
-            raise _overflow("a compute or transfer delay") from None
+    # every factor and, before masking, every entry is >= 0, so an array's
+    # maximum is finite exactly when it holds no inf or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        cp = n * (flops[:, None] / throughput[None, :]) * scale[:, None]
+        cm = n * (payload_bits[:, None, None] / bps[None] + prop[None])
+        if not all(np.isfinite(a.max(initial=0.0)) for a in (scale, payload_bits, cp, cm)):
+            raise _overflow("a compute or transfer delay")
     cp[~(has_width[:, None] & (need[:, None] <= capacity[None, :]))] = math.inf
-
+    # a valid cluster links no server to itself, so this masks the diagonal
+    # too: consecutive layers need distinct servers
     np.copyto(cm, math.inf, where=~linked)
-    diag = np.arange(M)
-    cm[:, diag, diag] = math.inf  # consecutive layers need distinct servers
     cm[~has_width] = math.inf
 
     # each layer's largest finite cp plus, below the last layer, its largest
     # finite cm: every entry can be finite while a plan's total is not
-    with np.errstate(over="raise"):
-        try:
-            largest = (cp.max(axis=1, where=cp < math.inf, initial=0.0).sum()
-                       + cm[:-1].max(axis=(1, 2), where=cm[:-1] < math.inf,
-                                     initial=0.0).sum())
-            largest * _TOTAL_HEADROOM  # raises past the float range
-        except FloatingPointError:
-            raise _overflow("the total delay of some plan") from None
+    with np.errstate(over="ignore"):
+        largest = (cp.max(axis=1, where=cp < math.inf, initial=0.0).sum()
+                   + cm[:-1].max(axis=(1, 2), where=cm[:-1] < math.inf, initial=0.0).sum())
+        if not np.isfinite(largest * _TOTAL_HEADROOM):
+            raise _overflow("the total delay of some plan")
     return DelayTable(widths=widths, cp=cp, cm=cm, options=options)
 
 

@@ -14,8 +14,8 @@ less storage (see build_delay_table), so its columns could not change the
 optimum and are left out. x columns are emitted only for the entries the
 table admits (finite cp): servers with enough storage under the table's
 DelayOptions.bytes_needed. A z column exists only where its x column
-exists, cm is finite (a link i -> j exists, so j != i, since the
-table masks the diagonal) and server j can host layer l+1. Storage,
+exists, cm is finite (a link i -> j exists, so j != i, since no server
+links to itself) and server j can host layer l+1. Storage,
 widths, missing links and consecutive repeats are thus enforced by
 omission rather than by rows. Rows:
 

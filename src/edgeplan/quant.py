@@ -25,7 +25,10 @@ computed only when asked for; of the commands only ``quantize
 
 ``feasible_bits``, the ``plan``/``export-lp --weights-dir`` filter,
 reports verdicts, not errors: the widths whose reference error is at most
-delta, with no error computed that a verdict does not need.
+delta, with no error computed that a verdict does not need. With no
+scheme forced, both entry points use ``_pick_scheme``'s rule: symmetric
+signed for a range that straddles 0 with |skewness| <= SKEW_THRESHOLD,
+else asymmetric.
 
 0. Lazy pick. With no scheme forced, a two-sided tensor gets the
    verdicts of both schemes by steps 2 and 3. Equal verdicts are the
@@ -82,7 +85,8 @@ from .core import (REQUIRED, ParseError, json_text, load_json, read_fields,
                    read_ints, write_outputs)
 
 
-# |skewness| above which recommend_scheme picks the asymmetric scheme
+# |skewness| above which _pick_scheme quantizes a two-sided range
+# asymmetrically: skewed layers map better onto an affine grid
 SKEW_THRESHOLD = 0.5
 
 
@@ -210,17 +214,6 @@ def distribution_stats(w: WeightTensor, bins: Optional[int] = 32) -> Distributio
     )
 
 
-def recommend_scheme(stats: DistributionStats) -> SchemeKind:
-    """Symmetric for roughly zero-centered distributions, else asymmetric.
-
-    Symmetric signed needs zero strictly inside the value range; one-tailed
-    or skewed layers map better onto an affine grid.
-    """
-    if abs(stats.skewness) <= SKEW_THRESHOLD and stats.min < 0 < stats.max:
-        return SchemeKind.SYMMETRIC_SIGNED
-    return SchemeKind.ASYMMETRIC
-
-
 # ---------------------------------------------------------------------------
 # Weight tensor files: <name>.json metadata + <name>.bin little-endian f32
 # ---------------------------------------------------------------------------
@@ -329,14 +322,15 @@ def _float64_blocks(values: np.ndarray, x: np.ndarray) -> Iterable[np.ndarray]:
 def _pick_scheme(w: WeightTensor, scheme: Optional[SchemeKind],
                  stats: Optional[DistributionStats] = None) -> SchemeKind:
     """The one scheme rule of both analysis entry points: the forced scheme
-    if there is one; else asymmetric for a range on one side of 0, which
-    recommend_scheme picks whatever the skewness; else recommend_scheme on
-    the moments, taken from ``stats`` when the caller has them."""
+    if there is one; else symmetric signed for a range that straddles 0
+    with |skewness| <= SKEW_THRESHOLD (the moments from ``stats`` when the
+    caller has them, never taken for a one-sided range); else asymmetric."""
     if scheme is not None:
         return scheme
-    if not w.lo < 0 < w.hi:
-        return SchemeKind.ASYMMETRIC
-    return recommend_scheme(stats or distribution_stats(w, None))
+    if w.lo < 0 < w.hi and abs(
+            (stats or distribution_stats(w, None)).skewness) <= SKEW_THRESHOLD:
+        return SchemeKind.SYMMETRIC_SIGNED
+    return SchemeKind.ASYMMETRIC
 
 
 def analyze_tensor(w: WeightTensor, bit_menu: Iterable[int], delta: float,

@@ -36,7 +36,7 @@ from itertools import product
 
 import numpy as np
 
-from .core import ProblemInstance, ValidationError, Violation
+from .core import ProblemInstance
 from .delay import DelayOptions, compute_cm, compute_cp
 from .ilp import check_plan_feasible
 
@@ -91,17 +91,17 @@ class SimTrace:
 
 def simulate(assignments, instance: ProblemInstance,
              options: DelayOptions = DelayOptions()) -> SimTrace:
-    """Replay the plan; raises ValidationError (ReplayTooLong) when numpy
-    cannot index its n * (2L - 1) events, then InfeasiblePlan, naming every
-    violation, when check_plan_feasible rejects it (a wrong length, an
-    unknown or reused server, bits outside a layer's feasible set, a layer
-    over its server's storage, a missing link)."""
+    """Replay the plan; raises MemoryError when numpy cannot index its
+    n * (2L - 1) events, as when they do not fit in memory, then
+    InfeasiblePlan, naming every violation, when check_plan_feasible
+    rejects it (a wrong length, an unknown or reused server, bits outside
+    a layer's feasible set, a layer over its server's storage, a missing
+    link)."""
     cluster, model = instance.cluster, instance.model
     L = model.num_layers
     n = instance.tokens
     if n * (2 * L - 1) > np.iinfo(np.intp).max:
-        raise ValidationError([Violation("ReplayTooLong", f"tokens times {2 * L - 1} "
-                                         "events per round is more than numpy can index")])
+        raise MemoryError
     violations = check_plan_feasible(assignments, instance, options)
     if violations:
         raise InfeasiblePlan("; ".join(map(str, violations)))

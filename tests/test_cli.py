@@ -1009,10 +1009,14 @@ class TestBadPaths:
         ("simulate", "--cluster", "missing.json"),
         ("simulate", "--cluster", "inputs"),
         ("simulate", "--summary", "nodir/summary.json"),
-        ("quantize", "--stats-out", "nodir/stats.json")],
+        ("quantize", "--stats-out", "nodir/stats.json"),
+        ("plan", "--cluster", "missing.json"),
+        ("export-lp", "--model", "inputs"),
+        ("simulate", "--plan", "missing.json")],
         ids=["gen-model-is-directory", "plan-out", "export-lp-out", "simulate-out",
              "simulate-missing-cluster", "simulate-cluster-is-directory",
-             "simulate-summary", "quantize-stats-out"])
+             "simulate-summary", "quantize-stats-out", "plan-missing-cluster",
+             "export-lp-model-is-directory", "simulate-missing-plan"])
     def test_is_input_error_and_writes_nothing(self, tmp_path, monkeypatch, capsys,
                                                command, flag, path):
         def argv(command, **changed):

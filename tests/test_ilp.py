@@ -212,6 +212,20 @@ def _scalar_total(plan, inst):
 
 
 class TestSubstitution:
+    def test_names_the_rows_a_plan_violates(self):
+        inst = make_2x2_instance()
+        m = build_ilp(inst, build_delay_table(inst))
+        assert substitute(m, ((0, 8), (1, 8)))[2] == []
+        # server 0 hosts both layers; the self-hop has no z column
+        assert substitute(m, ((0, 8), (0, 8)))[2] == ["cap_s0", "out_l0_s0_b8", "in_l0_s0"]
+        # server 1 cannot store layer 1, so the model has no x_1_1_8 column
+        small = dataclasses.replace(inst.cluster, servers=(
+            inst.cluster.servers[0], ServerSpec(1, 200.0, 1.0)))
+        inst = dataclasses.replace(inst, cluster=small)
+        m = build_ilp(inst, build_delay_table(inst))
+        assert "x_1_1_8" not in m.binaries
+        assert substitute(m, ((0, 8), (1, 8)))[2] == ["assign_l1", "out_l0_s0_b8"]
+
     @pytest.mark.parametrize("seed", range(30))
     def test_optimum_satisfies_every_row_and_objective(self, seed):
         rng = random.Random(300 + seed)

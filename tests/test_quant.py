@@ -15,7 +15,7 @@ from edgeplan import quant
 from edgeplan.core import ParseError
 from edgeplan.quant import (InvalidShape, SchemeKind, WeightTensor,
                             analyze_tensor, distribution_stats, feasible_bits,
-                            load_weight_tensor, recommend_scheme, save_weight_tensor)
+                            load_weight_tensor, save_weight_tensor)
 
 from conftest import tensor_with_skewness
 from oracles import (check_linearized, max_abs_error, quantize, quantize_asymmetric,
@@ -206,19 +206,22 @@ class TestDistributionStats:
 
 class TestRecommendScheme:
     def test_zero_centered_gets_symmetric(self):
-        stats = distribution_stats(wt([-1.0, 0.0, 1.0]))
-        assert recommend_scheme(stats) is SchemeKind.SYMMETRIC_SIGNED
+        w = wt([-1.0, 0.0, 1.0])
+        stats = distribution_stats(w)
+        assert quant._pick_scheme(w, None, stats) is SchemeKind.SYMMETRIC_SIGNED
 
     def test_one_tailed_gets_asymmetric(self):
-        stats = distribution_stats(wt([0.0, 1.0, 2.0, 3.0, 10.0]))
+        w = wt([0.0, 1.0, 2.0, 3.0, 10.0])
+        stats = distribution_stats(w)
         assert stats.skewness > 0.5
-        assert recommend_scheme(stats) is SchemeKind.ASYMMETRIC
+        assert quant._pick_scheme(w, None, stats) is SchemeKind.ASYMMETRIC
 
     def test_all_positive_gets_asymmetric(self):
         # near-symmetric shape but zero is not interior
-        stats = distribution_stats(wt([1.0, 2.0, 3.0]))
+        w = wt([1.0, 2.0, 3.0])
+        stats = distribution_stats(w)
         assert abs(stats.skewness) <= 0.5
-        assert recommend_scheme(stats) is SchemeKind.ASYMMETRIC
+        assert quant._pick_scheme(w, None, stats) is SchemeKind.ASYMMETRIC
 
 
 class TestErrorBounds:
@@ -452,7 +455,8 @@ class TestKernelMatchesReference:
             ref_stats = distribution_stats(w)
             ref_skew = reference_skewness(w.values)
             assert math.isclose(ref_stats.skewness, ref_skew, rel_tol=1e-12, abs_tol=1e-300)
-            recommended = recommend_scheme(dataclasses.replace(ref_stats, skewness=ref_skew))
+            recommended = quant._pick_scheme(
+                w, None, dataclasses.replace(ref_stats, skewness=ref_skew))
             for scheme in (None, SchemeKind.SYMMETRIC_SIGNED, SchemeKind.ASYMMETRIC):
                 used = scheme or recommended
                 results = {b: quantize(w, b, used) for b in KERNEL_WIDTHS}
@@ -620,7 +624,7 @@ class TestCertifyOrWitness:
         at each scheme's boundary deltas, where the two disagree."""
         for seed in range(4):
             w = wt(kernel_case_tensors(kind, seed))
-            recommended = recommend_scheme(distribution_stats(w, None))
+            recommended = quant._pick_scheme(w, None, distribution_stats(w, None))
             deltas = {0.0, math.inf}
             for scheme in SchemeKind:
                 records, _ = analyze_tensor(w, KERNEL_WIDTHS, 0.0, scheme, bins=None)
@@ -767,7 +771,7 @@ class TestBlockedMoments:
         assert math.isclose(skew, fsum_moments(w.values)[2], rel_tol=1e-12)
         expect = (SchemeKind.SYMMETRIC_SIGNED if abs(target) < quant.SKEW_THRESHOLD
                   else SchemeKind.ASYMMETRIC)
-        assert recommend_scheme(distribution_stats(w)) is expect
+        assert quant._pick_scheme(w, None, distribution_stats(w)) is expect
         # at delta 0.15 the two schemes keep different widths
         widths, delta = (4, 5, 6, 8), 0.15
         assert feasible_bits(w, widths, delta, SchemeKind.SYMMETRIC_SIGNED) != \

@@ -2,8 +2,8 @@
 
 The scan parses the package with ``ast`` and collects each string literal
 passed as the first argument of a ``Violation(...)`` call: the codes of
-core.validate_instance, of the plan checker, of the delay table's and the
-replay's limits. Each code must appear, as a whole word, in another test
+core.validate_instance, of the plan checker and of the delay table's
+limits. Each code must appear, as a whole word, in another test
 file, so a rule that no test names is found when it is written.
 """
 
@@ -47,7 +47,7 @@ def test_codes_are_found():
 
 def test_scan_sees_the_codes():
     assert {"NoLayers", "UnknownServer", "DelayOverflow", "ParamCountOverflow",
-            "PayloadOverflow", "ReplayTooLong"} <= set(CODES)
+            "PayloadOverflow"} <= set(CODES)
     assert os.path.join(ROOT, "tests", "test_core.py") in TESTS
 
 
