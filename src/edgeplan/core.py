@@ -17,8 +17,12 @@ link. ClusterSpec.link finds the link between two servers in O(1) from a
 (src, dst) index the record builds once.
 
 Every JSON document edgeplan reads or writes goes through this module:
-``load_json`` loads it, ``read_fields`` schemas type-check it, ``json_text``
-serialises it and ``write_outputs`` writes it, leaving no partial output.
+``load_json`` loads it, as UTF-8 whatever the locale, ``read_fields``
+schemas type-check it, ``json_text`` serialises it and ``write_outputs``
+writes it, leaving no partial output. ``json_text`` writes exactly the
+bytes of ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)``
+plus a newline, with the json module's C encoder doing the formatting;
+that stdlib call is its test oracle.
 
 Note on units: ``compute_throughput`` is effective floating-point throughput
 in FLOP/s (delay formulas divide per-layer FLOP counts by it), not a clock
@@ -34,7 +38,8 @@ import math
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import chain
 from typing import Any, Iterable, Optional
 
 SCHEMA_VERSION = 1
@@ -396,12 +401,16 @@ def read_fields(obj, schema: tuple, where: str, *path) -> list:
 
 
 def load_json(path) -> Any:
-    """The JSON document in the file at ``path``; ParseError naming the
-    file when it cannot be read or is not JSON. NaN and Infinity load as
-    floats, for read_finite to refuse where a field must be finite."""
+    """The JSON document in the file at ``path``, read as UTF-8 whatever
+    the locale (RFC 8259 §8.1); ParseError naming the file when it cannot
+    be read, is not UTF-8 or is not JSON, a byte order mark included. NaN
+    and Infinity load as floats, for read_finite to refuse where a field
+    must be finite."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             return json.load(f)
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8: byte {e.start}: {e.reason}") from e
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
     except OSError as e:
@@ -409,10 +418,71 @@ def load_json(path) -> Any:
 
 
 def json_text(doc) -> str:
-    """The text of every JSON document edgeplan writes: indented, keys
-    sorted, one trailing newline. A NaN or infinity is a ValueError, raised
-    before any file is opened, so a non-finite value leaves no file."""
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """The text of every JSON document edgeplan writes, byte for byte
+    ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\\n"``:
+    two-space indent, keys sorted, ASCII only, one trailing newline. A NaN
+    or infinity is a ValueError, raised before any file is opened, so a
+    non-finite value leaves no file.
+
+    The json module formats an indented document with its pure-Python
+    encoder; here its C encoder does the formatting, and the stdlib's
+    indented encoder is the tests' oracle. The C encoder escapes every
+    control character inside a string, so each raw newline in its output
+    comes from a separator, and the separator ",\\n" plus an indent carries
+    the indentation. A container whose members are all scalars, and a list
+    of such containers of one kind (the links, servers, layers and
+    assignments), are each one C call; the few other nodes of a document
+    are joined here.
+    """
+    return _indented(doc, 0) + "\n"
+
+
+# the types whose JSON text is the same at every depth, bool included
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@cache
+def _encode_at(depth: int):
+    """The C encoder's encode, writing each member after the first on a
+    new line ``depth`` levels of two spaces in."""
+    return json.JSONEncoder(sort_keys=True, allow_nan=False,
+                            separators=(",\n" + "  " * depth, ": ")).encode
+
+
+def _indented(o, depth: int) -> str:
+    """``o`` as the indented encoder writes it ``depth`` levels in."""
+    if isinstance(o, dict):
+        members, brackets = o.values(), "{}"
+    elif isinstance(o, (list, tuple)):
+        members, brackets = o, "[]"
+    else:
+        # a scalar; json's own TypeError for anything else
+        return _encode_at(0)(o)
+    if not o:
+        return brackets
+    pad, inner = "  " * depth, "  " * (depth + 1)
+    kinds = set(map(type, members))
+    if kinds <= _SCALARS:
+        text = _encode_at(depth + 1)(o)
+        return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
+    if (brackets == "[]" and (kinds == {dict} or kinds <= {list, tuple}) and all(o)
+            and _SCALARS.issuperset(map(type, chain.from_iterable(
+                map(dict.values, o) if kinds == {dict} else o)))):
+        # non-empty flat items: one C call a level deeper, then every item
+        # boundary ("},\n" or "],\n" and the deeper indent) gets the item
+        # indent; a scalar never ends in "}" or "]", so nothing else matches
+        text, deeper = _encode_at(depth + 2)(o), "  " * (depth + 2)
+        opener, closer = text[1], text[-2]
+        body = text[2:-2].replace(f"{closer},\n{deeper}{opener}",
+                                  f"\n{inner}{closer},\n{inner}{opener}\n{deeper}")
+        return f"[\n{inner}{opener}\n{deeper}{body}\n{inner}{closer}\n{pad}]"
+    if brackets == "[]":
+        parts = [_indented(v, depth + 1) for v in o]
+    else:
+        # each key as json writes it: the text of {key: 0} less "{" and ": 0}"
+        parts = [f"{_encode_at(0)({k: 0})[1:-4]}: {_indented(v, depth + 1)}"
+                 for k, v in sorted(o.items())]
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(parts) + f"\n{pad}{brackets[1]}"
 
 
 def json_line(doc) -> str:

@@ -1035,6 +1035,52 @@ class TestBadPaths:
         assert sorted(tmp_path.rglob("*")) == before
 
 
+class TestNotUtf8:
+    """A JSON input is read as UTF-8 whatever the locale: a byte that is not
+    UTF-8 is an input error naming the file and the byte's offset, exit 2
+    with no traceback and no output file."""
+
+    @pytest.mark.parametrize("command, bad", [
+        ("plan", "cluster.json"), ("plan", "model.json"),
+        ("simulate", "plan.json"), ("plan", "w/layer0.json")],
+        ids=["cluster", "model", "plan", "weights"])
+    def test_is_input_error_and_writes_nothing(self, tmp_path, monkeypatch, capsys,
+                                               command, bad):
+        monkeypatch.chdir(tmp_path)
+        run(["gen", "--seed", "7", "-m", "5", "-l", "4", "--out-dir", "."], capsys)
+        model = json.loads((tmp_path / "model.json").read_text())
+        model["layers"][0]["weights"] = "layer0"
+        (tmp_path / "model.json").write_text(json_text(model))
+        write_weights(tmp_path / "w", {"layer0": [-1.0, 0.5, 1.0]})
+        inputs = ["--cluster", "cluster.json", "--model", "model.json"]
+        plan = ["plan", *inputs, "--bits", "8", "--weights-dir", "w", "--out"]
+        code, _, err = run(plan + ["plan.json"], capsys)
+        assert code == 0, err
+        argv = plan + ["out.json"] if command == "plan" else [
+            "simulate", "--plan", "plan.json", *inputs, "--out", "out.csv",
+            "--summary", "summary.json"]
+        size = (tmp_path / bad).stat().st_size
+        with open(tmp_path / bad, "ab") as f:
+            f.write(b"\xff")
+        before = sorted(tmp_path.rglob("*"))
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert err.startswith(f"error: {bad}: not UTF-8: byte {size}: ")
+        assert "Traceback" not in err and out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_byte_order_mark_is_refused(self, tmp_path, capsys):
+        cluster = tmp_path / "cluster.json"
+        cluster.write_bytes(b"\xef\xbb\xbf" + Path(data_path("cluster_2x2.json")).read_bytes())
+        code, _, err = run(["plan", "--cluster", str(cluster), "--model",
+                            data_path("model_2x2.json"),
+                            "--bits", "8", "--out", str(tmp_path / "plan.json")], capsys)
+        assert code == 2
+        assert err == f"error: {cluster}: invalid JSON at line 1: Unexpected UTF-8 BOM " \
+                      "(decode using utf-8-sig)\n"
+        assert not (tmp_path / "plan.json").exists()
+
+
 class TestHandEditedPlans:
     """`gen --seed 7 -m 5 -l 4` planned at --tokens 16: the optimum,
     855.5727 s, runs on servers [0, 3, 1, 2] at 4 bits. Each edit below

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from edgeplan.core import (ClusterSpec, LayerProfile, LinkSpec, ModelProfile,
                            ParseError, ProblemInstance, ServerSpec,
-                           ValidationError, load_instance, parse_cluster,
-                           save_instance, validate_instance)
+                           ValidationError, cluster_to_doc, json_text, load_instance,
+                           model_to_doc, parse_cluster, save_instance,
+                           validate_instance)
 from edgeplan.gen import generate_instance
 
 from conftest import data_path, make_2x2_instance
@@ -296,6 +297,77 @@ def test_generated_files_are_pinned(tmp_path, seed):
     got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                 for name in ("cluster.json", "model.json"))
     assert got == GENERATED_SHA256[seed]
+
+
+# -- json_text against the stdlib's indented encoder --------------------------
+
+def stdlib_text(doc) -> str:
+    """The oracle: the json module's pure-Python indented encoder."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+# every character a separator rewrite could confuse, plus any other
+json_strings = st.text(st.sampled_from(list('\n{}[],:"\\ éa\U0001F600')) | st.characters(),
+                       max_size=6)
+json_scalars = (st.booleans() | st.none() | st.integers(-2 ** 80, 2 ** 80)
+                | st.sampled_from([-0.0, 5e-324, 1e308, 0.1])
+                | st.floats(allow_nan=False, allow_infinity=False) | json_strings)
+# json writes a number, bool or None key as its JSON text, quoted; the
+# keys of one dict must sort, so they are all strings, all numbers or None
+other_keys = (st.integers(-3, 3) | st.booleans() | st.floats(allow_nan=False,
+                                                             allow_infinity=False))
+string_dicts = st.dictionaries(json_strings, json_scalars, max_size=4)
+flat_dicts = string_dicts | st.dictionaries(other_keys, json_scalars, max_size=3)
+flat_lists = st.lists(json_scalars, max_size=4)
+# lists of records, empty ones and records with different key sets among
+# them, and lists that mix dicts and lists
+records = (st.lists(flat_dicts, max_size=4) | st.lists(flat_lists, max_size=4)
+           | st.lists(flat_lists.map(tuple) | flat_lists, max_size=4)
+           | st.lists(flat_dicts | flat_lists, max_size=4))
+
+
+def documents(depth: int):
+    if depth == 0:
+        return json_scalars | flat_dicts | flat_lists | records
+    inner = documents(depth - 1)
+    return (json_scalars | records | st.lists(inner, max_size=4)
+            | st.lists(inner, max_size=3).map(tuple)
+            | st.dictionaries(json_strings, inner, max_size=4)
+            | st.dictionaries(other_keys, inner, max_size=3)
+            | st.dictionaries(st.none(), inner, max_size=1))
+
+
+@given(documents(4))
+@settings(max_examples=400, deadline=None)
+def test_json_text_is_the_stdlib_text(doc):
+    assert json_text(doc) == stdlib_text(doc)
+
+
+@given(st.sampled_from([math.nan, math.inf, -math.inf]),
+       st.lists(st.tuples(st.sampled_from(["list", "dict", "records"]), string_dicts),
+                max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_json_text_refuses_non_finite_at_every_depth(bad, wrappers):
+    doc = bad
+    for kind, sibling in wrappers:
+        doc = {"list": [doc], "dict": {**sibling, "~": doc},
+               "records": [sibling, {**sibling, "~": doc}]}[kind]
+    for encode in (json_text, stdlib_text):
+        with pytest.raises(ValueError):
+            encode(doc)
+
+
+def test_save_instance_writes_the_stdlib_text_at_benchmark_scale(tmp_path):
+    inst = generate_instance(1, 48, 5, (4, 8, 16), "heterogeneous")
+    assert len(inst.cluster.links) == 48 * 47
+    layers = tuple(dataclasses.replace(l, weights_ref=f"layer{k}")
+                   for k, l in enumerate(inst.model.layers))
+    inst = dataclasses.replace(inst, model=dataclasses.replace(inst.model, layers=layers))
+    save_instance(inst, tmp_path / "cluster.json", tmp_path / "model.json")
+    assert (tmp_path / "cluster.json").read_bytes() == \
+        stdlib_text(cluster_to_doc(inst.cluster)).encode()
+    assert (tmp_path / "model.json").read_bytes() == \
+        stdlib_text(model_to_doc(inst.model)).encode()
 
 
 # -- save/load round trip ---------------------------------------------------
