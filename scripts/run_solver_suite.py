@@ -18,9 +18,8 @@ import argparse
 import random
 import statistics
 
-from edgeplan.delay import DelayOptions, build_delay_table
+from edgeplan.delay import DelayOptions, build_delay_table, check_plan_feasible
 from edgeplan.gen import random_test_instance
-from edgeplan.ilp import check_plan_feasible
 from edgeplan.sim import simulate
 from edgeplan.solver import (BRUTE_FORCE_MAX_LAYERS, BRUTE_FORCE_MAX_SERVERS,
                              solve_branch_and_bound, solve_brute_force,

@@ -25,9 +25,10 @@ from .core import (MAX_BITS, MIN_BITS, REQUIRED, SCHEMA_VERSION, ParseError,
                    ValidationError, input_digest, json_line, json_text, load_instance,
                    load_json, read_fields, read_finite, read_ints, read_typed,
                    require_valid, save_instance, write_outputs)
-from .delay import CP_SCALINGS, STORAGES, DelayOptions, build_delay_table
+from .delay import (CP_SCALINGS, STORAGES, DelayOptions, build_delay_table,
+                    check_plan_feasible)
 from .gen import PROFILES, generate_instance
-from .ilp import EmptyFeasibleSet, build_ilp, check_plan_feasible
+from .ilp import EmptyFeasibleSet, build_ilp
 from .quant import SchemeKind, analyze_tensor, load_weight_tensor
 from .sim import InfeasiblePlan, simulate, trace_to_timeline
 from .solver import (DEFAULT_NODE_BUDGET, SizeLimit, solve_branch_and_bound,
@@ -83,7 +84,9 @@ def _positive_int(text: str) -> int:
 
 def _load_and_filter(args) -> tuple:
     """Shared plan/export-lp input path: load, validate, optionally narrow
-    feasible bits from on-disk weight tensors."""
+    feasible bits from on-disk weight tensors. The narrowed sets need no
+    second validation: quant.feasible_bits keeps a sorted subset of the
+    menu, and a layer without weights keeps the whole menu."""
     bits = _parse_bits(args.bits)
     delta = _parse_delta(args.delta)
     instance = load_instance(args.cluster, args.model, bit_menu=bits,
@@ -100,7 +103,7 @@ def _load_and_filter(args) -> tuple:
             path = os.path.join(args.weights_dir, f"{ref}.json")
             w = load_weight_tensor(path)
             feas.append(quant.feasible_bits(w, bits, delta, SCHEMES[args.scheme]))
-        instance = require_valid(dataclasses.replace(instance, feasible_bits=tuple(feas)))
+        instance = dataclasses.replace(instance, feasible_bits=tuple(feas))
     options = DelayOptions(cp_scaling=args.cp_scaling,
                            per_token_activation=args.activation_payload == "per_token",
                            storage=args.storage)
@@ -313,19 +316,20 @@ def cmd_simulate(args) -> int:
         return EXIT_DIGEST
     instance, options = _load_from_options(args.cluster, args.model, options_doc, args.plan)
     assignments, claimed = _replay_inputs(doc, instance.model.num_layers, args.plan)
+    # the verdict first: the timeline renders n * (2L - 1) rows
     try:
         trace = simulate(assignments, instance, options)
+        scale = max(abs(claimed), abs(trace.completion_time), 1e-300)
+        if abs(trace.completion_time - claimed) > 1e-9 * scale:
+            print(f"mismatch: simulated {trace.completion_time!r} s vs "
+                  f"plan objective {claimed!r} s", file=sys.stderr)
+            return EXIT_MISMATCH
         timeline = "\n".join(trace_to_timeline(trace)) + "\n"
     except MemoryError:  # more rounds than this process can index or hold
         raise CliError(f"{args.plan}.options.tokens: ReplayTooLong: {instance.tokens} rounds "
                        f"of {2 * instance.model.num_layers - 1} events do not fit in memory")
     except InfeasiblePlan as e:
         print(f"mismatch: plan cannot be replayed: {e}", file=sys.stderr)
-        return EXIT_MISMATCH
-    scale = max(abs(claimed), abs(trace.completion_time), 1e-300)
-    if abs(trace.completion_time - claimed) > 1e-9 * scale:
-        print(f"mismatch: simulated {trace.completion_time!r} s vs "
-              f"plan objective {claimed!r} s", file=sys.stderr)
         return EXIT_MISMATCH
     outputs = [(args.out, timeline)]
     if args.summary:
@@ -436,6 +440,9 @@ def main(argv=None) -> int:
         return e.code
     except (ParseError, ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as e:  # every command writes its outputs last
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -403,9 +403,9 @@ def read_fields(obj, schema: tuple, where: str, *path) -> list:
 def load_json(path) -> Any:
     """The JSON document in the file at ``path``, read as UTF-8 whatever
     the locale (RFC 8259 §8.1); ParseError naming the file when it cannot
-    be read, is not UTF-8 or is not JSON, a byte order mark included. NaN
-    and Infinity load as floats, for read_finite to refuse where a field
-    must be finite."""
+    be read, is not UTF-8, is not JSON (a byte order mark included) or
+    nests deeper than the decoder recurses. NaN and Infinity load as
+    floats, for read_finite to refuse where a field must be finite."""
     try:
         with open(path, encoding="utf-8") as f:
             return json.load(f)
@@ -413,6 +413,8 @@ def load_json(path) -> Any:
         raise ParseError(f"{path}: not UTF-8: byte {e.start}: {e.reason}") from e
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
+    except RecursionError as e:
+        raise ParseError(f"{path}: nested too deeply") from e
     except OSError as e:
         raise ParseError(f"{path}: {e}") from e
 

@@ -34,8 +34,9 @@ finite entry equals the scalar function bit for bit; math.inf is the one
 admissibility mask. The replay simulator and brute force evaluate the
 scalar functions directly, so they check the table. path_delay sums a
 plan's cp and cm, from the table or from the scalar functions, and is the
-one pricer of plans; ilp.check_plan_feasible, on the raw specs, is the one
-checker.
+one pricer of plans. check_plan_feasible states the table's rules over
+the raw specs, reading no table, and is the one checker: `plan` runs it
+on every plan it emits and `simulate` on every plan it replays.
 """
 
 from __future__ import annotations
@@ -164,8 +165,8 @@ def build_delay_table(instance: ProblemInstance,
     The instance must be valid (core.validate_instance), as for the
     solvers, the plan checker and the replay. Per-layer factors come from
     the scalar helpers. Servers enter as a throughput vector. Links enter
-    as M x M mask, capacity and propagation matrices, each indexed from
-    the cluster's link columns in one assignment; a valid cluster declares
+    as M x M capacity and propagation matrices, each indexed from the
+    cluster's link columns in one assignment; a valid cluster declares
     each (src, dst) pair once, so no write overwrites another.
     The storage mask applies ``options.storage``. A delay beyond the float
     range raises ValidationError (DelayOverflow) rather than reading as
@@ -191,9 +192,9 @@ def build_delay_table(instance: ProblemInstance,
     capacity = np.array([s.storage_capacity for s in cluster.servers], dtype=float)
     links = cluster.links
     at = (np.array(links.src, dtype=np.intp), np.array(links.dst, dtype=np.intp))
-    linked = np.zeros((M, M), dtype=bool)
-    linked[at] = True
-    # unlinked pairs get no finite capacity, so only a link's delay can overflow
+    # unlinked pairs get no finite capacity, so only a link's delay can
+    # overflow; every link's capacity is finite and > 0, so bps == inf is
+    # exactly the pairs without a link
     bps = np.full((M, M), math.inf)
     bps[at] = links.capacity_bps
     prop = np.zeros((M, M))
@@ -208,7 +209,7 @@ def build_delay_table(instance: ProblemInstance,
     cp[~(has_width[:, None] & (need[:, None] <= capacity[None, :]))] = math.inf
     # a valid cluster links no server to itself, so this masks the diagonal
     # too: consecutive layers need distinct servers
-    np.copyto(cm, math.inf, where=~linked)
+    np.copyto(cm, math.inf, where=bps == math.inf)
     cm[~has_width] = math.inf
 
     # each layer's largest finite cp plus, below the last layer, its largest
@@ -233,7 +234,7 @@ def path_delay(cp, cm, servers) -> tuple[float, float, float]:
     the result inf. The one definition of the objective's sums: branch
     and bound, brute force and the Lagrangian witness all price through
     it. The last layer's output is shipped nowhere (client download is
-    out of the model). It refuses nothing; ilp.check_plan_feasible does.
+    out of the model). It refuses nothing; check_plan_feasible does.
     """
     compute = 0.0
     comm = 0.0
@@ -242,3 +243,36 @@ def path_delay(cp, cm, servers) -> tuple[float, float, float]:
         if l + 1 < len(servers):
             comm += cm[l][i][servers[l + 1]]
     return compute + comm, compute, comm
+
+
+def check_plan_feasible(assignments, instance: ProblemInstance,
+                        options: DelayOptions = DelayOptions()) -> list[Violation]:
+    """Constraint violations of an assignment sequence [(server, bits), ...],
+    storage under ``options.storage`` for the widths a layer keeps (a
+    width outside them is the one violation of its layer); each hop's link
+    is one O(1) ClusterSpec.link lookup."""
+    out: list[Violation] = []
+    L = instance.model.num_layers
+    M = instance.cluster.num_servers
+    if len(assignments) != L:
+        out.append(Violation("WrongLength", f"{len(assignments)} assignments for {L} layers"))
+        return out
+    servers = [a[0] for a in assignments]
+    if len(set(servers)) != len(servers):
+        out.append(Violation("DuplicateServer", f"servers {servers} reuse a host"))
+    for l, (i, b) in enumerate(assignments):
+        if not (0 <= i < M):
+            out.append(Violation("UnknownServer", f"layer {l} on server {i}"))
+            continue
+        if b not in instance.feasible_bits[l]:
+            out.append(Violation("InfeasibleBits", f"layer {l} at {b} bits (allowed {instance.feasible_bits[l]})"))
+            continue
+        need = options.bytes_needed(instance.model.layers[l], b)
+        cap = instance.cluster.servers[i].storage_capacity
+        if need > cap:
+            out.append(Violation("StorageOverflow", f"layer {l} needs {need} B, server {i} has {cap} B"))
+    for l in range(L - 1):
+        i, j = assignments[l][0], assignments[l + 1][0]
+        if i != j and instance.cluster.link(i, j) is None:
+            out.append(Violation("MissingLink", f"layers {l}->{l + 1} need link {i}->{j}"))
+    return out

@@ -31,11 +31,6 @@ binary is exact and the LP needs no continuous section.
 Columns are declared once, in the order the LP file lists them: x by
 (layer, server), then z by (layer, src, dst). Every row and the objective
 hold their terms in that order, so write_lp writes them as stored.
-
-check_plan_feasible states the same rules over the raw specs, reading no
-table: it is the one plan checker of code that holds an assignment, so
-`plan` runs it on every plan it emits and `simulate` on every plan it
-replays.
 """
 
 from __future__ import annotations
@@ -43,9 +38,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# storage_bytes, the compact storage formula, importable from here
-from .core import ProblemInstance, Violation, storage_bytes
-from .delay import DelayOptions, DelayTable
+# storage_bytes and check_plan_feasible are re-exported: perfbench imports
+# them from here
+from .core import ProblemInstance, storage_bytes
+from .delay import DelayTable, check_plan_feasible
 
 
 class EmptyFeasibleSet(ValueError):
@@ -125,43 +121,6 @@ def build_ilp(instance: ProblemInstance, table: DelayTable) -> IlpModel:
     return IlpModel(objective=objective, constraints=tuple(rows), binaries=tuple(objective))
 
 
-# ---------------------------------------------------------------------------
-# Plan feasibility
-# ---------------------------------------------------------------------------
-
-def check_plan_feasible(assignments, instance: ProblemInstance,
-                        options: DelayOptions = DelayOptions()) -> list[Violation]:
-    """Constraint violations of an assignment sequence [(server, bits), ...],
-    storage under ``options.storage`` for the widths a layer keeps (a
-    width outside them is the one violation of its layer); each hop's link
-    is one O(1) ClusterSpec.link lookup."""
-    out: list[Violation] = []
-    L = instance.model.num_layers
-    M = instance.cluster.num_servers
-    if len(assignments) != L:
-        out.append(Violation("WrongLength", f"{len(assignments)} assignments for {L} layers"))
-        return out
-    servers = [a[0] for a in assignments]
-    if len(set(servers)) != len(servers):
-        out.append(Violation("DuplicateServer", f"servers {servers} reuse a host"))
-    for l, (i, b) in enumerate(assignments):
-        if not (0 <= i < M):
-            out.append(Violation("UnknownServer", f"layer {l} on server {i}"))
-            continue
-        if b not in instance.feasible_bits[l]:
-            out.append(Violation("InfeasibleBits", f"layer {l} at {b} bits (allowed {instance.feasible_bits[l]})"))
-            continue
-        need = options.bytes_needed(instance.model.layers[l], b)
-        cap = instance.cluster.servers[i].storage_capacity
-        if need > cap:
-            out.append(Violation("StorageOverflow", f"layer {l} needs {need} B, server {i} has {cap} B"))
-    for l in range(L - 1):
-        i, j = assignments[l][0], assignments[l + 1][0]
-        if i != j and instance.cluster.link(i, j) is None:
-            out.append(Violation("MissingLink", f"layers {l}->{l + 1} need link {i}->{j}"))
-    return out
-
-
 def substitute(model: IlpModel, assignments) -> tuple[dict[str, float], float, list[str]]:
     """Plug an assignment into the model: variable values, objective value,
     and names of violated rows. Used to cross-check the export against the
@@ -186,14 +145,10 @@ def substitute(model: IlpModel, assignments) -> tuple[dict[str, float], float, l
 # LP text format
 # ---------------------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def _terms(coeffs: dict[str, float]) -> str:
     """One expression, its terms as stored: build_ilp adds them in column
     order. Every expression of a model has a term."""
-    return " ".join(f"+ {_fmt(c)} {name}" if c >= 0 else f"- {_fmt(-c)} {name}"
+    return " ".join(f"+ {c!r} {name}" if c >= 0 else f"- {-c!r} {name}"
                     for name, c in coeffs.items()).removeprefix("+ ")
 
 
@@ -201,7 +156,7 @@ def write_lp(model: IlpModel) -> str:
     """Deterministic LP-format text for the model (golden-test stable)."""
     lines = ["Minimize", f" obj: {_terms(model.objective)}", "Subject To"]
     for row in model.constraints:
-        lines.append(f" {row.name}: {_terms(row.coeffs)} {row.relation} {_fmt(row.rhs)}")
+        lines.append(f" {row.name}: {_terms(row.coeffs)} {row.relation} {row.rhs!r}")
     lines.append("Binary")
     lines += [f" {name}" for name in model.binaries]
     lines.append("End")

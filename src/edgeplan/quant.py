@@ -156,10 +156,6 @@ class DistributionStats:
     counts: tuple[int, ...]
 
 
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
-
-
 def distribution_stats(w: WeightTensor, bins: Optional[int] = 32) -> DistributionStats:
     """Moments and histogram of a weight tensor.
 
@@ -302,7 +298,10 @@ def _grids(scheme: SchemeKind, w: WeightTensor,
     for b in widths:
         levels = (1 << b) - 1
         scale = (hi - lo) / levels
-        zero_point = int(_round_half_away(np.array(-lo / scale)))
+        # -lo / scale rounded half away from zero (scale > 0)
+        zero_point = math.floor(abs(lo) / scale + 0.5)
+        if lo > 0:
+            zero_point = -zero_point
         grids.append(_Grid(b, scale, zero_point, levels))
     return grids, False
 

@@ -13,7 +13,7 @@ found by ClusterSpec.link in O(1), and spreads each n-round total evenly
 over the n rounds. Agreement between its completion time and a plan's
 objective therefore checks the vectorised table the solvers read against
 an independent evaluation of the delay model. It keeps no plan rule of
-its own: it replays only what ilp.check_plan_feasible accepts, the same
+its own: it replays only what delay.check_plan_feasible accepts, the same
 checker `plan` runs on every plan it emits.
 
 The trace is columnar: the 2L-1 steps of one round (duration, kind, layer,
@@ -37,8 +37,7 @@ from itertools import product
 import numpy as np
 
 from .core import ProblemInstance
-from .delay import DelayOptions, compute_cm, compute_cp
-from .ilp import check_plan_feasible
+from .delay import DelayOptions, check_plan_feasible, compute_cm, compute_cp
 
 TIMELINE_HEADER = "round,kind,resource,start_s,end_s"
 

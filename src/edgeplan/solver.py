@@ -19,7 +19,7 @@ The oracle reads the raw specs and, of the table, only its DelayOptions:
     of the table at the optimum.
 Both price their plans with delay.path_delay, branch and bound on the
 table's entries and brute force on its scalar prices, so the objective is
-summed in one order. Neither checks a plan; ilp.check_plan_feasible does.
+summed in one order. Neither checks a plan; delay.check_plan_feasible does.
 
 Branch and bound visits nodes one at a time, and a numpy call per node
 would cost more than the search itself. So it reads the table once per

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edgeplan import cli, quant
+from edgeplan import cli, core, quant
 from edgeplan import solver as solver_module
 from edgeplan.cli import (_load_and_filter, _load_from_options, build_parser,
                           input_digest, main)
@@ -662,18 +662,24 @@ class TestSimulateCommand:
         rows = (tmp_path / "timeline.csv").read_text().strip().split("\n")
         assert len(rows) == 1 + 3
 
-    def test_tampered_objective_is_mismatch(self, tmp_path, capsys):
+    def test_tampered_objective_is_mismatch(self, tmp_path, capsys, monkeypatch):
+        """The digest does not cover the objective, so the edit reaches the
+        verdict, which simulate gives before it renders any row."""
         plan = self.make_plan(tmp_path, capsys)
         doc = json.loads(plan.read_text())
         doc["objective"]["total_s"] = 2.0
         plan.write_text(json.dumps(doc))
+        rendered = []
+        monkeypatch.setattr(cli, "trace_to_timeline", rendered.append)
+        timeline = tmp_path / "t.csv"
         code, _, err = run(
             ["simulate", "--plan", str(plan),
              "--cluster", data_path("cluster_2x2.json"),
              "--model", data_path("model_2x2.json"),
-             "--out", str(tmp_path / "t.csv")], capsys)
+             "--out", str(timeline)], capsys)
         assert code == 5
-        assert "mismatch" in err
+        assert err.startswith("mismatch: simulated ")
+        assert rendered == [] and not timeline.exists()
 
     def test_unreplayable_plan_is_mismatch(self, tmp_path, capsys):
         plan = self.make_plan(tmp_path, capsys)
@@ -924,6 +930,30 @@ class TestPlanWithWeights:
         assert code == 0, err
         assert json.loads(out.read_text())["options"]["feasible_bits"] == [[8], [3, 8]]
 
+    @pytest.mark.parametrize("command", ["plan", "export-lp"])
+    def test_instance_is_validated_once(self, tmp_path, capsys, monkeypatch, command):
+        """The weight filter narrows feasible_bits to a sorted subset of the
+        validated menu, so the instance is not validated again."""
+        wdir = tmp_path / "w"
+        write_weights(wdir, {"l0": [-2.0, 1.0, 2.0]})
+        model = {"batch_size": 1, "embedding_size": 4, "layers": [
+            {"flops": 100.0, "param_count": 10, "output_size": 4.0,
+             "original_precision": 32, "weights": "l0"},
+            {"flops": 200.0, "param_count": 10, "output_size": 4.0,
+             "original_precision": 32}]}
+        mpath = tmp_path / "model.json"
+        mpath.write_text(json.dumps(model))
+        calls = []
+        validate = core.validate_instance
+        monkeypatch.setattr(core, "validate_instance",
+                            lambda instance: calls.append(instance) or validate(instance))
+        code, _, err = run(
+            [command, "--cluster", data_path("cluster_2x2.json"),
+             "--model", str(mpath), "--bits", "3,8", "--delta", "0.2",
+             "--weights-dir", str(wdir), "--out", str(tmp_path / "out")], capsys)
+        assert code == 0, err
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("scheme", ["auto", "symmetric", "asymmetric"])
     def test_quantize_report_and_plan_filter_agree(self, tmp_path, capsys, scheme):
         """One scheme rule: the widths the quantize report finds feasible are
@@ -1079,6 +1109,91 @@ class TestNotUtf8:
         assert err == f"error: {cluster}: invalid JSON at line 1: Unexpected UTF-8 BOM " \
                       "(decode using utf-8-sig)\n"
         assert not (tmp_path / "plan.json").exists()
+
+
+class TestNestedTooDeeply:
+    """A document nested deeper than the JSON decoder recurses is an input
+    error naming the file, exit 2 with no traceback and no output file;
+    quantize reports such a tensor and goes on."""
+
+    DEEP = "[" * 100_000 + "]" * 100_000
+
+    @pytest.fixture
+    def inputs(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        run(["gen", "--seed", "7", "-m", "5", "-l", "4", "--out-dir", "."], capsys)
+        model = json.loads((tmp_path / "model.json").read_text())
+        model["layers"][0]["weights"] = "layer0"
+        (tmp_path / "model.json").write_text(json_text(model))
+        write_weights(tmp_path / "w", {"layer0": [-1.0, 0.5, 1.0],
+                                       "layer1": [-2.0, 0.5, 2.0]})
+        code, _, err = run(["plan", "--cluster", "cluster.json", "--model", "model.json",
+                            "--bits", "8", "--weights-dir", "w", "--out", "plan.json"],
+                           capsys)
+        assert code == 0, err
+        return tmp_path
+
+    @pytest.mark.parametrize("command, bad", [
+        ("plan", "cluster.json"), ("plan", "model.json"), ("plan", "w/layer0.json"),
+        ("export-lp", "cluster.json"), ("export-lp", "model.json"),
+        ("export-lp", "w/layer0.json"), ("simulate", "plan.json")])
+    def test_is_input_error_and_writes_nothing(self, inputs, capsys, command, bad):
+        files = ["--cluster", "cluster.json", "--model", "model.json"]
+        argv = ([command, *files, "--bits", "8", "--weights-dir", "w", "--out", "out"]
+                if command != "simulate" else
+                ["simulate", "--plan", "plan.json", *files, "--out", "out.csv",
+                 "--summary", "summary.json"])
+        (inputs / bad).write_text(self.DEEP)
+        before = sorted(inputs.rglob("*"))
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (2, "", f"error: {bad}: nested too deeply\n")
+        assert sorted(inputs.rglob("*")) == before
+
+    def test_quantize_reports_the_tensor_and_goes_on(self, inputs, capsys):
+        (inputs / "w" / "layer0.json").write_text(self.DEEP)
+        code, out, err = run(["quantize", "--weights-dir", "w", "--bits", "8",
+                              "--delta", "inf", "--out", "report.json"], capsys)
+        assert code == 0
+        assert err == "error: w/layer0.json: nested too deeply\n"
+        assert out.startswith("layer1: feasible bits {8}\n")
+        assert [r["layer"] for r in json.loads((inputs / "report.json").read_text())
+                ["records"]] == ["layer1"]
+
+
+class TestOutOfMemory:
+    """A run that does not fit in memory is an input error in every command:
+    exit 2 with the allocator's message, or "out of memory" when it has
+    none, no traceback and no output file. The MemoryError is raised by a
+    stub; nothing large is allocated."""
+
+    @staticmethod
+    def out_of_memory(message):
+        def raise_(*args, **kwargs):
+            raise MemoryError(*message)
+        return raise_
+
+    @pytest.mark.parametrize("message, shown", [
+        ((), "out of memory"), (("Unable to allocate 8.00 TiB",), "Unable to allocate 8.00 TiB")],
+        ids=["bare", "with-text"])
+    def test_quantize(self, tmp_path, capsys, monkeypatch, message, shown):
+        write_weights(tmp_path / "w", {"layer0": [-1.0, 0.5, 1.0]})
+        monkeypatch.setattr(quant, "distribution_stats", self.out_of_memory(message))
+        report, stats = tmp_path / "r.json", tmp_path / "s.json"
+        code, _, err = run(["quantize", "--weights-dir", str(tmp_path / "w"),
+                            "--bits", "8", "--delta", "inf", "--out", str(report),
+                            "--stats-out", str(stats)], capsys)
+        assert (code, err) == (2, f"error: {shown}\n")
+        assert not report.exists() and not stats.exists()
+
+    @pytest.mark.parametrize("command", ["plan", "export-lp"])
+    def test_plan_and_export_lp(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli, "build_delay_table", self.out_of_memory(()))
+        out = tmp_path / "out"
+        code, stdout, err = run([command, "--cluster", data_path("cluster_2x2.json"),
+                                 "--model", data_path("model_2x2.json"), "--bits", "8",
+                                 "--out", str(out)], capsys)
+        assert (code, stdout, err) == (2, "", "error: out of memory\n")
+        assert not out.exists()
 
 
 class TestHandEditedPlans:

@@ -13,7 +13,9 @@ passes it by keyword, positionally at its index, or through ``*`` or
 ``issubclass`` call names it as its class argument; a distinction that
 nothing catches is a plain ValueError. Code that only the tests read,
 pass or catch belongs with the tests (tests/oracles.py), not in the
-package.
+package. A parameter of a package function, method or nested function
+counts as read when its function's body names it; ``self`` and ``cls``
+of a method are exempt.
 """
 
 import ast
@@ -245,3 +247,67 @@ def test_scan_sees_the_exceptions():
 def test_every_exception_is_caught(path):
     names = sorted(name for name, p in EXCEPTIONS.items() if p == path and name not in CAUGHT)
     assert names == [], f"{os.path.relpath(path, ROOT)}: nothing outside tests/ catches {names}"
+
+
+def unread_parameters(tree: ast.Module) -> list[str]:
+    """qualified.name(parameter) of each parameter, ``self`` and ``cls``
+    aside, that nothing in its function reads: of every module-level
+    function, method and nested function, whose body, nested functions
+    included, is searched for the parameter's name."""
+    out = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                params = [arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs]
+                if isinstance(node, ast.ClassDef) and params[:1] in (["self"], ["cls"]):
+                    params = params[1:]
+                params += [f"*{arg.arg}" for arg in (a.vararg,) if arg is not None]
+                params += [f"**{arg.arg}" for arg in (a.kwarg,) if arg is not None]
+                read = {n.id for stmt in child.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                out.extend(f"{prefix}{child.name}({p})" for p in params
+                           if p.lstrip("*") not in read)
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return sorted(out)
+
+
+# parameter -> why nothing in its function reads it
+UNREAD_PARAMETERS = {
+    "build_ilp(instance)": "perfbench calls build_ilp(instance, table) positionally; "
+                           "the parameter goes when perfbench may be edited",
+    "_read_later(where)": "read_fields calls every reader with (value, where, *path)",
+    "_read_later(*path)": "read_fields calls every reader with (value, where, *path)",
+}
+
+
+def test_unread_parameters_are_found():
+    module = ("def f(a, b, *args, c=1, **kw):\n    return a + args[0]\n"
+              "def g(x, y):\n    def h(z, w):\n        return x + z\n    return h\n"
+              "class K:\n"
+              "    def m(self, p, q):\n        return q\n"
+              "    @classmethod\n    def n(cls, r):\n        return cls\n"
+              "def s(self):\n    pass\n")
+    assert unread_parameters(ast.parse(module)) == [
+        "K.m(p)", "K.n(r)", "f(**kw)", "f(b)", "f(c)", "g(y)", "g.h(w)", "s(self)"]
+    assert unread_parameters(ast.parse("def f(a):\n    def g(self):\n        return a\n"
+                                       "    return g\n")) == ["f.g(self)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: os.path.relpath(p, ROOT))
+def test_every_parameter_is_read(path):
+    names = [name for name in unread_parameters(TREES[path])
+             if name not in UNREAD_PARAMETERS]
+    assert names == [], f"{os.path.relpath(path, ROOT)}: nothing reads the parameters {names}"
+
+
+def test_allowed_unread_parameters_are_still_unread():
+    found = {name for path in PACKAGE for name in unread_parameters(TREES[path])}
+    assert set(UNREAD_PARAMETERS) <= found

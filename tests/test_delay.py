@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from edgeplan.core import LayerProfile, LinkSpec, ServerSpec, ValidationError
-from edgeplan.delay import (DelayOptions, build_delay_table, compute_cm,
-                            compute_cp, path_delay)
+from edgeplan.delay import (DelayOptions, build_delay_table, check_plan_feasible,
+                            compute_cm, compute_cp, path_delay)
 from edgeplan.gen import random_test_instance
-from edgeplan.ilp import check_plan_feasible
 
 from conftest import make_2x2_instance, with_binding_storage
 

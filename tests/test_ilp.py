@@ -8,11 +8,11 @@ import pytest
 
 from edgeplan.core import (ClusterSpec, LayerProfile, ServerSpec, load_instance,
                            write_outputs)
-from edgeplan.delay import (DelayOptions, build_delay_table, compute_cm,
-                            compute_cp, path_delay)
+from edgeplan.delay import (DelayOptions, build_delay_table, check_plan_feasible,
+                            compute_cm, compute_cp, path_delay)
 from edgeplan.gen import generate_instance, random_test_instance
-from edgeplan.ilp import (EmptyFeasibleSet, build_ilp, check_plan_feasible,
-                          parse_lp, storage_bytes, substitute, write_lp)
+from edgeplan.ilp import (EmptyFeasibleSet, build_ilp, parse_lp, storage_bytes,
+                          substitute, write_lp)
 from edgeplan.solver import solve_brute_force
 
 from conftest import data_path, make_2x2_instance, with_binding_storage

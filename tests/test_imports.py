@@ -16,7 +16,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SOURCES = sorted(path for pattern in ("src/edgeplan/*.py", "tests/*.py", "scripts/*.py")
                  for path in glob.glob(os.path.join(ROOT, pattern)))
 # (module file, name): importable from the module that re-exports it
-REEXPORTS = {("src/edgeplan/ilp.py", "storage_bytes")}
+REEXPORTS = {("src/edgeplan/ilp.py", "storage_bytes"),
+             ("src/edgeplan/ilp.py", "check_plan_feasible")}
 
 
 def unused_imports(source: str) -> list[str]:

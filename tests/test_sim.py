@@ -5,10 +5,9 @@ import pytest
 
 import edgeplan.sim
 from edgeplan.cli import main
-from edgeplan.delay import (DelayOptions, build_delay_table, compute_cm, compute_cp,
-                            path_delay)
+from edgeplan.delay import (DelayOptions, build_delay_table, check_plan_feasible,
+                            compute_cm, compute_cp, path_delay)
 from edgeplan.gen import generate_instance, random_test_instance
-from edgeplan.ilp import check_plan_feasible
 from edgeplan.sim import InfeasiblePlan, SimEvent, SimTrace, simulate, trace_to_timeline
 from edgeplan.solver import solve_brute_force
 

@@ -11,10 +11,9 @@ from edgeplan import solver
 from edgeplan.core import (ClusterSpec, LayerProfile, LinkSpec, ModelProfile,
                            ProblemInstance, ServerSpec)
 from edgeplan.delay import (DelayOptions, DelayTable, build_delay_table,
-                            path_delay)
+                            check_plan_feasible, path_delay)
 from edgeplan.gen import generate_instance, random_test_instance
-from edgeplan.ilp import (EmptyFeasibleSet, build_ilp, check_plan_feasible,
-                          substitute, write_lp)
+from edgeplan.ilp import EmptyFeasibleSet, build_ilp, substitute, write_lp
 from edgeplan.solver import (SizeLimit, solve_branch_and_bound,
                              solve_brute_force, solve_relaxed_dp)
 
