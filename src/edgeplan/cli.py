@@ -82,6 +82,24 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _refuse_overwrite(args) -> None:
+    """CliError naming both flags when one of the command's ``outputs`` is the
+    same file as another or as its --plan/--cluster/--model input: by device
+    and inode (links followed), or by realpath for a path not there yet."""
+    seen = {}
+    for dest in ("plan", "cluster", "model", *args.outputs):
+        if (path := getattr(args, dest, None)) is not None:
+            try:  # one stat; realpath costs a system call per path component
+                st = os.stat(path)
+                key = st.st_dev, st.st_ino
+            except OSError:  # not there yet
+                key = os.path.realpath(path)
+            if key in seen and dest in args.outputs:
+                flag, other = (f"--{d.replace('_', '-')}" for d in (dest, seen[key]))
+                raise CliError(f"{flag} {path}: the same file as {other}")
+            seen.setdefault(key, dest)
+
+
 def _load_and_filter(args) -> tuple:
     """Shared plan/export-lp input path: load, validate, optionally narrow
     feasible bits from on-disk weight tensors. The narrowed sets need no
@@ -94,16 +112,10 @@ def _load_and_filter(args) -> tuple:
     if args.weights_dir is not None:
         if not os.path.isdir(args.weights_dir):
             raise CliError(f"--weights-dir {args.weights_dir}: not a directory")
-        feas = []
-        for layer in instance.model.layers:
-            ref = layer.weights_ref
-            if ref is None:
-                feas.append(tuple(bits))
-                continue
-            path = os.path.join(args.weights_dir, f"{ref}.json")
-            w = load_weight_tensor(path)
-            feas.append(quant.feasible_bits(w, bits, delta, SCHEMES[args.scheme]))
-        instance = dataclasses.replace(instance, feasible_bits=tuple(feas))
+        feas = tuple(bits if layer.weights_ref is None else quant.feasible_bits(
+            load_weight_tensor(os.path.join(args.weights_dir, f"{layer.weights_ref}.json")),
+            bits, delta, SCHEMES[args.scheme]) for layer in instance.model.layers)
+        instance = dataclasses.replace(instance, feasible_bits=feas)
     options = DelayOptions(cp_scaling=args.cp_scaling,
                            per_token_activation=args.activation_payload == "per_token",
                            storage=args.storage)
@@ -193,13 +205,9 @@ def cmd_quantize(args) -> int:
             continue
         recs, stats = analyze_tensor(w, bits, delta, SCHEMES[args.scheme], bins=bins)
         feas = [r.bits for r in recs if r.feasible]
-        for r in recs:
-            records.append({
-                "layer": r.layer_name, "bits": r.bits,
-                "scheme": r.scheme.value, "scale": r.scale,
-                "zero_point": r.zero_point,
-                "max_abs_error": r.max_abs_error, "feasible": r.feasible,
-            })
+        records += ({"layer": r.layer_name, "bits": r.bits, "scheme": r.scheme.value,
+                     "scale": r.scale, "zero_point": r.zero_point,
+                     "max_abs_error": r.max_abs_error, "feasible": r.feasible} for r in recs)
         if args.stats_out:
             stats_docs.append({
                 "layer": stats.layer_name, "count": stats.count,
@@ -214,8 +222,7 @@ def cmd_quantize(args) -> int:
         feas_str = ",".join(map(str, feas)) if feas else "-"
         print(f"{w.layer_name}: feasible bits {{{feas_str}}}")
     if denominator > 0:
-        ratio = numerator / denominator
-        print(f"quantization ratio: {100 * ratio:.2f}%")
+        print(f"quantization ratio: {100 * (numerator / denominator):.2f}%")
     outputs = [(args.out, json_text({"schema_version": SCHEMA_VERSION,
                                      "records": records}))]
     if args.stats_out:
@@ -393,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers", "-l", type=int, required=True)
     p.add_argument("--profile", choices=list(PROFILES), default="uniform")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func=cmd_gen, outputs=())
 
     p = sub.add_parser("quantize", help="per-layer quantization error analysis")
     p.add_argument("--weights-dir", required=True)
@@ -404,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="histogram bins in the --stats-out document")
     p.add_argument("--out", required=True)
     p.add_argument("--stats-out")
-    p.set_defaults(func=cmd_quantize)
+    p.set_defaults(func=cmd_quantize, outputs=("out", "stats_out"))
 
     p = sub.add_parser("plan", help="solve the placement problem")
     _add_shared_plan_args(p)
@@ -414,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="search budget in expansions (children examined, not "
                         f"leaves) for --solver bnb (default {DEFAULT_NODE_BUDGET})")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_plan)
+    p.set_defaults(func=cmd_plan, outputs=("out",))
 
     p = sub.add_parser("simulate", help="replay a plan and cross-check it")
     p.add_argument("--plan", required=True)
@@ -422,18 +429,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True, help="timeline CSV path")
     p.add_argument("--summary", help="summary JSON path")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, outputs=("out", "summary"))
 
     p = sub.add_parser("export-lp", help="write the model in LP text format")
     _add_shared_plan_args(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_export_lp)
+    p.set_defaults(func=cmd_export_lp, outputs=("out",))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _refuse_overwrite(args)  # before any command reads or writes a file
         return args.func(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -10,11 +10,11 @@ instance and plan files (bit widths and delta among them), the CLI's parser
 for flags. No module downstream checks them again.
 
 A cluster stores its links as one LinkRecord: four columns (src, dst,
-capacity, propagation delay) that iterate as LinkSpecs. The
-parser fills the columns in one pass, and the validator, the delay table,
-the generator and the writer read them without building a LinkSpec per
-link. ClusterSpec.link finds the link between two servers in O(1) from a
-(src, dst) index the record builds once.
+capacity, propagation delay) that iterate as LinkSpecs, filled by the
+parser and read by the validator, the generator and the writer. Every
+other reader reads ClusterSpec.link_view, the M x M index of the links
+built once per cluster: the delay table its matrices, ClusterSpec.link
+an entry. Validation refuses a pair declared twice.
 
 Every JSON document edgeplan reads or writes goes through this module:
 ``load_json`` loads it, as UTF-8 whatever the locale, ``read_fields``
@@ -41,6 +41,8 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain
 from typing import Any, Iterable, Optional
+
+import numpy as np
 
 SCHEMA_VERSION = 1
 
@@ -103,13 +105,6 @@ class LinkRecord:
     def __iter__(self) -> Iterator[LinkSpec]:
         return map(LinkSpec, self.src, self.dst, self.capacity_bps, self.propagation_delay)
 
-    @cached_property
-    def first_position(self) -> dict[tuple[int, int], int]:
-        """(src, dst) -> position of the first link declared src -> dst;
-        fewer entries than links means a pair is declared twice."""
-        n = len(self.src)
-        return dict(zip(zip(self.src[::-1], self.dst[::-1]), range(n - 1, -1, -1)))
-
 
 @dataclass(frozen=True)
 class ClusterSpec:
@@ -128,14 +123,26 @@ class ClusterSpec:
     def num_servers(self) -> int:
         return len(self.servers)
 
+    @cached_property
+    def link_view(self) -> tuple[np.ndarray, np.ndarray]:
+        """(capacity, delay), read-only M x M arrays indexed [src, dst]: a
+        link's capacity in bit/s, inf where there is none (the diagonal
+        among them), and its propagation delay in seconds, 0 there. Built
+        on first use; defined on a valid cluster only."""
+        M, links = len(self.servers), self.links
+        at = (np.array(links.src, dtype=np.intp), np.array(links.dst, dtype=np.intp))
+        capacity, delay = np.full((M, M), math.inf), np.zeros((M, M))
+        capacity[at], delay[at] = links.capacity_bps, links.propagation_delay
+        capacity.flags.writeable = delay.flags.writeable = False
+        return capacity, delay
+
     def link(self, src: int, dst: int) -> Optional[LinkSpec]:
-        """Directed link src -> dst, or None when absent (unusable edge);
-        the first declared when a pair is declared twice. O(1): the record
-        builds its (src, dst) index on the first lookup."""
-        links = self.links
-        k = links.first_position.get((src, dst))
-        return None if k is None else LinkSpec(
-            links.src[k], links.dst[k], links.capacity_bps[k], links.propagation_delay[k])
+        """Directed link src -> dst, read from link_view, or None when there
+        is none, as for an id outside 0..M-1 (which numpy would wrap)."""
+        capacity, delay = self.link_view
+        if 0 <= src < len(capacity) and 0 <= dst < len(capacity) and capacity[src, dst] < math.inf:
+            return LinkSpec(src, dst, float(capacity[src, dst]), float(delay[src, dst]))
+        return None
 
 
 @dataclass(frozen=True)
@@ -232,8 +239,10 @@ def validate_instance(instance: ProblemInstance) -> list[Violation]:
             out.append(Violation("NegativeStorage", f"server {s.id} storage {s.storage_capacity}"))
     id_set = set(ids)
     links = instance.cluster.links
-    first = links.first_position
-    unique = len(first) == len(links)
+    unique = len(set(zip(links.src, links.dst))) == len(links)
+    # the first declaration of each pair, only when some pair is repeated
+    first = {} if unique else dict(zip(zip(links.src[::-1], links.dst[::-1]),
+                                       range(len(links) - 1, -1, -1)))
     for k, (src, dst, capacity, delay) in enumerate(zip(
             links.src, links.dst, links.capacity_bps, links.propagation_delay)):
         # a clean link passes this one test; a flagged one is checked rule by rule
@@ -243,7 +252,7 @@ def validate_instance(instance: ProblemInstance) -> list[Violation]:
         if not (math.isfinite(capacity) and math.isfinite(delay)):
             out += _non_finite(f"link {src}->{dst}", capacity_bps=capacity,
                                prop_delay_s=delay)
-        if first[src, dst] != k:
+        if not unique and first[src, dst] != k:
             out.append(Violation("DuplicateLink", f"link {src}->{dst} is declared twice"))
         if capacity <= 0:
             out.append(Violation("LinkCapacityNonPositive", f"link {src}->{dst} capacity {capacity}"))
@@ -610,13 +619,10 @@ def cluster_to_doc(cluster: ClusterSpec) -> dict:
 
 
 def model_to_doc(model: ModelProfile) -> dict:
-    layers = []
-    for l in model.layers:
-        d = {"flops": l.flops, "param_count": l.param_count,
-             "output_size": l.output_size, "original_precision": l.original_precision}
-        if l.weights_ref is not None:
-            d["weights"] = l.weights_ref
-        layers.append(d)
+    layers = [{"flops": l.flops, "param_count": l.param_count, "output_size": l.output_size,
+               "original_precision": l.original_precision,
+               **({} if l.weights_ref is None else {"weights": l.weights_ref})}
+              for l in model.layers]
     return {
         "schema_version": SCHEMA_VERSION,
         "batch_size": model.batch_size,

@@ -28,15 +28,15 @@ runs each layer at the smallest width its filter kept (its docstring
 shows no other width can win) and evaluates the same expressions, in the
 same operation order, over arrays keyed by placement first,
 cp[layer, server] and cm[layer, src, dst], as every solver and build_ilp
-reads them. cm's capacity and propagation matrices are indexed from the
-cluster's link columns (core.LinkRecord), with no loop over links. Every
-finite entry equals the scalar function bit for bit; math.inf is the one
-admissibility mask. The replay simulator and brute force evaluate the
-scalar functions directly, so they check the table. path_delay sums a
-plan's cp and cm, from the table or from the scalar functions, and is the
-one pricer of plans. check_plan_feasible states the table's rules over
-the raw specs, reading no table, and is the one checker: `plan` runs it
-on every plan it emits and `simulate` on every plan it replays.
+reads them. cm reads its capacity and propagation matrices from
+ClusterSpec.link_view, as ClusterSpec.link does. Every finite entry
+equals the scalar function bit for bit; math.inf is the one admissibility
+mask. The replay simulator and brute force evaluate the scalar functions
+directly, so they check the table. path_delay sums a plan's cp and cm,
+from the table or from the scalar functions, and is the one pricer of
+plans. check_plan_feasible states the table's rules over the raw specs,
+reading no table, and is the one checker: `plan` runs it on every plan
+it emits and `simulate` on every plan it replays.
 """
 
 from __future__ import annotations
@@ -67,14 +67,11 @@ STORAGES = ("compact", "literal")
 @dataclass(frozen=True)
 class DelayOptions:
     """Which reading of the delay and storage formulas a run uses (see the
-    module docstring). ParseError, a ValueError naming the field, on a
-    value of the wrong type or kind."""
+    module docstring). Its values are checked where they enter: by the
+    CLI's choices for flags, by from_doc for a plan's options block."""
     cp_scaling: str = "with_pl"  # or "without_pl"
     per_token_activation: bool = True
     storage: str = "compact"  # or "literal"
-
-    def __post_init__(self):
-        read_fields(self.to_doc(), _FIELDS, "DelayOptions")
 
     def bytes_needed(self, layer: LayerProfile, bits: int) -> float:
         """Storage a server needs to host the layer at the given width."""
@@ -165,17 +162,15 @@ def build_delay_table(instance: ProblemInstance,
     The instance must be valid (core.validate_instance), as for the
     solvers, the plan checker and the replay. Per-layer factors come from
     the scalar helpers. Servers enter as a throughput vector. Links enter
-    as M x M capacity and propagation matrices, each indexed from the
-    cluster's link columns in one assignment; a valid cluster declares
-    each (src, dst) pair once, so no write overwrites another.
-    The storage mask applies ``options.storage``. A delay beyond the float
-    range raises ValidationError (DelayOverflow) rather than reading as
-    the mask, and so does a largest plan total within a factor
-    _TOTAL_HEADROOM of it: both are tested on results computed with
-    overflow ignored, by finite maxima.
+    as the M x M capacity and propagation matrices of
+    ClusterSpec.link_view, built once per cluster; cm is computed in one
+    L x M x M buffer. The storage mask applies ``options.storage``. A
+    delay beyond the float range raises ValidationError (DelayOverflow)
+    rather than reading as the mask, and so does a largest plan total
+    within a factor _TOTAL_HEADROOM of it: both are tested on results
+    computed with overflow ignored, by finite maxima.
     """
     cluster, model = instance.cluster, instance.model
-    M = cluster.num_servers
     n = float(instance.tokens)
     widths = tuple(min(fb, default=None) for fb in instance.feasible_bits)
     # a layer without a width is masked below; 0 only keeps its factors finite
@@ -190,20 +185,18 @@ def build_delay_table(instance: ProblemInstance,
     flops = np.array([layer.flops for layer in model.layers], dtype=float)
     throughput = np.array([s.compute_throughput for s in cluster.servers], dtype=float)
     capacity = np.array([s.storage_capacity for s in cluster.servers], dtype=float)
-    links = cluster.links
-    at = (np.array(links.src, dtype=np.intp), np.array(links.dst, dtype=np.intp))
     # unlinked pairs get no finite capacity, so only a link's delay can
     # overflow; every link's capacity is finite and > 0, so bps == inf is
     # exactly the pairs without a link
-    bps = np.full((M, M), math.inf)
-    bps[at] = links.capacity_bps
-    prop = np.zeros((M, M))
-    prop[at] = links.propagation_delay
+    bps, prop = cluster.link_view
     # every factor and, before masking, every entry is >= 0, so an array's
-    # maximum is finite exactly when it holds no inf or NaN
+    # maximum is finite exactly when it holds no inf or NaN; cm is
+    # n * (payload / bps + prop), its IEEE operations done in place
     with np.errstate(over="ignore", invalid="ignore"):
         cp = n * (flops[:, None] / throughput[None, :]) * scale[:, None]
-        cm = n * (payload_bits[:, None, None] / bps[None] + prop[None])
+        cm = np.divide(payload_bits[:, None, None], bps[None])
+        cm += prop
+        cm *= n
         if not all(np.isfinite(a.max(initial=0.0)) for a in (scale, payload_bits, cp, cm)):
             raise _overflow("a compute or transfer delay")
     cp[~(has_width[:, None] & (need[:, None] <= capacity[None, :]))] = math.inf
@@ -250,7 +243,7 @@ def check_plan_feasible(assignments, instance: ProblemInstance,
     """Constraint violations of an assignment sequence [(server, bits), ...],
     storage under ``options.storage`` for the widths a layer keeps (a
     width outside them is the one violation of its layer); each hop's link
-    is one O(1) ClusterSpec.link lookup."""
+    is one ClusterSpec.link lookup, None for a server outside 0..M-1."""
     out: list[Violation] = []
     L = instance.model.num_layers
     M = instance.cluster.num_servers

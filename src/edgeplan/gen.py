@@ -33,13 +33,8 @@ def generate_cluster(rng: random.Random, m: int, profile: str = "uniform",
         storage = rng.uniform(0.5e9, 4e9)
         servers.append(ServerSpec(id=i, compute_throughput=ccs,
                                   storage_capacity=storage))
-    links = []
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            if link_density >= 1.0 or rng.random() < link_density:
-                links.append((i, j, rng.uniform(1e7, 1e9), 0.0))
+    links = [(i, j, rng.uniform(1e7, 1e9), 0.0) for i in range(m) for j in range(m)
+             if i != j and (link_density >= 1.0 or rng.random() < link_density)]
     return ClusterSpec(servers=tuple(servers), links=LinkRecord(*zip(*links)))
 
 

@@ -155,11 +155,9 @@ def _terms(coeffs: dict[str, float]) -> str:
 def write_lp(model: IlpModel) -> str:
     """Deterministic LP-format text for the model (golden-test stable)."""
     lines = ["Minimize", f" obj: {_terms(model.objective)}", "Subject To"]
-    for row in model.constraints:
-        lines.append(f" {row.name}: {_terms(row.coeffs)} {row.relation} {row.rhs!r}")
-    lines.append("Binary")
-    lines += [f" {name}" for name in model.binaries]
-    lines.append("End")
+    lines += [f" {row.name}: {_terms(row.coeffs)} {row.relation} {row.rhs!r}"
+              for row in model.constraints]
+    lines += ["Binary", *(f" {name}" for name in model.binaries), "End"]
     return "\n".join(lines) + "\n"
 
 

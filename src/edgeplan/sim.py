@@ -9,11 +9,11 @@ objective (the central cross-check of the delay model).
 The replay reads no delay table. It evaluates the scalar reference
 functions compute_cp and compute_cm once per layer and per consecutive
 layer pair, straight from the cluster and model specs, each hop's link
-found by ClusterSpec.link in O(1), and spreads each n-round total evenly
-over the n rounds. Agreement between its completion time and a plan's
-objective therefore checks the vectorised table the solvers read against
-an independent evaluation of the delay model. It keeps no plan rule of
-its own: it replays only what delay.check_plan_feasible accepts, the same
+read by ClusterSpec.link from the view the table reads, and spreads each
+n-round total over the n rounds. Agreement between its completion time
+and a plan's objective therefore checks the table's arithmetic against an
+independent evaluation of the delay model. It keeps no plan rule of its
+own: it replays only what delay.check_plan_feasible accepts, the same
 checker `plan` runs on every plan it emits.
 
 The trace is columnar: the 2L-1 steps of one round (duration, kind, layer,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from edgeplan import cli, core, quant
+from edgeplan import sim as sim_module
 from edgeplan import solver as solver_module
 from edgeplan.cli import (_load_and_filter, _load_from_options, build_parser,
                           input_digest, main)
@@ -439,6 +440,28 @@ class TestPlan:
         assert meta["expansions"] >= meta["nodes_explored"] >= 1
         assert meta["lower_bound_at_root"] <= doc["objective"]["total_s"]
         assert doc["digest"] == input_digest(cluster, model, doc["options"])
+
+    def test_link_view_is_built_once_per_command(self, tmp_path, capsys, monkeypatch):
+        """plan's delay table and plan checker, and simulate's checker and
+        replay, all read one cluster's link view, built once per command."""
+        view = core.ClusterSpec.__dict__["link_view"]
+        built, reads = [], []
+        monkeypatch.setattr(view, "func", lambda cluster, build=view.func:
+                            built.append(cluster) or build(cluster))
+        for module, name in ((cli, "build_delay_table"), (cli, "check_plan_feasible"),
+                             (sim_module, "check_plan_feasible")):
+            monkeypatch.setattr(module, name, lambda *a, f=getattr(module, name), name=name:
+                                reads.append(name) or f(*a))
+        argv = ["--cluster", data_path("cluster_m4.json"), "--model", data_path("model_l3.json")]
+        code, _, err = run(["plan", *argv, "--bits", "8", "--out", str(tmp_path / "p.json")],
+                           capsys)
+        assert code == 0, err
+        assert len(built) == 1 and reads == ["build_delay_table", "check_plan_feasible"]
+        code, _, err = run(["simulate", "--plan", str(tmp_path / "p.json"), *argv,
+                            "--out", str(tmp_path / "t.csv")], capsys)
+        assert code == 0, err
+        assert len(built) == 2 and built[0] is not built[1]
+        assert reads[2:] == ["check_plan_feasible"]
 
 
 class TestPlanStorage:
@@ -1065,6 +1088,52 @@ class TestBadPaths:
         assert sorted(tmp_path.rglob("*")) == before
 
 
+class TestOutputCollisions:
+    """An output path that is the same file as another output of the same
+    command, or as one of its --plan, --cluster or --model inputs, symlinks
+    and hard links followed, is an input error naming both flags, before
+    anything is read or written."""
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["simulate", "--plan", "plan.json", "--cluster", "cluster.json",
+          "--model", "model.json", "--out", "x", "--summary", "x"], ("--summary", "--out")),
+        (["quantize", "--weights-dir", "w", "--bits", "8", "--delta", "inf",
+          "--out", "x", "--stats-out", "./x"], ("--stats-out", "--out")),
+        (["plan", "--cluster", "cluster.json", "--model", "model.json", "--bits", "8",
+          "--out", "model.json"], ("--out", "--model")),
+        (["export-lp", "--cluster", "cluster.json", "--model", "model.json", "--bits", "8",
+          "--out", "cluster.json"], ("--out", "--cluster")),
+        (["simulate", "--plan", "plan.json", "--cluster", "cluster.json",
+          "--model", "model.json", "--out", "link-to-plan"], ("--out", "--plan")),
+        (["simulate", "--plan", "plan.json", "--cluster", "cluster.json",
+          "--model", "model.json", "--out", "t.csv", "--summary", "hard-link-to-model"],
+         ("--summary", "--model")),
+        (["simulate", "--plan", "plan.json", "--cluster", "cluster.json",
+          "--model", "model.json", "--out", "new/../new.csv", "--summary", "new.csv"],
+         ("--summary", "--out"))],
+        ids=["simulate-summary-is-out", "quantize-stats-out-is-out", "plan-out-is-model",
+             "export-lp-out-is-cluster", "simulate-out-links-to-plan",
+             "simulate-summary-is-hard-link-to-model", "simulate-new-outputs-resolve-alike"])
+    def test_is_input_error_and_writes_nothing(self, tmp_path, monkeypatch, capsys,
+                                               argv, flags):
+        monkeypatch.chdir(tmp_path)
+        for name in ("cluster", "model"):
+            (tmp_path / f"{name}.json").write_text(
+                Path(data_path(f"{name}_2x2.json")).read_text())
+        write_weights(tmp_path / "w", {"layer0": [-1.0, 0.5, 1.0]})
+        code, _, err = run(["plan", "--cluster", "cluster.json", "--model", "model.json",
+                            "--bits", "8", "--out", "plan.json"], capsys)
+        assert code == 0, err
+        (tmp_path / "link-to-plan").symlink_to(tmp_path / "plan.json")
+        (tmp_path / "hard-link-to-model").hardlink_to(tmp_path / "model.json")
+        (tmp_path / "new").mkdir()
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        code, stdout, err = run(argv, capsys)
+        assert code == 2 and stdout == ""
+        assert re.fullmatch(f"error: {flags[0]} \\S+: the same file as {flags[1]}\n", err)
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 class TestNotUtf8:
     """A JSON input is read as UTF-8 whatever the locale: a byte that is not
     UTF-8 is an input error naming the file and the byte's offset, exit 2
@@ -1232,6 +1301,22 @@ class TestHandEditedPlans:
                 total += compute_cm(layers[l], inst.cluster.link(i, j), 4, n,
                                     inst.model.batch_size, inst.model.embedding_size)
         return total
+
+    @pytest.mark.parametrize("server", [-1, 5])
+    def test_server_outside_the_cluster_is_unknown(self, tmp_path, capsys, server):
+        """-1 is no alias of server M - 1 = 4, which 0 links to and 1 from:
+        both hops through the unknown server are missing."""
+        cluster, model, plan, doc = self.setup(tmp_path, capsys)
+        doc["assignments"][1]["server"] = server
+        plan.write_text(json.dumps(doc))
+        code, stdout, err = run(["simulate", "--plan", str(plan), "--cluster", str(cluster),
+                                 "--model", str(model), "--out", str(tmp_path / "t.csv")],
+                                capsys)
+        assert code == 5 and stdout == ""
+        assert err == ("mismatch: plan cannot be replayed: "
+                       f"UnknownServer: layer 1 on server {server}; "
+                       f"MissingLink: layers 0->1 need link 0->{server}; "
+                       f"MissingLink: layers 1->2 need link {server}->1\n")
 
     @pytest.mark.parametrize("servers, tiny_server, violation, total", [
         ([0, 0, 1, 2], None, "DuplicateServer", 847.9874),

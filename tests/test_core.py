@@ -144,6 +144,23 @@ class TestValidateInstance:
         inst = make_2x2_instance(cluster=ClusterSpec(inst.cluster.servers, links))
         assert codes(validate_instance(inst)) == ["DuplicateLink"]
 
+    def test_every_repeat_is_reported_in_declaration_order(self):
+        """Each declaration after a pair's first is one DuplicateLink, in the
+        order of the links, beside that link's other violations."""
+        links = (LinkSpec(1, 0, 32.0), LinkSpec(0, 1, 32.0), LinkSpec(0, 1, 64.0),
+                 LinkSpec(1, 0, -1.0), LinkSpec(1, 1, 8.0), LinkSpec(0, 1, 8.0),
+                 LinkSpec(1, 1, 8.0))
+        inst = make_2x2_instance()
+        inst = make_2x2_instance(cluster=ClusterSpec(inst.cluster.servers, links))
+        assert list(map(str, validate_instance(inst))) == [
+            "DuplicateLink: link 0->1 is declared twice",
+            "DuplicateLink: link 1->0 is declared twice",
+            "LinkCapacityNonPositive: link 1->0 capacity -1.0",
+            "SelfLink: link 1->1 is a self-loop",
+            "DuplicateLink: link 0->1 is declared twice",
+            "DuplicateLink: link 1->1 is declared twice",
+            "SelfLink: link 1->1 is a self-loop"]
+
     def test_servers_out_of_id_order(self):
         inst = make_2x2_instance()
         servers = tuple(reversed(inst.cluster.servers))
@@ -254,7 +271,8 @@ class TestLinkFields:
 
 
 def scan_link(cluster, src, dst):
-    """The reference lookup: the first declared link src -> dst."""
+    """The reference lookup: the link declared src -> dst, by a scan of the
+    cluster's links (a valid cluster declares each pair once)."""
     for lk in cluster.links:
         if lk.src == src and lk.dst == dst:
             return lk
@@ -264,20 +282,40 @@ def scan_link(cluster, src, dst):
 class TestClusterLink:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_a_scan_on_generated_clusters(self, seed):
+        """Ids -1 and M find no link: a numpy index would wrap -1 to M - 1."""
         cluster = generate_instance(seed, 9, 3, link_density=0.5).cluster
         pairs = [(i, j) for i in range(-1, 10) for j in range(-1, 10)]
         assert [cluster.link(i, j) for i, j in pairs] == \
             [scan_link(cluster, i, j) for i, j in pairs]
         assert sum(cluster.link(i, j) is None for i, j in pairs) > 9 * 9 // 4
+        assert all(type(x) is float for lk in map(cluster.link, *zip(*pairs))
+                   if lk is not None for x in (lk.capacity_bps, lk.propagation_delay))
 
-    def test_first_declaration_wins(self):
-        links = (LinkSpec(0, 1, 32.0), LinkSpec(1, 0, 8.0), LinkSpec(0, 1, 64.0, 0.5),
-                 LinkSpec(1, 1, 4.0))
-        cluster = ClusterSpec(make_2x2_instance().cluster.servers, links)
-        for i in range(2):
-            for j in range(2):
-                assert cluster.link(i, j) == scan_link(cluster, i, j)
-        assert cluster.link(0, 1) == LinkSpec(0, 1, 32.0)
+    @pytest.mark.parametrize("seed, density", [(0, 0.2), (1, 0.3), (2, 0.5), (3, 1.0)])
+    def test_view_matches_a_scan_at_every_pair(self, seed, density):
+        """capacity is inf and delay 0 exactly where the scan finds no link,
+        the diagonal among them; elsewhere both are the declared values. The
+        generated links, reversed, get distinct delays."""
+        generated = generate_instance(seed, 11, 3, link_density=density).cluster
+        cluster = ClusterSpec(generated.servers, [
+            dataclasses.replace(lk, propagation_delay=k / 64)
+            for k, lk in enumerate(reversed(tuple(generated.links)))])
+        capacity, delay = cluster.link_view
+        assert capacity.shape == delay.shape == (11, 11)
+        for i in range(11):
+            for j in range(11):
+                lk = scan_link(cluster, i, j)
+                assert (capacity[i, j], delay[i, j]) == (
+                    (math.inf, 0.0) if lk is None else (lk.capacity_bps, lk.propagation_delay))
+
+    def test_view_is_built_once_and_read_only(self):
+        cluster = generate_instance(1, 6, 3, link_density=0.5).cluster
+        capacity, delay = cluster.link_view
+        assert cluster.link_view[0] is capacity and cluster.link_view[1] is delay
+        with pytest.raises(ValueError):
+            capacity[0, 1] = 1.0
+        with pytest.raises(ValueError):
+            delay[0, 1] = 1.0
 
 
 # sha256 of the files save_instance writes for

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from edgeplan.core import LayerProfile, LinkSpec, ServerSpec, ValidationError
+from edgeplan.core import LayerProfile, LinkSpec, ParseError, ServerSpec, ValidationError
 from edgeplan.delay import (DelayOptions, build_delay_table, check_plan_feasible,
                             compute_cm, compute_cp, path_delay)
 from edgeplan.gen import random_test_instance
@@ -43,8 +43,9 @@ class TestDelayOptions:
         ("cp_scaling", "pl"), ("cp_scaling", 5), ("per_token_activation", "no"),
         ("per_token_activation", 1), ("storage", "bogus"), ("storage", 7)])
     def test_bad_value_is_value_error(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            DelayOptions(**{field: value})
+        """Checked where a value enters: from_doc for a plan's options block."""
+        with pytest.raises(ParseError, match=field):
+            DelayOptions.from_doc({field: value})
 
     def test_doc_round_trip_and_defaults(self):
         options = DelayOptions("without_pl", False, "literal")

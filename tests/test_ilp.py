@@ -122,6 +122,13 @@ class TestCheckPlanFeasible:
         got = check_plan_feasible(((0, 8), (server, 8)), golden_instance)
         assert codes(got) == ["UnknownServer", "MissingLink"]
 
+    @pytest.mark.parametrize("server", [-1, 2])
+    def test_unknown_first_server(self, golden_instance, server):
+        """-1 is no alias of server M - 1 = 1: the hop from it to server 0
+        is missing, although link 1 -> 0 exists."""
+        got = check_plan_feasible(((server, 8), (0, 8)), golden_instance)
+        assert codes(got) == ["UnknownServer", "MissingLink"]
+
     def test_wrong_length(self, golden_instance):
         assert codes(check_plan_feasible(((0, 8),), golden_instance)) == ["WrongLength"]
 
