@@ -82,6 +82,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _file_key(path):
+    """What names one file: its device and inode (links followed), or its
+    realpath when it is not there yet."""
+    try:  # one stat; realpath costs a system call per path component
+        st = os.stat(path)
+        return st.st_dev, st.st_ino
+    except OSError:
+        return os.path.realpath(path)
+
+
 def _refuse_overwrite(args) -> None:
     """CliError naming both flags when one of the command's ``outputs`` is the
     same file as another or as its --plan/--cluster/--model input: by device
@@ -89,11 +99,7 @@ def _refuse_overwrite(args) -> None:
     seen = {}
     for dest in ("plan", "cluster", "model", *args.outputs):
         if (path := getattr(args, dest, None)) is not None:
-            try:  # one stat; realpath costs a system call per path component
-                st = os.stat(path)
-                key = st.st_dev, st.st_ino
-            except OSError:  # not there yet
-                key = os.path.realpath(path)
+            key = _file_key(path)
             if key in seen and dest in args.outputs:
                 flag, other = (f"--{d.replace('_', '-')}" for d in (dest, seen[key]))
                 raise CliError(f"{flag} {path}: the same file as {other}")
@@ -187,7 +193,11 @@ def cmd_gen(args) -> int:
 def cmd_quantize(args) -> int:
     bits = _parse_bits(args.bits)
     delta = _parse_delta(args.delta)
-    metas = sorted(glob.glob(os.path.join(args.weights_dir, "*.json")))
+    # the command's own report and stats, written there by an earlier run,
+    # are no tensors
+    own = {_file_key(path) for path in (args.out, args.stats_out) if path is not None}
+    metas = [path for path in sorted(glob.glob(os.path.join(args.weights_dir, "*.json")))
+             if _file_key(path) not in own]
     if not metas:
         raise CliError(
             f"no weight tensors in {args.weights_dir}; expected <name>.json "

@@ -9,12 +9,15 @@ Each input rule is checked once, where it enters: ``validate_instance`` for
 instance and plan files (bit widths and delta among them), the CLI's parser
 for flags. No module downstream checks them again.
 
-A cluster stores its links as one LinkRecord: four columns (src, dst,
-capacity, propagation delay) that iterate as LinkSpecs, filled by the
-parser and read by the validator, the generator and the writer. Every
-other reader reads ClusterSpec.link_view, the M x M index of the links
-built once per cluster: the delay table its matrices, ClusterSpec.link
-an entry. Validation refuses a pair declared twice.
+A cluster stores its links as one LinkRecord: four read-only numpy
+columns (src and dst as intp, capacity and propagation delay as float64),
+built once from whichever source the cluster comes, the parser, the
+generator or any iterable of LinkSpec. The validator judges every link
+with one array test and the writer reads the columns as Python scalars.
+Every other reader reads ClusterSpec.link_view, the M x M index of the
+links scattered from the columns once per cluster: the delay table its
+matrices, ClusterSpec.link an entry. Validation refuses a pair declared
+twice.
 
 Every JSON document edgeplan reads or writes goes through this module:
 ``load_json`` loads it, as UTF-8 whatever the locale, ``read_fields``
@@ -40,6 +43,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Any, Iterable, Optional
 
 import numpy as np
@@ -87,23 +91,65 @@ class LinkSpec:
     propagation_delay: float = 0.0  # seconds
 
 
-@dataclass(frozen=True)
+# LinkRecord's columns, each also the LinkSpec field it holds, and dtype
+_LINK_COLUMNS = (("src", np.intp), ("dst", np.intp),
+                 ("capacity_bps", np.float64), ("propagation_delay", np.float64))
+
+
+def _column(values, dtype) -> np.ndarray:
+    """values as a read-only array of dtype: an array of that dtype itself,
+    made read-only, any other sequence copied into a new one (fromiter
+    reads a list of Python numbers faster than asarray). Values that do
+    not fit it, such as an id of 2**70, stay as given in an object array,
+    for validate_instance to refuse."""
+    try:
+        column = (np.asarray(values, dtype=dtype) if isinstance(values, np.ndarray)
+                  else np.fromiter(values, dtype, len(values)))
+    except OverflowError:
+        column = np.array(values, dtype=object)
+    column.flags.writeable = False
+    return column
+
+
+@dataclass(frozen=True, eq=False)
 class LinkRecord:
-    """A cluster's links as four columns, one entry per link in declaration
-    order. Iteration yields one LinkSpec per link; readers that touch every
-    link read the columns."""
+    """A cluster's links as four read-only numpy columns, one entry per
+    link in declaration order: src and dst as intp, capacity (bit/s) and
+    propagation delay (s) as float64. A numpy array of a column's dtype
+    given is kept, and made read-only; any other sequence is copied.
+    Iteration yields one LinkSpec per link, of Python int and float
+    values; readers that touch every link read the columns. Two records
+    are equal when their columns are."""
     # empty by default, so LinkRecord(*zip(*rows)) transposes (src, dst,
     # capacity, delay) rows into a record, no rows included
-    src: tuple[int, ...] = ()
-    dst: tuple[int, ...] = ()
-    capacity_bps: tuple[float, ...] = ()
-    propagation_delay: tuple[float, ...] = ()
+    src: np.ndarray = ()
+    dst: np.ndarray = ()
+    capacity_bps: np.ndarray = ()
+    propagation_delay: np.ndarray = ()
+
+    def __post_init__(self):
+        for name, dtype in _LINK_COLUMNS:
+            object.__setattr__(self, name, _column(getattr(self, name), dtype))
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return self.src, self.dst, self.capacity_bps, self.propagation_delay
 
     def __len__(self) -> int:
         return len(self.src)
 
     def __iter__(self) -> Iterator[LinkSpec]:
-        return map(LinkSpec, self.src, self.dst, self.capacity_bps, self.propagation_delay)
+        return map(LinkSpec, *(column.tolist() for column in self.columns()))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not LinkRecord:
+            return NotImplemented
+        return all(map(np.array_equal, self.columns(), other.columns()))
+
+    def __hash__(self) -> int:
+        # + 0 turns -0.0, equal to 0.0, into 0.0; an object column holds
+        # Python numbers, whose own hashes agree with equality
+        return hash(tuple(tuple(column.tolist()) if column.dtype == object
+                          else (column + 0).tobytes() for column in self.columns()))
 
 
 @dataclass(frozen=True)
@@ -115,9 +161,9 @@ class ClusterSpec:
 
     def __post_init__(self):
         if type(self.links) is not LinkRecord:
-            object.__setattr__(self, "links", LinkRecord(*zip(*(
-                (lk.src, lk.dst, lk.capacity_bps, lk.propagation_delay)
-                for lk in self.links))))
+            links = tuple(self.links)
+            object.__setattr__(self, "links", LinkRecord(*(
+                list(map(attrgetter(name), links)) for name, _ in _LINK_COLUMNS)))
 
     @property
     def num_servers(self) -> int:
@@ -130,8 +176,8 @@ class ClusterSpec:
         among them), and its propagation delay in seconds, 0 there. Built
         on first use; defined on a valid cluster only."""
         M, links = len(self.servers), self.links
-        at = (np.array(links.src, dtype=np.intp), np.array(links.dst, dtype=np.intp))
         capacity, delay = np.full((M, M), math.inf), np.zeros((M, M))
+        at = links.src, links.dst
         capacity[at], delay[at] = links.capacity_bps, links.propagation_delay
         capacity.flags.writeable = delay.flags.writeable = False
         return capacity, delay
@@ -239,20 +285,34 @@ def validate_instance(instance: ProblemInstance) -> list[Violation]:
             out.append(Violation("NegativeStorage", f"server {s.id} storage {s.storage_capacity}"))
     id_set = set(ids)
     links = instance.cluster.links
-    unique = len(set(zip(links.src, links.dst))) == len(links)
-    # the first declaration of each pair, only when some pair is repeated
-    first = {} if unique else dict(zip(zip(links.src[::-1], links.dst[::-1]),
-                                       range(len(links) - 1, -1, -1)))
-    for k, (src, dst, capacity, delay) in enumerate(zip(
-            links.src, links.dst, links.capacity_bps, links.propagation_delay)):
-        # a clean link passes this one test; a flagged one is checked rule by rule
-        if (0.0 < capacity < math.inf and 0.0 <= delay < math.inf and src != dst
-                and src in id_set and dst in id_set and (unique or first[src, dst] == k)):
-            continue
+    columns = links.columns()
+    M = len(ids)
+    # a clean link passes one array test; a flagged one is checked rule by
+    # rule, and every declaration of a repeated pair is flagged. Unless the
+    # ids are 0..M-1 and every column has its dtype, every link is flagged
+    flagged = np.ones(len(links), dtype=bool)
+    if id_set == set(range(M)) and all(c.dtype != object for c in columns):
+        i, j, c, p = columns  # src, dst, capacity, delay
+        # as unsigned, a negative id is beyond M too
+        known = np.maximum(i.view(np.uintp), j.view(np.uintp)) < M
+        clean = i != j
+        for test in (known, c > 0, c < math.inf, p >= 0, p < math.inf):
+            clean &= test
+        flagged = ~clean
+        pairs = i * M + j if known.all() else i[known] * M + j[known]
+        declared = np.zeros(M * M, dtype=bool)
+        declared[pairs] = True
+        if np.count_nonzero(declared) < len(pairs):  # some pair is repeated
+            _, inverse, count = np.unique(pairs, return_inverse=True, return_counts=True)
+            flagged[np.flatnonzero(known)[count[inverse] > 1]] = True
+    seen, at = set(), np.flatnonzero(flagged)
+    for src, dst, capacity, delay in zip(*(column[at].tolist() for column in columns)):
+        repeat = (src, dst) in seen
+        seen.add((src, dst))
         if not (math.isfinite(capacity) and math.isfinite(delay)):
             out += _non_finite(f"link {src}->{dst}", capacity_bps=capacity,
                                prop_delay_s=delay)
-        if not unique and first[src, dst] != k:
+        if repeat:
             out.append(Violation("DuplicateLink", f"link {src}->{dst} is declared twice"))
         if capacity <= 0:
             out.append(Violation("LinkCapacityNonPositive", f"link {src}->{dst} capacity {capacity}"))
@@ -542,27 +602,45 @@ _LAYER = (("flops", float, REQUIRED), ("param_count", int, REQUIRED),
           ("weights", str, None))
 
 
+def _columns(docs: list, schema: tuple) -> Optional[list[list]]:
+    """The fields of a list of JSON objects as one list per ``schema``
+    entry, each with one exact-type test; None unless every entry is an
+    object whose fields have exactly their JSON types, for read_fields to
+    read them one by one."""
+    columns = []
+    for key, kind, default in schema:
+        try:
+            column = list(map(itemgetter(key), docs))
+        except KeyError:
+            if default is REQUIRED:
+                return None
+            column = [doc.get(key, default) for doc in docs]
+        except TypeError:  # an entry that is no object
+            return None
+        if not set(map(type, column)) <= {kind}:
+            return None
+        columns.append(column)
+    return columns
+
+
 def parse_cluster(doc, where: str = "cluster") -> ClusterSpec:
     """ClusterSpec from a parsed cluster document; ParseError on a missing
     key or a field of the wrong JSON type."""
     server_docs, link_docs = read_fields(doc, _CLUSTER, where)
-    servers = [ServerSpec(*read_fields(s, _SERVER, where, "servers", k))
-               for k, s in enumerate(server_docs)]
-    rows = []
-    for k, lk in enumerate(link_docs):
-        # one type test per field; an entry that fails one, an integer to
-        # read as a float included, is read, or refused, by read_fields
-        if (type(lk) is dict and type(i := lk.get("src")) is int
-                and type(j := lk.get("dst")) is int
-                and type(c := lk.get("capacity_bps")) is float
-                and type(p := lk.get("prop_delay_s", 0.0)) is float):
-            rows.append((i, j, c, p))
-        else:
-            rows.append(read_fields(lk, _LINK, where, "links", k))
+    # read_fields reads an entry that fails a column's test, or refuses it;
+    # it also reads an integer as a float
+    columns = _columns(server_docs, _SERVER)
+    servers = (list(map(ServerSpec, *columns)) if columns is not None else
+               [ServerSpec(*read_fields(s, _SERVER, where, "servers", k))
+                for k, s in enumerate(server_docs)])
+    columns = _columns(link_docs, _LINK)
+    if columns is None:
+        columns = zip(*(read_fields(lk, _LINK, where, "links", k)
+                        for k, lk in enumerate(link_docs)))
     # position == id from here on: the delay table, the simulator and the
     # plan checker all index servers by position
     servers.sort(key=lambda s: s.id)
-    return ClusterSpec(servers=tuple(servers), links=LinkRecord(*zip(*rows)))
+    return ClusterSpec(servers=tuple(servers), links=LinkRecord(*columns))
 
 
 def parse_model(doc, where: str = "model") -> ModelProfile:
@@ -612,10 +690,23 @@ def cluster_to_doc(cluster: ClusterSpec) -> dict:
         ],
         "links": [
             {"src": i, "dst": j, "capacity_bps": c, "prop_delay_s": p}
-            for i, j, c, p in zip(links.src, links.dst, links.capacity_bps,
-                                  links.propagation_delay)
+            for i, j, c, p in zip(*map(_scalars, links.columns()))
         ],
     }
+
+
+def _scalars(column: np.ndarray) -> list:
+    """column.tolist(), except that an id column spanning fewer values than
+    it holds refers to one Python int per id, and a column of +0.0 only to
+    one 0.0, so a document of a generated cluster of n links does not hold
+    2n ints and n zeros of its own: at 1024 servers that is 80 MB less."""
+    if column.dtype == np.intp and len(column):
+        low, high = int(column.min()), int(column.max())
+        if high - low < len(column):
+            return np.arange(low, high + 1).astype(object)[column - low].tolist()
+    elif column.dtype == np.float64 and not column.view(np.int64).any():
+        return [0.0] * len(column)
+    return column.tolist()
 
 
 def model_to_doc(model: ModelProfile) -> dict:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .core import (ClusterSpec, LayerProfile, LinkRecord, ModelProfile,
                    ProblemInstance, ServerSpec)
 
@@ -33,9 +35,17 @@ def generate_cluster(rng: random.Random, m: int, profile: str = "uniform",
         storage = rng.uniform(0.5e9, 4e9)
         servers.append(ServerSpec(id=i, compute_throughput=ccs,
                                   storage_capacity=storage))
-    links = [(i, j, rng.uniform(1e7, 1e9), 0.0) for i in range(m) for j in range(m)
-             if i != j and (link_density >= 1.0 or rng.random() < link_density)]
-    return ClusterSpec(servers=tuple(servers), links=LinkRecord(*zip(*links)))
+    if link_density >= 1.0:
+        # every ordered pair in row-major order, each capacity drawn as
+        # rng.uniform(1e7, 1e9) draws it: 1e7 + (1e9 - 1e7) * rng.random()
+        src, dst = np.nonzero(~np.eye(m, dtype=bool))
+        capacity = 1e7 + (1e9 - 1e7) * np.fromiter(iter(rng.random, None), float, len(src))
+        links = LinkRecord(src, dst, capacity, np.zeros(len(src)))
+    else:
+        links = LinkRecord(*zip(*[(i, j, rng.uniform(1e7, 1e9), 0.0)
+                                  for i in range(m) for j in range(m)
+                                  if i != j and rng.random() < link_density]))
+    return ClusterSpec(servers=tuple(servers), links=links)
 
 
 def generate_model(rng: random.Random, l: int, *,

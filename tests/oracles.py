@@ -15,6 +15,12 @@ equivalence with ``max_abs_error`` is tested, not assumed.
 Search. ``held_karp`` is the exact minimum over injective placements by
 the subset dynamic program of Held and Karp (1962): brute force stops at
 a few servers, while branch and bound is stressed at 10 to 18.
+
+Links. ``link_violations`` judges a cluster's links one at a time in
+Python, every rule on every link, with the first declaration of each
+pair from a dictionary: the reference of ``validate_instance``'s one
+array test over the link columns, which sends only the links it flags
+through the rules.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from edgeplan.core import MAX_BITS, MIN_BITS
+from edgeplan.core import MAX_BITS, MIN_BITS, Violation
 from edgeplan.quant import SchemeKind, WeightTensor
 
 
@@ -128,6 +134,39 @@ def check_linearized(original, quantized, delta: float) -> bool:
     a, b = _float64_pair(original, quantized)
     diff = a - b
     return bool(np.all(diff <= delta) and np.all(diff >= -delta))
+
+
+def _non_finite(where: str, **values: float) -> list[Violation]:
+    return [Violation("NonFiniteValue", f"{where} {name} {value}")
+            for name, value in values.items() if not math.isfinite(value)]
+
+
+def link_violations(cluster) -> list[Violation]:
+    """The violations of the cluster's links, in the order and with the
+    texts validate_instance gives them; the links as Python values."""
+    out = []
+    id_set = {s.id for s in cluster.servers}
+    links = tuple(cluster.links)
+    # the first declaration of each pair
+    first = {}
+    for k, lk in enumerate(links):
+        first.setdefault((lk.src, lk.dst), k)
+    for k, lk in enumerate(links):
+        src, dst, capacity, delay = lk.src, lk.dst, lk.capacity_bps, lk.propagation_delay
+        if not (math.isfinite(capacity) and math.isfinite(delay)):
+            out += _non_finite(f"link {src}->{dst}", capacity_bps=capacity,
+                               prop_delay_s=delay)
+        if first[src, dst] != k:
+            out.append(Violation("DuplicateLink", f"link {src}->{dst} is declared twice"))
+        if capacity <= 0:
+            out.append(Violation("LinkCapacityNonPositive", f"link {src}->{dst} capacity {capacity}"))
+        if src == dst:
+            out.append(Violation("SelfLink", f"link {src}->{dst} is a self-loop"))
+        if src not in id_set or dst not in id_set:
+            out.append(Violation("UnknownServerInLink", f"link {src}->{dst} references unknown server"))
+        if delay < 0:
+            out.append(Violation("NegativePropagationDelay", f"link {src}->{dst}"))
+    return out
 
 
 # (2^M, M) float64 entries: 37.7 MB at M = 18

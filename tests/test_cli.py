@@ -170,6 +170,20 @@ class TestQuantize:
         assert calls == [("one_sided", 32), ("two_sided", 32)]
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_own_outputs_in_the_weights_dir_are_no_tensors(self, tmp_path, capsys):
+        """A report and stats written into --weights-dir are left out of
+        its tensors on the next run: same stdout, no error, same bytes."""
+        wdir = tmp_path / "w"
+        write_weights(wdir, {"layer0": [-1.0, 0.5, 2.0]})
+        out, stats = wdir / "report.json", wdir / "stats.json"
+        argv = ["quantize", "--weights-dir", str(wdir), "--bits", "8", "--delta", "0.1",
+                "--out", str(out), "--stats-out", str(stats)]
+        first = run(argv, capsys)
+        written = out.read_bytes(), stats.read_bytes()
+        assert first == (0, "layer0: feasible bits {8}\nquantization ratio: 25.00%\n", "")
+        assert run(argv, capsys) == first
+        assert (out.read_bytes(), stats.read_bytes()) == written
+
     def test_unusable_weights_reported_but_continue(self, tmp_path, capsys):
         wdir = tmp_path / "w"
         write_weights(wdir, {"good": [-1.0, 1.0]})
@@ -563,6 +577,21 @@ class TestInputValidation:
              "--out", str(out)], capsys)
         assert code == 2
         assert "NonFiniteValue" in err
+        assert not out.exists()
+
+    def test_link_ids_beyond_intp(self, tmp_path, capsys):
+        """Ids that fit no intp column are unknown servers, named as given,
+        as any other: exit 2, no output."""
+        doc = json.loads(Path(data_path("cluster_2x2.json")).read_text())
+        doc["links"] += [{"src": 2 ** 63, "dst": 2 ** 70, "capacity_bps": 1.0},
+                         {"src": 0, "dst": 2 ** 63, "capacity_bps": 1.0}]
+        cpath, out = tmp_path / "cluster.json", tmp_path / "plan.json"
+        cpath.write_text(json.dumps(doc))
+        assert run(["plan", "--cluster", str(cpath), "--model", data_path("model_2x2.json"),
+                    "--bits", "8", "--out", str(out)], capsys) == (2, "", (
+            "error: UnknownServerInLink: link 9223372036854775808->"
+            "1180591620717411303424 references unknown server; UnknownServerInLink: "
+            "link 0->9223372036854775808 references unknown server\n"))
         assert not out.exists()
 
     @staticmethod

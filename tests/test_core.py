@@ -2,7 +2,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import random
 from pathlib import Path
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +14,12 @@ from hypothesis import strategies as st
 from edgeplan.core import (ClusterSpec, LayerProfile, LinkSpec, ModelProfile,
                            ParseError, ProblemInstance, ServerSpec,
                            ValidationError, cluster_to_doc, json_text, load_instance,
-                           model_to_doc, parse_cluster, save_instance,
+                           load_json, model_to_doc, parse_cluster, save_instance,
                            validate_instance)
-from edgeplan.gen import generate_instance
+from edgeplan.gen import PROFILES, generate_cluster, generate_instance
 
 from conftest import data_path, make_2x2_instance
+from oracles import link_violations
 
 
 def codes(violations):
@@ -270,6 +274,43 @@ class TestLinkFields:
                    for x in (lk.capacity_bps, lk.propagation_delay))
 
 
+SERVER = {"id": 1, "ccs_flops": 1.0, "storage_bytes": 1.0}
+
+# (id, the second server entry, the ParseError text)
+BAD_SERVER_FIELDS = [
+    ("not_an_object", ["x"], 'c.json.servers[1]: must be an object, got ["x"]'),
+    ("missing_id", {k: v for k, v in SERVER.items() if k != "id"},
+     "c.json.servers[1]: missing key 'id'"),
+    ("id_boolean", dict(SERVER, id=True), "c.json.servers[1].id: must be an integer, got true"),
+    ("id_float", dict(SERVER, id=1.0), "c.json.servers[1].id: must be an integer, got 1.0"),
+    ("ccs_beyond_float", dict(SERVER, ccs_flops=10 ** 400),
+     "c.json.servers[1].ccs_flops: must be a number, got "
+     "1000000000000000000000000000000000000..."),
+    ("storage_null", dict(SERVER, storage_bytes=None),
+     "c.json.servers[1].storage_bytes: must be a number, got null"),
+]
+
+
+class TestServerFields:
+    @pytest.mark.parametrize("entry, message", [case[1:] for case in BAD_SERVER_FIELDS],
+                             ids=[case[0] for case in BAD_SERVER_FIELDS])
+    def test_refusal_text(self, entry, message):
+        doc = cluster_doc()
+        doc["servers"][1] = entry
+        with pytest.raises(ParseError) as exc:
+            parse_cluster(doc, "c.json")
+        assert str(exc.value) == message
+
+    def test_integers_read_as_floats_and_servers_sort_by_id(self):
+        doc = cluster_doc()
+        doc["servers"] = [dict(SERVER, ccs_flops=5, storage_bytes=0),
+                          {"id": 0, "ccs_flops": 2.0, "storage_bytes": 3.0}]
+        servers = parse_cluster(doc).servers
+        assert servers == (ServerSpec(0, 2.0, 3.0), ServerSpec(1, 5.0, 0.0))
+        assert all(type(x) is float for s in servers
+                   for x in (s.compute_throughput, s.storage_capacity))
+
+
 def scan_link(cluster, src, dst):
     """The reference lookup: the link declared src -> dst, by a scan of the
     cluster's links (a valid cluster declares each pair once)."""
@@ -318,6 +359,141 @@ class TestClusterLink:
             delay[0, 1] = 1.0
 
 
+# -- link validation against the oracle ----------------------------------------
+
+LINK_CODES = ("NonFiniteValue", "DuplicateLink", "LinkCapacityNonPositive", "SelfLink",
+              "UnknownServerInLink", "NegativePropagationDelay")
+
+
+def faulty_cluster(seed):
+    """A cluster of 0 to 7 servers, its ids at times not 0..M-1 or not in
+    order, with 0 to 4 faults injected into its links: a bad capacity or
+    delay, a self-link, an id outside 0..M-1 or beyond intp, a pair
+    declared two or three times."""
+    rng = random.Random(seed)
+    m = rng.randint(0, 7)
+    ids = list(range(m))
+    if m and rng.random() < 0.15:
+        ids[rng.randrange(m)] = m + rng.randint(0, 2)
+    if rng.random() < 0.15:
+        rng.shuffle(ids)
+    servers = tuple(ServerSpec(i, 1e9, 1e9) for i in ids)
+    density = rng.choice((0.0, 0.4, 1.0))
+    links = [LinkSpec(i, j, rng.uniform(1.0, 1e9), rng.choice((0.0, 1e-3)))
+             for i in range(m) for j in range(m) if i != j and rng.random() < density]
+
+    def some_link():
+        if not links:
+            links.append(LinkSpec(rng.randint(0, 3), rng.randint(0, 3), 8.0))
+        return rng.randrange(len(links))
+
+    for _ in range(rng.choice((0, 0, 1, 2, 4))):
+        fault = rng.randrange(5)
+        if fault == 0:
+            k = some_link()
+            links[k] = dataclasses.replace(links[k], capacity_bps=rng.choice(
+                (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0)))
+        elif fault == 1:
+            k = some_link()
+            links[k] = dataclasses.replace(links[k], propagation_delay=rng.choice(
+                (-1.0, -1e-300, math.inf)))
+        elif fault == 2:
+            i = rng.choice(ids or [0])
+            links.insert(rng.randint(0, len(links)), LinkSpec(i, i, 8.0))
+        elif fault == 3:
+            k = some_link()
+            bad = rng.choice((-1, m, 2 ** 63 - 1, 2 ** 63, 2 ** 70))
+            links[k] = dataclasses.replace(links[k], **{rng.choice(("src", "dst")): bad})
+        else:
+            k = some_link()
+            for _ in range(rng.choice((1, 2))):
+                copy = dataclasses.replace(links[k], capacity_bps=rng.choice(
+                    (links[k].capacity_bps, 16.0)))
+                links.insert(rng.randint(k + 1, len(links)), copy)
+    return ClusterSpec(servers, links)
+
+
+class TestLinkValidationOracle:
+    def test_same_violations_as_the_oracle(self):
+        """On 400 faulty clusters, validate_instance reports the server
+        violations, then exactly the oracle's link violations: codes,
+        texts and order. The suite reaches every link rule often, ids
+        beyond intp and clean clusters too."""
+        codes_seen, clean, beyond_intp = {code: 0 for code in LINK_CODES}, 0, 0
+        for seed in range(400):
+            cluster = faulty_cluster(seed)
+            servers_only = validate_instance(
+                make_2x2_instance(cluster=ClusterSpec(cluster.servers, ())))
+            expect = servers_only + link_violations(cluster)
+            assert validate_instance(make_2x2_instance(cluster=cluster)) == expect, seed
+            for v in expect[len(servers_only):]:
+                codes_seen[v.code] += 1
+            clean += expect == []
+            beyond_intp += cluster.links.src.dtype == object or cluster.links.dst.dtype == object
+        assert min(codes_seen.values()) >= 25, codes_seen
+        assert clean >= 100 and beyond_intp >= 10
+
+    def test_ids_at_the_intp_limits(self):
+        """2**63 - 1 fits intp and 2**63 does not; both, and 2**70, are
+        unknown servers, named as given."""
+        cluster = ClusterSpec(make_2x2_instance().cluster.servers, (
+            LinkSpec(0, 2 ** 63 - 1, 8.0), LinkSpec(2 ** 70, 1, 8.0), LinkSpec(2 ** 63, 0, 8.0),
+            LinkSpec(2 ** 70, 1, 8.0)))
+        assert list(map(str, validate_instance(make_2x2_instance(cluster=cluster)))) == [
+            f"UnknownServerInLink: link 0->{2 ** 63 - 1} references unknown server",
+            f"UnknownServerInLink: link {2 ** 70}->1 references unknown server",
+            f"UnknownServerInLink: link {2 ** 63}->0 references unknown server",
+            f"DuplicateLink: link {2 ** 70}->1 is declared twice",
+            f"UnknownServerInLink: link {2 ** 70}->1 references unknown server"]
+        assert cluster.links.src.dtype == object and cluster.links.dst.dtype == np.intp
+
+
+class TestLinkColumns:
+    def test_iteration_yields_python_scalars(self):
+        for links in (generate_instance(1, 5, 2, link_density=0.5).cluster.links,
+                      parse_cluster(cluster_doc(LINK, dict(LINK, src=1, dst=0))).links,
+                      faulty_cluster(3).links,
+                      ClusterSpec((), (LinkSpec(2 ** 70, 0, 1.0),)).links):
+            assert [tuple(map(type, dataclasses.astuple(lk))) for lk in links] == \
+                [(int, int, float, float)] * len(links)
+
+    def test_two_loads_are_equal_and_hash_alike(self):
+        doc = load_json(data_path("cluster_m4.json"))
+        first, second = parse_cluster(doc), parse_cluster(load_json(data_path("cluster_m4.json")))
+        assert first == second and hash(first) == hash(second)
+        assert first.links.capacity_bps is not second.links.capacity_bps
+        doc["links"][2]["capacity_bps"] *= 2
+        assert parse_cluster(doc) != first
+        # -0.0 equals 0.0, so it must hash alike
+        zero, minus_zero = (ClusterSpec(first.servers, [LinkSpec(0, 1, 8.0, d)])
+                            for d in (0.0, -0.0))
+        assert zero == minus_zero and hash(zero) == hash(minus_zero)
+
+    @pytest.mark.parametrize("links", [
+        [LinkSpec(0, 1, 8.0), LinkSpec(1, 0, 9.0)],
+        [LinkSpec(0, 1, 8.0, -0.0), LinkSpec(1, 0, 9.0)],
+        [LinkSpec(0, 1, 8.0, -0.0), LinkSpec(1, 0, 9.0, -0.0)],
+        [LinkSpec(-3, 2 ** 62, 8.0, 1e-3), LinkSpec(5, -1, 9.0)],
+        [LinkSpec(2 ** 70, 0, 8.0), LinkSpec(0, 2 ** 63, -0.0, math.nan)],
+        []], ids=["zeros", "one_minus_zero", "minus_zeros", "wide_ids", "beyond_intp", "none"])
+    def test_document_holds_the_iterated_values(self, links):
+        """The writer's links are those iteration yields, -0.0 kept apart
+        from 0.0, whichever way it turns a column into Python values."""
+        cluster = ClusterSpec((), links)
+        assert json.dumps(cluster_to_doc(cluster)["links"]) == json.dumps(
+            [{"src": lk.src, "dst": lk.dst, "capacity_bps": lk.capacity_bps,
+              "prop_delay_s": lk.propagation_delay} for lk in links])
+
+    def test_columns_refuse_writes(self):
+        for links in (generate_instance(1, 5, 2).cluster.links,
+                      parse_cluster(load_json(data_path("cluster_m4.json"))).links,
+                      ClusterSpec((), (LinkSpec(0, 1, 1.0),)).links):
+            assert [c.dtype for c in links.columns()] == [np.intp, np.intp] + [np.float64] * 2
+            for column in links.columns():
+                with pytest.raises(ValueError):
+                    column[0] = 1
+
+
 # sha256 of the files save_instance writes for
 # generate_instance(seed, 12, 5, "heterogeneous", link_density=0.6)
 GENERATED_SHA256 = {
@@ -335,6 +511,28 @@ def test_generated_files_are_pinned(tmp_path, seed):
     got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                 for name in ("cluster.json", "model.json"))
     assert got == GENERATED_SHA256[seed]
+
+
+def loop_cluster(rng, m, profile):
+    """generate_cluster at full link density, drawn link by link: the
+    reference of its array path, which must draw the same numbers."""
+    servers = []
+    for i in range(m):
+        if profile == "uniform":
+            ccs = rng.uniform(0.8e9, 1.2e9)
+        else:
+            ccs = 0.5e9 if i == 0 else 4.0e9 if i == 1 else rng.uniform(0.5e9, 4.0e9)
+        servers.append(ServerSpec(i, ccs, rng.uniform(0.5e9, 4e9)))
+    return ClusterSpec(tuple(servers), [LinkSpec(i, j, rng.uniform(1e7, 1e9), 0.0)
+                                        for i in range(m) for j in range(m) if i != j])
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+def test_full_clusters_draw_link_by_link(profile):
+    for m in (0, 1, 2, 9):
+        rng, reference = random.Random(m), random.Random(m)
+        assert generate_cluster(rng, m, profile) == loop_cluster(reference, m, profile)
+        assert rng.random() == reference.random()
 
 
 # -- json_text against the stdlib's indented encoder --------------------------
