@@ -23,14 +23,14 @@ import sys
 from . import __version__, ilp, quant
 from .core import (MAX_BITS, MIN_BITS, REQUIRED, SCHEMA_VERSION, ParseError,
                    ValidationError, input_digest, json_line, json_text, load_instance,
-                   load_json, read_fields, read_finite, read_ints, read_typed,
-                   require_valid, save_instance, write_outputs)
+                   load_json, read_fields, read_finite, read_ints, read_records,
+                   read_typed, require_valid, save_instance, write_outputs)
 from .delay import (CP_SCALINGS, STORAGES, DelayOptions, build_delay_table,
                     check_plan_feasible)
 from .gen import PROFILES, generate_instance
 from .ilp import EmptyFeasibleSet, build_ilp
 from .quant import SchemeKind, analyze_tensor, load_weight_tensor
-from .sim import InfeasiblePlan, simulate, trace_to_timeline
+from .sim import simulate, trace_to_timeline
 from .solver import (DEFAULT_NODE_BUDGET, SizeLimit, solve_branch_and_bound,
                      solve_brute_force, solve_relaxed_dp)
 
@@ -176,6 +176,8 @@ def _load_from_options(cluster_path, model_path, doc, path) -> tuple:
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args) -> int:
+    if args.servers < 0:
+        raise CliError(f"--servers must be >= 0, got {args.servers}")
     if args.layers > args.servers:
         raise CliError(f"--layers {args.layers} > --servers {args.servers}: "
                        "no one-layer-per-server placement can exist")
@@ -311,11 +313,10 @@ def cmd_plan(args) -> int:
 def _replay_inputs(doc: dict, num_layers: int, where: str) -> tuple[tuple, float]:
     """The plan's (server, bits) pairs in layer order and its claimed total;
     the layers must be 0..L-1 once each. A well-formed plan that names an
-    unknown server or an infeasible width is left to the replay, which
-    reports a mismatch."""
+    unknown server or an infeasible width is left to the plan checker,
+    which reports a mismatch."""
     entries = read_typed(doc["assignments"], list, where, "assignments")
-    rows = sorted(read_fields(a, _ASSIGNMENT, where, "assignments", k)
-                  for k, a in enumerate(entries))
+    rows = sorted(zip(*read_records(entries, _ASSIGNMENT, where, "assignments")))
     if [layer for layer, _, _ in rows] != list(range(num_layers)):
         raise CliError(f"{where}: assignment layers must be 0..{num_layers - 1}, once each")
     (claimed,) = read_fields(doc["objective"], _OBJECTIVE, where, "objective")
@@ -333,6 +334,11 @@ def cmd_simulate(args) -> int:
         return EXIT_DIGEST
     instance, options = _load_from_options(args.cluster, args.model, options_doc, args.plan)
     assignments, claimed = _replay_inputs(doc, instance.model.num_layers, args.plan)
+    violations = check_plan_feasible(assignments, instance, options)
+    if violations:
+        print("mismatch: plan cannot be replayed: " + "; ".join(map(str, violations)),
+              file=sys.stderr)
+        return EXIT_MISMATCH
     # the verdict first: the timeline renders n * (2L - 1) rows
     try:
         trace = simulate(assignments, instance, options)
@@ -345,9 +351,6 @@ def cmd_simulate(args) -> int:
     except MemoryError:  # more rounds than this process can index or hold
         raise CliError(f"{args.plan}.options.tokens: ReplayTooLong: {instance.tokens} rounds "
                        f"of {2 * instance.model.num_layers - 1} events do not fit in memory")
-    except InfeasiblePlan as e:
-        print(f"mismatch: plan cannot be replayed: {e}", file=sys.stderr)
-        return EXIT_MISMATCH
     outputs = [(args.out, timeline)]
     if args.summary:
         outputs.append((args.summary, json_text({

@@ -12,16 +12,18 @@ for flags. No module downstream checks them again.
 A cluster stores its links as one LinkRecord: four read-only numpy
 columns (src and dst as intp, capacity and propagation delay as float64),
 built once from whichever source the cluster comes, the parser, the
-generator or any iterable of LinkSpec. The validator judges every link
-with one array test and the writer reads the columns as Python scalars.
-Every other reader reads ClusterSpec.link_view, the M x M index of the
-links scattered from the columns once per cluster: the delay table its
-matrices, ClusterSpec.link an entry. Validation refuses a pair declared
-twice.
+generator or any iterable of LinkSpec. The validator states each link
+rule once, as one boolean mask over the columns, and words the
+violations of the links a mask flags, in declaration order; a pair
+declared again is one of them. The writer reads the columns as Python
+scalars. Every other reader reads ClusterSpec.link_view, the M x M index
+of the links scattered from the columns once per cluster: the delay
+table its matrices, ClusterSpec.link an entry.
 
 Every JSON document edgeplan reads or writes goes through this module:
 ``load_json`` loads it, as UTF-8 whatever the locale, ``read_fields``
-schemas type-check it, ``json_text`` serialises it and ``write_outputs``
+schemas type-check it (``read_records`` a list of records, by columns
+where it can), ``json_text`` serialises it and ``write_outputs``
 writes it, leaving no partial output. ``json_text`` writes exactly the
 bytes of ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)``
 plus a newline, with the json module's C encoder doing the formatting;
@@ -285,43 +287,48 @@ def validate_instance(instance: ProblemInstance) -> list[Violation]:
             out.append(Violation("NegativeStorage", f"server {s.id} storage {s.storage_capacity}"))
     id_set = set(ids)
     links = instance.cluster.links
-    columns = links.columns()
+    src, dst, bps, delay = links.columns()
     M = len(ids)
-    # a clean link passes one array test; a flagged one is checked rule by
-    # rule, and every declaration of a repeated pair is flagged. Unless the
-    # ids are 0..M-1 and every column has its dtype, every link is flagged
-    flagged = np.ones(len(links), dtype=bool)
-    if id_set == set(range(M)) and all(c.dtype != object for c in columns):
-        i, j, c, p = columns  # src, dst, capacity, delay
-        # as unsigned, a negative id is beyond M too
-        known = np.maximum(i.view(np.uintp), j.view(np.uintp)) < M
-        clean = i != j
-        for test in (known, c > 0, c < math.inf, p >= 0, p < math.inf):
-            clean &= test
-        flagged = ~clean
-        pairs = i * M + j if known.all() else i[known] * M + j[known]
+    unknown = np.zeros(len(links), dtype=bool)
+    # as unsigned, a negative id is beyond M too
+    if (id_set == set(range(M)) and src.dtype == dst.dtype == np.intp
+            and not (np.maximum(src.view(np.uintp), dst.view(np.uintp)) >= M).any()):
+        # every id known: a pair repeats when the M x M scatter marks fewer
+        # cells than there are links, and np.unique finds each first one
+        pairs = src * M + dst
         declared = np.zeros(M * M, dtype=bool)
         declared[pairs] = True
-        if np.count_nonzero(declared) < len(pairs):  # some pair is repeated
-            _, inverse, count = np.unique(pairs, return_inverse=True, return_counts=True)
-            flagged[np.flatnonzero(known)[count[inverse] > 1]] = True
-    seen, at = set(), np.flatnonzero(flagged)
-    for src, dst, capacity, delay in zip(*(column[at].tolist() for column in columns)):
-        repeat = (src, dst) in seen
-        seen.add((src, dst))
-        if not (math.isfinite(capacity) and math.isfinite(delay)):
-            out += _non_finite(f"link {src}->{dst}", capacity_bps=capacity,
-                               prop_delay_s=delay)
-        if repeat:
-            out.append(Violation("DuplicateLink", f"link {src}->{dst} is declared twice"))
-        if capacity <= 0:
-            out.append(Violation("LinkCapacityNonPositive", f"link {src}->{dst} capacity {capacity}"))
-        if src == dst:
-            out.append(Violation("SelfLink", f"link {src}->{dst} is a self-loop"))
-        if src not in id_set or dst not in id_set:
-            out.append(Violation("UnknownServerInLink", f"link {src}->{dst} references unknown server"))
-        if delay < 0:
-            out.append(Violation("NegativePropagationDelay", f"link {src}->{dst}"))
+        repeat = np.zeros(len(links), dtype=bool)
+        if np.count_nonzero(declared) < len(pairs):
+            repeat[:] = True
+            repeat[np.unique(pairs, return_index=True)[1]] = False
+    else:  # an unknown id, or one beyond intp: read as Python values
+        first, pairs = {}, list(zip(src.tolist(), dst.tolist()))
+        repeat = np.array([first.setdefault(pair, k) != k for k, pair in enumerate(pairs)],
+                          dtype=bool)
+        unknown = np.array([i not in id_set or j not in id_set for i, j in pairs], dtype=bool)
+    # one mask per link rule, in the order a link's violations are listed;
+    # each words its violation from the link's name, capacity and delay
+    rules = (
+        (~np.isfinite(bps), lambda link, bps, delay:
+         Violation("NonFiniteValue", f"{link} capacity_bps {bps}")),
+        (~np.isfinite(delay), lambda link, bps, delay:
+         Violation("NonFiniteValue", f"{link} prop_delay_s {delay}")),
+        (repeat, lambda link, bps, delay: Violation("DuplicateLink", f"{link} is declared twice")),
+        (bps <= 0, lambda link, bps, delay:
+         Violation("LinkCapacityNonPositive", f"{link} capacity {bps}")),
+        (src == dst, lambda link, bps, delay: Violation("SelfLink", f"{link} is a self-loop")),
+        (unknown, lambda link, bps, delay:
+         Violation("UnknownServerInLink", f"{link} references unknown server")),
+        (delay < 0, lambda link, bps, delay: Violation("NegativePropagationDelay", link)),
+    )
+    flagged = np.zeros(len(links), dtype=bool)
+    for mask, _ in rules:
+        flagged |= mask
+    at = np.flatnonzero(flagged)
+    for (i, j, *values), broken in zip(zip(*(column[at].tolist() for column in links.columns())),
+                                       zip(*(mask[at].tolist() for mask, _ in rules))):
+        out += [word(f"link {i}->{j}", *values) for (_, word), hit in zip(rules, broken) if hit]
 
     layers = instance.model.layers
     if not layers:
@@ -602,53 +609,45 @@ _LAYER = (("flops", float, REQUIRED), ("param_count", int, REQUIRED),
           ("weights", str, None))
 
 
-def _columns(docs: list, schema: tuple) -> Optional[list[list]]:
-    """The fields of a list of JSON objects as one list per ``schema``
-    entry, each with one exact-type test; None unless every entry is an
-    object whose fields have exactly their JSON types, for read_fields to
-    read them one by one."""
+def read_records(docs: list, schema: tuple, where: str, *path) -> list[list]:
+    """The fields of a list of JSON objects as one list per (key, kind,
+    default) entry of ``schema``. A column whose values all have exactly
+    their JSON type, a missing key read as its default, is taken as is;
+    otherwise read_fields reads every entry, in order, an integer as a
+    float, refusing the first field it cannot read."""
     columns = []
-    for key, kind, default in schema:
-        try:
-            column = list(map(itemgetter(key), docs))
-        except KeyError:
-            if default is REQUIRED:
-                return None
-            column = [doc.get(key, default) for doc in docs]
-        except TypeError:  # an entry that is no object
-            return None
-        if not set(map(type, column)) <= {kind}:
-            return None
-        columns.append(column)
-    return columns
+    with contextlib.suppress(TypeError):  # an entry that is no object
+        for key, kind, default in schema:
+            try:
+                column = list(map(itemgetter(key), docs))
+            except KeyError:  # REQUIRED is no JSON value: the test below fails
+                column = [dict.get(doc, key, default) for doc in docs]
+            if not set(map(type, column)) <= {kind}:
+                break
+            columns.append(column)
+    if len(columns) == len(schema):
+        return columns
+    return list(map(list, zip(*(read_fields(doc, schema, where, *path, k)
+                                for k, doc in enumerate(docs)))))
 
 
 def parse_cluster(doc, where: str = "cluster") -> ClusterSpec:
     """ClusterSpec from a parsed cluster document; ParseError on a missing
     key or a field of the wrong JSON type."""
     server_docs, link_docs = read_fields(doc, _CLUSTER, where)
-    # read_fields reads an entry that fails a column's test, or refuses it;
-    # it also reads an integer as a float
-    columns = _columns(server_docs, _SERVER)
-    servers = (list(map(ServerSpec, *columns)) if columns is not None else
-               [ServerSpec(*read_fields(s, _SERVER, where, "servers", k))
-                for k, s in enumerate(server_docs)])
-    columns = _columns(link_docs, _LINK)
-    if columns is None:
-        columns = zip(*(read_fields(lk, _LINK, where, "links", k)
-                        for k, lk in enumerate(link_docs)))
+    servers = list(map(ServerSpec, *read_records(server_docs, _SERVER, where, "servers")))
+    links = LinkRecord(*read_records(link_docs, _LINK, where, "links"))
     # position == id from here on: the delay table, the simulator and the
     # plan checker all index servers by position
     servers.sort(key=lambda s: s.id)
-    return ClusterSpec(servers=tuple(servers), links=LinkRecord(*columns))
+    return ClusterSpec(servers=tuple(servers), links=links)
 
 
 def parse_model(doc, where: str = "model") -> ModelProfile:
     """ModelProfile from a parsed model document; ParseError on a missing
     key or a field of the wrong JSON type."""
     layer_docs, batch_size, embedding_size = read_fields(doc, _MODEL, where)
-    layers = tuple(LayerProfile(*read_fields(l, _LAYER, where, "layers", k))
-                   for k, l in enumerate(layer_docs))
+    layers = tuple(map(LayerProfile, *read_records(layer_docs, _LAYER, where, "layers")))
     return ModelProfile(layers=layers, batch_size=batch_size,
                         embedding_size=embedding_size)
 

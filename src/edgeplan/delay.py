@@ -35,8 +35,9 @@ mask. The replay simulator and brute force evaluate the scalar functions
 directly, so they check the table. path_delay sums a plan's cp and cm,
 from the table or from the scalar functions, and is the one pricer of
 plans. check_plan_feasible states the table's rules over the raw specs,
-reading no table, and is the one checker: `plan` runs it on every plan
-it emits and `simulate` on every plan it replays.
+reading no table, and is the one checker: the `plan` command runs it on
+every plan it emits, `simulate` on every plan it reads, before the
+replay, which takes a feasible plan.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def compute_cm(layer: LayerProfile, link: LinkSpec, bits: int,
                options: DelayOptions = DelayOptions()) -> float:
     """Transfer delay in seconds for all n rounds over ``link``. Callers
     price only declared links at validated widths, as for compute_cp: the
-    replay runs after check_plan_feasible, which refuses a missing hop, and
+    replay takes a plan check_plan_feasible accepts, so no missing hop, and
     brute force masks one first. build_delay_table does not call it; it is
     the independent check of the table's cm."""
     payload = round_payload_elements(layer, batch, embedding, options)
@@ -243,7 +244,9 @@ def check_plan_feasible(assignments, instance: ProblemInstance,
     """Constraint violations of an assignment sequence [(server, bits), ...],
     storage under ``options.storage`` for the widths a layer keeps (a
     width outside them is the one violation of its layer); each hop's link
-    is one ClusterSpec.link lookup, None for a server outside 0..M-1."""
+    is one ClusterSpec.link lookup, None for a server outside 0..M-1. The
+    `plan` and `simulate` commands both run it, `simulate` before the
+    replay, which takes a plan with no violation."""
     out: list[Violation] = []
     L = instance.model.num_layers
     M = instance.cluster.num_servers

@@ -13,8 +13,10 @@ read by ClusterSpec.link from the view the table reads, and spreads each
 n-round total over the n rounds. Agreement between its completion time
 and a plan's objective therefore checks the table's arithmetic against an
 independent evaluation of the delay model. It keeps no plan rule of its
-own: it replays only what delay.check_plan_feasible accepts, the same
-checker `plan` runs on every plan it emits.
+own and checks none: it takes a plan delay.check_plan_feasible accepts,
+as the delay table takes a valid instance. The `simulate` command runs
+that checker before the replay, as `plan` runs it on every plan it
+emits.
 
 The trace is columnar: the 2L-1 steps of one round (duration, kind, layer,
 resource) times n rounds, plus one float64 array with the end time of
@@ -37,13 +39,9 @@ from itertools import product
 import numpy as np
 
 from .core import ProblemInstance
-from .delay import DelayOptions, check_plan_feasible, compute_cm, compute_cp
+from .delay import DelayOptions, compute_cm, compute_cp
 
 TIMELINE_HEADER = "round,kind,resource,start_s,end_s"
-
-
-class InfeasiblePlan(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -90,20 +88,15 @@ class SimTrace:
 
 def simulate(assignments, instance: ProblemInstance,
              options: DelayOptions = DelayOptions()) -> SimTrace:
-    """Replay the plan; raises MemoryError when numpy cannot index its
-    n * (2L - 1) events, as when they do not fit in memory, then
-    InfeasiblePlan, naming every violation, when check_plan_feasible
-    rejects it (a wrong length, an unknown or reused server, bits outside
-    a layer's feasible set, a layer over its server's storage, a missing
-    link)."""
+    """Replay a plan that delay.check_plan_feasible accepts, as the
+    delay table takes a valid instance; raises MemoryError when numpy
+    cannot index its n * (2L - 1) events, as when they do not fit in
+    memory."""
     cluster, model = instance.cluster, instance.model
     L = model.num_layers
     n = instance.tokens
     if n * (2 * L - 1) > np.iinfo(np.intp).max:
         raise MemoryError
-    violations = check_plan_feasible(assignments, instance, options)
-    if violations:
-        raise InfeasiblePlan("; ".join(map(str, violations)))
     per_round = n or 1  # n = 0 replays no round
     steps = []
     for l, (i, b) in enumerate(assignments):

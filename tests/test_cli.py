@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from edgeplan import cli, core, quant
-from edgeplan import sim as sim_module
 from edgeplan import solver as solver_module
 from edgeplan.cli import (_load_and_filter, _load_from_options, build_parser,
                           input_digest, main)
@@ -462,8 +461,7 @@ class TestPlan:
         built, reads = [], []
         monkeypatch.setattr(view, "func", lambda cluster, build=view.func:
                             built.append(cluster) or build(cluster))
-        for module, name in ((cli, "build_delay_table"), (cli, "check_plan_feasible"),
-                             (sim_module, "check_plan_feasible")):
+        for module, name in ((cli, "build_delay_table"), (cli, "check_plan_feasible")):
             monkeypatch.setattr(module, name, lambda *a, f=getattr(module, name), name=name:
                                 reads.append(name) or f(*a))
         argv = ["--cluster", data_path("cluster_m4.json"), "--model", data_path("model_l3.json")]
@@ -842,6 +840,28 @@ class TestSimulateCommand:
         assert err.startswith(f"error: {plan}.options.tokens: ReplayTooLong: ")
         assert "Traceback" not in err
         assert not timeline.exists() and not summary.exists()
+
+    def test_infeasible_plan_too_long_to_replay_is_a_mismatch(self, tmp_path, capsys):
+        """The plan check comes before the replay's size refusal: a plan of
+        10**300 rounds at a width outside the menu is a mismatch."""
+        run(["gen", "--seed", "1", "-m", "4", "-l", "2", "--out-dir", str(tmp_path)],
+            capsys)
+        files = ["--cluster", str(tmp_path / "cluster.json"),
+                 "--model", str(tmp_path / "model.json")]
+        plan = tmp_path / "plan.json"
+        code, _, err = run(["plan", *files, "--bits", "4,8", "--tokens", "1" + "0" * 300,
+                            "--out", str(plan)], capsys)
+        assert code == 0, err
+        doc = json.loads(plan.read_text())
+        doc["assignments"][0]["bits"] = 16
+        plan.write_text(json.dumps(doc))
+        timeline = tmp_path / "t.csv"
+        code, stdout, err = run(["simulate", "--plan", str(plan), *files,
+                                 "--out", str(timeline)], capsys)
+        assert (code, stdout) == (5, "")
+        assert err == ("mismatch: plan cannot be replayed: InfeasibleBits: "
+                       "layer 0 at 16 bits (allowed (4, 8))\n")
+        assert not timeline.exists()
 
     @pytest.mark.parametrize("where, tokens", [("trace", 10 ** 8), ("timeline", 1000)],
                              ids=["trace", "timeline"])

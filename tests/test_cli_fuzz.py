@@ -1,10 +1,12 @@
-"""Property tests over the plan, export-lp, quantize and simulate commands.
+"""Property tests over the gen, plan, export-lp, quantize and simulate
+commands.
 
 The first draws bit menus, error budgets, token counts, histogram bins
 and schemes, valid and not, against one small generated instance with
 weight tensors. The second mutates a
 plan document and replays it. The third mutates the instance's cluster,
-model and weight files, metadata and data, and plans them.
+model and weight files, metadata and data, and plans them. The fourth
+runs gen over small server and layer counts, negative ones included.
 Every run must end in a documented exit code without a traceback; invalid
 input must be an input error (exit 2) and valid input must not be; what
 a run writes on exit 0 must be finite and record the inputs as given,
@@ -440,3 +442,25 @@ def test_each_instance_mutation_alone(fuzz_dir, k):
 @settings(max_examples=40, deadline=None)
 def test_instance_mutations(fuzz_dir, picks):
     plan_mutated(fuzz_dir, picks)
+
+
+@given(seed=st.integers(0, 3), servers=st.integers(-2, 6), layers=st.integers(-2, 6),
+       profile=st.sampled_from(["uniform", "heterogeneous"]))
+@example(seed=1, servers=-1, layers=-2, profile="uniform")
+@settings(max_examples=60, deadline=None)
+def test_gen_sizes(fuzz_dir, seed, servers, layers, profile):
+    """1 <= layers <= servers writes both files; any other size is an
+    input error that creates no --out-dir, a negative server count named
+    as the flag's."""
+    with tempfile.TemporaryDirectory(dir=fuzz_dir) as tmp:
+        out = os.path.join(tmp, "inst")
+        code, _, err = run_cli(["gen", "--seed", str(seed), "-m", str(servers),
+                                "-l", str(layers), "--profile", profile, "--out-dir", out])
+        assert "Traceback" not in err
+        assert code == (0 if 1 <= layers <= servers else 2), (servers, layers, code, err)
+        if servers < 0:
+            assert err == f"error: --servers must be >= 0, got {servers}\n"
+        if code == 0:
+            assert sorted(os.listdir(out)) == ["cluster.json", "model.json"]
+        else:
+            assert not os.path.exists(out)

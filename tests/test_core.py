@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edgeplan import core
 from edgeplan.core import (ClusterSpec, LayerProfile, LinkSpec, ModelProfile,
                            ParseError, ProblemInstance, ServerSpec,
                            ValidationError, cluster_to_doc, json_text, load_instance,
@@ -272,6 +273,19 @@ class TestLinkFields:
         assert list(links) == [LinkSpec(0, 1, 5.0, 0.0), LinkSpec(1, 0, 2.0, 0.0)]
         assert all(type(x) is float for lk in links
                    for x in (lk.capacity_bps, lk.propagation_delay))
+
+    def test_clean_document_is_read_as_columns(self, monkeypatch):
+        """Every server and link field of a generated cluster has exactly
+        its JSON type, so read_fields reads the document itself and no
+        entry one by one."""
+        cluster = generate_instance(1, 48, 8).cluster
+        doc = cluster_to_doc(cluster)
+        assert len(doc["links"]) == 2256
+        calls = []
+        monkeypatch.setattr(core, "read_fields", lambda *a, f=core.read_fields:
+                            calls.append(a[2:]) or f(*a))
+        assert parse_cluster(doc, "c.json") == cluster
+        assert calls == [("c.json",)]
 
 
 SERVER = {"id": 1, "ccs_flops": 1.0, "storage_bytes": 1.0}

@@ -48,6 +48,9 @@ def test_codes_are_found():
 def test_scan_sees_the_codes():
     assert {"NoLayers", "UnknownServer", "DelayOverflow", "ParamCountOverflow",
             "PayloadOverflow"} <= set(CODES)
+    # every link rule of validate_instance
+    assert {"NonFiniteValue", "DuplicateLink", "LinkCapacityNonPositive", "SelfLink",
+            "UnknownServerInLink", "NegativePropagationDelay"} <= set(CODES)
     assert os.path.join(ROOT, "tests", "test_core.py") in TESTS
 
 

@@ -8,7 +8,7 @@ from edgeplan.cli import main
 from edgeplan.delay import (DelayOptions, build_delay_table, check_plan_feasible,
                             compute_cm, compute_cp, path_delay)
 from edgeplan.gen import generate_instance, random_test_instance
-from edgeplan.sim import InfeasiblePlan, SimEvent, SimTrace, simulate, trace_to_timeline
+from edgeplan.sim import SimEvent, SimTrace, simulate, trace_to_timeline
 from edgeplan.solver import solve_brute_force
 
 from conftest import data_path, make_2x2_instance
@@ -44,17 +44,16 @@ class TestSimulate:
             assert cur.start == prev.end
         assert trace.completion_time == trace.events[-1].end
 
-    def test_missing_link_raises(self):
+    def test_missing_link_is_refused(self):
         inst = make_2x2_instance()
         inst = make_2x2_instance(
             cluster=type(inst.cluster)(servers=inst.cluster.servers,
                                        links=tuple(inst.cluster.links)[1:]))
-        with pytest.raises(InfeasiblePlan):
-            simulate(((0, 8), (1, 8)), inst)
+        assert codes(check_plan_feasible(((0, 8), (1, 8)), inst)) == ["MissingLink"]
 
-    def test_unknown_bits_raises(self, golden_instance):
-        with pytest.raises(InfeasiblePlan):
-            simulate(((0, 4), (1, 4)), golden_instance)
+    def test_unknown_bits_are_refused(self, golden_instance):
+        assert codes(check_plan_feasible(((0, 4), (1, 4)), golden_instance)) == \
+            ["InfeasibleBits", "InfeasibleBits"]
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_closed_form(self, seed):
@@ -85,14 +84,15 @@ class TestTimeline:
             ["round,kind,resource,start_s,end_s"]
 
 
+def codes(violations):
+    return [v.code for v in violations]
+
+
 def reference_replay(assignments, instance, options=DelayOptions()):
     """The event-by-event replay that the columnar trace must reproduce bit
     for bit: one SimEvent per event and a running sum `t += dur`. Returns
-    (events, completion time, timeline rows). It refuses exactly the plans
-    check_plan_feasible rejects, naming every violation."""
-    violations = check_plan_feasible(assignments, instance, options)
-    if violations:
-        raise InfeasiblePlan("; ".join(map(str, violations)))
+    (events, completion time, timeline rows). Like simulate, it takes a
+    plan check_plan_feasible accepts."""
     cluster, model = instance.cluster, instance.model
     L, n = model.num_layers, instance.tokens
     steps = []
@@ -118,15 +118,12 @@ def reference_replay(assignments, instance, options=DelayOptions()):
 
 
 def replays_as_reference(assignments, inst, options=DelayOptions()) -> bool:
-    """True when the plan replays and the columnar trace equals the
-    reference exactly; False when both refuse it with the same message."""
-    try:
-        events, completion, rows = reference_replay(assignments, inst, options)
-    except InfeasiblePlan as e:
-        with pytest.raises(InfeasiblePlan) as columnar:
-            simulate(assignments, inst, options)
-        assert str(columnar.value) == str(e)
+    """True when check_plan_feasible accepts the plan and the columnar
+    trace equals the reference exactly; False when the checker rejects it,
+    so neither replays it."""
+    if check_plan_feasible(assignments, inst, options):
         return False
+    events, completion, rows = reference_replay(assignments, inst, options)
     trace = simulate(assignments, inst, options)
     assert trace_to_timeline(trace) == rows
     assert trace.completion_time == completion
@@ -142,7 +139,7 @@ class TestColumnarReplayOracle:
         inst = random_test_instance(rng, tokens=rng.randint(0, 40))
         options = DelayOptions(per_token_activation=rng.random() < 0.5)
         L, M = inst.model.num_layers, inst.cluster.num_servers
-        for attempt in range(20):  # odd draws may reuse a server: both refuse
+        for attempt in range(20):  # odd draws may reuse a server: the checker refuses
             servers = (rng.sample(range(M), L) if attempt % 2 == 0
                        else [rng.randrange(M) for _ in range(L)])
             plan = tuple((i, rng.choice(inst.feasible_bits[l]))
@@ -168,12 +165,16 @@ class TestColumnarReplayOracle:
         """No hop from a server to itself is free: the plan is refused."""
         inst = make_2x2_instance(tokens=3)
         assert not replays_as_reference(((0, 8), (0, 8)), inst)
-        with pytest.raises(InfeasiblePlan, match="DuplicateServer"):
-            simulate(((0, 8), (0, 8)), inst)
+        assert codes(check_plan_feasible(((0, 8), (0, 8)), inst)) == ["DuplicateServer"]
 
-    @pytest.mark.parametrize("plan", [((0, 8),), ((2, 8), (1, 8)), ((0, 4), (1, 8))])
+    REFUSALS = {((0, 8),): ["WrongLength"],
+                ((2, 8), (1, 8)): ["UnknownServer", "MissingLink"],
+                ((0, 4), (1, 8)): ["InfeasibleBits"]}
+
+    @pytest.mark.parametrize("plan", list(REFUSALS))
     def test_refusals_match(self, plan):
         assert not replays_as_reference(plan, make_2x2_instance())
+        assert codes(check_plan_feasible(plan, make_2x2_instance())) == self.REFUSALS[plan]
 
 
 def test_cli_counts_events_without_building_them(tmp_path, monkeypatch):
