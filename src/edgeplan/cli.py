@@ -22,9 +22,10 @@ import sys
 
 from . import __version__, ilp, quant
 from .core import (MAX_BITS, MIN_BITS, REQUIRED, SCHEMA_VERSION, ParseError,
-                   ValidationError, input_digest, json_line, json_text, load_instance,
-                   load_json, read_fields, read_finite, read_ints, read_records,
-                   read_typed, require_valid, save_instance, write_outputs)
+                   ValidationError, hashing_reader, input_digest, json_line, json_text,
+                   load_instance, load_json, read_bytes, read_fields, read_finite,
+                   read_ints, read_records, read_typed, require_valid, save_instance,
+                   write_outputs)
 from .delay import (CP_SCALINGS, STORAGES, DelayOptions, build_delay_table,
                     check_plan_feasible)
 from .gen import PROFILES, generate_instance
@@ -106,15 +107,16 @@ def _refuse_overwrite(args) -> None:
             seen.setdefault(key, dest)
 
 
-def _load_and_filter(args) -> tuple:
-    """Shared plan/export-lp input path: load, validate, optionally narrow
-    feasible bits from on-disk weight tensors. The narrowed sets need no
-    second validation: quant.feasible_bits keeps a sorted subset of the
-    menu, and a layer without weights keeps the whole menu."""
+def _load_and_filter(args, read=read_bytes) -> tuple:
+    """Shared plan/export-lp input path: load the inputs, their bytes got
+    by ``read(path)``, validate, optionally narrow feasible bits from
+    on-disk weight tensors. The narrowed sets need no second validation:
+    quant.feasible_bits keeps a sorted subset of the menu, and a layer
+    without weights keeps the whole menu."""
     bits = _parse_bits(args.bits)
     delta = _parse_delta(args.delta)
     instance = load_instance(args.cluster, args.model, bit_menu=bits,
-                             delta=delta, tokens=args.tokens)
+                             delta=delta, tokens=args.tokens, read=read)
     if args.weights_dir is not None:
         if not os.path.isdir(args.weights_dir):
             raise CliError(f"--weights-dir {args.weights_dir}: not a directory")
@@ -157,17 +159,18 @@ _ASSIGNMENT = (("layer", int, REQUIRED), ("server", int, REQUIRED),
 _OBJECTIVE = (("total_s", read_finite, REQUIRED),)
 
 
-def _load_from_options(cluster_path, model_path, doc, path) -> tuple:
-    """The instance and DelayOptions a plan's options block records: the
-    inverse of _load_and_filter. feasible_bits holds one list of integers
-    per layer, and the rest of the block is a DelayOptions record."""
+def _load_from_options(cluster_path, model_path, doc, path, read=read_bytes) -> tuple:
+    """The instance and DelayOptions a plan's options block records, the
+    input files' bytes got by ``read(path)``: the inverse of
+    _load_and_filter. feasible_bits holds one list of integers per layer,
+    and the rest of the block is a DelayOptions record."""
     where = str(path)
     bits, delta, tokens, rows = read_fields(doc, _OPTIONS, where, "options")
     feasible = [read_ints(row, where, "options", "feasible_bits", k)
                 for k, row in enumerate(rows)]
     options = DelayOptions.from_doc(doc, where, "options")
     instance = load_instance(cluster_path, model_path, bit_menu=bits, delta=delta,
-                             tokens=tokens, feasible_bits=feasible)
+                             tokens=tokens, feasible_bits=feasible, read=read)
     return instance, options
 
 
@@ -245,7 +248,8 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    instance, options, options_doc = _load_and_filter(args)
+    read, inputs = hashing_reader()  # the input files, hashed as the loader reads them
+    instance, options, options_doc = _load_and_filter(args, read)
     table = build_delay_table(instance, options)
 
     def write_plan(assignments, objective: dict, meta: dict, **extra) -> None:
@@ -253,7 +257,7 @@ def cmd_plan(args) -> int:
         meta fields, the relaxed DP also its flag."""
         write_outputs((args.out, json_text({
             "schema_version": SCHEMA_VERSION,
-            "digest": input_digest(args.cluster, args.model, options_doc),
+            "digest": input_digest(args.cluster, args.model, options_doc, inputs),
             "solver": args.solver,
             "assignments": [{"layer": l, "server": i, "bits": b}
                             for l, (i, b) in enumerate(assignments)],
@@ -328,11 +332,16 @@ def cmd_simulate(args) -> int:
     digest, _, _, options_doc, relaxed = read_fields(doc, _PLAN, args.plan)
     if relaxed:
         raise CliError("relaxed documents carry a bound, not a runnable plan")
-    if input_digest(args.cluster, args.model, options_doc) != digest:
+    # both input files read, once, and hashed before either is parsed: an
+    # input changed since the plan was made is a digest mismatch
+    read, inputs = hashing_reader()
+    held = {path: read(path) for path in (args.cluster, args.model)}
+    if input_digest(args.cluster, args.model, options_doc, inputs) != digest:
         print("digest mismatch: plan was produced from different inputs or flags",
               file=sys.stderr)
         return EXIT_DIGEST
-    instance, options = _load_from_options(args.cluster, args.model, options_doc, args.plan)
+    instance, options = _load_from_options(args.cluster, args.model, options_doc,
+                                           args.plan, held.__getitem__)
     assignments, claimed = _replay_inputs(doc, instance.model.num_layers, args.plan)
     violations = check_plan_feasible(assignments, instance, options)
     if violations:
@@ -347,7 +356,7 @@ def cmd_simulate(args) -> int:
             print(f"mismatch: simulated {trace.completion_time!r} s vs "
                   f"plan objective {claimed!r} s", file=sys.stderr)
             return EXIT_MISMATCH
-        timeline = "\n".join(trace_to_timeline(trace)) + "\n"
+        timeline = trace_to_timeline(trace)
     except MemoryError:  # more rounds than this process can index or hold
         raise CliError(f"{args.plan}.options.tokens: ReplayTooLong: {instance.tokens} rounds "
                        f"of {2 * instance.model.num_layers - 1} events do not fit in memory")

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -289,24 +290,28 @@ def validate_instance(instance: ProblemInstance) -> list[Violation]:
     links = instance.cluster.links
     src, dst, bps, delay = links.columns()
     M = len(ids)
-    unknown = np.zeros(len(links), dtype=bool)
-    # as unsigned, a negative id is beyond M too
-    if (id_set == set(range(M)) and src.dtype == dst.dtype == np.intp
-            and not (np.maximum(src.view(np.uintp), dst.view(np.uintp)) >= M).any()):
-        # every id known: a pair repeats when the M x M scatter marks fewer
-        # cells than there are links, and np.unique finds each first one
-        pairs = src * M + dst
+    repeat = np.zeros(len(links), dtype=bool)
+    slow = np.ones(len(links), dtype=bool)  # the links read as Python values
+    if id_set == set(range(M)) and src.dtype == dst.dtype == np.intp:
+        # as unsigned, a negative id is beyond M too
+        slow = np.maximum(src.view(np.uintp), dst.view(np.uintp)) >= M
+        known = ~slow if slow.any() else slice(None)  # every id known: no copies
+        # a known pair repeats when the M x M scatter marks fewer cells than
+        # there are pairs, and np.unique finds the first of each
+        pairs = src[known] * M + dst[known]
         declared = np.zeros(M * M, dtype=bool)
         declared[pairs] = True
-        repeat = np.zeros(len(links), dtype=bool)
         if np.count_nonzero(declared) < len(pairs):
-            repeat[:] = True
-            repeat[np.unique(pairs, return_index=True)[1]] = False
-    else:  # an unknown id, or one beyond intp: read as Python values
-        first, pairs = {}, list(zip(src.tolist(), dst.tolist()))
-        repeat = np.array([first.setdefault(pair, k) != k for k, pair in enumerate(pairs)],
-                          dtype=bool)
-        unknown = np.array([i not in id_set or j not in id_set for i, j in pairs], dtype=bool)
+            first = np.zeros(len(pairs), dtype=bool)
+            first[np.unique(pairs, return_index=True)[1]] = True
+            repeat[known] = ~first
+    # no pair has both a known and an unknown id: the rest find their own
+    # repeats, by a first-position dict
+    rest = np.flatnonzero(slow)
+    seen, others = {}, list(zip(src[rest].tolist(), dst[rest].tolist()))
+    repeat[rest] = [seen.setdefault(pair, k) != k for k, pair in enumerate(others)]
+    unknown = np.zeros(len(links), dtype=bool)
+    unknown[rest] = [i not in id_set or j not in id_set for i, j in others]
     # one mask per link rule, in the order a link's violations are listed;
     # each words its violation from the link's name, capacity and delay
     rules = (
@@ -476,15 +481,25 @@ def read_fields(obj, schema: tuple, where: str, *path) -> list:
     return values
 
 
-def load_json(path) -> Any:
-    """The JSON document in the file at ``path``, read as UTF-8 whatever
-    the locale (RFC 8259 §8.1); ParseError naming the file when it cannot
-    be read, is not UTF-8, is not JSON (a byte order mark included) or
-    nests deeper than the decoder recurses. NaN and Infinity load as
-    floats, for read_finite to refuse where a field must be finite."""
+def read_bytes(path) -> bytes:
+    """The bytes of the file at ``path``."""
+    with open(path, "rb") as f:
+        return f.read()
+
+
+def load_json(path, read=read_bytes) -> Any:
+    """The JSON document in the file at ``path``, its bytes got by
+    ``read(path)`` and decoded as a text-mode open decodes them: as UTF-8
+    whatever the locale (RFC 8259 §8.1), with universal newlines. ParseError
+    naming the file when it cannot be read, is not UTF-8, is not JSON (a
+    byte order mark included) or nests deeper than the decoder recurses.
+    NaN and Infinity load as floats, for read_finite to refuse where a
+    field must be finite."""
     try:
-        with open(path, encoding="utf-8") as f:
-            return json.load(f)
+        # the bytes are dropped before the text is parsed
+        with io.TextIOWrapper(io.BytesIO(read(path)), encoding="utf-8") as f:
+            text = f.read()
+        return json.loads(text)
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8: byte {e.start}: {e.reason}") from e
     except json.JSONDecodeError as e:
@@ -585,16 +600,33 @@ def write_outputs(*files) -> None:
         raise
 
 
-def input_digest(cluster_path, model_path, options_doc) -> str:
+def hashing_reader():
+    """(read, sha): read_bytes that also feeds each file's bytes, then a
+    NUL, to sha, a new hashlib sha256, in the order it reads them; sha is
+    then the input part of input_digest, hashed as a command reads its
+    inputs once."""
+    sha = hashlib.sha256()
+
+    def read(path) -> bytes:
+        data = read_bytes(path)
+        sha.update(data)
+        sha.update(b"\x00")
+        return data
+    return read, sha
+
+
+def input_digest(cluster_path, model_path, options_doc, sha=None) -> str:
     """sha256 over the two input files plus the canonical option record,
-    which may hold anything a plan document does, NaN and Infinity too."""
-    h = hashlib.sha256()
-    for path in (cluster_path, model_path):
-        with open(path, "rb") as f:
-            h.update(f.read())
-        h.update(b"\x00")
-    h.update(json.dumps(options_doc, sort_keys=True).encode())
-    return h.hexdigest()
+    which may hold anything a plan document does, NaN and Infinity too.
+    ``sha`` holds the two files as a hashing_reader fed them; without it,
+    the files are read here."""
+    if sha is None:
+        read, sha = hashing_reader()
+        read(cluster_path)
+        read(model_path)
+    sha = sha.copy()
+    sha.update(json.dumps(options_doc, sort_keys=True).encode())
+    return sha.hexdigest()
 
 
 _CLUSTER = (("servers", list, REQUIRED), ("links", list, ()))
@@ -655,14 +687,15 @@ def parse_model(doc, where: str = "model") -> ModelProfile:
 def load_instance(cluster_path, model_path, *, bit_menu: Iterable[int],
                   delta: float, tokens: int,
                   feasible_bits: Optional[Iterable[Iterable[int]]] = None,
-                  ) -> ProblemInstance:
-    """Build a validated ProblemInstance from the two JSON files.
+                  read=read_bytes) -> ProblemInstance:
+    """Build a validated ProblemInstance from the two JSON files, their
+    bytes got by ``read(path)``.
 
     Raises ParseError on malformed files and ValidationError when the data
     breaks an invariant (carrying the full violation list).
     """
-    cluster = parse_cluster(load_json(cluster_path), str(cluster_path))
-    model = parse_model(load_json(model_path), str(model_path))
+    cluster = parse_cluster(load_json(cluster_path, read), str(cluster_path))
+    model = parse_model(load_json(model_path, read), str(model_path))
     # ProblemInstance sorts, de-duplicates and tuples the menu and the sets
     inst = ProblemInstance(cluster=cluster, model=model, bit_menu=bit_menu,
                            delta=float(delta), tokens=int(tokens),

@@ -25,9 +25,11 @@ np.add.accumulate adds strictly left to right, and IEEE addition of the
 same operands in the same order rounds the same way, so every end equals
 the running sum `t += duration` of an event-by-event loop bit for bit.
 Each event starts where the previous one ended, the first at 0.0.
-trace_to_timeline formats one prefix per step and one repr per end time,
-so `simulate` and the timeline build no per-event objects; SimTrace.events
-builds the SimEvent tuple only when it is first read.
+trace_to_timeline returns the timeline file's text, one join over pieces
+placed by slice assignment: one repr per end time, also the next row's
+start, one label per round and one prefix per step. No per-event object
+and no per-row string is built; SimTrace.events builds the SimEvent tuple
+only when it is first read.
 """
 
 from __future__ import annotations
@@ -72,7 +74,9 @@ class SimTrace:
     def __init__(self, steps: tuple[SimStep, ...], rounds: int):
         durations = np.array([s.duration for s in steps], dtype=np.float64)
         self.steps, self.rounds = steps, rounds
-        self.ends = np.cumsum(np.tile(durations, rounds))
+        # accumulated in place: one n-event array, not a tile and its sum
+        self.ends = np.tile(durations, rounds)
+        np.cumsum(self.ends, out=self.ends)
         self.completion_time = float(self.ends[-1]) if self.ends.size else 0.0
 
     @cached_property
@@ -111,12 +115,22 @@ def simulate(assignments, instance: ProblemInstance,
     return SimTrace(tuple(steps), n)
 
 
-def trace_to_timeline(trace: SimTrace) -> list[str]:
-    """CSV rows (header included), one per event, in time order."""
-    rows = [TIMELINE_HEADER]
+def trace_to_timeline(trace: SimTrace) -> str:
+    """The timeline file's text: the header, then one CSV row per event in
+    time order, each line ending in a newline."""
     ends = list(map(repr, trace.ends.tolist()))
-    prefixes = [f",{s.kind},{s.resource}," for s in trace.steps]
-    labels = [r + p for r in map(str, range(1, trace.rounds + 1)) for p in prefixes]
-    rows += [label + start + "," + end
-             for label, start, end in zip(labels, ["0.0", *ends[:-1]], ends)]
-    return rows
+    N, S = len(ends), len(trace.steps)
+    if not N:
+        return TIMELINE_HEADER + "\n"
+    # the header, five pieces per row and the last newline; row q is
+    # "\n<round>", ",<kind>,<resource>,", its start, "," and its end, at
+    # 1 + 5q .. 5 + 5q, and its start is the end of row q - 1
+    parts = [","] * (5 * N + 2)
+    parts[0], parts[3], parts[-1] = TIMELINE_HEADER, "0.0", "\n"
+    labels = [f"\n{r}" for r in range(1, trace.rounds + 1)]
+    for k in range(S):
+        parts[1 + 5 * k:-1:5 * S] = labels
+    parts[2:-1:5] = [f",{s.kind},{s.resource}," for s in trace.steps] * trace.rounds
+    parts[8:-1:5] = ends[:-1]
+    parts[5:-1:5] = ends
+    return "".join(parts)

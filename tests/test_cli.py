@@ -908,6 +908,39 @@ class TestSimulateCommand:
         assert code == 6
         assert "digest" in err
 
+    def test_unparsable_inputs_are_digest_mismatch(self, tmp_path, capsys):
+        """The digest is compared before the inputs are parsed: a cluster
+        or model file that is no longer JSON is a digest mismatch."""
+        plan = self.make_plan(tmp_path, capsys)
+        broken = tmp_path / "broken.json"
+        broken.write_text("{")
+        for flags in (["--cluster", str(broken), "--model", data_path("model_2x2.json")],
+                      ["--cluster", data_path("cluster_2x2.json"), "--model", str(broken)]):
+            code, _, err = run(["simulate", "--plan", str(plan), *flags,
+                                "--out", str(tmp_path / "t.csv")], capsys)
+            assert (code, err) == (6, "digest mismatch: plan was produced from "
+                                      "different inputs or flags\n")
+
+    def test_each_input_is_opened_once(self, tmp_path, capsys, monkeypatch):
+        """The digest hashes the bytes the loader read: plan opens its two
+        inputs and its output, simulate its plan, its two inputs and its
+        two outputs, each once."""
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(os.path.basename(path))
+            return open(path, *args, **kwargs)
+        monkeypatch.setattr(core, "open", counting_open, raising=False)
+        inputs = ["--cluster", data_path("cluster_2x2.json"),
+                  "--model", data_path("model_2x2.json")]
+        plan = tmp_path / "plan.json"
+        assert run(["plan", *inputs, "--bits", "8", "--out", str(plan)], capsys)[0] == 0
+        assert opened == ["cluster_2x2.json", "model_2x2.json", "plan.json"]
+        opened.clear()
+        assert run(["simulate", "--plan", str(plan), *inputs, "--out", str(tmp_path / "t.csv"),
+                    "--summary", str(tmp_path / "s.json")], capsys)[0] == 0
+        assert opened == ["plan.json", "cluster_2x2.json", "model_2x2.json", "t.csv", "s.json"]
+
 
 class TestExportLp:
     def args(self, out, model="model_2x2.json"):

@@ -461,6 +461,28 @@ class TestLinkValidationOracle:
             f"UnknownServerInLink: link {2 ** 70}->1 references unknown server"]
         assert cluster.links.src.dtype == object and cluster.links.dst.dtype == np.intp
 
+    @pytest.mark.parametrize("beyond_intp", [False, True], ids=["intp", "object"])
+    def test_unknown_and_known_ids_mixed(self, beyond_intp):
+        """An unknown id, that pair declared again, a repeat of a known
+        pair and a negative id: the same texts in the same order, whether
+        only the links with an unknown id are read as Python values or,
+        with an id of 2**70 in the column, every link is."""
+        links = [LinkSpec(0, 1, 32.0), LinkSpec(600, 0, 8.0), LinkSpec(1, 0, 32.0),
+                 LinkSpec(0, 1, 16.0), LinkSpec(600, 0, 8.0), LinkSpec(-1, 1, 8.0)]
+        expect = ["UnknownServerInLink: link 600->0 references unknown server",
+                  "DuplicateLink: link 0->1 is declared twice",
+                  "DuplicateLink: link 600->0 is declared twice",
+                  "UnknownServerInLink: link 600->0 references unknown server",
+                  "UnknownServerInLink: link -1->1 references unknown server"]
+        if beyond_intp:
+            links.append(LinkSpec(2 ** 70, 0, 8.0))
+            expect.append(f"UnknownServerInLink: link {2 ** 70}->0 references unknown server")
+        cluster = ClusterSpec(make_2x2_instance().cluster.servers, links)
+        assert (cluster.links.src.dtype == object) == beyond_intp
+        violations = validate_instance(make_2x2_instance(cluster=cluster))
+        assert list(map(str, violations)) == expect
+        assert violations == link_violations(cluster)
+
 
 class TestLinkColumns:
     def test_iteration_yields_python_scalars(self):

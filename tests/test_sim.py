@@ -1,14 +1,16 @@
 import json
+import math
 import random
 
 import pytest
 
 import edgeplan.sim
 from edgeplan.cli import main
+from edgeplan.core import load_instance
 from edgeplan.delay import (DelayOptions, build_delay_table, check_plan_feasible,
                             compute_cm, compute_cp, path_delay)
 from edgeplan.gen import generate_instance, random_test_instance
-from edgeplan.sim import SimEvent, SimTrace, simulate, trace_to_timeline
+from edgeplan.sim import SimEvent, SimStep, SimTrace, simulate, trace_to_timeline
 from edgeplan.solver import solve_brute_force
 
 from conftest import data_path, make_2x2_instance
@@ -71,17 +73,66 @@ class TestSimulate:
         assert len(trace.events) == inst.tokens * (2 * L - 1)
 
 
+def event_rows(trace):
+    """The timeline rows of a trace, one f-string per SimEvent: the
+    reference the text rendering must equal once joined as a file."""
+    return ["round,kind,resource,start_s,end_s"] + [
+        f"{e.round},{e.kind},{e.resource},{e.start!r},{e.end!r}" for e in trace.events]
+
+
+def as_file(rows) -> str:
+    return "\n".join(rows) + "\n"
+
+
 class TestTimeline:
     def test_golden_rows(self, golden_instance):
         trace = simulate(((0, 8), (1, 8)), golden_instance)
-        rows = trace_to_timeline(trace)
-        assert rows[0] == "round,kind,resource,start_s,end_s"
-        assert len(rows) == 1 + 3
-        assert rows[1].startswith("1,compute,server:0,0.0,1.0")
+        text = trace_to_timeline(trace)
+        assert text == ("round,kind,resource,start_s,end_s\n"
+                        "1,compute,server:0,0.0,1.0\n"
+                        "1,transfer,link:0->1,1.0,2.0\n"
+                        "1,compute,server:1,2.0,3.0\n")
+        assert text == as_file(event_rows(trace))
 
     def test_empty_trace_is_header_only(self):
-        assert trace_to_timeline(SimTrace((), 0)) == \
-            ["round,kind,resource,start_s,end_s"]
+        assert trace_to_timeline(SimTrace((), 0)) == "round,kind,resource,start_s,end_s\n"
+
+    def test_zero_tokens_is_header_only(self):
+        trace = simulate(((0, 8), (1, 8)), make_2x2_instance(tokens=0))
+        assert trace_to_timeline(trace) == "round,kind,resource,start_s,end_s\n"
+
+    def test_round_labels_cross_digit_counts(self):
+        """Rounds 9 -> 10 and 99 -> 100 change the label's width."""
+        trace = simulate(((0, 8), (1, 8)), make_2x2_instance(tokens=101))
+        text = trace_to_timeline(trace)
+        assert text == as_file(event_rows(trace))
+        lines = text.splitlines()
+        assert len(lines) == 1 + 101 * 3
+        for r in (9, 10, 99, 100, 101):
+            assert [line.split(",")[0] for line in lines[3 * r - 2:3 * r + 1]] == [str(r)] * 3
+
+    def test_one_step_per_round(self):
+        trace = SimTrace((SimStep(0.25, "compute", 0, "server:2"),), 3)
+        assert trace_to_timeline(trace) == ("round,kind,resource,start_s,end_s\n"
+                                            "1,compute,server:2,0.0,0.25\n"
+                                            "2,compute,server:2,0.25,0.5\n"
+                                            "3,compute,server:2,0.5,0.75\n")
+        inst = generate_instance(4, 3, 1, (4, 8, 16), "uniform", tokens=12)
+        single = simulate(((2, 8),), inst)
+        assert trace_to_timeline(single) == as_file(event_rows(single))
+
+    @pytest.mark.parametrize("durations, exponent", [((1e-5, 3e-5), "e-05"),
+                                                     ((4e15, 1e15), "e+16")],
+                             ids=["below-1e-4", "ends-from-1e16"])
+    def test_exponent_reprs(self, durations, exponent):
+        """Ends whose repr has an exponent, small ("1e-05") or large
+        ("1e+16"), are written as repr writes them."""
+        steps = (SimStep(durations[0], "compute", 0, "server:0"),
+                 SimStep(durations[1], "transfer", 0, "link:0->1"))
+        trace = SimTrace(steps, 3)
+        text = trace_to_timeline(trace)
+        assert text == as_file(event_rows(trace))
+        assert exponent in text
 
 
 def codes(violations):
@@ -125,7 +176,7 @@ def replays_as_reference(assignments, inst, options=DelayOptions()) -> bool:
         return False
     events, completion, rows = reference_replay(assignments, inst, options)
     trace = simulate(assignments, inst, options)
-    assert trace_to_timeline(trace) == rows
+    assert trace_to_timeline(trace) == as_file(rows)
     assert trace.completion_time == completion
     assert [(e.start, e.end) for e in trace.events] == [(e.start, e.end) for e in events]
     assert trace.events == events
@@ -193,3 +244,18 @@ def test_cli_counts_events_without_building_them(tmp_path, monkeypatch):
                  "--summary", str(summary)]) == 0
     assert json.loads(summary.read_text())["events"] == 5 * (2 * 2 - 1)
     assert len(timeline.read_text().splitlines()) == 1 + 5 * 3
+
+
+def test_cli_writes_the_rendered_timeline(tmp_path):
+    """The timeline file holds, byte for byte, the text trace_to_timeline
+    renders for the plan's replay."""
+    assert main(["gen", "--seed", "7", "-m", "5", "-l", "4", "--out-dir", str(tmp_path)]) == 0
+    cluster, model = tmp_path / "cluster.json", tmp_path / "model.json"
+    inputs = ["--cluster", str(cluster), "--model", str(model)]
+    plan, timeline = tmp_path / "plan.json", tmp_path / "timeline.csv"
+    assert main(["plan", *inputs, "--bits", "8", "--tokens", "150", "--out", str(plan)]) == 0
+    assert main(["simulate", "--plan", str(plan), *inputs, "--out", str(timeline)]) == 0
+    assignments = tuple((a["server"], a["bits"])
+                        for a in json.loads(plan.read_text())["assignments"])
+    inst = load_instance(cluster, model, bit_menu=(8,), delta=math.inf, tokens=150)
+    assert timeline.read_bytes() == trace_to_timeline(simulate(assignments, inst)).encode()
