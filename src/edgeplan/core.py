@@ -527,7 +527,10 @@ def json_text(doc) -> str:
     assignments), are each one C call; the few other nodes of a document
     are joined here.
     """
-    return _indented(doc, 0) + "\n"
+    parts = []
+    _indented(doc, 0, parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
 # the types whose JSON text is the same at every depth, bool included
@@ -542,40 +545,51 @@ def _encode_at(depth: int):
                             separators=(",\n" + "  " * depth, ": ")).encode
 
 
-def _indented(o, depth: int) -> str:
-    """``o`` as the indented encoder writes it ``depth`` levels in."""
+def _indented(o, depth: int, parts: list) -> None:
+    """Append to ``parts`` the pieces of ``o`` as the indented encoder
+    writes it ``depth`` levels in; json_text joins them once, so a large
+    document's text is held at most twice at a time."""
     if isinstance(o, dict):
         members, brackets = o.values(), "{}"
     elif isinstance(o, (list, tuple)):
         members, brackets = o, "[]"
     else:
         # a scalar; json's own TypeError for anything else
-        return _encode_at(0)(o)
+        parts.append(_encode_at(0)(o))
+        return
     if not o:
-        return brackets
+        parts.append(brackets)
+        return
     pad, inner = "  " * depth, "  " * (depth + 1)
     kinds = set(map(type, members))
     if kinds <= _SCALARS:
         text = _encode_at(depth + 1)(o)
-        return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
+        parts += (f"{text[0]}\n{inner}", text[1:-1], f"\n{pad}{text[-1]}")
+        return
     if (brackets == "[]" and (kinds == {dict} or kinds <= {list, tuple}) and all(o)
             and _SCALARS.issuperset(map(type, chain.from_iterable(
                 map(dict.values, o) if kinds == {dict} else o)))):
         # non-empty flat items: one C call a level deeper, then every item
         # boundary ("},\n" or "],\n" and the deeper indent) gets the item
-        # indent; a scalar never ends in "}" or "]", so nothing else matches
+        # indent; a scalar never ends in "}" or "]", so nothing else
+        # matches, nor the text's first two and last two characters
         text, deeper = _encode_at(depth + 2)(o), "  " * (depth + 2)
         opener, closer = text[1], text[-2]
-        body = text[2:-2].replace(f"{closer},\n{deeper}{opener}",
-                                  f"\n{inner}{closer},\n{inner}{opener}\n{deeper}")
-        return f"[\n{inner}{opener}\n{deeper}{body}\n{inner}{closer}\n{pad}]"
-    if brackets == "[]":
-        parts = [_indented(v, depth + 1) for v in o]
-    else:
-        # each key as json writes it: the text of {key: 0} less "{" and ": 0}"
-        parts = [f"{_encode_at(0)({k: 0})[1:-4]}: {_indented(v, depth + 1)}"
-                 for k, v in sorted(o.items())]
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(parts) + f"\n{pad}{brackets[1]}"
+        text = text.replace(f"{closer},\n{deeper}{opener}",
+                            f"\n{inner}{closer},\n{inner}{opener}\n{deeper}")
+        parts += (f"[\n{inner}{opener}\n{deeper}", text[2:-2],
+                  f"\n{inner}{closer}\n{pad}]")
+        return
+    keyed = brackets == "{}"
+    parts.append(f"{brackets[0]}\n{inner}")
+    for i, k in enumerate(sorted(o) if keyed else range(len(o))):
+        if i:
+            parts.append(f",\n{inner}")
+        if keyed:
+            # each key as json writes it: the text of {key: 0} less "{" and ": 0}"
+            parts.append(f"{_encode_at(0)({k: 0})[1:-4]}: ")
+        _indented(o[k], depth + 1, parts)
+    parts.append(f"\n{pad}{brackets[1]}")
 
 
 def json_line(doc) -> str:

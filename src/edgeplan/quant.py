@@ -8,14 +8,18 @@ tests hold it (tests/oracles.py) and check every error here against it.
 Both analysis entry points run one cache-blocked kernel instead: 32,768
 elements (256 KiB of float64) at a time, it screens the block in float32
 and evaluates the reference's float64 operations in place on the elements
-that may hold the block's maximum error, building no code or dequantized
-arrays. ``distribution_stats`` reads the tensor in the same blocks: one
-pass sums the values (and bins them in float64), a second sums the
-squared and cubed deviations from the mean. Each moment is a sum of
-per-block sums, so a tensor of at most one block gets the whole-array
-float64 sums bit for bit and a larger one may differ from them in the
-last bits; the histogram counts are exact either way. The bit menu and
-delta arrive checked by the CLI's parser (see ``core``).
+that may hold an error that matters, building no code or dequantized
+arrays. After a grid's first block, that is an error above its running
+maximum (the report) or above delta (the filter), and a block that keeps
+no element costs neither a maximum nor a float64 operation.
+``distribution_stats`` reads the tensor in the same blocks: one pass sums
+the values (and bins them in float64), a second sums the squared and
+cubed deviations from the mean. Each moment is a sum of per-block sums,
+so a tensor of at most one block gets the whole-array float64 sums bit
+for bit and a larger one may differ from them in the last bits; the
+histogram counts are exact either way. The blocked passes share one set
+of block-long buffers per thread. The bit menu and delta arrive checked
+by the CLI's parser (see ``core``).
 
 ``analyze_tensor``, behind the ``quantize`` report, computes every
 width's exact error, equal to the reference's bit for bit: the maxima of
@@ -28,29 +32,31 @@ reports verdicts, not errors: the widths whose reference error is at most
 delta, with no error computed that a verdict does not need. With no
 scheme forced, both entry points use ``_pick_scheme``'s rule: symmetric
 signed for a range that straddles 0 with |skewness| <= SKEW_THRESHOLD,
-else asymmetric.
+else asymmetric. The skewness compared is ``distribution_stats``'s, but
+it is taken only when a float32 estimate with a proven error bound
+(``_skew_verdict``) lies within that bound of the threshold.
 
 0. Lazy pick. With no scheme forced, a two-sided tensor gets the
    verdicts of both schemes by steps 2 and 3. Equal verdicts are the
-   recommended scheme's whichever it is, so the moments are computed
+   recommended scheme's whichever it is, so the skewness is compared
    only to choose between two different sets.
 1. One-sided scheme. With no scheme forced, a tensor whose range does not
-   straddle 0 is quantized asymmetrically whatever its skewness, so its
-   moments are never needed. ``analyze_tensor``, whose records name the
-   scheme, picks by the same rule and takes the moments of every
-   two-sided tensor.
+   straddle 0 is quantized asymmetrically whatever its skewness, so it
+   needs no skewness at all. ``analyze_tensor``, whose records name the
+   scheme, picks by the same rule and compares the skewness of every
+   two-sided tensor, from the float32 estimate unless it is too close to
+   call.
 2. Certify. The reference's error at scale s is at most s/2 + slack, with
    slack = 8u max(|min|, |max|) (symmetric) or
    8u (max(|min|, |max|) + max - min) (asymmetric) and u = 2^-53 (proof in
    ``_certified``). A width with s/2 + slack <= delta, and slack <= s/4,
    is feasible without a pass over the data.
 3. Witness by blocks. Every other width is scanned block by block and
-   dropped at the first block whose maximum error exceeds delta; that is
+   dropped at the first block that holds an error above delta; that is
    exact, since the global maximum is at least any block's. The scan, as
    ``analyze_tensor``'s, screens each block in float32 and runs the
-   float64 operations only on the few elements that may hold the block's
-   maximum (proof in ``_scan``), so every error it reports is still the
-   reference's bit for bit.
+   float64 operations only on the few elements that may hold such an
+   error (proof in ``_scan``), so every verdict is still the reference's.
 
 ``WeightTensor`` is the one statement of a valid tensor, in memory or on
 disk: integer shape entries, none negative, as many values as the shape's
@@ -75,6 +81,7 @@ from __future__ import annotations
 import math
 import mmap
 import os
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional
@@ -174,7 +181,7 @@ def distribution_stats(w: WeightTensor, bins: Optional[int] = 32) -> Distributio
     fixed range [min, max], so the counts are exact either way.
     """
     values, n = w.values, w.values.size
-    x, buf = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
+    x, buf = _work().x, _work().buf
     binned = bins is not None and w.lo != w.hi
     total, counts = 0.0, 0
     # .sum() is numpy's pairwise sum; a BLAS dot product would make the
@@ -322,14 +329,106 @@ def _pick_scheme(w: WeightTensor, scheme: Optional[SchemeKind],
                  stats: Optional[DistributionStats] = None) -> SchemeKind:
     """The one scheme rule of both analysis entry points: the forced scheme
     if there is one; else symmetric signed for a range that straddles 0
-    with |skewness| <= SKEW_THRESHOLD (the moments from ``stats`` when the
-    caller has them, never taken for a one-sided range); else asymmetric."""
+    with |skewness| <= SKEW_THRESHOLD, else asymmetric. The skewness is
+    ``stats``'s when the caller has it, never needed for a one-sided range,
+    and otherwise compared with the threshold by ``_skew_verdict``, which
+    takes the moments of ``distribution_stats`` only when its float32
+    estimate cannot tell."""
     if scheme is not None:
         return scheme
-    if w.lo < 0 < w.hi and abs(
-            (stats or distribution_stats(w, None)).skewness) <= SKEW_THRESHOLD:
-        return SchemeKind.SYMMETRIC_SIGNED
-    return SchemeKind.ASYMMETRIC
+    if not w.lo < 0 < w.hi:
+        return SchemeKind.ASYMMETRIC
+    if stats is not None:
+        within = abs(stats.skewness) <= SKEW_THRESHOLD
+    else:
+        within = _skew_verdict(w)
+        if within is None:
+            within = abs(distribution_stats(w, None).skewness) <= SKEW_THRESHOLD
+    return SchemeKind.SYMMETRIC_SIGNED if within else SchemeKind.ASYMMETRIC
+
+
+def _gamma(k: int, unit: float) -> float:
+    """Higham's gamma_k = k u / (1 - k u): the relative error bound of a
+    product of k roundings, and of a sum whose terms each pass through at
+    most k additions, in any order (Higham, 3.1 and 4.2)."""
+    return k * unit / (1 - k * unit)
+
+
+def _skew_verdict(w: WeightTensor) -> Optional[bool]:
+    """Whether ``distribution_stats(w, None).skewness`` is at most
+    SKEW_THRESHOLD in magnitude, decided from float32 sums, or None when
+    the estimate is too close to the threshold to tell (or the range is
+    outside the bound's gate: V = max(|lo|, |hi|) in [2^-12, 2^20]).
+
+    One pass over the blocks sums x, x*x and (x*x)*x in float32 (numpy's
+    own order, which the bound does not assume) and adds the block sums
+    in float64, giving m, a2 and a3, the raw moments about 0. Then
+    M2 = a2 - m^2 and M3 = a3 - 3 m a2 + 2 m^3 are the central moments
+    and g = M3 / M2^1.5 the skewness, up to the error below.
+
+    Bound. Each term of a block sum passes through at most k + 1
+    roundings in float32 (two products, k - 1 additions over a block of
+    k elements, any order) and through nb + 1 in float64 (the nb block
+    sums, the division by n), so with rho = gamma32(k + 2) +
+    gamma64(nb + 2) + 2^-40 (the last term covering the product of the
+    two gammas and products that underflow, at most 2^-126 each, flushed
+    or not: as V >= 2^-12 and n < 2^40, n of them stay below 2^-49 of
+    V^3 <= V sum x^2), and the exact moments written without hats:
+    |m^ - m| <= rho sum|x| / n <= rho sqrt(a2) = e1
+    (Cauchy-Schwarz), |a2^ - a2| <= rho a2, and
+    |a3^ - a3| <= rho sum|x|^3 / n <= rho V a2. With A = a2^ / (1 - rho)
+    >= a2, propagating these through M2 and M3 gives
+    |M2^ - M2| <= rho A + e1 (2|m^| + e1) and
+    |M3^ - M3| <= rho V A + 3 (|m^| rho A + A e1) + 6 e1 (|m^| + e1)^2.
+    Both are doubled, which covers the float64 roundings of evaluating
+    M2^, M3^ and the bounds themselves (below 100 u64 of A and of V A,
+    against rho > 2^-23). So the true |g| lies in [glo, ghi] =
+    [(|M3^| - E3) / (M2^ + E2)^1.5, (|M3^| + E3) / (M2^ - E2)^1.5].
+
+    ``distribution_stats`` itself rounds: its mean is within
+    rho' sqrt(a2) of m and its sums of d^2 and d^3 about that mean within
+    rho' of sum d^2 and rho' D sum d^2, D <= 2.01 V, with
+    rho' = gamma64(k + nb + 4). Carried through its formula,
+    |g64 - g| <= |g| (2 rho' + 7 u64 + 1.5 q^2) + 5.2 q with
+    q = rho' V / sqrt(M2); when q <= 2^-24 that is below
+    2^-20 (1 + |g|). The verdict takes twice that, for the roundings of
+    its own test: symmetric when ghi + 2^-19 (1 + ghi) < SKEW_THRESHOLD,
+    asymmetric when glo - 2^-19 (1 + ghi) > SKEW_THRESHOLD.
+    """
+    values, n = w.values, w.values.size
+    peak = max(-w.lo, w.hi)
+    if not (2.0 ** -12 <= peak <= 2.0 ** 20 and n < 2 ** 40):
+        return None
+    k, nb = min(n, _BLOCK), -(-n // _BLOCK)
+    rho = _gamma(k + 2, 2.0 ** -24) + _gamma(nb + 2, 2.0 ** -53) + 2.0 ** -40
+    sums = [0.0, 0.0, 0.0]
+    p = _work().t
+    for start in range(0, n, _BLOCK):
+        chunk = values[start:start + _BLOCK]
+        pb = p[:chunk.size]
+        sums[0] += float(np.add.reduce(chunk))
+        np.multiply(chunk, chunk, out=pb)
+        sums[1] += float(np.add.reduce(pb))
+        pb *= chunk
+        sums[2] += float(np.add.reduce(pb))
+    m, a2, a3 = (total / n for total in sums)
+    bound = a2 / (1 - rho)
+    e1, am = rho * math.sqrt(bound), abs(m)
+    m2 = a2 - m * m
+    m3 = abs(a3 - 3 * m * a2 + 2 * m ** 3)
+    e2 = 2 * (rho * bound + e1 * (2 * am + e1))
+    e3 = 2 * (rho * peak * bound + 3 * (am * rho * bound + bound * e1)
+              + 6 * e1 * (am + e1) ** 2)
+    if m2 - e2 <= 0 or _gamma(k + nb + 4, 2.0 ** -53) * peak > 2.0 ** -24 * math.sqrt(m2 - e2):
+        return None
+    high = (m3 + e3) / (m2 - e2) ** 1.5
+    low = (m3 - e3) / (m2 + e2) ** 1.5
+    margin = 2.0 ** -19 * (1 + high)
+    if high + margin < SKEW_THRESHOLD:
+        return True
+    if low - margin > SKEW_THRESHOLD:
+        return False
+    return None
 
 
 def analyze_tensor(w: WeightTensor, bit_menu: Iterable[int], delta: float,
@@ -450,12 +549,13 @@ def _scan(w: WeightTensor, scheme: SchemeKind, grids: list[_Grid],
     """Max-abs error of each grid over the tensor's float32 values, block
     by block.
 
-    Every live grid passes over a block while it is in cache. A grid whose
-    error so far exceeds delta is dropped after that block: its entry is
-    then a lower bound that already exceeds delta, which is the exact
-    verdict since the global maximum is at least any block's. With
-    delta = inf no grid is dropped, and every entry is the exact maximum:
-    block maxima combine to the same float.
+    Every live grid passes over a block while it is in cache. With
+    delta = inf (the ``quantize`` report) no grid is dropped, and every
+    entry is the exact maximum: block maxima combine to the same float.
+    With a finite delta (the filter) an entry is a lower bound of the
+    maximum that exceeds delta exactly when the maximum does, and a grid
+    is dropped after the first block where it does: the unscreened scan's
+    early stop, since the global maximum is at least any block's.
 
     Screen. A grid at scale s is screened when a = fl32(1/s) is a normal
     float32 and eps <= 2^-6, with
@@ -464,17 +564,28 @@ def _scan(w: WeightTensor, scheme: SchemeKind, grids: list[_Grid],
 
     reach = max(|lo|, |hi|) / s from the recorded range and slack as in
     ``_certified``; any other grid runs the reference's float64 operations
-    (``_block_error``) on the whole block. In a screened block, float32
+    (``_block_error``) on every whole block. In a screened block, float32
     operations on the stored values give each element's distance to the
-    grid in steps, d~ = |t~ - rint(t~)| with t~ = fl32(v * a); only the
-    elements with d~ >= max d~ - 2 eps are cast to float64 (|v| under the
-    symmetric scheme) and passed to ``_block_error``.
+    grid in steps, d~ = |t~ - rint(t~)| with t~ = fl32(v * a), and only
+    the elements the threshold keeps are cast to float64 (|v| under the
+    symmetric scheme) and passed to ``_block_error``:
 
-    Lemma: each element's d~ is within eps of its reference error e in
-    steps, e / s. Proof, in the model of ``_certified``, with t = v/s and
-    dist(y) = |y - rint(y)|, the distance to the nearest integer, which
-    is 1-Lipschitz and even (so taking |v| changes nothing), and which
-    moves by integers (so the zero-point changes nothing).
+    - in the first block, d~ >= max d~ - 2 eps;
+    - in every later block, d~ >= T/s - eps, with T the grid's running
+      maximum error E when delta = inf, else delta. A block that keeps
+      nothing costs no max pass and no float64 operation.
+
+    On the report path the kept elements of later blocks wait in a buffer
+    of at most ``_BLOCK`` elements and are evaluated together, and E is
+    updated only then: a stale E is smaller, so it keeps a superset. The
+    filter evaluates each block's kept elements at once, so its early
+    stop comes at the same block.
+
+    Lemma: each element's d~ is within eps - 2^-26 of its reference error
+    e in steps, e / s. Proof, in the model of ``_certified``, with t = v/s
+    and dist(y) = |y - rint(y)|, the distance to the nearest integer,
+    which is 1-Lipschitz and even (so taking |v| changes nothing), and
+    which moves by integers (so the zero-point changes nothing).
     Float32 side: a = (1/s)(1 + e1), |e1| <= 2^-24 + u, from the float64
     quotient and its float32 rounding; fl32(v a) = v a (1 + e2) + h, with
     |e2| <= 2^-24 and |h| <= 2^-150 for a subnormal product; |t| <= reach
@@ -490,46 +601,68 @@ def _scan(w: WeightTensor, scheme: SchemeKind, grids: list[_Grid],
     other neighbour; either way ||k - t| - dist(t)| <= 2n, and
     |e/s - dist(t)| <= 5uV/s + 4uR/s + 3u, below 2 slack / s as
     V/s >= 1 (symmetric) and R/s >= 3 (asymmetric). The sum is within
-    eps, whose float32 term exceeds its bound by more than 2^-25 reach
-    >= 2^-26: far more than the float64 roundings of eps and of the
-    threshold max d~ - 2 eps, each below 2^-52.
-    Verdict: let j be an element of the block's largest reference error.
-    For every element i, d~_j >= e_j/s - eps >= e_i/s - eps >= d~_i - 2 eps,
-    so d~_j >= max d~ - 2 eps: j is kept, and the kept elements' maximum
-    error is the block's, bit for bit. The threshold is compared as the
-    largest float32 not above its float64 value, which keeps exactly the
-    float32 d~ that are not below that value. Every error and every early
-    stop is the unscreened scan's.
+    eps less its float32 term's excess over its bound, more than
+    2^-25 reach >= 2^-26.
+    First block: let j be an element of the block's largest reference
+    error. For every element i, d~_j >= e_j/s - eps >= e_i/s - eps >=
+    d~_i - 2 eps, so d~_j >= max d~ - 2 eps: j is kept, and the kept
+    elements' maximum error is the block's, bit for bit.
+    Later blocks: T is an exact float64 error or delta. Any element with
+    e > T has d~ > T/s - eps + 2^-26, and only T < 3s/4 can matter, since
+    no error exceeds s/2 + slack <= 3s/4; there fl(fl(T/s) - eps) is
+    within 2^-52 of T/s - eps, so the element is kept, one eps sufficing.
+    With T = E, a block whose maximum exceeds E keeps an element of that
+    maximum, and one that does not leaves E as it is. With T = delta, a
+    block that holds an error above delta keeps one, and the grid is
+    dropped there.
+    Each threshold is compared as the largest float32 not above its
+    float64 value, which keeps exactly the float32 d~ that are not below
+    that value. Every error and every early stop is the unscreened
+    scan's.
     """
     symmetric = scheme is SchemeKind.SYMMETRIC_SIGNED
     slack, peak = _slack(w, scheme), max(-w.lo, w.hi)
-    screens = [_screen(g.scale, peak, slack) for g in grids]
-    values = w.values
-    size = min(values.size, _BLOCK)
-    work = _Work(np.empty(size), np.empty(size), np.empty(size),
-                 np.empty(size, np.float32), np.empty(size, np.float32))
-    errors = [0.0] * len(grids)
-    live = list(range(len(grids)))
+    values, work = w.values, _work()
+    scans = [_GridScan(g, _screen(g.scale, peak, slack), symmetric, delta) for g in grids]
+    live = scans
     for start in range(0, values.size, _BLOCK):
         if not live:
             break
         chunk = values[start:start + _BLOCK]
-        for i in live:
-            err = _block_max(chunk, work, symmetric, grids[i], screens[i])
-            errors[i] = max(errors[i], err)
-        live = [i for i in live if errors[i] <= delta]
-    return errors
+        for g in live:
+            g.block(chunk, work, start == 0)
+        live = [g for g in live if g.error <= delta]
+    for g in scans:
+        g.flush(work)
+    return [g.error for g in scans]
 
 
 class _Work(NamedTuple):
-    """A scan's buffers, one block long: float64 ``x`` (the elements the
-    reference operations read), ``buf`` and ``mag``; float32 ``t`` and
-    ``r`` of the screen."""
+    """The buffers of the blocked passes, one block long: float64 ``x``
+    (the elements the reference operations read), ``buf`` and ``mag``;
+    float32 ``t`` and ``r`` of the screen, and its boolean ``mask``."""
     x: np.ndarray
     buf: np.ndarray
     mag: np.ndarray
     t: np.ndarray
     r: np.ndarray
+    mask: np.ndarray
+
+
+_local = threading.local()
+
+
+def _work() -> _Work:
+    """This thread's buffers, made on first use and reused by every later
+    pass: a fresh quarter-megabyte buffer costs more in page faults than
+    screening a block does."""
+    work = getattr(_local, "work", None)
+    if work is None:
+        work = _local.work = _Work(
+            np.empty(_BLOCK), np.empty(_BLOCK), np.empty(_BLOCK),
+            np.empty(_BLOCK, np.float32), np.empty(_BLOCK, np.float32),
+            np.empty(_BLOCK, bool))
+    return work
 
 
 # the normal float32 range, as Python floats: compared with a numpy
@@ -546,32 +679,77 @@ def _screen(scale: float, peak: float, slack: float) -> Optional[tuple[np.float3
     return (np.float32(inverse), eps) if eps <= 2.0 ** -6 else None
 
 
-def _block_max(chunk: np.ndarray, work: _Work, symmetric: bool, grid: _Grid,
-               screen: Optional[tuple[np.float32, float]]) -> float:
-    """Max-abs error of one grid over one float32 block: over the elements
-    its screen keeps, or over all of them when it has none (see _scan)."""
-    if screen is None:
-        kept = chunk
-    else:
+def _floor32(value: float) -> np.float32:
+    """The largest float32 not above ``value``, a threshold on d~ <= 1/2:
+    one above 1 keeps nothing, as 1 does."""
+    value = min(value, 1.0)
+    threshold = np.float32(value)
+    if float(threshold) > value:
+        threshold = np.nextafter(threshold, np.float32(-np.inf))
+    return threshold
+
+
+class _GridScan:
+    """One grid's pass in ``_scan``: its running error, its threshold for
+    the blocks after the first, and on the report path the kept elements
+    not yet evaluated."""
+
+    def __init__(self, grid: _Grid, screen: Optional[tuple[np.float32, float]],
+                 symmetric: bool, delta: float):
+        self.grid, self.screen, self.symmetric = grid, screen, symmetric
+        # a finite delta fixes the threshold; the report's follows E
+        self.ceiling = None if math.isinf(delta) else delta
+        self.error = 0.0
+        self.threshold = None
+        self.pending, self.count = [], 0
+
+    def block(self, chunk: np.ndarray, work: _Work, first: bool) -> None:
+        """Screen one float32 block and evaluate, or hold, what it keeps."""
+        if self.screen is None:
+            self._evaluate(chunk, work)
+            return
         n = chunk.size
-        t, r = work.t[:n], work.r[:n]
-        np.multiply(chunk, screen[0], out=t)
+        t, r, mask = work.t[:n], work.r[:n], work.mask[:n]
+        np.multiply(chunk, self.screen[0], out=t)
         np.rint(t, out=r)
         t -= r
         np.abs(t, out=t)
-        floor = float(t.max()) - 2 * screen[1]
-        threshold = np.float32(floor)
-        if float(threshold) > floor:
-            threshold = np.nextafter(threshold, np.float32(-np.inf))
-        # index by position: a boolean index of a sparse, scattered mask
-        # is several times slower
-        kept = chunk[np.flatnonzero(t >= threshold)]
-    x = work.x[:kept.size]
-    if symmetric:
-        np.abs(kept, out=x)
-    else:
-        x[...] = kept
-    return _block_error(x, work.buf[:kept.size], work.mag[:kept.size], symmetric, grid)
+        threshold = _floor32(float(t.max()) - 2 * self.screen[1]) if first else self.threshold
+        np.greater_equal(t, threshold, out=mask)
+        if not first and not mask.any():
+            return
+        # compress, not a boolean index, which is several times slower on
+        # a scattered mask of a few thousand elements
+        kept = chunk.compress(mask)
+        if first or self.ceiling is not None:
+            self._evaluate(kept, work)
+            return
+        if self.count + kept.size > _BLOCK:
+            self.flush(work)
+        self.pending.append(kept)
+        self.count += kept.size
+
+    def flush(self, work: _Work) -> None:
+        """Evaluate the held elements."""
+        if self.count:
+            kept = np.concatenate(self.pending)
+            self.pending, self.count = [], 0
+            self._evaluate(kept, work)
+
+    def _evaluate(self, kept: np.ndarray, work: _Work) -> None:
+        """Fold the reference error of some float32 elements into the
+        running error, and set the threshold that follows from it."""
+        x = work.x[:kept.size]
+        if self.symmetric:
+            np.abs(kept, out=x)
+        else:
+            x[...] = kept
+        err = _block_error(x, work.buf[:kept.size], work.mag[:kept.size],
+                           self.symmetric, self.grid)
+        self.error = max(self.error, err)
+        if self.screen is not None:
+            bound = self.error if self.ceiling is None else self.ceiling
+            self.threshold = _floor32(bound / self.grid.scale - self.screen[1])
 
 
 def _block_error(x: np.ndarray, buf: np.ndarray, mag: np.ndarray,

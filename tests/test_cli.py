@@ -144,11 +144,14 @@ class TestQuantize:
         assert json.loads(out.read_text())["records"]
 
     def test_moments_only_for_the_stats_document(self, tmp_path, capsys, monkeypatch):
-        """Without --stats-out, only a two-sided tensor pays for moments,
-        and for no histogram; the report is the same either way."""
+        """Without --stats-out, only a two-sided tensor whose float32
+        skewness estimate cannot tell pays for moments (here one below the
+        estimate's range gate), and for no histogram; the report is the
+        same either way."""
         wdir = tmp_path / "w"
         write_weights(wdir, {"one_sided": [0.5, 1.0, 2.0],
-                             "two_sided": [-1.0, 0.5, 2.0]})
+                             "two_sided": [-1.0, 0.5, 2.0],
+                             "two_sided_tiny": [-1e-7, 0.5e-7, 2e-7]})
         calls = []
         stats = quant.distribution_stats
 
@@ -161,12 +164,12 @@ class TestQuantize:
                 "--delta", "0.1", "--out"]
         code, _, _ = run(argv + [str(tmp_path / "a.json")], capsys)
         assert code == 0
-        assert calls == [("two_sided", None)]
+        assert calls == [("two_sided_tiny", None)]
         calls.clear()
         code, _, _ = run(argv + [str(tmp_path / "b.json"), "--stats-out",
                                  str(tmp_path / "s.json")], capsys)
         assert code == 0
-        assert calls == [("one_sided", 32), ("two_sided", 32)]
+        assert calls == [("one_sided", 32), ("two_sided", 32), ("two_sided_tiny", 32)]
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_own_outputs_in_the_weights_dir_are_no_tensors(self, tmp_path, capsys):

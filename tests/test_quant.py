@@ -1,9 +1,11 @@
 import dataclasses
 import errno
+import io
 import json
 import math
 import os
 import tracemalloc
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from edgeplan import quant
+from edgeplan.cli import main
 from edgeplan.core import ParseError
 from edgeplan.quant import (InvalidShape, SchemeKind, WeightTensor,
                             analyze_tensor, distribution_stats, feasible_bits,
@@ -563,13 +566,13 @@ class TestCertifyOrWitness:
         # scanned to the end; 16 bits is certified (s16/2 + slack <= delta);
         # 2 and 4 bits miss delta within block 0
         scanned = []
-        block_max = quant._block_max
+        block = quant._GridScan.block
 
-        def spy(chunk, work, symmetric, grid, screen):
-            scanned.append((grid.bits, chunk.size))
-            return block_max(chunk, work, symmetric, grid, screen)
+        def spy(self, chunk, work, first):
+            scanned.append((self.grid.bits, chunk.size))
+            return block(self, chunk, work, first)
 
-        monkeypatch.setattr(quant, "_block_max", spy)
+        monkeypatch.setattr(quant._GridScan, "block", spy)
         n = 2 * quant._BLOCK + 100
         codes = np.random.default_rng(0).integers(-127, 128, n)
         codes[0] = 127
@@ -699,6 +702,161 @@ class TestScreen:
         assert len(sizes) == 1 and 0 < sizes[0] < quant._BLOCK // 10
 
 
+def element_errors(w: WeightTensor, bits: int, scheme: SchemeKind) -> np.ndarray:
+    """Each element's reference error."""
+    return np.abs(w.values.astype(np.float64) - quantize(w, bits, scheme).dequantized)
+
+
+def neighbours(values) -> set[float]:
+    """Each value and its two float neighbours, those not below 0."""
+    return {float(d) for v in values
+            for d in (np.nextafter(v, -math.inf), v, np.nextafter(v, math.inf)) if d >= 0}
+
+
+def assert_scan_is_reference(w: WeightTensor, widths, deltas=()) -> None:
+    """Under each scheme, analyze_tensor's errors at delta = inf equal the
+    reference's, and feasible_bits at each error, each given delta and
+    their float neighbours keeps the widths the reference keeps."""
+    for scheme in SchemeKind:
+        records, _ = analyze_tensor(w, widths, math.inf, scheme, bins=None)
+        errors = {}
+        for r in records:
+            scale, errors[r.bits] = reference_error(w, r.bits, scheme)
+            assert (r.scale, r.max_abs_error) == (scale, errors[r.bits]), (scheme, r.bits)
+        for delta in sorted(neighbours([*errors.values(), *deltas])):
+            assert feasible_bits(w, widths, delta, scheme) == \
+                tuple(b for b in sorted(errors) if errors[b] <= delta), (scheme, delta)
+
+
+def grid_tensor(scheme: SchemeKind, bits: int, n: int, seed: int):
+    """(values, on_grid): n float32 values over a range whose ends are on
+    the scheme's grid at ``bits`` (both ends included, [-1, 1] symmetric,
+    [-1, 2] asymmetric), each within 0.05 steps of that grid, and
+    on_grid(k, f), the value f steps past the grid's k-th point above 0."""
+    rng = np.random.default_rng(seed)
+    symmetric = scheme is SchemeKind.SYMMETRIC_SIGNED
+    lo, hi = (-1.0, 1.0) if symmetric else (-1.0, 2.0)
+    grid = quantize(wt([lo, hi]), bits, scheme)
+    top = (1 << (bits - 1)) - 1 if symmetric else (1 << bits) - 1
+    codes = rng.integers(-top if symmetric else 0, top + 1, n) - grid.zero_point
+    v = np.clip((codes + rng.uniform(-0.05, 0.05, n)) * grid.scale, lo, hi)
+    v[:2] = (lo, hi)
+    return v.astype(np.float32), lambda k, f: np.float32((k + f) * grid.scale)
+
+
+class TestRunningThreshold:
+    """After its first block, a grid keeps only the elements whose screened
+    distance reaches its running maximum (or delta) less eps; every error
+    and verdict must stay the reference's."""
+
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    def test_maximum_in_the_last_block(self, scheme):
+        v, on_grid = grid_tensor(scheme, 8, 3 * quant._BLOCK + 77, seed=1)
+        v[-5] = on_grid(40, 0.49)
+        w = wt(v)
+        assert int(np.argmax(element_errors(w, 8, scheme))) == v.size - 5
+        assert_scan_is_reference(w, (4, 8, 16))
+
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    def test_later_block_beats_the_maximum_by_less_than_eps(self, scheme):
+        # at 16 bits near the top of the range one float32 step is about
+        # 0.004 grid steps and eps about 0.006: among values 0.47 steps off
+        # the grid and their float32 neighbours, b, whose screened distance
+        # falls furthest below the largest error a below its own, goes to
+        # block 2 and a to block 0. A threshold of E/s without eps would
+        # drop b
+        v, on_grid = grid_tensor(scheme, 16, 3 * quant._BLOCK, seed=2)
+        w = wt(v)
+        scale = quantize(w, 16, scheme).scale
+        eps = quant._screen(scale, max(-w.lo, w.hi), rounding_slack(v, scheme))[1]
+        top = 32000 if scheme is SchemeKind.SYMMETRIC_SIGNED else 43000
+        base = np.array([on_grid(k, 0.47) for k in range(top - 2000, top)]).view(np.int32)
+        candidates = np.concatenate([(base + j).view(np.float32) for j in range(-8, 9)])
+        errs = element_errors(wt(np.concatenate([v[:2], candidates])), 16, scheme)[2:]
+        screened = screen_distance(candidates, scale)
+
+        def shortfall(b):
+            below = errs[errs < errs[b]]
+            return below.max() / scale - screened[b] if below.size else -math.inf
+        b = max(np.argsort(screened - errs / scale)[:200], key=shortfall)
+        a = int(np.flatnonzero(errs == errs[errs < errs[b]].max())[0])
+        v[100], v[2 * quant._BLOCK + 100] = candidates[a], candidates[b]
+        w = wt(v)
+        errors = element_errors(w, 16, scheme)
+        assert int(np.argmax(errors)) == 2 * quant._BLOCK + 100
+        assert np.sort(errors)[-2] == errors[100]
+        assert 0 < errors.max() - errors[100] < eps * scale
+        assert screen_distance(w.values[[2 * quant._BLOCK + 100]], scale)[0] < errors[100] / scale
+        assert_scan_is_reference(w, (8, 16), deltas=[float(errors[100])])
+
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    def test_ties_across_blocks(self, scheme):
+        v, on_grid = grid_tensor(scheme, 8, 4 * quant._BLOCK - 9, seed=4)
+        for block in (0, 1, 3):
+            v[block * quant._BLOCK + 11] = on_grid(30, 0.45)
+        # the mirror image errs the same under the symmetric scheme
+        v[2 * quant._BLOCK + 11] = on_grid(-30, -0.45)
+        w = wt(v)
+        errors = element_errors(w, 8, scheme)
+        tied = np.flatnonzero(errors == errors.max())
+        assert len(set(tied // quant._BLOCK)) >= 3
+        assert_scan_is_reference(w, (4, 8, 16))
+
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    def test_threshold_on_a_float32_boundary(self, scheme):
+        # the filter's threshold delta/s - eps, rounded down to float32,
+        # lands exactly on a later block's largest screened distance
+        n = 2 * quant._BLOCK + 5
+        w = wt(np.random.default_rng(5).normal(0.0, 0.3, n).clip(-1, 1))
+        for bits in (8, 16):
+            scale = quantize(w, bits, scheme).scale
+            eps = quant._screen(scale, max(-w.lo, w.hi), rounding_slack(w.values, scheme))[1]
+            later = screen_distance(w.values[quant._BLOCK:], scale)
+            target = later.max()
+            hits, deltas = 0, set()
+            delta = float((float(target) + eps) * scale)
+            for _ in range(40):
+                delta = float(np.nextafter(delta, -math.inf))
+            for _ in range(80):
+                delta = float(np.nextafter(delta, math.inf))
+                deltas.add(delta)
+                hits += quant._floor32(delta / scale - eps) == target
+            assert hits > 0
+            assert_scan_is_reference(w, (bits,), deltas=sorted(deltas))
+
+    def test_floor32(self):
+        for x in (0.5, 0.25, 0.4, 1e-30):
+            f = np.float32(x)
+            assert quant._floor32(float(f)) == f
+            assert quant._floor32(float(np.nextafter(float(f), 1.0))) == f
+            assert quant._floor32(float(np.nextafter(float(f), 0.0))) == \
+                np.nextafter(f, np.float32(0))
+        assert quant._floor32(-0.1) <= -0.1 < np.nextafter(quant._floor32(-0.1), np.float32(1))
+        assert quant._floor32(1e300) == 1.0
+
+    @pytest.mark.parametrize("scheme", list(SchemeKind))
+    def test_later_blocks_keep_few(self, scheme, monkeypatch):
+        """The report evaluates block 0's kept elements, then every later
+        block's together; the filter evaluates only blocks that keep
+        something."""
+        sizes = []
+        block_error = quant._block_error
+
+        def spy(x, *args):
+            sizes.append(x.size)
+            return block_error(x, *args)
+
+        monkeypatch.setattr(quant, "_block_error", spy)
+        blocks = 8
+        w = wt(np.random.default_rng(6).normal(0.0, 0.05, blocks * quant._BLOCK))
+        records, _ = analyze_tensor(w, (4,), math.inf, scheme, bins=None)
+        assert (records[0].scale, records[0].max_abs_error) == reference_error(w, 4, scheme)
+        assert 1 <= len(sizes) <= 2 and sum(sizes) < quant._BLOCK // 100
+        sizes.clear()
+        assert feasible_bits(w, (4,), records[0].max_abs_error, scheme) == (4,)
+        assert 1 <= len(sizes) < blocks and sum(sizes) < quant._BLOCK // 100
+
+
 def whole_array_moments(values: np.ndarray) -> tuple[float, float, float]:
     """Mean, std and skewness from sums over the whole float64 array."""
     v = values.astype(np.float64)
@@ -797,3 +955,72 @@ class TestBlockedMoments:
             finally:
                 tracemalloc.stop()
             assert peak < 2_000_000
+
+
+class TestScreenedPick:
+    """With no moments at hand, _pick_scheme compares |skewness| with
+    SKEW_THRESHOLD from float32 sums and an a-priori bound, and takes
+    distribution_stats's moments only when the estimate is within the
+    bound of the threshold."""
+
+    @pytest.mark.parametrize("n", [quant._BLOCK - 1000, quant._BLOCK + 1000,
+                                   3 * quant._BLOCK - 5])
+    @pytest.mark.parametrize("offset", [-1e-2, -1e-3, -1e-4, -1e-6, 1e-6, 1e-4, 1e-3, 1e-2])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_verdict_near_the_threshold(self, n, offset, sign, monkeypatch):
+        w = wt(tensor_with_skewness(sign * (quant.SKEW_THRESHOLD + offset), n, seed=5))
+        assert w.lo < 0 < w.hi
+        exact = quant._pick_scheme(w, None, distribution_stats(w, None))
+        calls = []
+        stats = quant.distribution_stats
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].layer_name)
+            return stats(*args, **kwargs)
+
+        monkeypatch.setattr(quant, "distribution_stats", spy)
+        assert quant._pick_scheme(w, None) is exact
+        assert quant._skew_verdict(w) in (None, exact is SchemeKind.SYMMETRIC_SIGNED)
+        if abs(offset) <= 1e-3:
+            assert calls == ["layer"]
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    def test_estimate_verdicts_are_exact(self, kind):
+        for seed in range(8):
+            w = wt(kernel_case_tensors(kind, seed))
+            within = abs(distribution_stats(w, None).skewness) <= quant.SKEW_THRESHOLD
+            assert quant._skew_verdict(w) in (None, within), (kind, seed)
+        # two-sided with the mean far from 0 against the spread, and a
+        # lone outlier: the raw sums cancel, and the bound must say so
+        rng = np.random.default_rng(7)
+        for values in (np.append(rng.normal(1.0, 1e-3, 5000), -1e-3),
+                       np.append(rng.normal(0.0, 1e-2, 70000), 3.0),
+                       np.append(rng.normal(0.0, 1e-2, 70000), [3.0, -3.0])):
+            w = wt(values)
+            within = abs(distribution_stats(w, None).skewness) <= quant.SKEW_THRESHOLD
+            assert quant._skew_verdict(w) in (None, within)
+
+    def test_gaussian_two_sided_takes_no_moments(self, tmp_path, monkeypatch):
+        """quantize without --stats-out picks the scheme of two-sided
+        Gaussian tensors of one to three blocks with no float64 moments."""
+        rng = np.random.default_rng(8)
+        wdir = tmp_path / "w"
+        wdir.mkdir()
+        for i, n in enumerate((1000, quant._BLOCK, quant._BLOCK + 1, 3 * quant._BLOCK - 7)):
+            v = rng.normal(0.0, 10.0 ** -i, n).astype(np.float32)
+            save_weight_tensor(WeightTensor(f"g{i}", v, v.shape), str(wdir))
+        calls = []
+        stats = quant.distribution_stats
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].layer_name)
+            return stats(*args, **kwargs)
+
+        monkeypatch.setattr(quant, "distribution_stats", spy)
+        out = tmp_path / "report.json"
+        with redirect_stdout(io.StringIO()):
+            assert main(["quantize", "--weights-dir", str(wdir), "--bits", "4,8,16",
+                         "--delta", "0.01", "--out", str(out)]) == 0
+        assert calls == []
+        records = json.loads(out.read_text())["records"]
+        assert {r["scheme"] for r in records} == {"symmetric_signed"}
