@@ -247,10 +247,21 @@ def cmd_quantize(args) -> int:
     return EXIT_OK
 
 
+def _unplaceable(layer: int) -> int:
+    """plan and export-lp on a table with a layer that has no admissible
+    (server, width): one record naming the layer, exit 3."""
+    print(json_line({"status": "infeasible", "layer": layer,
+                     "reason": str(EmptyFeasibleSet(layer))}))
+    return EXIT_INFEASIBLE
+
+
 def cmd_plan(args) -> int:
     read, inputs = hashing_reader()  # the input files, hashed as the loader reads them
     instance, options, options_doc = _load_and_filter(args, read)
     table = build_delay_table(instance, options)
+    empty = table.unplaceable_layer()
+    if empty is not None:
+        return _unplaceable(empty)
 
     def write_plan(assignments, objective: dict, meta: dict, **extra) -> None:
         """The one plan document; each solver supplies its objective and
@@ -379,9 +390,7 @@ def cmd_export_lp(args) -> int:
     try:
         model = build_ilp(instance, table)
     except EmptyFeasibleSet as e:
-        print(json_line({"status": "infeasible", "layer": e.layer,
-                         "reason": str(e)}))
-        return EXIT_INFEASIBLE
+        return _unplaceable(e.layer)
     write_outputs((args.out, ilp.write_lp(model)))
     print(f"wrote {args.out}: {len(model.binaries)} binaries, "
           f"{len(model.constraints)} constraints")

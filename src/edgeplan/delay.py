@@ -112,6 +112,13 @@ class DelayTable:
     cm: np.ndarray
     options: DelayOptions
 
+    def unplaceable_layer(self) -> Optional[int]:
+        """The first layer with no admissible (server, width), its cp row
+        all inf; None when every layer has one. No plan, relaxed or not,
+        exists past such a layer."""
+        empty = np.flatnonzero(np.isinf(self.cp).all(axis=1))
+        return int(empty[0]) if empty.size else None
+
 
 def compute_cp(layer: LayerProfile, server: ServerSpec, bits: int,
                tokens: int, options: DelayOptions = DelayOptions()) -> float:

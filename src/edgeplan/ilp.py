@@ -86,6 +86,9 @@ def build_ilp(instance: ProblemInstance, table: DelayTable) -> IlpModel:
     boundary and next host, an in-flow row matching the flow that arrives
     to the x column that receives it, all in column order.
     """
+    empty = table.unplaceable_layer()
+    if empty is not None:
+        raise EmptyFeasibleSet(empty)
     M = table.cp.shape[1]
     cp, cm = table.cp.tolist(), table.cm.tolist()
 
@@ -96,8 +99,6 @@ def build_ilp(instance: ProblemInstance, table: DelayTable) -> IlpModel:
     hosted: dict[int, dict[str, float]] = {i: {} for i in range(M)}
     for l, b in enumerate(table.widths):
         here = [(i, _x(i, l, b)) for i in range(M) if cp[l][i] != math.inf]
-        if not here:
-            raise EmptyFeasibleSet(l)
         placements.append(here)
         for i, name in here:
             objective[name] = cp[l][i]

@@ -278,10 +278,28 @@ class TestPlan:
         assert doc["objective"]["lower_bound_s"] == pytest.approx(3.0)
 
     def test_relaxed_without_a_layered_path_is_infeasible(self, tmp_path, capsys):
-        """Both servers hold 1 B, so no layer fits on either."""
+        """Both servers hold 1 B, so no layer fits on either: the record
+        names layer 0, as export-lp's does."""
         cluster = {"servers": [{"id": 0, "ccs_flops": 1.0, "storage_bytes": 1.0},
                                {"id": 1, "ccs_flops": 1.0, "storage_bytes": 1.0}],
                    "links": [{"src": 0, "dst": 1, "capacity_bps": 1.0}]}
+        cpath = tmp_path / "cluster.json"
+        cpath.write_text(json.dumps(cluster))
+        out = tmp_path / "plan.json"
+        code, stdout, err = run(["plan", "--cluster", str(cpath),
+                                 "--model", data_path("model_2x2.json"), "--bits", "8",
+                                 "--solver", "relaxed", "--out", str(out)], capsys)
+        assert (code, err) == (3, "")
+        assert json.loads(stdout) == {
+            "status": "infeasible", "layer": 0,
+            "reason": "layer 0 has no feasible (server, bits) placement"}
+        assert not out.exists()
+
+    def test_relaxed_without_a_link_is_infeasible(self, tmp_path, capsys):
+        """Every layer has a host but no link joins them: no layered path."""
+        cluster = {"servers": [{"id": 0, "ccs_flops": 1.0, "storage_bytes": 1e9},
+                               {"id": 1, "ccs_flops": 1.0, "storage_bytes": 1e9}],
+                   "links": []}
         cpath = tmp_path / "cluster.json"
         cpath.write_text(json.dumps(cluster))
         out = tmp_path / "plan.json"
@@ -1018,6 +1036,35 @@ class TestPlanWithWeights:
         doc = json.loads(out.read_text())
         assert doc["options"]["feasible_bits"] == [[8], [8]]
         assert all(a["bits"] == 8 for a in doc["assignments"])
+
+    @pytest.mark.parametrize("command", [["plan", "--solver", "relaxed"],
+                                         ["plan", "--solver", "bnb"],
+                                         ["plan", "--solver", "brute"], ["export-lp"]],
+                             ids=["relaxed", "bnb", "brute", "export-lp"])
+    def test_delta_below_a_layers_errors_names_the_layer(self, tmp_path, capsys, command):
+        """A --delta below every error of layer 1 leaves it no width: every
+        solver and export-lp print the one record that names it, exit 3."""
+        wdir = tmp_path / "w"
+        write_weights(wdir, {"l0": [-2.0, 0.0, 2.0], "l1": [-2.0, 1.0, 2.0]})
+        model = {"batch_size": 1, "embedding_size": 4, "layers": [
+            {"flops": 100.0, "param_count": 10, "output_size": 4.0,
+             "original_precision": 32, "weights": "l0"},
+            {"flops": 200.0, "param_count": 10, "output_size": 4.0,
+             "original_precision": 32, "weights": "l1"},
+        ]}
+        mpath = tmp_path / "model.json"
+        mpath.write_text(json.dumps(model))
+        out = tmp_path / "out"
+        code, stdout, err = run(
+            [*command, "--cluster", data_path("cluster_2x2.json"),
+             "--model", str(mpath), "--bits", "3,8", "--delta", "1e-9",
+             "--scheme", "symmetric", "--weights-dir", str(wdir),
+             "--out", str(out)], capsys)
+        assert (code, err) == (3, "")
+        assert json.loads(stdout) == {
+            "status": "infeasible", "layer": 1,
+            "reason": "layer 1 has no feasible (server, bits) placement"}
+        assert not out.exists()
 
     def test_layer_without_weights_keeps_the_full_menu(self, tmp_path, capsys):
         wdir = tmp_path / "w"

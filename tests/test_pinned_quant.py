@@ -88,16 +88,18 @@ def boundary_deltas(errors) -> list[float]:
 
 def plan_filter(delta: float) -> tuple[int, list]:
     """(exit code, options.feasible_bits) of a relaxed plan at delta; the
-    plan refuses with exit 3, and writes no plan, when a layer has no
-    feasible width left."""
-    err = StringIO()
-    with redirect_stdout(StringIO()), redirect_stderr(err):
+    plan refuses with exit 3, the record naming the first layer without a
+    feasible width, and writes no plan, when a layer has none left."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         code = main(["plan", "--cluster", "cluster.json", "--model", "model.json",
                      "--bits", BITS, "--delta", repr(delta), "--tokens", "4",
                      "--weights-dir", "w", "--solver", "relaxed", "--out", "plan.json"])
     if code == 0:
         return code, load_json("plan.json")["options"]["feasible_bits"]
-    assert (code, err.getvalue()) == (3, "error: no layered path exists\n"), (delta, code)
+    record = json.loads(out.getvalue())
+    assert (code, err.getvalue(), record["status"]) == (3, "", "infeasible"), (delta, code)
+    assert record["reason"] == f"layer {record['layer']} has no feasible (server, bits) placement"
     return code, []
 
 

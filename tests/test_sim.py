@@ -1,7 +1,10 @@
+import importlib.util
 import json
 import math
+import os
 import random
 
+import numpy as np
 import pytest
 
 import edgeplan.sim
@@ -10,7 +13,8 @@ from edgeplan.core import load_instance
 from edgeplan.delay import (DelayOptions, build_delay_table, check_plan_feasible,
                             compute_cm, compute_cp, path_delay)
 from edgeplan.gen import generate_instance, random_test_instance
-from edgeplan.sim import SimEvent, SimStep, SimTrace, simulate, trace_to_timeline
+from edgeplan.sim import (SimEvent, SimStep, SimTrace, shortest_digits, shortest_reprs,
+                          simulate, trace_to_timeline)
 from edgeplan.solver import solve_brute_force
 
 from conftest import data_path, make_2x2_instance
@@ -133,6 +137,108 @@ class TestTimeline:
         text = trace_to_timeline(trace)
         assert text == as_file(event_rows(trace))
         assert exponent in text
+
+
+def load_script(name: str):
+    """A script under scripts/ as a module, without running its main."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "scripts", name + ".py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ORACLE = load_script("check_shortest_reprs")
+
+
+@pytest.fixture(scope="module")
+def oracle_values():
+    return ORACLE.oracle_values(150_000, 35)
+
+
+class TestShortestReprs:
+    """The kernel's text against [repr(v) for v in a.tolist()] on the sets
+    the CI step checks at 5 million values."""
+
+    @pytest.mark.parametrize("name", list(ORACLE.oracle_values(15, 0)))
+    def test_equals_repr(self, oracle_values, name):
+        values = oracle_values[name]
+        assert shortest_reprs(values) == [repr(v) for v in values.tolist()]
+
+    def test_certifies_most_in_range_values(self, oracle_values):
+        """Only ties, powers of two and log10 misses fall back. Below 1e12
+        x * 10**k is a fine multiple of a power of two, so ties are rare and
+        almost every log-uniform value is certified; near 1e15 it is a
+        multiple of 1/2 or 1/4 and 17-digit ties are common."""
+        values = oracle_values["log-uniform"]
+        values = values[(values >= 1e-4) & (values < 1e12)]
+        assert shortest_digits(values)[2].mean() > 0.999
+
+    def test_falls_back_outside_the_proof(self):
+        """Out of [1e-4, 1e15), powers of two and exact 17-digit ties
+        are left to repr."""
+        values = np.array([9.999999999999999e-05, 1e15, 1e16, 0.0, -1.5, np.nan, np.inf,
+                           0.5, 1024.0, 2.0 ** -13, 1.0 + 2.0 ** -17])
+        assert not shortest_digits(values)[2].any()
+        assert shortest_reprs(values) == [repr(v) for v in values.tolist()]
+
+    @pytest.mark.parametrize("value, digits", [(0.1, 1), (0.3, 1), (123.456, 6),
+                                               (0.1 + 0.2, 17), (2.0 / 3.0, 16),
+                                               (1e-4, 1), (1.0 / 3.0, 16), (4.35, 3)])
+    def test_certified_digits(self, value, digits):
+        d, e, certified = shortest_digits(np.array([value]))
+        assert certified[0]
+        assert str(int(d[0])).rstrip("0") == repr(value).replace(".", "").lstrip("0").rstrip("0")
+        assert len(str(int(d[0])).rstrip("0")) == digits
+        assert 10.0 ** int(e[0]) <= value < 10.0 ** (int(e[0]) + 1)
+
+
+class TestTimelineAboveCrossover:
+    """Traces with at least _KERNEL_MIN ends, so trace_to_timeline renders
+    them through shortest_reprs: the text equals one f-string per event."""
+
+    @staticmethod
+    def rendered(durations, rounds: int) -> str:
+        steps = tuple(SimStep(d, ("compute", "transfer")[k % 2], k // 2, f"server:{k}")
+                      for k, d in enumerate(durations))
+        trace = SimTrace(steps, rounds)
+        assert trace.ends.size >= edgeplan.sim._KERNEL_MIN
+        text = trace_to_timeline(trace)
+        assert text == as_file(event_rows(trace))
+        return text
+
+    def test_first_ends_below_1e4(self):
+        """The first ends print in scientific form and fall back to repr
+        inside a block whose later ends are certified."""
+        text = self.rendered((1e-5, 3e-6), 800)
+        assert ",1e-05," in text and ",1.3000000000000001e-05\n" in text
+
+    def test_integer_valued_ends(self):
+        text = self.rendered((1.0, 2.0, 4.0), 400)
+        assert ",7.0\n" in text and ",2800.0\n" in text
+
+    def test_ends_crossing_1e15(self):
+        text = self.rendered((3e11, 7e11), 1200)
+        assert ",999000000000000.0\n" in text and ",1000000000000000.0\n" in text
+        assert ",1.2e+15\n" not in text and ",1200000000000000.0\n" in text
+
+    def test_more_than_one_block(self):
+        """33,000 events: the seam at 2**15 falls inside a round."""
+        self.rendered((0.0123, 4.5e-4, 0.0017), 11_000)
+
+    def test_generated_trace_takes_the_kernel(self, monkeypatch):
+        """Of a generated 4,096-token trace's ends at least 99 % take the
+        certified path, and trace_to_timeline hands them to the kernel."""
+        inst = generate_instance(3, 6, 4, (4, 8, 16), "heterogeneous", tokens=4096)
+        trace = simulate(((5, 4), (0, 8), (3, 16), (1, 8)), inst)
+        assert shortest_digits(trace.ends)[2].mean() >= 0.99
+        calls = []
+        kernel = edgeplan.sim.shortest_reprs
+        monkeypatch.setattr(edgeplan.sim, "shortest_reprs",
+                            lambda values: calls.append(values.size) or kernel(values))
+        assert trace_to_timeline(trace) == as_file(event_rows(trace))
+        assert calls == [trace.ends.size]
 
 
 def codes(violations):
