@@ -147,11 +147,11 @@ class Signed:
 # (path into the plan document, new value or DELETE or a function of the old
 # value or a Signed value, stage). The stage is where simulate must stop: 0 a
 # document without the plan keys, 1 the digest, 2 malformed options, a
-# malformed assignment or objective, 3 a plan the replay refuses, 3.5 more
-# rounds than the replay can index, 4 an objective the replay does not
-# reproduce, 5 none (exit 0). Several mutations stop at the earliest stage
-# among them; Signed edits are made first, so every other edit lands after
-# the digest is recomputed.
+# malformed assignment or objective, 3 a plan the replay refuses, 4 an
+# objective the replay does not reproduce, a non-finite replay included, 5
+# none (exit 0). Several mutations stop at the earliest stage among them;
+# Signed edits are made first, so every other edit lands after the digest
+# is recomputed.
 PLAN_MUTATIONS = [
     ((), lambda doc: [doc], 0),
     (("digest",), DELETE, 0),
@@ -213,12 +213,14 @@ PLAN_MUTATIONS = [
     (("options", "per_token_activation"), Signed("no"), 2),
     (("options", "storage"), Signed("bogus"), 2),
     (("options", "storage"), Signed(7), 2),
-    (("options", "tokens"), Signed(10 ** 300), 3.5),
+    (("options", "tokens"), Signed(10 ** 300), 4),
+    # compute_cp overflows to inf at this count: a non-finite replay
+    (("options", "tokens"), Signed(10 ** 308), 4),
     (("options", "tokens"), Signed(10 ** 400), 2),
     # a width outside the layer's set is refused before its footprint is priced
     (("assignments", 0, "bits"), 10 ** 400, 3),
 ]
-STAGE_EXIT = {0: 2, 1: 6, 2: 2, 3: 5, 3.5: 2, 4: 5, 5: 0}
+STAGE_EXIT = {0: 2, 1: 6, 2: 2, 3: 5, 4: 5, 5: 0}
 
 
 def pick(path, value) -> int:
@@ -248,7 +250,7 @@ def mutate(doc, path, value):
 @example(picks=[pick(("assignments", 0, "server"), 1.5)])
 @example(picks=[pick(("objective", "total_s"), "nan")])
 @example(picks=[pick(("assignments", 0, "layer"), 1)])  # layers 0,1,2 -> 1,1,2
-# the plan check before the replay's size refusal
+# the plan check before the replay
 @example(picks=[pick(("options", "tokens"), Signed(10 ** 300)),
                 pick(("assignments", 0, "server"), 4)])
 @settings(max_examples=80, deadline=None)

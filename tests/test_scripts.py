@@ -33,13 +33,6 @@ def test_run_solver_suite():
     assert "root bound gap:" in proc.stdout
 
 
-def test_check_shortest_reprs():
-    proc = run_script("check_shortest_reprs.py", "--count", "20000")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert re.search(r"^all \d+ values equal repr; the kernel certified \d+\.\d%$",
-                     proc.stdout, re.M)
-
-
 @pytest.mark.parametrize("args, message", [
     (("--max-layers", "0"), "need 1 <= --max-layers <= --max-servers"),
     (("--max-layers", "7", "--max-servers", "5"), "need 1 <= --max-layers <= --max-servers"),
