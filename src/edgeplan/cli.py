@@ -179,8 +179,9 @@ def _load_from_options(cluster_path, model_path, doc, path, read=read_bytes) -> 
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args) -> int:
-    if args.servers < 0:
-        raise CliError(f"--servers must be >= 0, got {args.servers}")
+    for flag, value in (("--servers", args.servers), ("--layers", args.layers)):
+        if value < 0:
+            raise CliError(f"{flag} must be >= 0, got {value}")
     if args.layers > args.servers:
         raise CliError(f"--layers {args.layers} > --servers {args.servers}: "
                        "no one-layer-per-server placement can exist")

@@ -16,15 +16,18 @@ generator or any iterable of LinkSpec. The validator states each link
 rule once, as one boolean mask over the columns, and words the
 violations of the links a mask flags, in declaration order; a pair
 declared again is one of them. The writer reads the columns as Python
-scalars. Every other reader reads ClusterSpec.link_view, the M x M index
-of the links scattered from the columns once per cluster: the delay
-table its matrices, ClusterSpec.link an entry.
+scalars and writes them as four JSON arrays; the parser reads that
+layout and the older one of one JSON object per link alike. Every
+other reader reads ClusterSpec.link_view, the M x M index of the links
+scattered from the columns once per cluster: the delay table its
+matrices, ClusterSpec.link an entry.
 
 Every JSON document edgeplan reads or writes goes through this module:
 ``load_json`` loads it, as UTF-8 whatever the locale, ``read_fields``
-schemas type-check it (``read_records`` a list of records, by columns
-where it can), ``json_text`` serialises it and ``write_outputs``
-writes it, leaving no partial output. ``json_text`` writes exactly the
+schemas type-check it (``read_records`` a table of records, a list of
+objects or an object of arrays, by columns where it can), ``json_text``
+serialises it and ``write_outputs`` writes it, leaving no partial
+output. ``json_text`` writes exactly the
 bytes of ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)``
 plus a newline, with the json module's C encoder doing the formatting;
 that stdlib call is its test oracle.
@@ -459,6 +462,14 @@ def read_finite(value, where: str, *path) -> float:
     return number
 
 
+def read_table(value, where: str, *path):
+    """value if it is a JSON array or object, the two layouts of a table
+    read_records reads, else ParseError."""
+    if type(value) is not list and type(value) is not dict:
+        _refuse(value, "an array or an object", where, path)
+    return value
+
+
 def read_fields(obj, schema: tuple, where: str, *path) -> list:
     """The values of a JSON object's fields, one per (key, kind, default)
     entry of ``schema``. ``kind`` is a JSON type, checked by
@@ -522,10 +533,10 @@ def json_text(doc) -> str:
     indented encoder is the tests' oracle. The C encoder escapes every
     control character inside a string, so each raw newline in its output
     comes from a separator, and the separator ",\\n" plus an indent carries
-    the indentation. A container whose members are all scalars, and a list
-    of such containers of one kind (the links, servers, layers and
-    assignments), are each one C call; the few other nodes of a document
-    are joined here.
+    the indentation. A container whose members are all scalars (such as
+    a link column), and a list of such containers of one kind (the
+    servers, layers and assignments), are each one C call; the few other
+    nodes of a document are joined here.
     """
     parts = []
     _indented(doc, 0, parts)
@@ -643,7 +654,7 @@ def input_digest(cluster_path, model_path, options_doc, sha=None) -> str:
     return sha.hexdigest()
 
 
-_CLUSTER = (("servers", list, REQUIRED), ("links", list, ()))
+_CLUSTER = (("servers", list, REQUIRED), ("links", read_table, ()))
 _SERVER = (("id", int, REQUIRED), ("ccs_flops", float, REQUIRED),
            ("storage_bytes", float, REQUIRED))
 _LINK = (("src", int, REQUIRED), ("dst", int, REQUIRED),
@@ -655,34 +666,75 @@ _LAYER = (("flops", float, REQUIRED), ("param_count", int, REQUIRED),
           ("weights", str, None))
 
 
-def read_records(docs: list, schema: tuple, where: str, *path) -> list[list]:
-    """The fields of a list of JSON objects as one list per (key, kind,
-    default) entry of ``schema``. A column whose values all have exactly
-    their JSON type, a missing key read as its default, is taken as is;
-    otherwise read_fields reads every entry, in order, an integer as a
-    float, refusing the first field it cannot read."""
-    columns = []
-    with contextlib.suppress(TypeError):  # an entry that is no object
-        for key, kind, default in schema:
-            try:
-                column = list(map(itemgetter(key), docs))
-            except KeyError:  # REQUIRED is no JSON value: the test below fails
-                column = [dict.get(doc, key, default) for doc in docs]
-            if not set(map(type, column)) <= {kind}:
-                break
-            columns.append(column)
-    if len(columns) == len(schema):
+def read_records(table, schema: tuple, where: str, *path) -> list[list]:
+    """The fields of a table of JSON records as one list per (key, kind,
+    default) entry of ``schema``. The table is a list of objects, one per
+    record, or an object of arrays of equal length, one per key, the
+    records' columns; either way a missing key reads as its default in
+    every record, and keys outside the schema are ignored.
+
+    Both layouts are checked alike, column by column: when every value of
+    every column has exactly its JSON type, the columns are taken as
+    they are. Otherwise the entries are read one by one, an integer as a
+    float, refusing the first that cannot be read: in a list of objects
+    the first record, in order, with a field read_fields refuses; in an
+    object of arrays the first entry of the first column at fault."""
+    arrays = type(table) is dict
+    columns = (_array_columns(table, schema, where, *path) if arrays
+               else _record_columns(table, schema))
+    exact = [column is not None and set(map(type, column)) <= {kind}
+             for (_, kind, _), column in zip(schema, columns)]
+    if all(exact):
         return columns
+    if arrays:
+        return [column if ok else [read_typed(value, kind, where, *path, key, k)
+                                   for k, value in enumerate(column)]
+                for (key, kind, _), column, ok in zip(schema, columns, exact)]
     return list(map(list, zip(*(read_fields(doc, schema, where, *path, k)
-                                for k, doc in enumerate(docs)))))
+                                for k, doc in enumerate(table)))))
+
+
+def _record_columns(records: list, schema: tuple) -> list:
+    """The fields of a list of records, one list per schema key, a
+    missing key's default in its place (REQUIRED, no JSON value, when it
+    has none); all None when an entry is no object."""
+    columns = []
+    try:
+        for key, _, default in schema:
+            try:
+                columns.append(list(map(itemgetter(key), records)))
+            except KeyError:
+                columns.append([dict.get(doc, key, default) for doc in records])
+    except TypeError:
+        return [None] * len(schema)
+    return columns
+
+
+def _array_columns(table: dict, schema: tuple, where: str, *path) -> list[list]:
+    """The arrays of an object of columns, one per schema key, a missing
+    key's filled with its default; ParseError on a missing required key,
+    a column that is no array, or one whose length is not the first's."""
+    arrays, first = {}, None
+    for key, _, default in schema:
+        if key not in table:
+            if default is REQUIRED:
+                raise ParseError(f"{_where(where, path)}: missing key '{key}'")
+            continue
+        arrays[key] = read_typed(table[key], list, where, *path, key)
+        first = first or key
+        if len(arrays[key]) != len(arrays[first]):
+            raise ParseError(f"{_where(where, (*path, key))}: must have as many entries as "
+                             f"{first} ({len(arrays[first])}), got {len(arrays[key])}")
+    n = len(arrays[first]) if arrays else 0
+    return [arrays[key] if key in arrays else [default] * n for key, _, default in schema]
 
 
 def parse_cluster(doc, where: str = "cluster") -> ClusterSpec:
     """ClusterSpec from a parsed cluster document; ParseError on a missing
     key or a field of the wrong JSON type."""
-    server_docs, link_docs = read_fields(doc, _CLUSTER, where)
+    server_docs, link_table = read_fields(doc, _CLUSTER, where)
     servers = list(map(ServerSpec, *read_records(server_docs, _SERVER, where, "servers")))
-    links = LinkRecord(*read_records(link_docs, _LINK, where, "links"))
+    links = LinkRecord(*read_records(link_table, _LINK, where, "links"))
     # position == id from here on: the delay table, the simulator and the
     # plan checker all index servers by position
     servers.sort(key=lambda s: s.id)
@@ -727,17 +779,16 @@ def require_valid(instance: ProblemInstance) -> ProblemInstance:
 
 
 def cluster_to_doc(cluster: ClusterSpec) -> dict:
-    links = cluster.links
     return {
         "schema_version": SCHEMA_VERSION,
         "servers": [
             {"id": s.id, "ccs_flops": s.compute_throughput, "storage_bytes": s.storage_capacity}
             for s in cluster.servers
         ],
-        "links": [
-            {"src": i, "dst": j, "capacity_bps": c, "prop_delay_s": p}
-            for i, j, c, p in zip(*map(_scalars, links.columns()))
-        ],
+        # one array per column: a JSON decoder reads four arrays of
+        # numbers much faster, and into less memory, than one object per link
+        "links": {key: _scalars(column)
+                  for (key, _, _), column in zip(_LINK, cluster.links.columns())},
     }
 
 

@@ -17,6 +17,13 @@ def data_path(name: str) -> str:
     return os.path.join(DATA_DIR, name)
 
 
+def object_layout(doc: dict) -> dict:
+    """A cluster document with its links rewritten from the column layout
+    the writer uses, one array per field, to one object per link."""
+    links = doc["links"]
+    return dict(doc, links=[dict(zip(links, row)) for row in zip(*links.values())])
+
+
 def make_2x2_instance(**overrides) -> ProblemInstance:
     """Hand-checked fixture: optimum 3.0 s with (l0 -> s0@8, l1 -> s1@8),
     3.5 s swapped."""

@@ -17,7 +17,7 @@ from edgeplan.core import (LayerProfile, LinkSpec, ServerSpec, json_text, load_i
 from edgeplan.delay import DelayOptions, compute_cm, compute_cp
 from edgeplan.quant import WeightTensor, save_weight_tensor
 
-from conftest import data_path, tensor_with_skewness
+from conftest import data_path, object_layout, tensor_with_skewness
 
 
 def run(argv, capsys):
@@ -955,6 +955,56 @@ class TestSimulateCommand:
         assert run(["simulate", "--plan", str(plan), *inputs, "--out", str(tmp_path / "t.csv"),
                     "--summary", str(tmp_path / "s.json")], capsys)[0] == 0
         assert opened == ["plan.json", "cluster_2x2.json", "model_2x2.json", "t.csv", "s.json"]
+
+
+class TestLinkLayouts:
+    """gen writes a cluster's links as four arrays; the same cluster with
+    one object per link is the same input to every command, under another
+    digest."""
+
+    @pytest.fixture
+    def clusters(self, tmp_path, capsys):
+        """(gen's directory, the column file, its object-layout rewrite)."""
+        assert run(["gen", "--seed", "5", "-m", "7", "-l", "4", "--profile", "heterogeneous",
+                    "--out-dir", str(tmp_path)], capsys)[0] == 0
+        columns, objects = tmp_path / "cluster.json", tmp_path / "objects.json"
+        doc = json.loads(columns.read_text())
+        assert sorted(doc["links"]) == ["capacity_bps", "dst", "prop_delay_s", "src"]
+        objects.write_text(json_text(object_layout(doc)))
+        return tmp_path, columns, objects
+
+    def test_both_layouts_give_the_same_outputs(self, clusters, capsys):
+        root, *paths = clusters
+        shared = ["--model", str(root / "model.json"), "--bits", "4,8,16", "--tokens", "8"]
+        outputs, digests = [], []
+        for k, cluster in enumerate(paths):
+            plan, lp = root / f"plan{k}.json", root / f"problem{k}.lp"
+            timeline, summary = root / f"timeline{k}.csv", root / f"summary{k}.json"
+            assert run(["plan", "--cluster", str(cluster), *shared, "--out", str(plan)],
+                       capsys)[0] == 0
+            assert run(["simulate", "--plan", str(plan), "--cluster", str(cluster),
+                        "--model", str(root / "model.json"), "--out", str(timeline),
+                        "--summary", str(summary)], capsys)[0] == 0
+            assert run(["export-lp", "--cluster", str(cluster), *shared, "--out", str(lp)],
+                       capsys)[0] == 0
+            doc = json.loads(plan.read_text())
+            digests.append(doc.pop("digest"))
+            del doc["meta"]["wall_time_s"]
+            outputs.append((doc, timeline.read_bytes(), summary.read_bytes(), lp.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert digests[0] != digests[1]
+
+    def test_plan_from_one_layout_is_stale_for_the_other(self, clusters, capsys):
+        root, *paths = clusters
+        model = ["--model", str(root / "model.json")]
+        for made, replayed in (paths, paths[::-1]):
+            plan = root / "plan.json"
+            assert run(["plan", "--cluster", str(made), *model, "--bits", "8", "--tokens", "2",
+                        "--out", str(plan)], capsys)[0] == 0
+            assert run(["simulate", "--plan", str(plan), "--cluster", str(replayed), *model,
+                        "--out", str(root / "t.csv")], capsys) == (
+                6, "", "digest mismatch: plan was produced from different inputs or flags\n")
+            assert not (root / "t.csv").exists()
 
 
 class TestExportLp:

@@ -3,10 +3,10 @@ commands.
 
 The first draws bit menus, error budgets, token counts, histogram bins
 and schemes, valid and not, against one small generated instance with
-weight tensors. The second mutates a
-plan document and replays it. The third mutates the instance's cluster,
-model and weight files, metadata and data, and plans them. The fourth
-runs gen over small server and layer counts, negative ones included.
+weight tensors. The second mutates a plan document and replays it. The
+third mutates the instance's cluster (its links in either layout), model
+and weight files, metadata and data, and plans them. The fourth runs gen
+over small server and layer counts, negative ones included.
 Every run must end in a documented exit code without a traceback; invalid
 input must be an input error (exit 2) and valid input must not be; what
 a run writes on exit 0 must be finite and record the inputs as given,
@@ -33,14 +33,20 @@ from edgeplan.core import save_instance
 from edgeplan.gen import generate_instance
 from edgeplan.quant import WeightTensor, save_weight_tensor
 
+from conftest import object_layout
+
 
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     """4 servers, 3 layers, each layer with a 64-weight tensor: zero-centred,
-    one-sided and constant, so auto picks both schemes."""
+    one-sided and constant, so auto picks both schemes. The cluster is
+    written in both link layouts: columns.json as gen writes it, one array
+    per field, and cluster.json with one object per link."""
     root = tmp_path_factory.mktemp("fuzz")
     inst = generate_instance(11, 4, 3, (4, 8, 16), "heterogeneous", tokens=2)
-    save_instance(inst, root / "cluster.json", root / "model.json")
+    save_instance(inst, root / "columns.json", root / "model.json")
+    (root / "cluster.json").write_text(json.dumps(object_layout(
+        json.loads((root / "columns.json").read_text()))))
     model = json.loads((root / "model.json").read_text())
     rng = np.random.default_rng(11)
     tensors = {"l0": rng.normal(0.0, 0.5, 64), "l1": rng.standard_exponential(64),
@@ -312,6 +318,8 @@ def replay_mutated(fuzz_dir, plan_doc, picks):
 # (file, path into its document, new value or DELETE or a function of the
 # old value, valid). A field of the wrong JSON type is an input error (exit 2); an
 # integer in a number field is a number, and the run stays valid (exit 0).
+# The cluster.json rows edit the object link layout, the columns.json rows
+# the column layout; a run plans columns.json when a row edits it.
 # The weight files are read by `plan --weights-dir`; `quantize` reports
 # a malformed one and skips its tensor. A .bin mutation is a function of
 # the file's bytes.
@@ -339,6 +347,18 @@ INSTANCE_MUTATIONS = [
     ("cluster.json", ("servers", 1, "storage_bytes"), int, True),
     ("cluster.json", ("links", 2, "capacity_bps"), int, True),
     ("cluster.json", ("links", 3, "prop_delay_s"), 0, True),
+    ("columns.json", ("links", "dst"), 5, False),
+    ("columns.json", ("links", "src", 0), None, False),
+    ("columns.json", ("links", "src", 1), 1.0, False),
+    ("columns.json", ("links", "src", 2), True, False),
+    ("columns.json", ("links", "capacity_bps", 3), "fast", False),
+    ("columns.json", ("links", "capacity_bps", 4), 10 ** 400, False),
+    ("columns.json", ("links", "dst"), lambda dst: dst[:-1], False),
+    ("columns.json", ("links", "src"), DELETE, False),
+    ("columns.json", ("links",), {}, False),
+    ("columns.json", ("links", "capacity_bps", 5), int, True),
+    ("columns.json", ("links", "prop_delay_s"), DELETE, True),
+    ("columns.json", ("links", "note"), "kept", True),
     ("model.json", (), lambda doc: None, False),
     ("model.json", ("layers",), "abc", False),
     ("model.json", ("layers", 0), 3, False),
@@ -391,7 +411,7 @@ def mutated_instance(fuzz_dir, tmp, picks):
     """Copies of the fuzz instance's files under tmp with the picked
     mutations applied, deeper edits first."""
     docs = {"w/l0.bin": (fuzz_dir / "w/l0.bin").read_bytes()}
-    for name in ("cluster.json", "model.json", "w/l0.json"):
+    for name in ("cluster.json", "columns.json", "model.json", "w/l0.json"):
         docs[name] = json.loads((fuzz_dir / name).read_text())
     for k in sorted(picks, key=lambda k: -len(INSTANCE_MUTATIONS[k][1])):
         name, path, value, _ = INSTANCE_MUTATIONS[k]
@@ -405,14 +425,19 @@ def mutated_instance(fuzz_dir, tmp, picks):
 
 
 def plan_mutated(fuzz_dir, picks):
-    """Plan the mutated instance with --weights-dir: exit 2 with no
-    traceback and no output when any mutation is invalid, else exit 0."""
-    valid = all(INSTANCE_MUTATIONS[k][3] for k in picks)
+    """Plan the mutated instance with --weights-dir, from columns.json when
+    a pick edits it, else from cluster.json: exit 2 with no traceback and
+    no output when any mutation of the files planned is invalid, else
+    exit 0."""
+    rows = [INSTANCE_MUTATIONS[k] for k in picks]
+    cluster = "columns.json" if any(row[0] == "columns.json" for row in rows) else "cluster.json"
+    # a cluster.json row edits no file a run of columns.json reads
+    valid = all(row[3] for row in rows if row[0] != "cluster.json" or cluster == "cluster.json")
     with tempfile.TemporaryDirectory(dir=fuzz_dir) as name:
         tmp = pathlib.Path(name)
         mutated_instance(fuzz_dir, tmp, picks)
         out = tmp / "plan.json"
-        code, stdout, err = run_cli(["plan", "--cluster", str(tmp / "cluster.json"),
+        code, stdout, err = run_cli(["plan", "--cluster", str(tmp / cluster),
                                      "--model", str(tmp / "model.json"),
                                      "--weights-dir", str(tmp / "w"),
                                      "--bits", "4,8,16", "--tokens", "2",
@@ -452,11 +477,12 @@ def test_instance_mutations(fuzz_dir, picks):
 @given(seed=st.integers(0, 3), servers=st.integers(-2, 6), layers=st.integers(-2, 6),
        profile=st.sampled_from(["uniform", "heterogeneous"]))
 @example(seed=1, servers=-1, layers=-2, profile="uniform")
+@example(seed=1, servers=2, layers=-1, profile="uniform")
 @settings(max_examples=60, deadline=None)
 def test_gen_sizes(fuzz_dir, seed, servers, layers, profile):
     """1 <= layers <= servers writes both files; any other size is an
-    input error that creates no --out-dir, a negative server count named
-    as the flag's."""
+    input error that creates no --out-dir, a negative server or layer
+    count named as the flag's."""
     with tempfile.TemporaryDirectory(dir=fuzz_dir) as tmp:
         out = os.path.join(tmp, "inst")
         code, _, err = run_cli(["gen", "--seed", str(seed), "-m", str(servers),
@@ -465,6 +491,8 @@ def test_gen_sizes(fuzz_dir, seed, servers, layers, profile):
         assert code == (0 if 1 <= layers <= servers else 2), (servers, layers, code, err)
         if servers < 0:
             assert err == f"error: --servers must be >= 0, got {servers}\n"
+        elif layers < 0:
+            assert err == f"error: --layers must be >= 0, got {layers}\n"
         if code == 0:
             assert sorted(os.listdir(out)) == ["cluster.json", "model.json"]
         else:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from edgeplan.core import (ClusterSpec, LayerProfile, LinkSpec, ModelProfile,
                            validate_instance)
 from edgeplan.gen import PROFILES, generate_cluster, generate_instance
 
-from conftest import data_path, make_2x2_instance
+from conftest import data_path, make_2x2_instance, object_layout
 from oracles import link_violations
 
 
@@ -252,6 +253,33 @@ BAD_LINK_FIELDS = [
 ]
 
 
+COLUMNS = {"src": [0, 1], "dst": [1, 0], "capacity_bps": [32.0, 8.0],
+           "prop_delay_s": [0.0, 0.0]}
+
+# (id, the links of a column-layout document, the ParseError text)
+BAD_LINK_COLUMNS = [
+    ("not_an_object_or_array", "x", 'c.json.links: must be an array or an object, got "x"'),
+    ("empty", {}, "c.json.links: missing key 'src'"),
+    ("missing_capacity", {k: v for k, v in COLUMNS.items() if k != "capacity_bps"},
+     "c.json.links: missing key 'capacity_bps'"),
+    ("column_not_an_array", dict(COLUMNS, dst=1), "c.json.links.dst: must be an array, got 1"),
+    ("delay_column_null", dict(COLUMNS, prop_delay_s=None),
+     "c.json.links.prop_delay_s: must be an array, got null"),
+    ("unequal_lengths", dict(COLUMNS, capacity_bps=[32.0]),
+     "c.json.links.capacity_bps: must have as many entries as src (2), got 1"),
+    ("src_null", dict(COLUMNS, src=[0, None]),
+     "c.json.links.src[1]: must be an integer, got null"),
+    ("src_float", dict(COLUMNS, src=[1.0, 1]), "c.json.links.src[0]: must be an integer, got 1.0"),
+    ("dst_boolean", dict(COLUMNS, dst=[1, True]),
+     "c.json.links.dst[1]: must be an integer, got true"),
+    ("capacity_string", dict(COLUMNS, capacity_bps=[32.0, "fast"]),
+     'c.json.links.capacity_bps[1]: must be a number, got "fast"'),
+    ("capacity_beyond_float", dict(COLUMNS, capacity_bps=[10 ** 400, 8.0]),
+     "c.json.links.capacity_bps[0]: must be a number, got "
+     "1000000000000000000000000000000000000..."),
+]
+
+
 def cluster_doc(*links):
     return {"servers": [{"id": 0, "ccs_flops": 1.0, "storage_bytes": 1.0},
                         {"id": 1, "ccs_flops": 1.0, "storage_bytes": 1.0}],
@@ -277,15 +305,34 @@ class TestLinkFields:
     def test_clean_document_is_read_as_columns(self, monkeypatch):
         """Every server and link field of a generated cluster has exactly
         its JSON type, so read_fields reads the document itself and no
-        entry one by one."""
+        entry one by one, in either link layout."""
         cluster = generate_instance(1, 48, 8).cluster
         doc = cluster_to_doc(cluster)
-        assert len(doc["links"]) == 2256
+        assert len(doc["links"]["src"]) == 2256
         calls = []
         monkeypatch.setattr(core, "read_fields", lambda *a, f=core.read_fields:
                             calls.append(a[2:]) or f(*a))
-        assert parse_cluster(doc, "c.json") == cluster
-        assert calls == [("c.json",)]
+        for layout in (doc, object_layout(doc)):
+            calls.clear()
+            assert parse_cluster(layout, "c.json") == cluster
+            assert calls == [("c.json",)]
+
+    @pytest.mark.parametrize("links, message", [case[1:] for case in BAD_LINK_COLUMNS],
+                             ids=[case[0] for case in BAD_LINK_COLUMNS])
+    def test_column_refusal_text(self, links, message):
+        with pytest.raises(ParseError) as exc:
+            parse_cluster({"servers": [], "links": links}, "c.json")
+        assert str(exc.value) == message
+
+    def test_column_layout_defaults_and_unknown_keys(self):
+        """A missing prop_delay_s column reads as 0.0 for every link, an
+        integer capacity as a float, and a key outside the four is
+        ignored, as in a link object."""
+        links = parse_cluster({"servers": cluster_doc()["servers"], "links": {
+            "src": [0, 1], "dst": [1, 0], "capacity_bps": [5, 2.0], "note": "x"}}).links
+        assert list(links) == [LinkSpec(0, 1, 5.0, 0.0), LinkSpec(1, 0, 2.0, 0.0)]
+        assert all(type(x) is float for lk in links
+                   for x in (lk.capacity_bps, lk.propagation_delay))
 
 
 SERVER = {"id": 1, "ccs_flops": 1.0, "storage_bytes": 1.0}
@@ -513,12 +560,47 @@ class TestLinkColumns:
         [LinkSpec(2 ** 70, 0, 8.0), LinkSpec(0, 2 ** 63, -0.0, math.nan)],
         []], ids=["zeros", "one_minus_zero", "minus_zeros", "wide_ids", "beyond_intp", "none"])
     def test_document_holds_the_iterated_values(self, links):
-        """The writer's links are those iteration yields, -0.0 kept apart
-        from 0.0, whichever way it turns a column into Python values."""
+        """The writer's link columns hold the values iteration yields,
+        -0.0 kept apart from 0.0, whichever way it turns a column into
+        Python values, and each layout of them parses back to the same
+        columns."""
         cluster = ClusterSpec((), links)
-        assert json.dumps(cluster_to_doc(cluster)["links"]) == json.dumps(
-            [{"src": lk.src, "dst": lk.dst, "capacity_bps": lk.capacity_bps,
-              "prop_delay_s": lk.propagation_delay} for lk in links])
+        doc = cluster_to_doc(cluster)
+        assert json.dumps(doc["links"], sort_keys=True) == json.dumps(
+            {"src": [lk.src for lk in links], "dst": [lk.dst for lk in links],
+             "capacity_bps": [lk.capacity_bps for lk in links],
+             "prop_delay_s": [lk.propagation_delay for lk in links]}, sort_keys=True)
+        # json.dumps, not json_text: one case holds a NaN
+        text = json.dumps(doc)
+        for layout in (json.loads(text), object_layout(json.loads(text))):
+            assert json.dumps([c.tolist() for c in parse_cluster(layout).links.columns()]) == \
+                json.dumps([c.tolist() for c in cluster.links.columns()])
+
+    @pytest.mark.parametrize("density", [1.0, 0.6, 0.0])
+    def test_generated_cluster_parses_alike_in_both_layouts(self, density):
+        cluster = generate_instance(3, 12, 4, link_density=density).cluster
+        text = json_text(cluster_to_doc(cluster))
+        columns = parse_cluster(json.loads(text))
+        objects = parse_cluster(object_layout(json.loads(text)))
+        assert columns == objects == cluster
+        assert [c.dtype for c in columns.links.columns()] == \
+            [c.dtype for c in objects.links.columns()]
+
+    def test_column_layout_parses_in_less_memory(self, tmp_path):
+        """Parsing a generated 128-server cluster (16,256 links) from the
+        column layout peaks below 0.6 of the object layout's peak: four
+        arrays, not one JSON object per link."""
+        doc = cluster_to_doc(generate_instance(1, 128, 4).cluster)
+        peaks = []
+        for name, layout in (("columns.json", doc), ("objects.json", object_layout(doc))):
+            (tmp_path / name).write_text(json_text(layout))
+            tracemalloc.start()
+            try:
+                parse_cluster(load_json(tmp_path / name))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 0.6 * peaks[1], peaks
 
     def test_columns_refuse_writes(self):
         for links in (generate_instance(1, 5, 2).cluster.links,
@@ -531,11 +613,15 @@ class TestLinkColumns:
 
 
 # sha256 of the files save_instance writes for
-# generate_instance(seed, 12, 5, "heterogeneous", link_density=0.6)
+# generate_instance(seed, 12, 5, "heterogeneous", link_density=0.6): the
+# cluster, the cluster with its links rewritten as objects (the bytes the
+# writer wrote before it wrote columns), the model
 GENERATED_SHA256 = {
-    1: ("3661d00251457602bcac1b4a7c36d21486e07016509fa7eba19667b33b1a0869",
+    1: ("5529a68fc6fb8cd9ffd3d532549e88e9bf6775fe463590aacdb15c5e58b1fd0c",
+        "3661d00251457602bcac1b4a7c36d21486e07016509fa7eba19667b33b1a0869",
         "7514a60bf2bddef7f22d45e61f9af02e3e37c8e7666bef8c7e9eb5e528ca9cf5"),
-    2: ("5c41e7c628c5da58a33573cbb1453b1ba2163179a5518351bb1ae73ccac84123",
+    2: ("ce50e8a7c00916c4bdf1196338f06f82802f89a7ecf086a67af4937dabac985e",
+        "5c41e7c628c5da58a33573cbb1453b1ba2163179a5518351bb1ae73ccac84123",
         "420cf784d8b7f8f92eb453089f896324d5c83557b8dcbd1f48a5151738fe48cc"),
 }
 
@@ -544,8 +630,9 @@ GENERATED_SHA256 = {
 def test_generated_files_are_pinned(tmp_path, seed):
     inst = generate_instance(seed, 12, 5, profile="heterogeneous", link_density=0.6)
     save_instance(inst, tmp_path / "cluster.json", tmp_path / "model.json")
-    got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                for name in ("cluster.json", "model.json"))
+    cluster, model = ((tmp_path / name).read_bytes() for name in ("cluster.json", "model.json"))
+    objects = json_text(object_layout(json.loads(cluster))).encode()
+    got = tuple(hashlib.sha256(data).hexdigest() for data in (cluster, objects, model))
     assert got == GENERATED_SHA256[seed]
 
 
