@@ -269,7 +269,7 @@ def cmd_plan(args) -> int:
         meta fields, the relaxed DP also its flag."""
         write_outputs((args.out, json_text({
             "schema_version": SCHEMA_VERSION,
-            "digest": input_digest(args.cluster, args.model, options_doc, inputs),
+            "digest": input_digest(inputs, options_doc),
             "solver": args.solver,
             "assignments": [{"layer": l, "server": i, "bits": b}
                             for l, (i, b) in enumerate(assignments)],
@@ -348,7 +348,7 @@ def cmd_simulate(args) -> int:
     # input changed since the plan was made is a digest mismatch
     read, inputs = hashing_reader()
     held = {path: read(path) for path in (args.cluster, args.model)}
-    if input_digest(args.cluster, args.model, options_doc, inputs) != digest:
+    if input_digest(inputs, options_doc) != digest:
         print("digest mismatch: plan was produced from different inputs or flags",
               file=sys.stderr)
         return EXIT_DIGEST

@@ -16,16 +16,17 @@ generator or any iterable of LinkSpec. The validator states each link
 rule once, as one boolean mask over the columns, and words the
 violations of the links a mask flags, in declaration order; a pair
 declared again is one of them. The writer reads the columns as Python
-scalars and writes them as four JSON arrays; the parser reads that
-layout and the older one of one JSON object per link alike. Every
+scalars and writes them as four JSON arrays; the parser takes that
+layout column by column and the older one, one JSON object per link,
+record by record. Every
 other reader reads ClusterSpec.link_view, the M x M index of the links
 scattered from the columns once per cluster: the delay table its
 matrices, ClusterSpec.link an entry.
 
 Every JSON document edgeplan reads or writes goes through this module:
 ``load_json`` loads it, as UTF-8 whatever the locale, ``read_fields``
-schemas type-check it (``read_records`` a table of records, a list of
-objects or an object of arrays, by columns where it can), ``json_text``
+schemas type-check it (``read_records`` a table of records: a list of
+objects record by record, an object of arrays by columns), ``json_text``
 serialises it and ``write_outputs`` writes it, leaving no partial
 output. ``json_text`` writes exactly the
 bytes of ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)``
@@ -48,8 +49,7 @@ import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Any, Iterable, Optional
 
 import numpy as np
@@ -533,10 +533,10 @@ def json_text(doc) -> str:
     indented encoder is the tests' oracle. The C encoder escapes every
     control character inside a string, so each raw newline in its output
     comes from a separator, and the separator ",\\n" plus an indent carries
-    the indentation. A container whose members are all scalars (such as
-    a link column), and a list of such containers of one kind (the
-    servers, layers and assignments), are each one C call; the few other
-    nodes of a document are joined here.
+    the indentation. A container whose members are all scalars is one C
+    call: a link column, and each server, layer, assignment or quantize
+    record. The other nodes of a document, such as the lists of those
+    records, are joined here.
     """
     parts = []
     _indented(doc, 0, parts)
@@ -572,24 +572,9 @@ def _indented(o, depth: int, parts: list) -> None:
         parts.append(brackets)
         return
     pad, inner = "  " * depth, "  " * (depth + 1)
-    kinds = set(map(type, members))
-    if kinds <= _SCALARS:
+    if _SCALARS.issuperset(map(type, members)):
         text = _encode_at(depth + 1)(o)
         parts += (f"{text[0]}\n{inner}", text[1:-1], f"\n{pad}{text[-1]}")
-        return
-    if (brackets == "[]" and (kinds == {dict} or kinds <= {list, tuple}) and all(o)
-            and _SCALARS.issuperset(map(type, chain.from_iterable(
-                map(dict.values, o) if kinds == {dict} else o)))):
-        # non-empty flat items: one C call a level deeper, then every item
-        # boundary ("},\n" or "],\n" and the deeper indent) gets the item
-        # indent; a scalar never ends in "}" or "]", so nothing else
-        # matches, nor the text's first two and last two characters
-        text, deeper = _encode_at(depth + 2)(o), "  " * (depth + 2)
-        opener, closer = text[1], text[-2]
-        text = text.replace(f"{closer},\n{deeper}{opener}",
-                            f"\n{inner}{closer},\n{inner}{opener}\n{deeper}")
-        parts += (f"[\n{inner}{opener}\n{deeper}", text[2:-2],
-                  f"\n{inner}{closer}\n{pad}]")
         return
     keyed = brackets == "{}"
     parts.append(f"{brackets[0]}\n{inner}")
@@ -640,15 +625,11 @@ def hashing_reader():
     return read, sha
 
 
-def input_digest(cluster_path, model_path, options_doc, sha=None) -> str:
+def input_digest(sha, options_doc) -> str:
     """sha256 over the two input files plus the canonical option record,
     which may hold anything a plan document does, NaN and Infinity too.
-    ``sha`` holds the two files as a hashing_reader fed them; without it,
-    the files are read here."""
-    if sha is None:
-        read, sha = hashing_reader()
-        read(cluster_path)
-        read(model_path)
+    ``sha`` holds the two files as a hashing_reader fed them, and is left
+    as it is."""
     sha = sha.copy()
     sha.update(json.dumps(options_doc, sort_keys=True).encode())
     return sha.hexdigest()
@@ -673,41 +654,18 @@ def read_records(table, schema: tuple, where: str, *path) -> list[list]:
     records' columns; either way a missing key reads as its default in
     every record, and keys outside the schema are ignored.
 
-    Both layouts are checked alike, column by column: when every value of
-    every column has exactly its JSON type, the columns are taken as
-    they are. Otherwise the entries are read one by one, an integer as a
-    float, refusing the first that cannot be read: in a list of objects
-    the first record, in order, with a field read_fields refuses; in an
-    object of arrays the first entry of the first column at fault."""
-    arrays = type(table) is dict
-    columns = (_array_columns(table, schema, where, *path) if arrays
-               else _record_columns(table, schema))
-    exact = [column is not None and set(map(type, column)) <= {kind}
-             for (_, kind, _), column in zip(schema, columns)]
-    if all(exact):
-        return columns
-    if arrays:
-        return [column if ok else [read_typed(value, kind, where, *path, key, k)
-                                   for k, value in enumerate(column)]
-                for (key, kind, _), column, ok in zip(schema, columns, exact)]
-    return list(map(list, zip(*(read_fields(doc, schema, where, *path, k)
-                                for k, doc in enumerate(table)))))
-
-
-def _record_columns(records: list, schema: tuple) -> list:
-    """The fields of a list of records, one list per schema key, a
-    missing key's default in its place (REQUIRED, no JSON value, when it
-    has none); all None when an entry is no object."""
-    columns = []
-    try:
-        for key, _, default in schema:
-            try:
-                columns.append(list(map(itemgetter(key), records)))
-            except KeyError:
-                columns.append([dict.get(doc, key, default) for doc in records])
-    except TypeError:
-        return [None] * len(schema)
-    return columns
+    A list of objects is read record by record by read_fields, which
+    refuses the first record, in order, with a field it cannot read. An
+    object of arrays is checked column by column: a column whose every
+    value has exactly its JSON type is taken as it is, any other is read
+    entry by entry, an integer as a float, refusing the first entry of
+    the first column at fault."""
+    if type(table) is list:
+        records = [read_fields(doc, schema, where, *path, k) for k, doc in enumerate(table)]
+        return list(map(list, zip(*records))) if records else [[] for _ in schema]
+    return [column if set(map(type, column)) <= {kind}
+            else [read_typed(value, kind, where, *path, key, k) for k, value in enumerate(column)]
+            for (key, kind, _), column in zip(schema, _array_columns(table, schema, where, *path))]
 
 
 def _array_columns(table: dict, schema: tuple, where: str, *path) -> list[list]:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from edgeplan.core import (ClusterSpec, LayerProfile, LinkSpec, ModelProfile,
-                           ProblemInstance, ServerSpec)
+                           ProblemInstance, ServerSpec, hashing_reader, input_digest)
 from edgeplan.delay import DelayOptions, build_delay_table
 from edgeplan.quant import WeightTensor, distribution_stats
 
@@ -22,6 +22,15 @@ def object_layout(doc: dict) -> dict:
     the writer uses, one array per field, to one object per link."""
     links = doc["links"]
     return dict(doc, links=[dict(zip(links, row)) for row in zip(*links.values())])
+
+
+def file_digest(cluster_path, model_path, options_doc) -> str:
+    """The digest plan writes for the two files and the option record: the
+    files fed through a hashing_reader in the order a command reads them."""
+    read, sha = hashing_reader()
+    read(cluster_path)
+    read(model_path)
+    return input_digest(sha, options_doc)
 
 
 def make_2x2_instance(**overrides) -> ProblemInstance:

@@ -10,14 +10,13 @@ import pytest
 
 from edgeplan import cli, core, quant
 from edgeplan import solver as solver_module
-from edgeplan.cli import (_load_and_filter, _load_from_options, build_parser,
-                          input_digest, main)
+from edgeplan.cli import _load_and_filter, _load_from_options, build_parser, main
 from edgeplan.core import (LayerProfile, LinkSpec, ServerSpec, json_text, load_instance,
                            write_outputs)
 from edgeplan.delay import DelayOptions, compute_cm, compute_cp
 from edgeplan.quant import WeightTensor, save_weight_tensor
 
-from conftest import data_path, object_layout, tensor_with_skewness
+from conftest import data_path, file_digest, object_layout, tensor_with_skewness
 
 
 def run(argv, capsys):
@@ -473,7 +472,7 @@ class TestPlan:
         meta = doc["meta"]
         assert meta["expansions"] >= meta["nodes_explored"] >= 1
         assert meta["lower_bound_at_root"] <= doc["objective"]["total_s"]
-        assert doc["digest"] == input_digest(cluster, model, doc["options"])
+        assert doc["digest"] == file_digest(cluster, model, doc["options"])
 
     def test_link_view_is_built_once_per_command(self, tmp_path, capsys, monkeypatch):
         """plan's delay table and plan checker, and simulate's checker and
@@ -789,8 +788,8 @@ class TestSimulateCommand:
         doc = json.loads(plan.read_text())
         del doc["digest"]
         edit(doc)
-        doc.setdefault("digest", input_digest(data_path("cluster_2x2.json"),
-                                              data_path("model_2x2.json"), doc["options"]))
+        doc.setdefault("digest", file_digest(data_path("cluster_2x2.json"),
+                                             data_path("model_2x2.json"), doc["options"]))
         plan.write_text(json.dumps(doc))
         code, stdout, err = run(
             ["simulate", "--plan", str(plan),
@@ -1546,7 +1545,7 @@ class TestNoLayers:
                    **DelayOptions().to_doc()}
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps({
-            "digest": input_digest(cluster, model, options), "assignments": [],
+            "digest": file_digest(cluster, model, options), "assignments": [],
             "objective": {"total_s": 0.0}, "options": options}))
         timeline = tmp_path / "timeline.csv"
         code, _, err = run(["simulate", "--plan", str(plan), "--cluster", cluster,

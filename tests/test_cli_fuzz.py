@@ -28,12 +28,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edgeplan.cli import input_digest, main
+from edgeplan.cli import main
 from edgeplan.core import save_instance
 from edgeplan.gen import generate_instance
 from edgeplan.quant import WeightTensor, save_weight_tensor
 
-from conftest import object_layout
+from conftest import file_digest, object_layout
 
 
 @pytest.fixture(scope="module")
@@ -292,8 +292,8 @@ def replay_mutated(fuzz_dir, plan_doc, picks):
     for path, value, _ in signed:
         doc = mutate(doc, path, value.value)
     if signed:
-        doc["digest"] = input_digest(fuzz_dir / "cluster.json", fuzz_dir / "model.json",
-                                     doc["options"])
+        doc["digest"] = file_digest(fuzz_dir / "cluster.json", fuzz_dir / "model.json",
+                                    doc["options"])
     # deeper edits first, so an edit to a whole object lands last
     for path, value, _ in sorted((m for m in mutations if m not in signed),
                                  key=lambda m: -len(m[0])):

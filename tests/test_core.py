@@ -303,19 +303,22 @@ class TestLinkFields:
                    for x in (lk.capacity_bps, lk.propagation_delay))
 
     def test_clean_document_is_read_as_columns(self, monkeypatch):
-        """Every server and link field of a generated cluster has exactly
-        its JSON type, so read_fields reads the document itself and no
-        entry one by one, in either link layout."""
+        """Every link field of a generated cluster has exactly its JSON
+        type, so in the writer's layout no link is read as a record and no
+        link column entry by entry: the only read_fields or read_typed
+        calls with a links path are the four array checks. The object
+        layout, read record by record, parses to an equal cluster."""
         cluster = generate_instance(1, 48, 8).cluster
         doc = cluster_to_doc(cluster)
         assert len(doc["links"]["src"]) == 2256
-        calls = []
-        monkeypatch.setattr(core, "read_fields", lambda *a, f=core.read_fields:
-                            calls.append(a[2:]) or f(*a))
-        for layout in (doc, object_layout(doc)):
-            calls.clear()
-            assert parse_cluster(layout, "c.json") == cluster
-            assert calls == [("c.json",)]
+        paths = []
+        for name in ("read_fields", "read_typed"):
+            monkeypatch.setattr(core, name, lambda *a, f=getattr(core, name):
+                                paths.append(a[2:]) or f(*a))
+        assert parse_cluster(doc, "c.json") == cluster
+        assert [p for p in paths if "links" in p] == [
+            ("c.json", "links", key) for key in ("src", "dst", "capacity_bps", "prop_delay_s")]
+        assert parse_cluster(object_layout(doc), "c.json") == cluster
 
     @pytest.mark.parametrize("links, message", [case[1:] for case in BAD_LINK_COLUMNS],
                              ids=[case[0] for case in BAD_LINK_COLUMNS])
