@@ -11,13 +11,17 @@ must equal brute force's, which enumerates every width while the search
 keeps each layer's smallest, and its objective must equal brute force's
 exactly: the search prices from the delay table, brute force from the
 raw specs. Every plan must also pass the plan checker and replay through
-the simulator to its objective within 1e-9 relative.
+the simulator to its objective within 1e-9 relative. The last line counts
+the searches that escalated to the Lagrangian root pass; ``--lagrangian``
+escalates every search at once, as if the plain-bound allowance were 0,
+so the pass and the penalised search run on every instance.
 """
 
 import argparse
 import random
 import statistics
 
+from edgeplan import solver
 from edgeplan.delay import DelayOptions, build_delay_table, check_plan_feasible
 from edgeplan.gen import random_test_instance
 from edgeplan.sim import simulate
@@ -32,6 +36,8 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--max-layers", type=int, default=4)
     ap.add_argument("--max-servers", type=int, default=6)
+    ap.add_argument("--lagrangian", action="store_true",
+                    help="escalate every search to the Lagrangian bound at once")
     args = ap.parse_args()
     # each instance draws 1 <= L <= M <= --max-servers, and brute force
     # refuses an instance beyond its guard
@@ -41,6 +47,18 @@ def main():
         ap.error(f"--max-layers above brute force's limit of {BRUTE_FORCE_MAX_LAYERS}")
     if args.max_servers > BRUTE_FORCE_MAX_SERVERS:
         ap.error(f"--max-servers above brute force's limit of {BRUTE_FORCE_MAX_SERVERS}")
+
+    if args.lagrangian:
+        solver._ESCALATE_AFTER = 0
+    escalated = 0
+    root_pass = solver._lagrangian_root
+
+    def counted_root_pass(*pass_args):
+        nonlocal escalated
+        escalated += 1
+        return root_pass(*pass_args)
+
+    solver._lagrangian_root = counted_root_pass
 
     gaps, root_gaps, visit_ratios = [], [], []
     infeasible = 0
@@ -86,6 +104,7 @@ def main():
               f"max {max(root_gaps):.2f}%")
         print(f"leaves visited by branch-and-bound: "
               f"mean {statistics.mean(visit_ratios):.2f}% of brute force")
+    print(f"escalated to the Lagrangian bound: {escalated} of {len(gaps)} searches")
 
 
 if __name__ == "__main__":

@@ -21,6 +21,13 @@ Both price their plans with delay.path_delay, branch and bound on the
 table's entries and brute force on its scalar prices, so the objective is
 summed in one order. Neither checks a plan; delay.check_plan_feasible does.
 
+The relaxed DP of a solve runs in one workspace (_LayeredDP) that holds
+cp + lambda, H, the next-server argmins and one M x M layer of sums: the
+root bound is its first solve, which is also the subgradient ascent's
+first step, and every later step solves it again in place. A step, the
+DP with its witness and the multiplier update, costs about 28 us at
+M 16/L 9 on a 2-CPU Xeon.
+
 Branch and bound visits nodes one at a time, and a numpy call per node
 would cost more than the search itself. So it reads the table once per
 (layer, parent server) pair it reaches: one sorted child list in Python
@@ -49,11 +56,11 @@ DEFAULT_NODE_BUDGET = 10_000_000
 
 # Expansions (children examined) the search spends under the plain DP
 # bound before it computes Lagrangian multipliers and starts over. One
-# subgradient step is a relaxed DP with its witness, O(L * M^2): 36-86 us
+# subgradient step is a relaxed DP with its witness, O(L * M^2): 20-30 us
 # on the seed-1 `deep` benchmark pool (M 10-16, L 6-10) on a 2-CPU Xeon, so
-# a pass of 12-100 steps costs about 0.5-9 ms, while 1,000 expansions cost
-# 0.7-1.6 ms there. Shallow searches (L <= 5, any M) mostly finish within
-# the allowance and never pay for a pass; deep ones (L >= 7) mostly
+# a pass of 12-100 steps costs about 0.3-2.8 ms, while 1,000 expansions
+# cost 0.5-0.7 ms there. Shallow searches (L <= 5, any M) mostly finish
+# within the allowance and never pay for a pass; deep ones (L >= 7) mostly
 # escalate (26 of the pool's 39 plans).
 _ESCALATE_AFTER = 1_000
 _SUBGRADIENT_STEPS = 100
@@ -144,65 +151,87 @@ def solve_brute_force(instance: ProblemInstance, table: DelayTable) -> SolveResu
 # Layered-graph relaxation
 # ---------------------------------------------------------------------------
 
-def _suffix_bounds(cp: np.ndarray, cm: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """H[l, i] = cheapest completion of layers l..L-1 starting with layer
-    l on server i, allowing non-consecutive server reuse:
+class _LayeredDP:
+    """The relaxed DP of one table in one set of buffers, which the root
+    bound and every subgradient step reuse:
 
-        H[l, i] = cp[l, i] + min_j (cm[l, i, j] + H[l + 1, j])
+        H[l, i] = pen[l, i] + min_j (cm[l, i, j] + H[l + 1, j]),
 
-    The table masks every hop from a server to itself, so consecutive
-    layers still need distinct, linked servers, as in every feasible plan,
-    and the bound stays admissible. cp may carry per-server penalties (the
-    Lagrangian bound passes cp + lambda). Returns (H, nxt): H an (L, M)
-    array, and nxt[l, i] the first j attaining the minimum, the witness's
-    next server. Each layer writes its sums to one reused M x M buffer,
-    takes each row's first argmin and reads the minimum back there, the
-    float a min-reduce gives; keeping all L - 1 layers' sums for the
-    witness instead made an ascent step at M = 1024 half again as slow.
-    Needs L >= 1."""
-    L, M = cp.shape
-    H = np.empty((L, M))
-    H[L - 1] = cp[L - 1]
-    nxt = np.empty((L - 1, M), dtype=np.intp)
-    if M == 0:  # argmin refuses empty rows; H is empty anyway
-        return H, nxt
-    via = np.empty((M, M))
-    flat, starts = via.reshape(-1), np.arange(0, M * M, M)
-    for l in range(L - 2, -1, -1):
-        np.add(cm[l], H[l + 1], out=via)
-        via.argmin(axis=1, out=nxt[l])
-        np.add(cp[l], flat.take(nxt[l] + starts), out=H[l])
-    return H, nxt
+    H[l, i] the cheapest completion of layers l..L-1 starting with layer
+    l on server i, allowing non-consecutive server reuse, and pen = cp +
+    lambda, per-server penalties (the Lagrangian bound's) on cp. The table
+    masks every hop from a server to itself, so consecutive layers still
+    need distinct, linked servers, as in every feasible plan, and the
+    bound stays admissible. nxt[l, i] is the first j attaining the
+    minimum, the witness's next server. Each layer writes its sums to one
+    M x M buffer, takes each row's first argmin and reads the minimum back
+    there, the float a min-reduce gives; keeping all L - 1 layers' sums
+    for the witness instead made an ascent step at M = 1024 half again as
+    slow. Built, it holds the plain DP (lambda = 0); each ``solve``
+    overwrites pen, H and nxt. Needs L >= 1."""
 
+    def __init__(self, cp: np.ndarray, cm: np.ndarray):
+        L, M = cp.shape
+        self.cp, self.cm, self.pen = cp, cm, cp.copy()
+        self.H = H = np.empty((L, M))
+        self.nxt = np.empty((L - 1, M), dtype=np.intp)
+        self._via = np.empty((M, M))
+        self._flat, self._starts = self._via.reshape(-1), np.arange(M) * M
+        self._at, self._mins = np.empty(M, dtype=np.intp), np.empty(M)
+        # per layer, last first: (cm, pen, H, nxt) rows of l and H's of l + 1
+        self._layers = [(cm[l], self.pen[l], H[l], self.nxt[l], H[l + 1])
+                        for l in range(L - 2, -1, -1)]
+        self._run()
 
-def _witness(H: np.ndarray, nxt: np.ndarray) -> list[int]:
-    """The shortest layered path behind H[0].min(), one server per layer,
-    following _suffix_bounds' first minima: ties go to the smallest server,
-    so the path is the lexicographic smallest. Requires a finite
-    H[0].min()."""
-    path = [int(H[0].argmin())]
-    for row in nxt:
-        path.append(int(row[path[-1]]))
-    return path
+    def solve(self, lam: np.ndarray) -> None:
+        """The DP on cp + lam."""
+        np.add(self.cp, lam, out=self.pen)
+        self._run()
+
+    def _run(self) -> None:
+        via, flat, starts, at, mins = (self._via, self._flat, self._starts,
+                                       self._at, self._mins)
+        self.H[-1] = self.pen[-1]
+        if not len(via):  # argmin refuses empty rows; H is empty anyway
+            return
+        for cm_l, pen_l, H_l, nxt_l, below in self._layers:
+            np.add(cm_l, below, out=via)
+            via.argmin(axis=1, out=nxt_l)
+            np.add(nxt_l, starts, out=at)
+            np.add(pen_l, flat.take(at, out=mins), out=H_l)
+
+    def witness(self) -> Optional[list[int]]:
+        """The shortest layered path, one server per layer, following the
+        first minima: ties go to the smallest server, so the path is the
+        lexicographic smallest, and H[0] at its first server is H[0].min().
+        None when H[0] has no finite entry."""
+        first = self.H[0]
+        if not len(first):
+            return None
+        path = [int(first.argmin())]
+        if math.isinf(first[path[0]]):
+            return None
+        for row in self.nxt.tolist():
+            path.append(row[path[-1]])
+        return path
 
 
 def solve_relaxed_dp(table: DelayTable
                      ) -> tuple[float, Optional[tuple[tuple[int, int], ...]]]:
     """Shortest layered path; returns (lower_bound, (server, bits) path).
     The path may reuse servers, so it is a bound witness, not a plan."""
-    H, nxt = _suffix_bounds(table.cp, table.cm)
-    bound = float(H[0].min(initial=math.inf))
-    if math.isinf(bound):
+    dp = _LayeredDP(table.cp, table.cm)
+    path = dp.witness()
+    if path is None:
         return math.inf, None
-    return bound, tuple(zip(_witness(H, nxt), table.widths))
+    return float(dp.H[0, path[0]]), tuple(zip(path, table.widths))
 
 
 # ---------------------------------------------------------------------------
 # Lagrangian bound and branch and bound
 # ---------------------------------------------------------------------------
 
-def _lagrangian_root(table: DelayTable, target: float, incumbent):
+def _lagrangian_root(dp: _LayeredDP, target: float, incumbent):
     """Multipliers lambda >= 0, one per server, for the bound
 
         min H_lambda[0] - (sum of the L largest lambda),
@@ -215,17 +244,24 @@ def _lagrangian_root(table: DelayTable, target: float, incumbent):
     subgradient is the witness path's visits per server minus one for each
     server in the top-L set. A witness on L distinct servers is a feasible
     plan: it replaces ``incumbent`` (None or (objective, path)) when
-    better, and the target drops to it. Stops after _SUBGRADIENT_STEPS or
-    once the bound reaches the target. Returns (bound, lambda, H_lambda,
-    incumbent)."""
-    cp, cm = table.cp, table.cm
+    better, and the target drops to it. ``dp`` holds the table's plain DP,
+    the first step's; each later step solves it again at its own lambda.
+    Stops after _SUBGRADIENT_STEPS or once the bound reaches the target.
+    Returns (bound, lambda, H_lambda, incumbent), arrays that later steps
+    leave alone."""
+    cp, cm, H = dp.cp, dp.cm, dp.H
     L, M = cp.shape
     lam = np.zeros(M)
     best = (-math.inf, lam, None)
     theta, stall = 2.0, 0
-    for _ in range(_SUBGRADIENT_STEPS):
-        H, nxt = _suffix_bounds(cp + lam[None, :], cm)
-        witness = _witness(H, nxt)
+    # the top-L sort's keys (-visits, -lambda), lambda on the top-L set
+    # and the subgradient, written in place each step
+    keys = (np.empty(M, dtype=np.intp), np.empty(M))
+    top_lam, grad = np.empty(L), np.empty(M)
+    for step in range(_SUBGRADIENT_STEPS):
+        if step:
+            dp.solve(lam)
+        witness = dp.witness()
         if len(set(witness)) == L:
             total = float(path_delay(cp, cm, witness)[0])
             key = (total, tuple(witness))
@@ -233,23 +269,27 @@ def _lagrangian_root(table: DelayTable, target: float, incumbent):
                 incumbent = key
                 target = min(target, total)
         visits = np.bincount(witness, minlength=M)
+        np.negative(visits, out=keys[0])
+        np.negative(lam, out=keys[1])
         # top-L set: largest lambda, ties to the servers the witness visits
-        top = np.lexsort((-visits, -lam))[:L]
-        bound = float(H[0].min()) - float(lam[top].sum())
+        top = np.lexsort(keys)[:L]
+        bound = float(H[0, witness[0]]) - float(lam.take(top, out=top_lam).sum())
         if bound > best[0]:
-            best, stall = (bound, lam, H), 0
+            best, stall = (bound, lam, H.copy()), 0
         else:
             stall += 1
             if stall == _STALL_STEPS:
                 theta, stall = theta / 2, 0
         if best[0] >= target - _tie_tolerance(target):
             break
-        grad = visits.astype(float)
+        np.copyto(grad, visits)
         grad[top] -= 1.0
         norm = float(grad @ grad)
         if norm == 0.0:  # the witness is a plan at the bound
             break
-        lam = np.maximum(0.0, lam + (theta * (target - bound) / norm) * grad)
+        # a new array each step: best may hold the old one
+        moved = np.multiply(grad, theta * (target - bound) / norm)
+        lam = np.maximum(0.0, np.add(lam, moved, out=moved), out=moved)
     return (*best, incumbent)
 
 
@@ -264,7 +304,7 @@ def _search(cp, cm, H, lam, limit: int, incumbent):
                                            among the unused servers)
 
     which is the plain DP bound when lam is all zero. cp, cm and H are
-    arrays (the table's and _suffix_bounds'), lam a list. The children of
+    arrays (the table's and _LayeredDP's), lam a list. The children of
     a node at layer l under parent server p are the servers in (edge +
     H[l, i], server) order, edge = cm[l - 1, p, i] (0 at the root); that
     list is sorted once per (l, p), the first time the search reaches
@@ -374,22 +414,25 @@ def solve_branch_and_bound(table: DelayTable,
     root bound the solve proved.
     """
     t0 = time.perf_counter()
-    L, M = table.cp.shape
-    bounds = _suffix_bounds(table.cp, table.cm)[0]
-    root_bound = float(bounds[0].min(initial=math.inf))
+    cp, cm = table.cp, table.cm
+    L, M = cp.shape
+    if L > M:
+        return SolveResult("infeasible", None, math.inf, 0, math.inf,
+                           time.perf_counter() - t0)
+    dp = _LayeredDP(cp, cm)
+    root_bound = float(dp.H[0].min(initial=math.inf))
     # a layer that keeps no width has an all-inf cp row: an inf root bound
-    if L > M or math.isinf(root_bound):
+    if math.isinf(root_bound):
         return SolveResult("infeasible", None, math.inf, 0, math.inf,
                            time.perf_counter() - t0)
 
-    cp, cm = table.cp, table.cm
     allowance = min(budget, _ESCALATE_AFTER)
     incumbent, leaves, expansions, exhausted = _search(
-        cp, cm, bounds, [0.0] * M, allowance, None)
+        cp, cm, dp.H, [0.0] * M, allowance, None)
     if exhausted and budget > allowance:
         # no incumbent yet: aim the Polyak steps a little above the DP bound
         target = incumbent[0] if incumbent else root_bound * (1 + _ESTIMATE_SLACK)
-        bound, lam, penalised, incumbent = _lagrangian_root(table, target, incumbent)
+        bound, lam, penalised, incumbent = _lagrangian_root(dp, target, incumbent)
         root_bound = max(root_bound, bound)
         incumbent, more_leaves, more, exhausted = _search(
             cp, cm, penalised, lam.tolist(), budget - expansions, incumbent)

@@ -15,6 +15,9 @@ equivalence with ``max_abs_error`` is tested, not assumed.
 Search. ``held_karp`` is the exact minimum over injective placements by
 the subset dynamic program of Held and Karp (1962): brute force stops at
 a few servers, while branch and bound is stressed at 10 to 18.
+``layered_dp`` is the relaxed DP behind the search's bounds, one entry
+at a time in Python floats: the reference of the solver's reused
+layered-DP workspace, whose every entry and argmin must equal its own.
 
 Links. ``link_violations`` judges a cluster's links one at a time in
 Python, every rule on every link, with the first declaration of each
@@ -202,3 +205,30 @@ def held_karp(cp: np.ndarray, cm: np.ndarray) -> float:
             before = best[with_k ^ (1 << k)] + cm[l - 1, :, k]
             best[with_k, k] = before.min(axis=1) + cp[l, k]
     return float(best[sets[size == L]].min())
+
+
+def layered_dp(cp, cm) -> tuple[list[list[float]], list[list[int]]]:
+    """(H, nxt) of the relaxed DP on cp (L, M) and cm (L, M, M), reuse of
+    non-consecutive servers allowed:
+
+        H[l][i] = cp[l][i] + min over j of (cm[l][i][j] + H[l + 1][j]),
+
+    H[L - 1] = cp[L - 1], and nxt[l][i] the first j attaining the minimum
+    (0 when every sum is inf). Each sum and the final add are one IEEE
+    addition of Python floats, as in the vectorised DP. Needs L >= 1."""
+    cp, cm = np.asarray(cp, dtype=float).tolist(), np.asarray(cm, dtype=float).tolist()
+    L = len(cp)
+    H = [None] * L
+    H[L - 1] = cp[L - 1]
+    nxt = [None] * (L - 1)
+    for l in range(L - 2, -1, -1):
+        H[l], nxt[l] = [], []
+        for i, hop in enumerate(cm[l]):
+            best, at = hop[0] + H[l + 1][0], 0
+            for j in range(1, len(hop)):
+                via = hop[j] + H[l + 1][j]
+                if via < best:
+                    best, at = via, j
+            H[l].append(cp[l][i] + best)
+            nxt[l].append(at)
+    return H, nxt

@@ -33,6 +33,17 @@ def test_run_solver_suite():
     assert "root bound gap:" in proc.stdout
 
 
+def test_run_solver_suite_lagrangian_route():
+    """--lagrangian escalates every search: each feasible instance's
+    search runs the Lagrangian root pass, and the suite says so."""
+    proc = run_script("run_solver_suite.py", "--instances", "12", "--lagrangian")
+    assert proc.returncode == 0, proc.stderr
+    feasible = int(re.search(r"^(\d+) feasible /", proc.stdout, re.M).group(1))
+    assert feasible > 0
+    assert f"escalated to the Lagrangian bound: {feasible} of {feasible} searches" \
+        in proc.stdout
+
+
 @pytest.mark.parametrize("args, message", [
     (("--max-layers", "0"), "need 1 <= --max-layers <= --max-servers"),
     (("--max-layers", "7", "--max-servers", "5"), "need 1 <= --max-layers <= --max-servers"),

@@ -18,7 +18,7 @@ from edgeplan.solver import (SizeLimit, solve_branch_and_bound,
                              solve_brute_force, solve_relaxed_dp)
 
 from conftest import make_2x2_instance, with_binding_storage
-from oracles import held_karp
+from oracles import held_karp, layered_dp
 
 
 def dominant_server_instance(num_layers=3):
@@ -73,6 +73,20 @@ class TestBruteForce:
             solve_brute_force(big, build_delay_table(big))
 
 
+def _small_integer_prices(rng, L, M, masked):
+    """cp (L, M) and cm (L, M, M) drawn from {0, 1, 2, 3}, each entry inf
+    with probability ``masked`` and every hop from a server to itself inf,
+    as the table masks it: sums are exact and tie often."""
+    def price(*shape):
+        return np.array([rng.choice((math.inf,) if rng.random() < masked
+                                    else (0.0, 1.0, 2.0, 3.0))
+                         for _ in range(math.prod(shape))]).reshape(shape)
+
+    cm = price(L, M, M)
+    cm[:, range(M), range(M)] = math.inf
+    return price(L, M), cm
+
+
 class TestRelaxedDp:
     def test_golden_bound_is_tight(self, golden_instance, golden_table):
         bound, path = solve_relaxed_dp(golden_table)
@@ -113,16 +127,8 @@ class TestRelaxedDp:
         reuse allowed, so each tie goes to the smaller server."""
         rng = random.Random(7000 + seed)
         M, L = rng.randint(1, 5), rng.randint(1, 4)
-        masked = rng.choice((0.0, 0.2, 0.5))
-
-        def price(*shape):
-            return np.array([rng.choice((math.inf,) if rng.random() < masked
-                                        else (0.0, 1.0, 2.0, 3.0))
-                             for _ in range(math.prod(shape))]).reshape(shape)
-
-        cm = price(L, M, M)
-        cm[:, range(M), range(M)] = math.inf
-        table = DelayTable((8,) * L, price(L, M), cm, DelayOptions())
+        cp, cm = _small_integer_prices(rng, L, M, rng.choice((0.0, 0.2, 0.5)))
+        table = DelayTable((8,) * L, cp, cm, DelayOptions())
         cost, path = min((path_delay(table.cp, table.cm, seq)[0], seq)
                          for seq in itertools.product(range(M), repeat=L))
         bound, witness = solve_relaxed_dp(table)
@@ -380,7 +386,8 @@ class TestLagrangianRoute:
             # the root pass as the solve runs it without an incumbent; its
             # bound is unclamped, unlike lower_bound_at_root
             bound, lam, _, incumbent = solver._lagrangian_root(
-                table, dp_bound * (1 + solver._ESTIMATE_SLACK), None)
+                solver._LayeredDP(table.cp, table.cm),
+                dp_bound * (1 + solver._ESTIMATE_SLACK), None)
             assert (lam >= 0).all(), seed
             exact = solve_brute_force(inst, table)
             if exact.plan is not None:
@@ -422,10 +429,11 @@ class TestLagrangianRoute:
             tied = best[::-1]
             M = inst.cluster.num_servers
             if penalised:
-                _, lam, H, _ = solver._lagrangian_root(table, exact.objective, None)
+                _, lam, H, _ = solver._lagrangian_root(
+                    solver._LayeredDP(table.cp, table.cm), exact.objective, None)
                 lam = lam.tolist()
             else:
-                lam, H = [0.0] * M, solver._suffix_bounds(table.cp, table.cm)[0]
+                lam, H = [0.0] * M, solver._LayeredDP(table.cp, table.cm).H
             found, _, _, exhausted = solver._search(
                 table.cp, table.cm, H, lam, 10 ** 6, (exact.objective, tied))
             assert not exhausted
@@ -445,6 +453,115 @@ class TestLagrangianRoute:
         again = solve_branch_and_bound(table, budget=full.expansions)
         assert again.status == "optimal"
         assert again.plan.assignments == full.plan.assignments
+
+
+def _assert_dp_matches(dp, pen, cm):
+    """The workspace holds the oracle's DP on pen and cm, bit for bit, and
+    its witness walks the oracle's first minima from H[0]'s first one."""
+    H, nxt = layered_dp(pen, cm)
+    assert dp.H.tobytes() == np.array(H, dtype=float).reshape(dp.H.shape).tobytes()
+    assert dp.nxt.tolist() == nxt
+    first = H[0]
+    if not first or math.isinf(min(first)):
+        assert dp.witness() is None
+        return
+    path = [first.index(min(first))]
+    for row in nxt:
+        path.append(row[path[-1]])
+    assert dp.witness() == path
+    assert dp.H[0, path[0]] == min(first)
+
+
+def _penalties(rng, M):
+    """lambda >= 0 of one of four kinds: zero, small integers that tie,
+    uniform floats, or floats far above the prices."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return np.zeros(M)
+    if kind == 1:
+        return np.array([float(rng.randint(0, 2)) for _ in range(M)])
+    return np.array([rng.random() * (1e6 if kind == 3 else 1.0) for _ in range(M)])
+
+
+class TestLayeredDP:
+    """The solver's layered-DP workspace, one per table and reused by
+    every solve on it, against the loop oracle tests/oracles.layered_dp."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_reused_across_steps(self, seed):
+        """One workspace solved at many penalties in turn, then at none:
+        each solve equals a fresh oracle run, so no buffer keeps a value
+        from an earlier step."""
+        rng = random.Random(8000 + seed)
+        M, L = rng.randint(1, 6), rng.randint(1, 6)
+        cp, cm = _small_integer_prices(rng, L, M, rng.choice((0.0, 0.2, 0.5)))
+        dp = solver._LayeredDP(cp, cm)
+        _assert_dp_matches(dp, cp, cm)
+        for _ in range(12):
+            lam = _penalties(rng, M)
+            dp.solve(lam)
+            _assert_dp_matches(dp, cp + lam, cm)
+        dp.solve(np.zeros(M))
+        _assert_dp_matches(dp, cp, cm)
+
+    def test_masks_of_sparse_links_and_binding_storage(self):
+        masked_cp = masked_cm = 0
+        for seed in range(60):
+            table = build_delay_table(_lagrangian_instance(seed))
+            cp, cm = table.cp, table.cm
+            M = cp.shape[1]
+            masked_cp += bool(np.isinf(cp).any())
+            masked_cm += bool(np.isinf(cm).sum() > cm.shape[0] * M)
+            rng = random.Random(seed)
+            dp = solver._LayeredDP(cp, cm)
+            _assert_dp_matches(dp, cp, cm)
+            for _ in range(3):
+                lam = _penalties(rng, M)
+                dp.solve(lam)
+                _assert_dp_matches(dp, cp + lam, cm)
+        # storage masks cp entries, missing links cm entries off the diagonal
+        assert masked_cp >= 10 and masked_cm >= 10, (masked_cp, masked_cm)
+
+    @pytest.mark.parametrize("L, M", [(1, 1), (1, 5), (5, 5), (3, 1), (2, 0)],
+                             ids=["L1-M1", "L1", "L=M", "M1", "M0"])
+    def test_edge_shapes(self, L, M):
+        rng = random.Random(L * 10 + M)
+        cp, cm = _small_integer_prices(rng, L, M, 0.2)
+        dp = solver._LayeredDP(cp, cm)
+        _assert_dp_matches(dp, cp, cm)
+        lam = _penalties(rng, M)
+        dp.solve(lam)
+        _assert_dp_matches(dp, cp + lam, cm)
+
+    def test_lagrangian_root_returns_its_own_arrays(self):
+        """The (lambda, H) the ascent returns is the oracle's DP at that
+        lambda: later steps, which reuse the workspace, leave it alone."""
+        moved = 0
+        for seed in range(LAGRANGIAN_SEEDS):
+            inst = _lagrangian_instance(seed)
+            table = build_delay_table(inst)
+            dp_bound, _ = solve_relaxed_dp(table)
+            if math.isinf(dp_bound) or inst.model.num_layers > inst.cluster.num_servers:
+                continue
+            dp = solver._LayeredDP(table.cp, table.cm)
+            _, lam, H, _ = solver._lagrangian_root(
+                dp, dp_bound * (1 + solver._ESTIMATE_SLACK), None)
+            want, _ = layered_dp(table.cp + lam, table.cm)
+            assert H.tobytes() == np.array(want).reshape(H.shape).tobytes(), seed
+            moved += bool(lam.any())
+        assert moved >= 50, moved
+
+    def test_more_layers_than_servers_is_refused_before_the_dp(self, monkeypatch):
+        def no_dp(cp, cm):
+            raise AssertionError("the DP ran")
+
+        model = ModelProfile(layers=tuple(LayerProfile(1.0, 1, 1.0, 32) for _ in range(3)),
+                             batch_size=1, embedding_size=4)
+        table = build_delay_table(make_2x2_instance(model=model))
+        monkeypatch.setattr(solver, "_LayeredDP", no_dp)
+        result = solve_branch_and_bound(table)
+        assert (result.status, result.nodes_explored, result.lower_bound_at_root) == \
+            ("infeasible", 0, math.inf)
 
 
 def _deep_class_instance():
