@@ -29,7 +29,7 @@ from .core import (MAX_BITS, MIN_BITS, REQUIRED, SCHEMA_VERSION, ParseError,
 from .delay import (CP_SCALINGS, STORAGES, DelayOptions, build_delay_table,
                     check_plan_feasible)
 from .gen import PROFILES, generate_instance
-from .ilp import EmptyFeasibleSet, build_ilp
+from .ilp import build_ilp
 from .quant import SchemeKind, analyze_tensor, load_weight_tensor
 from .sim import simulate, trace_to_timeline
 from .solver import (DEFAULT_NODE_BUDGET, SizeLimit, solve_branch_and_bound,
@@ -94,17 +94,23 @@ def _file_key(path):
 
 
 def _refuse_overwrite(args) -> None:
-    """CliError naming both flags when one of the command's ``outputs`` is the
-    same file as another or as its --plan/--cluster/--model input: by device
-    and inode (links followed), or by realpath for a path not there yet."""
+    """CliError naming the flag when one of the command's ``outputs`` is the
+    same file as another, as its --plan/--cluster/--model input, or as
+    either file of a tensor pair in its --weights-dir (a <name>.json with a
+    <name>.bin beside it): by device and inode (links followed), or by
+    realpath for a path not there yet."""
     seen = {}
+    if (wdir := getattr(args, "weights_dir", None)) is not None:
+        for meta in glob.glob(os.path.join(glob.escape(wdir), "*.json")):
+            if os.path.isfile(data := meta.removesuffix(".json") + ".bin"):
+                seen.update(dict.fromkeys(map(_file_key, (meta, data)),
+                                          "a weight tensor file in --weights-dir"))
     for dest in ("plan", "cluster", "model", *args.outputs):
         if (path := getattr(args, dest, None)) is not None:
-            key = _file_key(path)
+            key, flag = _file_key(path), f"--{dest.replace('_', '-')}"
             if key in seen and dest in args.outputs:
-                flag, other = (f"--{d.replace('_', '-')}" for d in (dest, seen[key]))
-                raise CliError(f"{flag} {path}: the same file as {other}")
-            seen.setdefault(key, dest)
+                raise CliError(f"{flag} {path}: {seen[key]}")
+            seen.setdefault(key, f"the same file as {flag}")
 
 
 def _load_and_filter(args, read=read_bytes) -> tuple:
@@ -202,8 +208,8 @@ def cmd_quantize(args) -> int:
     # the command's own report and stats, written there by an earlier run,
     # are no tensors
     own = {_file_key(path) for path in (args.out, args.stats_out) if path is not None}
-    metas = [path for path in sorted(glob.glob(os.path.join(args.weights_dir, "*.json")))
-             if _file_key(path) not in own]
+    pattern = os.path.join(glob.escape(args.weights_dir), "*.json")
+    metas = [path for path in sorted(glob.glob(pattern)) if _file_key(path) not in own]
     if not metas:
         raise CliError(
             f"no weight tensors in {args.weights_dir}; expected <name>.json "
@@ -248,21 +254,27 @@ def cmd_quantize(args) -> int:
     return EXIT_OK
 
 
-def _unplaceable(layer: int) -> int:
-    """plan and export-lp on a table with a layer that has no admissible
-    (server, width): one record naming the layer, exit 3."""
-    print(json_line({"status": "infeasible", "layer": layer,
-                     "reason": str(EmptyFeasibleSet(layer))}))
-    return EXIT_INFEASIBLE
+def _no_plan(status: str = "infeasible", **fields) -> int:
+    """The record plan and export-lp print on stdout when they make no
+    plan, one JSON line, and its exit code: 4 when the search budget ran
+    out, 3 when no plan exists. An infeasible record names the layer that
+    has no admissible (server, width), if one has none, and gives a reason."""
+    if status == "infeasible":
+        layer = fields.get("layer")
+        fields.setdefault("reason", f"layer {layer} has no feasible (server, bits) placement"
+                          if layer is not None else
+                          "no feasible placement under the distinct-server, storage, "
+                          "link, and bit-feasibility constraints")
+    print(json_line({"status": status, **fields}))
+    return EXIT_BUDGET if status == "budget_exceeded" else EXIT_INFEASIBLE
 
 
 def cmd_plan(args) -> int:
     read, inputs = hashing_reader()  # the input files, hashed as the loader reads them
     instance, options, options_doc = _load_and_filter(args, read)
     table = build_delay_table(instance, options)
-    empty = table.unplaceable_layer()
-    if empty is not None:
-        return _unplaceable(empty)
+    if (empty := table.unplaceable_layer()) is not None:
+        return _no_plan(layer=empty)
 
     def write_plan(assignments, objective: dict, meta: dict, **extra) -> None:
         """The one plan document; each solver supplies its objective and
@@ -282,7 +294,8 @@ def cmd_plan(args) -> int:
     if args.solver == "relaxed":
         bound, path = solve_relaxed_dp(table)
         if path is None:
-            raise CliError("no layered path exists", EXIT_INFEASIBLE)
+            return _no_plan(reason="no layered path: no chain of links joins a host "
+                                   "of each layer, server reuse allowed")
         write_plan(path, {"lower_bound_s": bound}, {}, relaxed=True)
         print(f"lower bound: {bound!r} s (server reuse allowed)")
         return EXIT_OK
@@ -295,18 +308,11 @@ def cmd_plan(args) -> int:
     else:
         result = solve_branch_and_bound(table, args.budget)
     if result.status == "infeasible":
-        print(json_line({"status": "infeasible",
-                         "reason": "no feasible placement under the "
-                                   "distinct-server, storage, link, and "
-                                   "bit-feasibility constraints"}))
-        return EXIT_INFEASIBLE
+        return _no_plan()
     if result.status == "budget_exceeded":
-        print(json_line({
-            "status": "budget_exceeded", "budget": args.budget,
-            "incumbent_s": result.objective if result.plan is not None else None,
-            "lower_bound_s": result.lower_bound_at_root,
-        }))
-        return EXIT_BUDGET
+        return _no_plan("budget_exceeded", budget=args.budget,
+                        incumbent_s=result.objective if result.plan is not None else None,
+                        lower_bound_s=result.lower_bound_at_root)
     violations = check_plan_feasible(result.plan.assignments, instance, options)
     if violations:  # solver bug guard, should be unreachable
         raise CliError("solver emitted infeasible plan: "
@@ -385,10 +391,9 @@ def cmd_simulate(args) -> int:
 def cmd_export_lp(args) -> int:
     instance, options, _ = _load_and_filter(args)
     table = build_delay_table(instance, options)
-    try:
-        model = build_ilp(instance, table)
-    except EmptyFeasibleSet as e:
-        return _unplaceable(e.layer)
+    if (empty := table.unplaceable_layer()) is not None:
+        return _no_plan(layer=empty)
+    model = build_ilp(instance, table)
     write_outputs((args.out, ilp.write_lp(model)))
     print(f"wrote {args.out}: {len(model.binaries)} binaries, "
           f"{len(model.constraints)} constraints")

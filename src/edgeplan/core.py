@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import io
 import json
 import math
 import os
@@ -500,17 +499,17 @@ def read_bytes(path) -> bytes:
 
 def load_json(path, read=read_bytes) -> Any:
     """The JSON document in the file at ``path``, its bytes got by
-    ``read(path)`` and decoded as a text-mode open decodes them: as UTF-8
-    whatever the locale (RFC 8259 §8.1), with universal newlines. ParseError
-    naming the file when it cannot be read, is not UTF-8, is not JSON (a
-    byte order mark included) or nests deeper than the decoder recurses.
-    NaN and Infinity load as floats, for read_finite to refuse where a
-    field must be finite."""
+    ``read(path)`` and decoded once as UTF-8 whatever the locale (RFC 8259
+    §8.1). JSON reads CR as whitespace, so line ends need no translation;
+    a parse error's line number counts LF only, so a file whose lines end
+    in a bare CR reports its errors on line 1. ParseError naming the file
+    when it cannot be read, is not UTF-8, is not JSON (a byte order mark
+    included) or nests deeper than the decoder recurses. NaN and Infinity
+    load as floats, for read_finite to refuse where a field must be
+    finite."""
     try:
         # the bytes are dropped before the text is parsed
-        with io.TextIOWrapper(io.BytesIO(read(path)), encoding="utf-8") as f:
-            text = f.read()
-        return json.loads(text)
+        return json.loads(read(path).decode("utf-8"))
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8: byte {e.start}: {e.reason}") from e
     except json.JSONDecodeError as e:

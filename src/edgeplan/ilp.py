@@ -44,14 +44,6 @@ from .core import ProblemInstance, storage_bytes
 from .delay import DelayTable, check_plan_feasible
 
 
-class EmptyFeasibleSet(ValueError):
-    """Some layer has no (server, bits) column at all."""
-
-    def __init__(self, layer: int):
-        self.layer = layer
-        super().__init__(f"layer {layer} has no feasible (server, bits) placement")
-
-
 @dataclass(frozen=True)
 class Row:
     name: str
@@ -84,11 +76,11 @@ def build_ilp(instance: ProblemInstance, table: DelayTable) -> IlpModel:
     at-most-one hosting row; per x column below the last layer, an
     out-flow row handing it to exactly one next host; and per layer
     boundary and next host, an in-flow row matching the flow that arrives
-    to the x column that receives it, all in column order.
+    to the x column that receives it, all in column order. ValueError
+    naming the layer when some layer has no (server, bits) column at all.
     """
-    empty = table.unplaceable_layer()
-    if empty is not None:
-        raise EmptyFeasibleSet(empty)
+    if (empty := table.unplaceable_layer()) is not None:
+        raise ValueError(f"layer {empty} has no feasible (server, bits) placement")
     M = table.cp.shape[1]
     cp, cm = table.cp.tolist(), table.cm.tolist()
 

@@ -12,7 +12,7 @@ import pytest
 from edgeplan.cli import main as cli_main
 from edgeplan.delay import build_delay_table, path_delay
 from edgeplan.gen import random_test_instance
-from edgeplan.ilp import EmptyFeasibleSet, build_ilp, parse_lp, substitute, write_lp
+from edgeplan.ilp import build_ilp, parse_lp, substitute, write_lp
 from edgeplan.quant import WeightTensor, save_weight_tensor
 from edgeplan.sim import simulate
 from edgeplan.solver import (solve_branch_and_bound, solve_brute_force,
@@ -195,10 +195,7 @@ def test_criterion_7_lp_export(tmp_path, capsys):
         exact = solve_brute_force(rinst, rtable)
         if exact.plan is None:
             continue
-        try:
-            rmodel = build_ilp(rinst, rtable)
-        except EmptyFeasibleSet:
-            continue
+        rmodel = build_ilp(rinst, rtable)
         reparsed = parse_lp(write_lp(rmodel))
         ok &= reparsed.binaries == rmodel.binaries
         ok &= len(reparsed.constraints) == len(rmodel.constraints)

@@ -185,6 +185,12 @@ class TestQuantize:
         assert run(argv, capsys) == first
         assert (out.read_bytes(), stats.read_bytes()) == written
 
+    def test_weights_dir_name_is_no_glob_pattern(self, tmp_path, capsys):
+        write_weights(tmp_path / "w[1]", {"layer0": [-1.0, 0.5, 2.0]})
+        assert run(["quantize", "--weights-dir", str(tmp_path / "w[1]"), "--bits", "8",
+                    "--delta", "0.1", "--out", str(tmp_path / "r.json")], capsys) == (
+            0, "layer0: feasible bits {8}\nquantization ratio: 25.00%\n", "")
+
     def test_unusable_weights_reported_but_continue(self, tmp_path, capsys):
         wdir = tmp_path / "w"
         write_weights(wdir, {"good": [-1.0, 1.0]})
@@ -295,7 +301,8 @@ class TestPlan:
         assert not out.exists()
 
     def test_relaxed_without_a_link_is_infeasible(self, tmp_path, capsys):
-        """Every layer has a host but no link joins them: no layered path."""
+        """Every layer has a host but no link joins them: no layered path,
+        an infeasible record on stdout like every other solver's, exit 3."""
         cluster = {"servers": [{"id": 0, "ccs_flops": 1.0, "storage_bytes": 1e9},
                                {"id": 1, "ccs_flops": 1.0, "storage_bytes": 1e9}],
                    "links": []}
@@ -305,8 +312,11 @@ class TestPlan:
         code, stdout, err = run(["plan", "--cluster", str(cpath),
                                  "--model", data_path("model_2x2.json"), "--bits", "8",
                                  "--solver", "relaxed", "--out", str(out)], capsys)
-        assert (code, stdout) == (3, "")
-        assert "no layered path" in err and "Traceback" not in err
+        assert (code, err) == (3, "")
+        assert json.loads(stdout) == {
+            "status": "infeasible",
+            "reason": "no layered path: no chain of links joins a host of each layer, "
+                      "server reuse allowed"}
         assert not out.exists()
 
     def test_infeasible_exit_code(self, tmp_path, capsys):
@@ -1086,7 +1096,8 @@ class TestPlanWithWeights:
                              ids=["relaxed", "bnb", "brute", "export-lp"])
     def test_delta_below_a_layers_errors_names_the_layer(self, tmp_path, capsys, command):
         """A --delta below every error of layer 1 leaves it no width: every
-        solver and export-lp print the one record that names it, exit 3."""
+        solver and export-lp print the same line, which names it, exit 3
+        and write no file."""
         wdir = tmp_path / "w"
         write_weights(wdir, {"l0": [-2.0, 0.0, 2.0], "l1": [-2.0, 1.0, 2.0]})
         model = {"batch_size": 1, "embedding_size": 4, "layers": [
@@ -1097,17 +1108,14 @@ class TestPlanWithWeights:
         ]}
         mpath = tmp_path / "model.json"
         mpath.write_text(json.dumps(model))
-        out = tmp_path / "out"
-        code, stdout, err = run(
-            [*command, "--cluster", data_path("cluster_2x2.json"),
-             "--model", str(mpath), "--bits", "3,8", "--delta", "1e-9",
-             "--scheme", "symmetric", "--weights-dir", str(wdir),
-             "--out", str(out)], capsys)
-        assert (code, err) == (3, "")
-        assert json.loads(stdout) == {
-            "status": "infeasible", "layer": 1,
-            "reason": "layer 1 has no feasible (server, bits) placement"}
-        assert not out.exists()
+        before = sorted(tmp_path.rglob("*"))
+        assert run([*command, "--cluster", data_path("cluster_2x2.json"),
+                    "--model", str(mpath), "--bits", "3,8", "--delta", "1e-9",
+                    "--scheme", "symmetric", "--weights-dir", str(wdir),
+                    "--out", str(tmp_path / "out")], capsys) == (
+            3, '{"status": "infeasible", "layer": 1, "reason": '
+               '"layer 1 has no feasible (server, bits) placement"}\n', "")
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_layer_without_weights_keeps_the_full_menu(self, tmp_path, capsys):
         wdir = tmp_path / "w"
@@ -1306,6 +1314,36 @@ class TestOutputCollisions:
         code, stdout, err = run(argv, capsys)
         assert code == 2 and stdout == ""
         assert re.fullmatch(f"error: {flags[0]} \\S+: the same file as {flags[1]}\n", err)
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
+class TestTensorFilesAreNoOutputs:
+    """An output path that is either file of a tensor pair in --weights-dir
+    (a <name>.json with a <name>.bin beside it), symlinks followed, is an
+    input error naming the flag, before anything is read or written. The
+    directory's name is no glob pattern."""
+
+    @pytest.mark.parametrize("out", ["w[1]/layer0.json", "w[1]/layer1.bin", "link-to-bin"])
+    @pytest.mark.parametrize("command", [
+        ["quantize", "--bits", "4,8", "--delta", "0.01"],
+        ["plan", "--cluster", "cluster.json", "--model", "model.json", "--bits", "4,8"],
+        ["export-lp", "--cluster", "cluster.json", "--model", "model.json", "--bits", "4,8"]],
+        ids=["quantize", "plan", "export-lp"])
+    def test_is_input_error_and_writes_nothing(self, tmp_path, monkeypatch, capsys,
+                                               command, out):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cluster.json").write_text(
+            Path(data_path("cluster_2x2.json")).read_text())
+        model = json.loads(Path(data_path("model_2x2.json")).read_text())
+        for l, layer in enumerate(model["layers"]):
+            layer["weights"] = f"layer{l}"
+        (tmp_path / "model.json").write_text(json_text(model))
+        write_weights(tmp_path / "w[1]", {"layer0": [-1.0, 0.5, 1.0], "layer1": [0.25, 2.0]})
+        (tmp_path / "link-to-bin").symlink_to(tmp_path / "w[1]" / "layer1.bin")
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        code, stdout, err = run([*command, "--weights-dir", "w[1]", "--out", out], capsys)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: --out {out}: a weight tensor file in --weights-dir\n"
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 

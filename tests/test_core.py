@@ -174,6 +174,22 @@ class TestValidateInstance:
         assert codes(validate_instance(inst)) == ["ServerIdsOutOfOrder"]
 
 
+class TestLoadJson:
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_every_line_end_loads_alike(self, tmp_path, end):
+        p = tmp_path / "doc.json"
+        p.write_bytes(end.join(['{', '  "a": [1.5,', '    "é"]', '}']).encode())
+        assert load_json(p) == {"a": [1.5, "é"]}
+
+    @pytest.mark.parametrize("end, line", [("\n", 3), ("\r\n", 3), ("\r", 1)],
+                             ids=["lf", "crlf", "cr"])
+    def test_parse_error_line_counts_lf_only(self, tmp_path, end, line):
+        p = tmp_path / "doc.json"
+        p.write_bytes(end.join(['{', '  "a": 1,', '  "b": }']).encode())
+        with pytest.raises(ParseError, match=f"invalid JSON at line {line}: "):
+            load_json(p)
+
+
 class TestLoadInstance:
     def test_servers_sorted_by_id(self, tmp_path):
         doc = json.loads(Path(data_path("cluster_m4.json")).read_text())

@@ -11,8 +11,7 @@ from edgeplan.core import (ClusterSpec, LayerProfile, ServerSpec, load_instance,
 from edgeplan.delay import (DelayOptions, build_delay_table, check_plan_feasible,
                             compute_cm, compute_cp, path_delay)
 from edgeplan.gen import generate_instance, random_test_instance
-from edgeplan.ilp import (EmptyFeasibleSet, build_ilp, parse_lp, storage_bytes,
-                          substitute, write_lp)
+from edgeplan.ilp import build_ilp, parse_lp, storage_bytes, substitute, write_lp
 from edgeplan.solver import solve_brute_force
 
 from conftest import data_path, make_2x2_instance, with_binding_storage
@@ -59,9 +58,9 @@ class TestBuildIlp:
             servers=(ServerSpec(0, 100.0, 1.0), ServerSpec(1, 200.0, 1.0)),
             links=inst.cluster.links)
         inst = make_2x2_instance(cluster=cluster)
-        with pytest.raises(EmptyFeasibleSet) as exc:
+        with pytest.raises(ValueError, match=r"^layer 0 has no feasible \(server, bits\) "
+                                             r"placement$"):
             build_ilp(inst, build_delay_table(inst))
-        assert exc.value.layer == 0
 
     def test_nothing_pruned_gives_full_grid(self):
         inst = make_2x2_instance(bit_menu=(4, 8))
@@ -152,10 +151,9 @@ class TestFlowRows:
         inst = random_test_instance(rng, link_density=(0.3, 0.6, 1.0)[seed % 3])
         inst = with_binding_storage(inst, rng, 0.6 if seed % 2 else 0.0)
         table = build_delay_table(inst)
-        try:
-            m = build_ilp(inst, table)
-        except EmptyFeasibleSet:
+        if table.unplaceable_layer() is not None:
             return
+        m = build_ilp(inst, table)
         links = {(lk.src, lk.dst) for lk in inst.cluster.links}
         x = columns(m, "x")
         want = [(i, j, l, b)
@@ -241,10 +239,7 @@ class TestSubstitution:
         result = solve_brute_force(inst, table)
         if result.plan is None:
             return
-        try:
-            m = build_ilp(inst, table)
-        except EmptyFeasibleSet:
-            return
+        m = build_ilp(inst, table)
         _, obj, violated = substitute(m, result.plan.assignments)
         assert violated == []
         servers = [i for i, _ in result.plan.assignments]
@@ -374,12 +369,11 @@ class TestHighsGate:
             inst = with_binding_storage(inst, rng, 0.6 if seed % 2 else 0.0)
             table = build_delay_table(inst)
             exact = solve_brute_force(inst, table)
-            try:
-                text = write_lp(build_ilp(inst, table))
-            except EmptyFeasibleSet:
+            if table.unplaceable_layer() is not None:
                 assert exact.plan is None, seed
                 infeasible += 1
                 continue
+            text = write_lp(build_ilp(inst, table))
             status, obj, plan = _milp_solve(text)
             if exact.plan is None:
                 assert status == 2, seed  # HiGHS: infeasible
