@@ -24,7 +24,7 @@ from . import __version__, ilp, quant
 from .core import (MAX_BITS, MIN_BITS, REQUIRED, SCHEMA_VERSION, ParseError,
                    ValidationError, hashing_reader, input_digest, json_line, json_text,
                    load_instance, load_json, read_bytes, read_fields, read_finite,
-                   read_ints, read_records, read_typed, require_valid, save_instance,
+                   read_ints, read_records, require_valid, save_instance,
                    write_outputs)
 from .delay import (CP_SCALINGS, STORAGES, DelayOptions, build_delay_table,
                     check_plan_feasible)
@@ -147,16 +147,11 @@ def _read_delta(value, where: str, *path) -> float:
     return math.inf if value == "inf" else read_finite(value, where, *path)
 
 
-def _read_later(value, where: str, *path):
-    """A read_fields reader that leaves the value to be read in full later."""
-    return value
-
-
 # The plan document's fields, read by simulate. A field of the wrong JSON
-# type is an input error, and no boolean counts as a number. Of the top
-# level, only digest and relaxed are read before the digest comparison.
-_PLAN = (("digest", str, REQUIRED), ("assignments", _read_later, REQUIRED),
-         ("objective", _read_later, REQUIRED), ("options", _read_later, REQUIRED),
+# type is an input error, and no boolean counts as a number. The top level
+# is type-checked before the digest comparison, the fields inside it after.
+_PLAN = (("digest", str, REQUIRED), ("assignments", list, REQUIRED),
+         ("objective", dict, REQUIRED), ("options", dict, REQUIRED),
          ("relaxed", bool, False))
 _OPTIONS = (("bits", read_ints, REQUIRED), ("delta", _read_delta, REQUIRED),
             ("tokens", int, REQUIRED), ("feasible_bits", list, REQUIRED))
@@ -243,8 +238,9 @@ def cmd_quantize(args) -> int:
         denominator += stored_bits * w.values.size
         feas_str = ",".join(map(str, feas)) if feas else "-"
         print(f"{w.layer_name}: feasible bits {{{feas_str}}}")
-    if denominator > 0:
-        print(f"quantization ratio: {100 * (numerator / denominator):.2f}%")
+    if not records:
+        raise CliError(f"no usable weight tensors in {args.weights_dir}")
+    print(f"quantization ratio: {100 * (numerator / denominator):.2f}%")
     outputs = [(args.out, json_text({"schema_version": SCHEMA_VERSION,
                                      "records": records}))]
     if args.stats_out:
@@ -332,22 +328,21 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def _replay_inputs(doc: dict, num_layers: int, where: str) -> tuple[tuple, float]:
+def _replay_inputs(entries: list, objective: dict, L: int, where: str) -> tuple[tuple, float]:
     """The plan's (server, bits) pairs in layer order and its claimed total;
     the layers must be 0..L-1 once each. A well-formed plan that names an
     unknown server or an infeasible width is left to the plan checker,
     which reports a mismatch."""
-    entries = read_typed(doc["assignments"], list, where, "assignments")
     rows = sorted(zip(*read_records(entries, _ASSIGNMENT, where, "assignments")))
-    if [layer for layer, _, _ in rows] != list(range(num_layers)):
-        raise CliError(f"{where}: assignment layers must be 0..{num_layers - 1}, once each")
-    (claimed,) = read_fields(doc["objective"], _OBJECTIVE, where, "objective")
+    if [layer for layer, _, _ in rows] != list(range(L)):
+        raise CliError(f"{where}: assignment layers must be 0..{L - 1}, once each")
+    (claimed,) = read_fields(objective, _OBJECTIVE, where, "objective")
     return tuple((server, bits) for _, server, bits in rows), claimed
 
 
 def cmd_simulate(args) -> int:
     doc = load_json(args.plan)
-    digest, _, _, options_doc, relaxed = read_fields(doc, _PLAN, args.plan)
+    digest, entries, objective, options_doc, relaxed = read_fields(doc, _PLAN, args.plan)
     if relaxed:
         raise CliError("relaxed documents carry a bound, not a runnable plan")
     # both input files read, once, and hashed before either is parsed: an
@@ -360,7 +355,8 @@ def cmd_simulate(args) -> int:
         return EXIT_DIGEST
     instance, options = _load_from_options(args.cluster, args.model, options_doc,
                                            args.plan, held.__getitem__)
-    assignments, claimed = _replay_inputs(doc, instance.model.num_layers, args.plan)
+    assignments, claimed = _replay_inputs(entries, objective, instance.model.num_layers,
+                                          args.plan)
     violations = check_plan_feasible(assignments, instance, options)
     if violations:
         print("mismatch: plan cannot be replayed: " + "; ".join(map(str, violations)),
@@ -368,8 +364,7 @@ def cmd_simulate(args) -> int:
         return EXIT_MISMATCH
     trace = simulate(assignments, instance, options)
     completion = trace.completion_time
-    scale = max(abs(claimed), abs(completion), 1e-300)
-    if not math.isfinite(completion) or abs(completion - claimed) > 1e-9 * scale:
+    if completion != claimed:  # claimed is finite: an inf or NaN replay differs
         print(f"mismatch: simulated {completion!r} s vs "
               f"plan objective {claimed!r} s", file=sys.stderr)
         return EXIT_MISMATCH

@@ -238,9 +238,10 @@ _META = (("name", str, REQUIRED), ("shape", read_ints, REQUIRED),
 def load_weight_tensor(json_path) -> WeightTensor:
     """The tensor a metadata file and its .bin describe; ParseError on a
     malformed file, a field of the wrong JSON type (``shape`` a list of
-    integers, the rest strings), a .bin that ends in a partial float32
-    value, or a tensor WeightTensor refuses, naming the .json for a bad
-    shape and the .bin for data that do not fit it.
+    integers, the rest strings), a ``name`` other than the file's stem, a
+    .bin that ends in a partial float32 value, or a tensor WeightTensor
+    refuses, naming the .json for a bad shape or name and the .bin for
+    data that do not fit it.
 
     The values are the .bin mapped copy-on-write: writable, and no write
     reaches the file. The file must not be truncated while the tensor is
@@ -249,7 +250,10 @@ def load_weight_tensor(json_path) -> WeightTensor:
     name, dims, dtype, order = read_fields(load_json(json_path), _META, where)
     if dtype != "f32" or order != "row-major":
         raise ParseError(f"{where}: unsupported dtype/order {dtype}/{order}")
-    bin_path = os.path.splitext(where)[0] + ".bin"
+    stem = os.path.splitext(where)[0]
+    if name != os.path.basename(stem):
+        raise ParseError(f"{where}: name {name!r} is not the file's stem")
+    bin_path = stem + ".bin"
     try:
         with open(bin_path, "rb") as f:
             size = os.fstat(f.fileno()).st_size

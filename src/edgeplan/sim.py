@@ -4,15 +4,15 @@ One query, n rounds. Each round pushes a single token through the layer
 chain: a compute event per layer, a transfer event per consecutive layer
 pair. The autoregressive dependency serializes everything, and every
 round repeats the same 2L-1 step durations, so one round and the round
-count describe the whole replay. Its completion time must reproduce the
-closed-form objective (the central cross-check of the delay model).
+count describe the whole replay. Its completion time must equal the
+plan's objective bit for bit (the central cross-check of the delay model).
 
 The replay reads no delay table. It evaluates the scalar reference
 functions compute_cp and compute_cm once per layer and per consecutive
 layer pair, straight from the cluster and model specs, each hop's link
 read by ClusterSpec.link from the view the table reads. The completion
 time sums those n-token totals in delay.path_delay's order: the computes,
-then the transfers, then their sum. Agreement between it and a plan's
+then the transfers, then their sum. Its exact agreement with a plan's
 objective therefore checks the table's arithmetic against an independent
 evaluation of the delay model. It keeps no plan rule of its own and
 checks none: it takes a plan delay.check_plan_feasible accepts, as the
@@ -39,8 +39,6 @@ class SimEvent:
     start: float
     end: float
     kind: str  # "compute" or "transfer"
-    round: int  # 1-based
-    layer: int
     resource: str  # "server:<i>" or "link:<i>-><j>"
 
 
@@ -65,31 +63,31 @@ def simulate(assignments, instance: ProblemInstance,
     cluster, model = instance.cluster, instance.model
     L = model.num_layers
     n = instance.tokens
-    steps = []  # (n-token total, kind, layer, resource) in time order
+    steps = []  # (n-token total, kind, resource) in time order
     compute = comm = 0.0
     for l, (i, b) in enumerate(assignments):
         layer = model.layers[l]
         total = compute_cp(layer, cluster.servers[i], b, n, options)
         compute += total
-        steps.append((total, "compute", l, f"server:{i}"))
+        steps.append((total, "compute", f"server:{i}"))
         if l + 1 < L:
             j = assignments[l + 1][0]
             total = compute_cm(layer, cluster.link(i, j), b, n, model.batch_size,
                                model.embedding_size, options)
             comm += total
-            steps.append((total, "transfer", l, f"link:{i}->{j}"))
+            steps.append((total, "transfer", f"link:{i}->{j}"))
     events = []
     t = 0.0
-    for total, kind, l, resource in steps if n else ():  # n = 0 replays no round
+    for total, kind, resource in steps if n else ():  # n = 0 replays no round
         end = t + total / n
-        events.append(SimEvent(t, end, kind, 1, l, resource))
+        events.append(SimEvent(t, end, kind, resource))
         t = end
     return SimTrace(tuple(events), n, compute + comm)
 
 
 def trace_to_timeline(trace: SimTrace) -> str:
     """The timeline file's text: the header, then one CSV row per event of
-    the round in time order, each line ending in a newline."""
+    round 1 in time order, each line ending in a newline."""
     rows = [TIMELINE_HEADER]
-    rows += [f"{e.round},{e.kind},{e.resource},{e.start!r},{e.end!r}" for e in trace.events]
+    rows += [f"1,{e.kind},{e.resource},{e.start!r},{e.end!r}" for e in trace.events]
     return "\n".join(rows) + "\n"

@@ -206,6 +206,36 @@ class TestQuantize:
         assert {r["layer"] for r in json.loads(out.read_text())["records"]} == {"good"}
         assert [d["layer"] for d in json.loads(stats.read_text())["layers"]] == ["good"]
 
+    def test_every_tensor_refused_is_input_error(self, tmp_path, capsys):
+        """A directory whose every tensor is refused is refused as an empty
+        one is: exit 2 after the tensor's own error, and neither the report
+        nor the stats is written."""
+        wdir = tmp_path / "w"
+        write_refused_weights(wdir, "nan", [0.5, math.nan])
+        out, stats = tmp_path / "r.json", tmp_path / "s.json"
+        code, stdout, err = run(["quantize", "--weights-dir", str(wdir),
+                                 "--bits", "8", "--delta", "inf", "--out", str(out),
+                                 "--stats-out", str(stats)], capsys)
+        assert (code, stdout) == (2, "")
+        first, last = err.splitlines()
+        assert first.startswith(f"error: {wdir / 'nan.bin'}: ")
+        assert last == f"error: no usable weight tensors in {wdir}"
+        assert not out.exists() and not stats.exists()
+
+    def test_name_other_than_the_file_stem_is_refused(self, tmp_path, capsys):
+        """b.json naming its tensor "a" is reported and skipped, so the
+        report lists each tensor once, under its own file's name."""
+        wdir = tmp_path / "w"
+        write_weights(wdir, {"a": [-1.0, 1.0]})
+        (wdir / "b.json").write_bytes((wdir / "a.json").read_bytes())
+        (wdir / "b.bin").write_bytes((wdir / "a.bin").read_bytes())
+        out = tmp_path / "r.json"
+        code, stdout, err = run(["quantize", "--weights-dir", str(wdir), "--bits", "4,8",
+                                 "--delta", "inf", "--out", str(out)], capsys)
+        assert (code, err) == (0, f"error: {wdir / 'b.json'}: name 'a' is not the file's stem\n")
+        assert stdout == "a: feasible bits {4,8}\nquantization ratio: 12.50%\n"
+        assert [r["layer"] for r in json.loads(out.read_text())["records"]] == ["a", "a"]
+
 
 class TestPlan:
     def plan_args(self, out, solver="bnb"):
@@ -742,6 +772,24 @@ class TestSimulateCommand:
         rows = (tmp_path / "timeline.csv").read_text().strip().split("\n")
         assert len(rows) == 1 + 3
 
+    def test_objective_one_ulp_off_is_mismatch(self, tmp_path, capsys):
+        """The replay must equal the objective exactly: a total one ulp
+        above it is a mismatch, and no timeline or summary is written."""
+        plan = self.make_plan(tmp_path, capsys)
+        doc = json.loads(plan.read_text())
+        total = doc["objective"]["total_s"]
+        claimed = doc["objective"]["total_s"] = math.nextafter(total, math.inf)
+        plan.write_text(json.dumps(doc))
+        timeline, summary = tmp_path / "t.csv", tmp_path / "s.json"
+        code, _, err = run(
+            ["simulate", "--plan", str(plan),
+             "--cluster", data_path("cluster_2x2.json"),
+             "--model", data_path("model_2x2.json"),
+             "--out", str(timeline), "--summary", str(summary)], capsys)
+        assert (code, err) == (5, f"mismatch: simulated {total!r} s vs "
+                                  f"plan objective {claimed!r} s\n")
+        assert not timeline.exists() and not summary.exists()
+
     def test_tampered_objective_is_mismatch(self, tmp_path, capsys, monkeypatch):
         """The digest does not cover the objective, so the edit reaches the
         verdict, which simulate gives before it renders any row."""
@@ -1089,6 +1137,29 @@ class TestPlanWithWeights:
         doc = json.loads(out.read_text())
         assert doc["options"]["feasible_bits"] == [[8], [8]]
         assert all(a["bits"] == 8 for a in doc["assignments"])
+
+    @pytest.mark.parametrize("command", ["plan", "export-lp"])
+    def test_tensor_name_other_than_the_file_stem_is_input_error(
+            self, tmp_path, capsys, command):
+        """The model's "weights": "b" names b.json and b.bin; a b.json
+        whose name is "a" is refused, so the filter never narrows a layer
+        by a tensor that the quantize report lists under another name."""
+        wdir = tmp_path / "w"
+        write_weights(wdir, {"a": [-2.0, 1.0, 2.0]})
+        (wdir / "b.json").write_bytes((wdir / "a.json").read_bytes())
+        (wdir / "b.bin").write_bytes((wdir / "a.bin").read_bytes())
+        model = {"batch_size": 1, "embedding_size": 4, "layers": [
+            {"flops": 100.0, "param_count": 10, "output_size": 4.0,
+             "original_precision": 32, "weights": "b"}]}
+        mpath = tmp_path / "model.json"
+        mpath.write_text(json.dumps(model))
+        out = tmp_path / "out"
+        code, stdout, err = run(
+            [command, "--cluster", data_path("cluster_2x2.json"), "--model", str(mpath),
+             "--bits", "3,8", "--weights-dir", str(wdir), "--out", str(out)], capsys)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {wdir / 'b.json'}: name 'a' is not the file's stem\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [["plan", "--solver", "relaxed"],
                                          ["plan", "--solver", "bnb"],

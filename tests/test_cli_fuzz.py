@@ -152,12 +152,12 @@ class Signed:
 
 # (path into the plan document, new value or DELETE or a function of the old
 # value or a Signed value, stage). The stage is where simulate must stop: 0 a
-# document without the plan keys, 1 the digest, 2 malformed options, a
-# malformed assignment or objective, 3 a plan the replay refuses, 4 an
-# objective the replay does not reproduce, a non-finite replay included, 5
-# none (exit 0). Several mutations stop at the earliest stage among them;
-# Signed edits are made first, so every other edit lands after the digest
-# is recomputed.
+# document without the plan keys or with one of the wrong JSON type, 1 the
+# digest, 2 malformed options, a malformed assignment or objective, 3 a plan
+# the replay refuses, 4 an objective the replay does not reproduce exactly,
+# a non-finite replay included, 5 none (exit 0). Several mutations stop at
+# the earliest stage among them; Signed edits are made first, so every other
+# edit lands after the digest is recomputed.
 PLAN_MUTATIONS = [
     ((), lambda doc: [doc], 0),
     (("digest",), DELETE, 0),
@@ -167,7 +167,7 @@ PLAN_MUTATIONS = [
     (("relaxed",), True, 0),
     (("digest",), "0" * 64, 1),
     (("options", "tokens"), 3, 1),
-    (("objective",), [], 2),
+    (("objective",), [], 0),
     (("objective", "total_s"), DELETE, 2),
     (("objective", "total_s"), "nan", 2),
     (("objective", "total_s"), None, 2),
@@ -176,7 +176,7 @@ PLAN_MUTATIONS = [
     (("objective", "total_s"), -math.inf, 2),
     (("objective", "total_s"), 10 ** 400, 2),
     (("objective", "total_s"), math.inf, 2),
-    (("assignments",), "x", 2),
+    (("assignments",), "x", 0),
     (("assignments",), lambda a: a[:-1], 2),
     (("assignments",), lambda a: a + [a[0]], 2),
     (("assignments", 0), 7, 2),
@@ -202,7 +202,7 @@ PLAN_MUTATIONS = [
     (("assignments", 0, "server"), 0, 4),
     (("assignments", 1, "bits"), 8, 4),
     (("assignments",), lambda a: a[::-1], 5),
-    (("objective", "total_s"), lambda t: t * (1 + 1e-12), 5),
+    (("objective", "total_s"), lambda t: t * (1 + 1e-12), 4),
     (("assignments", 0, "note"), "kept", 5),
     (("options", "tokens"), Signed("x"), 2),
     (("options", "tokens"), Signed(True), 2),

@@ -283,8 +283,6 @@ def unread_parameters(tree: ast.Module) -> list[str]:
 UNREAD_PARAMETERS = {
     "build_ilp(instance)": "perfbench calls build_ilp(instance, table) positionally; "
                            "the parameter goes when perfbench may be edited",
-    "_read_later(where)": "read_fields calls every reader with (value, where, *path)",
-    "_read_later(*path)": "read_fields calls every reader with (value, where, *path)",
 }
 
 

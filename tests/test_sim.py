@@ -78,7 +78,7 @@ def event_rows(trace):
     """The timeline rows of a trace, one f-string per SimEvent: the
     reference the text rendering must equal once joined as a file."""
     return ["round,kind,resource,start_s,end_s"] + [
-        f"{e.round},{e.kind},{e.resource},{e.start!r},{e.end!r}" for e in trace.events]
+        f"1,{e.kind},{e.resource},{e.start!r},{e.end!r}" for e in trace.events]
 
 
 def as_file(rows) -> str:
@@ -112,7 +112,7 @@ class TestTimeline:
         assert [line.split(",")[0] for line in lines[1:]] == ["1"] * 3
 
     def test_one_step_per_round(self):
-        trace = SimTrace((SimEvent(0.0, 0.25, "compute", 1, 0, "server:2"),), 3, 0.75)
+        trace = SimTrace((SimEvent(0.0, 0.25, "compute", "server:2"),), 3, 0.75)
         assert trace_to_timeline(trace) == ("round,kind,resource,start_s,end_s\n"
                                             "1,compute,server:2,0.0,0.25\n")
         inst = generate_instance(4, 3, 1, (4, 8, 16), "uniform", tokens=12)
@@ -126,8 +126,8 @@ class TestTimeline:
         """Times whose repr has an exponent, small ("1e-05") or large
         ("1.1e+16"), are written as repr writes them."""
         first, second = durations
-        events = (SimEvent(0.0, first, "compute", 1, 0, "server:0"),
-                  SimEvent(first, first + second, "transfer", 1, 0, "link:0->1"))
+        events = (SimEvent(0.0, first, "compute", "server:0"),
+                  SimEvent(first, first + second, "transfer", "link:0->1"))
         trace = SimTrace(events, 3, 3 * (first + second))
         text = trace_to_timeline(trace)
         assert text == as_file(event_rows(trace))
@@ -154,18 +154,18 @@ def reference_replay(assignments, instance, options=DelayOptions()):
           for l, ((i, b), j) in enumerate(zip(assignments, servers[1:]))]
     steps = []
     for l, i in enumerate(servers):
-        steps.append((cp[l][i], "compute", l, f"server:{i}"))
+        steps.append((cp[l][i], "compute", f"server:{i}"))
         if l + 1 < L:
             j = servers[l + 1]
-            steps.append((cm[l][i][j], "transfer", l, f"link:{i}->{j}"))
+            steps.append((cm[l][i][j], "transfer", f"link:{i}->{j}"))
     events = []
     t = 0.0
-    for total, kind, l, resource in steps if n else ():
+    for total, kind, resource in steps if n else ():
         dur = total / n
-        events.append(SimEvent(t, t + dur, kind, 1, l, resource))
+        events.append(SimEvent(t, t + dur, kind, resource))
         t += dur
     rows = ["round,kind,resource,start_s,end_s"]
-    rows += [f"{e.round},{e.kind},{e.resource},{e.start!r},{e.end!r}" for e in events]
+    rows += [f"1,{e.kind},{e.resource},{e.start!r},{e.end!r}" for e in events]
     return tuple(events), path_delay(cp, cm, servers)[0], rows
 
 
