@@ -12,9 +12,10 @@ keeps each layer's smallest, and its objective must equal brute force's
 exactly: the search prices from the delay table, brute force from the
 raw specs. Every plan must also pass the plan checker and replay through
 the simulator to its objective exactly, as the simulate command demands. The last line counts
-the searches that escalated to the Lagrangian root pass; ``--lagrangian``
-escalates every search at once, as if the plain-bound allowance were 0,
-so the pass and the penalised search run on every instance.
+the searches that ran at least one round of the Lagrangian ascent, and
+the rounds they ran; ``--lagrangian`` starts the ascent before any
+plain-bound expansion, as if the first probe's allowance were 0, so the
+ascent and the penalised probes run on every instance.
 """
 
 import argparse
@@ -37,7 +38,7 @@ def main():
     ap.add_argument("--max-layers", type=int, default=4)
     ap.add_argument("--max-servers", type=int, default=6)
     ap.add_argument("--lagrangian", action="store_true",
-                    help="escalate every search to the Lagrangian bound at once")
+                    help="start every search's Lagrangian ascent at once")
     args = ap.parse_args()
     # each instance draws 1 <= L <= M <= --max-servers, and brute force
     # refuses an instance beyond its guard
@@ -49,16 +50,16 @@ def main():
         ap.error(f"--max-servers above brute force's limit of {BRUTE_FORCE_MAX_SERVERS}")
 
     if args.lagrangian:
-        solver._ESCALATE_AFTER = 0
-    escalated = 0
-    root_pass = solver._lagrangian_root
+        solver._FIRST_PROBE = 0
+    escalated = rounds = 0
+    ascent_round = solver._Ascent.run
 
-    def counted_root_pass(*pass_args):
-        nonlocal escalated
-        escalated += 1
-        return root_pass(*pass_args)
+    def counted_round(ascent, steps):
+        nonlocal rounds
+        rounds += 1
+        ascent_round(ascent, steps)
 
-    solver._lagrangian_root = counted_root_pass
+    solver._Ascent.run = counted_round
 
     gaps, root_gaps, visit_ratios = [], [], []
     infeasible = 0
@@ -77,7 +78,9 @@ def main():
         if exact.plan is None:
             infeasible += 1
             continue
+        before = rounds
         bnb = solve_branch_and_bound(table)
+        escalated += rounds > before
         assert bnb.plan.assignments == exact.plan.assignments
         # brute force prices from the specs, bnb from the table: equal bit
         # for bit where the table is right
@@ -104,7 +107,8 @@ def main():
               f"max {max(root_gaps):.2f}%")
         print(f"leaves visited by branch-and-bound: "
               f"mean {statistics.mean(visit_ratios):.2f}% of brute force")
-    print(f"escalated to the Lagrangian bound: {escalated} of {len(gaps)} searches")
+    print(f"escalated to the Lagrangian bound: {escalated} of {len(gaps)} searches, "
+          f"{rounds} ascent rounds")
 
 
 if __name__ == "__main__":

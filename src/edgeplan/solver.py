@@ -7,10 +7,11 @@ bound choose a server per layer, within the table's math.inf mask:
   - relaxed DP: shortest path through the layered graph whose stage-l
     nodes are servers, dropping the one-layer-per-server rule; an
     admissible lower bound, computed one M x M layer at a time.
-  - branch and bound: depth-first over layers with the DP suffix bound,
-    escalating to a Lagrangian bound (per-server penalties on the same
-    DP) when the plain bound does not settle the search quickly;
-    guaranteed to reproduce the brute-force optimum and tie-broken plan.
+  - branch and bound: depth-first over layers, in short probes: first
+    under the DP suffix bound, then under a Lagrangian bound (per-server
+    penalties on the same DP) that a subgradient ascent raises between
+    probes, until a probe finishes the search; guaranteed to reproduce
+    the brute-force optimum and tie-broken plan.
 The oracle reads the raw specs and, of the table, only its DelayOptions:
   - brute force: every injective server assignment times every feasible
     width, priced by compute_cp/compute_cm; the oracle of the search, of
@@ -29,9 +30,9 @@ DP with its witness and the multiplier update, costs about 28 us at
 M 16/L 9 on a 2-CPU Xeon.
 
 Branch and bound visits nodes one at a time, and a numpy call per node
-would cost more than the search itself. So it reads the table once per
-(layer, parent server) pair it reaches: one sorted child list in Python
-floats, which every node under that pair walks. Of the table only cp
+would cost more than the search itself. So a probe reads the table once
+per (layer, parent server) pair it reaches: one sorted child list in
+Python floats, which every node under that pair walks. Of the table only cp
 (L x M) becomes nested lists; the L x M x M edge array stays numpy.
 
 Ties are broken by the lexicographically smallest (server, bits) sequence
@@ -54,16 +55,24 @@ from .delay import DelayTable, compute_cm, compute_cp, path_delay
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
-# Expansions (children examined) the search spends under the plain DP
-# bound before it computes Lagrangian multipliers and starts over. One
-# subgradient step is a relaxed DP with its witness, O(L * M^2): 20-30 us
-# on the seed-1 `deep` benchmark pool (M 10-16, L 6-10) on a 2-CPU Xeon, so
-# a pass of 12-100 steps costs about 0.3-2.8 ms, while 1,000 expansions
-# cost 0.5-0.7 ms there. Shallow searches (L <= 5, any M) mostly finish
-# within the allowance and never pay for a pass; deep ones (L >= 7) mostly
-# escalate (26 of the pool's 39 plans).
-_ESCALATE_AFTER = 1_000
-_SUBGRADIENT_STEPS = 100
+# The search alternates short probes (_search calls with a small expansion
+# allowance) with rounds of the Lagrangian ascent, and stops as soon as a
+# probe finishes: the search, not a step cap, says when the bound is good
+# enough. The first probe runs under the plain DP bound; round r (from 0)
+# takes _FIRST_ROUND_STEPS << r more subgradient steps and then probes
+# under the best multipliers so far with _FIRST_ROUND_PROBE << r
+# expansions (children examined). One step is a relaxed DP with its
+# witness, O(L * M^2), about 28 us at M 16/L 9 on a 2-CPU Xeon, so a
+# round's steps cost about as much as its probe. Shallow searches (L <= 5,
+# any M) mostly finish in the first probe and never take a step. On the
+# seed-9101 `deep` benchmark pool (M 10-16, L 6-10), 36 of the 39 plans
+# take a round and 30 of those finish in the probe after it, 20 steps
+# where a fixed cap took up to 100. A first probe of 100 expansions
+# instead of 200 nearly doubled the search time on the `artifacts` pool.
+_FIRST_PROBE = 200
+_FIRST_ROUND_STEPS = 20
+_FIRST_ROUND_PROBE = 500
+_SUBGRADIENT_STEPS = 100  # the whole ascent's cap, over every round
 _STALL_STEPS = 3  # halve the Polyak step size after this many non-improving steps
 _ESTIMATE_SLACK = 0.1  # target above the DP bound when there is no incumbent yet
 # pruning slack: penalised bounds are rounded sums that may exceed a tied
@@ -231,7 +240,7 @@ def solve_relaxed_dp(table: DelayTable
 # Lagrangian bound and branch and bound
 # ---------------------------------------------------------------------------
 
-def _lagrangian_root(dp: _LayeredDP, target: float, incumbent):
+class _Ascent:
     """Multipliers lambda >= 0, one per server, for the bound
 
         min H_lambda[0] - (sum of the L largest lambda),
@@ -244,53 +253,77 @@ def _lagrangian_root(dp: _LayeredDP, target: float, incumbent):
     subgradient is the witness path's visits per server minus one for each
     server in the top-L set. A witness on L distinct servers is a feasible
     plan: it replaces ``incumbent`` (None or (objective, path)) when
-    better, and the target drops to it. ``dp`` holds the table's plain DP,
-    the first step's; each later step solves it again at its own lambda.
-    Stops after _SUBGRADIENT_STEPS or once the bound reaches the target.
-    Returns (bound, lambda, H_lambda, incumbent), arrays that later steps
-    leave alone."""
-    cp, cm, H = dp.cp, dp.cm, dp.H
-    L, M = cp.shape
-    lam = np.zeros(M)
-    best = (-math.inf, lam, None)
-    theta, stall = 2.0, 0
-    # the top-L sort's keys (-visits, -lambda), lambda on the top-L set
-    # and the subgradient, written in place each step
-    keys = (np.empty(M, dtype=np.intp), np.empty(M))
-    top_lam, grad = np.empty(L), np.empty(M)
-    for step in range(_SUBGRADIENT_STEPS):
-        if step:
-            dp.solve(lam)
-        witness = dp.witness()
-        if len(set(witness)) == L:
-            total = float(path_delay(cp, cm, witness)[0])
-            key = (total, tuple(witness))
-            if incumbent is None or key < incumbent:
-                incumbent = key
-                target = min(target, total)
-        visits = np.bincount(witness, minlength=M)
-        np.negative(visits, out=keys[0])
-        np.negative(lam, out=keys[1])
-        # top-L set: largest lambda, ties to the servers the witness visits
-        top = np.lexsort(keys)[:L]
-        bound = float(H[0, witness[0]]) - float(lam.take(top, out=top_lam).sum())
-        if bound > best[0]:
-            best, stall = (bound, lam, H.copy()), 0
-        else:
-            stall += 1
-            if stall == _STALL_STEPS:
-                theta, stall = theta / 2, 0
-        if best[0] >= target - _tie_tolerance(target):
-            break
-        np.copyto(grad, visits)
-        grad[top] -= 1.0
-        norm = float(grad @ grad)
-        if norm == 0.0:  # the witness is a plan at the bound
-            break
-        # a new array each step: best may hold the old one
-        moved = np.multiply(grad, theta * (target - bound) / norm)
-        lam = np.maximum(0.0, np.add(lam, moved, out=moved), out=moved)
-    return (*best, incumbent)
+    better, and the target drops to it; nothing else moves the target.
+    ``dp`` holds the table's plain DP, the first step's; each later step
+    solves it again at its own lambda.
+
+    The ascent is resumable: ``run(n)`` takes up to n more steps, and
+    lambda, ``best`` (bound, lambda, H_lambda), the step size, the stall
+    count, the step count and the target carry over, so k steps and then
+    n - k are the n steps of one call. ``done`` is set once the ascent
+    stops for good: the best bound reached the target, _SUBGRADIENT_STEPS
+    were taken, or the subgradient was zero. ``best`` holds arrays that
+    later steps leave alone."""
+
+    def __init__(self, dp: _LayeredDP, target: float, incumbent):
+        L, M = dp.cp.shape
+        self.dp, self.target, self.incumbent = dp, target, incumbent
+        self.lam = np.zeros(M)
+        self.best = (-math.inf, self.lam, None)
+        self.theta, self.stall, self.steps, self.done = 2.0, 0, 0, False
+        # the top-L sort's keys (-visits, -lambda), lambda on the top-L set
+        # and the subgradient, written in place each step
+        self._keys = (np.empty(M, dtype=np.intp), np.empty(M))
+        self._top_lam, self._grad = np.empty(L), np.empty(M)
+
+    def run(self, n: int) -> None:
+        if self.done:
+            return
+        dp = self.dp
+        cp, cm, H = dp.cp, dp.cm, dp.H
+        L, M = cp.shape
+        keys, top_lam, grad = self._keys, self._top_lam, self._grad
+        lam, best, target, incumbent = self.lam, self.best, self.target, self.incumbent
+        theta, stall, step = self.theta, self.stall, self.steps
+        stop, done = min(step + n, _SUBGRADIENT_STEPS), False
+        while step < stop:
+            if step:
+                dp.solve(lam)
+            step += 1
+            witness = dp.witness()
+            if len(set(witness)) == L:
+                total = float(path_delay(cp, cm, witness)[0])
+                key = (total, tuple(witness))
+                if incumbent is None or key < incumbent:
+                    incumbent = key
+                    target = min(target, total)
+            visits = np.bincount(witness, minlength=M)
+            np.negative(visits, out=keys[0])
+            np.negative(lam, out=keys[1])
+            # top-L set: largest lambda, ties to the servers the witness visits
+            top = np.lexsort(keys)[:L]
+            bound = float(H[0, witness[0]]) - float(lam.take(top, out=top_lam).sum())
+            if bound > best[0]:
+                best, stall = (bound, lam, H.copy()), 0
+            else:
+                stall += 1
+                if stall == _STALL_STEPS:
+                    theta, stall = theta / 2, 0
+            if best[0] >= target - _tie_tolerance(target):
+                done = True
+                break
+            np.copyto(grad, visits)
+            grad[top] -= 1.0
+            norm = float(grad @ grad)
+            if norm == 0.0:  # the witness is a plan at the bound
+                done = True
+                break
+            # a new array each step: best may hold the old one
+            moved = np.multiply(grad, theta * (target - bound) / norm)
+            lam = np.maximum(0.0, np.add(lam, moved, out=moved), out=moved)
+        self.done = done or step == _SUBGRADIENT_STEPS
+        self.lam, self.best, self.target, self.incumbent = lam, best, target, incumbent
+        self.theta, self.stall, self.steps = theta, stall, step
 
 
 def _tie_tolerance(objective: float) -> float:
@@ -399,19 +432,23 @@ def _search(cp, cm, H, lam, limit: int, incumbent):
 
 def solve_branch_and_bound(table: DelayTable,
                            budget: int = DEFAULT_NODE_BUDGET) -> SolveResult:
-    """Exact search: the DP suffix bound first, the Lagrangian bound if
-    that runs long.
+    """Exact search: short probes under the DP suffix bound, then under a
+    Lagrangian bound that improves between probes, until one finishes.
 
-    The search runs with the plain DP bound for at most _ESCALATE_AFTER
+    The first probe runs under the plain DP bound for at most _FIRST_PROBE
     expansions (children examined). If that is not enough, the root
-    subgradient pass (_lagrangian_root) sets per-server multipliers and
-    the search starts over under the penalised bound, keeping the
-    incumbent. ``budget`` caps the expansions of both passes together.
-    Pruning needs the bound to exceed the incumbent by a small relative
-    tolerance, so objective ties survive and the lexicographic tie-break
-    matches brute force exactly. Deterministic; masked (layer, server)
-    entries are never expanded. lower_bound_at_root is the strongest
-    root bound the solve proved.
+    subgradient ascent (_Ascent) starts, aimed at the probe's incumbent,
+    and the solve alternates rounds of ascent steps with probes under the
+    best multipliers so far, each probe starting over with the incumbent
+    so far (the probes' or an ascent witness's, whichever is better). Both
+    the rounds and the probes double (see _FIRST_ROUND_STEPS). It stops
+    when a probe finishes; once the ascent stops, the next probe is the
+    last and may use the whole budget. ``budget`` caps the expansions of
+    every probe together. Pruning needs the bound to exceed the incumbent
+    by a small relative tolerance, so objective ties survive and the
+    lexicographic tie-break matches brute force exactly. Deterministic;
+    masked (layer, server) entries are never expanded. lower_bound_at_root
+    is the strongest root bound proven when the search finished.
     """
     t0 = time.perf_counter()
     cp, cm = table.cp, table.cm
@@ -426,18 +463,29 @@ def solve_branch_and_bound(table: DelayTable,
         return SolveResult("infeasible", None, math.inf, 0, math.inf,
                            time.perf_counter() - t0)
 
-    allowance = min(budget, _ESCALATE_AFTER)
-    incumbent, leaves, expansions, exhausted = _search(
-        cp, cm, dp.H, [0.0] * M, allowance, None)
-    if exhausted and budget > allowance:
-        # no incumbent yet: aim the Polyak steps a little above the DP bound
-        target = incumbent[0] if incumbent else root_bound * (1 + _ESTIMATE_SLACK)
-        bound, lam, penalised, incumbent = _lagrangian_root(dp, target, incumbent)
-        root_bound = max(root_bound, bound)
+    lam, H = [0.0] * M, dp.H
+    limit, ascent, rounds = _FIRST_PROBE, None, 0
+    incumbent, leaves, expansions = None, 0, 0
+    while True:
         incumbent, more_leaves, more, exhausted = _search(
-            cp, cm, penalised, lam.tolist(), budget - expansions, incumbent)
+            cp, cm, H, lam, min(limit, budget - expansions), incumbent)
         leaves += more_leaves
         expansions += more
+        if not exhausted or expansions == budget or ascent and ascent.done:
+            break
+        if ascent is None:
+            # no incumbent yet: aim the Polyak steps a little above the DP bound
+            ascent = _Ascent(dp, incumbent[0] if incumbent
+                             else root_bound * (1 + _ESTIMATE_SLACK), incumbent)
+        ascent.run(_FIRST_ROUND_STEPS << rounds)
+        limit = budget if ascent.done else _FIRST_ROUND_PROBE << rounds
+        rounds += 1
+        bound, lam, H = ascent.best
+        lam = lam.tolist()
+        root_bound = max(root_bound, bound)
+        found = ascent.incumbent
+        if found is not None and (incumbent is None or found < incumbent):
+            incumbent = found
     wall = time.perf_counter() - t0
     if incumbent is None:
         status = "budget_exceeded" if exhausted else "infeasible"

@@ -470,8 +470,9 @@ class TestPlan:
     def test_lagrangian_pass_near_the_float_limit(self, tmp_path, capsys,
                                                   monkeypatch):
         """The largest total the table admits, with the root Lagrangian
-        pass run at once: its penalised sums stay in range."""
-        monkeypatch.setattr(solver_module, "_ESCALATE_AFTER", 0)
+        ascent started before any plain-bound expansion: its penalised
+        sums stay in range."""
+        monkeypatch.setattr(solver_module, "_FIRST_PROBE", 0)
         model = {"batch_size": 1, "embedding_size": 4, "layers": [
             {"flops": 1e12 * (l + 1), "param_count": 10, "output_size": 4.0,
              "original_precision": 32} for l in range(3)]}

@@ -2,7 +2,8 @@
 leaves, expansions and root bound, and the relaxed bound and witness, on a
 fixed set of instances, equal to tests/data/golden_search.json exactly.
 On the ladder it also pins where a cut budget stops the search: inside a
-node, at the plain-DP allowance and just past it (BUDGET_CUTS).
+node, and on either side of the end of the plain-bound first probe and of
+the first round's probe (BUDGET_CUTS).
 
 A refactor that changes what the search does fails here. A change that
 alters the search on purpose regenerates the file with
@@ -25,13 +26,15 @@ from conftest import data_path, with_binding_storage
 
 GOLDEN = data_path("golden_search.json")
 
-# the ladder includes instances that escalate to the Lagrangian pass
+# the ladder includes instances that run the Lagrangian ascent; 48x16 s4
+# once took 524,236 expansions under 100 ascent steps fixed in advance
 LADDER = [(m, l, seed) for m, l in ((16, 8), (24, 10), (32, 12), (48, 5))
-          for seed in (1, 2, 3)]
+          for seed in (1, 2, 3)] + [(48, 16, 4)]
 RANDOM_CASES = 20
-# budgets around the escalation to the Lagrangian pass (1,000 expansions);
-# each ladder case also runs at its full expansion count minus one
-BUDGET_CUTS = (1, 500, 999, 1000, 1001)
+# budgets around the end of the first probe (200 expansions, plain bound)
+# and of the first round's probe (500 more); each ladder case also runs at
+# its full expansion count minus one
+BUDGET_CUTS = (1, 199, 200, 201, 700, 701)
 
 
 def cases():

@@ -352,13 +352,19 @@ def _lagrangian_instance(seed):
 LAGRANGIAN_SEEDS = 320
 
 
+def _ascent(table, target, incumbent=None):
+    """A fresh root ascent on its own layered-DP workspace."""
+    return solver._Ascent(solver._LayeredDP(table.cp, table.cm), target, incumbent)
+
+
 class TestLagrangianRoute:
-    """The plain-DP allowance is 0, so every instance is solved by the
-    penalised search after the root subgradient pass."""
+    """The first probe's allowance is 0, so the ascent starts before any
+    plain-bound expansion and every instance is solved by the penalised
+    probes between its rounds."""
 
     @pytest.fixture(autouse=True)
     def escalate_at_once(self, monkeypatch):
-        monkeypatch.setattr(solver, "_ESCALATE_AFTER", 0)
+        monkeypatch.setattr(solver, "_FIRST_PROBE", 0)
 
     @pytest.mark.parametrize("seed", range(LAGRANGIAN_SEEDS))
     def test_oracle_equivalence(self, seed):
@@ -383,11 +389,11 @@ class TestLagrangianRoute:
             dp_bound, _ = solve_relaxed_dp(table)
             if math.isinf(dp_bound) or inst.model.num_layers > inst.cluster.num_servers:
                 continue
-            # the root pass as the solve runs it without an incumbent; its
-            # bound is unclamped, unlike lower_bound_at_root
-            bound, lam, _, incumbent = solver._lagrangian_root(
-                solver._LayeredDP(table.cp, table.cm),
-                dp_bound * (1 + solver._ESTIMATE_SLACK), None)
+            # the whole ascent as the solve starts it without an incumbent;
+            # its bound is unclamped, unlike lower_bound_at_root
+            ascent = _ascent(table, dp_bound * (1 + solver._ESTIMATE_SLACK))
+            ascent.run(solver._SUBGRADIENT_STEPS)
+            (bound, lam, _), incumbent = ascent.best, ascent.incumbent
             assert (lam >= 0).all(), seed
             exact = solve_brute_force(inst, table)
             if exact.plan is not None:
@@ -429,8 +435,9 @@ class TestLagrangianRoute:
             tied = best[::-1]
             M = inst.cluster.num_servers
             if penalised:
-                _, lam, H, _ = solver._lagrangian_root(
-                    solver._LayeredDP(table.cp, table.cm), exact.objective, None)
+                ascent = _ascent(table, exact.objective)
+                ascent.run(solver._SUBGRADIENT_STEPS)
+                _, lam, H = ascent.best
                 lam = lam.tolist()
             else:
                 lam, H = [0.0] * M, solver._LayeredDP(table.cp, table.cm).H
@@ -442,7 +449,8 @@ class TestLagrangianRoute:
         assert checked >= 20, checked
 
     def test_budget_spans_both_passes(self, monkeypatch):
-        monkeypatch.setattr(solver, "_ESCALATE_AFTER", 3)
+        """One budget for the plain probe and every penalised one."""
+        monkeypatch.setattr(solver, "_FIRST_PROBE", 3)
         inst = dominant_server_instance(num_layers=4)
         table = build_delay_table(inst)
         full = solve_branch_and_bound(table)
@@ -453,6 +461,125 @@ class TestLagrangianRoute:
         again = solve_branch_and_bound(table, budget=full.expansions)
         assert again.status == "optimal"
         assert again.plan.assignments == full.plan.assignments
+
+
+def _ascent_state(ascent):
+    """Everything a paused ascent carries into its next round, as bytes
+    and reprs, so equal states are equal bit for bit."""
+    bound, lam, H = ascent.best
+    return (repr(bound), lam.tobytes(), H.tobytes(), ascent.incumbent,
+            repr(ascent.target), ascent.lam.tobytes(), repr(ascent.theta),
+            ascent.stall, ascent.steps, ascent.done)
+
+
+class TestPacedAscent:
+    """The solve pauses the ascent for search probes and resumes it: the
+    pauses change neither its trajectory nor its target, and the budget
+    binds inside any probe."""
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """Probes of 2, then 4 expansions, so a small instance pauses its
+        ascent often; returns the record of the last solve: its ascent
+        with the target and incumbent it started from, and each probe's
+        incumbent in and out."""
+        record = {"ascents": [], "probes": []}
+        ascent_class, search = solver._Ascent, solver._search
+
+        class Recorded(ascent_class):
+            def __init__(self, dp, target, incumbent):
+                super().__init__(dp, target, incumbent)
+                record["ascents"].append((self, target, incumbent))
+
+        def probe(cp, cm, H, lam, limit, incumbent):
+            found = search(cp, cm, H, lam, limit, incumbent)
+            record["probes"].append((incumbent, found[0]))
+            return found
+
+        monkeypatch.setattr(solver, "_FIRST_PROBE", 3)
+        monkeypatch.setattr(solver, "_FIRST_ROUND_PROBE", 2)
+        monkeypatch.setattr(solver, "_Ascent", Recorded)
+        monkeypatch.setattr(solver, "_search", probe)
+        record["class"] = ascent_class
+        return record
+
+    def test_pauses_leave_the_trajectory_alone(self):
+        """k steps and then n - k, or the solve's doubling rounds, end in
+        the state of one uninterrupted n-step run, bit for bit."""
+        n = solver._SUBGRADIENT_STEPS
+        rounds = tuple(solver._FIRST_ROUND_STEPS << r for r in range(3))
+        assert sum(rounds) >= n
+        split = 0
+        for seed in range(LAGRANGIAN_SEEDS):
+            inst = _lagrangian_instance(seed)
+            table = build_delay_table(inst)
+            dp_bound, _ = solve_relaxed_dp(table)
+            if math.isinf(dp_bound) or inst.model.num_layers > inst.cluster.num_servers:
+                continue
+            target = dp_bound * (1 + solver._ESTIMATE_SLACK)
+            whole = _ascent(table, target)
+            whole.run(n)
+            # a pause inside the trajectory wherever it has two steps
+            k = 1 + seed % max(whole.steps - 1, 1)
+            for schedule in ((k, n - k), rounds):
+                paused = _ascent(table, target)
+                for steps in schedule:
+                    paused.run(steps)
+                assert _ascent_state(paused) == _ascent_state(whole), (seed, schedule)
+            split += whole.steps > k
+        assert split >= 50, split
+
+    def test_probe_incumbents_never_move_the_target(self, recorded, monkeypatch):
+        """The solve's ascent is the ascent run alone from the same start
+        for as many steps, though probes between its rounds found plans
+        below its target: only its own witnesses lower the target."""
+        # the ascent starts with no incumbent, aimed above the DP bound
+        monkeypatch.setattr(solver, "_FIRST_PROBE", 0)
+        below = 0
+        for seed in range(LAGRANGIAN_SEEDS):
+            table = build_delay_table(_lagrangian_instance(seed))
+            recorded["ascents"].clear()
+            recorded["probes"].clear()
+            solve_branch_and_bound(table)
+            if not recorded["ascents"]:
+                continue
+            (ascent, target, incumbent), = recorded["ascents"]
+            alone = recorded["class"](
+                solver._LayeredDP(table.cp, table.cm), target, incumbent)
+            alone.run(ascent.steps)
+            assert _ascent_state(ascent) == _ascent_state(alone), seed
+            # every probe but the last is followed by a round
+            below += any(found is not None and found[0] < ascent.target
+                         for _, found in recorded["probes"][:-1])
+        assert below >= 20, below
+
+    def test_budget_runs_out_inside_a_probe(self, recorded):
+        """Cut at every budget short of the full solve's expansions, the
+        solve stops exactly there with the best incumbent so far: the
+        better of the ascent's and what the probes returned."""
+        kept = cuts = 0
+        for seed in range(0, LAGRANGIAN_SEEDS, 4):
+            table = build_delay_table(_lagrangian_instance(seed))
+            full = solve_branch_and_bound(table)
+            if not recorded["ascents"]:
+                continue
+            for budget in range(1, full.expansions):
+                recorded["ascents"].clear()
+                recorded["probes"].clear()
+                got = solve_branch_and_bound(table, budget=budget)
+                assert (got.status, got.expansions) == ("budget_exceeded", budget)
+                known = [found for _, found in recorded["probes"]]
+                known += [a.incumbent for a, _, _ in recorded["ascents"]]
+                best = min(filter(None, known), default=None)
+                if best is None:
+                    assert got.plan is None, (seed, budget)
+                    continue
+                servers = tuple(i for i, _ in got.plan.assignments)
+                assert (got.objective, servers) == best, (seed, budget)
+                cuts += 1
+                # the cut probe found nothing better than it was handed
+                kept += recorded["probes"][-1][0] == best
+        assert cuts >= 500 and kept >= 500, (cuts, kept)
 
 
 def _assert_dp_matches(dp, pen, cm):
@@ -534,7 +661,7 @@ class TestLayeredDP:
         _assert_dp_matches(dp, cp + lam, cm)
 
     def test_lagrangian_root_returns_its_own_arrays(self):
-        """The (lambda, H) the ascent returns is the oracle's DP at that
+        """The best (lambda, H) the ascent holds is the oracle's DP at that
         lambda: later steps, which reuse the workspace, leave it alone."""
         moved = 0
         for seed in range(LAGRANGIAN_SEEDS):
@@ -543,9 +670,9 @@ class TestLayeredDP:
             dp_bound, _ = solve_relaxed_dp(table)
             if math.isinf(dp_bound) or inst.model.num_layers > inst.cluster.num_servers:
                 continue
-            dp = solver._LayeredDP(table.cp, table.cm)
-            _, lam, H, _ = solver._lagrangian_root(
-                dp, dp_bound * (1 + solver._ESTIMATE_SLACK), None)
+            ascent = _ascent(table, dp_bound * (1 + solver._ESTIMATE_SLACK))
+            ascent.run(solver._SUBGRADIENT_STEPS)
+            _, lam, H = ascent.best
             want, _ = layered_dp(table.cp + lam, table.cm)
             assert H.tobytes() == np.array(want).reshape(H.shape).tobytes(), seed
             moved += bool(lam.any())
