@@ -238,6 +238,7 @@ def cmd_quantize(args) -> int:
         denominator += stored_bits * w.values.size
         feas_str = ",".join(map(str, feas)) if feas else "-"
         print(f"{w.layer_name}: feasible bits {{{feas_str}}}")
+        del w  # unmap it before the next tensor is mapped (see quant's docstring)
     if not records:
         raise CliError(f"no usable weight tensors in {args.weights_dir}")
     print(f"quantization ratio: {100 * (numerator / denominator):.2f}%")

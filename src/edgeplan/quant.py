@@ -67,9 +67,11 @@ tensor's <name>.json metadata, as every JSON document;
 (no ``np.fromfile`` read) and reports WeightTensor's refusals as
 ParseErrors. WeightTensor's float32 array and every blocked pass above
 are views of the mapping, so each analysis streams the tensor from the
-page cache. A .bin must therefore not be truncated or rewritten while a
-command runs: reading a truncated mapped file ends the process with
-SIGBUS.
+page cache. Each command maps one tensor at a time: it drops a tensor,
+and with it the mapping, before it loads the next, so its peak memory is
+the interpreter plus the largest tensor. A .bin must not be truncated or
+rewritten while a command runs: reading a truncated mapped file ends the
+process with SIGBUS.
 
 Only weights are quantized; biases stay untouched, so the tensor API
 carries weight arrays exclusively. Rounding is half-away-from-zero, chosen

@@ -1,8 +1,10 @@
 import json
 import math
+import mmap
 import os
 import re
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -1288,6 +1290,45 @@ class TestPlanWithWeights:
         assert code == 2
         assert "l0.bin" in err and "non-finite" in err
         assert not out.exists()
+
+
+class TestOneTensorAtATime:
+    """Each command maps one weight tensor at a time: when it loads a
+    tensor, the mapping of every tensor it loaded before is released, so
+    its peak memory is the interpreter plus the largest tensor."""
+
+    @pytest.mark.parametrize("command", ["quantize", "plan", "export-lp"])
+    def test_earlier_tensors_are_released_when_the_next_is_mapped(
+            self, tmp_path, capsys, monkeypatch, command):
+        rng = np.random.default_rng(7)
+        names = ("l0", "l1", "l2")
+        wdir = tmp_path / "w"
+        write_weights(wdir, {name: rng.normal(0.0, 1.0, 1000) for name in names})
+        mappings, alive = [], []
+
+        def load(path):
+            alive.append(sum(ref() is not None for ref in mappings))
+            w = quant.load_weight_tensor(path)
+            base = w.values
+            while isinstance(base, np.ndarray):
+                base = base.base
+            assert isinstance(base.obj, mmap.mmap)  # the .bin's mapping
+            mappings.append(weakref.ref(base.obj))
+            return w
+
+        monkeypatch.setattr(cli, "load_weight_tensor", load)
+        argv = [command, "--weights-dir", str(wdir), "--bits", "4,8", "--delta", "0.3",
+                "--out", str(tmp_path / "out")]
+        if command != "quantize":
+            model = {"batch_size": 1, "embedding_size": 4, "layers": [
+                {"flops": 100.0, "param_count": 10, "output_size": 4.0,
+                 "original_precision": 32, "weights": name} for name in names]}
+            mpath = tmp_path / "model.json"
+            mpath.write_text(json.dumps(model))
+            argv += ["--cluster", data_path("cluster_m4.json"), "--model", str(mpath)]
+        code, _, err = run(argv, capsys)
+        assert code == 0, err
+        assert alive == [0, 0, 0]
 
 
 class TestBadPaths:
