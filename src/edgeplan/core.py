@@ -251,6 +251,16 @@ class PlacementPlan:
     comm_delay: float
 
 
+def gamma(k: int, unit: float = 2.0 ** -53) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff (2^-53 for
+    float64, 2^-24 for float32): the relative error bound of a product of
+    k roundings, and of a sum whose terms each pass through at most k
+    additions, in any order (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, 3.1 and 4.2). quant's screens and the solver's
+    pruning margin both bound their rounding with it."""
+    return k * unit / (1 - k * unit)
+
+
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -461,6 +471,15 @@ def read_finite(value, where: str, *path) -> float:
     return number
 
 
+def read_name(value, where: str, *path) -> str:
+    """value if it is a plain file name, a JSON string other than "", "."
+    and ".." with no "/", "\\" or NUL in it, else ParseError: joined to a
+    directory, it names a file in that directory and nowhere else."""
+    if type(value) is not str or value in ("", ".", "..") or not set(value).isdisjoint("/\\\0"):
+        _refuse(value, 'a plain name (not "", "." or "..", no "/", "\\" or NUL)', where, path)
+    return value
+
+
 def read_table(value, where: str, *path):
     """value if it is a JSON array or object, the two layouts of a table
     read_records reads, else ParseError."""
@@ -634,7 +653,7 @@ def input_digest(sha, options_doc) -> str:
     return sha.hexdigest()
 
 
-_CLUSTER = (("servers", list, REQUIRED), ("links", read_table, ()))
+_CLUSTER = (("servers", list, REQUIRED), ("links", read_table, REQUIRED))
 _SERVER = (("id", int, REQUIRED), ("ccs_flops", float, REQUIRED),
            ("storage_bytes", float, REQUIRED))
 _LINK = (("src", int, REQUIRED), ("dst", int, REQUIRED),
@@ -643,7 +662,7 @@ _MODEL = (("layers", list, REQUIRED), ("batch_size", int, REQUIRED),
           ("embedding_size", int, REQUIRED))
 _LAYER = (("flops", float, REQUIRED), ("param_count", int, REQUIRED),
           ("output_size", float, REQUIRED), ("original_precision", int, REQUIRED),
-          ("weights", str, None))
+          ("weights", read_name, None))
 
 
 def read_records(table, schema: tuple, where: str, *path) -> list[list]:
@@ -690,11 +709,11 @@ def parse_cluster(doc, where: str = "cluster") -> ClusterSpec:
     """ClusterSpec from a parsed cluster document; ParseError on a missing
     key or a field of the wrong JSON type."""
     server_docs, link_table = read_fields(doc, _CLUSTER, where)
-    servers = list(map(ServerSpec, *read_records(server_docs, _SERVER, where, "servers")))
-    links = LinkRecord(*read_records(link_table, _LINK, where, "links"))
     # position == id from here on: the delay table, the simulator and the
     # plan checker all index servers by position
-    servers.sort(key=lambda s: s.id)
+    servers = sorted(map(ServerSpec, *read_records(server_docs, _SERVER, where, "servers")),
+                     key=attrgetter("id"))
+    links = LinkRecord(*read_records(link_table, _LINK, where, "links"))
     return ClusterSpec(servers=tuple(servers), links=links)
 
 

@@ -90,8 +90,8 @@ from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import (REQUIRED, ParseError, json_text, load_json, read_fields,
-                   read_ints, write_outputs)
+from .core import (REQUIRED, ParseError, gamma, json_text, load_json,
+                   read_fields, read_ints, write_outputs)
 
 
 # |skewness| above which _pick_scheme quantizes a two-sided range
@@ -353,13 +353,6 @@ def _pick_scheme(w: WeightTensor, scheme: Optional[SchemeKind],
     return SchemeKind.SYMMETRIC_SIGNED if within else SchemeKind.ASYMMETRIC
 
 
-def _gamma(k: int, unit: float) -> float:
-    """Higham's gamma_k = k u / (1 - k u): the relative error bound of a
-    product of k roundings, and of a sum whose terms each pass through at
-    most k additions, in any order (Higham, 3.1 and 4.2)."""
-    return k * unit / (1 - k * unit)
-
-
 def _skew_verdict(w: WeightTensor) -> Optional[bool]:
     """Whether ``distribution_stats(w, None).skewness`` is at most
     SKEW_THRESHOLD in magnitude, decided from float32 sums, or None when
@@ -406,7 +399,7 @@ def _skew_verdict(w: WeightTensor) -> Optional[bool]:
     if not (2.0 ** -12 <= peak <= 2.0 ** 20 and n < 2 ** 40):
         return None
     k, nb = min(n, _BLOCK), -(-n // _BLOCK)
-    rho = _gamma(k + 2, 2.0 ** -24) + _gamma(nb + 2, 2.0 ** -53) + 2.0 ** -40
+    rho = gamma(k + 2, 2.0 ** -24) + gamma(nb + 2, 2.0 ** -53) + 2.0 ** -40
     sums = [0.0, 0.0, 0.0]
     p = _work().t
     for start in range(0, n, _BLOCK):
@@ -425,7 +418,7 @@ def _skew_verdict(w: WeightTensor) -> Optional[bool]:
     e2 = 2 * (rho * bound + e1 * (2 * am + e1))
     e3 = 2 * (rho * peak * bound + 3 * (am * rho * bound + bound * e1)
               + 6 * e1 * (am + e1) ** 2)
-    if m2 - e2 <= 0 or _gamma(k + nb + 4, 2.0 ** -53) * peak > 2.0 ** -24 * math.sqrt(m2 - e2):
+    if m2 - e2 <= 0 or gamma(k + nb + 4, 2.0 ** -53) * peak > 2.0 ** -24 * math.sqrt(m2 - e2):
         return None
     high = (m3 + e3) / (m2 - e2) ** 1.5
     low = (m3 - e3) / (m2 + e2) ** 1.5

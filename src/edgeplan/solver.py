@@ -26,8 +26,10 @@ The relaxed DP of a solve runs in one workspace (_LayeredDP) that holds
 cp + lambda, H, the next-server argmins and one M x M layer of sums: the
 root bound is its first solve, which is also the subgradient ascent's
 first step, and every later step solves it again in place. A step, the
-DP with its witness and the multiplier update, costs about 28 us at
-M 16/L 9 on a 2-CPU Xeon.
+DP with its witness and the multiplier update, costs 22-26 us at
+generated 16/9 (seed 1), of which the DP is 16-17 us: best and median of
+15 runs of 100 steps with the target out of reach, on a 2-CPU AMD EPYC
+host, Python 3.11.7, numpy 2.4.6, measured twice.
 
 Branch and bound visits nodes one at a time, and a numpy call per node
 would cost more than the search itself. So a probe reads the table once
@@ -37,6 +39,48 @@ Python floats, which every node under that pair walks. Of the table only cp
 
 Ties are broken by the lexicographically smallest (server, bits) sequence
 so plans, not just objectives, are comparable across solvers.
+
+Pruning margin. Leaves compare (total, path) exactly, the total summed
+as delay.path_delay sums it, so a tie is an exact float tie, and a
+subtree may be cut only when no leaf below it can compute a total at or
+below the incumbent's. A node's bound is a rounded sum too, so the
+search cuts it only when the bound exceeds the incumbent by more than
+
+    _margin = gamma_{4L+4} (incumbent + 2 Lambda) + 2^-1074,
+
+with Lambda the sum of the L largest lambda (0 under the plain bound)
+and gamma_k = k u / (1 - k u), u = 2^-53 (core.gamma). In the standard
+model every addition is exact times (1 + d), |d| <= u, subnormal results
+included (they are exact), so a sum of terms each through at most k
+additions is off by at most gamma_k times the sum of their magnitudes
+(Higham 2002, 3.1 and 4.2). Take a node at layer l and a leaf below it
+with exact total T and computed total T^; lambda and every table entry
+are the floats given, all >= 0:
+  - T^ sums L compute and L - 1 comm terms, each through at most L
+    additions, so |T^ - T| <= gamma_L T.
+  - H[l, i] is a minimum of sums along layered paths: each cp + lambda
+    and cm term passes through at most 2(L - l) - 1 additions. Rounding
+    is monotone, so the computed H is at most the computed sum along the
+    path of the exact minimum. The node's bound adds the prefix's compute
+    and comm, the edge and H, less the reserve R (at most L lambdas), and
+    each term passes through at most 2L + 1 additions in all. So the
+    computed bound is at most B + gamma_{2L+1} (B + 2R), with B the exact
+    bound, and B <= T (admissibility) and R <= Lambda give at most
+    T + gamma_{2L+1} (T + 2 Lambda).
+  - With gamma_a + gamma_b <= gamma_{a+b}, gamma_a / (1 - gamma_b) <=
+    gamma_{a+b} and T <= T^ / (1 - gamma_L), bound - T^ <=
+    gamma_{4L+1} (T^ + 2 Lambda). A leaf with T^ <= the
+    incumbent therefore has every bound above it at most the incumbent
+    plus gamma_{4L+1} (incumbent + 2 Lambda).
+  - The three spare roundings of gamma_{4L+4} pay for rounding the cutoff
+    (incumbent + margin, off by at most u of it); computing the margin
+    itself moves it by O(L^2 u^2) of it. Its product may underflow, by at
+    most 2^-1075, and 2^-1074 covers that.
+At L = 32 and Lambda at 1.6 times the incumbent the margin is about
+6e-14 of the incumbent: a window much wider than the rounding would
+expand every node whose tight bound falls inside it. The ascent's stop
+test reads the same margin, with the target for the incumbent and that
+step's lambda.
 """
 
 from __future__ import annotations
@@ -50,7 +94,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import PlacementPlan, ProblemInstance
+from .core import PlacementPlan, ProblemInstance, gamma
 from .delay import DelayTable, compute_cm, compute_cp, path_delay
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -62,8 +106,8 @@ DEFAULT_NODE_BUDGET = 10_000_000
 # takes _FIRST_ROUND_STEPS << r more subgradient steps and then probes
 # under the best multipliers so far with _FIRST_ROUND_PROBE << r
 # expansions (children examined). One step is a relaxed DP with its
-# witness, O(L * M^2), about 28 us at M 16/L 9 on a 2-CPU Xeon, so a
-# round's steps cost about as much as its probe. Shallow searches (L <= 5,
+# witness, O(L * M^2) (timed in the module docstring), so a round's steps
+# cost about as much as its probe. Shallow searches (L <= 5,
 # any M) mostly finish in the first probe and never take a step. On the
 # seed-9101 `deep` benchmark pool (M 10-16, L 6-10), 36 of the 39 plans
 # take a round and 30 of those finish in the probe after it, 20 steps
@@ -75,10 +119,6 @@ _FIRST_ROUND_PROBE = 500
 _SUBGRADIENT_STEPS = 100  # the whole ascent's cap, over every round
 _STALL_STEPS = 3  # halve the Polyak step size after this many non-improving steps
 _ESTIMATE_SLACK = 0.1  # target above the DP bound when there is no incumbent yet
-# pruning slack: penalised bounds are rounded sums that may exceed a tied
-# plan's objective by a few ulps, so a bound must beat the incumbent by more
-_TIE_RTOL = 1e-9
-_TIE_ATOL = 1e-12
 
 # solve_brute_force refuses anything past this; exact enumeration of
 # M-permutations times bit products explodes quickly.
@@ -261,9 +301,9 @@ class _Ascent:
     lambda, ``best`` (bound, lambda, H_lambda), the step size, the stall
     count, the step count and the target carry over, so k steps and then
     n - k are the n steps of one call. ``done`` is set once the ascent
-    stops for good: the best bound reached the target, _SUBGRADIENT_STEPS
-    were taken, or the subgradient was zero. ``best`` holds arrays that
-    later steps leave alone."""
+    stops for good: the best bound reached the target (within _margin)
+    or _SUBGRADIENT_STEPS were taken. ``best`` holds arrays that later
+    steps leave alone."""
 
     def __init__(self, dp: _LayeredDP, target: float, incumbent):
         L, M = dp.cp.shape
@@ -302,20 +342,24 @@ class _Ascent:
             np.negative(lam, out=keys[1])
             # top-L set: largest lambda, ties to the servers the witness visits
             top = np.lexsort(keys)[:L]
-            bound = float(H[0, witness[0]]) - float(lam.take(top, out=top_lam).sum())
+            bound = float(H[0, witness[0]]) - (paid := float(lam.take(top, out=top_lam).sum()))
             if bound > best[0]:
                 best, stall = (bound, lam, H.copy()), 0
             else:
                 stall += 1
                 if stall == _STALL_STEPS:
                     theta, stall = theta / 2, 0
-            if best[0] >= target - _tie_tolerance(target):
+            if best[0] >= target - _margin(target, paid, L):
                 done = True
                 break
             np.copyto(grad, visits)
             grad[top] -= 1.0
             norm = float(grad @ grad)
-            if norm == 0.0:  # the witness is a plan at the bound
+            # never true: a zero subgradient means the witness visits the
+            # top-L set once each, so it is a plan whose bound is its own
+            # total within the margin, and the test above has stopped the
+            # ascent; kept as the guard of the division below
+            if norm == 0.0:
                 done = True
                 break
             # a new array each step: best may hold the old one
@@ -326,8 +370,12 @@ class _Ascent:
         self.theta, self.stall, self.steps = theta, stall, step
 
 
-def _tie_tolerance(objective: float) -> float:
-    return max(_TIE_RTOL * abs(objective), _TIE_ATOL)
+def _margin(total: float, reserve: float, layers: int) -> float:
+    """How far above ``total`` a computed bound may lie when a plan below
+    it computes a total of ``total`` or less: gamma_{4L+4} (total + 2
+    reserve) plus the smallest subnormal, with ``reserve`` the sum of the
+    ``layers`` largest multipliers (derived in the module docstring)."""
+    return gamma(4 * layers + 4) * (total + 2 * reserve) + 2.0 ** -1074
 
 
 def _search(cp, cm, H, lam, limit: int, incumbent):
@@ -342,8 +390,8 @@ def _search(cp, cm, H, lam, limit: int, incumbent):
     H[l, i], server) order, edge = cm[l - 1, p, i] (0 at the root); that
     list is sorted once per (l, p), the first time the search reaches
     the pair, and a node walks it, skipping used servers. The walk stops
-    at the first child whose bound exceeds the incumbent by more than the
-    tie tolerance, measured against the incumbent at node entry before the
+    at the first child whose bound exceeds the incumbent by more than
+    _margin, measured against the incumbent at node entry before the
     child counts as examined and against the current one after, since
     all later children are no better. Exact ties therefore survive, and
     the incumbent is the smallest (objective, path) over the leaves
@@ -359,10 +407,6 @@ def _search(cp, cm, H, lam, limit: int, incumbent):
     order = sorted(range(M), key=lambda i: -lam[i])
     penalised = any(lam)
     best_total, best_path = incumbent if incumbent else (math.inf, None)
-    # a finite cutoff also prunes children without any completion (inf
-    # bound) before the first incumbent exists
-    cutoff = (best_total + _tie_tolerance(best_total) if incumbent
-              else sys.float_info.max)
     path: list[int] = []
     leaves = expansions = 0
     exhausted = False
@@ -385,6 +429,12 @@ def _search(cp, cm, H, lam, limit: int, incumbent):
                 if n == 0:
                     break
         return total
+
+    # the margin's reserve is reserve(0, L), the L largest lam; a finite
+    # cutoff also prunes children without any completion (inf bound)
+    # before the first incumbent exists
+    cutoff = (best_total + _margin(best_total, reserve(0, L), L) if incumbent
+              else sys.float_info.max)
 
     def dfs(l: int, used: int, compute: float, comm: float) -> None:
         nonlocal best_total, best_path, cutoff, leaves, expansions, exhausted
@@ -418,7 +468,7 @@ def _search(cp, cm, H, lam, limit: int, incumbent):
                 if total < best_total or (total == best_total
                                           and tuple(path) < best_path):
                     best_total, best_path = total, tuple(path)
-                    cutoff = total + _tie_tolerance(total)
+                    cutoff = total + _margin(total, reserve(0, L), L)
             else:
                 dfs(l + 1, used | 1 << i, child_compute, comm + edge)
             path.pop()
@@ -445,10 +495,11 @@ def solve_branch_and_bound(table: DelayTable,
     when a probe finishes; once the ascent stops, the next probe is the
     last and may use the whole budget. ``budget`` caps the expansions of
     every probe together. Pruning needs the bound to exceed the incumbent
-    by a small relative tolerance, so objective ties survive and the
-    lexicographic tie-break matches brute force exactly. Deterministic;
-    masked (layer, server) entries are never expanded. lower_bound_at_root
-    is the strongest root bound proven when the search finished.
+    by more than _margin, the rounding the two sums may carry, so
+    objective ties survive and the lexicographic tie-break matches brute
+    force exactly. Deterministic; masked (layer, server) entries are never
+    expanded. lower_bound_at_root is the strongest root bound proven when
+    the search finished.
     """
     t0 = time.perf_counter()
     cp, cm = table.cp, table.cm
@@ -487,11 +538,11 @@ def solve_branch_and_bound(table: DelayTable,
         if found is not None and (incumbent is None or found < incumbent):
             incumbent = found
     wall = time.perf_counter() - t0
+    status = ("budget_exceeded" if exhausted else "optimal" if incumbent
+              else "infeasible")
     if incumbent is None:
-        status = "budget_exceeded" if exhausted else "infeasible"
         return SolveResult(status, None, math.inf, leaves, root_bound, wall,
                            expansions)
-    status = "budget_exceeded" if exhausted else "optimal"
     # array entries sum to numpy scalars: the plan carries Python floats
     total, compute, comm = map(float, path_delay(cp, cm, incumbent[1]))
     plan = PlacementPlan(assignments=tuple(zip(incumbent[1], table.widths)),

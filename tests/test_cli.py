@@ -1164,6 +1164,33 @@ class TestPlanWithWeights:
         assert err == f"error: {wdir / 'b.json'}: name 'a' is not the file's stem\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("ref", ["../outside/x", "sub/x", "", ".", "..", "a\\b", "a\0b"],
+                             ids=["parent", "subdir", "empty", "dot", "dotdot", "backslash",
+                                  "nul"])
+    @pytest.mark.parametrize("command", ["plan", "export-lp"])
+    def test_tensor_name_that_is_no_plain_name_is_input_error(
+            self, tmp_path, capsys, command, ref):
+        """The model's "weights" names a tensor in --weights-dir and nowhere
+        else: "../outside/x" is refused although outside/x.json is a valid
+        tensor beside the directory, and so is every other name that is no
+        plain file name (a NUL one would otherwise reach open() and raise)."""
+        wdir = tmp_path / "w"
+        write_weights(wdir, {"l0": [-2.0, 1.0, 2.0]})
+        write_weights(tmp_path / "outside", {"x": [-2.0, 1.0, 2.0]})
+        model = {"batch_size": 1, "embedding_size": 4, "layers": [
+            {"flops": 100.0, "param_count": 10, "output_size": 4.0,
+             "original_precision": 32, "weights": name} for name in ("l0", ref)]}
+        mpath = tmp_path / "model.json"
+        mpath.write_text(json.dumps(model))
+        out = tmp_path / "out"
+        code, stdout, err = run(
+            [command, "--cluster", data_path("cluster_2x2.json"), "--model", str(mpath),
+             "--bits", "8", "--weights-dir", str(wdir), "--out", str(out)], capsys)
+        assert (code, stdout) == (2, "")
+        assert err == (f"error: {mpath}.layers[1].weights: must be a plain name "
+                       f'(not "", "." or "..", no "/", "\\" or NUL), got {json.dumps(ref)}\n')
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [["plan", "--solver", "relaxed"],
                                          ["plan", "--solver", "bnb"],
                                          ["plan", "--solver", "brute"], ["export-lp"]],

@@ -343,6 +343,13 @@ class TestLinkFields:
             parse_cluster({"servers": [], "links": links}, "c.json")
         assert str(exc.value) == message
 
+    def test_missing_links_key_is_named(self):
+        """links is required: a cluster without it is refused by its own
+        name, not as an empty table missing its first column."""
+        with pytest.raises(ParseError) as exc:
+            parse_cluster({"servers": []}, "c.json")
+        assert str(exc.value) == "c.json: missing key 'links'"
+
     def test_column_layout_defaults_and_unknown_keys(self):
         """A missing prop_delay_s column reads as 0.0 for every link, an
         integer capacity as a float, and a key outside the four is
@@ -620,6 +627,15 @@ class TestLinkColumns:
             finally:
                 tracemalloc.stop()
         assert peaks[0] < 0.6 * peaks[1], peaks
+
+    def test_equality_with_another_type_is_left_to_it(self):
+        """A LinkRecord equals no other type, not even a tuple of the same
+        LinkSpecs: its __eq__ returns NotImplemented and Python's fallback
+        compares identity."""
+        links = ClusterSpec((), (LinkSpec(0, 1, 1.0),)).links
+        assert links.__eq__(tuple(links)) is NotImplemented
+        assert links != tuple(links) and links != list(links)
+        assert (links == 0) is False
 
     def test_columns_refuse_writes(self):
         for links in (generate_instance(1, 5, 2).cluster.links,
