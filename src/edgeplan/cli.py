@@ -84,33 +84,48 @@ def _positive_int(text: str) -> int:
 
 
 def _file_key(path):
-    """What names one file: its device and inode (links followed), or its
-    realpath when it is not there yet."""
-    try:  # one stat; realpath costs a system call per path component
+    """What names one file, as realpath would name it, without realpath's
+    lstat of every path component: (st_dev, st_ino) of a file that is
+    there, links followed; (st_dev, st_ino, name) of its directory for a
+    path that is not there yet, a dangling link standing for the file it
+    would create; and (realpath,) when that directory is missing too. Only
+    a key of two members names a file that is there."""
+    try:
         st = os.stat(path)
         return st.st_dev, st.st_ino
     except OSError:
-        return os.path.realpath(path)
+        pass
+    if os.path.islink(path):
+        path = os.path.realpath(path)
+    head, name = os.path.split(path)
+    try:
+        st = os.stat(head or os.curdir)
+    except OSError:
+        return (os.path.realpath(path),)
+    return st.st_dev, st.st_ino, name
 
 
 def _refuse_overwrite(args) -> None:
     """CliError naming the flag when one of the command's ``outputs`` is the
     same file as another, as its --plan/--cluster/--model input, or as
     either file of a tensor pair in its --weights-dir (a <name>.json with a
-    <name>.bin beside it): by device and inode (links followed), or by
-    realpath for a path not there yet."""
+    <name>.bin beside it), by _file_key. A tensor file is there, so the
+    directory is listed only when some output is there too; the inputs are
+    always keyed, since one that is missing can be named as a new output."""
+    keys = {dest: _file_key(path) for dest in ("plan", "cluster", "model", *args.outputs)
+            if (path := getattr(args, dest, None)) is not None}
     seen = {}
-    if (wdir := getattr(args, "weights_dir", None)) is not None:
+    wdir = getattr(args, "weights_dir", None)
+    if wdir is not None and any(len(keys.get(dest, ())) == 2 for dest in args.outputs):
         for meta in glob.glob(os.path.join(glob.escape(wdir), "*.json")):
             if os.path.isfile(data := meta.removesuffix(".json") + ".bin"):
                 seen.update(dict.fromkeys(map(_file_key, (meta, data)),
                                           "a weight tensor file in --weights-dir"))
-    for dest in ("plan", "cluster", "model", *args.outputs):
-        if (path := getattr(args, dest, None)) is not None:
-            key, flag = _file_key(path), f"--{dest.replace('_', '-')}"
-            if key in seen and dest in args.outputs:
-                raise CliError(f"{flag} {path}: {seen[key]}")
-            seen.setdefault(key, f"the same file as {flag}")
+    for dest, key in keys.items():
+        flag = f"--{dest.replace('_', '-')}"
+        if key in seen and dest in args.outputs:
+            raise CliError(f"{flag} {getattr(args, dest)}: {seen[key]}")
+        seen.setdefault(key, f"the same file as {flag}")
 
 
 def _load_and_filter(args, read=read_bytes) -> tuple:

@@ -511,9 +511,11 @@ def read_fields(obj, schema: tuple, where: str, *path) -> list:
 
 
 def read_bytes(path) -> bytes:
-    """The bytes of the file at ``path``."""
-    with open(path, "rb") as f:
-        return f.read()
+    """The bytes of the file at ``path``, read by one unbuffered file object:
+    ``readall`` sizes its buffer from the file's size, and no buffered
+    reader stands between it and the file."""
+    with open(path, "rb", buffering=0) as f:
+        return f.readall()
 
 
 def load_json(path, read=read_bytes) -> Any:
@@ -612,16 +614,23 @@ def json_line(doc) -> str:
 
 
 def write_outputs(*files) -> None:
-    """Write each (path, data) pair in order, data a str or, for a binary
-    file, bytes. If one cannot be written, the files this call wrote are
+    """Write each (path, data) pair in order through one unbuffered file
+    object: a str as its UTF-8 bytes, with no newline translation, so an
+    output's bytes are the same on every platform and locale; any other
+    data, a C-contiguous bytes-like object such as a numpy array, as its
+    raw bytes, with no copy. A short write is continued from where it
+    stopped. If one cannot be written, for any reason (an OSError, or a
+    MemoryError while a str is encoded), the files this call wrote are
     removed, so a failed run leaves no output."""
     written = []
     try:
         for path, data in files:
-            with open(path, "wb" if isinstance(data, bytes) else "w") as f:
+            view = memoryview(data.encode() if isinstance(data, str) else data).cast("B")
+            with open(path, "wb", buffering=0) as f:
                 written.append(path)
-                f.write(data)
-    except OSError:
+                while view:
+                    view = view[f.write(view):]
+    except BaseException:
         for path in written:
             with contextlib.suppress(OSError):
                 os.remove(path)

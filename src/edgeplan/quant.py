@@ -229,7 +229,7 @@ def save_weight_tensor(w: WeightTensor, directory) -> str:
             "dtype": "f32", "order": "row-major"}
     stem = os.path.join(directory, w.layer_name)
     write_outputs((stem + ".json", json_text(meta)),
-                  (stem + ".bin", np.asarray(w.values, dtype="<f4").tobytes()))
+                  (stem + ".bin", np.asarray(w.values, dtype="<f4")))
     return stem + ".json"
 
 
@@ -257,7 +257,7 @@ def load_weight_tensor(json_path) -> WeightTensor:
         raise ParseError(f"{where}: name {name!r} is not the file's stem")
     bin_path = stem + ".bin"
     try:
-        with open(bin_path, "rb") as f:
+        with open(bin_path, "rb", buffering=0) as f:
             size = os.fstat(f.fileno()).st_size
             if size % 4:
                 raise ValueError(f"{size} bytes, not a whole number of float32 values")

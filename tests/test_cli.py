@@ -1487,6 +1487,69 @@ class TestTensorFilesAreNoOutputs:
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
+class TestNewOutputCollisions:
+    """An output not there yet is named by the directory it would be in and
+    its own name, so two new outputs collide when that directory is named
+    through a symlink and through its target, and a dangling link names the
+    file it would create. The inputs are keyed whether or not an output is
+    there: a missing input named as an output is refused too. Each refusal
+    is an input error naming both flags, before anything is read or
+    written; an output in a missing directory is the write's own error."""
+
+    SIMULATE = ["simulate", "--plan", "plan.json", "--cluster", "cluster.json",
+                "--model", "model.json"]
+
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for name in ("cluster", "model"):
+            (tmp_path / f"{name}.json").write_text(
+                Path(data_path(f"{name}_2x2.json")).read_text())
+        code, _, err = run(["plan", "--cluster", "cluster.json", "--model", "model.json",
+                            "--bits", "8", "--out", "plan.json"], capsys)
+        assert code == 0, err
+        (tmp_path / "real").mkdir()
+        (tmp_path / "linked").symlink_to("real", target_is_directory=True)
+        (tmp_path / "dangling.csv").symlink_to("summary.json")
+        return tmp_path
+
+    @staticmethod
+    def tree(root):
+        return {p: os.readlink(p) if p.is_symlink() else p.read_bytes() if p.is_file() else None
+                for p in root.rglob("*")}
+
+    @pytest.mark.parametrize("argv, message", [
+        (SIMULATE + ["--out", "dangling.csv", "--summary", "summary.json"],
+         "--summary summary.json: the same file as --out"),
+        (SIMULATE + ["--out", "linked/t.csv", "--summary", "real/t.csv"],
+         "--summary real/t.csv: the same file as --out"),
+        (SIMULATE + ["--out", "real/t.csv", "--summary", "linked/../real/t.csv"],
+         "--summary linked/../real/t.csv: the same file as --out"),
+        (SIMULATE + ["--out", "t.csv", "--summary", "plan.json"],
+         "--summary plan.json: the same file as --plan"),
+        (["simulate", "--plan", "missing.json", "--cluster", "cluster.json",
+          "--model", "model.json", "--out", "missing.json"],
+         "--out missing.json: the same file as --plan"),
+        (["plan", "--cluster", "cluster.json", "--model", "real/missing.json",
+          "--bits", "8", "--out", "linked/missing.json"],
+         "--out linked/missing.json: the same file as --model")],
+        ids=["dangling-link-to-summary", "symlinked-directory", "dot-dot-through-link",
+             "existing-output-is-input", "missing-input-is-output",
+             "missing-input-through-link"])
+    def test_is_input_error_and_writes_nothing(self, workdir, capsys, argv, message):
+        before = self.tree(workdir)
+        code, stdout, err = run(argv, capsys)
+        assert (code, stdout, err) == (2, "", f"error: {message}\n")
+        assert self.tree(workdir) == before
+
+    def test_output_in_missing_directory_is_the_write_error(self, workdir, capsys):
+        before = self.tree(workdir)
+        code, stdout, err = run(self.SIMULATE + ["--out", "nodir/t.csv"], capsys)
+        assert (code, stdout) == (2, "")
+        assert err == "error: [Errno 2] No such file or directory: 'nodir/t.csv'\n"
+        assert self.tree(workdir) == before
+
+
 class TestNotUtf8:
     """A JSON input is read as UTF-8 whatever the locale: a byte that is not
     UTF-8 is an input error naming the file and the byte's offset, exit 2

@@ -2,7 +2,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -188,6 +191,86 @@ class TestLoadJson:
         p.write_bytes(end.join(['{', '  "a": 1,', '  "b": }']).encode())
         with pytest.raises(ParseError, match=f"invalid JSON at line {line}: "):
             load_json(p)
+
+
+class TestWriteOutputs:
+    """write_outputs writes a str as its UTF-8 bytes and any other
+    bytes-like object as its raw bytes, whole, whatever the locale."""
+
+    def test_buffers_are_written_as_their_raw_bytes(self, tmp_path):
+        values = np.array([[1.5, -0.0], [np.pi, 3e38]], dtype=np.float32)
+        raw = bytes(range(256)) * 3
+        core.write_outputs((tmp_path / "a.bin", values),
+                           (tmp_path / "b.bin", memoryview(raw)[5:-7]),
+                           (tmp_path / "c.bin", b""))
+        assert (tmp_path / "a.bin").read_bytes() == values.tobytes()
+        assert (tmp_path / "b.bin").read_bytes() == raw[5:-7]
+        assert (tmp_path / "c.bin").read_bytes() == b""
+
+    def test_str_is_its_utf8_bytes_in_any_locale(self, tmp_path):
+        # under the C locale with UTF-8 mode off, a text-mode file would be
+        # ASCII and refuse the "é"
+        text = "a\né\r\n\tz\n"
+        script = ("import sys\nfrom edgeplan.core import write_outputs\n"
+                  f"write_outputs((sys.argv[1], {text!a}))\n")
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=os.path.dirname(os.path.dirname(core.__file__)))
+        subprocess.run([sys.executable, "-c", script, str(tmp_path / "out.txt")],
+                       env=env, check=True)
+        assert (tmp_path / "out.txt").read_bytes() == text.encode("utf-8")
+
+    def test_short_writes_are_continued(self, tmp_path, monkeypatch):
+        class Short:
+            """A file object whose write takes at most 7 bytes."""
+
+            def __init__(self, path, mode, buffering=-1):
+                self.f = open(path, mode, buffering=buffering)
+
+            def write(self, b):
+                return self.f.write(b[:7])
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+        monkeypatch.setattr(core, "open", Short, raising=False)
+        data = bytes(range(100))
+        core.write_outputs((tmp_path / "a.bin", data), (tmp_path / "b.txt", "x" * 30))
+        assert (tmp_path / "a.bin").read_bytes() == data
+        assert (tmp_path / "b.txt").read_bytes() == b"x" * 30
+
+    def test_failed_write_removes_what_the_call_wrote(self, tmp_path):
+        first = tmp_path / "first.json"
+        with pytest.raises(OSError, match="nodir"):
+            core.write_outputs((first, "{}\n"), (tmp_path / "nodir" / "x.json", "{}\n"))
+        assert not first.exists()
+
+    def test_memory_error_removes_what_the_call_wrote(self, tmp_path, monkeypatch):
+        class Exhausted:
+            """A file object whose second file's write runs out of memory."""
+            opened = []
+
+            def __init__(self, path, mode, buffering=-1):
+                self.f = open(path, mode, buffering=buffering)
+                self.opened.append(path)
+
+            def write(self, b):
+                if len(self.opened) > 1:
+                    raise MemoryError
+                return self.f.write(b)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+        monkeypatch.setattr(core, "open", Exhausted, raising=False)
+        with pytest.raises(MemoryError):
+            core.write_outputs((tmp_path / "a.csv", "a\n"), (tmp_path / "b.json", "{}\n"))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestLoadInstance:
