@@ -16,9 +16,13 @@ the searches that ran at least one round of the Lagrangian ascent, and
 the rounds they ran; ``--lagrangian`` starts the ascent before any
 plain-bound expansion, as if the first probe's allowance were 0, so the
 ascent and the penalised probes run on every instance.
+The run pauses automatic garbage collection, and every instance's routes
+must leave nothing for ``gc.collect()``: what they allocate is freed by
+reference counting alone.
 """
 
 import argparse
+import gc
 import random
 import statistics
 
@@ -63,6 +67,11 @@ def main():
 
     gaps, root_gaps, visit_ratios = [], [], []
     infeasible = 0
+    # no automatic collection: whatever an instance leaves in reference
+    # cycles stays until the count after its routes. The imports and the
+    # argument parser leave cycles of their own, collected first
+    gc.collect()
+    gc.disable()
     print(f"{'seed':>6} {'L':>2} {'M':>2} {'optimum_s':>12} {'bound_s':>12} "
           f"{'gap%':>6} {'root%':>6} {'visited%':>9}")
     for k in range(args.instances):
@@ -77,27 +86,30 @@ def main():
         exact = solve_brute_force(inst, table)
         if exact.plan is None:
             infeasible += 1
-            continue
-        before = rounds
-        bnb = solve_branch_and_bound(table)
-        escalated += rounds > before
-        assert bnb.plan.assignments == exact.plan.assignments
-        # brute force prices from the specs, bnb from the table: equal bit
-        # for bit where the table is right
-        assert bnb.objective == exact.objective
-        assert not check_plan_feasible(bnb.plan.assignments, inst, options)
-        replayed = simulate(bnb.plan.assignments, inst, options).completion_time
-        assert replayed == bnb.objective
-        bound, _ = solve_relaxed_dp(table)
-        gap = 100 * (exact.objective - bound) / exact.objective
-        root_gap = 100 * (exact.objective - bnb.lower_bound_at_root) / exact.objective
-        visited = 100 * bnb.nodes_explored / max(exact.nodes_explored, 1)
-        gaps.append(gap)
-        root_gaps.append(root_gap)
-        visit_ratios.append(visited)
-        print(f"{k:>6} {inst.model.num_layers:>2} {inst.cluster.num_servers:>2} "
-              f"{exact.objective:>12.6f} {bound:>12.6f} {gap:>6.2f} "
-              f"{root_gap:>6.2f} {visited:>9.2f}")
+        else:
+            before = rounds
+            bnb = solve_branch_and_bound(table)
+            escalated += rounds > before
+            assert bnb.plan.assignments == exact.plan.assignments
+            # brute force prices from the specs, bnb from the table: equal bit
+            # for bit where the table is right
+            assert bnb.objective == exact.objective
+            assert not check_plan_feasible(bnb.plan.assignments, inst, options)
+            replayed = simulate(bnb.plan.assignments, inst, options).completion_time
+            assert replayed == bnb.objective
+            bound, _ = solve_relaxed_dp(table)
+            gap = 100 * (exact.objective - bound) / exact.objective
+            root_gap = 100 * (exact.objective - bnb.lower_bound_at_root) / exact.objective
+            visited = 100 * bnb.nodes_explored / max(exact.nodes_explored, 1)
+            gaps.append(gap)
+            root_gaps.append(root_gap)
+            visit_ratios.append(visited)
+            print(f"{k:>6} {inst.model.num_layers:>2} {inst.cluster.num_servers:>2} "
+                  f"{exact.objective:>12.6f} {bound:>12.6f} {gap:>6.2f} "
+                  f"{root_gap:>6.2f} {visited:>9.2f}")
+        # every route frees what it made by reference counting alone
+        left = gc.collect()
+        assert left == 0, f"instance {k}: {left} objects left for the collector"
 
     print(f"\n{len(gaps)} feasible / {infeasible} infeasible")
     if gaps:

@@ -35,7 +35,12 @@ Branch and bound visits nodes one at a time, and a numpy call per node
 would cost more than the search itself. So a probe reads the table once
 per (layer, parent server) pair it reaches: one sorted child list in
 Python floats, which every node under that pair walks. Of the table only cp
-(L x M) becomes nested lists; the L x M x M edge array stays numpy.
+(L x M) becomes nested lists; the L x M x M edge array stays numpy. The
+lists live exactly as long as their probe: the recursive dfs calls itself
+through its own closure cell, a reference cycle that would hold them, the
+path and the probe's lam until the garbage collector next ran, so _search
+breaks the cycle when it returns, also when a probe runs out of
+expansions deep in the recursion, and reference counting frees them then.
 
 Ties are broken by the lexicographically smallest (server, bits) sequence
 so plans, not just objectives, are comparable across solvers.
@@ -475,7 +480,10 @@ def _search(cp, cm, H, lam, limit: int, incumbent):
             if exhausted:
                 return
 
-    dfs(0, 0, 0.0, 0.0)
+    try:
+        dfs(0, 0, 0.0, 0.0)
+    finally:
+        del dfs  # dfs refers to itself: break the cycle (module docstring)
     found = (best_total, best_path) if best_path is not None else None
     return found, leaves, expansions, exhausted
 

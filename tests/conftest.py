@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import os
 
@@ -15,6 +16,21 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 def data_path(name: str) -> str:
     return os.path.join(DATA_DIR, name)
+
+
+def left_for_collector(call, *args):
+    """``call(*args)`` with automatic garbage collection paused, and the
+    number of unreachable objects ``gc.collect()`` then finds: 0 when the
+    call frees everything it made by reference counting alone. Whatever
+    was left before the call is collected first."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return call(*args), gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def object_layout(doc: dict) -> dict:

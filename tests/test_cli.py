@@ -18,7 +18,8 @@ from edgeplan.core import (LayerProfile, LinkSpec, ServerSpec, json_text, load_i
 from edgeplan.delay import DelayOptions, compute_cm, compute_cp
 from edgeplan.quant import WeightTensor, save_weight_tensor
 
-from conftest import data_path, file_digest, object_layout, tensor_with_skewness
+from conftest import (data_path, file_digest, left_for_collector, object_layout,
+                      tensor_with_skewness)
 
 
 def run(argv, capsys):
@@ -1802,3 +1803,63 @@ class TestNoLayers:
         assert code == 2
         assert "NoLayers" in err and "Traceback" not in err
         assert not out.exists()
+
+
+class TestNothingForTheCollector:
+    """Every command frees what it made by reference counting alone: with
+    automatic collection paused, ``gc.collect()`` after the command finds
+    nothing. A search probe that left its state in a reference cycle would
+    hold every child list it sorted until the collector ran."""
+
+    # the generated instance's search runs past the first probe (see
+    # `inputs`), and a budget five expansions past the first probe cuts
+    # the second; the three-layer model on a cluster that links only
+    # servers 0 and 1 of three has layered paths but no plan, so its
+    # search ends infeasible
+    SHARED = ["--cluster", "{d}/inst/cluster.json", "--model", "{d}/inst/model.json",
+              "--bits", "4,8,16", "--tokens", "4"]
+    CASES = {
+        "gen": (["gen", "--seed", "1", "-m", "8", "-l", "6", "--out-dir", "{d}/gen"], 0),
+        "quantize": (["quantize", "--weights-dir", "{d}/w", "--bits", "4,8", "--delta",
+                      "0.1", "--out", "{d}/q.json", "--stats-out", "{d}/s.json"], 0),
+        "plan-bnb": (["plan", *SHARED, "--out", "{d}/bnb.json"], 0),
+        "plan-brute": (["plan", "--cluster", data_path("cluster_2x2.json"), "--model",
+                        data_path("model_2x2.json"), "--bits", "8", "--solver", "brute",
+                        "--out", "{d}/brute.json"], 0),
+        "plan-relaxed": (["plan", *SHARED, "--solver", "relaxed",
+                          "--out", "{d}/relaxed.json"], 0),
+        "plan-infeasible": (["plan", "--cluster", "{d}/pair.json", "--model",
+                             data_path("model_l3.json"), "--bits", "8",
+                             "--out", "{d}/none.json"], 3),
+        "plan-budget": (["plan", *SHARED, "--budget", "205", "--out", "{d}/cut.json"], 4),
+        "simulate": (["simulate", "--plan", "{d}/plan.json", "--cluster",
+                      "{d}/inst/cluster.json", "--model", "{d}/inst/model.json",
+                      "--out", "{d}/t.csv", "--summary", "{d}/summary.json"], 0),
+        "export-lp": (["export-lp", *SHARED, "--out", "{d}/m.lp"], 0),
+    }
+
+    @pytest.fixture
+    def inputs(self, tmp_path, capsys):
+        run(["gen", "--seed", "1", "-m", "8", "-l", "6", "--out-dir",
+             str(tmp_path / "inst")], capsys)
+        code, _, _ = run(["plan", *[arg.replace("{d}", str(tmp_path)) for arg in self.SHARED],
+                          "--out", str(tmp_path / "plan.json")], capsys)
+        assert code == 0
+        meta = json.loads((tmp_path / "plan.json").read_text())["meta"]
+        assert meta["expansions"] > solver_module._FIRST_PROBE  # at least two probes
+        rng = np.random.default_rng(3)
+        write_weights(tmp_path / "w", {"a": rng.normal(0.0, 1.0, 500),
+                                       "b": rng.gamma(2.0, 1.0, 500)})
+        (tmp_path / "pair.json").write_text(json.dumps({
+            "servers": [{"id": i, "ccs_flops": 1e9, "storage_bytes": 1e9} for i in range(3)],
+            "links": [{"src": 0, "dst": 1, "capacity_bps": 1e9},
+                      {"src": 1, "dst": 0, "capacity_bps": 1e9}]}))
+        return tmp_path
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_leaves_no_cycles(self, inputs, capsys, case):
+        template, expected = self.CASES[case]
+        argv = [arg.replace("{d}", str(inputs)) for arg in template]
+        build_parser()  # the first build leaves cycles of argparse's own
+        code, left = left_for_collector(main, argv)
+        assert (code, left) == (expected, 0), capsys.readouterr().err

@@ -22,7 +22,7 @@ from edgeplan.delay import DelayOptions, build_delay_table
 from edgeplan.gen import generate_instance, random_test_instance
 from edgeplan.solver import solve_branch_and_bound, solve_relaxed_dp
 
-from conftest import data_path, with_binding_storage
+from conftest import data_path, left_for_collector, with_binding_storage
 
 GOLDEN = data_path("golden_search.json")
 
@@ -108,6 +108,22 @@ def _golden() -> dict:
 def test_search_trajectory_is_pinned(case):
     name, inst, options = case
     assert record(name, inst, options) == _golden()[name]
+
+
+@pytest.mark.parametrize("budget", BUDGET_CUTS)
+def test_cut_search_leaves_no_cycles(budget):
+    """A probe cut by the budget returns from deep in the recursion, and a
+    finished one from the top; either way its state is freed when it
+    returns, with nothing left in reference cycles for the collector. The
+    24x10 s1 ladder case is cut at every budget of BUDGET_CUTS, and its
+    full solve runs three probes."""
+    inst = generate_instance(1, 24, 10, (4, 8, 16), "heterogeneous", tokens=32)
+    table = build_delay_table(inst, DelayOptions())
+    for cut in (budget, None):
+        got, left = left_for_collector(solve_branch_and_bound, table,
+                                       *(() if cut is None else (cut,)))
+        assert (got.status, left) == (
+            "budget_exceeded" if cut else "optimal", 0)
 
 
 def test_golden_covers_every_case():
