@@ -12,8 +12,8 @@ keeps each layer's smallest, and its objective must equal brute force's
 exactly: the search prices from the delay table, brute force from the
 raw specs. Every plan must also pass the plan checker and replay through
 the simulator to its objective exactly, as the simulate command demands. The last line counts
-the searches that ran at least one round of the Lagrangian ascent, and
-the rounds they ran; ``--lagrangian`` starts the ascent before any
+the searches that started the Lagrangian ascent, and the ascent steps
+they took; ``--lagrangian`` starts the ascent before any
 plain-bound expansion, as if the first probe's allowance were 0, so the
 ascent and the penalised probes run on every instance.
 The run pauses automatic garbage collection, and every instance's routes
@@ -55,15 +55,17 @@ def main():
 
     if args.lagrangian:
         solver._FIRST_PROBE = 0
-    escalated = rounds = 0
-    ascent_round = solver._Ascent.run
+    escalated = steps = 0
+    ascent = solver._ascent
 
-    def counted_round(ascent, steps):
-        nonlocal rounds
-        rounds += 1
-        ascent_round(ascent, steps)
+    def counted_ascent(dp, target, incumbent):
+        nonlocal escalated, steps
+        escalated += 1
+        for step in ascent(dp, target, incumbent):
+            steps += 1
+            yield step
 
-    solver._Ascent.run = counted_round
+    solver._ascent = counted_ascent
 
     gaps, root_gaps, visit_ratios = [], [], []
     infeasible = 0
@@ -87,9 +89,7 @@ def main():
         if exact.plan is None:
             infeasible += 1
         else:
-            before = rounds
             bnb = solve_branch_and_bound(table)
-            escalated += rounds > before
             assert bnb.plan.assignments == exact.plan.assignments
             # brute force prices from the specs, bnb from the table: equal bit
             # for bit where the table is right
@@ -120,7 +120,7 @@ def main():
         print(f"leaves visited by branch-and-bound: "
               f"mean {statistics.mean(visit_ratios):.2f}% of brute force")
     print(f"escalated to the Lagrangian bound: {escalated} of {len(gaps)} searches, "
-          f"{rounds} ascent rounds")
+          f"{steps} ascent steps")
 
 
 if __name__ == "__main__":

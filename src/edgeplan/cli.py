@@ -53,16 +53,17 @@ class CliError(Exception):
         self.code = code
 
 
+# argparse types: a ValueError would print as "invalid _parse_bits value"
 def _parse_bits(text: str) -> tuple[int, ...]:
     try:
         bits = tuple(sorted({int(tok) for tok in text.split(",") if tok.strip()}))
     except ValueError as e:
-        raise CliError(f"--bits: {e}")
+        raise argparse.ArgumentTypeError(str(e)) from None
     if not bits:
-        raise CliError("--bits: empty menu")
+        raise argparse.ArgumentTypeError("empty menu")
     for b in (bits[0], bits[-1]):
         if not MIN_BITS <= b <= MAX_BITS:
-            raise CliError(f"--bits: bits={b} outside [{MIN_BITS}, {MAX_BITS}]")
+            raise argparse.ArgumentTypeError(f"bits={b} outside [{MIN_BITS}, {MAX_BITS}]")
     return bits
 
 
@@ -70,9 +71,9 @@ def _parse_delta(text: str) -> float:
     try:
         value = float(text)
     except ValueError as e:
-        raise CliError(f"--delta: {e}")
+        raise argparse.ArgumentTypeError(str(e)) from None
     if not value >= 0:  # also rejects NaN
-        raise CliError(f"--delta must be >= 0 or 'inf', got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be >= 0 or 'inf', got {text!r}")
     return value
 
 
@@ -134,8 +135,7 @@ def _load_and_filter(args, read=read_bytes) -> tuple:
     on-disk weight tensors. The narrowed sets need no second validation:
     quant.feasible_bits keeps a sorted subset of the menu, and a layer
     without weights keeps the whole menu."""
-    bits = _parse_bits(args.bits)
-    delta = _parse_delta(args.delta)
+    bits, delta = args.bits, args.delta
     instance = load_instance(args.cluster, args.model, bit_menu=bits,
                              delta=delta, tokens=args.tokens, read=read)
     if args.weights_dir is not None:
@@ -213,8 +213,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_quantize(args) -> int:
-    bits = _parse_bits(args.bits)
-    delta = _parse_delta(args.delta)
     # the command's own report and stats, written there by an earlier run,
     # are no tensors
     own = {_file_key(path) for path in (args.out, args.stats_out) if path is not None}
@@ -235,7 +233,8 @@ def cmd_quantize(args) -> int:
         except ParseError as e:
             print(f"error: {e}", file=sys.stderr)
             continue
-        recs, stats = analyze_tensor(w, bits, delta, SCHEMES[args.scheme], bins=bins)
+        recs, stats = analyze_tensor(w, args.bits, args.delta, SCHEMES[args.scheme],
+                                      bins=bins)
         feas = [r.bits for r in recs if r.feasible]
         records += ({"layer": r.layer_name, "bits": r.bits, "scheme": r.scheme.value,
                      "scale": r.scale, "zero_point": r.zero_point,
@@ -418,8 +417,10 @@ def cmd_export_lp(args) -> int:
 def _add_shared_plan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cluster", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--bits", required=True, help="comma-separated bit menu")
-    p.add_argument("--delta", default="inf", help="max weight error (or 'inf')")
+    p.add_argument("--bits", type=_parse_bits, required=True,
+                   help="comma-separated bit menu")
+    p.add_argument("--delta", type=_parse_delta, default="inf",
+                   help="max weight error (or 'inf')")
     p.add_argument("--tokens", type=int, default=1)
     p.add_argument("--weights-dir", help="narrow feasible bits from weight tensors")
     p.add_argument("--scheme", choices=SCHEMES, default="auto")
@@ -449,8 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantize", help="per-layer quantization error analysis")
     p.add_argument("--weights-dir", required=True)
-    p.add_argument("--bits", required=True)
-    p.add_argument("--delta", required=True)
+    p.add_argument("--bits", type=_parse_bits, required=True)
+    p.add_argument("--delta", type=_parse_delta, required=True)
     p.add_argument("--scheme", choices=SCHEMES, default="auto")
     p.add_argument("--bins", type=_positive_int, default=32,
                    help="histogram bins in the --stats-out document")

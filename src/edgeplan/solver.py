@@ -9,9 +9,10 @@ bound choose a server per layer, within the table's math.inf mask:
     admissible lower bound, computed one M x M layer at a time.
   - branch and bound: depth-first over layers, in short probes: first
     under the DP suffix bound, then under a Lagrangian bound (per-server
-    penalties on the same DP) that a subgradient ascent raises between
-    probes, until a probe finishes the search; guaranteed to reproduce
-    the brute-force optimum and tie-broken plan.
+    penalties on the same DP) that a subgradient ascent (the generator
+    _ascent, paused for each probe) raises between probes, until a probe
+    finishes the search; guaranteed to reproduce the brute-force optimum
+    and tie-broken plan.
 The oracle reads the raw specs and, of the table, only its DelayOptions:
   - brute force: every injective server assignment times every feasible
     width, priced by compute_cp/compute_cm; the oracle of the search, of
@@ -285,7 +286,7 @@ def solve_relaxed_dp(table: DelayTable
 # Lagrangian bound and branch and bound
 # ---------------------------------------------------------------------------
 
-class _Ascent:
+def _ascent(dp: _LayeredDP, target: float, incumbent):
     """Multipliers lambda >= 0, one per server, for the bound
 
         min H_lambda[0] - (sum of the L largest lambda),
@@ -302,77 +303,57 @@ class _Ascent:
     ``dp`` holds the table's plain DP, the first step's; each later step
     solves it again at its own lambda.
 
-    The ascent is resumable: ``run(n)`` takes up to n more steps, and
-    lambda, ``best`` (bound, lambda, H_lambda), the step size, the stall
-    count, the step count and the target carry over, so k steps and then
-    n - k are the n steps of one call. ``done`` is set once the ascent
-    stops for good: the best bound reached the target (within _margin)
-    or _SUBGRADIENT_STEPS were taken. ``best`` holds arrays that later
-    steps leave alone."""
-
-    def __init__(self, dp: _LayeredDP, target: float, incumbent):
-        L, M = dp.cp.shape
-        self.dp, self.target, self.incumbent = dp, target, incumbent
-        self.lam = np.zeros(M)
-        self.best = (-math.inf, self.lam, None)
-        self.theta, self.stall, self.steps, self.done = 2.0, 0, 0, False
-        # the top-L sort's keys (-visits, -lambda), lambda on the top-L set
-        # and the subgradient, written in place each step
-        self._keys = (np.empty(M, dtype=np.intp), np.empty(M))
-        self._top_lam, self._grad = np.empty(L), np.empty(M)
-
-    def run(self, n: int) -> None:
-        if self.done:
-            return
-        dp = self.dp
-        cp, cm, H = dp.cp, dp.cm, dp.H
-        L, M = cp.shape
-        keys, top_lam, grad = self._keys, self._top_lam, self._grad
-        lam, best, target, incumbent = self.lam, self.best, self.target, self.incumbent
-        theta, stall, step = self.theta, self.stall, self.steps
-        stop, done = min(step + n, _SUBGRADIENT_STEPS), False
-        while step < stop:
-            if step:
-                dp.solve(lam)
-            step += 1
-            witness = dp.witness()
-            if len(set(witness)) == L:
-                total = float(path_delay(cp, cm, witness)[0])
-                key = (total, tuple(witness))
-                if incumbent is None or key < incumbent:
-                    incumbent = key
-                    target = min(target, total)
-            visits = np.bincount(witness, minlength=M)
-            np.negative(visits, out=keys[0])
-            np.negative(lam, out=keys[1])
-            # top-L set: largest lambda, ties to the servers the witness visits
-            top = np.lexsort(keys)[:L]
-            bound = float(H[0, witness[0]]) - (paid := float(lam.take(top, out=top_lam).sum()))
-            if bound > best[0]:
-                best, stall = (bound, lam, H.copy()), 0
-            else:
-                stall += 1
-                if stall == _STALL_STEPS:
-                    theta, stall = theta / 2, 0
-            if best[0] >= target - _margin(target, paid, L):
-                done = True
-                break
-            np.copyto(grad, visits)
-            grad[top] -= 1.0
-            norm = float(grad @ grad)
-            # never true: a zero subgradient means the witness visits the
-            # top-L set once each, so it is a plan whose bound is its own
-            # total within the margin, and the test above has stopped the
-            # ascent; kept as the guard of the division below
-            if norm == 0.0:
-                done = True
-                break
-            # a new array each step: best may hold the old one
-            moved = np.multiply(grad, theta * (target - bound) / norm)
-            lam = np.maximum(0.0, np.add(lam, moved, out=moved), out=moved)
-        self.done = done or step == _SUBGRADIENT_STEPS
-        self.lam, self.best, self.target, self.incumbent = lam, best, target, incumbent
-        self.theta, self.stall, self.steps = theta, stall, step
+    A generator of one step per ``next``: each yields (best, incumbent,
+    done), best the (bound, lambda, H_lambda) of the best bound so far, in
+    arrays that later steps leave alone. done is True on the last step:
+    the best bound reached the target (within _margin), the subgradient
+    was zero, or _SUBGRADIENT_STEPS were taken."""
+    cp, cm, H = dp.cp, dp.cm, dp.H
+    L, M = cp.shape
+    lam = np.zeros(M)
+    best, theta, stall = (-math.inf, lam, None), 2.0, 0
+    # the top-L sort's keys (-visits, -lambda), lambda on the top-L set and
+    # the subgradient, written in place each step
+    keys = (np.empty(M, dtype=np.intp), np.empty(M))
+    top_lam, grad = np.empty(L), np.empty(M)
+    for step in range(_SUBGRADIENT_STEPS):
+        if step:
+            yield best, incumbent, False
+            dp.solve(lam)
+        witness = dp.witness()
+        if len(set(witness)) == L:
+            total = float(path_delay(cp, cm, witness)[0])
+            key = (total, tuple(witness))
+            if incumbent is None or key < incumbent:
+                incumbent = key
+                target = min(target, total)
+        visits = np.bincount(witness, minlength=M)
+        np.negative(visits, out=keys[0])
+        np.negative(lam, out=keys[1])
+        # top-L set: largest lambda, ties to the servers the witness visits
+        top = np.lexsort(keys)[:L]
+        bound = float(H[0, witness[0]]) - (paid := float(lam.take(top, out=top_lam).sum()))
+        if bound > best[0]:
+            best, stall = (bound, lam, H.copy()), 0
+        else:
+            stall += 1
+            if stall == _STALL_STEPS:
+                theta, stall = theta / 2, 0
+        if best[0] >= target - _margin(target, paid, L):
+            break
+        np.copyto(grad, visits)
+        grad[top] -= 1.0
+        norm = float(grad @ grad)
+        # never true: a zero subgradient means the witness visits the
+        # top-L set once each, so it is a plan whose bound is its own
+        # total within the margin, and the test above has stopped the
+        # ascent; kept as the guard of the division below
+        if norm == 0.0:
+            break
+        # a new array each step: best may hold the old one
+        moved = np.multiply(grad, theta * (target - bound) / norm)
+        lam = np.maximum(0.0, np.add(lam, moved, out=moved), out=moved)
+    yield best, incumbent, True
 
 
 def _margin(total: float, reserve: float, layers: int) -> float:
@@ -495,29 +476,28 @@ def solve_branch_and_bound(table: DelayTable,
 
     The first probe runs under the plain DP bound for at most _FIRST_PROBE
     expansions (children examined). If that is not enough, the root
-    subgradient ascent (_Ascent) starts, aimed at the probe's incumbent,
-    and the solve alternates rounds of ascent steps with probes under the
-    best multipliers so far, each probe starting over with the incumbent
-    so far (the probes' or an ascent witness's, whichever is better). Both
-    the rounds and the probes double (see _FIRST_ROUND_STEPS). It stops
-    when a probe finishes; once the ascent stops, the next probe is the
-    last and may use the whole budget. ``budget`` caps the expansions of
-    every probe together. Pruning needs the bound to exceed the incumbent
-    by more than _margin, the rounding the two sums may carry, so
-    objective ties survive and the lexicographic tie-break matches brute
-    force exactly. Deterministic; masked (layer, server) entries are never
-    expanded. lower_bound_at_root is the strongest root bound proven when
-    the search finished.
+    subgradient ascent (the generator _ascent) starts, aimed at the
+    probe's incumbent, and the solve alternates rounds of ascent steps,
+    each resuming the generator where the last one stopped, with probes
+    under the best multipliers so far, each probe starting over with the
+    incumbent so far (the probes' or an ascent witness's, whichever is
+    better). Both the rounds and the probes double (see
+    _FIRST_ROUND_STEPS). It stops when a probe finishes; once the ascent
+    stops, the next probe is the last and may use the whole budget.
+    ``budget`` caps the expansions of every probe together. Pruning needs
+    the bound to exceed the incumbent by more than _margin, the rounding
+    the two sums may carry, so objective ties survive and the
+    lexicographic tie-break matches brute force exactly. Deterministic;
+    masked (layer, server) entries are never expanded. lower_bound_at_root
+    is the strongest root bound proven when the search finished.
     """
     t0 = time.perf_counter()
     cp, cm = table.cp, table.cm
     L, M = cp.shape
-    if L > M:
-        return SolveResult("infeasible", None, math.inf, 0, math.inf,
-                           time.perf_counter() - t0)
-    dp = _LayeredDP(cp, cm)
-    root_bound = float(dp.H[0].min(initial=math.inf))
-    # a layer that keeps no width has an all-inf cp row: an inf root bound
+    dp = _LayeredDP(cp, cm) if L <= M else None
+    root_bound = float(dp.H[0].min(initial=math.inf)) if dp else math.inf
+    # more layers than servers, or a layer that keeps no width (an all-inf
+    # cp row, so an inf root bound): nothing to search
     if math.isinf(root_bound):
         return SolveResult("infeasible", None, math.inf, 0, math.inf,
                            time.perf_counter() - t0)
@@ -530,19 +510,20 @@ def solve_branch_and_bound(table: DelayTable,
             cp, cm, H, lam, min(limit, budget - expansions), incumbent)
         leaves += more_leaves
         expansions += more
-        if not exhausted or expansions == budget or ascent and ascent.done:
+        if not exhausted or expansions == budget:
             break
         if ascent is None:
             # no incumbent yet: aim the Polyak steps a little above the DP bound
-            ascent = _Ascent(dp, incumbent[0] if incumbent
+            ascent = _ascent(dp, incumbent[0] if incumbent
                              else root_bound * (1 + _ESTIMATE_SLACK), incumbent)
-        ascent.run(_FIRST_ROUND_STEPS << rounds)
-        limit = budget if ascent.done else _FIRST_ROUND_PROBE << rounds
+        # the round's last step; once the ascent is done, the next probe
+        # is the last: it finishes, or it spends the whole budget
+        *_, ((bound, lam, H), found, done) = itertools.islice(
+            ascent, _FIRST_ROUND_STEPS << rounds)
+        limit = budget if done else _FIRST_ROUND_PROBE << rounds
         rounds += 1
-        bound, lam, H = ascent.best
         lam = lam.tolist()
         root_bound = max(root_bound, bound)
-        found = ascent.incumbent
         if found is not None and (incumbent is None or found < incumbent):
             incumbent = found
     wall = time.perf_counter() - t0

@@ -35,15 +35,15 @@ def test_run_solver_suite():
 
 def test_run_solver_suite_lagrangian_route():
     """--lagrangian starts every ascent at once: each feasible instance's
-    search runs at least one round of the Lagrangian ascent, and the suite
+    search takes at least one step of the Lagrangian ascent, and the suite
     says so."""
     proc = run_script("run_solver_suite.py", "--instances", "12", "--lagrangian")
     assert proc.returncode == 0, proc.stderr
     feasible = int(re.search(r"^(\d+) feasible /", proc.stdout, re.M).group(1))
     assert feasible > 0
-    rounds = re.search(rf"^escalated to the Lagrangian bound: {feasible} of "
-                       rf"{feasible} searches, (\d+) ascent rounds$", proc.stdout, re.M)
-    assert rounds and int(rounds.group(1)) >= feasible, proc.stdout
+    steps = re.search(rf"^escalated to the Lagrangian bound: {feasible} of "
+                      rf"{feasible} searches, (\d+) ascent steps$", proc.stdout, re.M)
+    assert steps and int(steps.group(1)) >= feasible, proc.stdout
 
 
 @pytest.mark.parametrize("args, message", [

@@ -354,7 +354,13 @@ LAGRANGIAN_SEEDS = 320
 
 def _ascent(table, target, incumbent=None):
     """A fresh root ascent on its own layered-DP workspace."""
-    return solver._Ascent(solver._LayeredDP(table.cp, table.cm), target, incumbent)
+    return solver._ascent(solver._LayeredDP(table.cp, table.cm), target, incumbent)
+
+
+def _steps(ascent, n):
+    """The yields of up to n more steps of ``ascent``: (best, incumbent,
+    done) each, best the (bound, lambda, H) triple."""
+    return list(itertools.islice(ascent, n))
 
 
 class TestLagrangianRoute:
@@ -392,8 +398,7 @@ class TestLagrangianRoute:
             # the whole ascent as the solve starts it without an incumbent;
             # its bound is unclamped, unlike lower_bound_at_root
             ascent = _ascent(table, dp_bound * (1 + solver._ESTIMATE_SLACK))
-            ascent.run(solver._SUBGRADIENT_STEPS)
-            (bound, lam, _), incumbent = ascent.best, ascent.incumbent
+            (bound, lam, _), incumbent, _ = _steps(ascent, solver._SUBGRADIENT_STEPS)[-1]
             assert (lam >= 0).all(), seed
             exact = solve_brute_force(inst, table)
             if exact.plan is not None:
@@ -436,8 +441,7 @@ class TestLagrangianRoute:
             M = inst.cluster.num_servers
             if penalised:
                 ascent = _ascent(table, exact.objective)
-                ascent.run(solver._SUBGRADIENT_STEPS)
-                _, lam, H = ascent.best
+                (_, lam, H), _, _ = _steps(ascent, solver._SUBGRADIENT_STEPS)[-1]
                 lam = lam.tolist()
             else:
                 lam, H = [0.0] * M, solver._LayeredDP(table.cp, table.cm).H
@@ -590,13 +594,11 @@ class TestPruningMargin:
         assert tied >= 10, tied
 
 
-def _ascent_state(ascent):
-    """Everything a paused ascent carries into its next round, as bytes
-    and reprs, so equal states are equal bit for bit."""
-    bound, lam, H = ascent.best
-    return (repr(bound), lam.tobytes(), H.tobytes(), ascent.incumbent,
-            repr(ascent.target), ascent.lam.tobytes(), repr(ascent.theta),
-            ascent.stall, ascent.steps, ascent.done)
+def _yields(steps):
+    """An ascent's yields as bytes and reprs, so equal yields are equal
+    bit for bit."""
+    return [(repr(bound), lam.tobytes(), H.tobytes(), incumbent, done)
+            for (bound, lam, H), incumbent, done in steps]
 
 
 class TestPacedAscent:
@@ -607,16 +609,18 @@ class TestPacedAscent:
     @pytest.fixture
     def recorded(self, monkeypatch):
         """Probes of 2, then 4 expansions, so a small instance pauses its
-        ascent often; returns the record of the last solve: its ascent
-        with the target and incumbent it started from, and each probe's
-        incumbent in and out."""
+        ascent often; returns the record of the last solve: its ascent's
+        start target and incumbent with the steps the solve took of it,
+        and each probe's incumbent in and out."""
         record = {"ascents": [], "probes": []}
-        ascent_class, search = solver._Ascent, solver._search
+        ascent, search = solver._ascent, solver._search
 
-        class Recorded(ascent_class):
-            def __init__(self, dp, target, incumbent):
-                super().__init__(dp, target, incumbent)
-                record["ascents"].append((self, target, incumbent))
+        def recorded(dp, target, incumbent):
+            steps = []
+            record["ascents"].append((target, incumbent, steps))
+            for step in ascent(dp, target, incumbent):
+                steps.append(step)
+                yield step
 
         def probe(cp, cm, H, lam, limit, incumbent):
             found = search(cp, cm, H, lam, limit, incumbent)
@@ -625,14 +629,14 @@ class TestPacedAscent:
 
         monkeypatch.setattr(solver, "_FIRST_PROBE", 3)
         monkeypatch.setattr(solver, "_FIRST_ROUND_PROBE", 2)
-        monkeypatch.setattr(solver, "_Ascent", Recorded)
+        monkeypatch.setattr(solver, "_ascent", recorded)
         monkeypatch.setattr(solver, "_search", probe)
-        record["class"] = ascent_class
+        record["ascent"] = ascent
         return record
 
     def test_pauses_leave_the_trajectory_alone(self):
-        """k steps and then n - k, or the solve's doubling rounds, end in
-        the state of one uninterrupted n-step run, bit for bit."""
+        """k steps and then n - k, or the solve's doubling rounds, yield
+        the steps of one uninterrupted n-step run, bit for bit."""
         n = solver._SUBGRADIENT_STEPS
         rounds = tuple(solver._FIRST_ROUND_STEPS << r for r in range(3))
         assert sum(rounds) >= n
@@ -644,16 +648,17 @@ class TestPacedAscent:
             if math.isinf(dp_bound) or inst.model.num_layers > inst.cluster.num_servers:
                 continue
             target = dp_bound * (1 + solver._ESTIMATE_SLACK)
-            whole = _ascent(table, target)
-            whole.run(n)
+            whole = _yields(_steps(_ascent(table, target), n))
+            assert [done for *_, done in whole] == [False] * (len(whole) - 1) + [True]
             # a pause inside the trajectory wherever it has two steps
-            k = 1 + seed % max(whole.steps - 1, 1)
+            k = 1 + seed % max(len(whole) - 1, 1)
             for schedule in ((k, n - k), rounds):
                 paused = _ascent(table, target)
+                got = []
                 for steps in schedule:
-                    paused.run(steps)
-                assert _ascent_state(paused) == _ascent_state(whole), (seed, schedule)
-            split += whole.steps > k
+                    got += _steps(paused, steps)
+                assert _yields(got) == whole, (seed, schedule)
+            split += len(whole) > k
         assert split >= 50, split
 
     def test_probe_incumbents_never_move_the_target(self, recorded, monkeypatch):
@@ -670,13 +675,15 @@ class TestPacedAscent:
             solve_branch_and_bound(table)
             if not recorded["ascents"]:
                 continue
-            (ascent, target, incumbent), = recorded["ascents"]
-            alone = recorded["class"](
+            (target, incumbent, steps), = recorded["ascents"]
+            alone = recorded["ascent"](
                 solver._LayeredDP(table.cp, table.cm), target, incumbent)
-            alone.run(ascent.steps)
-            assert _ascent_state(ascent) == _ascent_state(alone), seed
+            assert _yields(steps) == _yields(_steps(alone, len(steps))), seed
+            # the target the ascent ended with: its own witnesses lower it
+            own = steps[-1][1]
+            target = min(target, own[0]) if own else target
             # every probe but the last is followed by a round
-            below += any(found is not None and found[0] < ascent.target
+            below += any(found is not None and found[0] < target
                          for _, found in recorded["probes"][:-1])
         assert below >= 20, below
 
@@ -696,7 +703,7 @@ class TestPacedAscent:
                 got = solve_branch_and_bound(table, budget=budget)
                 assert (got.status, got.expansions) == ("budget_exceeded", budget)
                 known = [found for _, found in recorded["probes"]]
-                known += [a.incumbent for a, _, _ in recorded["ascents"]]
+                known += [steps[-1][1] for _, _, steps in recorded["ascents"]]
                 best = min(filter(None, known), default=None)
                 if best is None:
                     assert got.plan is None, (seed, budget)
@@ -707,6 +714,37 @@ class TestPacedAscent:
                 # the cut probe found nothing better than it was handed
                 kept += recorded["probes"][-1][0] == best
         assert cuts >= 500 and kept >= 500, (cuts, kept)
+
+    def test_done_ascent_leaves_one_probe_for_the_whole_budget(self, monkeypatch):
+        """A one-step ascent is done after its first round, so the probe
+        after it is the last: it may spend the whole remaining budget, and
+        when that runs out the loop stops on the budget alone."""
+        limits, search = [], solver._search
+
+        def probe(cp, cm, H, lam, limit, incumbent):
+            limits.append(limit)
+            return search(cp, cm, H, lam, limit, incumbent)
+
+        monkeypatch.setattr(solver, "_FIRST_PROBE", 0)
+        monkeypatch.setattr(solver, "_SUBGRADIENT_STEPS", 1)
+        monkeypatch.setattr(solver, "_search", probe)
+        solved = 0
+        for seed in range(0, LAGRANGIAN_SEEDS, 4):
+            table = build_delay_table(_lagrangian_instance(seed))
+            limits.clear()
+            full = solve_branch_and_bound(table)
+            if full.status != "optimal":
+                continue
+            assert limits == [0, solver.DEFAULT_NODE_BUDGET], seed
+            if full.expansions < 2:
+                continue
+            budget = full.expansions - 1
+            limits.clear()
+            cut = solve_branch_and_bound(table, budget=budget)
+            assert limits == [0, budget], seed
+            assert (cut.status, cut.expansions) == ("budget_exceeded", budget), seed
+            solved += 1
+        assert solved >= 30, solved
 
 
 def _assert_dp_matches(dp, pen, cm):
@@ -798,8 +836,7 @@ class TestLayeredDP:
             if math.isinf(dp_bound) or inst.model.num_layers > inst.cluster.num_servers:
                 continue
             ascent = _ascent(table, dp_bound * (1 + solver._ESTIMATE_SLACK))
-            ascent.run(solver._SUBGRADIENT_STEPS)
-            _, lam, H = ascent.best
+            (_, lam, H), _, _ = _steps(ascent, solver._SUBGRADIENT_STEPS)[-1]
             want, _ = layered_dp(table.cp + lam, table.cm)
             assert H.tobytes() == np.array(want).reshape(H.shape).tobytes(), seed
             moved += bool(lam.any())
