@@ -58,10 +58,10 @@ def main():
     escalated = steps = 0
     ascent = solver._ascent
 
-    def counted_ascent(dp, target, incumbent):
+    def counted_ascent(*args, **kwargs):
         nonlocal escalated, steps
         escalated += 1
-        for step in ascent(dp, target, incumbent):
+        for step in ascent(*args, **kwargs):
             steps += 1
             yield step
 

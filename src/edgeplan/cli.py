@@ -4,7 +4,9 @@ planning, replay simulation, and LP export.
 Every command is deterministic given its files, flags, and seed. Exit
 codes: 0 ok, 2 input error (a file that cannot be read or written too),
 3 infeasible, 4 search budget exhausted, 5 plan/simulation mismatch,
-6 input digest mismatch.
+6 input digest mismatch. A flag that breaks its rule is refused by the
+flag's parser type (see _flag), as argparse's usage error, before any
+file is read.
 
 JSON documents are read, type-checked and written by ``core``; this
 module declares the plan document's schemas and what each command writes.
@@ -21,11 +23,11 @@ import os
 import sys
 
 from . import __version__, ilp, quant
-from .core import (MAX_BITS, MIN_BITS, REQUIRED, SCHEMA_VERSION, ParseError,
-                   ValidationError, hashing_reader, input_digest, json_line, json_text,
-                   load_instance, load_json, read_bytes, read_fields, read_finite,
-                   read_ints, read_records, require_valid, save_instance,
-                   write_outputs)
+from .core import (REQUIRED, SCHEMA_VERSION, ParseError, ValidationError,
+                   bit_menu_violations, delta_violations, hashing_reader, input_digest,
+                   json_line, json_text, load_instance, load_json, read_bytes,
+                   read_fields, read_finite, read_ints, read_records, require_valid,
+                   save_instance, tokens_violations, write_outputs)
 from .delay import (CP_SCALINGS, STORAGES, DelayOptions, build_delay_table,
                     check_plan_feasible)
 from .gen import PROFILES, generate_instance
@@ -53,35 +55,31 @@ class CliError(Exception):
         self.code = code
 
 
-# argparse types: a ValueError would print as "invalid _parse_bits value"
-def _parse_bits(text: str) -> tuple[int, ...]:
-    try:
-        bits = tuple(sorted({int(tok) for tok in text.split(",") if tok.strip()}))
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
-    if not bits:
-        raise argparse.ArgumentTypeError("empty menu")
-    for b in (bits[0], bits[-1]):
-        if not MIN_BITS <= b <= MAX_BITS:
-            raise argparse.ArgumentTypeError(f"bits={b} outside [{MIN_BITS}, {MAX_BITS}]")
-    return bits
+def _flag(convert, rule=lambda value: []):
+    """An argparse type: ``convert`` the flag's text, then refuse a value
+    whose ``rule`` lists what it breaks, with the text of each. Either
+    refusal is argparse's usage error, which names the flag; a ValueError
+    left to argparse would print as "invalid <function name> value"."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+        if broken := rule(value):
+            raise argparse.ArgumentTypeError("; ".join(map(str, broken)))
+        return value
+    return parse
 
 
-def _parse_delta(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
-    if not value >= 0:  # also rejects NaN
-        raise argparse.ArgumentTypeError(f"must be >= 0 or 'inf', got {text!r}")
-    return value
+def _at_least(low: int):
+    return _flag(int, lambda value: [f"must be >= {low}, got {value}"] if value < low else [])
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+_BITS = _flag(lambda text: tuple(sorted({int(tok) for tok in text.split(",") if tok.strip()})),
+              bit_menu_violations)
+_DELTA = _flag(float, delta_violations)
+_TOKENS = _flag(int, tokens_violations)
+_DIRECTORY = _flag(str, lambda path: [] if os.path.isdir(path) else ["not a directory"])
 
 
 def _file_key(path):
@@ -139,8 +137,6 @@ def _load_and_filter(args, read=read_bytes) -> tuple:
     instance = load_instance(args.cluster, args.model, bit_menu=bits,
                              delta=delta, tokens=args.tokens, read=read)
     if args.weights_dir is not None:
-        if not os.path.isdir(args.weights_dir):
-            raise CliError(f"--weights-dir {args.weights_dir}: not a directory")
         feas = tuple(bits if layer.weights_ref is None else quant.feasible_bits(
             load_weight_tensor(os.path.join(args.weights_dir, f"{layer.weights_ref}.json")),
             bits, delta, SCHEMES[args.scheme]) for layer in instance.model.layers)
@@ -195,9 +191,6 @@ def _load_from_options(cluster_path, model_path, doc, path, read=read_bytes) -> 
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args) -> int:
-    for flag, value in (("--servers", args.servers), ("--layers", args.layers)):
-        if value < 0:
-            raise CliError(f"{flag} must be >= 0, got {value}")
     if args.layers > args.servers:
         raise CliError(f"--layers {args.layers} > --servers {args.servers}: "
                        "no one-layer-per-server placement can exist")
@@ -417,12 +410,11 @@ def cmd_export_lp(args) -> int:
 def _add_shared_plan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cluster", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--bits", type=_parse_bits, required=True,
-                   help="comma-separated bit menu")
-    p.add_argument("--delta", type=_parse_delta, default="inf",
-                   help="max weight error (or 'inf')")
-    p.add_argument("--tokens", type=int, default=1)
-    p.add_argument("--weights-dir", help="narrow feasible bits from weight tensors")
+    p.add_argument("--bits", type=_BITS, required=True, help="comma-separated bit menu")
+    p.add_argument("--delta", type=_DELTA, default="inf", help="max weight error (or 'inf')")
+    p.add_argument("--tokens", type=_TOKENS, default=1)
+    p.add_argument("--weights-dir", type=_DIRECTORY,
+                   help="narrow feasible bits from weight tensors")
     p.add_argument("--scheme", choices=SCHEMES, default="auto")
     p.add_argument("--cp-scaling", choices=CP_SCALINGS, default="with_pl")
     p.add_argument("--activation-payload", choices=["per_token", "output_size"],
@@ -441,19 +433,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic cluster + model")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--servers", "-m", type=int, required=True)
-    p.add_argument("--layers", "-l", type=int, required=True)
+    p.add_argument("--seed", type=_flag(int), required=True)
+    p.add_argument("--servers", "-m", type=_at_least(0), required=True)
+    p.add_argument("--layers", "-l", type=_at_least(0), required=True)
     p.add_argument("--profile", choices=list(PROFILES), default="uniform")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_gen, outputs=())
 
     p = sub.add_parser("quantize", help="per-layer quantization error analysis")
-    p.add_argument("--weights-dir", required=True)
-    p.add_argument("--bits", type=_parse_bits, required=True)
-    p.add_argument("--delta", type=_parse_delta, required=True)
+    p.add_argument("--weights-dir", type=_DIRECTORY, required=True)
+    p.add_argument("--bits", type=_BITS, required=True)
+    p.add_argument("--delta", type=_DELTA, required=True)
     p.add_argument("--scheme", choices=SCHEMES, default="auto")
-    p.add_argument("--bins", type=_positive_int, default=32,
+    p.add_argument("--bins", type=_at_least(1), default=32,
                    help="histogram bins in the --stats-out document")
     p.add_argument("--out", required=True)
     p.add_argument("--stats-out")
@@ -463,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared_plan_args(p)
     p.add_argument("--solver", choices=["brute", "bnb", "relaxed"],
                    default="bnb")
-    p.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET,
+    p.add_argument("--budget", type=_at_least(1), default=DEFAULT_NODE_BUDGET,
                    help="search budget in expansions (children examined, not "
                         f"leaves) for --solver bnb (default {DEFAULT_NODE_BUDGET})")
     p.add_argument("--out", required=True)

@@ -6,8 +6,10 @@ never raises for bad *values* (violations are returned as data); exceptions
 are reserved for malformed files.
 
 Each input rule is checked once, where it enters: ``validate_instance`` for
-instance and plan files (bit widths and delta among them), the CLI's parser
-for flags. No module downstream checks them again.
+instance and plan files, the CLI's parser for flags. The bit-menu, delta
+and token rules enter both ways, so each is one function here
+(``bit_menu_violations``, ``delta_violations``, ``tokens_violations``)
+that both call. No module downstream checks them again.
 
 A cluster stores its links as one LinkRecord: four read-only numpy
 columns (src and dst as intp, capacity and propagation delay as float64),
@@ -271,6 +273,31 @@ def _non_finite(where: str, **values: float) -> list[Violation]:
             for name, value in values.items() if not math.isfinite(value)]
 
 
+def bit_menu_violations(bit_menu: tuple[int, ...]) -> list[Violation]:
+    """The bit-menu rule: at least one width, each in [MIN_BITS, MAX_BITS]."""
+    empty = [] if bit_menu else [Violation("EmptyBitMenu", "bit menu is empty")]
+    return empty + [Violation("BitsTooSmall", f"bit-width {b} < {MIN_BITS}") if b < MIN_BITS
+                    else Violation("BitsTooLarge", f"bit-width {b} > {MAX_BITS}")
+                    for b in bit_menu if not MIN_BITS <= b <= MAX_BITS]
+
+
+def delta_violations(delta: float) -> list[Violation]:
+    """The delta rule: a number >= 0; inf is legal, no error budget."""
+    if math.isnan(delta):
+        return [Violation("NonFiniteValue", "delta nan")]
+    return [Violation("NegativeDelta", f"delta {delta}")] if delta < 0 else []
+
+
+def tokens_violations(tokens: int) -> list[Violation]:
+    """The token rule: n >= 0, and a float, since every delay is n times one."""
+    out = [Violation("NegativeTokens", f"tokens {tokens}")] if tokens < 0 else []
+    try:
+        float(tokens)
+    except OverflowError:
+        out.append(Violation("DelayOverflow", "tokens beyond the float range"))
+    return out
+
+
 def validate_instance(instance: ProblemInstance) -> list[Violation]:
     """Return every structural violation; an empty list means valid.
 
@@ -374,23 +401,9 @@ def validate_instance(instance: ProblemInstance) -> list[Violation]:
     except OverflowError:
         out.append(Violation("PayloadOverflow", "batch_size * embedding_size beyond the float range"))
 
-    if not instance.bit_menu:
-        out.append(Violation("EmptyBitMenu", "bit menu is empty"))
-    for b in instance.bit_menu:
-        if b < MIN_BITS:
-            out.append(Violation("BitsTooSmall", f"bit-width {b} < {MIN_BITS}"))
-        if b > MAX_BITS:
-            out.append(Violation("BitsTooLarge", f"bit-width {b} > {MAX_BITS}"))
-    if math.isnan(instance.delta):  # inf is legal: no error budget
-        out.append(Violation("NonFiniteValue", "delta nan"))
-    elif instance.delta < 0:
-        out.append(Violation("NegativeDelta", f"delta {instance.delta}"))
-    if instance.tokens < 0:
-        out.append(Violation("NegativeTokens", f"tokens {instance.tokens}"))
-    try:
-        float(instance.tokens)  # every delay is n times a float
-    except OverflowError:
-        out.append(Violation("DelayOverflow", "tokens beyond the float range"))
+    out += bit_menu_violations(instance.bit_menu)
+    out += delta_violations(instance.delta)
+    out += tokens_violations(instance.tokens)
 
     if len(instance.feasible_bits) != len(layers):
         out.append(Violation("FeasibleBitsLengthMismatch",

@@ -128,8 +128,10 @@ def substitute(model: IlpModel, assignments) -> tuple[dict[str, float], float, l
     obj = sum(c * values[v] for v, c in model.objective.items())
     violated = []
     for row in model.constraints:
+        # every coefficient is +-1.0 and every value 0.0 or 1.0: the sum is
+        # a small integer, computed exactly
         lhs = sum(c * values[v] for v, c in row.coeffs.items())
-        if not (lhs <= row.rhs + 1e-9 if row.relation == "<=" else abs(lhs - row.rhs) <= 1e-9):
+        if not (lhs <= row.rhs if row.relation == "<=" else lhs == row.rhs):
             violated.append(row.name)
     return values, obj, violated
 

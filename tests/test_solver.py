@@ -936,9 +936,9 @@ SEARCH_SEEDS = 32
 
 @functools.lru_cache(maxsize=None)
 def _searched(seed):
-    """(oracle optimum, capped search) on M 10-16, L 6 to min(M, 12): every
-    other instance a stack of identical layers, ROADMAP's hard case, with
-    binding storage and sparse links."""
+    """(oracle optimum, capped search, table) on M 10-16, L 6 to min(M, 12):
+    every other instance a stack of identical layers, ROADMAP's hard case,
+    with binding storage and sparse links."""
     rng = random.Random(8000 + seed)
     m = rng.randint(10, 16)
     l = rng.randint(6, min(m, 12))
@@ -948,22 +948,32 @@ def _searched(seed):
         model = dataclasses.replace(inst.model, layers=(inst.model.layers[0],) * l)
         inst = dataclasses.replace(inst, model=model)
     table = build_delay_table(with_binding_storage(inst, rng, 0.3))
-    return held_karp(table.cp, table.cm), solve_branch_and_bound(table, budget=SEARCH_BUDGET)
+    return (held_karp(table.cp, table.cm), solve_branch_and_bound(table, budget=SEARCH_BUDGET),
+            table)
 
 
 class TestSearchAgainstHeldKarp:
     """Beyond brute force's reach: an optimal search equals the oracle, and
     one that runs out of budget brackets it between its root bound and its
-    incumbent."""
+    incumbent. An optimal search is also cut one expansion short, so the
+    bracket is checked on every seed a search proves, not only on those
+    that happen to exhaust SEARCH_BUDGET."""
+
+    @staticmethod
+    def assert_brackets(got, exact):
+        assert got.status == "budget_exceeded"
+        assert got.lower_bound_at_root <= exact or _close(got.lower_bound_at_root, exact)
+        assert exact <= got.objective or _close(exact, got.objective)
 
     @pytest.mark.parametrize("seed", range(SEARCH_SEEDS))
     def test_search_agrees_with_oracle(self, seed):
-        exact, got = _searched(seed)
+        exact, got, table = _searched(seed)
         if got.status == "optimal":
             assert _close(got.objective, exact)
+            self.assert_brackets(solve_branch_and_bound(table, budget=got.expansions - 1),
+                                 exact)
         elif got.status == "budget_exceeded":
-            assert got.lower_bound_at_root <= exact or _close(got.lower_bound_at_root, exact)
-            assert exact <= got.objective or _close(exact, got.objective)
+            self.assert_brackets(got, exact)
         else:
             assert got.status == "infeasible" and exact == math.inf
 
