@@ -11,7 +11,9 @@ must equal brute force's, which enumerates every width while the search
 keeps each layer's smallest, and its objective must equal brute force's
 exactly: the search prices from the delay table, brute force from the
 raw specs. Every plan must also pass the plan checker and replay through
-the simulator to its objective exactly, as the simulate command demands. The last line counts
+the simulator to its objective exactly, as the simulate command demands,
+and a second search of the same table must return an equal SolveResult:
+a solve is a value, with no clock in it. The last line counts
 the searches that started the Lagrangian ascent, and the ascent steps
 they took; ``--lagrangian`` starts the ascent before any
 plain-bound expansion, as if the first probe's allowance were 0, so the
@@ -90,6 +92,9 @@ def main():
             infeasible += 1
         else:
             bnb = solve_branch_and_bound(table)
+            counts = escalated, steps  # the second search is not counted
+            assert solve_branch_and_bound(table) == bnb
+            escalated, steps = counts
             assert bnb.plan.assignments == exact.plan.assignments
             # brute force prices from the specs, bnb from the table: equal bit
             # for bit where the table is right

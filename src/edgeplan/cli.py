@@ -21,6 +21,7 @@ import glob
 import math
 import os
 import sys
+import time
 
 from . import __version__, ilp, quant
 from .core import (REQUIRED, SCHEMA_VERSION, ParseError, ValidationError,
@@ -127,12 +128,13 @@ def _refuse_overwrite(args) -> None:
         seen.setdefault(key, f"the same file as {flag}")
 
 
-def _load_and_filter(args, read=read_bytes) -> tuple:
+def _load_table(args, read=read_bytes) -> tuple:
     """Shared plan/export-lp input path: load the inputs, their bytes got
     by ``read(path)``, validate, optionally narrow feasible bits from
-    on-disk weight tensors. The narrowed sets need no second validation:
-    quant.feasible_bits keeps a sorted subset of the menu, and a layer
-    without weights keeps the whole menu."""
+    on-disk weight tensors, and build the delay table. The narrowed sets
+    need no second validation: quant.feasible_bits keeps a sorted subset
+    of the menu, and a layer without weights keeps the whole menu.
+    Returns the instance, its table and the plan's options block."""
     bits, delta = args.bits, args.delta
     instance = load_instance(args.cluster, args.model, bit_menu=bits,
                              delta=delta, tokens=args.tokens, read=read)
@@ -151,7 +153,7 @@ def _load_and_filter(args, read=read_bytes) -> tuple:
         "feasible_bits": [list(fb) for fb in instance.feasible_bits],
         **options.to_doc(),
     }
-    return instance, options, options_doc
+    return instance, build_delay_table(instance, options), options_doc
 
 
 def _read_delta(value, where: str, *path) -> float:
@@ -174,7 +176,7 @@ _OBJECTIVE = (("total_s", read_finite, REQUIRED),)
 def _load_from_options(cluster_path, model_path, doc, path, read=read_bytes) -> tuple:
     """The instance and DelayOptions a plan's options block records, the
     input files' bytes got by ``read(path)``: the inverse of
-    _load_and_filter. feasible_bits holds one list of integers per layer,
+    _load_table. feasible_bits holds one list of integers per layer,
     and the rest of the block is a DelayOptions record."""
     where = str(path)
     bits, delta, tokens, rows = read_fields(doc, _OPTIONS, where, "options")
@@ -275,8 +277,7 @@ def _no_plan(status: str = "infeasible", **fields) -> int:
 
 def cmd_plan(args) -> int:
     read, inputs = hashing_reader()  # the input files, hashed as the loader reads them
-    instance, options, options_doc = _load_and_filter(args, read)
-    table = build_delay_table(instance, options)
+    instance, table, options_doc = _load_table(args, read)
     if (empty := table.unplaceable_layer()) is not None:
         return _no_plan(layer=empty)
 
@@ -304,6 +305,7 @@ def cmd_plan(args) -> int:
         print(f"lower bound: {bound!r} s (server reuse allowed)")
         return EXIT_OK
 
+    start = time.perf_counter()
     if args.solver == "brute":
         try:
             result = solve_brute_force(instance, table)
@@ -311,13 +313,14 @@ def cmd_plan(args) -> int:
             raise CliError(f"--solver brute: {e}")
     else:
         result = solve_branch_and_bound(table, args.budget)
+    wall_time = time.perf_counter() - start
     if result.status == "infeasible":
         return _no_plan()
     if result.status == "budget_exceeded":
         return _no_plan("budget_exceeded", budget=args.budget,
                         incumbent_s=result.objective if result.plan is not None else None,
                         lower_bound_s=result.lower_bound_at_root)
-    violations = check_plan_feasible(result.plan.assignments, instance, options)
+    violations = check_plan_feasible(result.plan.assignments, instance, table.options)
     if violations:  # solver bug guard, should be unreachable
         raise CliError("solver emitted infeasible plan: "
                        + "; ".join(map(str, violations)), EXIT_MISMATCH)
@@ -329,7 +332,7 @@ def cmd_plan(args) -> int:
         "nodes_explored": result.nodes_explored,
         "expansions": result.expansions,
         "lower_bound_at_root": result.lower_bound_at_root,
-        "wall_time_s": result.wall_time,
+        "wall_time_s": wall_time,
     })
     print(f"objective: {result.plan.total_delay!r} s "
           f"(compute {result.plan.compute_delay!r}, comm {result.plan.comm_delay!r})")
@@ -392,8 +395,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_export_lp(args) -> int:
-    instance, options, _ = _load_and_filter(args)
-    table = build_delay_table(instance, options)
+    instance, table, _ = _load_table(args)
     if (empty := table.unplaceable_layer()) is not None:
         return _no_plan(layer=empty)
     model = build_ilp(instance, table)
@@ -481,12 +483,9 @@ def main(argv=None) -> int:
     try:
         _refuse_overwrite(args)  # before any command reads or writes a file
         return args.func(args)
-    except CliError as e:
+    except (CliError, ParseError, ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return e.code
-    except (ParseError, ValidationError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+        return e.code if isinstance(e, CliError) else EXIT_INPUT
     except MemoryError as e:  # every command writes its outputs last
         print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT

@@ -28,7 +28,8 @@ matrices, ClusterSpec.link an entry.
 Every JSON document edgeplan reads or writes goes through this module:
 ``load_json`` loads it, as UTF-8 whatever the locale, ``read_fields``
 schemas type-check it (``read_records`` a table of records: a list of
-objects record by record, an object of arrays by columns), ``json_text``
+objects record by record, an object of arrays by columns, its keys read
+by ``read_fields`` as one record's), ``json_text``
 serialises it and ``write_outputs`` writes it, leaving no partial
 output. ``json_text`` writes exactly the
 bytes of ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)``
@@ -696,10 +697,12 @@ def read_records(table, schema: tuple, where: str, *path) -> list[list]:
 
     A list of objects is read record by record by read_fields, which
     refuses the first record, in order, with a field it cannot read. An
-    object of arrays is checked column by column: a column whose every
-    value has exactly its JSON type is taken as it is, any other is read
-    entry by entry, an integer as a float, refusing the first entry of
-    the first column at fault."""
+    object of arrays is read by read_fields too, as one record of arrays,
+    so a missing or mistyped column is refused before a length mismatch.
+    Then it is checked column by column: a column whose every value has
+    exactly its JSON type is taken as it is, any other is read entry by
+    entry, an integer as a float, refusing the first entry of the first
+    column at fault."""
     if type(table) is list:
         records = [read_fields(doc, schema, where, *path, k) for k, doc in enumerate(table)]
         return list(map(list, zip(*records))) if records else [[] for _ in schema]
@@ -710,21 +713,20 @@ def read_records(table, schema: tuple, where: str, *path) -> list[list]:
 
 def _array_columns(table: dict, schema: tuple, where: str, *path) -> list[list]:
     """The arrays of an object of columns, one per schema key, a missing
-    key's filled with its default; ParseError on a missing required key,
-    a column that is no array, or one whose length is not the first's."""
-    arrays, first = {}, None
-    for key, _, default in schema:
-        if key not in table:
-            if default is REQUIRED:
-                raise ParseError(f"{_where(where, path)}: missing key '{key}'")
-            continue
-        arrays[key] = read_typed(table[key], list, where, *path, key)
-        first = first or key
-        if len(arrays[key]) != len(arrays[first]):
+    key's filled with its default. read_fields reads the object, so a
+    missing required key or a column that is no array is refused as in a
+    record, before any length is compared; then ParseError on a column
+    whose length is not the first present column's."""
+    columns = read_fields(table, tuple((key, list, REQUIRED if default is REQUIRED else None)
+                                       for key, _, default in schema), where, *path)
+    given = [(key, column) for (key, _, _), column in zip(schema, columns) if column is not None]
+    first, n = (given[0][0], len(given[0][1])) if given else (None, 0)
+    for key, column in given:
+        if len(column) != n:
             raise ParseError(f"{_where(where, (*path, key))}: must have as many entries as "
-                             f"{first} ({len(arrays[first])}), got {len(arrays[key])}")
-    n = len(arrays[first]) if arrays else 0
-    return [arrays[key] if key in arrays else [default] * n for key, _, default in schema]
+                             f"{first} ({n}), got {len(column)}")
+    return [[default] * n if column is None else column
+            for (_, _, default), column in zip(schema, columns)]
 
 
 def parse_cluster(doc, where: str = "cluster") -> ClusterSpec:

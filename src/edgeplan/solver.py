@@ -22,6 +22,8 @@ The oracle reads the raw specs and, of the table, only its DelayOptions:
 Both price their plans with delay.path_delay, branch and bound on the
 table's entries and brute force on its scalar prices, so the objective is
 summed in one order. Neither checks a plan; delay.check_plan_feasible does.
+Neither reads a clock: a SolveResult is a value, equal for equal inputs,
+and the plan command times the solve whose time it reports.
 
 The relaxed DP of a solve runs in one workspace (_LayeredDP) that holds
 cp + lambda, H, the next-server argmins and one M x M layer of sums: the
@@ -94,7 +96,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -143,7 +144,6 @@ class SolveResult:
     objective: float  # math.inf when infeasible
     nodes_explored: int  # complete candidate plans evaluated
     lower_bound_at_root: float
-    wall_time: float
     expansions: int = 0  # search-tree children examined (bnb only)
 
 
@@ -176,7 +176,6 @@ def solve_brute_force(instance: ProblemInstance, table: DelayTable) -> SolveResu
     if L > BRUTE_FORCE_MAX_LAYERS or M > BRUTE_FORCE_MAX_SERVERS:
         raise SizeLimit(f"L={L}, M={M} beyond brute-force guard "
                         f"({BRUTE_FORCE_MAX_LAYERS}, {BRUTE_FORCE_MAX_SERVERS})")
-    t0 = time.perf_counter()
     cp, cm = _scalar_prices(instance, table.options)
     best_delay = (math.inf, math.inf, math.inf)
     best: Optional[tuple[tuple[int, int], ...]] = None
@@ -193,13 +192,12 @@ def solve_brute_force(instance: ProblemInstance, table: DelayTable) -> SolveResu
             candidate = tuple(zip(perm, bits))
             if total < best_delay[0] or candidate < best:
                 best_delay, best = delay, candidate
-    wall = time.perf_counter() - t0
     if best is None:
-        return SolveResult("infeasible", None, math.inf, leaves, math.inf, wall)
+        return SolveResult("infeasible", None, math.inf, leaves, math.inf)
     total, compute, comm = best_delay
     plan = PlacementPlan(assignments=best, total_delay=total,
                          compute_delay=compute, comm_delay=comm)
-    return SolveResult("optimal", plan, total, leaves, total, wall)
+    return SolveResult("optimal", plan, total, leaves, total)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +489,6 @@ def solve_branch_and_bound(table: DelayTable,
     masked (layer, server) entries are never expanded. lower_bound_at_root
     is the strongest root bound proven when the search finished.
     """
-    t0 = time.perf_counter()
     cp, cm = table.cp, table.cm
     L, M = cp.shape
     dp = _LayeredDP(cp, cm) if L <= M else None
@@ -499,8 +496,7 @@ def solve_branch_and_bound(table: DelayTable,
     # more layers than servers, or a layer that keeps no width (an all-inf
     # cp row, so an inf root bound): nothing to search
     if math.isinf(root_bound):
-        return SolveResult("infeasible", None, math.inf, 0, math.inf,
-                           time.perf_counter() - t0)
+        return SolveResult("infeasible", None, math.inf, 0, math.inf)
 
     lam, H = [0.0] * M, dp.H
     limit, ascent, rounds = _FIRST_PROBE, None, 0
@@ -526,17 +522,14 @@ def solve_branch_and_bound(table: DelayTable,
         root_bound = max(root_bound, bound)
         if found is not None and (incumbent is None or found < incumbent):
             incumbent = found
-    wall = time.perf_counter() - t0
     status = ("budget_exceeded" if exhausted else "optimal" if incumbent
               else "infeasible")
     if incumbent is None:
-        return SolveResult(status, None, math.inf, leaves, root_bound, wall,
-                           expansions)
+        return SolveResult(status, None, math.inf, leaves, root_bound, expansions)
     # array entries sum to numpy scalars: the plan carries Python floats
     total, compute, comm = map(float, path_delay(cp, cm, incumbent[1]))
     plan = PlacementPlan(assignments=tuple(zip(incumbent[1], table.widths)),
                          total_delay=total, compute_delay=compute,
                          comm_delay=comm)
     # the root bound can exceed the objective only by rounding
-    return SolveResult(status, plan, total, leaves, min(root_bound, total),
-                       wall, expansions)
+    return SolveResult(status, plan, total, leaves, min(root_bound, total), expansions)

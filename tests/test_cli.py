@@ -13,7 +13,7 @@ import pytest
 
 from edgeplan import cli, core, quant
 from edgeplan import solver as solver_module
-from edgeplan.cli import _load_and_filter, _load_from_options, build_parser, main
+from edgeplan.cli import _load_from_options, _load_table, build_parser, main
 from edgeplan.core import (LayerProfile, LinkSpec, ServerSpec, json_text, load_instance,
                            write_outputs)
 from edgeplan.delay import DelayOptions, compute_cm, compute_cp
@@ -943,8 +943,8 @@ class TestSimulateCommand:
                 "--weights-dir", str(wdir), *flags, "--out", str(out)]
         code, _, err = run(argv, capsys)
         assert code == 0, err
-        instance, built, _ = _load_and_filter(build_parser().parse_args(argv))
-        assert built == options and instance.feasible_bits == ((8,), (8,))
+        instance, table, _ = _load_table(build_parser().parse_args(argv))
+        assert table.options == options and instance.feasible_bits == ((8,), (8,))
         decoded = _load_from_options(data_path("cluster_2x2.json"), mpath,
                                      json.loads(out.read_text())["options"], out)
         assert decoded == (instance, options)

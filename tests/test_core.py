@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeplan import core
+from edgeplan.cli import main
 from edgeplan.core import (ClusterSpec, LayerProfile, LinkSpec, ModelProfile,
                            ParseError, ProblemInstance, ServerSpec,
                            ValidationError, cluster_to_doc, json_text, load_instance,
@@ -405,18 +406,20 @@ class TestLinkFields:
         """Every link field of a generated cluster has exactly its JSON
         type, so in the writer's layout no link is read as a record and no
         link column entry by entry: the only read_fields or read_typed
-        calls with a links path are the four array checks. The object
-        layout, read record by record, parses to an equal cluster."""
+        calls with a links path are read_fields reading the column object
+        once, as one record of arrays, and its check that the object is
+        one, so no such path ends in an index. The object layout, read
+        record by record, parses to an equal cluster."""
         cluster = generate_instance(1, 48, 8).cluster
         doc = cluster_to_doc(cluster)
         assert len(doc["links"]["src"]) == 2256
-        paths = []
+        calls = []
         for name in ("read_fields", "read_typed"):
-            monkeypatch.setattr(core, name, lambda *a, f=getattr(core, name):
-                                paths.append(a[2:]) or f(*a))
+            monkeypatch.setattr(core, name, lambda *a, name=name, f=getattr(core, name):
+                                calls.append((name, a[2:])) or f(*a))
         assert parse_cluster(doc, "c.json") == cluster
-        assert [p for p in paths if "links" in p] == [
-            ("c.json", "links", key) for key in ("src", "dst", "capacity_bps", "prop_delay_s")]
+        links = [(name, path) for name, path in calls if "links" in path]
+        assert links == [("read_fields", ("c.json", "links")), ("read_typed", ("c.json", "links"))]
         assert parse_cluster(object_layout(doc), "c.json") == cluster
 
     @pytest.mark.parametrize("links, message", [case[1:] for case in BAD_LINK_COLUMNS],
@@ -425,6 +428,22 @@ class TestLinkFields:
         with pytest.raises(ParseError) as exc:
             parse_cluster({"servers": [], "links": links}, "c.json")
         assert str(exc.value) == message
+
+    def test_missing_column_is_refused_before_a_short_one(self, tmp_path, capsys):
+        """A column file with two faults, a short dst column and no
+        capacity_bps column, reports the missing column, as a link record
+        would: keys are read before lengths are compared. plan exits 2 and
+        writes nothing."""
+        links = {k: v for k, v in dict(COLUMNS, dst=[1]).items() if k != "capacity_bps"}
+        with pytest.raises(ParseError) as exc:
+            parse_cluster({"servers": [], "links": links}, "c.json")
+        assert str(exc.value) == "c.json.links: missing key 'capacity_bps'"
+        cpath, out = tmp_path / "c.json", tmp_path / "plan.json"
+        cpath.write_text(json.dumps(dict(cluster_doc(), links=links)))
+        assert main(["plan", "--cluster", str(cpath), "--model", data_path("model_2x2.json"),
+                     "--bits", "8", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {cpath}.links: missing key 'capacity_bps'\n"
+        assert not out.exists()
 
     def test_missing_links_key_is_named(self):
         """links is required: a cluster without it is refused by its own

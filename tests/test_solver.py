@@ -174,6 +174,26 @@ class TestBranchAndBound:
         if a.plan is not None:
             assert a.plan.assignments == b.plan.assignments
 
+    def test_a_solve_is_a_value(self):
+        """No solver reads a clock: two solves of one table give equal
+        SolveResults, whether the solve is optimal, infeasible or cut by
+        the budget, for branch and bound and brute force alike."""
+        statuses = set()
+        for seed in range(12):
+            inst = _lagrangian_instance(seed)
+            table = build_delay_table(inst)
+            full = solve_branch_and_bound(table)
+            solves = [functools.partial(solve_brute_force, inst, table),
+                      functools.partial(solve_branch_and_bound, table)]
+            if full.expansions > 1:
+                solves.append(functools.partial(solve_branch_and_bound, table,
+                                                full.expansions - 1))
+            for solve in solves:
+                first = solve()
+                assert solve() == first, seed
+                statuses.add(first.status)
+        assert statuses == {"optimal", "infeasible", "budget_exceeded"}
+
     def test_budget_exhaustion(self):
         inst = dominant_server_instance(num_layers=4)
         table = build_delay_table(inst)
