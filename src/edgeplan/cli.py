@@ -6,7 +6,9 @@ codes: 0 ok, 2 input error (a file that cannot be read or written too),
 3 infeasible, 4 search budget exhausted, 5 plan/simulation mismatch,
 6 input digest mismatch. A flag that breaks its rule is refused by the
 flag's parser type (see _flag), as argparse's usage error, before any
-file is read.
+file is read. Past the parser, every refusal is an exception that main
+prints as one ``error:`` line (exit 2, 5 or 6); a command that runs
+prints its own line (exit 0), or _no_plan's record (exit 3 or 4).
 
 JSON documents are read, type-checked and written by ``core``; this
 module declares the plan document's schemas and what each command writes.
@@ -361,24 +363,21 @@ def cmd_simulate(args) -> int:
     read, inputs = hashing_reader()
     held = {path: read(path) for path in (args.cluster, args.model)}
     if input_digest(inputs, options_doc) != digest:
-        print("digest mismatch: plan was produced from different inputs or flags",
-              file=sys.stderr)
-        return EXIT_DIGEST
+        raise CliError("digest mismatch: plan was produced from different inputs or flags",
+                       EXIT_DIGEST)
     instance, options = _load_from_options(args.cluster, args.model, options_doc,
                                            args.plan, held.__getitem__)
     assignments, claimed = _replay_inputs(entries, objective, instance.model.num_layers,
                                           args.plan)
     violations = check_plan_feasible(assignments, instance, options)
     if violations:
-        print("mismatch: plan cannot be replayed: " + "; ".join(map(str, violations)),
-              file=sys.stderr)
-        return EXIT_MISMATCH
+        raise CliError("mismatch: plan cannot be replayed: " + "; ".join(map(str, violations)),
+                       EXIT_MISMATCH)
     trace = simulate(assignments, instance, options)
     completion = trace.completion_time
     if completion != claimed:  # claimed is finite: an inf or NaN replay differs
-        print(f"mismatch: simulated {completion!r} s vs "
-              f"plan objective {claimed!r} s", file=sys.stderr)
-        return EXIT_MISMATCH
+        raise CliError(f"mismatch: simulated {completion!r} s vs plan objective {claimed!r} s",
+                       EXIT_MISMATCH)
     events = trace.rounds * len(trace.events)
     outputs = [(args.out, trace_to_timeline(trace))]
     if args.summary:

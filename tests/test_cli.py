@@ -835,7 +835,7 @@ class TestSimulateCommand:
              "--cluster", data_path("cluster_2x2.json"),
              "--model", data_path("model_2x2.json"),
              "--out", str(timeline), "--summary", str(summary)], capsys)
-        assert (code, err) == (5, f"mismatch: simulated {total!r} s vs "
+        assert (code, err) == (5, f"error: mismatch: simulated {total!r} s vs "
                                   f"plan objective {claimed!r} s\n")
         assert not timeline.exists() and not summary.exists()
 
@@ -855,7 +855,7 @@ class TestSimulateCommand:
              "--model", data_path("model_2x2.json"),
              "--out", str(timeline)], capsys)
         assert code == 5
-        assert err.startswith("mismatch: simulated ")
+        assert err.startswith("error: mismatch: simulated ")
         assert rendered == [] and not timeline.exists()
 
     def test_unreplayable_plan_is_mismatch(self, tmp_path, capsys):
@@ -987,7 +987,7 @@ class TestSimulateCommand:
         code, stdout, err = run(["simulate", "--plan", str(plan), *files,
                                  "--out", str(timeline)], capsys)
         assert (code, stdout) == (5, "")
-        assert err == ("mismatch: plan cannot be replayed: InfeasibleBits: "
+        assert err == ("error: mismatch: plan cannot be replayed: InfeasibleBits: "
                        "layer 0 at 16 bits (allowed (4, 8))\n")
         assert not timeline.exists()
 
@@ -1039,7 +1039,7 @@ class TestSimulateCommand:
                       ["--cluster", data_path("cluster_2x2.json"), "--model", str(broken)]):
             code, _, err = run(["simulate", "--plan", str(plan), *flags,
                                 "--out", str(tmp_path / "t.csv")], capsys)
-            assert (code, err) == (6, "digest mismatch: plan was produced from "
+            assert (code, err) == (6, "error: digest mismatch: plan was produced from "
                                       "different inputs or flags\n")
 
     def test_each_input_is_opened_once(self, tmp_path, capsys, monkeypatch):
@@ -1109,7 +1109,8 @@ class TestLinkLayouts:
                         "--out", str(plan)], capsys)[0] == 0
             assert run(["simulate", "--plan", str(plan), "--cluster", str(replayed), *model,
                         "--out", str(root / "t.csv")], capsys) == (
-                6, "", "digest mismatch: plan was produced from different inputs or flags\n")
+                6, "", "error: digest mismatch: plan was produced from different inputs "
+                       "or flags\n")
             assert not (root / "t.csv").exists()
 
 
@@ -1775,7 +1776,7 @@ class TestHandEditedPlans:
                                  "--model", str(model), "--out", str(tmp_path / "t.csv")],
                                 capsys)
         assert code == 5 and stdout == ""
-        assert err == ("mismatch: plan cannot be replayed: "
+        assert err == ("error: mismatch: plan cannot be replayed: "
                        f"UnknownServer: layer 1 on server {server}; "
                        f"MissingLink: layers 0->1 need link 0->{server}; "
                        f"MissingLink: layers 1->2 need link {server}->1\n")
